@@ -102,92 +102,6 @@ class ConstraintResiduals:
         return max(self.vel, default=0.0)
 
 
-def penalty_mass(model: MultibodyModel, pcfg: PenaltyConfig, t, q, rho) -> np.ndarray:
-    G = model.constraints.jac_q(t, q, rho)
-    return model.mass_at(t, q, rho) + pcfg.alpha * (G.T @ G)
-
-
-def penalty_force(model: MultibodyModel, pcfg: PenaltyConfig, t, q, v, rho) -> np.ndarray:
-    cons = model.constraints
-    G = cons.jac_q(t, q, rho)
-    phi = cons.value(t, q, rho)
-    phidot = G @ v + cons.jac_t(t, q, rho)
-    no_vdot = -cons.accel_rhs(t, q, v, rho)
-    pen = no_vdot + 2.0 * pcfg.xi * pcfg.omega * phidot + pcfg.omega ** 2 * phi
-    return model.force_at(t, q, v, rho) - pcfg.alpha * (G.T @ pen)
-
-
-def _penalty_wrapper_model(model: MultibodyModel, pcfg: PenaltyConfig) -> MultibodyModel:
-    """Derived unconstrained model with the extended mass/force.
-
-    When the constraint set declares a constant Hessian (quadratic
-    constraints) the derived partials are composed analytically from the
-    base model's callbacks; otherwise the finite-difference fallback of the
-    plain dynamics takes over.
-    """
-    cons = model.constraints
-    a, xi, om = pcfg.alpha, pcfg.xi, pcfg.omega
-
-    mass_q_w = None
-    force_q = None
-    force_v = None
-    force_rho = None
-    analytic_ok = (cons.hessian_constant and cons.scleronomic
-                   and cons.phi_q is not None and cons.phi_qq_w is not None
-                   and cons.phi_qq_T_mu is not None
-                   and model.force_q is not None and model.force_v is not None
-                   and model.force_rho is not None and model.mass_constant)
-
-    if analytic_ok:
-        # pen := H_v v + 2 xi om (G v) + om^2 phi with H_v = d(G v)/dq; the
-        # constant-Hessian assumption kills every d(H_v)/dq term below.
-        def _pen_pieces(t, q, v, rho, _c=cons):
-            G = _c.jac_q(t, q, rho)
-            phi = _c.value(t, q, rho)
-            H_v = _c.qq_action(t, q, rho, v)
-            pen = H_v @ v + 2.0 * xi * om * (G @ v) + om ** 2 * phi
-            return G, phi, H_v, pen
-
-        def mass_q_w(t, q, rho, w, _c=cons):
-            G = _c.jac_q(t, q, rho)
-            return a * (_c.qqT_action(t, q, rho, G @ w) + G.T @ _c.qq_action(t, q, rho, w))
-
-        def force_q(t, q, v, rho, _c=cons):
-            G, phi, H_v, pen = _pen_pieces(t, q, v, rho)
-            # H_v v is q-independent for constant Hessians, so only the
-            # damping and stiffness terms contribute to d pen / dq
-            dpen_dq = 2.0 * xi * om * H_v + om ** 2 * G
-            return (model.force_jac_q(t, q, v, rho)
-                    - a * (_c.qqT_action(t, q, rho, pen) + G.T @ dpen_dq))
-
-        def force_v(t, q, v, rho, _c=cons):
-            G, phi, H_v, pen = _pen_pieces(t, q, v, rho)
-            dpen_dv = 2.0 * H_v + 2.0 * xi * om * G
-            return model.force_jac_v(t, q, v, rho) - a * (G.T @ dpen_dv)
-
-        def force_rho(t, q, v, rho, _c=cons):
-            G, phi, H_v, pen = _pen_pieces(t, q, v, rho)
-            dpen_drho = (2.0 * xi * om * _c.q_rho_action(t, q, rho, v)
-                         + om ** 2 * _c.jac_rho(t, q, rho))
-            return (model.force_jac_rho(t, q, v, rho)
-                    - a * (G.T @ dpen_drho))
-
-    derived = MultibodyModel(
-        dims=model.dims,
-        mass=lambda t, q, rho: penalty_mass(model, pcfg, t, q, rho),
-        force=lambda t, q, v, rho: penalty_force(model, pcfg, t, q, v, rho),
-        initial_state=model.initial_state,
-        mass_q_w=mass_q_w,
-        force_q=force_q,
-        force_v=force_v,
-        force_rho=force_rho,
-        mass_rho_w=(lambda t, q, rho, w: np.zeros((model.dims.n, model.dims.p)))
-        if analytic_ok else None,
-        name=model.name + "+penalty",
-    )
-    return derived
-
-
 def _augmented_factor(M: np.ndarray, G: np.ndarray, alpha: float):
     """Factor the regularized saddle matrix [[M, G^T], [G, -I/alpha]].
 
@@ -218,11 +132,12 @@ def _augmented_solve_with(factor, n: int, m: int, top: np.ndarray,
 class PenaltyDynamics:
     """Penalty-ODE dynamics of a constrained model.
 
-    Exposes the same interface as OdeDynamics; ``model`` remains the original
-    constrained model (events and residual monitoring need its constraint
-    set), while the extended-mass partials come from the derived wrapper
-    model.  All linear solves against the extended mass matrix go through
-    the augmented saddle form, never the ill-conditioned normal form.
+    The extended system is Mbar vdot = Fbar with Mbar = M + alpha G^T G and
+    Fbar = F - alpha G^T s, G = phi_q and s the violation restoring terms.
+    Exposes the same interface as OdeDynamics; ``model`` is the constrained
+    model itself (events and residual monitoring need its constraint set).
+    All linear solves against Mbar go through the augmented saddle form,
+    never the ill-conditioned normal form.
     """
 
     def __init__(self, model: MultibodyModel, pcfg: PenaltyConfig | None = None):
@@ -230,97 +145,102 @@ class PenaltyDynamics:
             raise ValueError("penalty dynamics needs a constrained model")
         self.model = model
         self.pcfg = pcfg or PenaltyConfig()
-        self._wrapper = _penalty_wrapper_model(model, self.pcfg)
         self.dims = model.dims
-        self._factor_key = None
-        self._factor = None
+        # (point key, factor), read and replaced as one tuple so that threads
+        # sharing this object never pair one point's key with another's factor
+        self._memo = (None, None)
 
     @property
     def n_multipliers(self) -> int:
         return 0
 
-    def _factored(self, t, q, rho):
+    def _factored(self, t, q, rho, G):
         """Saddle factorization memoized on the (t, q, rho) point: the state
         and Jacobian solves of one right-hand-side evaluation share it."""
         key = (t, q.tobytes(), rho.tobytes())
-        if key != self._factor_key:
-            M = self.model.mass_at(t, q, rho)
-            G = self.model.constraints.jac_q(t, q, rho)
-            self._factor = _augmented_factor(M, G, self.pcfg.alpha)
-            self._factor_key = key
-        return self._factor
+        memo_key, factor = self._memo
+        if memo_key != key:
+            factor = _augmented_factor(self.model.mass_at(t, q, rho), G, self.pcfg.alpha)
+            self._memo = (key, factor)
+        return factor
 
-    def _pen_source(self, t, q, v, rho):
-        """s with Fbar = F - G^T alpha s (the violation restoring terms)."""
+    def _pen_source(self, t, q, v, rho, G, C):
+        """s = -C + 2 xi omega phi_d + omega^2 phi, from G = phi_q and the
+        acceleration-constraint right side C."""
         cons = self.model.constraints
-        phi = cons.value(t, q, rho)
-        phidot = cons.jac_q(t, q, rho) @ v + cons.jac_t(t, q, rho)
-        return (-cons.accel_rhs(t, q, v, rho)
-                + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
-                + self.pcfg.omega ** 2 * phi)
+        phidot = G @ v + cons.jac_t(t, q, rho)
+        return (-C + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
+                + self.pcfg.omega ** 2 * cons.value(t, q, rho))
 
     def accel(self, t, q, v, rho) -> np.ndarray:
         return self._accel_full(t, q, v, rho)[0]
 
     def _accel_full(self, t, q, v, rho):
-        s = self._pen_source(t, q, v, rho)
-        F = self.model.force_at(t, q, v, rho)
-        factor, n, m = self._factored(t, q, rho)
-        vdot, y = _augmented_solve_with(factor, n, m, F, -s)
-        return vdot, y  # y is exactly the multiplier estimate mu*
+        """(vdot, mu*) from one augmented solve; the second block is
+        mu* = alpha (G vdot + s) = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
+        cons = self.model.constraints
+        G = cons.jac_q(t, q, rho)
+        s = self._pen_source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
+        factor, n, m = self._factored(t, q, rho, G)
+        return _augmented_solve_with(factor, n, m, self.model.force_at(t, q, v, rho), -s)
 
     def accel_and_multipliers(self, t, q, v, rho):
         # the penalty route is an ODE: multipliers are estimates, not states
         return self.accel(t, q, v, rho), None
 
     def jacobians(self, t, q, v, rho, vdot=None):
-        """Extended-system Jacobians f_zeta = Mbar^-1 (Fbar_zeta - Mbar_zeta vdot),
-        each solve routed through the augmented form."""
+        """Extended-system Jacobians f_zeta = Mbar^-1 (Fbar_zeta - Mbar_zeta vdot).
+
+        Analytic when the constraint set declares ``hessian_constant`` and
+        ``scleronomic`` and phi_q does not depend on rho (assumed, not
+        checked); every d(H_v)/dq and d(phi_q)/drho term then vanishes:
+
+            rhs_q   = F_q - M_q vdot - alpha [qqT(s + G vdot)
+                      + G^T (2 xi omega H_v + omega^2 G + qq(vdot))]
+            rhs_v   = F_v - alpha G^T (2 H_v + 2 xi omega G)
+            rhs_rho = F_rho - M_rho vdot
+                      - alpha G^T (2 xi omega q_rho(v) + omega^2 phi_rho)
+
+        with H_v = d(G v)/dq, all three solved at once through the augmented
+        form.  Any other constraint set takes central differences of accel.
+        """
+        cons = self.model.constraints
+        if not (cons.hessian_constant and cons.scleronomic):
+            from .model import fd_jacobian as _fd
+            return (_fd(lambda x: self.accel(t, x, v, rho), q),
+                    _fd(lambda x: self.accel(t, q, x, rho), v),
+                    _fd(lambda x: self.accel(t, q, v, x), rho))
+        model = self.model
+        a, xi, om = self.pcfg.alpha, self.pcfg.xi, self.pcfg.omega
+        G = cons.jac_q(t, q, rho)
+        H_v = cons.qq_action(t, q, rho, v)
+        s = self._pen_source(t, q, v, rho, G, -(H_v @ v))
+        factor, n, m = self._factored(t, q, rho, G)
         if vdot is None:
-            vdot = self.accel(t, q, v, rho)
-        w = self._wrapper
-        n, p = self.dims.n, self.dims.p
-        rhs_q = w.force_jac_q(t, q, v, rho) - w.mass_q_action(t, q, rho, vdot)
-        rhs_v = w.force_jac_v(t, q, v, rho)
-        rhs_rho = w.force_jac_rho(t, q, v, rho) - w.mass_rho_action(t, q, rho, vdot)
-        factor, nn, mm = self._factored(t, q, rho)
-        sol, _ = _augmented_solve_with(factor, nn, mm,
-                                       np.hstack([rhs_q, rhs_v, rhs_rho]))
-        return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]
+            vdot, _ = _augmented_solve_with(factor, n, m, model.force_at(t, q, v, rho), -s)
+        rhs_q = (model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
+                 - a * (cons.qqT_action(t, q, rho, s + G @ vdot)
+                        + G.T @ (2.0 * xi * om * H_v + om ** 2 * G
+                                 + cons.qq_action(t, q, rho, vdot))))
+        rhs_v = model.force_jac_v(t, q, v, rho) - a * (G.T @ (2.0 * H_v + 2.0 * xi * om * G))
+        rhs_rho = (model.force_jac_rho(t, q, v, rho) - model.mass_rho_action(t, q, rho, vdot)
+                   - a * (G.T @ (2.0 * xi * om * cons.q_rho_action(t, q, rho, v)
+                                 + om ** 2 * cons.jac_rho(t, q, rho))))
+        sol, _ = _augmented_solve_with(factor, n, m, np.hstack([rhs_q, rhs_v, rhs_rho]))
+        return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:]
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None
 
-    def multiplier_estimate(self, t, q, v, rho, vdot=None) -> np.ndarray:
+    def multiplier_estimate(self, t, q, v, rho) -> np.ndarray:
         """mu* = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
-        cons = self.model.constraints
-        if vdot is None:
-            vdot = self.accel(t, q, v, rho)
-        phidd = cons.jac_q(t, q, rho) @ vdot - cons.accel_rhs(t, q, v, rho)
-        phid = cons.velocity_residual(t, q, v, rho)
-        phi = cons.value(t, q, rho)
-        return self.pcfg.alpha * (phidd + 2.0 * self.pcfg.xi * self.pcfg.omega * phid
-                                  + self.pcfg.omega ** 2 * phi)
+        return self._accel_full(t, q, v, rho)[1]
 
     def residuals(self, t, q, v, rho):
         cons = self.model.constraints
         pos = float(np.max(np.abs(cons.value(t, q, rho)))) if cons.m else 0.0
         vel = float(np.max(np.abs(cons.velocity_residual(t, q, v, rho)))) if cons.m else 0.0
         return pos, vel
-
-
-def penalty_rhs(model: MultibodyModel, pcfg: PenaltyConfig, t, q, v, rho) -> np.ndarray:
-    """Acceleration of the penalty formulation, vdot = Mbar^-1 Fbar."""
-    return PenaltyDynamics(model, pcfg).accel(t, q, v, rho)
-
-
-def penalty_multipliers(model: MultibodyModel, pcfg: PenaltyConfig, t, q, v, vdot, rho) -> np.ndarray:
-    """Estimate of the constraint multipliers from the violation dynamics."""
-    cons = model.constraints
-    phidd = cons.jac_q(t, q, rho) @ vdot - cons.accel_rhs(t, q, v, rho)
-    phid = cons.velocity_residual(t, q, v, rho)
-    phi = cons.value(t, q, rho)
-    return pcfg.alpha * (phidd + 2.0 * pcfg.xi * pcfg.omega * phid + pcfg.omega ** 2 * phi)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ class ConstraintSet:
     phi_t_rho(t,q,rho)      -> (m, p)   d(phi_t)/drho
 
     ``hessian_constant`` declares that phi_q is affine in q (quadratic
-    constraints), i.e. d/dq of any phi_qq_w action vanishes.  This enables
-    analytic Jacobian fast paths used by the penalty formulation.
+    constraints), i.e. d/dq of any phi_qq_w action vanishes.  Together with
+    ``scleronomic`` it enables the penalty formulation's analytic Jacobians.
     """
 
     m: int
@@ -216,7 +216,8 @@ class MultibodyModel:
     Optional analytic partials (mass_q_w, mass_rho_w, force_q, force_v,
     force_rho) override the finite-difference fallback.  The ``mass_*_w``
     callbacks return directional contractions: mass_q_w(t,q,rho,w) is the
-    (n, n) matrix whose column j equals (dM/dq_j) @ w.
+    (n, n) matrix whose column j equals (dM/dq_j) @ w.  ``mass_constant``
+    declares M constant in q and rho, so both mass partials vanish.
     """
 
     dims: Dimensions
@@ -246,6 +247,8 @@ class MultibodyModel:
         return fd_jacobian(lambda qq: self.mass_at(t, qq, rho) @ w, q)
 
     def mass_rho_action(self, t, q, rho, w) -> np.ndarray:
+        if self.mass_constant:
+            return np.zeros((self.dims.n, self.dims.p))
         if self.mass_rho_w is not None:
             return np.asarray(self.mass_rho_w(t, q, rho, w), dtype=float)
         return fd_jacobian(lambda rr: self.mass_at(t, q, rr) @ w, rho)
@@ -267,7 +270,7 @@ class MultibodyModel:
 
 
 class OdeDynamics:
-    """Unconstrained (or penalty-wrapped) dynamics vdot = M^{-1} F."""
+    """Unconstrained dynamics vdot = M^{-1} F."""
 
     def __init__(self, model: MultibodyModel):
         self.model = model
@@ -308,16 +311,6 @@ class OdeDynamics:
     def residuals(self, t, q, v, rho):
         """Constraint residuals; an unconstrained system has none."""
         return 0.0, 0.0
-
-
-def eom_rhs(dyn, t, q, v, rho) -> np.ndarray:
-    """Acceleration of the active dynamics at (t, q, v, rho)."""
-    return dyn.accel(t, q, v, rho)
-
-
-def eom_jacobians(dyn, t, q, v, rho):
-    """(f_q, f_v, f_rho) of the active dynamics at (t, q, v, rho)."""
-    return dyn.jacobians(t, q, v, rho)
 
 
 # ---------------------------------------------------------------------------

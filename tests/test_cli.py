@@ -1,6 +1,14 @@
 import json
 
+import numpy as np
+
 from hybridsens.cli import main
+
+
+def max_rel_diff(a, d):
+    """max |a - d| / max(1, |d|), as the fd-check table reports it."""
+    a, d = np.array(a), np.array(d)
+    return float(np.max(np.abs(a - d) / np.maximum(1.0, np.abs(d))))
 
 
 def test_unknown_model_exits_2(tmp_path, capsys):
@@ -44,7 +52,7 @@ def test_direct_and_adjoint_outputs(tmp_path):
     assert main(["adjoint", "--model", "bouncing-mass", "--cost", "int-vy",
                  "--out", str(out2)]) == 0
     grad2 = json.loads((out2 / "gradient.json").read_text())
-    assert grad2["max_rel_diff"] <= 1e-6
+    assert max_rel_diff(grad2["adjoint"], grad["direct"]) <= 1e-6
     assert (out2 / "adjoint_backward.csv").exists()
     assert (out2 / "adjoint_forward.csv").exists()
 
@@ -81,7 +89,7 @@ def test_identical_invocations_bitwise_identical(tmp_path):
     outs = []
     for tag in ("x", "y"):
         out = tmp_path / tag
-        assert main(["fd-check", "--model", "bouncing-mass", "--seed", "7",
+        assert main(["fd-check", "--model", "bouncing-mass",
                      "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
@@ -102,11 +110,13 @@ def test_five_bar_simulate_artifacts(tmp_path):
 
 
 def test_five_bar_adjoint_cli_agreement(tmp_path):
-    out = tmp_path / "fba"
-    assert main(["adjoint", "--model", "five-bar", "--cost", "int-vy2",
-                 "--tf", "1.0", "--out", str(out)]) == 0
-    grad = json.loads((out / "gradient.json").read_text())
-    assert grad["max_rel_diff"] <= 1e-4
+    grads = {}
+    for cmd in ("direct", "adjoint"):
+        out = tmp_path / cmd
+        assert main([cmd, "--model", "five-bar", "--cost", "int-vy2",
+                     "--tf", "1.0", "--out", str(out)]) == 0
+        grads[cmd] = json.loads((out / "gradient.json").read_text())[cmd]
+    assert max_rel_diff(grads["adjoint"], grads["direct"]) <= 1e-4
 
 
 def test_report_rerenders(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,11 @@ from hybridsens.constrained import (
     dae_jacobians,
     dae_solve,
     impulse_solve,
-    penalty_multipliers,
-    penalty_rhs,
 )
 from hybridsens.gallery import (
+    FIVE_BAR_PARAMS,
     PENDULUM_LENGTH,
+    five_bar,
     pendulum_model,
     pendulum_swing_model,
 )
@@ -41,7 +45,7 @@ def test_penalty_reduces_to_plain_when_alpha_small():
     model = pendulum_swing_model()
     q = hanging_state(0.4)
     v = tangential_velocity(q, 0.7)
-    a_small = penalty_rhs(model, PenaltyConfig(alpha=1e-9), 0.0, q, v, RHO)
+    a_small = PenaltyDynamics(model, PenaltyConfig(alpha=1e-9)).accel(0.0, q, v, RHO)
     # alpha -> 0 limit is the unconstrained dynamics M^-1 F
     expect = np.array([0.0, -G])
     assert np.max(np.abs(a_small - expect)) < 1e-6
@@ -53,7 +57,7 @@ def test_penalty_force_correction_vanishes_on_manifold():
     model = pendulum_swing_model()
     q = hanging_state(0.0)
     v = tangential_velocity(q, 1.3)
-    a_pen = penalty_rhs(model, PenaltyConfig(), 0.0, q, v, RHO)
+    a_pen = PenaltyDynamics(model, PenaltyConfig()).accel(0.0, q, v, RHO)
     a_dae, _ = dae_solve(model, 0.0, q, v, RHO)
     assert rel_err(a_pen, a_dae, floor=1.0) < 1e-6
 
@@ -79,8 +83,7 @@ def test_penalty_multiplier_static_equilibrium():
     q = hanging_state(0.0)
     v = np.zeros(2)
     pcfg = PenaltyConfig()
-    vdot = penalty_rhs(model, pcfg, 0.0, q, v, RHO)
-    mu = penalty_multipliers(model, pcfg, 0.0, q, v, vdot, RHO)
+    mu = PenaltyDynamics(model, pcfg).multiplier_estimate(0.0, q, v, RHO)
     m = RHO[2]
     expect = m * G / (2.0 * PENDULUM_LENGTH)
     assert rel_err(mu, [expect]) < 1e-4
@@ -96,8 +99,7 @@ def test_penalty_multiplier_zero_when_unloaded():
     model.force = lambda t, q, v, rho: np.zeros(2)
     model.force_q = lambda t, q, v, rho: np.zeros((2, 2))
     model.force_rho = lambda t, q, v, rho: np.zeros((2, 3))
-    vdot = penalty_rhs(model, pcfg, 0.0, q, v, RHO)
-    mu = penalty_multipliers(model, pcfg, 0.0, q, v, vdot, RHO)
+    mu = PenaltyDynamics(model, pcfg).multiplier_estimate(0.0, q, v, RHO)
     assert np.max(np.abs(mu)) < 1e-9
 
 
@@ -107,10 +109,97 @@ def test_penalty_vs_dae_multipliers_during_swing():
     dae = DaeDynamics(model)
     traj = simulate(dae, None, [], RHO, (0.0, 1.0), IntegratorConfig())
     q, v, _ = traj.state_at(0.6)
-    vdot_pen = penalty_rhs(model, pcfg, 0.6, q, v, RHO)
-    mu_pen = penalty_multipliers(model, pcfg, 0.6, q, v, vdot_pen, RHO)
+    mu_pen = PenaltyDynamics(model, pcfg).multiplier_estimate(0.6, q, v, RHO)
     _, mu_dae = dae_solve(model, 0.6, q, v, RHO)
     assert rel_err(mu_pen, mu_dae) < 1e-4
+
+
+def five_bar_states(prob, rng, k):
+    """k states (t, q, v, rho) near the assembled five-bar pose, slightly off
+    the manifold, with every parameter perturbed."""
+    rho0 = prob.rho0.rho
+    states = []
+    for _ in range(k):
+        rho = rho0 * (1.0 + rng.uniform(-0.02, 0.02, rho0.size))
+        q = prob.dynamics.model.initial_state(rho).q0 + rng.normal(scale=1e-4, size=6)
+        states.append((rng.uniform(0.0, 5.0), q, rng.normal(size=6), rho))
+    return states
+
+
+def accel_fd_jacobians(dyn, t, q, v, rho):
+    return (fd_jacobian(lambda x: dyn.accel(t, x, v, rho), q),
+            fd_jacobian(lambda x: dyn.accel(t, q, x, rho), v),
+            fd_jacobian(lambda x: dyn.accel(t, q, v, x), rho))
+
+
+def pendulum_states(rng, k):
+    states = []
+    for _ in range(k):
+        q = hanging_state(rng.uniform(-1.2, 1.2)) * rng.uniform(0.999, 1.001)
+        rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-1, 0), rng.uniform(0.5, 2)])
+        states.append((0.0, q, rng.normal(size=2), rho))
+    return states
+
+
+@pytest.mark.parametrize("system", ["five-bar-all-parameters", "pendulum-rho-dependent-mass"])
+def test_penalty_jacobians_match_fd(system):
+    rng = np.random.default_rng(21)
+    if system == "five-bar-all-parameters":
+        prob = five_bar(param_names=FIVE_BAR_PARAMS)
+        dyn, states = prob.dynamics, five_bar_states(prob, rng, 3)
+    else:
+        dyn, states = PenaltyDynamics(pendulum_swing_model()), pendulum_states(rng, 3)
+    for state in states:
+        for J, fd in zip(dyn.jacobians(*state), accel_fd_jacobians(dyn, *state)):
+            assert rel_err(J, fd, floor=1.0) < 1e-5
+
+
+def test_penalty_jacobians_fallback_matches_analytic():
+    # without the constant-Hessian declaration the Jacobians are central
+    # differences of the acceleration; they must agree with the analytic ones
+    model = pendulum_swing_model()
+    general = dataclasses.replace(
+        model, constraints=dataclasses.replace(model.constraints, hessian_constant=False))
+    analytic, fallback = PenaltyDynamics(model), PenaltyDynamics(general)
+    for state in pendulum_states(np.random.default_rng(23), 3):
+        for Jf, Ja in zip(fallback.jacobians(*state), analytic.jacobians(*state)):
+            assert rel_err(Jf, Ja, floor=1.0) < 1e-5
+
+
+def test_penalty_dynamics_shared_across_threads():
+    # the memoized factorization must pair each point with its own factor
+    # however the threads sharing one dynamics object interleave
+    prob = five_bar(param_names=FIVE_BAR_PARAMS)
+    dyn = prob.dynamics
+    rng = np.random.default_rng(24)
+    work = [five_bar_states(prob, rng, 4) for _ in range(4)]
+
+    def evaluate(states):
+        return [(dyn.accel(*s),) + dyn.jacobians(*s) for s in states]
+
+    serial = [evaluate(states) for states in work]
+    threaded = [[] for _ in work]
+
+    def run(i):
+        for _ in range(5):
+            threaded[i].append(evaluate(work[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for expect, rounds in zip(serial, threaded):
+        assert len(rounds) == 5
+        for got in rounds:
+            for e_state, g_state in zip(expect, got):
+                assert all(np.array_equal(e, g) for e, g in zip(e_state, g_state))
 
 
 def test_dae_solve_unconstrained_limit():

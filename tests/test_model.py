@@ -10,8 +10,6 @@ from hybridsens.model import (
     SingularMatrixError,
     cost_density_gradients,
     cost_density_value,
-    eom_jacobians,
-    eom_rhs,
     fd_jacobian,
     terminal_cost_gradients,
 )
@@ -34,7 +32,7 @@ def planar_free_fall():
 
 def test_eom_rhs_identity_mass():
     dyn = OdeDynamics(planar_free_fall())
-    vdot = eom_rhs(dyn, 0.0, np.zeros(2), np.zeros(2), np.array([G]))
+    vdot = dyn.accel(0.0, np.zeros(2), np.zeros(2), np.array([G]))
     assert np.allclose(vdot, [0.0, -G], atol=0, rtol=0)
 
 
@@ -88,8 +86,8 @@ def test_eom_jacobians_linear_system():
             np.ones(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1))),
         mass_constant=True,
     )
-    f_q, f_v, f_rho = eom_jacobians(OdeDynamics(model), 0.0, np.array([0.3]),
-                                    np.array([0.1]), np.ones(1))
+    f_q, f_v, f_rho = OdeDynamics(model).jacobians(0.0, np.array([0.3]),
+                                                   np.array([0.1]), np.ones(1))
     assert np.allclose(f_q, [[-k / m]], rtol=1e-9)
     assert np.allclose(f_v, [[0.0]], atol=1e-9)
 
