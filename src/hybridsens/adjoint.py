@@ -22,7 +22,7 @@ from .core import AdjointState, Dimensions
 from .model import CostFunctional, cost_density_gradients, terminal_cost_gradients
 from .integrate import IntegratorConfig, integrate_segment
 from .direct import HybridTrajectory
-from .constrained import checked_lu
+from .constrained import checked_lu, saddle_factor
 
 
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
@@ -186,11 +186,6 @@ def assemble_cost_sensitivity_adjoint(lam_t0: AdjointState, dq0_drho, dv0_drho) 
     return lam_t0.lamQ.T @ dq0 + lam_t0.lamV.T @ dv0 + lam_t0.lamGamma.T
 
 
-def adjoint_gradient(traj: HybridTrajectory, cost: CostFunctional | None = None,
-                     config: IntegratorConfig | None = None) -> np.ndarray:
-    return propagate_adjoint(traj, cost, config).gradient
-
-
 # ---------------------------------------------------------------------------
 # Representation map between the canonical adjoint and the multiplier-based
 # adjoint of the constrained formulation.
@@ -215,17 +210,12 @@ def map_lambda_to_mu(model, t, q, rho, lamQ, lamV, lamLambda):
         M = model.mass_at(t, q, rho)
         muV = checked_lu(M, "mass matrix")(lamV)
         return lamQ.copy(), muV, np.zeros((0, lamQ.shape[1]))
-    m = cons.m
     if lamLambda is None:
-        lamLambda = np.zeros((m, lamQ.shape[1]))
+        lamLambda = np.zeros((cons.m, lamQ.shape[1]))
     lamLambda = np.atleast_2d(np.asarray(lamLambda, dtype=float))
-    M = model.mass_at(t, q, rho)
-    G = cons.jac_q(t, q, rho)
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = M
-    K[:n, n:] = G.T
-    K[n:, :n] = G
-    sol = checked_lu(K, "adjoint KKT matrix")(np.vstack([lamV, lamLambda]))
+    factor = saddle_factor(model.mass_at(t, q, rho), cons.jac_q(t, q, rho), 0.0,
+                           "adjoint KKT matrix")
+    sol = factor(np.vstack([lamV, lamLambda]))
     return lamQ.copy(), sol[:n], sol[n:]
 
 

@@ -1,14 +1,14 @@
 """Constrained-dynamics formulations.
 
-Two routes to the accelerations of a holonomically constrained system:
+Two routes to the accelerations of a holonomically constrained system, both
+one saddle-point system [[M, G^T], [G, -c I]] [vdot; mu] = [F; b] with
+G = phi_q:
 
-* Penalty ODE: the constraint reactions are approximated by stiff,
-  critically-damped restoring terms folded into an extended mass matrix and
-  force vector; the system integrates as a plain ODE and the multipliers
-  are estimated a posteriori.
-* Index-1 DAE: the position constraint is replaced by its second time
-  derivative and the accelerations and exact multipliers come from one
-  symmetric saddle-point (KKT) solve.
+* Penalty ODE (c = 1/alpha, b = -s): the constraint reactions are
+  approximated by stiff, critically-damped restoring terms s; the system
+  integrates as a plain ODE and mu is an a-posteriori estimate.
+* Index-1 DAE (c = 0, b = C): the position constraint is replaced by its
+  second time derivative phi_q vdot = C, and mu are the exact multipliers.
 
 The impulsive momentum-level KKT solve shared with the event machinery
 lives here as well.
@@ -25,7 +25,6 @@ import scipy.linalg
 from .model import (
     ConstraintSet,
     MultibodyModel,
-    OdeDynamics,
     SingularMatrixError,
     COND_LIMIT,
 )
@@ -102,262 +101,196 @@ class ConstraintResiduals:
         return max(self.vel, default=0.0)
 
 
-def _augmented_factor(M: np.ndarray, G: np.ndarray, alpha: float):
-    """Factor the regularized saddle matrix [[M, G^T], [G, -I/alpha]].
+def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
+    """Factor the saddle matrix [[M, G^T], [G, -c I]] through checked_lu.
 
-    Solving (M + G^T alpha G) X = top through this form stays well
-    conditioned as alpha grows, while the normal form's condition number
-    scales with alpha and poisons every solve with cond * eps noise.
+    c = 0 leaves the (2,2) block at exact zeros (the index-1 KKT matrix);
+    c = 1/alpha is the regularized penalty form, whose solves stay well
+    conditioned as alpha grows while the normal form M + alpha G^T G
+    poisons every solve with cond * eps noise.
     """
     n, m = M.shape[0], G.shape[0]
     K = np.zeros((n + m, n + m))
     K[:n, :n] = M
     K[:n, n:] = G.T
     K[n:, :n] = G
-    K[n:, n:] = -np.eye(m) / alpha
-    return checked_lu(K, "extended mass matrix (augmented)"), n, m
+    if c:
+        K[n:, n:] = -c * np.eye(m)
+    return checked_lu(K, what)
 
 
-def _augmented_solve_with(factor, n: int, m: int, top: np.ndarray,
-                          bottom: np.ndarray | None = None):
-    """Solve with a factored saddle matrix; Y equals alpha (G X - bottom)."""
-    rhs = np.zeros((n + m,) + top.shape[1:])
-    rhs[:n] = top
-    if bottom is not None:
-        rhs[n:] = bottom
-    sol = factor(rhs)
-    return sol[:n], sol[n:]
+class _SaddleDynamics:
+    """Constrained dynamics as one saddle-point system
 
+        [[M, G^T], [G, -c I]] [vdot; mu] = [F; b],    G = phi_q.
 
-class PenaltyDynamics:
-    """Penalty-ODE dynamics of a constrained model.
-
-    The extended system is Mbar vdot = Fbar with Mbar = M + alpha G^T G and
-    Fbar = F - alpha G^T s, G = phi_q and s the violation restoring terms.
-    Exposes the same interface as OdeDynamics; ``model`` is the constrained
+    Subclasses set the regularization ``_c`` and the bottom source b with
+    its partials; everything else is shared.  ``model`` is the constrained
     model itself (events and residual monitoring need its constraint set).
-    All linear solves against Mbar go through the augmented saddle form,
-    never the ill-conditioned normal form.
     """
 
-    def __init__(self, model: MultibodyModel, pcfg: PenaltyConfig | None = None):
-        if model.constraints is None:
-            raise ValueError("penalty dynamics needs a constrained model")
-        self.model = model
-        self.pcfg = pcfg or PenaltyConfig()
-        self.dims = model.dims
-        # (point key, factor), read and replaced as one tuple so that threads
-        # sharing this object never pair one point's key with another's factor
-        self._memo = (None, None)
-
-    @property
-    def n_multipliers(self) -> int:
-        return 0
-
-    def _factored(self, t, q, rho, G):
-        """Saddle factorization memoized on the (t, q, rho) point: the state
-        and Jacobian solves of one right-hand-side evaluation share it."""
-        key = (t, q.tobytes(), rho.tobytes())
-        memo_key, factor = self._memo
-        if memo_key != key:
-            factor = _augmented_factor(self.model.mass_at(t, q, rho), G, self.pcfg.alpha)
-            self._memo = (key, factor)
-        return factor
-
-    def _pen_source(self, t, q, v, rho, G, C):
-        """s = -C + 2 xi omega phi_d + omega^2 phi, from G = phi_q and the
-        acceleration-constraint right side C."""
-        cons = self.model.constraints
-        phidot = G @ v + cons.jac_t(t, q, rho)
-        return (-C + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
-                + self.pcfg.omega ** 2 * cons.value(t, q, rho))
-
-    def accel(self, t, q, v, rho) -> np.ndarray:
-        return self._accel_full(t, q, v, rho)[0]
-
-    def _accel_full(self, t, q, v, rho):
-        """(vdot, mu*) from one augmented solve; the second block is
-        mu* = alpha (G vdot + s) = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
-        cons = self.model.constraints
-        G = cons.jac_q(t, q, rho)
-        s = self._pen_source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
-        factor, n, m = self._factored(t, q, rho, G)
-        return _augmented_solve_with(factor, n, m, self.model.force_at(t, q, v, rho), -s)
-
-    def accel_and_multipliers(self, t, q, v, rho):
-        # the penalty route is an ODE: multipliers are estimates, not states
-        return self.accel(t, q, v, rho), None
-
-    def jacobians(self, t, q, v, rho, vdot=None):
-        """Extended-system Jacobians f_zeta = Mbar^-1 (Fbar_zeta - Mbar_zeta vdot).
-
-        Analytic when the constraint set declares ``hessian_constant`` and
-        ``scleronomic`` and phi_q does not depend on rho (assumed, not
-        checked); every d(H_v)/dq and d(phi_q)/drho term then vanishes:
-
-            rhs_q   = F_q - M_q vdot - alpha [qqT(s + G vdot)
-                      + G^T (2 xi omega H_v + omega^2 G + qq(vdot))]
-            rhs_v   = F_v - alpha G^T (2 H_v + 2 xi omega G)
-            rhs_rho = F_rho - M_rho vdot
-                      - alpha G^T (2 xi omega q_rho(v) + omega^2 phi_rho)
-
-        with H_v = d(G v)/dq, all three solved at once through the augmented
-        form.  Any other constraint set takes central differences of accel.
-        """
-        cons = self.model.constraints
-        if not (cons.hessian_constant and cons.scleronomic):
-            from .model import fd_jacobian as _fd
-            return (_fd(lambda x: self.accel(t, x, v, rho), q),
-                    _fd(lambda x: self.accel(t, q, x, rho), v),
-                    _fd(lambda x: self.accel(t, q, v, x), rho))
-        model = self.model
-        a, xi, om = self.pcfg.alpha, self.pcfg.xi, self.pcfg.omega
-        G = cons.jac_q(t, q, rho)
-        H_v = cons.qq_action(t, q, rho, v)
-        s = self._pen_source(t, q, v, rho, G, -(H_v @ v))
-        factor, n, m = self._factored(t, q, rho, G)
-        if vdot is None:
-            vdot, _ = _augmented_solve_with(factor, n, m, model.force_at(t, q, v, rho), -s)
-        rhs_q = (model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
-                 - a * (cons.qqT_action(t, q, rho, s + G @ vdot)
-                        + G.T @ (2.0 * xi * om * H_v + om ** 2 * G
-                                 + cons.qq_action(t, q, rho, vdot))))
-        rhs_v = model.force_jac_v(t, q, v, rho) - a * (G.T @ (2.0 * H_v + 2.0 * xi * om * G))
-        rhs_rho = (model.force_jac_rho(t, q, v, rho) - model.mass_rho_action(t, q, rho, vdot)
-                   - a * (G.T @ (2.0 * xi * om * cons.q_rho_action(t, q, rho, v)
-                                 + om ** 2 * cons.jac_rho(t, q, rho))))
-        sol, _ = _augmented_solve_with(factor, n, m, np.hstack([rhs_q, rhs_v, rhs_rho]))
-        return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:]
-
-    def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return None
-
-    def multiplier_estimate(self, t, q, v, rho) -> np.ndarray:
-        """mu* = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
-        return self._accel_full(t, q, v, rho)[1]
-
-    def residuals(self, t, q, v, rho):
-        cons = self.model.constraints
-        pos = float(np.max(np.abs(cons.value(t, q, rho)))) if cons.m else 0.0
-        vel = float(np.max(np.abs(cons.velocity_residual(t, q, v, rho)))) if cons.m else 0.0
-        return pos, vel
-
-
-# ---------------------------------------------------------------------------
-# Index-1 DAE formulation
-# ---------------------------------------------------------------------------
-
-
-def _kkt_matrix(model: MultibodyModel, t, q, rho, cons: ConstraintSet | None = None) -> np.ndarray:
-    cons = cons or model.constraints
-    M = model.mass_at(t, q, rho)
-    G = cons.jac_q(t, q, rho)
-    m = G.shape[0]
-    K = np.zeros((M.shape[0] + m, M.shape[0] + m))
-    K[:M.shape[0], :M.shape[0]] = M
-    K[:M.shape[0], M.shape[0]:] = G.T
-    K[M.shape[0]:, :M.shape[0]] = G
-    return K
-
-
-def dae_solve(model: MultibodyModel, t, q, v, rho):
-    """Accelerations and multipliers from the index-1 saddle-point system."""
-    cons = model.constraints
-    if cons is None or cons.m == 0:
-        dyn = OdeDynamics(model)
-        return dyn.accel(t, q, v, rho), np.zeros(0)
-    n = model.dims.n
-    K = _kkt_matrix(model, t, q, rho)
-    rhs = np.concatenate([model.force_at(t, q, v, rho), cons.accel_rhs(t, q, v, rho)])
-    sol = checked_lu(K, "KKT matrix")(rhs)
-    return sol[:n], sol[n:]
-
-
-def dae_jacobians(model: MultibodyModel, t, q, v, rho, vdot=None, mu=None):
-    """Jacobian blocks of the index-1 acceleration/multiplier map.
-
-    One KKT factorization serves all right-hand sides:
-
-        [f_q]   = K^-1 [F_q - M_q vdot - d(G^T mu)/dq ; C_q - d(G vdot)/dq]
-        [f_v]   = K^-1 [F_v                           ; C_v]
-        [f_rho] = K^-1 [F_rho - M_rho vdot - d(G^T mu)/drho ; C_rho - d(G vdot)/drho]
-
-    with the top n rows the acceleration blocks and the bottom m rows the
-    multiplier blocks.  Returns ((fq, fv, frho), (gq, gv, grho)).
-    """
-    cons = model.constraints
-    n, p, m = model.dims.n, model.dims.p, cons.m
-    if vdot is None or mu is None:
-        vdot, mu = dae_solve(model, t, q, v, rho)
-    K = _kkt_matrix(model, t, q, rho)
-    solve = checked_lu(K, "KKT matrix")
-
-    top_q = (model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
-             - cons.qqT_action(t, q, rho, mu))
-    bot_q = cons.accel_rhs_q(t, q, v, rho) - cons.qq_action(t, q, rho, vdot)
-    top_v = model.force_jac_v(t, q, v, rho)
-    bot_v = cons.accel_rhs_v(t, q, v, rho)
-    top_r = (model.force_jac_rho(t, q, v, rho) - model.mass_rho_action(t, q, rho, vdot)
-             - _qT_mu_rho(cons, t, q, rho, mu))
-    bot_r = cons.accel_rhs_rho(t, q, v, rho) - cons.q_rho_action(t, q, rho, vdot)
-
-    rhs = np.hstack([
-        np.vstack([top_q, bot_q]),
-        np.vstack([top_v, bot_v]),
-        np.vstack([top_r, bot_r]),
-    ])
-    sol = solve(rhs)
-    fq, fv, frho = sol[:n, :n], sol[:n, n:2 * n], sol[:n, 2 * n:]
-    gq, gv, grho = sol[n:, :n], sol[n:, n:2 * n], sol[n:, 2 * n:]
-    return (fq, fv, frho), (gq, gv, grho)
-
-
-def _qT_mu_rho(cons: ConstraintSet, t, q, rho, mu) -> np.ndarray:
-    """d(phi_q^T mu)/drho by central differences on the contraction."""
-    from .model import fd_jacobian as _fd
-    return _fd(lambda rr: cons.jac_q(t, q, rr).T @ mu, rho)
-
-
-class DaeDynamics:
-    """Index-1 constrained dynamics with exact multipliers."""
+    _c = 0.0
+    _what = "KKT matrix"
 
     def __init__(self, model: MultibodyModel):
         if model.constraints is None or model.constraints.m == 0:
-            raise ValueError("DAE dynamics needs a constrained model")
+            raise ValueError(f"{type(self).__name__} needs a constrained model")
         self.model = model
         self.dims = model.dims
+        # (state key, (vdot, mu, factor)), read and replaced as one tuple so
+        # that threads sharing this object never pair one state's key with
+        # another's solution
+        self._memo = (None, None)
 
-    @property
-    def n_multipliers(self) -> int:
-        return self.model.constraints.m
+    def _solve(self, t, q, v, rho):
+        """(vdot, mu, factor) at one state from one saddle solve, memoized on
+        (t, q, v, rho): the Jacobian solve at the state an acceleration was
+        just computed at reuses its solution and factorization.  vdot and mu
+        are read-only views, so no caller can alter the memoized values."""
+        key = (t, q.tobytes(), v.tobytes(), rho.tobytes())
+        memo_key, solved = self._memo
+        if memo_key != key:
+            cons, n = self.model.constraints, self.dims.n
+            G = cons.jac_q(t, q, rho)
+            factor = saddle_factor(self.model.mass_at(t, q, rho), G, self._c, self._what)
+            b = self._source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
+            sol = factor(np.concatenate([self.model.force_at(t, q, v, rho), b]))
+            sol.flags.writeable = False
+            solved = (sol[:n], sol[n:], factor)
+            self._memo = (key, solved)
+        return solved
 
-    def accel(self, t, q, v, rho) -> np.ndarray:
-        return dae_solve(self.model, t, q, v, rho)[0]
+    def _all_jacobians(self, t, q, v, rho):
+        """Jacobian blocks ((f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) of the
+        map (q, v, rho) -> (vdot, mu), from the differentiated system
 
-    def accel_and_multipliers(self, t, q, v, rho):
-        return dae_solve(self.model, t, q, v, rho)
+            [f_z; mu_z] = K^-1 [F_z - M_z vdot - d(G^T mu)/dz ; b_z - d(G vdot)/dz].
 
-    def jacobians(self, t, q, v, rho, vdot=None):
-        (fq, fv, frho), _ = self._all_jacobians(t, q, v, rho, vdot)
-        return fq, fv, frho
+        Analytic when the constraint set declares ``hessian_constant`` and
+        ``scleronomic`` and phi_q does not depend on rho (assumed, not
+        checked): every d(H_v)/dq and d(phi_q)/drho term then vanishes and
 
-    def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        _, (gq, gv, grho) = self._all_jacobians(t, q, v, rho, vdot, mu)
-        return gq, gv, grho
+            z = q:    [F_q - M_q vdot - qqT(mu) ; b_q - qq(vdot)]
+            z = v:    [F_v ; b_v]
+            z = rho:  [F_rho - M_rho vdot ; b_rho]
 
-    def _all_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return dae_jacobians(self.model, t, q, v, rho, vdot=vdot, mu=mu)
+        with H_v = d(G v)/dq, all solved at once with the state's factor.
+        Any other constraint set takes central differences of (vdot, mu).
+        """
+        model, cons, n = self.model, self.model.constraints, self.dims.n
+        if not (cons.hessian_constant and cons.scleronomic):
+            from .model import fd_jacobian as _fd
 
-    def multiplier_sensitivity(self, t, q, v, rho, Q, V):
-        """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""
-        gq, gv, grho = self.multiplier_jacobians(t, q, v, rho)
-        return gq @ Q + gv @ V + grho
+            def stacked(qq, vv, rr):
+                return np.concatenate(self._solve(t, qq, vv, rr)[:2])
+
+            J = (_fd(lambda x: stacked(x, v, rho), q),
+                 _fd(lambda x: stacked(q, x, rho), v),
+                 _fd(lambda x: stacked(q, v, x), rho))
+            return tuple(j[:n] for j in J), tuple(j[n:] for j in J)
+        vdot, mu, factor = self._solve(t, q, v, rho)
+        G = cons.jac_q(t, q, rho)
+        b_q, b_v, b_rho = self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))
+        top = np.hstack([
+            model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
+            - cons.qqT_action(t, q, rho, mu),
+            model.force_jac_v(t, q, v, rho),
+            model.force_jac_rho(t, q, v, rho) - model.mass_rho_action(t, q, rho, vdot),
+        ])
+        bottom = np.hstack([b_q - cons.qq_action(t, q, rho, vdot), b_v, b_rho])
+        sol = factor(np.vstack([top, bottom]))
+        blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
+        return tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
 
     def residuals(self, t, q, v, rho):
         cons = self.model.constraints
         pos = float(np.max(np.abs(cons.value(t, q, rho))))
         vel = float(np.max(np.abs(cons.velocity_residual(t, q, v, rho))))
         return pos, vel
+
+
+class PenaltyDynamics(_SaddleDynamics):
+    """Penalty-ODE dynamics of a constrained model.
+
+    The extended system Mbar vdot = Fbar, Mbar = M + alpha G^T G and
+    Fbar = F - alpha G^T s with s the violation restoring terms, is solved
+    as the saddle system with c = 1/alpha and b = -s, never through the
+    ill-conditioned normal form.  The second block is the multiplier
+    estimate mu* = alpha (G vdot + s); the route integrates as an ODE, so
+    the multipliers are not states.
+    """
+
+    _what = "extended mass matrix (augmented)"
+    n_multipliers = 0
+
+    def __init__(self, model: MultibodyModel, pcfg: PenaltyConfig | None = None):
+        self.pcfg = pcfg or PenaltyConfig()
+        self._c = 1.0 / self.pcfg.alpha
+        super().__init__(model)
+
+    def _source(self, t, q, v, rho, G, C):
+        """b = -s, s = -C + 2 xi omega phi_d + omega^2 phi, from G = phi_q and
+        the acceleration-constraint right side C."""
+        cons = self.model.constraints
+        phidot = G @ v + cons.jac_t(t, q, rho)
+        return -(-C + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
+                 + self.pcfg.omega ** 2 * cons.value(t, q, rho))
+
+    def _source_partials(self, t, q, v, rho, G, H_v):
+        cons = self.model.constraints
+        xi, om = self.pcfg.xi, self.pcfg.omega
+        return (-(2.0 * xi * om * H_v + om ** 2 * G),
+                -(2.0 * H_v + 2.0 * xi * om * G),
+                -(2.0 * xi * om * cons.q_rho_action(t, q, rho, v)
+                  + om ** 2 * cons.jac_rho(t, q, rho)))
+
+    def accel(self, t, q, v, rho) -> np.ndarray:
+        return self._solve(t, q, v, rho)[0]
+
+    def accel_and_multipliers(self, t, q, v, rho):
+        return self._solve(t, q, v, rho)[0], None
+
+    def jacobians(self, t, q, v, rho, vdot=None):
+        return self._all_jacobians(t, q, v, rho)[0]
+
+    def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
+        return None
+
+    def multiplier_estimate(self, t, q, v, rho) -> np.ndarray:
+        """mu* = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
+        return self._solve(t, q, v, rho)[1]
+
+
+class DaeDynamics(_SaddleDynamics):
+    """Index-1 constrained dynamics with exact multipliers: the position
+    constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C."""
+
+    @property
+    def n_multipliers(self) -> int:
+        return self.model.constraints.m
+
+    def _source(self, t, q, v, rho, G, C):
+        return C
+
+    def _source_partials(self, t, q, v, rho, G, H_v):
+        return np.zeros_like(G), -2.0 * H_v, np.zeros((G.shape[0], self.dims.p))
+
+    def accel(self, t, q, v, rho) -> np.ndarray:
+        return self._solve(t, q, v, rho)[0]
+
+    def accel_and_multipliers(self, t, q, v, rho):
+        return self._solve(t, q, v, rho)[:2]
+
+    def jacobians(self, t, q, v, rho, vdot=None):
+        return self._all_jacobians(t, q, v, rho)[0]
+
+    def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
+        return self._all_jacobians(t, q, v, rho)[1]
+
+    def multiplier_sensitivity(self, t, q, v, rho, Q, V):
+        """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""
+        gq, gv, grho = self.multiplier_jacobians(t, q, v, rho)
+        return gq @ Q + gv @ V + grho
 
 
 def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho,
@@ -371,7 +304,6 @@ def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho,
     cons = cons or model.constraints
     n = model.dims.n
     M = model.mass_at(t_eve, q, rho)
-    K = _kkt_matrix(model, t_eve, q, rho, cons)
-    rhs = np.concatenate([M @ v_minus, -cons.jac_t(t_eve, q, rho)])
-    sol = checked_lu(K, "impulse KKT matrix")(rhs)
+    factor = saddle_factor(M, cons.jac_q(t_eve, q, rho), 0.0, "impulse KKT matrix")
+    sol = factor(np.concatenate([M @ v_minus, -cons.jac_t(t_eve, q, rho)]))
     return sol[:n], sol[n:]

@@ -26,7 +26,6 @@ from .hybrid import (
     EventSpec,
     apply_state_jump,
     build_jump_matrix,
-    event_time_sensitivity,
 )
 from .constrained import ConstraintResiduals
 
@@ -176,18 +175,16 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
         (q, v_minus, z), X_minus = _split_aug(y_end, dims)
         t_eve = hit.t
         v_plus, delta_mu, dyn_plus = apply_state_jump(spec, t_eve, q, v_minus, rho, active)
-        vdot_minus = active.accel(t_eve, q, v_minus, rho)
-        vdot_plus = dyn_plus.accel(t_eve, q, v_plus, rho)
+        vdot_minus, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
+        vdot_plus, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
         if cost is not None:
-            _, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
-            _, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
             g_minus = cost.g_value(t_eve, q, v_minus, vdot_minus, rho, mu=mu_m)
             g_plus = cost.g_value(t_eve, q, v_plus, vdot_plus, rho, mu=mu_p)
         else:
             g_minus = g_plus = np.zeros(dims.nc)
         jump = build_jump_matrix(spec, dims, t_eve, q, v_minus, v_plus,
                                  vdot_minus, vdot_plus, g_minus, g_plus,
-                                 rho, active, dyn_plus, delta_mu=delta_mu)
+                                 rho, active, dyn_plus)
         record = EventRecord(
             name=spec.name, kind=jump.kind, t_eve=t_eve, q=q.copy(),
             v_minus=v_minus.copy(), v_plus=v_plus.copy(),

@@ -197,9 +197,6 @@ class JumpMatrix:
     blocks: dict
     S: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        return self.S
-
     def apply_direct(self, X: SensitivityState) -> SensitivityState:
         """X+ = S X- blockwise on the stacked sensitivity matrix."""
         return SensitivityState.from_stacked(self.S @ X.stacked(), self.dims)
@@ -207,14 +204,6 @@ class JumpMatrix:
     def apply_adjoint(self, lam: AdjointState) -> AdjointState:
         """lam- = S^T lam+ blockwise on the stacked adjoint matrix."""
         return AdjointState.from_stacked(self.S.T @ lam.stacked(), self.dims)
-
-
-def apply_jump_direct(jump: JumpMatrix, X_minus: SensitivityState) -> SensitivityState:
-    return jump.apply_direct(X_minus)
-
-
-def apply_jump_adjoint(jump: JumpMatrix, lam_plus: AdjointState) -> AdjointState:
-    return jump.apply_adjoint(lam_plus)
 
 
 @dataclass
@@ -371,8 +360,7 @@ def build_jump_matrix(spec: EventSpec, dims: Dimensions, t_eve: float,
                       q: np.ndarray, v_minus: np.ndarray, v_plus: np.ndarray,
                       vdot_minus: np.ndarray, vdot_plus: np.ndarray,
                       g_minus: np.ndarray, g_plus: np.ndarray,
-                      rho: np.ndarray, dyn_minus, dyn_plus,
-                      delta_mu: np.ndarray | None = None) -> JumpMatrix:
+                      rho: np.ndarray, dyn_minus, dyn_plus) -> JumpMatrix:
     """Assemble the generalized sensitivity jump matrix for one event.
 
     One-sided accelerations are the respective right-hand sides evaluated at

@@ -274,8 +274,3 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     seg = DenseSegment(t0, node_times[-1], np.asarray(node_times), np.asarray(node_states),
                        interpolants, forward=forward)
     return seg, (node_times[-1], node_states[-1].copy()), None
-
-
-def interpolate(seg: DenseSegment, t: float) -> np.ndarray:
-    """Dense-output evaluation of a stored segment at time t."""
-    return seg.evaluate(t)

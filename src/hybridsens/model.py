@@ -99,8 +99,11 @@ class ConstraintSet:
     phi_t_rho(t,q,rho)      -> (m, p)   d(phi_t)/drho
 
     ``hessian_constant`` declares that phi_q is affine in q (quadratic
-    constraints), i.e. d/dq of any phi_qq_w action vanishes.  Together with
-    ``scleronomic`` it enables the penalty formulation's analytic Jacobians.
+    constraints), i.e. d/dq of any phi_qq_w action vanishes.  A set declaring
+    both ``hessian_constant`` and ``scleronomic`` declares phi_q affine in q
+    and independent of rho; the analytic Jacobians of both constrained
+    formulations (penalty and index-1 DAE) rely on this, and it is not
+    checked.
     """
 
     m: int
@@ -188,17 +191,6 @@ class ConstraintSet:
         return -(self.qq_action(t, q, rho, v) @ v
                  + self.tq_jac(t, q, rho) @ v
                  + self.tt_value(t, q, rho))
-
-    def accel_rhs_q(self, t, q, v, rho) -> np.ndarray:
-        if self.hessian_constant and self.scleronomic:
-            return np.zeros((self.m, q.size))
-        return fd_jacobian(lambda qq: self.accel_rhs(t, qq, v, rho), q)
-
-    def accel_rhs_v(self, t, q, v, rho) -> np.ndarray:
-        return -2.0 * self.qq_action(t, q, rho, v) - self.tq_jac(t, q, rho)
-
-    def accel_rhs_rho(self, t, q, v, rho) -> np.ndarray:
-        return fd_jacobian(lambda rr: self.accel_rhs(t, q, v, rr), rho)
 
 
 @dataclass

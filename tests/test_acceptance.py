@@ -22,7 +22,6 @@ from hybridsens.gallery import (
     pendulum,
     pendulum_swing_model,
 )
-from hybridsens.hybrid import apply_jump_adjoint, apply_jump_direct
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.oracle import fd_cost_sensitivity
 from hybridsens.constrained import DaeDynamics, PenaltyConfig, PenaltyDynamics
@@ -155,8 +154,8 @@ def test_criterion_5_bilinear_conservation(five_bar_runs):
                                rng.normal(size=(dims.n, dims.nc)),
                                rng.normal(size=(dims.p, dims.nc)),
                                rng.normal(size=(dims.nc, dims.nc)))
-            left = apply_jump_adjoint(jump, lam).stacked().T @ X.stacked()
-            right = lam.stacked().T @ apply_jump_direct(jump, X).stacked()
+            left = jump.apply_adjoint(lam).stacked().T @ X.stacked()
+            right = lam.stacked().T @ jump.apply_direct(X).stacked()
             scale = max(1.0, np.abs(left).max())
             worst_triple = max(worst_triple, np.abs(left - right).max() / scale)
             done += 1
@@ -220,7 +219,7 @@ def test_criterion_7_jump_formula_equivalence():
                                  rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.p, dims.p)),
                                  rng.normal(size=(dims.nc, dims.p)))
-            a = apply_jump_direct(jump, X).stacked()
+            a = jump.apply_direct(X).stacked()
             b = comp(X).stacked()
             worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
     ok = worst <= 1e-12

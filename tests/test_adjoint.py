@@ -1,7 +1,6 @@
 import numpy as np
 
 from hybridsens.adjoint import (
-    adjoint_gradient,
     assemble_cost_sensitivity_adjoint,
     map_lambda_to_mu,
     map_mu_to_lambda,

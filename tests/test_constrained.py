@@ -10,8 +10,6 @@ from hybridsens.constrained import (
     PenaltyConfig,
     PenaltyDynamics,
     SingularKKTError,
-    dae_jacobians,
-    dae_solve,
     impulse_solve,
 )
 from hybridsens.gallery import (
@@ -21,13 +19,14 @@ from hybridsens.gallery import (
     pendulum_model,
     pendulum_swing_model,
 )
-from hybridsens.model import fd_jacobian
+from hybridsens.model import ConstraintSet, fd_jacobian
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.direct import simulate
 from conftest import rel_err
 
 G = 9.81
 RHO = np.array([0.15, -1.0, 1.0])
+FORMULATIONS = {"penalty": PenaltyDynamics, "dae": DaeDynamics}
 
 
 def hanging_state(theta):
@@ -58,7 +57,7 @@ def test_penalty_force_correction_vanishes_on_manifold():
     q = hanging_state(0.0)
     v = tangential_velocity(q, 1.3)
     a_pen = PenaltyDynamics(model, PenaltyConfig()).accel(0.0, q, v, RHO)
-    a_dae, _ = dae_solve(model, 0.0, q, v, RHO)
+    a_dae, _ = DaeDynamics(model).accel_and_multipliers(0.0, q, v, RHO)
     assert rel_err(a_pen, a_dae, floor=1.0) < 1e-6
 
 
@@ -110,7 +109,7 @@ def test_penalty_vs_dae_multipliers_during_swing():
     traj = simulate(dae, None, [], RHO, (0.0, 1.0), IntegratorConfig())
     q, v, _ = traj.state_at(0.6)
     mu_pen = PenaltyDynamics(model, pcfg).multiplier_estimate(0.6, q, v, RHO)
-    _, mu_dae = dae_solve(model, 0.6, q, v, RHO)
+    _, mu_dae = dae.accel_and_multipliers(0.6, q, v, RHO)
     assert rel_err(mu_pen, mu_dae) < 1e-4
 
 
@@ -126,10 +125,25 @@ def five_bar_states(prob, rng, k):
     return states
 
 
-def accel_fd_jacobians(dyn, t, q, v, rho):
-    return (fd_jacobian(lambda x: dyn.accel(t, x, v, rho), q),
-            fd_jacobian(lambda x: dyn.accel(t, q, x, rho), v),
-            fd_jacobian(lambda x: dyn.accel(t, q, v, x), rho))
+def fd_blocks(fun, t, q, v, rho):
+    return (fd_jacobian(lambda x: fun(t, x, v, rho), q),
+            fd_jacobian(lambda x: fun(t, q, x, rho), v),
+            fd_jacobian(lambda x: fun(t, q, v, x), rho))
+
+
+def exposed_jacobians(dyn, state):
+    """The acceleration Jacobian blocks, then the multiplier blocks when the
+    dynamics has multipliers."""
+    return dyn.jacobians(*state) + (dyn.multiplier_jacobians(*state) or ())
+
+
+def map_fd_jacobians(dyn, state):
+    """Central differences of the map exposed_jacobians differentiates:
+    vdot, then mu when the dynamics has multipliers."""
+    blocks = fd_blocks(dyn.accel, *state)
+    if dyn.n_multipliers:
+        blocks += fd_blocks(lambda *s: dyn.accel_and_multipliers(*s)[1], *state)
+    return blocks
 
 
 def pendulum_states(rng, k):
@@ -141,41 +155,50 @@ def pendulum_states(rng, k):
     return states
 
 
-@pytest.mark.parametrize("system", ["five-bar-all-parameters", "pendulum-rho-dependent-mass"])
-def test_penalty_jacobians_match_fd(system):
+@pytest.mark.parametrize("formulation, system", [
+    pytest.param("penalty", "five-bar", id="five-bar-all-parameters"),
+    pytest.param("penalty", "pendulum", id="pendulum-rho-dependent-mass"),
+    pytest.param("dae", "five-bar", id="dae-five-bar-all-parameters"),
+    pytest.param("dae", "pendulum", id="dae-pendulum-rho-dependent-mass"),
+])
+def test_penalty_jacobians_match_fd(formulation, system):
     rng = np.random.default_rng(21)
-    if system == "five-bar-all-parameters":
-        prob = five_bar(param_names=FIVE_BAR_PARAMS)
+    if system == "five-bar":
+        prob = five_bar(param_names=FIVE_BAR_PARAMS, formulation=formulation)
         dyn, states = prob.dynamics, five_bar_states(prob, rng, 3)
     else:
-        dyn, states = PenaltyDynamics(pendulum_swing_model()), pendulum_states(rng, 3)
+        dyn = FORMULATIONS[formulation](pendulum_swing_model())
+        states = pendulum_states(rng, 3)
     for state in states:
-        for J, fd in zip(dyn.jacobians(*state), accel_fd_jacobians(dyn, *state)):
+        for J, fd in zip(exposed_jacobians(dyn, state), map_fd_jacobians(dyn, state)):
             assert rel_err(J, fd, floor=1.0) < 1e-5
 
 
-def test_penalty_jacobians_fallback_matches_analytic():
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
+def test_penalty_jacobians_fallback_matches_analytic(formulation):
     # without the constant-Hessian declaration the Jacobians are central
-    # differences of the acceleration; they must agree with the analytic ones
+    # differences of (vdot, mu); they must agree with the analytic ones
     model = pendulum_swing_model()
     general = dataclasses.replace(
         model, constraints=dataclasses.replace(model.constraints, hessian_constant=False))
-    analytic, fallback = PenaltyDynamics(model), PenaltyDynamics(general)
+    make = FORMULATIONS[formulation]
+    analytic, fallback = make(model), make(general)
     for state in pendulum_states(np.random.default_rng(23), 3):
-        for Jf, Ja in zip(fallback.jacobians(*state), analytic.jacobians(*state)):
+        for Jf, Ja in zip(exposed_jacobians(fallback, state), exposed_jacobians(analytic, state)):
             assert rel_err(Jf, Ja, floor=1.0) < 1e-5
 
 
-def test_penalty_dynamics_shared_across_threads():
-    # the memoized factorization must pair each point with its own factor
-    # however the threads sharing one dynamics object interleave
-    prob = five_bar(param_names=FIVE_BAR_PARAMS)
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
+def test_penalty_dynamics_shared_across_threads(formulation):
+    # the memoized solution and factorization must pair each state with its
+    # own however the threads sharing one dynamics object interleave
+    prob = five_bar(param_names=FIVE_BAR_PARAMS, formulation=formulation)
     dyn = prob.dynamics
     rng = np.random.default_rng(24)
     work = [five_bar_states(prob, rng, 4) for _ in range(4)]
 
     def evaluate(states):
-        return [(dyn.accel(*s),) + dyn.jacobians(*s) for s in states]
+        return [(dyn.accel(*s),) + exposed_jacobians(dyn, s) for s in states]
 
     serial = [evaluate(states) for states in work]
     threaded = [[] for _ in work]
@@ -203,10 +226,14 @@ def test_penalty_dynamics_shared_across_threads():
 
 
 def test_dae_solve_unconstrained_limit():
-    model = pendulum_model(constrained=False)
-    vdot, mu = dae_solve(model, 0.0, np.array([0.1, -0.5]), np.zeros(2), RHO)
-    assert mu.size == 0
-    assert np.allclose(vdot, [0.0, -G])
+    # both constrained formulations refuse a model without constraints
+    free = pendulum_model(constrained=False)
+    empty = dataclasses.replace(
+        free, constraints=ConstraintSet(m=0, phi=lambda t, q, rho: np.zeros(0)))
+    for make in FORMULATIONS.values():
+        for model in (free, empty):
+            with pytest.raises(ValueError):
+                make(model)
 
 
 def test_dae_solve_pendulum_closed_form():
@@ -215,7 +242,7 @@ def test_dae_solve_pendulum_closed_form():
     theta = 0.5
     q = hanging_state(theta)
     v = np.zeros(2)
-    vdot, mu = dae_solve(model, 0.0, q, v, RHO)
+    vdot, mu = DaeDynamics(model).accel_and_multipliers(0.0, q, v, RHO)
     L = PENDULUM_LENGTH
     thetadd = -(G / L) * np.sin(theta)
     expect = thetadd * np.array([np.cos(theta), np.sin(theta)]) * L
@@ -226,7 +253,7 @@ def test_dae_solve_acceleration_constraint_exact():
     model = pendulum_swing_model()
     q = hanging_state(0.3)
     v = tangential_velocity(q, 2.0)
-    vdot, mu = dae_solve(model, 0.0, q, v, RHO)
+    vdot, mu = DaeDynamics(model).accel_and_multipliers(0.0, q, v, RHO)
     cons = model.constraints
     res = cons.jac_q(0.0, q, RHO) @ vdot - cons.accel_rhs(0.0, q, v, RHO)
     assert np.max(np.abs(res)) < 1e-12
@@ -234,6 +261,7 @@ def test_dae_solve_acceleration_constraint_exact():
 
 def test_dae_jacobians_match_fd():
     model = pendulum_swing_model()
+    dyn = DaeDynamics(model)
     rng = np.random.default_rng(4)
     t = 0.2
     theta = 0.8
@@ -241,12 +269,13 @@ def test_dae_jacobians_match_fd():
     v = tangential_velocity(q, 1.5)
 
     def acc(tt, qq, vv, rr):
-        return dae_solve(model, tt, qq, vv, rr)[0]
+        return dyn.accel_and_multipliers(tt, qq, vv, rr)[0]
 
     def mul(tt, qq, vv, rr):
-        return dae_solve(model, tt, qq, vv, rr)[1]
+        return dyn.accel_and_multipliers(tt, qq, vv, rr)[1]
 
-    (fq, fv, frho), (gq, gv, grho) = dae_jacobians(model, t, q, v, RHO)
+    fq, fv, frho = dyn.jacobians(t, q, v, RHO)
+    gq, gv, grho = dyn.multiplier_jacobians(t, q, v, RHO)
     assert rel_err(fq, fd_jacobian(lambda x: acc(t, x, v, RHO), q), floor=1.0) < 1e-5
     assert rel_err(fv, fd_jacobian(lambda x: acc(t, q, x, RHO), v), floor=1.0) < 1e-5
     assert rel_err(frho, fd_jacobian(lambda x: acc(t, q, v, x), RHO), floor=1.0) < 1e-5
@@ -256,25 +285,25 @@ def test_dae_jacobians_match_fd():
 
 
 def test_dae_jacobians_fd_on_random_states():
-    model = pendulum_swing_model()
+    dyn = DaeDynamics(pendulum_swing_model())
     rng = np.random.default_rng(17)
     for _ in range(5):
         theta = rng.uniform(-1.2, 1.2)
         q = hanging_state(theta) * rng.uniform(0.95, 1.05)
         v = rng.normal(size=2)
         rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-1, 0), rng.uniform(0.5, 2)])
-        (fq, fv, frho), _ = dae_jacobians(model, 0.0, q, v, rho)
-        fd_fq = fd_jacobian(lambda x: dae_solve(model, 0.0, x, v, rho)[0], q)
+        fq, fv, frho = dyn.jacobians(0.0, q, v, rho)
+        fd_fq = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, x, v, rho)[0], q)
         assert rel_err(fq, fd_fq, floor=1.0) < 1e-4
 
 
 def test_dae_jacobian_v_block_structure():
     # with F independent of v, the v-block reduces to the C_v route
-    model = pendulum_swing_model()
+    dyn = DaeDynamics(pendulum_swing_model())
     q = hanging_state(0.4)
     v = tangential_velocity(q, 1.0)
-    (fq, fv, frho), _ = dae_jacobians(model, 0.0, q, v, RHO)
-    fd_fv = fd_jacobian(lambda x: dae_solve(model, 0.0, q, x, RHO)[0], v)
+    fq, fv, frho = dyn.jacobians(0.0, q, v, RHO)
+    fd_fv = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, q, x, RHO)[0], v)
     assert np.max(np.abs(fv - fd_fv)) < 1e-6
 
 
@@ -376,7 +405,7 @@ def test_multiplier_sensitivity_matches_fd():
     def mu_at(rr):
         traj, _, _ = propagate_direct(dyn, cost, [], rr, (0.0, 1.0), cfg)
         q, v, _ = traj.state_at(t_probe)
-        return dae_solve(model, t_probe, q, v, rr)[1]
+        return dyn.accel_and_multipliers(t_probe, q, v, rr)[1]
 
     traj, _, _ = propagate_direct(dyn, cost, [], RHO, (0.0, 1.0), cfg)
     q, v, _ = traj.state_at(t_probe)
@@ -395,4 +424,4 @@ def test_singular_kkt_reported():
     model = pendulum_swing_model()
     q = np.zeros(2)  # constraint Jacobian 2 q^T vanishes at the origin
     with pytest.raises(SingularKKTError):
-        dae_solve(model, 0.0, q, np.zeros(2), RHO)
+        DaeDynamics(model).accel_and_multipliers(0.0, q, np.zeros(2), RHO)

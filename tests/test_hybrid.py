@@ -8,8 +8,6 @@ from hybridsens.hybrid import (
     DofPartition,
     TangentialCrossingError,
     VelocityJumpEvent,
-    apply_jump_adjoint,
-    apply_jump_direct,
     apply_state_jump,
     build_jump_matrix,
     event_time_row,
@@ -174,11 +172,11 @@ def test_noop_event_jump_is_identity():
     rng = np.random.default_rng(5)
     X = SensitivityState(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                          rng.normal(size=(2, 2)), rng.normal(size=(1, 2)))
-    X2 = apply_jump_direct(jump, X)
+    X2 = jump.apply_direct(X)
     assert np.allclose(X2.stacked(), X.stacked(), atol=1e-12)
     lam = AdjointState(rng.normal(size=(2, 1)), rng.normal(size=(2, 1)),
                        rng.normal(size=(2, 1)), np.eye(1))
-    lam2 = apply_jump_adjoint(jump, lam)
+    lam2 = jump.apply_adjoint(lam)
     assert np.allclose(lam2.stacked(), lam.stacked(), atol=1e-12)
 
 
@@ -186,7 +184,7 @@ def test_gamma_rows_are_identity_block():
     jump, _ = _bouncing_context()
     dims = jump.dims
     n, p, nc = dims.n, dims.p, dims.nc
-    S = jump.matrix()
+    S = jump.S
     gamma_rows = S[2 * n:2 * n + p, :]
     expect = np.zeros((p, 2 * n + p + nc))
     expect[:, 2 * n:2 * n + p] = np.eye(p)
@@ -225,7 +223,7 @@ def test_z_jump_equals_density_difference():
     rng = np.random.default_rng(11)
     X = SensitivityState(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)),
                          np.eye(2), rng.normal(size=(1, 2)))
-    X2 = apply_jump_direct(jump, X)
+    X2 = jump.apply_direct(X)
     dt_drho = event_time_sensitivity(np.array([1.0]), X.Q, ctx["vm"])
     expect = X.Z - np.outer(ctx["gp"] - ctx["gm"], dt_drho)
     assert np.allclose(X2.Z, expect, atol=1e-12)
@@ -237,7 +235,7 @@ def test_parameter_columns_from_gamma():
     p = jump.dims.p
     X = SensitivityState(np.zeros((1, p)), np.zeros((1, p)), np.eye(p),
                          np.zeros((1, p)))
-    X2 = apply_jump_direct(jump, X)
+    X2 = jump.apply_direct(X)
     assert np.allclose(X2.V, jump.blocks["h_rho"], atol=1e-14)
     assert np.allclose(X2.Q, 0.0, atol=1e-14)
 
@@ -323,13 +321,13 @@ def _random_inelastic_case(rng):
     v = rng.normal(size=2, scale=2.0)
     if q @ v < 0.3:                            # ensure an outward crossing
         v = v - 2 * (q @ v) * q + 0.5 * q
-    vp, dmu, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
+    vp, _, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
     vdm = dyn.accel(t, q, v, rho)
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
     jump = build_jump_matrix(spec, dims, t, q, v, vp, vdm, vdp, gm, gp,
-                             rho, dyn, dyn_plus, delta_mu=dmu)
+                             rho, dyn, dyn_plus)
     b = jump.blocks
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_inelastic(
@@ -355,7 +353,7 @@ def test_componentwise_equals_matrix(kind):
                              rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.p, dims.p)),
                              rng.normal(size=(dims.nc, dims.p)))
-        via_matrix = apply_jump_direct(jump, X)
+        via_matrix = jump.apply_direct(X)
         via_comp = comp(X)
         scale = max(1.0, np.abs(via_matrix.stacked()).max())
         assert np.max(np.abs(via_matrix.stacked() - via_comp.stacked())) < 1e-12 * scale
@@ -374,8 +372,8 @@ def test_bilinear_identity(kind):
                            rng.normal(size=(dims.n, dims.nc)),
                            rng.normal(size=(dims.p, dims.nc)),
                            rng.normal(size=(dims.nc, dims.nc)))
-        left = (apply_jump_adjoint(jump, lam).stacked().T @ X.stacked())
-        right = lam.stacked().T @ apply_jump_direct(jump, X).stacked()
+        left = (jump.apply_adjoint(lam).stacked().T @ X.stacked())
+        right = lam.stacked().T @ jump.apply_direct(X).stacked()
         scale = max(1.0, np.abs(left).max())
         assert np.max(np.abs(left - right)) < 1e-12 * scale
 
@@ -385,5 +383,5 @@ def test_adjoint_jump_z_block_unchanged():
     rng = np.random.default_rng(21)
     lam = AdjointState(rng.normal(size=(1, 1)), rng.normal(size=(1, 1)),
                        rng.normal(size=(2, 1)), np.eye(1))
-    lam2 = apply_jump_adjoint(jump, lam)
+    lam2 = jump.apply_adjoint(lam)
     assert np.array_equal(lam2.lamZ, lam.lamZ)

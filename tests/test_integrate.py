@@ -7,7 +7,6 @@ from hybridsens.integrate import (
     IntegratorConfig,
     SimultaneousEventError,
     integrate_segment,
-    interpolate,
 )
 
 G = 9.81
@@ -52,21 +51,21 @@ def test_interpolation_exact_at_nodes():
     cfg = IntegratorConfig()
     seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     for t, y in zip(seg.node_times, seg.node_states):
-        assert np.array_equal(interpolate(seg, float(t)), y)
+        assert np.array_equal(seg.evaluate(float(t)), y)
 
 
 def test_interpolation_exponential():
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
     seg, _, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
     for t in np.linspace(0.05, 0.95, 19):
-        assert abs(interpolate(seg, t)[0] - np.exp(t)) < 10 * cfg.rtol * np.exp(t)
+        assert abs(seg.evaluate(t)[0] - np.exp(t)) < 10 * cfg.rtol * np.exp(t)
 
 
 def test_interpolation_parabola_midstep():
     cfg = IntegratorConfig()
     seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     tm = 0.5 * (seg.node_times[0] + seg.node_times[1])
-    y = interpolate(seg, float(tm))
+    y = seg.evaluate(float(tm))
     assert abs(y[0] - (1.0 - 0.5 * G * tm ** 2)) < 10 * cfg.rtol
 
 
@@ -74,7 +73,7 @@ def test_interpolation_outside_segment_raises():
     cfg = IntegratorConfig()
     seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     with pytest.raises(IntegrationError):
-        interpolate(seg, 0.5)
+        seg.evaluate(0.5)
 
 
 def test_tolerance_halving_improves_accuracy():
@@ -117,7 +116,7 @@ def test_backward_integration():
                                                (1.0, 0.0), cfg)
     assert abs(t_end) < 1e-14
     assert abs(y_end[0] - 1.0) < 1e-7
-    assert abs(interpolate(seg, 0.5)[0] - np.exp(0.5)) < 1e-6
+    assert abs(seg.evaluate(0.5)[0] - np.exp(0.5)) < 1e-6
 
 
 def test_double_crossing_within_step_detected():
