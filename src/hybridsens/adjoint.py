@@ -1,11 +1,16 @@
-"""Backward (adjoint) propagation over a stored forward trajectory.
+"""Discrete adjoint of a stored forward trajectory.
 
-The adjoint ODE is integrated segment by segment from tF down to t0, with
-forward states interpolated from the stored dense output (full-trajectory
-storage; no recomputation checkpointing at these problem sizes).  At each
-event the stored jump matrix acts through its transpose, lam- = S^T lam+,
-and event times are taken from the forward records so both passes see
-identical switching structure.
+Between events the backward pass is the exact transpose of the forward
+Runge-Kutta steps: each segment's accepted steps are swept from the last
+to the first with the transposed Dormand-Prince stage recursion, the
+Jacobians evaluated at the stage states rebuilt from the stored stages
+(Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
+No step control runs backward and the forward state is never
+interpolated.  At each event the stored jump matrix acts through its
+transpose, lam- = S^T lam+, so the adjoint gradient equals the direct
+gradient computed on the same steps to round-off.  Between nodes the
+adjoint is recovered by integrating the continuous adjoint ODE from the
+nearest later node (``AdjointSolution.lam_at``).
 
 The quadrature adjoint lamZ is the identity for all time and the
 constrained-formulation multiplier adjoint lamLambda is identically zero;
@@ -17,12 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import RK45
 
 from .core import AdjointState, Dimensions
 from .model import CostFunctional, cost_density_gradients, terminal_cost_gradients
-from .integrate import IntegratorConfig, integrate_segment
+from .integrate import DenseSegment, integrate_segment
 from .direct import HybridTrajectory
 from .constrained import checked_lu, saddle_factor
+
+# scipy's Dormand-Prince stage coefficients, with a seventh row for the
+# derivative at the step end (formed from the full-step weights B): the
+# continuous extension weighs it, the full step does not.
+_A = np.zeros((7, 7))
+_A[:6, :5] = RK45.A
+_A[6, :6] = RK45.B
+_C = np.append(RK45.C, 1.0)
 
 
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
@@ -52,27 +66,30 @@ def _join_lam(lamQ, lamV, lamG) -> np.ndarray:
 
 
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-                forward_eval, t: float, y: np.ndarray) -> np.ndarray:
-    """Time derivative of the stacked adjoint along a smooth segment.
+                t: float, x: np.ndarray, y: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Time derivative of the stacked adjoint y at the forward state x = [q; v; ...]:
 
-        lamQ' = -(f_q^T lamV + g_q^T lamZ)
-        lamV' = -(lamQ + f_v^T lamV + g_v^T lamZ)
-        lamG' = -(f_rho^T lamV + g_rho^T lamZ)
+        lamQ' = -(f_q^T lamV + w g_q^T)
+        lamV' = -(lamQ + f_v^T lamV + w g_v^T)
+        lamG' = -(f_rho^T lamV + w g_rho^T)
 
-    with lamZ = I substituted exactly.  Forward states come from the stored
-    dense output of the segment being traversed.
+    with lamZ = I substituted exactly and weighted by w: 1 for the
+    continuous adjoint ODE, the stage's quadrature weight h w_i inside a
+    discrete step.  The lamGamma block of y does not enter.
     """
     nc = cost.nc if cost is not None else dims.nc
-    q, v = forward_eval(t)
+    n = dims.n
+    q, v = x[:n], x[n:2 * n]
     lamQ, lamV, lamG = _split_lam(y, dims, nc)
     vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
     f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
     f_q, f_v, f_rho = f_blocks
-    if cost is not None and cost.g is not None:
+    if weight and cost is not None and cost.g is not None:
         _, g_q, g_v, g_rho = cost_density_gradients(
             cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
+        g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
     else:
-        g_q = g_v = np.zeros((nc, dims.n))
+        g_q = g_v = np.zeros((nc, n))
         g_rho = np.zeros((nc, dims.p))
     dlamQ = -(f_q.T @ lamV + g_q.T)
     dlamV = -(lamQ + f_v.T @ lamV + g_v.T)
@@ -80,9 +97,45 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     return _join_lam(dlamQ, dlamV, dlamG)
 
 
+def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
+                  lam: np.ndarray) -> np.ndarray:
+    """Adjoint at node k from the adjoint ``lam`` at node k + 1: the
+    transpose of forward step k,
+
+        theta_i = h w_i lam + h sum_{j>i} a_ji mu_j
+        mu_i    = J(Y_i)^T theta_i + h w_i g_y(Y_i)^T
+        lam_k   = lam + sum_i mu_i
+
+    (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
+    mu_i = -adjoint_rhs(Y_i, theta_i, h w_i) and the stage states Y_i are
+    rebuilt from the stored stages as the forward step formed them.  A full
+    step has the weights w = B on six stages; the last step of a segment cut
+    at an event reaches its end node through the continuous extension, with
+    w = P [x, x^2, x^3, x^4] on all seven.
+    """
+    t_old, y_old = dense.node_times[k], dense.node_states[k]
+    h, K = dense.steps[k], dense.stages[k]
+    if dense.truncated and k == len(dense) - 1:
+        x = (dense.node_times[k + 1] - t_old) / h
+        w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
+    else:
+        w = RK45.B
+    s = len(w)
+    mu = np.zeros((s, lam.size))
+    for i in range(s - 1, -1, -1):
+        theta = h * (w[i] * lam + _A[i + 1:s, i] @ mu[i + 1:s])
+        y_i = y_old + np.dot(K[:i].T, _A[i, :i]) * h
+        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, t_old + _C[i] * h, y_i, theta, h * w[i])
+    return lam + mu.sum(axis=0)
+
+
 @dataclass
 class AdjointSolution:
-    """Backward solve result: gradient, initial-time adjoint, node series."""
+    """Backward sweep result: gradient, initial-time adjoint, node series.
+
+    ``times``/``series`` hold the adjoint at every forward node, in backward
+    order; an event time appears twice, once per side.
+    """
 
     gradient: np.ndarray
     lam_t0: AdjointState
@@ -91,73 +144,72 @@ class AdjointSolution:
     lam_tF: AdjointState
     dims: Dimensions | None = None
     nc: int = 1
-    chunks: list | None = None   # backward dense segments, one per smooth piece
+    traj: HybridTrajectory | None = None
+    cost: CostFunctional | None = None
 
     def forward_order(self):
         return self.times[::-1], self.series[::-1]
 
     def lam_at(self, t: float) -> AdjointState:
-        """Adjoint interpolated inside the smooth segment covering t.
+        """Adjoint inside the smooth segment covering t: the stored value at
+        a node, else the continuous adjoint ODE integrated from the first
+        node after t, over at most one forward step.
 
         At an event time the value is side-dependent; query strictly inside
         a segment to get an unambiguous answer.
         """
-        if not self.chunks:
-            raise ValueError("adjoint dense output not stored")
-        for chunk in self.chunks:
-            lo, hi = min(chunk.t_start, chunk.t_end), max(chunk.t_start, chunk.t_end)
-            if lo <= t <= hi:
-                lamQ, lamV, lamG = _split_lam(chunk.evaluate(t), self.dims, self.nc)
+        if self.traj is None:
+            raise ValueError("forward trajectory not stored")
+        row = 0
+        for seg in reversed(self.traj.segments):
+            nodes = seg.dense.node_times
+            if seg.t_start <= t <= seg.t_end:
+                i = int(np.searchsorted(nodes, t))
+                y = self.series[row + len(nodes) - 1 - i].copy()
+                if nodes[i] > t:
+                    def rhs(s, lam):
+                        return adjoint_rhs(seg.dynamics, self.cost, self.dims, self.traj.rho,
+                                           s, seg.dense.evaluate(s), lam)
+                    _, (_, y), _ = integrate_segment(rhs, y, (nodes[i], t), self.traj.config)
+                lamQ, lamV, lamG = _split_lam(y, self.dims, self.nc)
                 return AdjointState(lamQ, lamV, lamG, np.eye(self.nc))
+            row += len(nodes)
         raise ValueError(f"t={t} outside the adjoint solution span")
 
 
-def propagate_adjoint(traj: HybridTrajectory, cost: CostFunctional | None = None,
-                      config: IntegratorConfig | None = None) -> AdjointSolution:
-    """Integrate the adjoint backward over a stored hybrid trajectory.
+def propagate_adjoint(traj: HybridTrajectory,
+                      cost: CostFunctional | None = None) -> AdjointSolution:
+    """Discrete adjoint sweep over a stored hybrid trajectory.
 
-    Events are not re-detected: the stored records supply both the exact
-    event times (segment boundaries) and the jump matrices whose transposes
-    map the adjoint across each discontinuity.
+    Each segment's forward steps are transposed in reverse order
+    (``_step_adjoint``).  Events are not re-detected: the stored records
+    supply both the exact event times (segment boundaries) and the jump
+    matrices whose transposes map the adjoint across each discontinuity.
     """
     cost = cost or traj.cost
     if cost is None:
         raise ValueError("adjoint propagation needs the cost functional")
-    config = config or traj.config
     dims = traj.dims
     rho = traj.rho
     nc = cost.nc
 
-    last = traj.segments[-1]
     qF, vF, _ = traj.state_at(traj.tF)
-    lam = terminal_conditions(cost, last.dynamics, traj.tF, qF, vF, rho)
+    lam = terminal_conditions(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, rho)
     lam_tF = lam.copy()
 
     times_acc = []
     series_acc = []
-    chunks = []
-    n = dims.n
-
     for k in range(len(traj.segments) - 1, -1, -1):
         seg = traj.segments[k]
-        dense = seg.dense
-
-        def forward_eval(t, dense=dense):
-            y = dense.evaluate(t)
-            return y[:n], y[n:2 * n]
-
-        if abs(seg.t_end - seg.t_start) > 1e-14 * max(1.0, abs(seg.t_end)):
-            rhs = lambda t, y, d=seg.dynamics, fe=forward_eval: adjoint_rhs(
-                d, cost, dims, rho, fe, t, y)
-            y0 = _join_lam(lam.lamQ, lam.lamV, lam.lamGamma)
-            back_seg, (t_lo, y_lo), _ = integrate_segment(
-                rhs, y0, (seg.t_end, seg.t_start), config, ())
-            times_acc.append(back_seg.node_times)
-            series_acc.append(back_seg.node_states)
-            chunks.append(back_seg)
-            lamQ, lamV, lamG = _split_lam(y_lo, dims, nc)
-            lam = AdjointState(lamQ, lamV, lamG, np.eye(nc),
-                               lamLambda=lam.lamLambda)
+        y = _join_lam(lam.lamQ, lam.lamV, lam.lamGamma)
+        nodes = [y]
+        for j in range(len(seg.dense) - 1, -1, -1):
+            y = _step_adjoint(seg.dynamics, cost, dims, rho, seg.dense, j, y)
+            nodes.append(y)
+        times_acc.append(seg.dense.node_times[::-1])
+        series_acc.append(np.array(nodes))
+        lamQ, lamV, lamG = _split_lam(y, dims, nc)
+        lam = AdjointState(lamQ, lamV, lamG, np.eye(nc), lamLambda=lam.lamLambda)
 
         if k > 0:
             record = traj.events[k - 1]
@@ -167,13 +219,9 @@ def propagate_adjoint(traj: HybridTrajectory, cost: CostFunctional | None = None
 
     ic = traj.segments[0].dynamics.model.initial_state(rho)
     gradient = assemble_cost_sensitivity_adjoint(lam, ic.dq0_drho, ic.dv0_drho)
-
-    times = np.concatenate(times_acc) if times_acc else np.array([traj.tF])
-    series = np.vstack(series_acc) if series_acc else _join_lam(
-        lam.lamQ, lam.lamV, lam.lamGamma)[None, :]
-    return AdjointSolution(gradient=gradient, lam_t0=lam, times=times,
-                           series=series, lam_tF=lam_tF, dims=dims, nc=nc,
-                           chunks=chunks)
+    return AdjointSolution(gradient=gradient, lam_t0=lam, times=np.concatenate(times_acc),
+                           series=np.vstack(series_acc), lam_tF=lam_tF, dims=dims, nc=nc,
+                           traj=traj, cost=cost)
 
 
 def assemble_cost_sensitivity_adjoint(lam_t0: AdjointState, dq0_drho, dv0_drho) -> np.ndarray:

@@ -119,6 +119,10 @@ def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     return checked_lu(K, what)
 
 
+def _state_key(t, q, v, rho):
+    return (t, q.tobytes(), v.tobytes(), rho.tobytes())
+
+
 class _SaddleDynamics:
     """Constrained dynamics as one saddle-point system
 
@@ -137,17 +141,18 @@ class _SaddleDynamics:
             raise ValueError(f"{type(self).__name__} needs a constrained model")
         self.model = model
         self.dims = model.dims
-        # (state key, (vdot, mu, factor)), read and replaced as one tuple so
-        # that threads sharing this object never pair one state's key with
-        # another's solution
+        # (state key, (vdot, mu, factor)) and (state key, Jacobian blocks),
+        # each read and replaced as one tuple so that threads sharing this
+        # object never pair one state's key with another's solution
         self._memo = (None, None)
+        self._jac_memo = (None, None)
 
     def _solve(self, t, q, v, rho):
         """(vdot, mu, factor) at one state from one saddle solve, memoized on
         (t, q, v, rho): the Jacobian solve at the state an acceleration was
         just computed at reuses its solution and factorization.  vdot and mu
         are read-only views, so no caller can alter the memoized values."""
-        key = (t, q.tobytes(), v.tobytes(), rho.tobytes())
+        key = _state_key(t, q, v, rho)
         memo_key, solved = self._memo
         if memo_key != key:
             cons, n = self.model.constraints, self.dims.n
@@ -161,6 +166,20 @@ class _SaddleDynamics:
         return solved
 
     def _all_jacobians(self, t, q, v, rho):
+        """``_assemble_jacobians`` memoized on (t, q, v, rho): a cost that
+        depends on the multipliers asks for the f-blocks and the mu-blocks
+        at one state, and both come from one assembly.  The blocks are
+        read-only."""
+        key = _state_key(t, q, v, rho)
+        memo_key, blocks = self._jac_memo
+        if memo_key != key:
+            blocks = self._assemble_jacobians(t, q, v, rho)
+            for block in blocks[0] + blocks[1]:
+                block.flags.writeable = False
+            self._jac_memo = (key, blocks)
+        return blocks
+
+    def _assemble_jacobians(self, t, q, v, rho):
         """Jacobian blocks ((f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) of the
         map (q, v, rho) -> (vdot, mu), from the differentiated system
 

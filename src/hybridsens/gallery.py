@@ -549,6 +549,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
         force=force,
         initial_state=initial_state,
         constraints=cons,
+        mass_q_w=lambda t, q, rho, w: np.zeros((2, 2)),
         mass_rho_w=mass_rho_w,
         force_q=lambda t, q, v, rho: np.zeros((2, 2)),
         force_v=lambda t, q, v, rho: np.zeros((2, 2)),

@@ -1,12 +1,14 @@
 """Smooth-segment integration with dense output and event localization.
 
-Stepping and per-step interpolants come from scipy's embedded Runge-Kutta
-4(5) pair (non-stiff dynamics between events; the continuous extension is
-what the event root-finder and the backward adjoint pass interpolate).
-Everything event-related is implemented here: sign-change detection on the
-dense output, bracketed bisection refined by secant steps, masking of the
-event function that just fired, and the guards that turn grazing or
-simultaneous crossings into explicit errors.
+Stepping comes from scipy's embedded Runge-Kutta 4(5) pair (non-stiff
+dynamics between events).  Each accepted step keeps its stage derivatives,
+which give both the continuous extension (what the event root-finder and
+the state queries interpolate) and the stage states the discrete adjoint
+of the step is evaluated at.  Everything event-related is implemented
+here: sign-change detection on the dense output, bracketed bisection
+refined by secant steps, masking of the event function that just fired,
+and the guards that turn grazing or simultaneous crossings into explicit
+errors.
 """
 
 from __future__ import annotations
@@ -53,26 +55,42 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
 
 
+def _rk_dense(t_old, y_old, h, K, t) -> np.ndarray:
+    """Continuous extension y_old + h (K^T P) [x, x^2, x^3, x^4] inside one
+    step, x = (t - t_old) / h, computed exactly as scipy's RkDenseOutput."""
+    P = RK45.P
+    x = (t - t_old) / h
+    y = h * np.dot(K.T.dot(P), np.cumprod(np.tile(x, P.shape[1])))
+    y += y_old
+    return y
+
+
 @dataclass
 class DenseSegment:
-    """Piecewise polynomial interpolant over one smooth segment.
+    """Accepted Runge-Kutta steps of one smooth segment.
 
-    Stores scipy's per-step dense-output objects keyed by the accepted step
-    boundaries.  Evaluation at a stored node reproduces the stored state
-    exactly (nodes are kept verbatim, not re-interpolated).
+    Step k runs from node k with signed length ``steps[k]`` (scipy's
+    ``h_previous``) and stage derivatives ``stages[k]`` (a copy of scipy's
+    ``K``: six stages plus the derivative at the step end).  Inside a step
+    the continuous extension is evaluated bitwise as scipy's dense output;
+    at a stored node the stored state is returned verbatim.  ``truncated``
+    marks a segment whose last node is an event root inside its last step,
+    reached by the continuous extension rather than by the full step.
     """
 
     t_start: float
     t_end: float
     node_times: np.ndarray
     node_states: np.ndarray  # shape (len(node_times), dim)
-    interpolants: list
+    stages: list
+    steps: np.ndarray
+    truncated: bool = False
     forward: bool = True
 
     _BOUNDARY_SLACK = 1e-12
 
     def __len__(self) -> int:
-        return len(self.interpolants)
+        return len(self.stages)
 
     def evaluate(self, t: float) -> np.ndarray:
         lo, hi = (self.t_start, self.t_end) if self.forward else (self.t_end, self.t_start)
@@ -87,8 +105,9 @@ class DenseSegment:
         k = np.searchsorted(times, tt)
         if k < len(times) and times[k] == tt:
             return self.node_states[k].copy()
-        k = min(max(k - 1, 0), len(self.interpolants) - 1)
-        return np.asarray(self.interpolants[k](t), dtype=float)
+        k = min(max(k - 1, 0), len(self.stages) - 1)
+        return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
+                         self.stages[k], t)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluate(t)
@@ -197,19 +216,18 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     node_times = [t0]
     node_states = [y0.copy()]
-    interpolants: list = []
+    stages: list = []
+    hs: list = []
     vals_old = [fn(t0, y0) for fn in event_fns]
     monitor.update(vals_old)
     t_tol = max(config.event_tol, 1e-10 * abs(tf - t0))
 
-    steps = 0
     while solver.status == "running":
-        if steps >= config.max_steps:
+        if len(stages) >= config.max_steps:
             raise IntegrationError(
                 f"max_steps={config.max_steps} exceeded at t={solver.t:.6g}"
             )
         msg = solver.step()
-        steps += 1
         if solver.status == "failed":
             near = [i for i, v in enumerate(vals_old)
                     if np.isfinite(v) and abs(v) < 1e-6 * max(1.0, float(np.abs(y0).max()))]
@@ -220,13 +238,18 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                 )
             raise IntegrationError(f"integration failed at t={solver.t:.6g}: {msg}")
 
-        dense = solver.dense_output()
+        t_old, y_old = node_times[-1], node_states[-1]
+        h, K = solver.h_previous, solver.K.copy()
+        stages.append(K)
+        hs.append(h)
         t_new, y_new = solver.t, solver.y.copy()
+
+        def dense(s):
+            return _rk_dense(t_old, y_old, h, K, s)
 
         hit = None
         if event_fns:
             # sample times within the step: interior checkpoints + endpoint
-            t_old = node_times[-1]
             taus = np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]
             candidates = []
             for i, fn in enumerate(event_fns):
@@ -235,11 +258,11 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                 va = vals_old[i]
                 ta = t_old
                 for tau in taus:
-                    ytau = y_new if tau == t_new else np.asarray(dense(tau), dtype=float)
+                    ytau = y_new if tau == t_new else dense(tau)
                     vb = fn(tau, ytau)
                     if va == 0.0 or (va < 0) != (vb < 0):
                         root = _refine_root(
-                            lambda s, fn=fn: fn(s, np.asarray(dense(s), dtype=float)),
+                            lambda s, fn=fn: fn(s, dense(s)),
                             ta, va, tau, vb, t_tol)
                         candidates.append((root, i))
                         break
@@ -252,19 +275,17 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                         f"{t_tol:.3g} of each other at t={candidates[0][0]:.6g}"
                     )
                 root, idx = candidates[0]
-                y_eve = np.asarray(dense(root), dtype=float)
+                y_eve = dense(root)
                 r_res = event_fns[idx](root, y_eve)
                 hit = EventHit(index=idx, t=root, y=y_eve, r_residual=float(r_res))
 
         if hit is not None:
-            interpolants.append(dense)
             node_times.append(hit.t)
             node_states.append(hit.y.copy())
             seg = DenseSegment(t0, hit.t, np.asarray(node_times), np.asarray(node_states),
-                               interpolants, forward=forward)
+                               stages, np.asarray(hs), truncated=True, forward=forward)
             return seg, (hit.t, hit.y.copy()), hit
 
-        interpolants.append(dense)
         node_times.append(t_new)
         node_states.append(y_new)
         vals_new = [fn(t_new, y_new) for fn in event_fns]
@@ -272,5 +293,5 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         vals_old = vals_new
 
     seg = DenseSegment(t0, node_times[-1], np.asarray(node_times), np.asarray(node_states),
-                       interpolants, forward=forward)
+                       stages, np.asarray(hs), forward=forward)
     return seg, (node_times[-1], node_states[-1].copy()), None

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hybridsens.adjoint import (
     assemble_cost_sensitivity_adjoint,
@@ -210,3 +211,29 @@ def test_pendulum_capture_adjoint_equals_direct():
         assert np.all(np.abs(sol.gradient - grad)
                       <= 1e-6 * np.maximum(1.0, np.abs(grad)))
         assert sol.lam_t0.lamLambda is None or np.allclose(sol.lam_t0.lamLambda, 0.0)
+
+
+def _gallery_case(name):
+    from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
+
+    if name == "five-bar-penalty-all-parameters":
+        return five_bar(param_names=FIVE_BAR_PARAMS), "int-ay2sq-vy2sq"
+    if name == "five-bar-dae":
+        return five_bar(formulation="dae"), "int-ay2"
+    if name == "bouncing-mass":
+        return bouncing_mass(), "int-vy"
+    return pendulum(), "int-vx"
+
+
+@pytest.mark.parametrize("name", ["five-bar-penalty-all-parameters", "five-bar-dae",
+                                  "bouncing-mass", "pendulum"])
+def test_discrete_adjoint_equals_direct_on_its_steps(name):
+    # the backward sweep transposes exactly the steps (and events) the direct
+    # pass took, so on the direct pass's own trajectory both gradients are
+    # the same number up to round-off
+    prob, cname = _gallery_case(name)
+    cost = prob.cost(cname)
+    grad, traj, _ = direct_gradient(prob.dynamics, cost, prob.events,
+                                    prob.rho0.rho, prob.t_span, prob.config)
+    sol = propagate_adjoint(traj, cost)
+    assert rel_err(sol.gradient, grad) <= 1e-12

@@ -425,3 +425,39 @@ def test_singular_kkt_reported():
     q = np.zeros(2)  # constraint Jacobian 2 q^T vanishes at the origin
     with pytest.raises(SingularKKTError):
         DaeDynamics(model).accel_and_multipliers(0.0, q, np.zeros(2), RHO)
+
+
+def test_multiplier_dependent_cost_one_assembly_per_state():
+    # a multiplier-dependent cost asks for the f-blocks and the mu-blocks at
+    # every state; both must come from one Jacobian assembly
+    from hybridsens.direct import direct_gradient
+    from hybridsens.model import CostFunctional
+
+    dyn = DaeDynamics(pendulum_swing_model(theta0=0.7))
+    cost = CostFunctional(
+        nc=1,
+        g=lambda t, q, v, a, rho, u: np.array([v[0] ** 2]),
+        g_of_mu=lambda t, q, v, a, rho, mu: np.array([mu[0] ** 2]),
+        name="vx2+mu2",
+    )
+    states, assembled, asked = set(), [], []
+
+    def recording(method):
+        def wrapper(t, q, v, rho, *args, **kwargs):
+            states.add((t, q.tobytes(), v.tobytes()))
+            asked.append(method.__name__)
+            return method(t, q, v, rho, *args, **kwargs)
+        return wrapper
+
+    def counting(assemble):
+        def wrapper(t, q, v, rho):
+            assembled.append(t)
+            return assemble(t, q, v, rho)
+        return wrapper
+
+    dyn.jacobians = recording(dyn.jacobians)
+    dyn.multiplier_jacobians = recording(dyn.multiplier_jacobians)
+    dyn._assemble_jacobians = counting(dyn._assemble_jacobians)
+    direct_gradient(dyn, cost, [], RHO, (0.0, 0.3), IntegratorConfig())
+    assert asked.count("multiplier_jacobians") >= asked.count("jacobians") > 0
+    assert len(assembled) == len(states)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from hybridsens.integrate import (
     GrazingError,
@@ -128,3 +129,29 @@ def test_double_crossing_within_step_detected():
                                     [lambda t, y: (t - 0.15) * (t - 0.35) + 1e-4])
     assert hit is not None
     assert 0.145 < hit.t < 0.16
+
+
+def test_dense_output_matches_scipy_bitwise():
+    # the stored stages reproduce scipy's per-step dense output exactly,
+    # including the last step of a segment cut at an event root
+    cfg = IntegratorConfig()
+
+    def rhs(t, y):
+        return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1]])
+
+    y0 = np.array([1.2, 0.0])
+    seg, _, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg,
+                                    [lambda t, y: y[0] + 0.9])
+    assert hit is not None and seg.truncated
+    solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.hmax)
+    dense = []
+    while len(dense) < len(seg):
+        solver.step()
+        dense.append(solver.dense_output())
+    assert [d.t_old for d in dense] == list(seg.node_times[:-1])
+    assert np.array_equal(dense[-1](hit.t), hit.y)
+    rng = np.random.default_rng(3)
+    for k in rng.integers(0, len(seg), size=40):
+        t_lo, t_hi = seg.node_times[k], seg.node_times[k + 1]
+        t = float(t_lo + rng.uniform(0.0, 1.0) * (t_hi - t_lo))
+        assert np.array_equal(seg.evaluate(t), dense[k](t))
