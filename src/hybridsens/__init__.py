@@ -10,12 +10,8 @@ parameters by three routes: forward (tangent-linear) propagation, backward
 from .core import (
     AdjointState,
     Dimensions,
-    GeneralizedState,
     ParameterVector,
-    QuadratureState,
     SensitivityState,
-    pack_canonical,
-    unpack_canonical,
 )
 from .model import CostFunctional, MultibodyModel, OdeDynamics
 from .integrate import IntegratorConfig
@@ -24,13 +20,9 @@ __all__ = [
     "AdjointState",
     "CostFunctional",
     "Dimensions",
-    "GeneralizedState",
     "IntegratorConfig",
     "MultibodyModel",
     "OdeDynamics",
     "ParameterVector",
-    "QuadratureState",
     "SensitivityState",
-    "pack_canonical",
-    "unpack_canonical",
 ]

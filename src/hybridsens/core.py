@@ -1,10 +1,9 @@
 """Domain types and dimension bookkeeping shared by every other module.
 
 All state is stored dense; target problems have n, p of order ten at most.
-The stacking order of the extended state vector is fixed everywhere as
-[q; v; rho; z] and the stacked sensitivity/adjoint matrices follow the same
-block order.  Jump matrices index into these blocks, so the order must never
-change silently.
+The stacked sensitivity and adjoint matrices follow one block order
+everywhere, [q; v; rho; z].  Jump matrices index into these blocks, so the
+order must never change silently.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Raised when array sizes are inconsistent with the declared dimensions."""
-
-
-def _as_vector(x, length: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (length,):
-        raise DimensionError(f"{name} must have shape ({length},), got {a.shape}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -57,45 +49,6 @@ class Dimensions:
         """Velocity degrees of freedom."""
         return self.n - self.m
 
-    @property
-    def canonical_size(self) -> int:
-        """Length of the extended state vector [q; v; rho; z]."""
-        return 2 * self.n + self.p + self.nc
-
-
-@dataclass
-class GeneralizedState:
-    """Positions, velocities and (cached) accelerations at one time instant."""
-
-    t: float
-    q: np.ndarray
-    v: np.ndarray
-    vdot: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.q.shape != self.v.shape or self.q.ndim != 1:
-            raise DimensionError(
-                f"q and v must be 1-d and equally sized, got {self.q.shape} and {self.v.shape}"
-            )
-        if self.vdot is not None:
-            self.vdot = _as_vector(self.vdot, self.q.size, "vdot")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.v).all()):
-            raise ValueError(f"non-finite state at t={self.t}")
-
-    @property
-    def n(self) -> int:
-        return self.q.size
-
-    def copy(self) -> "GeneralizedState":
-        return GeneralizedState(
-            self.t,
-            self.q.copy(),
-            self.v.copy(),
-            None if self.vdot is None else self.vdot.copy(),
-        )
-
 
 @dataclass
 class ParameterVector:
@@ -126,26 +79,6 @@ class ParameterVector:
 
 
 @dataclass
-class QuadratureState:
-    """Accumulated trajectory-cost integrals.  Continuous across events."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim != 1:
-            raise DimensionError(f"z must be 1-d, got shape {self.z.shape}")
-
-    @classmethod
-    def zero(cls, nc: int) -> "QuadratureState":
-        return cls(np.zeros(nc))
-
-    @property
-    def nc(self) -> int:
-        return self.z.size
-
-
-@dataclass
 class SensitivityState:
     """Stacked forward-sensitivity blocks.
 
@@ -153,24 +86,18 @@ class SensitivityState:
     V:      d v / d rho          (n x p)
     Gamma:  d rho / d rho = I    (p x p)
     Z:      d z / d rho          (nc x p)
-    Lambda: d mu / d rho         (m x p), algebraic, present only for
-            constrained (index-1) dynamics; it is recomputed from Q and V,
-            never integrated.
     """
 
     Q: np.ndarray
     V: np.ndarray
     Gamma: np.ndarray
     Z: np.ndarray
-    Lambda: np.ndarray | None = None
 
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.V = np.atleast_2d(np.asarray(self.V, dtype=float))
         self.Gamma = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
         self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        if self.Lambda is not None:
-            self.Lambda = np.atleast_2d(np.asarray(self.Lambda, dtype=float))
         p = self.Gamma.shape[0]
         if self.Gamma.shape != (p, p):
             raise DimensionError(f"Gamma must be square, got {self.Gamma.shape}")
@@ -197,8 +124,7 @@ class SensitivityState:
         return np.vstack([self.Q, self.V, self.Gamma, self.Z])
 
     @classmethod
-    def from_stacked(cls, X: np.ndarray, dims: Dimensions,
-                     Lambda: np.ndarray | None = None) -> "SensitivityState":
+    def from_stacked(cls, X: np.ndarray, dims: Dimensions) -> "SensitivityState":
         n, p, nc = dims.n, dims.p, dims.nc
         if X.shape != (2 * n + p + nc, p):
             raise DimensionError(
@@ -209,14 +135,10 @@ class SensitivityState:
             V=X[n:2 * n].copy(),
             Gamma=X[2 * n:2 * n + p].copy(),
             Z=X[2 * n + p:].copy(),
-            Lambda=Lambda,
         )
 
     def copy(self) -> "SensitivityState":
-        return SensitivityState(
-            self.Q.copy(), self.V.copy(), self.Gamma.copy(), self.Z.copy(),
-            None if self.Lambda is None else self.Lambda.copy(),
-        )
+        return SensitivityState(self.Q.copy(), self.V.copy(), self.Gamma.copy(), self.Z.copy())
 
 
 @dataclass
@@ -278,28 +200,3 @@ class AdjointState:
             self.lamQ.copy(), self.lamV.copy(), self.lamGamma.copy(), self.lamZ.copy(),
             None if self.lamLambda is None else self.lamLambda.copy(),
         )
-
-
-def pack_canonical(gs: GeneralizedState, rho: ParameterVector, zq: QuadratureState) -> np.ndarray:
-    """Stack [q; v; rho; z] into the extended state vector.
-
-    The packing is a plain concatenation: unpack_canonical is its exact
-    (bitwise) inverse for finite inputs.
-    """
-    if gs.q.size != gs.v.size:
-        raise DimensionError("q and v sizes differ")
-    return np.concatenate([gs.q, gs.v, rho.rho, zq.z])
-
-
-def unpack_canonical(x: np.ndarray, dims: Dimensions, t: float = 0.0):
-    """Split an extended state vector back into (GeneralizedState, ParameterVector, QuadratureState)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dims.canonical_size,):
-        raise DimensionError(
-            f"canonical vector must have shape ({dims.canonical_size},), got {x.shape}"
-        )
-    n, p = dims.n, dims.p
-    gs = GeneralizedState(t, x[:n], x[n:2 * n])
-    rho = ParameterVector(x[2 * n:2 * n + p])
-    zq = QuadratureState(x[2 * n + p:])
-    return gs, rho, zq

@@ -26,6 +26,7 @@ from .hybrid import (
     EventSpec,
     apply_state_jump,
     build_jump_matrix,
+    check_departure,
 )
 from .constrained import ConstraintResiduals
 
@@ -175,6 +176,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
         (q, v_minus, z), X_minus = _split_aug(y_end, dims)
         t_eve = hit.t
         v_plus, delta_mu, dyn_plus = apply_state_jump(spec, t_eve, q, v_minus, rho, active)
+        rdot_plus = check_departure(spec, spec.r_jac(q), v_minus, v_plus)
         vdot_minus, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
         vdot_plus, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
         if cost is not None:
@@ -196,20 +198,14 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
         if carrying_X:
             record.dteve_drho = record.r_row @ X_minus.Q
             X_plus = jump.apply_direct(X_minus)
-            if "imp_mu_q" in jump.blocks:
-                b = jump.blocks
-                dt_drho = record.dteve_drho
-                dq_eve = X_minus.Q + np.outer(v_minus, dt_drho)
-                dv_eve = X_minus.V + np.outer(vdot_minus, dt_drho)
-                record.delta_mu_sens = (b["imp_mu_q"] @ dq_eve + b["imp_mu_v"] @ dv_eve
-                                        + b["imp_mu_rho"] + np.outer(b["imp_mu_t"], dt_drho))
+            record.delta_mu_sens = spec.delta_mu_sensitivity(record, X_minus)
         records.append(record)
 
         # positions and quadrature are continuous; restart just off the root
         y = _join_aug(q, v_plus, z, X_plus, dims)
-        depart = 10.0 * config.event_tol * max(1.0, abs(float(spec.r_jac(q) @ v_plus)))
+        depart = 10.0 * config.event_tol * max(1.0, abs(rdot_plus))
         depart = max(depart, 2.0 * abs(hit.r_residual))
-        monitor.mask(hit.index, depart)
+        monitor.mask(hit.index, depart, float(np.sign(rdot_plus)) if spec.must_depart else 0.0)
         t = t_eve
         active = dyn_plus
 

@@ -3,10 +3,14 @@
 At a transversal event the positions and the quadrature accumulator are
 continuous while the velocities jump; forward sensitivities therefore jump
 as X+ = S X- with a generalized jump matrix S assembled per event kind, and
-adjoints jump backward as lam- = S^T lam+.  Three kinds are supported:
+adjoints jump backward as lam- = S^T lam+.  Each event kind is one
+EventSpec subclass that owns its state jump, its blocks of S and whether
+its post-event velocity must leave the event surface:
 
-* VelocityJumpEvent / RhsSwitchEvent: unconstrained state, full-velocity
-  jump map h(t, q, v, rho) (identity for a pure right-hand-side switch).
+* VelocityJumpEvent: unconstrained state, full-velocity jump map
+  h(t, q, v, rho).
+* RhsSwitchEvent: a velocity jump with the identity map that swaps the
+  equations of motion.
 * ConstrainedElasticEvent: the jump map acts on the independent (dof)
   velocity components; dependent components are re-solved from the
   (unchanged) velocity-level constraints.
@@ -22,7 +26,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -35,6 +39,11 @@ TRANSVERSALITY_RTOL = 1e-8
 
 class TangentialCrossingError(RuntimeError):
     """dr/dq . v vanished at the event: grazing contact is not supported."""
+
+
+class StickingContactError(RuntimeError):
+    """dr/dq . v+ vanished after a jump that must leave the event surface:
+    sticking (zero restitution) is not supported."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +92,19 @@ class DofPartition:
 
 @dataclass
 class EventSpec:
-    """Scalar event function r(q) whose sign change in time triggers the event."""
+    """Scalar event function r(q) whose sign change in time triggers the event.
+
+    Each subclass is one event kind and owns everything specific to it:
+    ``state_jump`` gives the post-event velocities, ``jump_blocks`` its
+    blocks of the sensitivity jump matrix S, and ``must_depart`` whether the
+    post-event velocity must leave the event surface.
+    """
 
     name: str
     r: Callable[[np.ndarray], float]
     dr_dq: Callable[[np.ndarray], np.ndarray] | None = None
+
+    must_depart: ClassVar[bool] = True
 
     def r_value(self, q) -> float:
         return float(self.r(q))
@@ -96,6 +113,63 @@ class EventSpec:
         if self.dr_dq is not None:
             return np.asarray(self.dr_dq(q), dtype=float).reshape(-1)
         return fd_jacobian(lambda qq: np.atleast_1d(self.r(qq)), q).reshape(-1)
+
+    def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        """(v_plus, delta_mu or None, dyn_plus) at the event state."""
+        raise NotImplementedError
+
+    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
+                    dyn_plus, A, w):
+        """((SQQ, SQG, SVQ, SVV, SVG), named blocks) of S, given the shared
+        full-vector position jump A = I - dv w and event-time row w."""
+        raise NotImplementedError
+
+    def delta_mu_sensitivity(self, record, X_minus):
+        """Sensitivity of the impulse multipliers; None for kinds without any."""
+        return None
+
+
+def _jump_jacobians(jump, partials, t, q, v, rho):
+    """(h_t, h_q, h_v, h_rho) of a jump map v+ = jump(t, q, v, rho): the
+    supplied partials, central differences for any not supplied."""
+    h_t, h_q, h_v, h_rho = partials
+    ht = (np.asarray(h_t(t, q, v, rho), dtype=float) if h_t is not None
+          else fd_derivative(lambda tt: jump(tt, q, v, rho), t))
+    hq = (np.asarray(h_q(t, q, v, rho), dtype=float) if h_q is not None
+          else fd_jacobian(lambda qq: jump(t, qq, v, rho), q))
+    hv = (np.asarray(h_v(t, q, v, rho), dtype=float) if h_v is not None
+          else fd_jacobian(lambda vv: jump(t, q, vv, rho), v))
+    hrho = (np.asarray(h_rho(t, q, v, rho), dtype=float) if h_rho is not None
+            else fd_jacobian(lambda rr: jump(t, q, v, rr), rho))
+    return ht.reshape(-1), hq, hv, hrho
+
+
+def _dependent_solve(spec, G):
+    """Solve with the dependent-coordinate block G_dep, refusing a singular one."""
+    return _constrained.checked_lu(G[:, list(spec.partition.dep)],
+                                   f"event '{spec.name}' dependent constraint block")
+
+
+def _dependent_blocks(spec, cons: ConstraintSet, t, q, rho, A):
+    """Dependent-coordinate part of a partitioned jump.
+
+    Factors G_dep once and returns its solve with R = -G_dep^-1 G_dof,
+    D = -G_dep^-1 phi_rho and the position rows of S: SQQ (dof rows A_dof,
+    dependent rows R A_dof) and SQG (dependent rows D).
+    """
+    n, p = q.size, rho.size
+    dof, dep = list(spec.partition.dof), list(spec.partition.dep)
+    G = cons.jac_q(t, q, rho)
+    lu = _dependent_solve(spec, G)
+    R = -lu(G[:, dof])
+    D = -lu(cons.jac_rho(t, q, rho))
+    A_dof = A[dof, :]
+    SQQ = np.zeros((n, n))
+    SQQ[dof, :] = A_dof
+    SQQ[dep, :] = R @ A_dof
+    SQG = np.zeros((n, p))
+    SQG[dep, :] = D
+    return lu, R, D, SQQ, SQG
 
 
 @dataclass
@@ -113,22 +187,36 @@ class VelocityJumpEvent(EventSpec):
         return np.asarray(self.h(t, q, v, rho), dtype=float)
 
     def jacobians(self, t, q, v, rho):
-        ht = (np.asarray(self.h_t(t, q, v, rho), dtype=float) if self.h_t is not None
-              else fd_derivative(lambda tt: self.jump(tt, q, v, rho), t))
-        hq = (np.asarray(self.h_q(t, q, v, rho), dtype=float) if self.h_q is not None
-              else fd_jacobian(lambda qq: self.jump(t, qq, v, rho), q))
-        hv = (np.asarray(self.h_v(t, q, v, rho), dtype=float) if self.h_v is not None
-              else fd_jacobian(lambda vv: self.jump(t, q, vv, rho), v))
-        hrho = (np.asarray(self.h_rho(t, q, v, rho), dtype=float) if self.h_rho is not None
-                else fd_jacobian(lambda rr: self.jump(t, q, v, rr), rho))
-        return ht.reshape(-1), hq, hv, hrho
+        return _jump_jacobians(self.jump, (self.h_t, self.h_q, self.h_v, self.h_rho),
+                               t, q, v, rho)
+
+    def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus)
+
+    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
+                    dyn_plus, A, w):
+        n = v_minus.size
+        ht, hq, hv, hrho = self.jacobians(t, q, v_minus, rho)
+        bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
+        SVQ = hq + bracket.reshape(n, 1) @ w
+        blocks = {"Q_plus_wrt_Q": A, "V_plus_wrt_Q": SVQ, "h_v": hv, "h_rho": hrho}
+        return (A, np.zeros((n, rho.size)), SVQ, hv, hrho), blocks
 
 
 @dataclass
-class RhsSwitchEvent(EventSpec):
-    """Velocity-continuous event that swaps the equations of motion."""
+class RhsSwitchEvent(VelocityJumpEvent):
+    """Velocity-continuous event that swaps the equations of motion: a
+    velocity jump whose map h and partials are set to the identity, onto a
+    required ``post_dynamics``."""
 
-    post_dynamics: object = None  # required; the new dynamics after the switch
+    def __post_init__(self):
+        if self.post_dynamics is None:
+            raise ValueError(f"event '{self.name}': a switch event needs post_dynamics")
+        self.h = lambda t, q, v, rho: v.copy()
+        self.h_t = lambda t, q, v, rho: np.zeros(v.size)
+        self.h_q = lambda t, q, v, rho: np.zeros((v.size, q.size))
+        self.h_v = lambda t, q, v, rho: np.eye(v.size)
+        self.h_rho = lambda t, q, v, rho: np.zeros((v.size, rho.size))
 
 
 @dataclass
@@ -150,15 +238,50 @@ class ConstrainedElasticEvent(EventSpec):
         return np.asarray(self.dof_jump(t, q, v_dof, rho), dtype=float)
 
     def jacobians(self, t, q, v_dof, rho):
-        ht = (np.asarray(self.h_t(t, q, v_dof, rho), dtype=float) if self.h_t is not None
-              else fd_derivative(lambda tt: self.jump_dof(tt, q, v_dof, rho), t))
-        hq = (np.asarray(self.h_q(t, q, v_dof, rho), dtype=float) if self.h_q is not None
-              else fd_jacobian(lambda qq: self.jump_dof(t, qq, v_dof, rho), q))
-        hv = (np.asarray(self.h_vdof(t, q, v_dof, rho), dtype=float) if self.h_vdof is not None
-              else fd_jacobian(lambda vv: self.jump_dof(t, q, vv, rho), v_dof))
-        hrho = (np.asarray(self.h_rho(t, q, v_dof, rho), dtype=float) if self.h_rho is not None
-                else fd_jacobian(lambda rr: self.jump_dof(t, q, v_dof, rr), rho))
-        return ht.reshape(-1), hq, hv, hrho
+        return _jump_jacobians(self.jump_dof, (self.h_t, self.h_q, self.h_vdof, self.h_rho),
+                               t, q, v_dof, rho)
+
+    def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        dof, dep = list(self.partition.dof), list(self.partition.dep)
+        cons = dyn_minus.model.constraints
+        v_dof_plus = self.jump_dof(t, q, v_minus[dof], rho)
+        G = cons.jac_q(t, q, rho)
+        lu = _dependent_solve(self, G)
+        v_plus = np.empty_like(v_minus)
+        v_plus[dof] = v_dof_plus
+        v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus + cons.jac_t(t, q, rho)))
+        return v_plus, None, dyn_minus
+
+    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
+                    dyn_plus, A, w):
+        n = v_minus.size
+        cons = dyn_plus.model.constraints
+        dof, dep = list(self.partition.dof), list(self.partition.dep)
+        lu, R, D, SQQ, SQG = _dependent_blocks(self, cons, t, q, rho, A)
+        Rbar = -lu(cons.qq_action(t, q, rho, v_plus) + cons.tq_jac(t, q, rho))
+        Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus) + cons.t_rho_jac(t, q, rho))
+
+        ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
+        bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
+        B_dof = hq + bracket.reshape(-1, 1) @ w                  # (f, n)
+        # the dependent rows see the *post-jump* position sensitivities:
+        # V_dep+ = R V_dof+ + Rbar Q+ + C, with Q+ = SQQ Q- + SQG Gamma
+        SVQ = np.zeros((n, n))
+        SVQ[dof, :] = B_dof
+        SVQ[dep, :] = R @ B_dof + Rbar @ SQQ
+        SVV = np.zeros((n, n))
+        SVV[np.ix_(dof, dof)] = hv
+        SVV[np.ix_(dep, dof)] = R @ hv
+        K = Cblk + R @ hrho + Rbar @ SQG
+        SVG = np.zeros((n, rho.size))
+        SVG[dof, :] = hrho
+        SVG[dep, :] = K
+        blocks = {
+            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
+            "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
+            "h_v": hv, "h_rho": hrho,
+        }
+        return (SQQ, SQG, SVQ, SVV, SVG), blocks
 
 
 @dataclass
@@ -167,15 +290,50 @@ class ConstrainedInelasticEvent(EventSpec):
 
     The impulsive solve distributes the pre-event momentum onto the new
     constraint manifold; the event surface must coincide with activation of
-    the new constraints (r = 0 exactly when the new Phi is satisfied).
+    the new constraints (r = 0 exactly when the new Phi is satisfied), so
+    the post-event velocity stays on the surface.
     """
 
     post_dynamics: object = None  # constrained dynamics active after the event
     partition: DofPartition = None
 
+    must_depart: ClassVar[bool] = False
+
     @property
     def post_constraints(self) -> ConstraintSet:
         return self.post_dynamics.model.constraints
+
+    def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        model = self.post_dynamics.model
+        v_plus, dmu = _constrained.impulse_solve(model, t, q, v_minus, rho, model.constraints)
+        return v_plus, dmu, self.post_dynamics
+
+    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
+                    dyn_plus, A, w):
+        n = v_minus.size
+        jt, jq, jv, jrho = impulse_map_jacobians(
+            dyn_plus.model, t, q, v_minus, rho, self.post_constraints)
+        jt_v, jq_v, jv_v, jrho_v = jt[:n], jq[:n], jv[:n], jrho[:n]
+        _, R, D, SQQ, SQG = _dependent_blocks(self, self.post_constraints, t, q, rho, A)
+        bracket = jt_v + jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
+        SVQ = jq_v + bracket.reshape(n, 1) @ w
+        blocks = {
+            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv_v,
+            "D": D, "R": R, "imp_v_q": jq_v, "imp_v_v": jv_v, "imp_v_rho": jrho_v,
+            "imp_mu_q": jq[n:], "imp_mu_v": jv[n:], "imp_mu_rho": jrho[n:],
+            "imp_mu_t": jt[n:], "imp_v_t": jt_v,
+        }
+        return (SQQ, SQG, SVQ, jv_v, jrho_v), blocks
+
+    def delta_mu_sensitivity(self, record, X_minus):
+        """d(delta_mu)/drho through the impulse map at the perturbed event
+        state (q, v) + (Q-, V-) + (v-, vdot-) dt/drho."""
+        b = record.jump.blocks
+        dt_drho = record.dteve_drho
+        dq_eve = X_minus.Q + np.outer(record.v_minus, dt_drho)
+        dv_eve = X_minus.V + np.outer(record.vdot_minus, dt_drho)
+        return (b["imp_mu_q"] @ dq_eve + b["imp_mu_v"] @ dv_eve
+                + b["imp_mu_rho"] + np.outer(b["imp_mu_t"], dt_drho))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +398,7 @@ class EventRecord:
             "v_minus": self.v_minus.tolist(),
             "v_plus": self.v_plus.tolist(),
             "jump_block_norms": {k: float(np.linalg.norm(v))
-                                 for k, v in self.jump.blocks.items()
-                                 if isinstance(v, np.ndarray)},
+                                 for k, v in self.jump.blocks.items()},
         }
         if self.dteve_drho is not None:
             d["dteve_drho"] = np.asarray(self.dteve_drho).ravel().tolist()
@@ -293,48 +450,26 @@ def apply_state_jump(spec: EventSpec, t_eve: float, q: np.ndarray,
     Returns (v_plus, delta_mu_or_None, dyn_plus).  Positions and quadrature
     values never jump; the caller keeps them verbatim.
     """
-    if isinstance(spec, VelocityJumpEvent):
-        v_plus = spec.jump(t_eve, q, v_minus, rho)
-        return v_plus, None, (spec.post_dynamics or dyn_minus)
-    if isinstance(spec, RhsSwitchEvent):
-        if spec.post_dynamics is None:
-            raise ValueError(f"event '{spec.name}': a switch event needs post_dynamics")
-        return v_minus.copy(), None, spec.post_dynamics
-    if isinstance(spec, ConstrainedElasticEvent):
-        part = spec.partition
-        cons = dyn_minus.model.constraints
-        v_dof_plus = spec.jump_dof(t_eve, q, v_minus[list(part.dof)], rho)
-        G = cons.jac_q(t_eve, q, rho)
-        phit = cons.jac_t(t_eve, q, rho)
-        Gdep = G[:, list(part.dep)]
-        Gdof = G[:, list(part.dof)]
-        try:
-            v_dep_plus = np.linalg.solve(Gdep, -(Gdof @ v_dof_plus + phit))
-        except np.linalg.LinAlgError as exc:
-            raise _constrained.SingularKKTError(
-                f"event '{spec.name}': dependent-coordinate constraint block singular "
-                f"(cond~{np.linalg.cond(Gdep):.3g})"
-            ) from exc
-        v_plus = np.empty_like(v_minus)
-        v_plus[list(part.dof)] = v_dof_plus
-        v_plus[list(part.dep)] = v_dep_plus
-        return v_plus, None, dyn_minus
-    if isinstance(spec, ConstrainedInelasticEvent):
-        dyn_plus = spec.post_dynamics
-        v_plus, dmu = _constrained.impulse_solve(
-            dyn_plus.model, t_eve, q, v_minus, rho, dyn_plus.model.constraints)
-        return v_plus, dmu, dyn_plus
-    raise TypeError(f"unknown event spec type {type(spec).__name__}")
+    return spec.state_jump(t_eve, q, v_minus, rho, dyn_minus)
+
+
+def check_departure(spec: EventSpec, r_q: np.ndarray, v_minus: np.ndarray,
+                    v_plus: np.ndarray) -> float:
+    """Return dr/dq . v+, refusing a post-event velocity that does not leave
+    the surface of an event kind that must leave it."""
+    rdot = float(r_q @ v_plus)
+    scale = float(np.linalg.norm(r_q) * np.linalg.norm(v_minus))
+    if spec.must_depart and abs(rdot) <= TRANSVERSALITY_RTOL * scale:
+        raise StickingContactError(
+            f"event '{spec.name}': |dr/dq . v+| = {abs(rdot):.3g} after the jump is "
+            f"below the departure threshold ({TRANSVERSALITY_RTOL:.1g} * {scale:.3g})"
+        )
+    return rdot
 
 
 # ---------------------------------------------------------------------------
 # Jump matrix assembly
 # ---------------------------------------------------------------------------
-
-
-def _identity_blocks(dims: Dimensions):
-    n, p, nc = dims.n, dims.p, dims.nc
-    return np.zeros((2 * n + p + nc, 2 * n + p + nc))
 
 
 def _assemble(dims: Dimensions, SQQ, SQG, SVQ, SVV, SVG, SZQ) -> np.ndarray:
@@ -343,7 +478,7 @@ def _assemble(dims: Dimensions, SQQ, SQG, SVQ, SVV, SVG, SZQ) -> np.ndarray:
     Row/column order is [Q (n); V (n); Gamma (p); Z (nc)].  Blocks not
     listed are zero except the exact identity on Gamma and Z."""
     n, p, nc = dims.n, dims.p, dims.nc
-    S = _identity_blocks(dims)
+    S = np.zeros((2 * n + p + nc, 2 * n + p + nc))
     iQ, iV, iG, iZ = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + p), slice(2 * n + p, None)
     S[iQ, iQ] = SQQ
     S[iQ, iG] = SQG
@@ -365,111 +500,21 @@ def build_jump_matrix(spec: EventSpec, dims: Dimensions, t_eve: float,
 
     One-sided accelerations are the respective right-hand sides evaluated at
     (t_eve, q, v-) and (t_eve, q, v+); one-sided cost densities likewise.
+    The event kind supplies its position and velocity blocks; the event-time
+    row and the quadrature block are common to all kinds.
     """
-    n, p, nc = dims.n, dims.p, dims.nc
+    n, nc = dims.n, dims.nc
     r_q = spec.r_jac(q)
     w = event_time_row(r_q, v_minus)           # (1, n)
     dv = (v_plus - v_minus).reshape(n, 1)
     dg = (g_plus - g_minus).reshape(nc, 1)
     A = np.eye(n) - dv @ w                      # full-vector position-sensitivity jump
     SZQ = -dg @ w
-
-    if isinstance(spec, (VelocityJumpEvent, RhsSwitchEvent)):
-        if isinstance(spec, RhsSwitchEvent):
-            ht, hq, hv, hrho = (np.zeros(n), np.zeros((n, n)), np.eye(n), np.zeros((n, p)))
-        else:
-            ht, hq, hv, hrho = spec.jacobians(t_eve, q, v_minus, rho)
-        bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
-        SVQ = hq + bracket.reshape(n, 1) @ w
-        S = _assemble(dims, A, np.zeros((n, p)), SVQ, hv, hrho, SZQ)
-        blocks = {
-            "Q_plus_wrt_Q": A, "V_plus_wrt_Q": SVQ, "h_v": hv, "h_rho": hrho,
-            "Z_plus_wrt_Q": SZQ, "dt_row": w,
-        }
-        return JumpMatrix(dims, type(spec).__name__, blocks, S)
-
-    if isinstance(spec, ConstrainedElasticEvent):
-        part = spec.partition
-        cons = dyn_plus.model.constraints
-        dof, dep = list(part.dof), list(part.dep)
-        G = cons.jac_q(t_eve, q, rho)
-        Gdep = G[:, dep]
-        Gdof = G[:, dof]
-        lu = _constrained.checked_lu(Gdep, f"event '{spec.name}' dependent constraint block")
-        R = -lu(Gdof)                                            # (m, f)
-        Rbar = -lu(cons.qq_action(t_eve, q, rho, v_plus) + cons.tq_jac(t_eve, q, rho))
-        Cblk = -lu(cons.q_rho_action(t_eve, q, rho, v_plus) + cons.t_rho_jac(t_eve, q, rho))
-        D = -lu(cons.jac_rho(t_eve, q, rho))
-
-        A_dof = A[dof, :]
-        A_dep = R @ A_dof
-        SQQ = np.zeros((n, n))
-        SQQ[dof, :] = A_dof
-        SQQ[dep, :] = A_dep
-        SQG = np.zeros((n, p))
-        SQG[dep, :] = D
-
-        ht, hq, hv, hrho = spec.jacobians(t_eve, q, v_minus[dof], rho)
-        bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
-        B_dof = hq + bracket.reshape(-1, 1) @ w                  # (f, n)
-        # the dependent rows see the *post-jump* position sensitivities:
-        # V_dep+ = R V_dof+ + Rbar Q+ + C, with Q+ = SQQ Q- + SQG Gamma
-        B_dep = R @ B_dof + Rbar @ SQQ
-        SVQ = np.zeros((n, n))
-        SVQ[dof, :] = B_dof
-        SVQ[dep, :] = B_dep
-        SVV = np.zeros((n, n))
-        SVV[np.ix_(dof, dof)] = hv
-        SVV[np.ix_(dep, dof)] = R @ hv
-        K = Cblk + R @ hrho + Rbar @ SQG
-        SVG = np.zeros((n, p))
-        SVG[dof, :] = hrho
-        SVG[dep, :] = K
-
-        S = _assemble(dims, SQQ, SQG, SVQ, SVV, SVG, SZQ)
-        blocks = {
-            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
-            "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
-            "h_v": hv, "h_rho": hrho, "Z_plus_wrt_Q": SZQ, "dt_row": w,
-        }
-        return JumpMatrix(dims, type(spec).__name__, blocks, S)
-
-    if isinstance(spec, ConstrainedInelasticEvent):
-        part = spec.partition
-        cons = spec.post_constraints
-        dof, dep = list(part.dof), list(part.dep)
-        jt, jq, jv, jrho = impulse_map_jacobians(
-            dyn_plus.model, t_eve, q, v_minus, rho, cons)
-        jt_v, jq_v, jv_v, jrho_v = jt[:n], jq[:n], jv[:n], jrho[:n]
-        jt_m, jq_m, jv_m, jrho_m = jt[n:], jq[n:], jv[n:], jrho[n:]
-
-        G = cons.jac_q(t_eve, q, rho)
-        lu = _constrained.checked_lu(G[:, dep], f"event '{spec.name}' dependent constraint block")
-        R = -lu(G[:, dof])
-        D = -lu(cons.jac_rho(t_eve, q, rho))
-        A_dof = A[dof, :]
-        SQQ = np.zeros((n, n))
-        SQQ[dof, :] = A_dof
-        SQQ[dep, :] = R @ A_dof
-        SQG = np.zeros((n, p))
-        SQG[dep, :] = D
-
-        bracket = jt_v + jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
-        SVQ = jq_v + bracket.reshape(n, 1) @ w
-        SVV = jv_v
-        SVG = jrho_v
-
-        S = _assemble(dims, SQQ, SQG, SVQ, SVV, SVG, SZQ)
-        blocks = {
-            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
-            "D": D, "R": R, "imp_v_q": jq_v, "imp_v_v": jv_v, "imp_v_rho": jrho_v,
-            "imp_mu_q": jq_m, "imp_mu_v": jv_m, "imp_mu_rho": jrho_m,
-            "imp_mu_t": jt_m, "imp_v_t": jt_v,
-            "Z_plus_wrt_Q": SZQ, "dt_row": w,
-        }
-        return JumpMatrix(dims, type(spec).__name__, blocks, S)
-
-    raise TypeError(f"unknown event spec type {type(spec).__name__}")
+    own, blocks = spec.jump_blocks(t_eve, q, v_minus, v_plus, vdot_minus, vdot_plus,
+                                   rho, dyn_plus, A, w)
+    S = _assemble(dims, *own, SZQ)
+    blocks.update({"Z_plus_wrt_Q": SZQ, "dt_row": w})
+    return JumpMatrix(dims, type(spec).__name__, blocks, S)
 
 
 def impulse_map_jacobians(model, t, q, v_minus, rho, cons: ConstraintSet):

@@ -32,6 +32,11 @@ class SimultaneousEventError(IntegrationError):
     """Two event functions crossed zero within the event time tolerance."""
 
 
+class EventAccumulationError(IntegrationError):
+    """An event function returned across its surface before leaving it on
+    the departure side: events accumulate (Zeno behaviour)."""
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and limits for one integration run.
@@ -164,20 +169,32 @@ class EventMonitor:
 
     After an event fires, its function is masked until the trajectory has
     moved a finite distance off the event surface; otherwise the restart at
-    t_eve would re-trigger on the same root.
+    t_eve would re-trigger on the same root.  With a departure side (the
+    sign of dr/dt just after the event) the function must clear that
+    distance on that side; clearing it on the other side means the
+    trajectory came back through the surface without a detectable crossing.
     """
 
     def __init__(self, n_events: int):
         self.masked = [False] * n_events
         self.depart_tol = [0.0] * n_events
+        self.side = [0.0] * n_events
 
-    def mask(self, index: int, depart_tol: float) -> None:
+    def mask(self, index: int, depart_tol: float, side: float) -> None:
+        """Mask event ``index``; ``side`` is +1 or -1, or 0 for no side."""
         self.masked[index] = True
         self.depart_tol[index] = depart_tol
+        self.side[index] = side
 
     def update(self, values: Sequence[float]) -> None:
         for i, val in enumerate(values):
             if self.masked[i] and abs(val) > self.depart_tol[i]:
+                if self.side[i] * val < 0.0:
+                    raise EventAccumulationError(
+                        f"event function {i} = {val:.3g} left its surface on the side "
+                        f"opposite to its departure: event accumulation (Zeno) is not "
+                        f"supported"
+                    )
                 self.masked[i] = False
 
 

@@ -29,6 +29,13 @@ def test_bad_param_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_sticking_contact_exits_1(tmp_path, capsys):
+    code = main(["simulate", "--model", "bouncing-mass", "--params", "e=0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "StickingContactError" in capsys.readouterr().err
+
+
 def test_simulate_artifacts(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--model", "bouncing-mass", "--out", str(out)]) == 0

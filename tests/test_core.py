@@ -1,25 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from hybridsens.core import (
     AdjointState,
     DimensionError,
     Dimensions,
-    GeneralizedState,
     ParameterVector,
-    QuadratureState,
     SensitivityState,
-    pack_canonical,
-    unpack_canonical,
 )
 
 
 def test_dimensions_validation():
     d = Dimensions(n=6, p=2, nc=1, m=4)
     assert d.f == 2
-    assert d.canonical_size == 15
     with pytest.raises(DimensionError):
         Dimensions(n=0, p=1)
     with pytest.raises(DimensionError):
@@ -28,44 +21,6 @@ def test_dimensions_validation():
         Dimensions(n=2, p=1, nc=0)
     with pytest.raises(DimensionError):
         Dimensions(n=2, p=1, m=2)
-
-
-def test_pack_canonical_stacking_order():
-    gs = GeneralizedState(0.0, q=[2.0], v=[3.0])
-    rho = ParameterVector(np.array([5.0]))
-    zq = QuadratureState(np.array([7.0]))
-    assert pack_canonical(gs, rho, zq).tolist() == [2.0, 3.0, 5.0, 7.0]
-
-
-def test_pack_canonical_five_bar_length():
-    dims = Dimensions(n=6, p=2, nc=1, m=4)
-    gs = GeneralizedState(0.0, np.arange(6.0), np.arange(6.0))
-    x = pack_canonical(gs, ParameterVector(np.ones(2)), QuadratureState(np.zeros(1)))
-    assert x.shape == (13 + dims.p,)
-
-
-finite_arrays = hnp.arrays(
-    np.float64, st.integers(1, 5),
-    elements=st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
-)
-
-
-@given(q=finite_arrays, rho=finite_arrays, z=finite_arrays)
-def test_pack_unpack_roundtrip_bitwise(q, rho, z):
-    dims = Dimensions(n=q.size, p=rho.size, nc=z.size)
-    gs = GeneralizedState(0.0, q, q + 1.0)
-    x = pack_canonical(gs, ParameterVector(rho), QuadratureState(z))
-    gs2, rho2, z2 = unpack_canonical(x, dims)
-    assert gs2.q.tobytes() == q.tobytes()
-    assert gs2.v.tobytes() == (q + 1.0).tobytes()
-    assert rho2.rho.tobytes() == rho.tobytes()
-    assert z2.z.tobytes() == z.tobytes()
-
-
-def test_unpack_dimension_mismatch():
-    dims = Dimensions(n=2, p=1, nc=1)
-    with pytest.raises(DimensionError):
-        unpack_canonical(np.zeros(5), dims)
 
 
 def test_sensitivity_stack_roundtrip():
@@ -95,8 +50,6 @@ def test_initial_sensitivity_blocks():
 
 
 def test_nonfinite_state_rejected():
-    with pytest.raises(ValueError):
-        GeneralizedState(0.0, np.array([np.nan]), np.array([0.0]))
     with pytest.raises(ValueError):
         ParameterVector(np.array([np.inf]))
 

@@ -6,6 +6,8 @@ from hybridsens.hybrid import (
     ConstrainedElasticEvent,
     ConstrainedInelasticEvent,
     DofPartition,
+    RhsSwitchEvent,
+    StickingContactError,
     TangentialCrossingError,
     VelocityJumpEvent,
     apply_state_jump,
@@ -385,3 +387,105 @@ def test_adjoint_jump_z_block_unchanged():
                        rng.normal(size=(2, 1)), np.eye(1))
     lam2 = jump.apply_adjoint(lam)
     assert np.array_equal(lam2.lamZ, lam.lamZ)
+
+
+# -- event-kind rules ---------------------------------------------------------
+
+
+def _coasting_mass_switch():
+    """1-dof mass launched at v0 = rho[0] that coasts until q = 0.5, where an
+    RhsSwitchEvent engages the damping force -rho[1] v."""
+    from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
+
+    dims = Dimensions(n=1, p=2, nc=1)
+
+    def initial_state(rho):
+        return InitialConditions(np.zeros(1), np.array([rho[0]]),
+                                 np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+
+    def model(force):
+        return MultibodyModel(dims=dims, mass=lambda t, q, rho: np.eye(1), force=force,
+                              initial_state=initial_state, mass_constant=True)
+
+    coasting = OdeDynamics(model(lambda t, q, v, rho: np.zeros(1)))
+    damped = OdeDynamics(model(lambda t, q, v, rho: -rho[1] * v))
+    event = RhsSwitchEvent(name="damper", r=lambda q: q[0] - 0.5, post_dynamics=damped)
+    cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: v ** 2,
+                          w=lambda t, q, v, rho, u: q.copy())
+    return coasting, [event], cost
+
+
+def test_rhs_switch_gradients_agree():
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import direct_gradient
+    from hybridsens.integrate import IntegratorConfig
+    from hybridsens.oracle import fd_cost_sensitivity
+    from conftest import rel_err
+
+    dyn, events, cost = _coasting_mass_switch()
+    rho, t_span, config = np.array([1.0, 2.0]), (0.0, 2.0), IntegratorConfig()
+    grad, traj, _ = direct_gradient(dyn, cost, events, rho, t_span, config)
+    assert [rec.kind for rec in traj.events] == ["RhsSwitchEvent"]
+    assert traj.events[0].v_plus[0] == traj.events[0].v_minus[0]
+    assert traj.segments[-1].dynamics is events[0].post_dynamics
+    assert rel_err(propagate_adjoint(traj, cost).gradient, grad) <= 1e-12
+    assert rel_err(fd_cost_sensitivity(dyn, cost, events, rho, t_span, config), grad) < 1e-5
+    # closed form: the switch at t1 = 0.5 / v0 leaves T = tF - t1 of damped motion
+    v0, c = rho
+    T = t_span[1] - 0.5 / v0
+    e1, e2 = np.exp(-c * T), np.exp(-2 * c * T)
+    expect = [[0.5 + v0 * (1 - e2) / c + 0.5 * e2 + (1 - e1) / c + 0.5 * e1 / v0,
+               -v0 ** 2 * (1 - e2) / (2 * c ** 2) + v0 ** 2 * T * e2 / c
+               - v0 * (1 - e1) / c ** 2 + v0 * T * e1 / c]]
+    assert rel_err(grad, expect) < 1e-7
+
+
+def test_rhs_switch_requires_post_dynamics():
+    with pytest.raises(ValueError, match="post_dynamics"):
+        RhsSwitchEvent(name="switch", r=lambda q: q[0])
+
+
+@pytest.mark.parametrize("e", [0.0, 1e-9])
+def test_sticking_contact_rejected(e):
+    # a bounce that does not leave the ground would let the mass fall
+    # through it unmasked
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    with pytest.raises(StickingContactError):
+        simulate(prob.dynamics, None, prob.events, np.array([1.0, e]),
+                 prob.t_span, prob.config)
+
+
+def test_zeno_accumulation_rejected():
+    # past the Zeno time (~8.58 s for h0 = 1, e = 0.9) the bounces no longer
+    # clear the event surface before the mass falls back through it
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+    from hybridsens.integrate import EventAccumulationError
+
+    prob = bouncing_mass()
+    with pytest.raises(EventAccumulationError):
+        simulate(prob.dynamics, None, prob.events, prob.rho0.rho, (0.0, 10.0), prob.config)
+
+
+def test_numerically_singular_dependent_block_rejected():
+    # G_dep = [[1, 1], [1, 1 + 1e-14]] is regular but its pivot ratio ~1e14
+    # exceeds COND_LIMIT: the dependent velocities would be noise
+    from types import SimpleNamespace
+
+    from hybridsens.constrained import SingularKKTError
+    from hybridsens.model import ConstraintSet
+
+    G = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-14]])
+    cons = ConstraintSet(m=2, phi=lambda t, q, rho: G @ q, phi_q=lambda t, q, rho: G)
+    dyn = SimpleNamespace(model=SimpleNamespace(constraints=cons))
+    spec = ConstrainedElasticEvent(
+        name="near-singular", r=lambda q: q[0],
+        dof_jump=lambda t, q, vdof, rho: -vdof,
+        partition=DofPartition(n=3, dof=(0,)),
+    )
+    with pytest.raises(SingularKKTError):
+        apply_state_jump(spec, 0.0, np.zeros(3), np.array([1.0, -0.5, -0.5]),
+                         np.ones(1), dyn)
