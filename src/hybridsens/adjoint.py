@@ -6,15 +6,17 @@ to the first with the transposed Dormand-Prince stage recursion, the
 Jacobians evaluated at the stage states rebuilt from the stored stages
 (Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
 No step control runs backward and the forward state is never
-interpolated.  At each event the stored jump matrix acts through its
-transpose, lam- = S^T lam+, so the adjoint gradient equals the direct
-gradient computed on the same steps to round-off.  Between nodes the
+interpolated.  Nothing is solved again either: each stage's acceleration
+is read from the stored stage derivatives and its multipliers from the
+forward pass's stage record, so the sweep calls only the Jacobians.  At
+each event the stored jump matrix acts through its transpose,
+lam- = S^T lam+, so the adjoint gradient equals the direct gradient
+computed on the same steps to round-off.  Between nodes the
 adjoint is recovered by integrating the continuous adjoint ODE from the
 nearest later node (``AdjointSolution.lam_at``).
 
-The quadrature adjoint lamZ is the identity for all time and the
-constrained-formulation multiplier adjoint lamLambda is identically zero;
-neither is integrated.
+The quadrature adjoint lamZ is the identity for all time and is not
+integrated.
 """
 
 from __future__ import annotations
@@ -42,14 +44,11 @@ _C = np.append(RK45.C, 1.0)
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
     """Adjoint values at the final time: transposed terminal-cost gradients."""
     _, wq, wv, wr = terminal_cost_gradients(cost, dyn, tF, q, v, rho)
-    nc = cost.nc
-    m = dyn.n_multipliers
     return AdjointState(
         lamQ=wq.T.copy(),
         lamV=wv.T.copy(),
         lamGamma=wr.T.copy(),
-        lamZ=np.eye(nc),
-        lamLambda=np.zeros((m, nc)) if m else None,
+        lamZ=np.eye(cost.nc),
     )
 
 
@@ -66,8 +65,10 @@ def _join_lam(lamQ, lamV, lamG) -> np.ndarray:
 
 
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-                t: float, x: np.ndarray, y: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """Time derivative of the stacked adjoint y at the forward state x = [q; v; ...]:
+                t: float, x: np.ndarray, y: np.ndarray, vdot: np.ndarray, mu: np.ndarray,
+                weight: float = 1.0) -> np.ndarray:
+    """Time derivative of the stacked adjoint y at the forward state x = [q; v; ...]
+    with acceleration vdot and saddle multipliers mu (``dyn.multipliers``):
 
         lamQ' = -(f_q^T lamV + w g_q^T)
         lamV' = -(lamQ + f_v^T lamV + w g_v^T)
@@ -81,8 +82,7 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     n = dims.n
     q, v = x[:n], x[n:2 * n]
     lamQ, lamV, lamG = _split_lam(y, dims, nc)
-    vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
-    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
+    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
     f_q, f_v, f_rho = f_blocks
     if weight and cost is not None and cost.g is not None:
         _, g_q, g_v, g_rho = cost_density_gradients(
@@ -108,7 +108,10 @@ def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
 
     (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
     mu_i = -adjoint_rhs(Y_i, theta_i, h w_i) and the stage states Y_i are
-    rebuilt from the stored stages as the forward step formed them.  A full
+    rebuilt from the stored stages as the forward step formed them.  The
+    stage's acceleration is its stored derivative's v block and its saddle
+    multipliers are row 6k + i of the segment's record, both bitwise what
+    the dynamics returned at Y_i in the forward pass.  A full
     step has the weights w = B on six stages; the last step of a segment cut
     at an event reaches its end node through the continuous extension, with
     w = P [x, x^2, x^3, x^4] on all seven.
@@ -120,12 +123,14 @@ def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
         w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
     else:
         w = RK45.B
-    s = len(w)
+    s, n = len(w), dims.n
+    saddle = dense.multipliers[RK45.n_stages * k:RK45.n_stages * k + s]
     mu = np.zeros((s, lam.size))
     for i in range(s - 1, -1, -1):
         theta = h * (w[i] * lam + _A[i + 1:s, i] @ mu[i + 1:s])
         y_i = y_old + np.dot(K[:i].T, _A[i, :i]) * h
-        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, t_old + _C[i] * h, y_i, theta, h * w[i])
+        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, t_old + _C[i] * h, y_i, theta,
+                             K[i, n:2 * n], saddle[i], h * w[i])
     return lam + mu.sum(axis=0)
 
 
@@ -167,9 +172,14 @@ class AdjointSolution:
                 i = int(np.searchsorted(nodes, t))
                 y = self.series[row + len(nodes) - 1 - i].copy()
                 if nodes[i] > t:
+                    dyn, rho, n = seg.dynamics, self.traj.rho, self.dims.n
+
                     def rhs(s, lam):
-                        return adjoint_rhs(seg.dynamics, self.cost, self.dims, self.traj.rho,
-                                           s, seg.dense.evaluate(s), lam)
+                        x = seg.dense.evaluate(s)
+                        q, v = x[:n], x[n:2 * n]
+                        return adjoint_rhs(dyn, self.cost, self.dims, rho, s, x, lam,
+                                           dyn.accel(s, q, v, rho),
+                                           dyn.multipliers(s, q, v, rho))
                     _, (_, y), _ = integrate_segment(rhs, y, (nodes[i], t), self.traj.config)
                 lamQ, lamV, lamG = _split_lam(y, self.dims, self.nc)
                 return AdjointState(lamQ, lamV, lamG, np.eye(self.nc))
@@ -209,13 +219,10 @@ def propagate_adjoint(traj: HybridTrajectory,
         times_acc.append(seg.dense.node_times[::-1])
         series_acc.append(np.array(nodes))
         lamQ, lamV, lamG = _split_lam(y, dims, nc)
-        lam = AdjointState(lamQ, lamV, lamG, np.eye(nc), lamLambda=lam.lamLambda)
+        lam = AdjointState(lamQ, lamV, lamG, np.eye(nc))
 
         if k > 0:
-            record = traj.events[k - 1]
-            lam = record.jump.apply_adjoint(lam)
-            m = getattr(traj.segments[k - 1].dynamics, "n_multipliers", 0)
-            lam.lamLambda = np.zeros((m, nc)) if m else None
+            lam = traj.events[k - 1].jump.apply_adjoint(lam)
 
     ic = traj.segments[0].dynamics.model.initial_state(rho)
     gradient = assemble_cost_sensitivity_adjoint(lam, ic.dq0_drho, ic.dv0_drho)

@@ -16,7 +16,6 @@ lives here as well.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +33,21 @@ class SingularKKTError(SingularMatrixError):
     pass
 
 
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+
+
 def checked_lu(A: np.ndarray, what: str):
     """LU-factorize A (partial pivoting) and return a solve closure.
 
     Refuses matrices whose reciprocal pivot ratio suggests rank deficiency;
-    the error names the offending block and a condition estimate.
+    the error names the offending block and a condition estimate.  Factor
+    and solve call LAPACK's getrf/getrs directly: the results are scipy's
+    ``lu_factor``/``lu_solve`` bitwise, without their per-call wrapper cost.
     """
     A = np.asarray(A, dtype=float)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularKKTError(f"{what} singular (cond~{np.linalg.cond(A):.3g})") from exc
+    lu, piv, info = _getrf(A)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf ({what})")
     d = np.abs(np.diag(lu))
     if d.min() == 0.0 or d.max() / d.min() > COND_LIMIT:
         raise SingularKKTError(
@@ -54,7 +55,10 @@ def checked_lu(A: np.ndarray, what: str):
         )
 
     def solve(B):
-        return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+        x, info = _getrs(lu, piv, B)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs ({what})")
+        return x
 
     return solve
 
@@ -165,7 +169,14 @@ class _SaddleDynamics:
             self._memo = (key, solved)
         return solved
 
-    def _all_jacobians(self, t, q, v, rho):
+    def multipliers(self, t, q, v, rho) -> np.ndarray:
+        """The m multipliers of the saddle solve at one state: the estimate
+        mu* of the penalty form, the exact multipliers of the DAE.  Right
+        after ``accel_and_multipliers`` at the same state this is a memo
+        hit; the forward pass records it for every accepted stage."""
+        return self._solve(t, q, v, rho)[1]
+
+    def _all_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """``_assemble_jacobians`` memoized on (t, q, v, rho): a cost that
         depends on the multipliers asks for the f-blocks and the mu-blocks
         at one state, and both come from one assembly.  The blocks are
@@ -173,13 +184,13 @@ class _SaddleDynamics:
         key = _state_key(t, q, v, rho)
         memo_key, blocks = self._jac_memo
         if memo_key != key:
-            blocks = self._assemble_jacobians(t, q, v, rho)
+            blocks = self._assemble_jacobians(t, q, v, rho, vdot, mu)
             for block in blocks[0] + blocks[1]:
                 block.flags.writeable = False
             self._jac_memo = (key, blocks)
         return blocks
 
-    def _assemble_jacobians(self, t, q, v, rho):
+    def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """Jacobian blocks ((f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) of the
         map (q, v, rho) -> (vdot, mu), from the differentiated system
 
@@ -194,7 +205,10 @@ class _SaddleDynamics:
             z = rho:  [F_rho - M_rho vdot ; b_rho]
 
         with H_v = d(G v)/dq, all solved at once with the state's factor.
-        Any other constraint set takes central differences of (vdot, mu).
+        Given the state's solution (vdot, mu), as the adjoint sweep reads it
+        from the forward pass's stage record, K is factored here; otherwise
+        the solution and factor come from ``_solve``.  Any other constraint
+        set takes central differences of (vdot, mu).
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
         if not (cons.hessian_constant and cons.scleronomic):
@@ -207,8 +221,11 @@ class _SaddleDynamics:
                  _fd(lambda x: stacked(q, x, rho), v),
                  _fd(lambda x: stacked(q, v, x), rho))
             return tuple(j[:n] for j in J), tuple(j[n:] for j in J)
-        vdot, mu, factor = self._solve(t, q, v, rho)
         G = cons.jac_q(t, q, rho)
+        if mu is None:
+            vdot, mu, factor = self._solve(t, q, v, rho)
+        else:
+            factor = saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what)
         b_q, b_v, b_rho = self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))
         top = np.hstack([
             model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
@@ -240,7 +257,6 @@ class PenaltyDynamics(_SaddleDynamics):
     """
 
     _what = "extended mass matrix (augmented)"
-    n_multipliers = 0
 
     def __init__(self, model: MultibodyModel, pcfg: PenaltyConfig | None = None):
         self.pcfg = pcfg or PenaltyConfig()
@@ -269,24 +285,16 @@ class PenaltyDynamics(_SaddleDynamics):
     def accel_and_multipliers(self, t, q, v, rho):
         return self._solve(t, q, v, rho)[0], None
 
-    def jacobians(self, t, q, v, rho, vdot=None):
-        return self._all_jacobians(t, q, v, rho)[0]
+    def jacobians(self, t, q, v, rho, vdot=None, mu=None):
+        return self._all_jacobians(t, q, v, rho, vdot, mu)[0]
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None
-
-    def multiplier_estimate(self, t, q, v, rho) -> np.ndarray:
-        """mu* = alpha (phi_dd + 2 xi omega phi_d + omega^2 phi)."""
-        return self._solve(t, q, v, rho)[1]
 
 
 class DaeDynamics(_SaddleDynamics):
     """Index-1 constrained dynamics with exact multipliers: the position
     constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C."""
-
-    @property
-    def n_multipliers(self) -> int:
-        return self.model.constraints.m
 
     def _source(self, t, q, v, rho, G, C):
         return C
@@ -300,11 +308,11 @@ class DaeDynamics(_SaddleDynamics):
     def accel_and_multipliers(self, t, q, v, rho):
         return self._solve(t, q, v, rho)[:2]
 
-    def jacobians(self, t, q, v, rho, vdot=None):
-        return self._all_jacobians(t, q, v, rho)[0]
+    def jacobians(self, t, q, v, rho, vdot=None, mu=None):
+        return self._all_jacobians(t, q, v, rho, vdot, mu)[0]
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return self._all_jacobians(t, q, v, rho)[1]
+        return self._all_jacobians(t, q, v, rho, vdot, mu)[1]
 
     def multiplier_sensitivity(self, t, q, v, rho, Q, V):
         """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""

@@ -146,24 +146,20 @@ class AdjointState:
     """Stacked adjoint blocks, one column per cost output.
 
     lamZ is the nc x nc identity for all time (the quadrature enters the cost
-    with unit weight), and lamLambda is identically zero for the index-1
-    constrained formulation.  Both invariants are asserted by the test suite
-    after every propagation.
+    with unit weight); the test suite asserts this invariant after
+    propagation.
     """
 
     lamQ: np.ndarray
     lamV: np.ndarray
     lamGamma: np.ndarray
     lamZ: np.ndarray
-    lamLambda: np.ndarray | None = None
 
     def __post_init__(self):
         self.lamQ = np.atleast_2d(np.asarray(self.lamQ, dtype=float))
         self.lamV = np.atleast_2d(np.asarray(self.lamV, dtype=float))
         self.lamGamma = np.atleast_2d(np.asarray(self.lamGamma, dtype=float))
         self.lamZ = np.atleast_2d(np.asarray(self.lamZ, dtype=float))
-        if self.lamLambda is not None:
-            self.lamLambda = np.atleast_2d(np.asarray(self.lamLambda, dtype=float))
         nc = self.lamZ.shape[0]
         if self.lamZ.shape != (nc, nc):
             raise DimensionError(f"lamZ must be square, got {self.lamZ.shape}")
@@ -180,8 +176,7 @@ class AdjointState:
         return np.vstack([self.lamQ, self.lamV, self.lamGamma, self.lamZ])
 
     @classmethod
-    def from_stacked(cls, L: np.ndarray, dims: Dimensions,
-                     lamLambda: np.ndarray | None = None) -> "AdjointState":
+    def from_stacked(cls, L: np.ndarray, dims: Dimensions) -> "AdjointState":
         n, p, nc = dims.n, dims.p, dims.nc
         if L.shape != (2 * n + p + nc, nc):
             raise DimensionError(
@@ -192,11 +187,9 @@ class AdjointState:
             lamV=L[n:2 * n].copy(),
             lamGamma=L[2 * n:2 * n + p].copy(),
             lamZ=L[2 * n + p:].copy(),
-            lamLambda=lamLambda,
         )
 
     def copy(self) -> "AdjointState":
         return AdjointState(
             self.lamQ.copy(), self.lamV.copy(), self.lamGamma.copy(), self.lamZ.copy(),
-            None if self.lamLambda is None else self.lamLambda.copy(),
         )

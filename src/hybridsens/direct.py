@@ -6,6 +6,9 @@ velocity jump, build the sensitivity jump matrix, restart.  The direct pass
 augments the integrated vector with the stacked sensitivity blocks so that
 the Jacobians of the tangent-linear right-hand side are evaluated on the
 exact discrete trajectory (state and sensitivities share the step sequence).
+Each segment also records the dynamics' saddle multipliers at every accepted
+stage (``DenseSegment.multipliers``), which the adjoint sweep reads instead
+of solving again.
 
 Integrated layout per segment:  [q (n); v (n); z (nc)]  and, when carrying
 sensitivities,  [...; Q.ravel; V.ravel; Z.ravel].  The parameter block and
@@ -155,6 +158,11 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
     def make_rhs(active_dyn):
         return lambda t, y: tlm_rhs(active_dyn, cost, dims, rho, t, y)
 
+    def stage_multipliers(active_dyn):
+        # keyed on the state tlm_rhs just solved at: a memo hit
+        n = dims.n
+        return lambda t, y: active_dyn.multipliers(t, y[:n], y[n:2 * n], rho)
+
     def event_wrappers():
         n = dims.n
         return [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
@@ -165,7 +173,8 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
     wrappers = event_wrappers()
     while t < tF - 1e-14 * max(1.0, abs(tF)):
         seg_dense, (t_end, y_end), hit = integrate_segment(
-            make_rhs(active), y, (t, tF), config, wrappers, monitor)
+            make_rhs(active), y, (t, tF), config, wrappers, monitor,
+            stage_multipliers(active))
         segments.append(TrajectorySegment(t, t_end, seg_dense, active, carrying_X))
         _record_residuals(residuals, active, seg_dense, rho, dims)
         if hit is None:

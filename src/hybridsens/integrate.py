@@ -76,7 +76,10 @@ class DenseSegment:
 
     Step k runs from node k with signed length ``steps[k]`` (scipy's
     ``h_previous``) and stage derivatives ``stages[k]`` (a copy of scipy's
-    ``K``: six stages plus the derivative at the step end).  Inside a step
+    ``K``: six stages plus the derivative at the step end).  A hybrid run
+    also records ``multipliers``, the (6 * len(steps) + 1, m) multipliers of
+    the dynamics' saddle solve at every stage: row 6k + i is stage i of
+    step k, so row 6k is also stage 6 of step k - 1.  Inside a step
     the continuous extension is evaluated bitwise as scipy's dense output;
     at a stored node the stored state is returned verbatim.  ``truncated``
     marks a segment whose last node is an event root inside its last step,
@@ -91,8 +94,14 @@ class DenseSegment:
     steps: np.ndarray
     truncated: bool = False
     forward: bool = True
+    multipliers: np.ndarray | None = None
 
     _BOUNDARY_SLACK = 1e-12
+
+    def __post_init__(self):
+        if self.multipliers is not None:
+            self.multipliers = np.array(self.multipliers, dtype=float)
+            self.multipliers.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -203,7 +212,8 @@ _INTERIOR_CHECKS = 4  # dense-output samples per step scanned for sign changes
 
 def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
-                      monitor: EventMonitor | None = None):
+                      monitor: EventMonitor | None = None,
+                      multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None):
     """Integrate y' = rhs(t, y) over t_span, stopping at the first event root.
 
     event_fns are scalar functions of (t, y); the segment ends either at
@@ -215,6 +225,14 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     is not silently skipped.  Two events localized within the event time
     tolerance of each other are reported as an error: there is no defined
     ordering for simultaneous events.
+
+    ``multipliers(t, y)``, if given, is called right after every evaluation
+    of rhs; the rows of the accepted stages become the segment's
+    ``multipliers``.  The solver evaluates f(t0, y0) first (stage 0 of the
+    first step), may probe once more for its initial step, and spends
+    n_stages evaluations per attempt, so the last n_stages rows after a
+    step are stages 1..6 of the accepted attempt; stage 0 of every later
+    step is the previous step's stage 6 (FSAL).
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(y0, dtype=float)
@@ -229,7 +247,15 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     kwargs = dict(rtol=config.rtol, atol=config.atol, max_step=config.hmax)
     if config.h0 is not None:
         kwargs["first_step"] = config.h0
-    solver = RK45(rhs, t0, y0, tf, **kwargs)
+    fun, mu_rows, evaluated = rhs, None, []  # evaluated: rows since the last step
+    if multipliers is not None:
+        def fun(t, y):
+            f = rhs(t, y)
+            evaluated.append(multipliers(t, y))
+            return f
+    solver = RK45(fun, t0, y0, tf, **kwargs)
+    if multipliers is not None:
+        mu_rows = evaluated[:1]
 
     node_times = [t0]
     node_states = [y0.copy()]
@@ -259,6 +285,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         h, K = solver.h_previous, solver.K.copy()
         stages.append(K)
         hs.append(h)
+        if mu_rows is not None:
+            mu_rows += evaluated[-solver.n_stages:]
+            evaluated.clear()
         t_new, y_new = solver.t, solver.y.copy()
 
         def dense(s):
@@ -300,7 +329,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             node_times.append(hit.t)
             node_states.append(hit.y.copy())
             seg = DenseSegment(t0, hit.t, np.asarray(node_times), np.asarray(node_states),
-                               stages, np.asarray(hs), truncated=True, forward=forward)
+                               stages, np.asarray(hs), truncated=True, forward=forward,
+                               multipliers=mu_rows)
             return seg, (hit.t, hit.y.copy()), hit
 
         node_times.append(t_new)
@@ -310,5 +340,6 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         vals_old = vals_new
 
     seg = DenseSegment(t0, node_times[-1], np.asarray(node_times), np.asarray(node_states),
-                       stages, np.asarray(hs), forward=forward)
+                       stages, np.asarray(hs), forward=forward,
+                       multipliers=mu_rows)
     return seg, (node_times[-1], node_states[-1].copy()), None

@@ -59,26 +59,34 @@ def fd_derivative(fun: Callable[[float], np.ndarray], x: float) -> np.ndarray:
     return (np.asarray(fun(x + h), dtype=float) - np.asarray(fun(x - h), dtype=float)) / (2.0 * h)
 
 
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+
 def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:
     """Solve M X = B for symmetric positive definite M via Cholesky.
 
     Fails loudly (with a condition estimate) instead of returning garbage
-    when M is numerically singular.
+    when M is numerically singular.  Factor and solve call LAPACK's
+    potrf/potrs directly, as scipy's ``cho_factor``/``cho_solve`` do.
     """
-    try:
-        c, low = scipy.linalg.cho_factor(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    c, info = _potrf(M, clean=False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf ({what})")
+    if info > 0:
         cond = float(np.linalg.cond(M))
         raise SingularMatrixError(
             f"{what} not positive definite at t={t:.6g} (cond~{cond:.3g})"
-        ) from exc
+        )
     d = np.abs(np.diag(c))
     cond_est = (d.max() / d.min()) ** 2
     if cond_est > COND_LIMIT:
         raise SingularMatrixError(
             f"{what} numerically singular at t={t:.6g} (cond~{cond_est:.3g})"
         )
-    return scipy.linalg.cho_solve((c, low), B, check_finite=False)
+    x, info = _potrs(c, B)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs ({what})")
+    return x
 
 
 @dataclass
@@ -268,10 +276,6 @@ class OdeDynamics:
         self.model = model
         self.dims = model.dims
 
-    @property
-    def n_multipliers(self) -> int:
-        return 0
-
     def accel(self, t, q, v, rho) -> np.ndarray:
         """M^{-1} F via symmetric factorization (never an explicit inverse)."""
         M = self.model.mass_at(t, q, rho)
@@ -281,11 +285,16 @@ class OdeDynamics:
     def accel_and_multipliers(self, t, q, v, rho):
         return self.accel(t, q, v, rho), None
 
-    def jacobians(self, t, q, v, rho, vdot=None):
+    def multipliers(self, t, q, v, rho) -> np.ndarray:
+        """No constraints, no multipliers: an empty row."""
+        return np.empty(0)
+
+    def jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """Partial derivatives of the acceleration map.
 
         For each zeta in {q, v, rho}:  f_zeta = M^{-1} (F_zeta - M_zeta vdot),
         obtained by differentiating M vdot = F through the factorization.
+        ``mu`` is accepted for the constrained formulations' signature.
         """
         M = self.model.mass_at(t, q, rho)
         if vdot is None:

@@ -1,16 +1,20 @@
 import dataclasses
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hybridsens.constrained import (
     DaeDynamics,
     PenaltyConfig,
     PenaltyDynamics,
     SingularKKTError,
+    checked_lu,
     impulse_solve,
+    saddle_factor,
 )
 from hybridsens.gallery import (
     FIVE_BAR_PARAMS,
@@ -82,7 +86,7 @@ def test_penalty_multiplier_static_equilibrium():
     q = hanging_state(0.0)
     v = np.zeros(2)
     pcfg = PenaltyConfig()
-    mu = PenaltyDynamics(model, pcfg).multiplier_estimate(0.0, q, v, RHO)
+    mu = PenaltyDynamics(model, pcfg).multipliers(0.0, q, v, RHO)
     m = RHO[2]
     expect = m * G / (2.0 * PENDULUM_LENGTH)
     assert rel_err(mu, [expect]) < 1e-4
@@ -98,7 +102,7 @@ def test_penalty_multiplier_zero_when_unloaded():
     model.force = lambda t, q, v, rho: np.zeros(2)
     model.force_q = lambda t, q, v, rho: np.zeros((2, 2))
     model.force_rho = lambda t, q, v, rho: np.zeros((2, 3))
-    mu = PenaltyDynamics(model, pcfg).multiplier_estimate(0.0, q, v, RHO)
+    mu = PenaltyDynamics(model, pcfg).multipliers(0.0, q, v, RHO)
     assert np.max(np.abs(mu)) < 1e-9
 
 
@@ -108,7 +112,7 @@ def test_penalty_vs_dae_multipliers_during_swing():
     dae = DaeDynamics(model)
     traj = simulate(dae, None, [], RHO, (0.0, 1.0), IntegratorConfig())
     q, v, _ = traj.state_at(0.6)
-    mu_pen = PenaltyDynamics(model, pcfg).multiplier_estimate(0.6, q, v, RHO)
+    mu_pen = PenaltyDynamics(model, pcfg).multipliers(0.6, q, v, RHO)
     _, mu_dae = dae.accel_and_multipliers(0.6, q, v, RHO)
     assert rel_err(mu_pen, mu_dae) < 1e-4
 
@@ -141,7 +145,7 @@ def map_fd_jacobians(dyn, state):
     """Central differences of the map exposed_jacobians differentiates:
     vdot, then mu when the dynamics has multipliers."""
     blocks = fd_blocks(dyn.accel, *state)
-    if dyn.n_multipliers:
+    if dyn.accel_and_multipliers(*state)[1] is not None:
         blocks += fd_blocks(lambda *s: dyn.accel_and_multipliers(*s)[1], *state)
     return blocks
 
@@ -450,9 +454,9 @@ def test_multiplier_dependent_cost_one_assembly_per_state():
         return wrapper
 
     def counting(assemble):
-        def wrapper(t, q, v, rho):
+        def wrapper(t, q, v, rho, *args):
             assembled.append(t)
-            return assemble(t, q, v, rho)
+            return assemble(t, q, v, rho, *args)
         return wrapper
 
     dyn.jacobians = recording(dyn.jacobians)
@@ -461,3 +465,35 @@ def test_multiplier_dependent_cost_one_assembly_per_state():
     direct_gradient(dyn, cost, [], RHO, (0.0, 0.3), IntegratorConfig())
     assert asked.count("multiplier_jacobians") >= asked.count("jacobians") > 0
     assert len(assembled) == len(states)
+
+
+def random_saddle(rng, n, m, c):
+    A = rng.normal(size=(n, n))
+    M = A @ A.T + n * np.eye(n)
+    G = rng.normal(size=(m, n))
+    return np.block([[M, G.T], [G, -c * np.eye(m)]])
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-7])
+def test_checked_lu_matches_scipy_bitwise(c):
+    # checked_lu calls getrf/getrs itself; scipy's wrappers stay the reference
+    rng = np.random.default_rng(31)
+    for n, m in ((6, 4), (2, 1), (9, 3)):
+        K = random_saddle(rng, n, m, c)
+        solve = checked_lu(K, "test saddle matrix")
+        lu_piv = scipy.linalg.lu_factor(K)
+        for B in (rng.normal(size=n + m), rng.normal(size=(n + m, 3)),
+                  np.asfortranarray(rng.normal(size=(n + m, 2 * n + 5)))):
+            x, ref = solve(B), scipy.linalg.lu_solve(lu_piv, B)
+            assert x.shape == ref.shape
+            assert x.tobytes() == ref.tobytes()
+
+
+def test_exactly_singular_saddle_matrix_raises():
+    # a zero constraint row makes K exactly singular (a zero pivot); the
+    # error is raised without any LinAlgWarning on the way
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularKKTError, match="test KKT matrix"):
+            saddle_factor(np.eye(3), G, 0.0, "test KKT matrix")

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hybridsens.core import Dimensions
 from hybridsens.model import (
@@ -12,6 +15,7 @@ from hybridsens.model import (
     cost_density_value,
     fd_jacobian,
     terminal_cost_gradients,
+    _spd_solve,
 )
 from conftest import rel_err
 
@@ -73,6 +77,27 @@ def test_eom_rhs_singular_mass_reports():
     )
     with pytest.raises(SingularMatrixError, match="t="):
         OdeDynamics(model).accel(0.5, np.zeros(2), np.zeros(2), np.ones(1))
+
+
+def test_spd_solve_matches_scipy_bitwise():
+    # _spd_solve calls potrf/potrs itself; scipy's wrappers stay the reference
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 6):
+        A = rng.normal(size=(n, n))
+        M = A @ A.T + n * np.eye(n)
+        factor = scipy.linalg.cho_factor(M)
+        for B in (rng.normal(size=n), rng.normal(size=(n, 2 * n + 1)),
+                  np.asfortranarray(rng.normal(size=(n, 3)))):
+            x, ref = _spd_solve(M, B, "mass matrix", 0.0), scipy.linalg.cho_solve(factor, B)
+            assert x.shape == ref.shape
+            assert x.tobytes() == ref.tobytes()
+
+
+def test_spd_solve_non_spd_mass_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="not positive definite at t=0.25"):
+            _spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), "mass matrix", 0.25)
 
 
 def test_eom_jacobians_linear_system():
