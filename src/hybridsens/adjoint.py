@@ -24,22 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .core import AdjointState, Dimensions
 from .model import CostFunctional, cost_density_gradients, terminal_cost_gradients
-from .integrate import DenseSegment, integrate_segment
+from .integrate import RK_A, DenseSegment, integrate_segment
 from .direct import HybridTrajectory
 from .constrained import checked_lu, saddle_factor
-
-# scipy's Dormand-Prince stage coefficients, with a seventh row for the
-# derivative at the step end (formed from the full-step weights B): the
-# continuous extension weighs it, the full step does not.
-_A = np.zeros((7, 7))
-_A[:6, :5] = RK45.A
-_A[6, :6] = RK45.B
-_C = np.append(RK45.C, 1.0)
-
 
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
     """Adjoint values at the final time: transposed terminal-cost gradients."""
@@ -111,26 +101,18 @@ def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
     rebuilt from the stored stages as the forward step formed them.  The
     stage's acceleration is its stored derivative's v block and its saddle
     multipliers are row 6k + i of the segment's record, both bitwise what
-    the dynamics returned at Y_i in the forward pass.  A full
-    step has the weights w = B on six stages; the last step of a segment cut
-    at an event reaches its end node through the continuous extension, with
-    w = P [x, x^2, x^3, x^4] on all seven.
+    the dynamics returned at Y_i in the forward pass.  A full step has the
+    weights w = B on six stages; the last step of a segment cut at an event
+    reaches its end node through the continuous extension, with
+    w = P [x, x^2, x^3, x^4] on all seven (``DenseSegment.step_stages``).
     """
-    t_old, y_old = dense.node_times[k], dense.node_states[k]
-    h, K = dense.steps[k], dense.stages[k]
-    if dense.truncated and k == len(dense) - 1:
-        x = (dense.node_times[k + 1] - t_old) / h
-        w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
-    else:
-        w = RK45.B
-    s, n = len(w), dims.n
-    saddle = dense.multipliers[RK45.n_stages * k:RK45.n_stages * k + s]
+    h, w, times, states, vdot, saddle = dense.step_stages(k, dims.n)
+    s = len(w)
     mu = np.zeros((s, lam.size))
     for i in range(s - 1, -1, -1):
-        theta = h * (w[i] * lam + _A[i + 1:s, i] @ mu[i + 1:s])
-        y_i = y_old + np.dot(K[:i].T, _A[i, :i]) * h
-        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, t_old + _C[i] * h, y_i, theta,
-                             K[i, n:2 * n], saddle[i], h * w[i])
+        theta = h * (w[i] * lam + RK_A[i + 1:s, i] @ mu[i + 1:s])
+        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, times[i], states[i], theta,
+                             vdot[i], saddle[i], h * w[i])
     return lam + mu.sum(axis=0)
 
 

@@ -205,10 +205,11 @@ class _SaddleDynamics:
             z = rho:  [F_rho - M_rho vdot ; b_rho]
 
         with H_v = d(G v)/dq, all solved at once with the state's factor.
-        Given the state's solution (vdot, mu), as the adjoint sweep reads it
-        from the forward pass's stage record, K is factored here; otherwise
-        the solution and factor come from ``_solve``.  Any other constraint
-        set takes central differences of (vdot, mu).
+        Given the state's solution (vdot, mu), as the sweeps read it from
+        the forward pass's stage record, K is factored here unless ``_solve``
+        holds this state's factor; otherwise the solution and factor come
+        from ``_solve``.  Any other constraint set takes central differences
+        of (vdot, mu).
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
         if not (cons.hessian_constant and cons.scleronomic):
@@ -222,8 +223,11 @@ class _SaddleDynamics:
                  _fd(lambda x: stacked(q, v, x), rho))
             return tuple(j[:n] for j in J), tuple(j[n:] for j in J)
         G = cons.jac_q(t, q, rho)
+        memo_key, solved = self._memo
         if mu is None:
             vdot, mu, factor = self._solve(t, q, v, rho)
+        elif memo_key == _state_key(t, q, v, rho):
+            factor = solved[2]
         else:
             factor = saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what)
         b_q, b_v, b_rho = self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))

@@ -74,9 +74,6 @@ class ParameterVector:
     def p(self) -> int:
         return self.rho.size
 
-    def replaced(self, values: np.ndarray) -> "ParameterVector":
-        return ParameterVector(np.asarray(values, dtype=float), self.labels)
-
 
 @dataclass
 class SensitivityState:

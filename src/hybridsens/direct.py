@@ -1,19 +1,19 @@
 """Forward propagation: plain simulation and the tangent-linear direct pass.
 
-Both share one hybrid-run loop: integrate a smooth segment until an event
-function changes sign, localize the event on the dense output, apply the
-velocity jump, build the sensitivity jump matrix, restart.  The direct pass
-augments the integrated vector with the stacked sensitivity blocks so that
-the Jacobians of the tangent-linear right-hand side are evaluated on the
-exact discrete trajectory (state and sensitivities share the step sequence).
-Each segment also records the dynamics' saddle multipliers at every accepted
-stage (``DenseSegment.multipliers``), which the adjoint sweep reads instead
-of solving again.
+Both run one hybrid-run loop over the state [q (n); v (n); z (nc)]:
+integrate a smooth segment until an event function changes sign, localize
+the event on the dense output, apply the velocity jump, build the
+sensitivity jump matrix, restart.  Each segment records the dynamics'
+saddle multipliers at every accepted stage (``DenseSegment.multipliers``),
+which both sensitivity sweeps read instead of solving again.
 
-Integrated layout per segment:  [q (n); v (n); z (nc)]  and, when carrying
-sensitivities,  [...; Q.ravel; V.ravel; Z.ravel].  The parameter block and
-the Gamma identity are constants and are never integrated.
-"""
+The direct pass is the discrete tangent of those steps, the forward dual of
+the adjoint sweep: each stored Runge-Kutta step is differentiated stage by
+stage on its own step size and stage states, with no step control of its
+own (sensitivities stay out of the error test, as CVODES does by default),
+and at each event the sensitivities jump through S.  The tangent [Q; V; Z]
+is stored per segment as a DenseSegment on the state's nodes and steps;
+the Gamma block is the constant identity and is never propagated."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Dimensions, SensitivityState
 from .model import CostFunctional, cost_density_gradients
-from .integrate import DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
+from .integrate import RK_A, DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
 from .hybrid import (
     EventRecord,
     EventSpec,
@@ -42,7 +42,7 @@ class TrajectorySegment:
     t_end: float
     dense: DenseSegment
     dynamics: object
-    augmented: bool
+    tangent: DenseSegment | None = None
 
 
 @dataclass
@@ -74,115 +74,107 @@ class HybridTrajectory:
 
     def sensitivity_at(self, t: float) -> SensitivityState:
         seg = self.segment_at(t)
-        if not seg.augmented:
+        if seg.tangent is None:
             raise ValueError("trajectory was computed without sensitivities")
-        y = seg.dense.evaluate(t)
-        return _split_aug(y, self.dims)[1]
+        return _sensitivity(seg.tangent.evaluate(t), self.dims)
 
     @property
     def final_state(self):
         return self.state_at(self.tF)
 
-    def sample(self, times):
-        """Stack (q, v, z) rows for an array of query times."""
-        rows = [np.concatenate(self.state_at(float(t))) for t in times]
-        return np.asarray(rows)
-
-
-# -- augmented-vector layout helpers ----------------------------------------
-
-
-def _base_size(dims: Dimensions) -> int:
-    return 2 * dims.n + dims.nc
-
-
-def _join_aug(q, v, z, X: SensitivityState | None, dims: Dimensions) -> np.ndarray:
-    parts = [q, v, z]
-    if X is not None:
-        parts += [X.Q.ravel(), X.V.ravel(), X.Z.ravel()]
-    return np.concatenate(parts)
-
-
-def _split_aug(y: np.ndarray, dims: Dimensions):
-    n, p, nc = dims.n, dims.p, dims.nc
-    q, v, z = y[:n], y[n:2 * n], y[2 * n:2 * n + nc]
-    if y.size == _base_size(dims):
-        return (q, v, z), None
-    off = _base_size(dims)
-    Q = y[off:off + n * p].reshape(n, p)
-    off += n * p
-    V = y[off:off + n * p].reshape(n, p)
-    off += n * p
-    Z = y[off:off + nc * p].reshape(nc, p)
-    X = SensitivityState(Q, V, np.eye(p), Z)
-    return (q, v, z), X
-
 
 def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
             t: float, y: np.ndarray) -> np.ndarray:
-    """Augmented right-hand side: state dynamics plus the tangent-linear model.
-
-    Qdot = V;  Vdot = f_q Q + f_v V + f_rho;  Zdot = g_q Q + g_v V + g_rho,
-    with the Jacobian blocks of the active dynamics and the resolved cost
-    gradients evaluated at the interpolation-free integration states.
-    """
-    (q, v, z), X = _split_aug(y, dims)
+    """Right-hand side [v; vdot; g] of the integrated state y = [q; v; z]
+    of every forward run, simulate's and the direct pass's alike."""
+    n = dims.n
+    q, v = y[:n], y[n:2 * n]
     vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
-    if X is None:
-        gval = cost.g_value(t, q, v, vdot, rho, mu=mu) if cost is not None else np.zeros(dims.nc)
-        return np.concatenate([v, vdot, gval])
-    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
+    gval = cost.g_value(t, q, v, vdot, rho, mu=mu) if cost is not None else np.zeros(dims.nc)
+    return np.concatenate([v, vdot, gval])
+
+
+def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndarray,
+                t: float, x: np.ndarray, X: np.ndarray, vdot: np.ndarray,
+                mu: np.ndarray) -> np.ndarray:
+    """Time derivative of the flattened tangent X = [Q; V; Z] at the forward
+    state x = [q; v; ...] with acceleration vdot and saddle multipliers mu:
+
+        Q' = V;  V' = f_q Q + f_v V + f_rho;  Z' = g_q Q + g_v V + g_rho,
+
+    with the Jacobian blocks of the active dynamics and the resolved cost
+    gradients.  The Z block of X does not enter.
+    """
+    n = dims.n
+    q, v = x[:n], x[n:2 * n]
+    X = X.reshape(-1, dims.p)
+    Q, V = X[:n], X[n:2 * n]
+    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
     f_q, f_v, f_rho = f_blocks
     if cost is not None:
-        gval, g_q, g_v, g_rho = cost_density_gradients(
+        _, g_q, g_v, g_rho = cost_density_gradients(
             cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
     else:
-        gval = np.zeros(dims.nc)
-        g_q = g_v = np.zeros((dims.nc, dims.n))
+        g_q = g_v = np.zeros((dims.nc, n))
         g_rho = np.zeros((dims.nc, dims.p))
-    Qdot = X.V
-    Vdot = f_q @ X.Q + f_v @ X.V + f_rho
-    Zdot = g_q @ X.Q + g_v @ X.V + g_rho
-    return np.concatenate([v, vdot, gval, Qdot.ravel(), Vdot.ravel(), Zdot.ravel()])
+    return np.vstack([V, f_q @ Q + f_v @ V + f_rho, g_q @ Q + g_v @ V + g_rho]).ravel()
 
 
-def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
-    """Shared forward loop for simulate (X0 None) and the direct pass."""
+def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
+                  X: np.ndarray, KX0: np.ndarray | None) -> tuple:
+    """Tangent at node k + 1 from the tangent X at node k: the derivative
+    of forward step k at its fixed step size,
+
+        X_i = X + h sum_{j<i} a_ij KX_j,  KX_i = tangent_rhs(Y_i, X_i),
+        X_k+1 = X + h sum_i w_i KX_i,
+
+    on the forward step's stage states, accelerations and multipliers
+    (``DenseSegment.step_stages``), so nothing is solved again.  Returns
+    X_k+1 and all seven stages KX, the tangent's continuous extension.
+    Stage 6 sits at the full step's end, so it is the next step's stage 0
+    (``KX0``), as in the forward step.
+    """
+    h, w, times, states, vdot, mu = dense.step_stages(k, dims.n)
+    KX = np.empty((len(times), X.size))
+    first = 0
+    if KX0 is not None:
+        KX[0], first = KX0, 1
+    for i in range(first, len(times)):
+        X_i = X + np.dot(KX[:i].T, RK_A[i, :i]) * h
+        KX[i] = tangent_rhs(dyn, cost, dims, rho, times[i], states[i], X_i, vdot[i], mu[i])
+    return X + np.dot(KX[:len(w)].T, w) * h, KX
+
+
+def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
+    """SensitivityState of a flattened tangent [Q; V; Z]."""
+    n = dims.n
+    X = X.reshape(-1, dims.p)
+    return SensitivityState(X[:n], X[n:2 * n], np.eye(dims.p), X[2 * n:])
+
+
+def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
+    """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0)."""
     t0, tF = float(t_span[0]), float(t_span[1])
     segments: list[TrajectorySegment] = []
     records: list[EventRecord] = []
     residuals = ConstraintResiduals.empty()
     monitor = EventMonitor(len(events))
-    carrying_X = X0 is not None
-
-    def make_rhs(active_dyn):
-        return lambda t, y: tlm_rhs(active_dyn, cost, dims, rho, t, y)
-
-    def stage_multipliers(active_dyn):
-        # keyed on the state tlm_rhs just solved at: a memo hit
-        n = dims.n
-        return lambda t, y: active_dyn.multipliers(t, y[:n], y[n:2 * n], rho)
-
-    def event_wrappers():
-        n = dims.n
-        return [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
-
-    y = _join_aug(y0[0], y0[1], np.zeros(dims.nc), X0, dims)
-    t = t0
-    active = dyn
-    wrappers = event_wrappers()
+    n = dims.n
+    wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
+    y, t, active = np.concatenate([y0[0], y0[1], np.zeros(dims.nc)]), t0, dyn
     while t < tF - 1e-14 * max(1.0, abs(tF)):
+        # the stage multipliers are keyed on the state tlm_rhs just solved at:
+        # a memo hit
         seg_dense, (t_end, y_end), hit = integrate_segment(
-            make_rhs(active), y, (t, tF), config, wrappers, monitor,
-            stage_multipliers(active))
-        segments.append(TrajectorySegment(t, t_end, seg_dense, active, carrying_X))
+            lambda s, x, d=active: tlm_rhs(d, cost, dims, rho, s, x), y, (t, tF), config,
+            wrappers, monitor, lambda s, x, d=active: d.multipliers(s, x[:n], x[n:2 * n], rho))
+        segments.append(TrajectorySegment(t, t_end, seg_dense, active))
         _record_residuals(residuals, active, seg_dense, rho, dims)
         if hit is None:
-            t, y = t_end, y_end
             break
 
         spec: EventSpec = events[hit.index]
-        (q, v_minus, z), X_minus = _split_aug(y_end, dims)
+        q, v_minus, z = y_end[:n], y_end[n:2 * n], y_end[2 * n:]
         t_eve = hit.t
         v_plus, delta_mu, dyn_plus = apply_state_jump(spec, t_eve, q, v_minus, rho, active)
         rdot_plus = check_departure(spec, spec.r_jac(q), v_minus, v_plus)
@@ -196,32 +188,23 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims, X0):
         jump = build_jump_matrix(spec, dims, t_eve, q, v_minus, v_plus,
                                  vdot_minus, vdot_plus, g_minus, g_plus,
                                  rho, active, dyn_plus)
-        record = EventRecord(
-            name=spec.name, kind=jump.kind, t_eve=t_eve, q=q.copy(),
+        records.append(EventRecord(
+            name=spec.name, kind=jump.kind, spec=spec, t_eve=t_eve, q=q.copy(),
             v_minus=v_minus.copy(), v_plus=v_plus.copy(),
             vdot_minus=vdot_minus, vdot_plus=vdot_plus,
-            g_minus=g_minus, g_plus=g_plus, z=z.copy(),
-            r_row=jump.blocks["dt_row"], jump=jump, delta_mu=delta_mu,
-        )
-        X_plus = None
-        if carrying_X:
-            record.dteve_drho = record.r_row @ X_minus.Q
-            X_plus = jump.apply_direct(X_minus)
-            record.delta_mu_sens = spec.delta_mu_sensitivity(record, X_minus)
-        records.append(record)
+            g_minus=g_minus, g_plus=g_plus, z=z.copy(), jump=jump, delta_mu=delta_mu,
+        ))
 
         # positions and quadrature are continuous; restart just off the root
-        y = _join_aug(q, v_plus, z, X_plus, dims)
+        y = np.concatenate([q, v_plus, z])
         depart = 10.0 * config.event_tol * max(1.0, abs(rdot_plus))
         depart = max(depart, 2.0 * abs(hit.r_residual))
         monitor.mask(hit.index, depart, float(np.sign(rdot_plus)) if spec.must_depart else 0.0)
         t = t_eve
         active = dyn_plus
 
-    traj = HybridTrajectory(dims, np.asarray(rho, dtype=float), t0, tF,
+    return HybridTrajectory(dims, np.asarray(rho, dtype=float), t0, tF,
                             segments, records, cost, config, residuals)
-    (qF, vF, zF), XF = _split_aug(y, dims)
-    return traj, XF
 
 
 def _record_residuals(res: ConstraintResiduals, dyn, dense: DenseSegment, rho, dims):
@@ -237,28 +220,44 @@ def simulate(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = N
     """Forward hybrid run without sensitivities.  Returns a HybridTrajectory."""
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
-    dims = dyn.dims
     ic = dyn.model.initial_state(rho)
-    traj, _ = _run_hybrid(dyn, cost, events, rho, t_span, config,
-                          (ic.q0, ic.v0), dims, None)
-    return traj
+    return _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dyn.dims)
 
 
 def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
-    """Forward hybrid run carrying the tangent-linear sensitivities.
+    """Forward hybrid run and its discrete tangent.
 
-    Returns (trajectory, X_tF, event_records); the trajectory's dense
-    segments store the augmented vector, so sensitivities can be sampled at
-    any time via ``trajectory.sensitivity_at``.
+    The state runs as in ``simulate``; then each segment's stored steps are
+    swept forward with ``_step_tangent`` and each event's sensitivities
+    jump through its matrix S.  Returns (trajectory, X_tF, event_records);
+    every segment of the trajectory carries its tangent as a DenseSegment
+    (``TrajectorySegment.tangent``), so sensitivities can be sampled at any
+    time via ``trajectory.sensitivity_at``.
     """
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
     dims = dyn.dims
     ic = dyn.model.initial_state(rho)
-    X0 = SensitivityState.initial(dims, ic.dq0_drho, ic.dv0_drho)
-    traj, XF = _run_hybrid(dyn, cost, events, rho, t_span, config,
-                           (ic.q0, ic.v0), dims, X0)
-    return traj, XF, traj.events
+    traj = _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dims)
+    X = SensitivityState.initial(dims, ic.dq0_drho, ic.dv0_drho)
+    for k, seg in enumerate(traj.segments):
+        if k:
+            rec = traj.events[k - 1]
+            rec.dteve_drho = rec.jump.blocks["dt_row"] @ X.Q
+            rec.delta_mu_sens = rec.spec.delta_mu_sensitivity(rec, X)
+            X = rec.jump.apply_direct(X)
+        x, KX0 = np.vstack([X.Q, X.V, X.Z]).ravel(), None
+        nodes, stages = [x], []
+        for j in range(len(seg.dense)):
+            x, KX = _step_tangent(seg.dynamics, cost, dims, rho, seg.dense, j, x, KX0)
+            nodes.append(x)
+            stages.append(KX)
+            KX0 = KX[-1]
+        d = seg.dense
+        seg.tangent = DenseSegment(d.t_start, d.t_end, d.node_times, np.array(nodes),
+                                   stages, d.steps, d.truncated, d.forward)
+        X = _sensitivity(x, dims)
+    return traj, X, traj.events
 
 
 def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndarray:

@@ -56,8 +56,7 @@ class DofPartition:
     """Split of the n coordinates into independent (dof) and dependent ones.
 
     The partition is part of the problem definition; it is not chosen
-    automatically.  Selection matrices satisfy P P^T = I blockwise and
-    scatter/gather are exact permutations.
+    automatically.
     """
 
     n: int
@@ -69,25 +68,8 @@ class DofPartition:
             raise ValueError(f"invalid dof index set {self.dof} for n={self.n}")
 
     @property
-    def f(self) -> int:
-        return len(self.dof)
-
-    @property
     def dep(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i not in self.dof)
-
-    def p_dof(self) -> np.ndarray:
-        P = np.zeros((self.f, self.n))
-        for r, i in enumerate(self.dof):
-            P[r, i] = 1.0
-        return P
-
-    def p_dep(self) -> np.ndarray:
-        dep = self.dep
-        P = np.zeros((len(dep), self.n))
-        for r, i in enumerate(dep):
-            P[r, i] = 1.0
-        return P
 
 
 @dataclass
@@ -368,13 +350,15 @@ class JumpMatrix:
 class EventRecord:
     """Everything recorded about one processed event.
 
-    ``dteve_drho`` (the 1 x p event-time sensitivity) requires the forward
-    sensitivity Q- and is therefore filled only by the direct pass; the jump
-    matrix itself depends on state-only quantities.
+    The forward run records the state-only quantities, the jump matrix
+    among them.  ``dteve_drho`` (the 1 x p event-time sensitivity, the
+    jump's ``dt_row`` applied to Q-) and ``delta_mu_sens`` need the forward
+    sensitivities at the event and are filled by the direct pass's sweep.
     """
 
     name: str
     kind: str
+    spec: EventSpec
     t_eve: float
     q: np.ndarray
     v_minus: np.ndarray
@@ -384,7 +368,6 @@ class EventRecord:
     g_minus: np.ndarray
     g_plus: np.ndarray
     z: np.ndarray
-    r_row: np.ndarray                   # (dt/drho) as a row functional of Q-
     jump: JumpMatrix
     dteve_drho: np.ndarray | None = None
     delta_mu: np.ndarray | None = None

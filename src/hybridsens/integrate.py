@@ -3,8 +3,8 @@
 Stepping comes from scipy's embedded Runge-Kutta 4(5) pair (non-stiff
 dynamics between events).  Each accepted step keeps its stage derivatives,
 which give both the continuous extension (what the event root-finder and
-the state queries interpolate) and the stage states the discrete adjoint
-of the step is evaluated at.  Everything event-related is implemented
+the state queries interpolate) and the stage states the discrete tangent
+and adjoint of the step are evaluated at (``DenseSegment.step_stages``).  Everything event-related is implemented
 here: sign-change detection on the dense output, bracketed bisection
 refined by secant steps, masking of the event function that just fired,
 and the guards that turn grazing or simultaneous crossings into explicit
@@ -58,6 +58,15 @@ class IntegratorConfig:
             raise ValueError("rtol, atol and event_tol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+
+
+# scipy's Dormand-Prince stage coefficients, with a seventh row for the
+# derivative at the step end (formed from the full-step weights B): the
+# continuous extension weighs it, the full step does not.
+RK_A = np.zeros((7, 7))
+RK_A[:6, :5] = RK45.A
+RK_A[6, :6] = RK45.B
+RK_C = np.append(RK45.C, 1.0)
 
 
 def _rk_dense(t_old, y_old, h, K, t) -> np.ndarray:
@@ -123,8 +132,27 @@ class DenseSegment:
         return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
                          self.stages[k], t)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.evaluate(t)
+    def step_stages(self, k: int, n: int):
+        """(h, w, times, states, vdot, mu) of step k, for the discrete
+        tangent and adjoint sweeps over a state [q (n); v (n); ...].
+
+        w weighs the stages in the step's end node: B on six for a full
+        step, P [x, x^2, x^3, x^4] on all seven for the last step of a
+        segment cut at an event (reached by the continuous extension).  The
+        seven stage times and states Y_i = y_k + h sum_{j<i} a_ij K_j are
+        rebuilt as the forward step formed them; their accelerations (v
+        block of K) and multipliers (rows 6k..6k+6 of ``multipliers``) are
+        bitwise what the dynamics returned there."""
+        t_old, y_old = self.node_times[k], self.node_states[k]
+        h, K = self.steps[k], self.stages[k]
+        if self.truncated and k == len(self) - 1:
+            x = (self.node_times[k + 1] - t_old) / h
+            w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
+        else:
+            w = RK45.B
+        states = [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(len(RK_C))]
+        mu = self.multipliers[RK45.n_stages * k:RK45.n_stages * (k + 1) + 1]
+        return h, w, t_old + RK_C * h, states, K[:, n:2 * n], mu
 
 
 @dataclass

@@ -389,9 +389,6 @@ class CostFunctional:
 
     # -- partials with FD fallback -------------------------------------------
 
-    def _part(self, analytic, fallback):
-        return analytic if analytic is not None else fallback
-
     def g_partials(self, t, q, v, vdot, rho):
         """Partial derivatives of g with (t, q, v, vdot, rho) all independent."""
         u = self._u(t, q, v, vdot, rho)

@@ -270,3 +270,34 @@ def test_adjoint_sweeps_share_one_trajectory_across_threads():
     assert not any(th.is_alive() for th in threads)
     for gradient in threaded:
         assert gradient.tobytes() == serial.tobytes()
+
+
+def test_lam_at_factors_once_per_evaluation(monkeypatch):
+    # between nodes lam_at integrates the continuous adjoint ODE; each of its
+    # right-hand-side evaluations solves the saddle system for vdot and mu and
+    # then needs the Jacobians at the same state, which reuse that factor
+    import hybridsens.adjoint as adjoint
+    import hybridsens.constrained as constrained
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import five_bar
+
+    prob = five_bar(formulation="dae")
+    cost = prob.cost("int-ay2")
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, (0.0, 1.0), prob.config)
+    sol = propagate_adjoint(traj, cost)
+    nodes = traj.segments[0].dense.node_times
+    counts = {"factorizations": 0, "evaluations": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(constrained, "checked_lu",
+                        counting("factorizations", constrained.checked_lu))
+    monkeypatch.setattr(adjoint, "adjoint_rhs", counting("evaluations", adjoint.adjoint_rhs))
+    for i in (1, 5, 10):
+        sol.lam_at(0.5 * (nodes[i] + nodes[i + 1]))
+    assert counts["evaluations"] > 0
+    assert counts["factorizations"] <= counts["evaluations"]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hybridsens.core import Dimensions, SensitivityState
 from hybridsens.direct import (
@@ -6,6 +7,7 @@ from hybridsens.direct import (
     direct_gradient,
     propagate_direct,
     simulate,
+    tangent_rhs,
     tlm_rhs,
 )
 from hybridsens.integrate import IntegratorConfig
@@ -40,10 +42,14 @@ def test_tlm_rhs_gamma_and_quadrature_rows():
     dyn = OdeDynamics(model)
     dims = model.dims
     cost = CostFunctional(nc=1)  # no density: Zdot must vanish identically
-    y = np.concatenate([[0.1], [1.2], [0.0], [0.3], [0.4], [0.5]])
-    dy = tlm_rhs(dyn, cost, dims, np.array([0.8]), 0.0, y)
+    rho = np.array([0.8])
+    y = np.array([0.1, 1.2, 0.0])          # [q; v; z]
+    X = np.array([0.3, 0.4, 0.5])          # [Q; V; Z]
+    dy = tlm_rhs(dyn, cost, dims, rho, 0.0, y)
+    dX = tangent_rhs(dyn, cost, dims, rho, 0.0, y, X, dy[1:2],
+                     dyn.multipliers(0.0, y[:1], y[1:2], rho))
     assert dy[2] == 0.0          # quadrature value rate (g = 0)
-    assert dy[5] == 0.0          # Z block rate
+    assert dX[2] == 0.0          # Z block rate
 
 
 def test_variational_equation_exponential():
@@ -185,3 +191,33 @@ def test_simulate_z_accumulates_density():
     _, _, z = traj.state_at(0.3)
     # int_0^T v dt = y(T) - y(0) = -g T^2 / 2
     assert abs(z[0] - (-0.5 * G * 0.09)) < 1e-8
+
+
+def _gallery(name):
+    from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
+
+    return {"five-bar-penalty-all-parameters": lambda: five_bar(param_names=FIVE_BAR_PARAMS),
+            "five-bar-dae": lambda: five_bar(formulation="dae"),
+            "bouncing-mass": bouncing_mass, "pendulum": pendulum}[name]()
+
+
+@pytest.mark.parametrize("name", ["five-bar-penalty-all-parameters", "five-bar-dae",
+                                  "bouncing-mass", "pendulum"])
+def test_direct_pass_is_the_tangent_of_simulate_steps(name):
+    # the direct pass differentiates simulate's own steps: its trajectory is
+    # simulate's bitwise, and its gradient is the discrete adjoint gradient
+    # over that trajectory up to round-off
+    from hybridsens.adjoint import propagate_adjoint
+
+    prob = _gallery(name)
+    for cname in sorted(prob.costs):
+        cost = prob.cost(cname)
+        args = (prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span, prob.config)
+        grad, traj, _ = direct_gradient(*args)
+        ref = simulate(*args)
+        assert rel_err(grad, propagate_adjoint(ref, cost).gradient) <= 1e-12, cname
+        assert len(traj.segments) == len(ref.segments)
+        for seg, seg_ref in zip(traj.segments, ref.segments):
+            assert seg.dense.node_times.tobytes() == seg_ref.dense.node_times.tobytes()
+            assert seg.dense.node_states.tobytes() == seg_ref.dense.node_states.tobytes()
+        assert [rec.t_eve for rec in traj.events] == [rec.t_eve for rec in ref.events]
