@@ -204,7 +204,10 @@ class _SaddleDynamics:
             z = v:    [F_v ; b_v]
             z = rho:  [F_rho - M_rho vdot ; b_rho]
 
-        with H_v = d(G v)/dq, all solved at once with the state's factor.
+        with H_v = d(G v)/dq, written into one right-side array (the M_z
+        terms skipped under ``mass_constant``) and solved at once with the
+        state's factor; the force partials come from one
+        ``force_jacobians`` evaluation.
         Given the state's solution (vdot, mu), as the sweeps read it from
         the forward pass's stage record, K is factored here unless ``_solve``
         holds this state's factor; otherwise the solution and factor come
@@ -230,15 +233,21 @@ class _SaddleDynamics:
             factor = solved[2]
         else:
             factor = saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what)
+        F_q, F_v, F_rho = model.force_jacobians(t, q, v, rho)
         b_q, b_v, b_rho = self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))
-        top = np.hstack([
-            model.force_jac_q(t, q, v, rho) - model.mass_q_action(t, q, rho, vdot)
-            - cons.qqT_action(t, q, rho, mu),
-            model.force_jac_v(t, q, v, rho),
-            model.force_jac_rho(t, q, v, rho) - model.mass_rho_action(t, q, rho, vdot),
-        ])
-        bottom = np.hstack([b_q - cons.qq_action(t, q, rho, vdot), b_v, b_rho])
-        sol = factor(np.vstack([top, bottom]))
+        rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
+        top, bottom = rhs[:n], rhs[n:]
+        top[:, :n] = F_q
+        top[:, n:2 * n] = F_v
+        top[:, 2 * n:] = F_rho
+        if not model.mass_constant:
+            top[:, :n] -= model.mass_q_action(t, q, rho, vdot)
+            top[:, 2 * n:] -= model.mass_rho_action(t, q, rho, vdot)
+        top[:, :n] -= cons.qqT_action(t, q, rho, mu)
+        np.subtract(b_q, cons.qq_action(t, q, rho, vdot), out=bottom[:, :n])
+        bottom[:, n:2 * n] = b_v
+        bottom[:, 2 * n:] = b_rho
+        sol = factor(rhs)
         blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
         return tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
 

@@ -21,6 +21,7 @@ at the initial pose, so the springs start unloaded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,12 @@ _FIVE_BAR_DOF = (2, 3)  # (x2, y2)
 
 FIVE_BAR_PARAMS = ("k1", "k2", "LA1", "L21", "L32", "LB3", "L01", "L02")
 
+# the two springs: (point, anchor, stiffness, natural length); spring 1
+# pulls point 3 (q[4:6]) towards anchor A, spring 2 point 2 (q[2:4])
+# towards anchor B
+_FIVE_BAR_SPRINGS = ((4, tuple(FIVE_BAR_DATA["qA"]), "k1", "L01"),
+                     (2, tuple(FIVE_BAR_DATA["qB"]), "k2", "L02"))
+
 
 def _five_bar_mass() -> np.ndarray:
     """Constant natural-coordinate mass matrix for uniform slender rods.
@@ -120,13 +127,14 @@ def _five_bar_weight() -> np.ndarray:
     return F
 
 
-def _spring_force(point: np.ndarray, anchor: np.ndarray, k: float, L0: float):
-    """Force on the point and its Jacobian w.r.t. the point coordinates."""
-    dvec = point - anchor
-    L = float(np.linalg.norm(dvec))
-    f = -k * (L - L0) * dvec / L
-    J = -k * ((1.0 - L0 / L) * np.eye(2) + (L0 / L ** 3) * np.outer(dvec, dvec))
-    return f, J, L
+def _spring(x: float, y: float, anchor, k: float, L0: float):
+    """One anchor spring on the point (x, y), in scalars: the offset
+    (dx, dy) from the anchor, the length L and the force
+    (fx, fy) = -k (L - L0) (dx, dy) / L it puts on the point."""
+    dx, dy = x - anchor[0], y - anchor[1]
+    L = math.sqrt(dx * dx + dy * dy)
+    s = -k * (L - L0)
+    return dx, dy, L, s * dx / L, s * dy / L
 
 
 class _FiveBarParameterMap:
@@ -153,13 +161,22 @@ class _FiveBarParameterMap:
 def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
     """Four squared-length constraints between consecutive points."""
     d = FIVE_BAR_DATA
-    pairs = (  # (row, moving point slice or anchor, point slice, length name)
+    pairs = (  # (length name, tail point slice or anchor, head point slice or anchor)
         ("LA1", None, slice(0, 2)),
         ("L21", slice(0, 2), slice(2, 4)),
         ("L32", slice(2, 4), slice(4, 6)),
         ("LB3", slice(4, 6), None),
     )
-    anchors = {0: d["qA"], 3: d["qB"]}
+    # constant Hessians of the squared lengths |D_i q + c_i|^2: 2 D_i^T D_i,
+    # D_i = d(head - tail)/dq
+    D = np.zeros((4, 2, 6))
+    for i, (_, tail, head) in enumerate(pairs):
+        if head is not None:
+            D[i, :, head] = np.eye(2)
+        if tail is not None:
+            D[i, :, tail] = -np.eye(2)
+    hess = 2.0 * np.einsum("iak,ial->ikl", D, D)
+    hess_rows, hess_flat = hess.reshape(24, 6), hess.reshape(4, 36)
 
     def diffs(q):
         return (
@@ -178,42 +195,19 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
             dv[3] @ dv[3] - pm.value("LB3", rho) ** 2,
         ])
 
+    # phi_q = 2 (D_i q + c_i)^T D_i, row by row: hess[i] q + 2 c_i^T D_i
+    G_at_zero = 2.0 * np.einsum("ia,iak->ik", np.array(diffs(np.zeros(6))), D)
+
     def phi_q(t, q, rho):
-        dv = diffs(q)
-        G = np.zeros((4, 6))
-        G[0, 0:2] = 2.0 * dv[0]
-        G[1, 0:2] = -2.0 * dv[1]
-        G[1, 2:4] = 2.0 * dv[1]
-        G[2, 2:4] = -2.0 * dv[2]
-        G[2, 4:6] = 2.0 * dv[2]
-        G[3, 4:6] = -2.0 * dv[3]
-        return G
+        return (hess_rows @ q).reshape(4, 6) + G_at_zero
 
     def phi_qq_w(t, q, rho, w):
-        """d(phi_q w)/dq: constant Hessians of the squared lengths."""
-        H = np.zeros((4, 6))
-        H[0, 0:2] = 2.0 * w[0:2]
-        H[1, 0:2] = 2.0 * (w[0:2] - w[2:4])
-        H[1, 2:4] = 2.0 * (w[2:4] - w[0:2])
-        H[2, 2:4] = 2.0 * (w[2:4] - w[4:6])
-        H[2, 4:6] = 2.0 * (w[4:6] - w[2:4])
-        H[3, 4:6] = 2.0 * w[4:6]
-        return H
+        """d(phi_q w)/dq: row i is hess[i] @ w."""
+        return (hess_rows @ w).reshape(4, 6)
 
     def phi_qq_T_mu(t, q, rho, mu):
-        A = np.zeros((6, 6))
-        I2 = np.eye(2)
-        A[0:2, 0:2] += 2.0 * mu[0] * I2
-        A[0:2, 0:2] += 2.0 * mu[1] * I2
-        A[0:2, 2:4] += -2.0 * mu[1] * I2
-        A[2:4, 0:2] += -2.0 * mu[1] * I2
-        A[2:4, 2:4] += 2.0 * mu[1] * I2
-        A[2:4, 2:4] += 2.0 * mu[2] * I2
-        A[2:4, 4:6] += -2.0 * mu[2] * I2
-        A[4:6, 2:4] += -2.0 * mu[2] * I2
-        A[4:6, 4:6] += 2.0 * mu[2] * I2
-        A[4:6, 4:6] += 2.0 * mu[3] * I2
-        return A
+        """d(phi_q^T mu)/dq = sum_i mu_i hess[i]."""
+        return (mu @ hess_flat).reshape(6, 6)
 
     def phi_rho(t, q, rho):
         out = np.zeros((4, len(pm.names)))
@@ -266,47 +260,43 @@ def _newton_assemble(cons: ConstraintSet, q_guess: np.ndarray, dof, rho,
 def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     """Five-bar mechanism with the chosen constants promoted to parameters."""
     pm = _FiveBarParameterMap(param_names)
-    d = FIVE_BAR_DATA
     dims = Dimensions(n=6, p=len(pm.names), nc=1, m=4)
     cons = _five_bar_constraints(pm)
     M = _five_bar_mass()
     Fg = _five_bar_weight()
 
+    def springs(q, rho):
+        """Per spring: point index, parameter names, k, L0 and geometry."""
+        x = q.tolist()
+        for i, anchor, k_name, L_name in _FIVE_BAR_SPRINGS:
+            k, L0 = pm.value(k_name, rho), pm.value(L_name, rho)
+            yield i, k_name, L_name, k, L0, _spring(x[i], x[i + 1], anchor, k, L0)
+
     def force(t, q, v, rho):
         F = Fg.copy()
-        f1, _, _ = _spring_force(q[4:6], d["qA"], pm.value("k1", rho), pm.value("L01", rho))
-        f2, _, _ = _spring_force(q[2:4], d["qB"], pm.value("k2", rho), pm.value("L02", rho))
-        F[4:6] += f1
-        F[2:4] += f2
+        for i, *_, (_, _, _, fx, fy) in springs(q, rho):
+            F[i] += fx
+            F[i + 1] += fy
         return F
 
-    def force_q(t, q, v, rho):
-        J = np.zeros((6, 6))
-        _, J1, _ = _spring_force(q[4:6], d["qA"], pm.value("k1", rho), pm.value("L01", rho))
-        _, J2, _ = _spring_force(q[2:4], d["qB"], pm.value("k2", rho), pm.value("L02", rho))
-        J[4:6, 4:6] += J1
-        J[2:4, 2:4] += J2
-        return J
-
-    def force_rho(t, q, v, rho):
-        out = np.zeros((6, dims.p))
-        f1, _, L1 = _spring_force(q[4:6], d["qA"], pm.value("k1", rho), pm.value("L01", rho))
-        f2, _, L2 = _spring_force(q[2:4], d["qB"], pm.value("k2", rho), pm.value("L02", rho))
-        k1, L01 = pm.value("k1", rho), pm.value("L01", rho)
-        k2, L02 = pm.value("k2", rho), pm.value("L02", rho)
-        j = pm.grad_slot("k1")
-        if j is not None:
-            out[4:6, j] = f1 / k1
-        j = pm.grad_slot("k2")
-        if j is not None:
-            out[2:4, j] = f2 / k2
-        j = pm.grad_slot("L01")
-        if j is not None:
-            out[4:6, j] = k1 * (q[4:6] - d["qA"]) / L1
-        j = pm.grad_slot("L02")
-        if j is not None:
-            out[2:4, j] = k2 * (q[2:4] - d["qB"]) / L2
-        return out
+    def force_partials(t, q, v, rho):
+        """(F_q, F_v, F_rho): per spring the Jacobian
+        -k ((1 - L0/L) I + (L0/L^3) d d^T) in its point, and the columns
+        f/k and k d/L of its stiffness and natural length."""
+        F_q = np.zeros((6, 6))
+        F_rho = np.zeros((6, dims.p))
+        for i, k_name, L_name, k, L0, (dx, dy, L, fx, fy) in springs(q, rho):
+            a, b = 1.0 - L0 / L, L0 / L ** 3
+            F_q[i, i] = -k * (a + b * (dx * dx))
+            F_q[i, i + 1] = F_q[i + 1, i] = -k * (b * (dx * dy))
+            F_q[i + 1, i + 1] = -k * (a + b * (dy * dy))
+            j = pm.grad_slot(k_name)
+            if j is not None:
+                F_rho[i, j], F_rho[i + 1, j] = fx / k, fy / k
+            j = pm.grad_slot(L_name)
+            if j is not None:
+                F_rho[i, j], F_rho[i + 1, j] = k * dx / L, k * dy / L
+        return F_q, np.zeros((6, 6)), F_rho
 
     def initial_state(rho):
         q0 = _newton_assemble(cons, _FIVE_BAR_POSE, _FIVE_BAR_DOF, rho)
@@ -325,9 +315,7 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
         force=force,
         initial_state=initial_state,
         constraints=cons,
-        force_q=force_q,
-        force_v=lambda t, q, v, rho: np.zeros((6, 6)),
-        force_rho=force_rho,
+        force_partials=force_partials,
         mass_constant=True,
         name="five-bar",
     )
@@ -434,9 +422,8 @@ def bouncing_mass_model() -> MultibodyModel:
         mass=lambda t, q, rho: np.eye(1),
         force=lambda t, q, v, rho: np.array([-GRAVITY]),
         initial_state=initial_state,
-        force_q=lambda t, q, v, rho: np.zeros((1, 1)),
-        force_v=lambda t, q, v, rho: np.zeros((1, 1)),
-        force_rho=lambda t, q, v, rho: np.zeros((1, 2)),
+        force_partials=lambda t, q, v, rho: (np.zeros((1, 1)), np.zeros((1, 1)),
+                                             np.zeros((1, 2))),
         mass_constant=True,
         name="bouncing-mass",
     )
@@ -515,10 +502,10 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
     def force(t, q, v, rho):
         return np.array([0.0, -rho[2] * GRAVITY])
 
-    def force_rho(t, q, v, rho):
-        out = np.zeros((2, 3))
-        out[1, 2] = -GRAVITY
-        return out
+    def force_partials(t, q, v, rho):
+        F_rho = np.zeros((2, 3))
+        F_rho[1, 2] = -GRAVITY
+        return np.zeros((2, 2)), np.zeros((2, 2)), F_rho
 
     def initial_state(rho):
         q0 = np.array([rho[0], -0.6 * L])
@@ -551,9 +538,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
         constraints=cons,
         mass_q_w=lambda t, q, rho, w: np.zeros((2, 2)),
         mass_rho_w=mass_rho_w,
-        force_q=lambda t, q, v, rho: np.zeros((2, 2)),
-        force_v=lambda t, q, v, rho: np.zeros((2, 2)),
-        force_rho=force_rho,
+        force_partials=force_partials,
         name="pendulum",
     )
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import Dimensions
+from .core import DimensionError, Dimensions
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -213,10 +213,13 @@ class InitialConditions:
 class MultibodyModel:
     """Second-order mechanical system M(t,q,rho) vdot = F(t,q,v,rho).
 
-    Optional analytic partials (mass_q_w, mass_rho_w, force_q, force_v,
-    force_rho) override the finite-difference fallback.  The ``mass_*_w``
-    callbacks return directional contractions: mass_q_w(t,q,rho,w) is the
-    (n, n) matrix whose column j equals (dM/dq_j) @ w.  ``mass_constant``
+    Optional analytic partials (mass_q_w, mass_rho_w, force_partials)
+    override the finite-difference fallback.  The ``mass_*_w`` callbacks
+    return directional contractions: mass_q_w(t,q,rho,w) is the (n, n)
+    matrix whose column j equals (dM/dq_j) @ w.  ``force_partials(t,q,v,rho)``
+    returns all three force partials (F_q (n, n), F_v (n, n), F_rho (n, p))
+    from one evaluation, so a model can share their intermediates; without
+    it all three are central differences of ``force``.  ``mass_constant``
     declares M constant in q and rho, so both mass partials vanish.
     """
 
@@ -227,9 +230,7 @@ class MultibodyModel:
     constraints: ConstraintSet | None = None
     mass_q_w: Callable | None = None
     mass_rho_w: Callable | None = None
-    force_q: Callable | None = None
-    force_v: Callable | None = None
-    force_rho: Callable | None = None
+    force_partials: Callable | None = None
     mass_constant: bool = False
     name: str = "model"
 
@@ -253,20 +254,21 @@ class MultibodyModel:
             return np.asarray(self.mass_rho_w(t, q, rho, w), dtype=float)
         return fd_jacobian(lambda rr: self.mass_at(t, q, rr) @ w, rho)
 
-    def force_jac_q(self, t, q, v, rho) -> np.ndarray:
-        if self.force_q is not None:
-            return np.asarray(self.force_q(t, q, v, rho), dtype=float)
-        return fd_jacobian(lambda qq: self.force_at(t, qq, v, rho), q)
-
-    def force_jac_v(self, t, q, v, rho) -> np.ndarray:
-        if self.force_v is not None:
-            return np.asarray(self.force_v(t, q, v, rho), dtype=float)
-        return fd_jacobian(lambda vv: self.force_at(t, q, vv, rho), v)
-
-    def force_jac_rho(self, t, q, v, rho) -> np.ndarray:
-        if self.force_rho is not None:
-            return np.asarray(self.force_rho(t, q, v, rho), dtype=float)
-        return fd_jacobian(lambda rr: self.force_at(t, q, v, rr), rho)
+    def force_jacobians(self, t, q, v, rho):
+        """(F_q, F_v, F_rho) at one state: ``force_partials`` if supplied,
+        its block shapes checked, else central differences of ``force`` for
+        all three blocks."""
+        if self.force_partials is None:
+            return (fd_jacobian(lambda qq: self.force_at(t, qq, v, rho), q),
+                    fd_jacobian(lambda vv: self.force_at(t, q, vv, rho), v),
+                    fd_jacobian(lambda rr: self.force_at(t, q, v, rr), rho))
+        F_q, F_v, F_rho = (np.asarray(b, dtype=float) for b in self.force_partials(t, q, v, rho))
+        n, p = self.dims.n, self.dims.p
+        if F_q.shape != (n, n) or F_v.shape != (n, n) or F_rho.shape != (n, p):
+            raise DimensionError(
+                f"force_partials of '{self.name}' returned F_q, F_v, F_rho of shapes "
+                f"{F_q.shape}, {F_v.shape}, {F_rho.shape}; expected {(n, n)}, {(n, n)}, {(n, p)}")
+        return F_q, F_v, F_rho
 
 
 class OdeDynamics:
@@ -299,11 +301,11 @@ class OdeDynamics:
         M = self.model.mass_at(t, q, rho)
         if vdot is None:
             vdot = _spd_solve(M, self.model.force_at(t, q, v, rho), "mass matrix", t)
-        rhs_q = self.model.force_jac_q(t, q, v, rho) - self.model.mass_q_action(t, q, rho, vdot)
-        rhs_v = self.model.force_jac_v(t, q, v, rho)
-        rhs_rho = self.model.force_jac_rho(t, q, v, rho) - self.model.mass_rho_action(t, q, rho, vdot)
+        F_q, F_v, F_rho = self.model.force_jacobians(t, q, v, rho)
+        rhs_q = F_q - self.model.mass_q_action(t, q, rho, vdot)
+        rhs_rho = F_rho - self.model.mass_rho_action(t, q, rho, vdot)
         n, p = self.dims.n, self.dims.p
-        sol = _spd_solve(M, np.hstack([rhs_q, rhs_v, rhs_rho]), "mass matrix", t)
+        sol = _spd_solve(M, np.hstack([rhs_q, F_v, rhs_rho]), "mass matrix", t)
         return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):

@@ -100,8 +100,8 @@ def test_penalty_multiplier_zero_when_unloaded():
     pcfg = PenaltyConfig()
     # static bob with weight removed: zero residuals, zero correction
     model.force = lambda t, q, v, rho: np.zeros(2)
-    model.force_q = lambda t, q, v, rho: np.zeros((2, 2))
-    model.force_rho = lambda t, q, v, rho: np.zeros((2, 3))
+    model.force_partials = lambda t, q, v, rho: (np.zeros((2, 2)), np.zeros((2, 2)),
+                                                 np.zeros((2, 3)))
     mu = PenaltyDynamics(model, pcfg).multipliers(0.0, q, v, RHO)
     assert np.max(np.abs(mu)) < 1e-9
 
@@ -465,6 +465,67 @@ def test_multiplier_dependent_cost_one_assembly_per_state():
     direct_gradient(dyn, cost, [], RHO, (0.0, 0.3), IntegratorConfig())
     assert asked.count("multiplier_jacobians") >= asked.count("jacobians") > 0
     assert len(assembled) == len(states)
+
+
+@pytest.mark.parametrize("params, formulation", [(FIVE_BAR_PARAMS, "penalty"),
+                                                  (("k1", "k2"), "dae")],
+                         ids=["five-bar-penalty-all-parameters", "five-bar-dae"])
+def test_sweeps_evaluate_force_partials_once_per_stage_state(monkeypatch, params, formulation):
+    # the tangent and adjoint sweeps read vdot and mu from the stage record:
+    # at each stage state they evaluate the force partials once, and the
+    # force itself never
+    import hybridsens.adjoint as adjoint
+    import hybridsens.direct as direct
+
+    prob = five_bar(params, formulation)
+    dyn, model = prob.dynamics, prob.dynamics.model
+    calls = {"force": 0, "force_partials": 0}
+    assembled = []
+    sweeping = [False]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += sweeping[0]
+            return fn(*args)
+        return wrapper
+
+    def in_sweep(step):
+        def wrapper(*args):
+            sweeping[0] = True
+            try:
+                return step(*args)
+            finally:
+                sweeping[0] = False
+        return wrapper
+
+    assemble = dyn._assemble_jacobians
+
+    def recording(t, q, v, rho, *args):
+        if sweeping[0]:
+            assembled.append((t, q.tobytes(), v.tobytes()))
+        return assemble(t, q, v, rho, *args)
+
+    model.force = counted("force", model.force)
+    model.force_partials = counted("force_partials", model.force_partials)
+    dyn._assemble_jacobians = recording
+    monkeypatch.setattr(adjoint, "_step_adjoint", in_sweep(adjoint._step_adjoint))
+    monkeypatch.setattr(direct, "_step_tangent", in_sweep(direct._step_tangent))
+    cost = prob.cost("int-ay2sq-vy2sq")
+    traj, _, _ = direct.propagate_direct(dyn, cost, prob.events, prob.rho0.rho,
+                                         (0.0, 0.9), prob.config)
+    assert len(traj.events) == 2
+    # seven stages on a segment's first step, six after it (FSAL)
+    tangent_stages = sum(6 * len(seg.dense) + 1 for seg in traj.segments)
+    assert calls == {"force": 0, "force_partials": tangent_stages}
+    assert len(assembled) == len(set(assembled)) == tangent_stages
+
+    calls.update(force=0, force_partials=0)
+    assembled.clear()
+    adjoint.propagate_adjoint(traj, cost)
+    # six stages on a full step, seven on a segment's last step cut at an event
+    adjoint_stages = sum(6 * len(seg.dense) + seg.dense.truncated for seg in traj.segments)
+    assert calls == {"force": 0, "force_partials": adjoint_stages}
+    assert len(assembled) == len(set(assembled)) == adjoint_stages
 
 
 def random_saddle(rng, n, m, c):

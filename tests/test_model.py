@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridsens.core import Dimensions
+from hybridsens.constrained import DaeDynamics
+from hybridsens.core import DimensionError, Dimensions
 from hybridsens.model import (
     CostFunctional,
     InitialConditions,
@@ -137,8 +138,23 @@ def test_eom_jacobians_defining_identity(curved_mass):
     f_q, _, _ = dyn.jacobians(t, q, v, rho)
     M = model.mass_at(t, q, rho)
     lhs = M @ f_q + model.mass_q_action(t, q, rho, vdot)
-    rhs = model.force_jac_q(t, q, v, rho)
+    rhs = model.force_jacobians(t, q, v, rho)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+def test_force_partials_shape_guard():
+    # a (p,) F_rho would broadcast silently across all n rows of the
+    # Jacobian assembly; force_jacobians refuses it by name
+    from hybridsens.gallery import pendulum_model
+
+    model = pendulum_model()
+    model.force_partials = lambda t, q, v, rho: (np.zeros((2, 2)), np.zeros((2, 2)),
+                                                 np.array([0.0, 0.0, -G]))
+    state = (0.0, np.array([0.3, -0.8]), np.zeros(2), np.array([0.2, -1.0, 1.3]))
+    with pytest.raises(DimensionError, match="force_partials.*F_rho"):
+        model.force_jacobians(*state)
+    with pytest.raises(DimensionError, match="force_partials"):
+        DaeDynamics(model).jacobians(*state)
 
 
 def test_f_rho_free_fall():
@@ -233,10 +249,12 @@ def test_terminal_gradient_speed_squared():
 
 def test_gallery_analytic_partials_match_fd():
     # every analytic Jacobian a model supplies must agree with the fallback
-    from hybridsens.gallery import five_bar_model, pendulum_model
+    from hybridsens.gallery import FIVE_BAR_DATA, FIVE_BAR_PARAMS, five_bar_model, pendulum_model
 
     rng = np.random.default_rng(42)
     for model, rho in ((five_bar_model(), np.array([100.0, 100.0])),
+                       (five_bar_model(FIVE_BAR_PARAMS),
+                        np.array([FIVE_BAR_DATA[nm] for nm in FIVE_BAR_PARAMS])),
                        (pendulum_model(), np.array([0.2, -1.0, 1.3]))):
         n = model.dims.n
         for _ in range(3):
@@ -245,9 +263,12 @@ def test_gallery_analytic_partials_match_fd():
                                                  if n == 6 else np.array([0.3, -0.8]))
             v = rng.normal(scale=0.5, size=n)
             fd_fq = fd_jacobian(lambda qq: model.force_at(t, qq, v, rho), q)
-            assert rel_err(model.force_jac_q(t, q, v, rho), fd_fq, floor=1.0) < 1e-5
+            F_q, F_v, F_rho = model.force_jacobians(t, q, v, rho)
+            assert rel_err(F_q, fd_fq, floor=1.0) < 1e-5
+            fd_fv = fd_jacobian(lambda vv: model.force_at(t, q, vv, rho), v)
+            assert rel_err(F_v, fd_fv, floor=1.0) < 1e-5
             fd_fr = fd_jacobian(lambda rr: model.force_at(t, q, v, rr), rho)
-            assert rel_err(model.force_jac_rho(t, q, v, rho), fd_fr, floor=1.0) < 1e-5
+            assert rel_err(F_rho, fd_fr, floor=1.0) < 1e-5
             w = rng.normal(size=n)
             fd_mq = fd_jacobian(lambda qq: model.mass_at(t, qq, rho) @ w, q)
             assert np.max(np.abs(model.mass_q_action(t, q, rho, w) - fd_mq)) < 1e-5
