@@ -29,7 +29,9 @@ from .core import AdjointState, Dimensions
 from .model import CostFunctional, cost_density_gradients, terminal_cost_gradients
 from .integrate import RK_A, DenseSegment, integrate_segment
 from .direct import HybridTrajectory
-from .constrained import checked_lu, saddle_factor
+# unused here; perfbench/spans.py counts factorizations at this name
+from .constrained import checked_lu  # noqa: F401
+
 
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
     """Adjoint values at the final time: transposed terminal-cost gradients."""
@@ -75,7 +77,7 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
     f_q, f_v, f_rho = f_blocks
     if weight and cost is not None and cost.g is not None:
-        _, g_q, g_v, g_rho = cost_density_gradients(
+        g_q, g_v, g_rho = cost_density_gradients(
             cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
         g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
     else:
@@ -221,51 +223,3 @@ def assemble_cost_sensitivity_adjoint(lam_t0: AdjointState, dq0_drho, dv0_drho) 
     dq0 = np.atleast_2d(np.asarray(dq0_drho, dtype=float))
     dv0 = np.atleast_2d(np.asarray(dv0_drho, dtype=float))
     return lam_t0.lamQ.T @ dq0 + lam_t0.lamV.T @ dv0 + lam_t0.lamGamma.T
-
-
-# ---------------------------------------------------------------------------
-# Representation map between the canonical adjoint and the multiplier-based
-# adjoint of the constrained formulation.
-# ---------------------------------------------------------------------------
-
-
-def map_lambda_to_mu(model, t, q, rho, lamQ, lamV, lamLambda):
-    """Convert canonical adjoint blocks to the multiplier representation.
-
-    The two representations are related through the index-1 system matrix:
-
-        [lamQ; lamV; lamLambda] = blkdiag(I, [[M, G^T], [G, 0]]) [muQ; muV; muGamma]
-
-    so muQ = lamQ and (muV, muGamma) solve the KKT system with right side
-    (lamV, lamLambda).
-    """
-    lamQ = np.atleast_2d(np.asarray(lamQ, dtype=float))
-    lamV = np.atleast_2d(np.asarray(lamV, dtype=float))
-    n = model.dims.n
-    cons = model.constraints
-    if cons is None or cons.m == 0:
-        M = model.mass_at(t, q, rho)
-        muV = checked_lu(M, "mass matrix")(lamV)
-        return lamQ.copy(), muV, np.zeros((0, lamQ.shape[1]))
-    if lamLambda is None:
-        lamLambda = np.zeros((cons.m, lamQ.shape[1]))
-    lamLambda = np.atleast_2d(np.asarray(lamLambda, dtype=float))
-    factor = saddle_factor(model.mass_at(t, q, rho), cons.jac_q(t, q, rho), 0.0,
-                           "adjoint KKT matrix")
-    sol = factor(np.vstack([lamV, lamLambda]))
-    return lamQ.copy(), sol[:n], sol[n:]
-
-
-def map_mu_to_lambda(model, t, q, rho, muQ, muV, muGamma):
-    """Inverse of map_lambda_to_mu (a plain block multiplication)."""
-    muQ = np.atleast_2d(np.asarray(muQ, dtype=float))
-    muV = np.atleast_2d(np.asarray(muV, dtype=float))
-    M = model.mass_at(t, q, rho)
-    cons = model.constraints
-    if cons is None or cons.m == 0:
-        return muQ.copy(), M @ muV, np.zeros((0, muQ.shape[1]))
-    muGamma = np.atleast_2d(np.asarray(muGamma, dtype=float))
-    G = cons.jac_q(t, q, rho)
-    lamV = M @ muV + G.T @ muGamma
-    lamLambda = G @ muV
-    return muQ.copy(), lamV, lamLambda

@@ -196,9 +196,9 @@ class _SaddleDynamics:
 
             [f_z; mu_z] = K^-1 [F_z - M_z vdot - d(G^T mu)/dz ; b_z - d(G vdot)/dz].
 
-        Analytic when the constraint set declares ``hessian_constant`` and
-        ``scleronomic`` and phi_q does not depend on rho (assumed, not
-        checked): every d(H_v)/dq and d(phi_q)/drho term then vanishes and
+        Analytic when the constraint set declares ``hessian_constant``
+        (phi_q affine in q and independent of rho; assumed, not checked):
+        every d(H_v)/dq and d(phi_q)/drho term then vanishes and
 
             z = q:    [F_q - M_q vdot - qqT(mu) ; b_q - qq(vdot)]
             z = v:    [F_v ; b_v]
@@ -215,7 +215,7 @@ class _SaddleDynamics:
         of (vdot, mu).
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
-        if not (cons.hessian_constant and cons.scleronomic):
+        if not cons.hessian_constant:
             from .model import fd_jacobian as _fd
 
             def stacked(qq, vv, rr):
@@ -280,7 +280,7 @@ class PenaltyDynamics(_SaddleDynamics):
         """b = -s, s = -C + 2 xi omega phi_d + omega^2 phi, from G = phi_q and
         the acceleration-constraint right side C."""
         cons = self.model.constraints
-        phidot = G @ v + cons.jac_t(t, q, rho)
+        phidot = G @ v
         return -(-C + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
                  + self.pcfg.omega ** 2 * cons.value(t, q, rho))
 
@@ -337,7 +337,7 @@ def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho,
                   cons: ConstraintSet | None = None):
     """Momentum-level KKT solve for an inelastic constraint engagement.
 
-    Solves [[M, G^T], [G, 0]] [v+; dmu] = [M v-; -phi_t] so that v+ carries
+    Solves [[M, G^T], [G, 0]] [v+; dmu] = [M v-; 0] so that v+ carries
     the pre-event momentum projected onto the new velocity-constraint
     manifold.  Kinetic energy never increases across this projection.
     """
@@ -345,5 +345,5 @@ def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho,
     n = model.dims.n
     M = model.mass_at(t_eve, q, rho)
     factor = saddle_factor(M, cons.jac_q(t_eve, q, rho), 0.0, "impulse KKT matrix")
-    sol = factor(np.concatenate([M @ v_minus, -cons.jac_t(t_eve, q, rho)]))
+    sol = factor(np.concatenate([M @ v_minus, np.zeros(cons.m)]))
     return sol[:n], sol[n:]

@@ -112,7 +112,7 @@ def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndar
     f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
     f_q, f_v, f_rho = f_blocks
     if cost is not None:
-        _, g_q, g_v, g_rho = cost_density_gradients(
+        g_q, g_v, g_rho = cost_density_gradients(
             cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
     else:
         g_q = g_v = np.zeros((dims.nc, n))

@@ -223,7 +223,7 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
     return ConstraintSet(
         m=4, phi=phi, phi_q=phi_q, phi_qq_w=phi_qq_w, phi_qq_T_mu=phi_qq_T_mu,
         phi_rho=phi_rho, phi_q_rho_w=phi_q_rho_w,
-        hessian_constant=True, scleronomic=True,
+        hessian_constant=True,
     )
 
 
@@ -336,17 +336,15 @@ def _five_bar_costs() -> dict:
     int_vy2 = CostFunctional(
         nc=1,
         g=lambda t, q, v, a, rho, u: np.array([v[3]]),
-        g_q=lambda *a: zeros16, g_v=lambda *a: sel_vy2,
-        g_vdot=lambda *a: zeros16,
-        g_rho=lambda t, q, v, a, rho, u: np.zeros((1, rho.size)),
+        g_partials=lambda t, q, v, a, rho, u: (zeros16, sel_vy2, zeros16,
+                                               np.zeros((1, rho.size)), None),
         name="int-vy2",
     )
     int_ay2 = CostFunctional(
         nc=1,
         g=lambda t, q, v, a, rho, u: np.array([a[3]]),
-        g_q=lambda *a: zeros16, g_v=lambda *a: zeros16,
-        g_vdot=lambda *a: sel_vy2,
-        g_rho=lambda t, q, v, a, rho, u: np.zeros((1, rho.size)),
+        g_partials=lambda t, q, v, a, rho, u: (zeros16, zeros16, sel_vy2,
+                                               np.zeros((1, rho.size)), None),
         name="int-ay2",
     )
     # integrand ay2^2 + vy2^2, with the acceleration entering through the
@@ -354,16 +352,11 @@ def _five_bar_costs() -> dict:
     int_sq = CostFunctional(
         nc=1,
         g=lambda t, q, v, a, rho, u: np.array([u[0] ** 2 + v[3] ** 2]),
-        g_q=lambda *a: zeros16,
-        g_v=lambda t, q, v, a, rho, u: np.array([[0, 0, 0, 2.0 * v[3], 0, 0]]),
-        g_vdot=lambda *a: zeros16,
-        g_rho=lambda t, q, v, a, rho, u: np.zeros((1, rho.size)),
-        g_u=lambda t, q, v, a, rho, u: np.array([[2.0 * u[0]]]),
+        g_partials=lambda t, q, v, a, rho, u: (
+            zeros16, np.array([[0, 0, 0, 2.0 * v[3], 0, 0]]), zeros16,
+            np.zeros((1, rho.size)), np.array([[2.0 * u[0]]])),
         u_fn=lambda t, q, v, a, rho: np.array([a[3]]),
-        u_q=lambda *a: zeros16, u_v=lambda *a: zeros16,
-        u_vdot=lambda *a: sel_vy2,
-        u_rho=lambda t, q, v, a, rho: np.zeros((1, rho.size)),
-        nu=1,
+        u_partials=lambda t, q, v, a, rho: (zeros16, zeros16, sel_vy2, np.zeros((1, rho.size))),
         name="int-ay2sq-vy2sq",
     )
     return {"int-vy2": int_vy2, "int-ay2": int_ay2, "int-ay2sq-vy2sq": int_sq}
@@ -384,10 +377,9 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty",
         r=lambda q: q[3] - ground,
         dr_dq=lambda q: np.array([0, 0, 0, 1.0, 0, 0]),
         dof_jump=lambda t, q, vdof, rho: np.array([vdof[0], -vdof[1]]),
-        h_t=lambda t, q, vdof, rho: np.zeros(2),
-        h_q=lambda t, q, vdof, rho: np.zeros((2, 6)),
-        h_vdof=lambda t, q, vdof, rho: np.array([[1.0, 0.0], [0.0, -1.0]]),
-        h_rho=lambda t, q, vdof, rho: np.zeros((2, rho.size)),
+        dof_jump_partials=lambda t, q, vdof, rho: (
+            np.zeros(2), np.zeros((2, 6)), np.array([[1.0, 0.0], [0.0, -1.0]]),
+            np.zeros((2, rho.size))),
         partition=DofPartition(n=6, dof=_FIVE_BAR_DOF),
     )
     pm = _FiveBarParameterMap(param_names)
@@ -438,26 +430,22 @@ def bouncing_mass() -> GalleryProblem:
         r=lambda q: q[0],
         dr_dq=lambda q: np.array([1.0]),
         h=lambda t, q, v, rho: np.array([-rho[1] * v[0]]),
-        h_t=lambda t, q, v, rho: np.zeros(1),
-        h_q=lambda t, q, v, rho: np.zeros((1, 1)),
-        h_v=lambda t, q, v, rho: np.array([[-rho[1]]]),
-        h_rho=lambda t, q, v, rho: np.array([[0.0, -v[0]]]),
+        h_partials=lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
+                                         np.array([[-rho[1]]]), np.array([[0.0, -v[0]]])),
     )
     costs = {
         "height-final": CostFunctional(
             nc=1,
             w=lambda t, q, v, rho, u: np.array([q[0]]),
-            w_q=lambda t, q, v, rho, u: np.array([[1.0]]),
-            w_v=lambda t, q, v, rho, u: np.array([[0.0]]),
-            w_rho=lambda t, q, v, rho, u: np.zeros((1, 2)),
+            w_partials=lambda t, q, v, rho, u: (np.array([[1.0]]), np.array([[0.0]]),
+                                                np.zeros((1, 2)), None),
             name="height-final",
         ),
         "int-vy": CostFunctional(
             nc=1,
             g=lambda t, q, v, a, rho, u: np.array([v[0]]),
-            g_q=lambda *a: np.zeros((1, 1)), g_v=lambda *a: np.ones((1, 1)),
-            g_vdot=lambda *a: np.zeros((1, 1)),
-            g_rho=lambda t, q, v, a, rho, u: np.zeros((1, 2)),
+            g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 1)), np.ones((1, 1)),
+                                                   np.zeros((1, 1)), np.zeros((1, 2)), None),
             name="int-vy",
         ),
     }
@@ -527,7 +515,6 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
             phi_rho=lambda t, q, rho: np.zeros((1, 3)),
             phi_q_rho_w=lambda t, q, rho, w: np.zeros((1, 3)),
             hessian_constant=True,
-            scleronomic=True,
         )
 
     return MultibodyModel(
@@ -575,18 +562,15 @@ def pendulum() -> GalleryProblem:
         "x-final": CostFunctional(
             nc=1,
             w=lambda t, q, v, rho, u: np.array([q[0]]),
-            w_q=lambda t, q, v, rho, u: np.array([[1.0, 0.0]]),
-            w_v=lambda t, q, v, rho, u: np.zeros((1, 2)),
-            w_rho=lambda t, q, v, rho, u: np.zeros((1, 3)),
+            w_partials=lambda t, q, v, rho, u: (np.array([[1.0, 0.0]]), np.zeros((1, 2)),
+                                                np.zeros((1, 3)), None),
             name="x-final",
         ),
         "int-vx": CostFunctional(
             nc=1,
             g=lambda t, q, v, a, rho, u: np.array([v[0]]),
-            g_q=lambda *a: np.zeros((1, 2)),
-            g_v=lambda *a: np.array([[1.0, 0.0]]),
-            g_vdot=lambda *a: np.zeros((1, 2)),
-            g_rho=lambda t, q, v, a, rho, u: np.zeros((1, 3)),
+            g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+                                                   np.zeros((1, 2)), np.zeros((1, 3)), None),
             name="int-vx",
         ),
     }

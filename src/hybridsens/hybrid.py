@@ -31,7 +31,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import AdjointState, Dimensions, SensitivityState
-from .model import fd_jacobian, fd_derivative, ConstraintSet
+from .model import fd_jacobian, fd_derivative, ConstraintSet, _partials
 from . import constrained as _constrained
 
 TRANSVERSALITY_RTOL = 1e-8
@@ -111,19 +111,13 @@ class EventSpec:
         return None
 
 
-def _jump_jacobians(jump, partials, t, q, v, rho):
-    """(h_t, h_q, h_v, h_rho) of a jump map v+ = jump(t, q, v, rho): the
-    supplied partials, central differences for any not supplied."""
-    h_t, h_q, h_v, h_rho = partials
-    ht = (np.asarray(h_t(t, q, v, rho), dtype=float) if h_t is not None
-          else fd_derivative(lambda tt: jump(tt, q, v, rho), t))
-    hq = (np.asarray(h_q(t, q, v, rho), dtype=float) if h_q is not None
-          else fd_jacobian(lambda qq: jump(t, qq, v, rho), q))
-    hv = (np.asarray(h_v(t, q, v, rho), dtype=float) if h_v is not None
-          else fd_jacobian(lambda vv: jump(t, q, vv, rho), v))
-    hrho = (np.asarray(h_rho(t, q, v, rho), dtype=float) if h_rho is not None
-            else fd_jacobian(lambda rr: jump(t, q, v, rr), rho))
-    return ht.reshape(-1), hq, hv, hrho
+def _jump_jacobians(what, partials, jump, t, q, v, rho):
+    """(h_t, h_q, h_v, h_rho) of a jump map v+ = jump(t, q, v, rho): those of
+    the ``partials`` callback, else central differences."""
+    f = v.size
+    return _partials(partials, what, jump, (t, q, v, rho),
+                     (("h_t", (f,)), ("h_q", (f, q.size)), ("h_v", (f, f)),
+                      ("h_rho", (f, rho.size))))
 
 
 def _dependent_solve(spec, G):
@@ -156,21 +150,19 @@ def _dependent_blocks(spec, cons: ConstraintSet, t, q, rho, A):
 
 @dataclass
 class VelocityJumpEvent(EventSpec):
-    """v+ = h(t_eve, q, v-, rho) acting on the full velocity vector."""
+    """v+ = h(t_eve, q, v-, rho) acting on the full velocity vector, with
+    the optional callback h_partials(t, q, v, rho) -> (h_t, h_q, h_v, h_rho)."""
 
     h: Callable = None
-    h_t: Callable | None = None
-    h_q: Callable | None = None
-    h_v: Callable | None = None
-    h_rho: Callable | None = None
+    h_partials: Callable | None = None
     post_dynamics: object = None
 
     def jump(self, t, q, v, rho) -> np.ndarray:
         return np.asarray(self.h(t, q, v, rho), dtype=float)
 
     def jacobians(self, t, q, v, rho):
-        return _jump_jacobians(self.jump, (self.h_t, self.h_q, self.h_v, self.h_rho),
-                               t, q, v, rho)
+        return _jump_jacobians(f"h_partials of event '{self.name}'", self.h_partials,
+                               self.jump, t, q, v, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus)
@@ -195,10 +187,8 @@ class RhsSwitchEvent(VelocityJumpEvent):
         if self.post_dynamics is None:
             raise ValueError(f"event '{self.name}': a switch event needs post_dynamics")
         self.h = lambda t, q, v, rho: v.copy()
-        self.h_t = lambda t, q, v, rho: np.zeros(v.size)
-        self.h_q = lambda t, q, v, rho: np.zeros((v.size, q.size))
-        self.h_v = lambda t, q, v, rho: np.eye(v.size)
-        self.h_rho = lambda t, q, v, rho: np.zeros((v.size, rho.size))
+        self.h_partials = lambda t, q, v, rho: (np.zeros(v.size), np.zeros((v.size, q.size)),
+                                                np.eye(v.size), np.zeros((v.size, rho.size)))
 
 
 @dataclass
@@ -207,21 +197,20 @@ class ConstrainedElasticEvent(EventSpec):
 
     The constraint set is unchanged across the event; the dependent
     velocities after the jump follow from the velocity-level constraints.
+    The optional callback dof_jump_partials(t, q, v_dof, rho) returns
+    (h_t, h_q, h_v, h_rho) of ``dof_jump``, h_v its partial in v_dof.
     """
 
     dof_jump: Callable = None  # (t, q, v_dof, rho) -> (f,)
     partition: DofPartition = None
-    h_t: Callable | None = None
-    h_q: Callable | None = None
-    h_vdof: Callable | None = None
-    h_rho: Callable | None = None
+    dof_jump_partials: Callable | None = None
 
     def jump_dof(self, t, q, v_dof, rho) -> np.ndarray:
         return np.asarray(self.dof_jump(t, q, v_dof, rho), dtype=float)
 
     def jacobians(self, t, q, v_dof, rho):
-        return _jump_jacobians(self.jump_dof, (self.h_t, self.h_q, self.h_vdof, self.h_rho),
-                               t, q, v_dof, rho)
+        return _jump_jacobians(f"dof_jump_partials of event '{self.name}'",
+                               self.dof_jump_partials, self.jump_dof, t, q, v_dof, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         dof, dep = list(self.partition.dof), list(self.partition.dep)
@@ -231,7 +220,7 @@ class ConstrainedElasticEvent(EventSpec):
         lu = _dependent_solve(self, G)
         v_plus = np.empty_like(v_minus)
         v_plus[dof] = v_dof_plus
-        v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus + cons.jac_t(t, q, rho)))
+        v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus))
         return v_plus, None, dyn_minus
 
     def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
@@ -240,8 +229,8 @@ class ConstrainedElasticEvent(EventSpec):
         cons = dyn_plus.model.constraints
         dof, dep = list(self.partition.dof), list(self.partition.dep)
         lu, R, D, SQQ, SQG = _dependent_blocks(self, cons, t, q, rho, A)
-        Rbar = -lu(cons.qq_action(t, q, rho, v_plus) + cons.tq_jac(t, q, rho))
-        Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus) + cons.t_rho_jac(t, q, rho))
+        Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
+        Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
 
         ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
         bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht

@@ -59,6 +59,40 @@ def fd_derivative(fun: Callable[[float], np.ndarray], x: float) -> np.ndarray:
     return (np.asarray(fun(x + h), dtype=float) - np.asarray(fun(x - h), dtype=float)) / (2.0 * h)
 
 
+def _partials(callback, what, fun, args, blocks):
+    """Partials of fun(*args) in its trailing arguments, one per (name,
+    shape) of ``blocks``; a block whose shape is None (an absent argument)
+    is None.
+
+    With a ``callback``, ``callback(*args)`` returns all blocks at once and
+    each is checked against its shape: a mismatch raises a DimensionError
+    naming ``what`` and the block.  Without one, every block is a central
+    difference of fun (``fd_derivative`` in a scalar argument).
+    """
+    if callback is not None:
+        out = tuple(callback(*args))
+        if len(out) != len(blocks):
+            raise DimensionError(f"{what} returned {len(out)} blocks; expected "
+                                 + ", ".join(name for name, _ in blocks))
+        out = tuple(None if shape is None else np.asarray(b, dtype=float)
+                    for b, (_, shape) in zip(out, blocks))
+        bad = [f"{name} of shape {b.shape} (expected {shape})"
+               for b, (name, shape) in zip(out, blocks) if b is not None and b.shape != shape]
+        if bad:
+            raise DimensionError(f"{what} returned " + ", ".join(bad))
+        return out
+    out = []
+    for i, (_, shape) in enumerate(blocks, len(args) - len(blocks)):
+        if shape is None:
+            out.append(None)
+            continue
+
+        def at(x, i=i):
+            return fun(*args[:i], x, *args[i + 1:])
+        out.append((fd_derivative if np.ndim(args[i]) == 0 else fd_jacobian)(at, args[i]))
+    return tuple(out)
+
+
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
@@ -91,25 +125,22 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:
 
 @dataclass
 class ConstraintSet:
-    """Holonomic constraints Phi(t, q, rho) = 0 and their derivative actions.
+    """Holonomic constraints Phi(q, rho) = 0 and their derivative actions.
 
-    Only ``phi`` is mandatory.  Second-derivative actions are accepted as
-    directional callbacks (never full third-order tensors):
+    The constraints do not depend on time; every callback still takes t
+    first, as the model's do.  Only ``phi`` is mandatory.  Second-derivative
+    actions are accepted as directional callbacks (never full third-order
+    tensors):
 
     phi_q(t,q,rho)          -> (m, n)   Jacobian d Phi / d q
-    phi_t(t,q,rho)          -> (m,)     partial d Phi / d t
     phi_qq_w(t,q,rho,w)     -> (m, n)   d(phi_q @ w)/dq, w held fixed
     phi_qq_T_mu(t,q,rho,mu) -> (n, n)   d(phi_q.T @ mu)/dq, mu held fixed
-    phi_t_q(t,q,rho)        -> (m, n)   d(phi_t)/dq
-    phi_tt(t,q,rho)         -> (m,)     d(phi_t)/dt
     phi_rho(t,q,rho)        -> (m, p)   d Phi / d rho
     phi_q_rho_w(t,q,rho,w)  -> (m, p)   d(phi_q @ w)/drho
-    phi_t_rho(t,q,rho)      -> (m, p)   d(phi_t)/drho
 
     ``hessian_constant`` declares that phi_q is affine in q (quadratic
-    constraints), i.e. d/dq of any phi_qq_w action vanishes.  A set declaring
-    both ``hessian_constant`` and ``scleronomic`` declares phi_q affine in q
-    and independent of rho; the analytic Jacobians of both constrained
+    constraints) and independent of rho, i.e. d/dq of any phi_qq_w action
+    and d(phi_q)/drho vanish.  The analytic Jacobians of both constrained
     formulations (penalty and index-1 DAE) rely on this, and it is not
     checked.
     """
@@ -117,16 +148,11 @@ class ConstraintSet:
     m: int
     phi: Callable
     phi_q: Callable | None = None
-    phi_t: Callable | None = None
     phi_qq_w: Callable | None = None
     phi_qq_T_mu: Callable | None = None
-    phi_t_q: Callable | None = None
-    phi_tt: Callable | None = None
     phi_rho: Callable | None = None
     phi_q_rho_w: Callable | None = None
-    phi_t_rho: Callable | None = None
     hessian_constant: bool = False
-    scleronomic: bool = True
 
     # -- evaluations with finite-difference fallbacks ---------------------
 
@@ -137,13 +163,6 @@ class ConstraintSet:
         if self.phi_q is not None:
             return np.asarray(self.phi_q(t, q, rho), dtype=float)
         return fd_jacobian(lambda qq: self.value(t, qq, rho), q)
-
-    def jac_t(self, t, q, rho) -> np.ndarray:
-        if self.scleronomic:
-            return np.zeros(self.m)
-        if self.phi_t is not None:
-            return np.asarray(self.phi_t(t, q, rho), dtype=float)
-        return fd_derivative(lambda tt: self.value(tt, q, rho), t)
 
     def qq_action(self, t, q, rho, w) -> np.ndarray:
         """d(phi_q @ w)/dq as an (m, n) matrix."""
@@ -157,20 +176,6 @@ class ConstraintSet:
             return np.asarray(self.phi_qq_T_mu(t, q, rho, mu), dtype=float)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho).T @ mu, q)
 
-    def tq_jac(self, t, q, rho) -> np.ndarray:
-        if self.scleronomic:
-            return np.zeros((self.m, q.size))
-        if self.phi_t_q is not None:
-            return np.asarray(self.phi_t_q(t, q, rho), dtype=float)
-        return fd_jacobian(lambda qq: self.jac_t(t, qq, rho), q)
-
-    def tt_value(self, t, q, rho) -> np.ndarray:
-        if self.scleronomic:
-            return np.zeros(self.m)
-        if self.phi_tt is not None:
-            return np.asarray(self.phi_tt(t, q, rho), dtype=float)
-        return fd_derivative(lambda tt: self.jac_t(tt, q, rho), t)
-
     def jac_rho(self, t, q, rho) -> np.ndarray:
         if self.phi_rho is not None:
             return np.asarray(self.phi_rho(t, q, rho), dtype=float)
@@ -181,24 +186,15 @@ class ConstraintSet:
             return np.asarray(self.phi_q_rho_w(t, q, rho, w), dtype=float)
         return fd_jacobian(lambda rr: self.jac_q(t, q, rr) @ w, rho)
 
-    def t_rho_jac(self, t, q, rho) -> np.ndarray:
-        if self.scleronomic:
-            return np.zeros((self.m, np.asarray(rho).size))
-        if self.phi_t_rho is not None:
-            return np.asarray(self.phi_t_rho(t, q, rho), dtype=float)
-        return fd_jacobian(lambda rr: self.jac_t(t, q, rr), rho)
-
     # -- derived kinematic quantities --------------------------------------
 
     def velocity_residual(self, t, q, v, rho) -> np.ndarray:
-        """d/dt Phi = phi_q v + phi_t (zero on the constraint manifold)."""
-        return self.jac_q(t, q, rho) @ v + self.jac_t(t, q, rho)
+        """d/dt Phi = phi_q v (zero on the constraint manifold)."""
+        return self.jac_q(t, q, rho) @ v
 
     def accel_rhs(self, t, q, v, rho) -> np.ndarray:
         """Right side C of the acceleration constraint phi_q vdot = C."""
-        return -(self.qq_action(t, q, rho, v) @ v
-                 + self.tq_jac(t, q, rho) @ v
-                 + self.tt_value(t, q, rho))
+        return -(self.qq_action(t, q, rho, v) @ v)
 
 
 @dataclass
@@ -258,17 +254,9 @@ class MultibodyModel:
         """(F_q, F_v, F_rho) at one state: ``force_partials`` if supplied,
         its block shapes checked, else central differences of ``force`` for
         all three blocks."""
-        if self.force_partials is None:
-            return (fd_jacobian(lambda qq: self.force_at(t, qq, v, rho), q),
-                    fd_jacobian(lambda vv: self.force_at(t, q, vv, rho), v),
-                    fd_jacobian(lambda rr: self.force_at(t, q, v, rr), rho))
-        F_q, F_v, F_rho = (np.asarray(b, dtype=float) for b in self.force_partials(t, q, v, rho))
         n, p = self.dims.n, self.dims.p
-        if F_q.shape != (n, n) or F_v.shape != (n, n) or F_rho.shape != (n, p):
-            raise DimensionError(
-                f"force_partials of '{self.name}' returned F_q, F_v, F_rho of shapes "
-                f"{F_q.shape}, {F_v.shape}, {F_rho.shape}; expected {(n, n)}, {(n, n)}, {(n, p)}")
-        return F_q, F_v, F_rho
+        return _partials(self.force_partials, f"force_partials of '{self.name}'", self.force_at,
+                         (t, q, v, rho), (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p))))
 
 
 class OdeDynamics:
@@ -328,11 +316,21 @@ class CostFunctional:
     g(t, q, v, vdot, rho, u) -> (nc,)
     w(tF, q, v, rho, u)      -> (nc,)
 
-    The optional argument function u(t, q, v, vdot, rho) -> (nu,) is composed
-    into both.  The terminal cost has no direct acceleration or multiplier
-    argument (its resolved gradients would otherwise require the sensitivity
-    of the final acceleration, which the terminal condition structure does
-    not provide); acceleration may still enter w through u.
+    The optional argument function u(t, q, v, vdot, rho) is composed into
+    both; the size of u is that of its value.  The terminal cost has no
+    direct acceleration or multiplier argument (its resolved gradients would
+    otherwise require the sensitivity of the final acceleration, which the
+    terminal condition structure does not provide); acceleration may still
+    enter w through u.
+
+    Each function's partials come from one optional callback, evaluated once
+    per state; without it every block is a central difference:
+
+    g_partials(t,q,v,vdot,rho,u) -> (g_q, g_v, g_vdot, g_rho, g_u)
+    u_partials(t,q,v,vdot,rho)   -> (u_q, u_v, u_vdot, u_rho)
+    w_partials(t,q,v,rho,u)      -> (w_q, w_v, w_rho, w_u)
+
+    with g_u and w_u None when the cost has no ``u_fn``.
 
     A dependence of the density on the constraint multipliers of an index-1
     formulation is declared separately through ``g_of_mu`` (an additive term
@@ -344,23 +342,9 @@ class CostFunctional:
     g: Callable | None = None
     w: Callable | None = None
     u_fn: Callable | None = None
-    nu: int = 0
-    # analytic partials of g (each optional; FD fallback otherwise)
-    g_q: Callable | None = None
-    g_v: Callable | None = None
-    g_vdot: Callable | None = None
-    g_rho: Callable | None = None
-    g_u: Callable | None = None
-    # analytic partials of u
-    u_q: Callable | None = None
-    u_v: Callable | None = None
-    u_vdot: Callable | None = None
-    u_rho: Callable | None = None
-    # analytic partials of w
-    w_q: Callable | None = None
-    w_v: Callable | None = None
-    w_rho: Callable | None = None
-    w_u: Callable | None = None
+    g_partials: Callable | None = None
+    u_partials: Callable | None = None
+    w_partials: Callable | None = None
     # multiplier dependence of g for constrained dynamics
     g_of_mu: Callable | None = None      # g_of_mu(t,q,v,vdot,rho,mu) -> (nc,) additive term
     g_of_mu_jac: Callable | None = None  # d(g_of_mu)/dmu -> (nc, m)
@@ -389,67 +373,35 @@ class CostFunctional:
             return np.zeros(self.nc)
         return np.atleast_1d(np.asarray(self.w(t, q, v, rho, u), dtype=float))
 
-    # -- partials with FD fallback -------------------------------------------
+    # -- partials: the callback, or central differences ----------------------
 
-    def g_partials(self, t, q, v, vdot, rho):
-        """Partial derivatives of g with (t, q, v, vdot, rho) all independent."""
-        u = self._u(t, q, v, vdot, rho)
-        gq = (np.asarray(self.g_q(t, q, v, vdot, rho, u), dtype=float)
-              if self.g_q is not None else
-              fd_jacobian(lambda qq: np.atleast_1d(self.g(t, qq, v, vdot, rho, u)), q))
-        gv = (np.asarray(self.g_v(t, q, v, vdot, rho, u), dtype=float)
-              if self.g_v is not None else
-              fd_jacobian(lambda vv: np.atleast_1d(self.g(t, q, vv, vdot, rho, u)), v))
-        ga = (np.asarray(self.g_vdot(t, q, v, vdot, rho, u), dtype=float)
-              if self.g_vdot is not None else
-              fd_jacobian(lambda aa: np.atleast_1d(self.g(t, q, v, aa, rho, u)), vdot))
-        gr = (np.asarray(self.g_rho(t, q, v, vdot, rho, u), dtype=float)
-              if self.g_rho is not None else
-              fd_jacobian(lambda rr: np.atleast_1d(self.g(t, q, v, vdot, rr, u)), rho))
-        if u is None:
-            gu = None
-        else:
-            gu = (np.asarray(self.g_u(t, q, v, vdot, rho, u), dtype=float)
-                  if self.g_u is not None else
-                  fd_jacobian(lambda uu: np.atleast_1d(self.g(t, q, v, vdot, rho, uu)), u))
-        return gq.reshape(self.nc, q.size), gv.reshape(self.nc, v.size), \
-            ga.reshape(self.nc, vdot.size), gr.reshape(self.nc, rho.size), gu
+    def g_jacobians(self, t, q, v, vdot, rho, u):
+        """(g_q, g_v, g_vdot, g_rho, g_u) with (t, q, v, vdot, rho, u) all
+        independent; g_u is None without u."""
+        nc, n = self.nc, q.size
+        return _partials(self.g_partials, f"g_partials of cost '{self.name}'",
+                         lambda *a: np.atleast_1d(self.g(*a)), (t, q, v, vdot, rho, u),
+                         (("g_q", (nc, n)), ("g_v", (nc, n)), ("g_vdot", (nc, n)),
+                          ("g_rho", (nc, rho.size)),
+                          ("g_u", None if u is None else (nc, u.size))))
 
-    def u_partials(self, t, q, v, vdot, rho):
-        uq = (np.asarray(self.u_q(t, q, v, vdot, rho), dtype=float)
-              if self.u_q is not None else
-              fd_jacobian(lambda qq: np.atleast_1d(self.u_fn(t, qq, v, vdot, rho)), q))
-        uv = (np.asarray(self.u_v(t, q, v, vdot, rho), dtype=float)
-              if self.u_v is not None else
-              fd_jacobian(lambda vv: np.atleast_1d(self.u_fn(t, q, vv, vdot, rho)), v))
-        ua = (np.asarray(self.u_vdot(t, q, v, vdot, rho), dtype=float)
-              if self.u_vdot is not None else
-              fd_jacobian(lambda aa: np.atleast_1d(self.u_fn(t, q, v, aa, rho)), vdot))
-        ur = (np.asarray(self.u_rho(t, q, v, vdot, rho), dtype=float)
-              if self.u_rho is not None else
-              fd_jacobian(lambda rr: np.atleast_1d(self.u_fn(t, q, v, vdot, rr)), rho))
-        nu = np.atleast_1d(self.u_fn(t, q, v, vdot, rho)).size
-        return (uq.reshape(nu, q.size), uv.reshape(nu, v.size),
-                ua.reshape(nu, vdot.size), ur.reshape(nu, rho.size))
+    def u_jacobians(self, t, q, v, vdot, rho, u):
+        """(u_q, u_v, u_vdot, u_rho) of the argument function, whose value
+        at this state is u."""
+        nu, n = u.size, q.size
+        return _partials(self.u_partials, f"u_partials of cost '{self.name}'",
+                         lambda *a: np.atleast_1d(self.u_fn(*a)), (t, q, v, vdot, rho),
+                         (("u_q", (nu, n)), ("u_v", (nu, n)), ("u_vdot", (nu, n)),
+                          ("u_rho", (nu, rho.size))))
 
-    def w_partials(self, t, q, v, rho, u):
-        wq = (np.asarray(self.w_q(t, q, v, rho, u), dtype=float)
-              if self.w_q is not None else
-              fd_jacobian(lambda qq: np.atleast_1d(self.w(t, qq, v, rho, u)), q))
-        wv = (np.asarray(self.w_v(t, q, v, rho, u), dtype=float)
-              if self.w_v is not None else
-              fd_jacobian(lambda vv: np.atleast_1d(self.w(t, q, vv, rho, u)), v))
-        wr = (np.asarray(self.w_rho(t, q, v, rho, u), dtype=float)
-              if self.w_rho is not None else
-              fd_jacobian(lambda rr: np.atleast_1d(self.w(t, q, v, rr, u)), rho))
-        if u is None:
-            wu = None
-        else:
-            wu = (np.asarray(self.w_u(t, q, v, rho, u), dtype=float)
-                  if self.w_u is not None else
-                  fd_jacobian(lambda uu: np.atleast_1d(self.w(t, q, v, rho, uu)), u))
-        return (wq.reshape(self.nc, q.size), wv.reshape(self.nc, v.size),
-                wr.reshape(self.nc, rho.size), wu)
+    def w_jacobians(self, t, q, v, rho, u):
+        """(w_q, w_v, w_rho, w_u) with (t, q, v, rho, u) all independent;
+        w_u is None without u."""
+        nc, n = self.nc, q.size
+        return _partials(self.w_partials, f"w_partials of cost '{self.name}'",
+                         lambda *a: np.atleast_1d(self.w(*a)), (t, q, v, rho, u),
+                         (("w_q", (nc, n)), ("w_v", (nc, n)), ("w_rho", (nc, rho.size)),
+                          ("w_u", None if u is None else (nc, u.size))))
 
     def mu_jacobian(self, t, q, v, vdot, rho, mu):
         if self.g_of_mu is None:
@@ -477,7 +429,8 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         resolved_g_zeta = g_zeta + g_vdot f_zeta + g_u (u_zeta + u_vdot f_zeta)
                           [+ g_mu fmu_zeta for constrained dynamics]
 
-    for zeta in {q, v, rho}.  Returns (value, g_q, g_v, g_rho).
+    for zeta in {q, v, rho}.  Returns (g_q, g_v, g_rho); the density value
+    is ``cost_density_value``.
 
     ``f_blocks`` lets a caller that already evaluated dyn.jacobians at this
     state pass them in; otherwise they are computed here.
@@ -486,17 +439,17 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
     if cost.g is None:
         nc, n, p = cost.nc, q.size, rho.size
-        z = np.zeros
-        return z(nc), z((nc, n)), z((nc, n)), z((nc, p))
+        return np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p))
 
-    gq, gv, ga, gr, gu = cost.g_partials(t, q, v, vdot, rho)
+    u = cost._u(t, q, v, vdot, rho)
+    gq, gv, ga, gr, gu = cost.g_jacobians(t, q, v, vdot, rho, u)
     needs_f = np.any(ga) or (gu is not None) or (cost.g_of_mu is not None)
     if needs_f:
         if f_blocks is None:
             f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
         f_q, f_v, f_rho = f_blocks
     if gu is not None:
-        uq, uv, ua, ur = cost.u_partials(t, q, v, vdot, rho)
+        uq, uv, ua, ur = cost.u_jacobians(t, q, v, vdot, rho, u)
         gq = gq + gu @ (uq + ua @ f_q)
         gv = gv + gu @ (uv + ua @ f_v)
         gr = gr + gu @ (ur + ua @ f_rho)
@@ -513,8 +466,7 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         gq = gq + gmu @ fmu_q
         gv = gv + gmu @ fmu_v
         gr = gr + gmu @ fmu_rho
-    value = cost.g_value(t, q, v, vdot, rho, mu=mu)
-    return value, gq, gv, gr
+    return gq, gv, gr
 
 
 def terminal_cost_gradients(cost: CostFunctional, dyn, tF, q, v, rho):
@@ -530,9 +482,9 @@ def terminal_cost_gradients(cost: CostFunctional, dyn, tF, q, v, rho):
     vdot, _ = dyn.accel_and_multipliers(tF, q, v, rho)
     u = cost._u(tF, q, v, vdot, rho)
     wval = cost.w_value(tF, q, v, rho, u)
-    wq, wv, wr, wu = cost.w_partials(tF, q, v, rho, u)
+    wq, wv, wr, wu = cost.w_jacobians(tF, q, v, rho, u)
     if wu is not None:
-        uq, uv, ua, ur = cost.u_partials(tF, q, v, vdot, rho)
+        uq, uv, ua, ur = cost.u_jacobians(tF, q, v, vdot, rho, u)
         if np.any(ua):
             f_q, f_v, f_rho = dyn.jacobians(tF, q, v, rho, vdot=vdot)
             uq = uq + ua @ f_q

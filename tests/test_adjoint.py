@@ -1,10 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hybridsens.adjoint import (
     assemble_cost_sensitivity_adjoint,
-    map_lambda_to_mu,
-    map_mu_to_lambda,
     propagate_adjoint,
     terminal_conditions,
 )
@@ -62,7 +62,6 @@ def test_terminal_conditions_with_u_chain(curved_mass):
         nc=1,
         w=lambda t, q, v, rho, u: np.array([u[0] ** 2]),
         u_fn=lambda t, q, v, a, rho: np.array([v[1]]),
-        nu=1,
     )
     args = (0.3, np.array([0.2, -0.1]), np.array([0.4, 0.9]), np.array([2.0, 1.0]))
     la = terminal_conditions(w_direct, dyn, *args)
@@ -161,41 +160,6 @@ def test_assemble_adjoint_parameter_only():
                        np.array([[0.4], [-0.2]]), np.eye(1))
     out = assemble_cost_sensitivity_adjoint(lam, np.zeros((2, 2)), np.zeros((2, 2)))
     assert np.allclose(out, [[0.4, -0.2]])
-
-
-# -- multiplier-representation map -------------------------------------------
-
-
-def test_map_identity_without_constraints():
-    model = free_fall_model()
-    lamQ, lamV = np.array([[0.3]]), np.array([[0.8]])
-    muQ, muV, muG = map_lambda_to_mu(model, 0.0, np.ones(1), np.ones(1),
-                                     lamQ, lamV, None)
-    assert np.allclose(muQ, lamQ)
-    assert np.allclose(muV, lamV)   # identity mass
-    assert muG.shape == (0, 1)
-
-
-def test_map_roundtrip_pendulum():
-    from hybridsens.gallery import pendulum_swing_model
-
-    model = pendulum_swing_model()
-    rho = np.array([0.1, -1.0, 1.3])
-    q = np.array([np.sin(0.6), -np.cos(0.6)])
-    rng = np.random.default_rng(8)
-    lamQ = rng.normal(size=(2, 1))
-    lamV = rng.normal(size=(2, 1))
-    lamL = np.zeros((1, 1))
-    muQ, muV, muG = map_lambda_to_mu(model, 0.0, q, rho, lamQ, lamV, lamL)
-    # the defining relation: M muV + G^T muG = lamV and G muV = lamLambda
-    M = model.mass_at(0.0, q, rho)
-    Gm = model.constraints.jac_q(0.0, q, rho)
-    assert np.max(np.abs(M @ muV + Gm.T @ muG - lamV)) < 1e-12
-    assert np.max(np.abs(Gm @ muV - lamL)) < 1e-12
-    lamQ2, lamV2, lamL2 = map_mu_to_lambda(model, 0.0, q, rho, muQ, muV, muG)
-    assert np.max(np.abs(lamQ2 - lamQ)) < 1e-12
-    assert np.max(np.abs(lamV2 - lamV)) < 1e-12
-    assert np.max(np.abs(lamL2 - lamL)) < 1e-12
 
 
 def test_pendulum_capture_adjoint_equals_direct():
@@ -301,3 +265,38 @@ def test_lam_at_factors_once_per_evaluation(monkeypatch):
         sol.lam_at(0.5 * (nodes[i] + nodes[i + 1]))
     assert counts["evaluations"] > 0
     assert counts["factorizations"] <= counts["evaluations"]
+
+
+def test_sweeps_never_evaluate_the_cost_density(monkeypatch):
+    # the tangent and adjoint sweeps need the density's gradients only: the
+    # density itself is integrated by the forward run and never evaluated
+    # again
+    import hybridsens.direct as direct
+    from hybridsens.gallery import five_bar
+
+    prob = five_bar()
+    base = prob.cost("int-ay2sq-vy2sq")
+    calls = {"forward": 0, "sweep": 0}
+    phase = ["forward"]
+
+    def g(*args):
+        calls[phase[0]] += 1
+        return base.g(*args)
+
+    def in_sweep(step):
+        def wrapper(*args):
+            phase[0] = "sweep"
+            try:
+                return step(*args)
+            finally:
+                phase[0] = "forward"
+        return wrapper
+
+    cost = dataclasses.replace(base, g=g)
+    monkeypatch.setattr(direct, "_step_tangent", in_sweep(direct._step_tangent))
+    traj, _, _ = propagate_direct(prob.dynamics, cost, prob.events, prob.rho0.rho,
+                                  (0.0, 0.9), prob.config)
+    assert len(traj.events) == 2
+    assert calls["forward"] > 0
+    in_sweep(propagate_adjoint)(traj, cost)
+    assert calls["sweep"] == 0

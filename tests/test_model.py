@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_eom_jacobians_defining_identity(curved_mass):
 def test_force_partials_shape_guard():
     # a (p,) F_rho would broadcast silently across all n rows of the
     # Jacobian assembly; force_jacobians refuses it by name
-    from hybridsens.gallery import pendulum_model
+    from hybridsens.gallery import bouncing_mass, five_bar, pendulum_model
 
     model = pendulum_model()
     model.force_partials = lambda t, q, v, rho: (np.zeros((2, 2)), np.zeros((2, 2)),
@@ -155,6 +156,31 @@ def test_force_partials_shape_guard():
         model.force_jacobians(*state)
     with pytest.raises(DimensionError, match="force_partials"):
         DaeDynamics(model).jacobians(*state)
+
+    # so is every cost and jump-map partials callback, block by block
+    t, q, v, a, rho, u = 0.1, np.ones(2), np.ones(2), np.ones(2), np.ones(1), np.ones(1)
+    wrong_g = CostFunctional(
+        nc=1, g=lambda t, q, v, a, rho, u: np.array([v[1] + u[0]]),
+        g_partials=lambda *args: (np.zeros((1, 2)), np.array([0.0, 1.0]), np.zeros((1, 2)),
+                                  np.zeros((1, 1)), np.ones((1, 1))))
+    with pytest.raises(DimensionError, match="g_partials.*g_v"):
+        wrong_g.g_jacobians(t, q, v, a, rho, u)
+    wrong_w = CostFunctional(
+        nc=1, w=lambda t, q, v, rho, u: np.array([q[0]]),
+        w_partials=lambda *args: (np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.zeros(1), None))
+    with pytest.raises(DimensionError, match="w_partials.*w_rho"):
+        wrong_w.w_jacobians(t, q, v, rho, None)
+
+    event = bouncing_mass().events[0]
+    event.h_partials = lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
+                                             np.array([[-rho[1]]]), np.array([0.0, -v[0]]))
+    with pytest.raises(DimensionError, match="h_partials.*h_rho"):
+        event.jacobians(0.0, np.zeros(1), np.array([-1.0]), np.array([1.0, 0.9]))
+    event = five_bar().events[0]
+    event.dof_jump_partials = lambda t, q, vdof, rho: (np.zeros(2), np.zeros((2, 2)),
+                                                       np.eye(2), np.zeros((2, rho.size)))
+    with pytest.raises(DimensionError, match="dof_jump_partials.*h_q"):
+        event.jacobians(0.0, np.zeros(6), np.array([0.1, -1.0]), np.array([100.0, 100.0]))
 
 
 def test_f_rho_free_fall():
@@ -178,9 +204,9 @@ def quadratic_cost():
 def test_cost_density_selector_velocity():
     dyn = OdeDynamics(planar_free_fall())
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([v[1]]))
-    val, gq, gv, gr = cost_density_gradients(cost, dyn, 0.0, np.zeros(2),
-                                             np.array([0.1, -2.0]), np.array([G]))
-    assert np.allclose(val, [-2.0])
+    state = (0.0, np.zeros(2), np.array([0.1, -2.0]), np.array([G]))
+    gq, gv, gr = cost_density_gradients(cost, dyn, *state)
+    assert np.allclose(cost_density_value(cost, dyn, *state), [-2.0])
     assert np.allclose(gv, [[0.0, 1.0]], atol=1e-9)
     assert np.allclose(gq, 0.0, atol=1e-9)
 
@@ -189,7 +215,7 @@ def test_cost_density_acceleration_chain(curved_mass):
     model, dyn = curved_mass
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([a[1]]))
     t, q, v, rho = 0.1, np.array([0.3, 0.2]), np.array([0.4, -0.5]), np.array([2.0, 1.0])
-    _, gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
+    gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
     f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)
     assert np.allclose(gq, f_q[1:2, :], rtol=1e-7, atol=1e-9)
     assert np.allclose(gv, f_v[1:2, :], rtol=1e-7, atol=1e-9)
@@ -200,7 +226,7 @@ def test_cost_density_gradients_match_fd(curved_mass):
     model, dyn = curved_mass
     cost = quadratic_cost()
     t, q, v, rho = 0.2, np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([2.5, 1.2])
-    _, gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
+    gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
     fd_q = fd_jacobian(lambda qq: cost_density_value(cost, dyn, t, qq, v, rho), q)
     fd_v = fd_jacobian(lambda vv: cost_density_value(cost, dyn, t, q, vv, rho), v)
     fd_r = fd_jacobian(lambda rr: cost_density_value(cost, dyn, t, q, v, rr), rho)
@@ -217,7 +243,6 @@ def test_cost_density_u_chain_matches_direct_form(curved_mass):
         nc=1,
         g=lambda t, q, v, a, rho, u: np.array([u[0] ** 2 + v[1] ** 2]),
         u_fn=lambda t, q, v, a, rho: np.array([a[1]]),
-        nu=1,
     )
     t, q, v, rho = 0.4, np.array([-0.2, 0.3]), np.array([0.5, -0.1]), np.array([1.0, 2.0])
     out_a = cost_density_gradients(direct_form, dyn, t, q, v, rho)
@@ -285,3 +310,55 @@ def test_gallery_analytic_partials_match_fd():
                 assert np.max(np.abs(cons.qqT_action(t, q, rho, mu) - fd_qqT)) < 1e-5
                 fd_pr = fd_jacobian(lambda rr: cons.value(t, q, rr), rho)
                 assert np.max(np.abs(cons.jac_rho(t, q, rho) - fd_pr)) < 1e-5
+
+
+def _gallery_cost_and_jump_cases():
+    from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
+
+    problems = (("five-bar", five_bar()), ("five-bar-all-parameters", five_bar(FIVE_BAR_PARAMS)),
+                ("bouncing-mass", bouncing_mass()), ("pendulum", pendulum()))
+    for label, prob in problems:
+        for name in sorted(prob.costs):
+            yield pytest.param(prob, prob.costs[name], None, id=f"{label}-{name}")
+        for event in prob.events:
+            if hasattr(event, "jacobians"):
+                yield pytest.param(prob, None, event, id=f"{label}-{event.name}")
+
+
+@pytest.mark.parametrize("prob, cost, event", _gallery_cost_and_jump_cases())
+def test_gallery_cost_and_jump_partials_match_fd(prob, cost, event):
+    # the analytic partials of every gallery cost and jump map agree with
+    # the central differences their callbacks replace
+    from hybridsens.hybrid import ConstrainedElasticEvent
+
+    rng = np.random.default_rng(7)
+    n, rho0 = prob.dynamics.dims.n, prob.rho0.rho
+    for _ in range(3):
+        t = float(rng.uniform(0, 1))
+        q, v, a = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+        rho = rho0 * (1.0 + 0.05 * rng.normal(size=rho0.size))
+        if cost is not None:
+            assert cost.g_partials or cost.w_partials
+            fd = dataclasses.replace(cost, g_partials=None, u_partials=None, w_partials=None)
+            u = cost._u(t, q, v, a, rho)
+            pairs = []
+            if cost.g is not None:
+                pairs += zip(*(c.g_jacobians(t, q, v, a, rho, u) for c in (cost, fd)))
+            if u is not None:
+                pairs += zip(*(c.u_jacobians(t, q, v, a, rho, u) for c in (cost, fd)))
+            if cost.w is not None:
+                pairs += zip(*(c.w_jacobians(t, q, v, rho, u) for c in (cost, fd)))
+        else:
+            if isinstance(event, ConstrainedElasticEvent):
+                field, v = "dof_jump_partials", v[list(event.partition.dof)]
+            else:
+                field = "h_partials"
+            assert getattr(event, field) is not None
+            fd = dataclasses.replace(event, **{field: None})
+            pairs = zip(event.jacobians(t, q, v, rho), fd.jacobians(t, q, v, rho))
+        for analytic, approx in pairs:
+            if approx is None:
+                assert analytic is None
+            else:
+                assert analytic.shape == approx.shape
+                assert rel_err(analytic, approx, floor=1.0) < 1e-6
