@@ -76,7 +76,7 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     lamQ, lamV, lamG = _split_lam(y, dims, nc)
     f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
     f_q, f_v, f_rho = f_blocks
-    if weight and cost is not None and cost.g is not None:
+    if weight and cost is not None and (cost.g is not None or cost.g_of_mu is not None):
         g_q, g_v, g_rho = cost_density_gradients(
             cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
         g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
@@ -130,11 +130,8 @@ class AdjointSolution:
     lam_t0: AdjointState
     times: np.ndarray            # descending (backward order)
     series: np.ndarray           # rows: stacked [lamQ; lamV; lamGamma] per node
-    lam_tF: AdjointState
-    dims: Dimensions | None = None
-    nc: int = 1
-    traj: HybridTrajectory | None = None
-    cost: CostFunctional | None = None
+    traj: HybridTrajectory
+    cost: CostFunctional
 
     def forward_order(self):
         return self.times[::-1], self.series[::-1]
@@ -147,8 +144,7 @@ class AdjointSolution:
         At an event time the value is side-dependent; query strictly inside
         a segment to get an unambiguous answer.
         """
-        if self.traj is None:
-            raise ValueError("forward trajectory not stored")
+        dims, nc = self.traj.dims, self.cost.nc
         row = 0
         for seg in reversed(self.traj.segments):
             nodes = seg.dense.node_times
@@ -156,17 +152,17 @@ class AdjointSolution:
                 i = int(np.searchsorted(nodes, t))
                 y = self.series[row + len(nodes) - 1 - i].copy()
                 if nodes[i] > t:
-                    dyn, rho, n = seg.dynamics, self.traj.rho, self.dims.n
+                    dyn, rho, n = seg.dynamics, self.traj.rho, dims.n
 
                     def rhs(s, lam):
                         x = seg.dense.evaluate(s)
                         q, v = x[:n], x[n:2 * n]
-                        return adjoint_rhs(dyn, self.cost, self.dims, rho, s, x, lam,
+                        return adjoint_rhs(dyn, self.cost, dims, rho, s, x, lam,
                                            dyn.accel(s, q, v, rho),
                                            dyn.multipliers(s, q, v, rho))
                     _, (_, y), _ = integrate_segment(rhs, y, (nodes[i], t), self.traj.config)
-                lamQ, lamV, lamG = _split_lam(y, self.dims, self.nc)
-                return AdjointState(lamQ, lamV, lamG, np.eye(self.nc))
+                lamQ, lamV, lamG = _split_lam(y, dims, nc)
+                return AdjointState(lamQ, lamV, lamG, np.eye(nc))
             row += len(nodes)
         raise ValueError(f"t={t} outside the adjoint solution span")
 
@@ -189,7 +185,6 @@ def propagate_adjoint(traj: HybridTrajectory,
 
     qF, vF, _ = traj.state_at(traj.tF)
     lam = terminal_conditions(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, rho)
-    lam_tF = lam.copy()
 
     times_acc = []
     series_acc = []
@@ -211,8 +206,7 @@ def propagate_adjoint(traj: HybridTrajectory,
     ic = traj.segments[0].dynamics.model.initial_state(rho)
     gradient = assemble_cost_sensitivity_adjoint(lam, ic.dq0_drho, ic.dv0_drho)
     return AdjointSolution(gradient=gradient, lam_t0=lam, times=np.concatenate(times_acc),
-                           series=np.vstack(series_acc), lam_tF=lam_tF, dims=dims, nc=nc,
-                           traj=traj, cost=cost)
+                           series=np.vstack(series_acc), traj=traj, cost=cost)
 
 
 def assemble_cost_sensitivity_adjoint(lam_t0: AdjointState, dq0_drho, dv0_drho) -> np.ndarray:

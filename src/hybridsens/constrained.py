@@ -196,9 +196,9 @@ class _SaddleDynamics:
 
             [f_z; mu_z] = K^-1 [F_z - M_z vdot - d(G^T mu)/dz ; b_z - d(G vdot)/dz].
 
-        Analytic when the constraint set declares ``hessian_constant``
-        (phi_q affine in q and independent of rho; assumed, not checked):
-        every d(H_v)/dq and d(phi_q)/drho term then vanishes and
+        Analytic when the constraint set declares its constant ``hessian``
+        (phi_q affine in q and independent of rho): every d(H_v)/dq and
+        d(phi_q)/drho term then vanishes and
 
             z = q:    [F_q - M_q vdot - qqT(mu) ; b_q - qq(vdot)]
             z = v:    [F_v ; b_v]
@@ -206,8 +206,8 @@ class _SaddleDynamics:
 
         with H_v = d(G v)/dq, written into one right-side array (the M_z
         terms skipped under ``mass_constant``) and solved at once with the
-        state's factor; the force partials come from one
-        ``force_jacobians`` evaluation.
+        state's factor; the force and mass partials come from one
+        ``force_jacobians`` and one ``mass_jacobians`` evaluation.
         Given the state's solution (vdot, mu), as the sweeps read it from
         the forward pass's stage record, K is factored here unless ``_solve``
         holds this state's factor; otherwise the solution and factor come
@@ -215,7 +215,7 @@ class _SaddleDynamics:
         of (vdot, mu).
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
-        if not cons.hessian_constant:
+        if cons.hessian is None:
             from .model import fd_jacobian as _fd
 
             def stacked(qq, vv, rr):
@@ -241,8 +241,9 @@ class _SaddleDynamics:
         top[:, n:2 * n] = F_v
         top[:, 2 * n:] = F_rho
         if not model.mass_constant:
-            top[:, :n] -= model.mass_q_action(t, q, rho, vdot)
-            top[:, 2 * n:] -= model.mass_rho_action(t, q, rho, vdot)
+            M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
+            top[:, :n] -= M_q
+            top[:, 2 * n:] -= M_rho
         top[:, :n] -= cons.qqT_action(t, q, rho, mu)
         np.subtract(b_q, cons.qq_action(t, q, rho, vdot), out=bottom[:, :n])
         bottom[:, n:2 * n] = b_v
@@ -285,12 +286,12 @@ class PenaltyDynamics(_SaddleDynamics):
                  + self.pcfg.omega ** 2 * cons.value(t, q, rho))
 
     def _source_partials(self, t, q, v, rho, G, H_v):
-        cons = self.model.constraints
+        """(b_q, b_v, b_rho) on the analytic route, where phi_q does not
+        depend on rho."""
         xi, om = self.pcfg.xi, self.pcfg.omega
         return (-(2.0 * xi * om * H_v + om ** 2 * G),
                 -(2.0 * H_v + 2.0 * xi * om * G),
-                -(2.0 * xi * om * cons.q_rho_action(t, q, rho, v)
-                  + om ** 2 * cons.jac_rho(t, q, rho)))
+                -(om ** 2 * self.model.constraints.jac_rho(t, q, rho)))
 
     def accel(self, t, q, v, rho) -> np.ndarray:
         return self._solve(t, q, v, rho)[0]

@@ -176,7 +176,10 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
         if tail is not None:
             D[i, :, tail] = -np.eye(2)
     hess = 2.0 * np.einsum("iak,ial->ikl", D, D)
-    hess_rows, hess_flat = hess.reshape(24, 6), hess.reshape(4, 36)
+    hess_rows = hess.reshape(24, 6)
+    # phi_rho's nonzeros: the row of each length parameter, at its rho slot
+    rho_rows = np.array([i for i, (nm, _, _) in enumerate(pairs) if nm in pm.index], dtype=int)
+    rho_cols = np.array([pm.grad_slot(pairs[i][0]) for i in rho_rows], dtype=int)
 
     def diffs(q):
         return (
@@ -201,30 +204,12 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
     def phi_q(t, q, rho):
         return (hess_rows @ q).reshape(4, 6) + G_at_zero
 
-    def phi_qq_w(t, q, rho, w):
-        """d(phi_q w)/dq: row i is hess[i] @ w."""
-        return (hess_rows @ w).reshape(4, 6)
-
-    def phi_qq_T_mu(t, q, rho, mu):
-        """d(phi_q^T mu)/dq = sum_i mu_i hess[i]."""
-        return (mu @ hess_flat).reshape(6, 6)
-
     def phi_rho(t, q, rho):
         out = np.zeros((4, len(pm.names)))
-        for row, nm in enumerate(("LA1", "L21", "L32", "LB3")):
-            j = pm.grad_slot(nm)
-            if j is not None:
-                out[row, j] = -2.0 * pm.value(nm, rho)
+        out[rho_rows, rho_cols] = -2.0 * rho[rho_cols]
         return out
 
-    def phi_q_rho_w(t, q, rho, w):
-        return np.zeros((4, len(pm.names)))
-
-    return ConstraintSet(
-        m=4, phi=phi, phi_q=phi_q, phi_qq_w=phi_qq_w, phi_qq_T_mu=phi_qq_T_mu,
-        phi_rho=phi_rho, phi_q_rho_w=phi_q_rho_w,
-        hessian_constant=True,
-    )
+    return ConstraintSet(m=4, phi=phi, phi_q=phi_q, phi_rho=phi_rho, hessian=hess)
 
 
 def _newton_assemble(cons: ConstraintSet, q_guess: np.ndarray, dof, rho,
@@ -482,10 +467,10 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
     def mass(t, q, rho):
         return rho[2] * np.eye(2)
 
-    def mass_rho_w(t, q, rho, w):
-        out = np.zeros((2, 3))
-        out[:, 2] = w
-        return out
+    def mass_partials(t, q, rho, w):
+        M_rho = np.zeros((2, 3))
+        M_rho[:, 2] = w
+        return np.zeros((2, 2)), M_rho
 
     def force(t, q, v, rho):
         return np.array([0.0, -rho[2] * GRAVITY])
@@ -510,11 +495,8 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
             m=1,
             phi=lambda t, q, rho: np.array([q @ q - L ** 2]),
             phi_q=lambda t, q, rho: 2.0 * q[None, :],
-            phi_qq_w=lambda t, q, rho, w: 2.0 * w[None, :],
-            phi_qq_T_mu=lambda t, q, rho, mu: 2.0 * mu[0] * np.eye(2),
             phi_rho=lambda t, q, rho: np.zeros((1, 3)),
-            phi_q_rho_w=lambda t, q, rho, w: np.zeros((1, 3)),
-            hessian_constant=True,
+            hessian=2.0 * np.eye(2)[None],
         )
 
     return MultibodyModel(
@@ -523,8 +505,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
         force=force,
         initial_state=initial_state,
         constraints=cons,
-        mass_q_w=lambda t, q, rho, w: np.zeros((2, 2)),
-        mass_rho_w=mass_rho_w,
+        mass_partials=mass_partials,
         force_partials=force_partials,
         name="pendulum",
     )

@@ -128,31 +128,35 @@ class ConstraintSet:
     """Holonomic constraints Phi(q, rho) = 0 and their derivative actions.
 
     The constraints do not depend on time; every callback still takes t
-    first, as the model's do.  Only ``phi`` is mandatory.  Second-derivative
-    actions are accepted as directional callbacks (never full third-order
-    tensors):
+    first, as the model's do.  Only ``phi`` is mandatory:
 
-    phi_q(t,q,rho)          -> (m, n)   Jacobian d Phi / d q
-    phi_qq_w(t,q,rho,w)     -> (m, n)   d(phi_q @ w)/dq, w held fixed
-    phi_qq_T_mu(t,q,rho,mu) -> (n, n)   d(phi_q.T @ mu)/dq, mu held fixed
-    phi_rho(t,q,rho)        -> (m, p)   d Phi / d rho
-    phi_q_rho_w(t,q,rho,w)  -> (m, p)   d(phi_q @ w)/drho
+    phi_q(t,q,rho)    -> (m, n)   Jacobian d Phi / d q
+    phi_rho(t,q,rho)  -> (m, p)   d Phi / d rho
 
-    ``hessian_constant`` declares that phi_q is affine in q (quadratic
-    constraints) and independent of rho, i.e. d/dq of any phi_qq_w action
-    and d(phi_q)/drho vanish.  The analytic Jacobians of both constrained
-    formulations (penalty and index-1 DAE) rely on this, and it is not
-    checked.
+    ``hessian`` (m, n, n), symmetric in its last two axes, declares the
+    curvature as data: phi_q is affine in q with d(phi_q[i])/dq = hessian[i]
+    (quadratic constraints) and independent of rho.  The second-derivative
+    actions then contract it exactly, and the analytic Jacobians of both
+    constrained formulations rely on it; without it every action is a
+    central difference of ``jac_q``.
     """
 
     m: int
     phi: Callable
     phi_q: Callable | None = None
-    phi_qq_w: Callable | None = None
-    phi_qq_T_mu: Callable | None = None
     phi_rho: Callable | None = None
-    phi_q_rho_w: Callable | None = None
-    hessian_constant: bool = False
+    hessian: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.hessian is None:
+            return
+        H = np.array(self.hessian, dtype=float)
+        if H.ndim != 3 or H.shape[0] != self.m or H.shape[1] != H.shape[2]:
+            raise DimensionError(f"hessian must have shape (m, n, n) with m={self.m}, got {H.shape}")
+        if not np.array_equal(H, H.transpose(0, 2, 1)):
+            raise DimensionError("hessian must be symmetric in its last two axes")
+        H.flags.writeable = False
+        self.hessian = H
 
     # -- evaluations with finite-difference fallbacks ---------------------
 
@@ -166,14 +170,14 @@ class ConstraintSet:
 
     def qq_action(self, t, q, rho, w) -> np.ndarray:
         """d(phi_q @ w)/dq as an (m, n) matrix."""
-        if self.phi_qq_w is not None:
-            return np.asarray(self.phi_qq_w(t, q, rho, w), dtype=float)
+        if self.hessian is not None:
+            return (self.hessian.reshape(self.m * q.size, q.size) @ w).reshape(self.m, q.size)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho) @ w, q)
 
     def qqT_action(self, t, q, rho, mu) -> np.ndarray:
         """d(phi_q.T @ mu)/dq as an (n, n) matrix."""
-        if self.phi_qq_T_mu is not None:
-            return np.asarray(self.phi_qq_T_mu(t, q, rho, mu), dtype=float)
+        if self.hessian is not None:
+            return (mu @ self.hessian.reshape(self.m, -1)).reshape(q.size, q.size)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho).T @ mu, q)
 
     def jac_rho(self, t, q, rho) -> np.ndarray:
@@ -182,8 +186,9 @@ class ConstraintSet:
         return fd_jacobian(lambda rr: self.value(t, q, rr), rho)
 
     def q_rho_action(self, t, q, rho, w) -> np.ndarray:
-        if self.phi_q_rho_w is not None:
-            return np.asarray(self.phi_q_rho_w(t, q, rho, w), dtype=float)
+        """d(phi_q @ w)/drho as an (m, p) matrix."""
+        if self.hessian is not None:
+            return np.zeros((self.m, rho.size))
         return fd_jacobian(lambda rr: self.jac_q(t, q, rr) @ w, rho)
 
     # -- derived kinematic quantities --------------------------------------
@@ -209,14 +214,15 @@ class InitialConditions:
 class MultibodyModel:
     """Second-order mechanical system M(t,q,rho) vdot = F(t,q,v,rho).
 
-    Optional analytic partials (mass_q_w, mass_rho_w, force_partials)
-    override the finite-difference fallback.  The ``mass_*_w`` callbacks
-    return directional contractions: mass_q_w(t,q,rho,w) is the (n, n)
-    matrix whose column j equals (dM/dq_j) @ w.  ``force_partials(t,q,v,rho)``
-    returns all three force partials (F_q (n, n), F_v (n, n), F_rho (n, p))
-    from one evaluation, so a model can share their intermediates; without
-    it all three are central differences of ``force``.  ``mass_constant``
-    declares M constant in q and rho, so both mass partials vanish.
+    Optional analytic partials (mass_partials, force_partials) override the
+    finite-difference fallback.  ``mass_partials(t,q,rho,w)`` returns the
+    directional contractions (M_q w (n, n), M_rho w (n, p)) of the mass
+    matrix, column j being (dM/dq_j) @ w, resp. (dM/drho_j) @ w.
+    ``force_partials(t,q,v,rho)`` returns all three force partials
+    (F_q (n, n), F_v (n, n), F_rho (n, p)) from one evaluation, so a model
+    can share their intermediates.  Without a callback every block is a
+    central difference.  ``mass_constant`` declares M constant in q and rho,
+    so both mass partials vanish.
     """
 
     dims: Dimensions
@@ -224,8 +230,7 @@ class MultibodyModel:
     force: Callable
     initial_state: Callable  # rho -> InitialConditions
     constraints: ConstraintSet | None = None
-    mass_q_w: Callable | None = None
-    mass_rho_w: Callable | None = None
+    mass_partials: Callable | None = None
     force_partials: Callable | None = None
     mass_constant: bool = False
     name: str = "model"
@@ -236,19 +241,18 @@ class MultibodyModel:
     def force_at(self, t, q, v, rho) -> np.ndarray:
         return np.asarray(self.force(t, q, v, rho), dtype=float)
 
-    def mass_q_action(self, t, q, rho, w) -> np.ndarray:
+    def mass_jacobians(self, t, q, rho, w):
+        """(M_q w, M_rho w): zeros under ``mass_constant``, else
+        ``mass_partials`` with its block shapes checked, else central
+        differences of M @ w."""
+        n, p = self.dims.n, self.dims.p
         if self.mass_constant:
-            return np.zeros((self.dims.n, self.dims.n))
-        if self.mass_q_w is not None:
-            return np.asarray(self.mass_q_w(t, q, rho, w), dtype=float)
-        return fd_jacobian(lambda qq: self.mass_at(t, qq, rho) @ w, q)
-
-    def mass_rho_action(self, t, q, rho, w) -> np.ndarray:
-        if self.mass_constant:
-            return np.zeros((self.dims.n, self.dims.p))
-        if self.mass_rho_w is not None:
-            return np.asarray(self.mass_rho_w(t, q, rho, w), dtype=float)
-        return fd_jacobian(lambda rr: self.mass_at(t, q, rr) @ w, rho)
+            return np.zeros((n, n)), np.zeros((n, p))
+        callback = None if self.mass_partials is None else (
+            lambda *a: self.mass_partials(*a, w))
+        return _partials(callback, f"mass_partials of '{self.name}'",
+                         lambda t, q, rho: self.mass_at(t, q, rho) @ w, (t, q, rho),
+                         (("M_q", (n, n)), ("M_rho", (n, p))))
 
     def force_jacobians(self, t, q, v, rho):
         """(F_q, F_v, F_rho) at one state: ``force_partials`` if supplied,
@@ -290,8 +294,9 @@ class OdeDynamics:
         if vdot is None:
             vdot = _spd_solve(M, self.model.force_at(t, q, v, rho), "mass matrix", t)
         F_q, F_v, F_rho = self.model.force_jacobians(t, q, v, rho)
-        rhs_q = F_q - self.model.mass_q_action(t, q, rho, vdot)
-        rhs_rho = F_rho - self.model.mass_rho_action(t, q, rho, vdot)
+        M_q, M_rho = self.model.mass_jacobians(t, q, rho, vdot)
+        rhs_q = F_q - M_q
+        rhs_rho = F_rho - M_rho
         n, p = self.dims.n, self.dims.p
         sol = _spd_solve(M, np.hstack([rhs_q, F_v, rhs_rho]), "mass matrix", t)
         return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]
@@ -335,7 +340,8 @@ class CostFunctional:
     A dependence of the density on the constraint multipliers of an index-1
     formulation is declared separately through ``g_of_mu`` (an additive term
     g_of_mu(t, q, v, vdot, rho, mu) -> (nc,)) so that unconstrained costs
-    never see a multiplier argument.
+    never see a multiplier argument; its partials, in (q, v, vdot, rho, mu),
+    are central differences.  Either term may be absent (a zero term).
     """
 
     nc: int
@@ -345,9 +351,7 @@ class CostFunctional:
     g_partials: Callable | None = None
     u_partials: Callable | None = None
     w_partials: Callable | None = None
-    # multiplier dependence of g for constrained dynamics
-    g_of_mu: Callable | None = None      # g_of_mu(t,q,v,vdot,rho,mu) -> (nc,) additive term
-    g_of_mu_jac: Callable | None = None  # d(g_of_mu)/dmu -> (nc, m)
+    g_of_mu: Callable | None = None
     name: str = "cost"
 
     # -- raw evaluations ----------------------------------------------------
@@ -359,9 +363,10 @@ class CostFunctional:
 
     def g_value(self, t, q, v, vdot, rho, mu=None) -> np.ndarray:
         if self.g is None:
-            return np.zeros(self.nc)
-        u = self._u(t, q, v, vdot, rho)
-        val = np.atleast_1d(np.asarray(self.g(t, q, v, vdot, rho, u), dtype=float))
+            val = np.zeros(self.nc)
+        else:
+            u = self._u(t, q, v, vdot, rho)
+            val = np.atleast_1d(np.asarray(self.g(t, q, v, vdot, rho, u), dtype=float))
         if self.g_of_mu is not None:
             if mu is None:
                 raise ValueError(f"cost '{self.name}' needs multipliers but dynamics has none")
@@ -403,13 +408,14 @@ class CostFunctional:
                          (("w_q", (nc, n)), ("w_v", (nc, n)), ("w_rho", (nc, rho.size)),
                           ("w_u", None if u is None else (nc, u.size))))
 
-    def mu_jacobian(self, t, q, v, vdot, rho, mu):
-        if self.g_of_mu is None:
-            return None
-        if self.g_of_mu_jac is not None:
-            return np.asarray(self.g_of_mu_jac(t, q, v, vdot, rho, mu), dtype=float).reshape(self.nc, mu.size)
-        return fd_jacobian(lambda mm: np.atleast_1d(self.g_of_mu(t, q, v, vdot, rho, mm)), mu
-                           ).reshape(self.nc, mu.size)
+    def g_of_mu_jacobians(self, t, q, v, vdot, rho, mu):
+        """(g_q, g_v, g_vdot, g_rho, g_mu) of the multiplier term, with
+        (t, q, v, vdot, rho, mu) all independent, by central differences."""
+        nc, n = self.nc, q.size
+        return _partials(None, f"g_of_mu of cost '{self.name}'",
+                         lambda *a: np.atleast_1d(self.g_of_mu(*a)), (t, q, v, vdot, rho, mu),
+                         (("g_q", (nc, n)), ("g_v", (nc, n)), ("g_vdot", (nc, n)),
+                          ("g_rho", (nc, rho.size)), ("g_mu", (nc, mu.size))))
 
 
 def cost_density_value(cost: CostFunctional, dyn, t, q, v, rho) -> np.ndarray:
@@ -429,22 +435,30 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         resolved_g_zeta = g_zeta + g_vdot f_zeta + g_u (u_zeta + u_vdot f_zeta)
                           [+ g_mu fmu_zeta for constrained dynamics]
 
-    for zeta in {q, v, rho}.  Returns (g_q, g_v, g_rho); the density value
-    is ``cost_density_value``.
+    for zeta in {q, v, rho}, where a multiplier term g_of_mu first adds its
+    own partials to g's (its acceleration partial to g_vdot).  Returns
+    (g_q, g_v, g_rho); the density value is ``cost_density_value``.
 
     ``f_blocks`` lets a caller that already evaluated dyn.jacobians at this
     state pass them in; otherwise they are computed here.
     """
     if vdot is None:
         vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
+    nc, n, p = cost.nc, q.size, rho.size
     if cost.g is None:
-        nc, n, p = cost.nc, q.size, rho.size
-        return np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p))
-
-    u = cost._u(t, q, v, vdot, rho)
-    gq, gv, ga, gr, gu = cost.g_jacobians(t, q, v, vdot, rho, u)
-    needs_f = np.any(ga) or (gu is not None) or (cost.g_of_mu is not None)
-    if needs_f:
+        if cost.g_of_mu is None:
+            return np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p))
+        gq, gv, ga, gr, gu = np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p)), None
+    else:
+        u = cost._u(t, q, v, vdot, rho)
+        gq, gv, ga, gr, gu = cost.g_jacobians(t, q, v, vdot, rho, u)
+    if cost.g_of_mu is not None:
+        fmu = dyn.multiplier_jacobians(t, q, v, rho, vdot=vdot, mu=mu)
+        if fmu is None:
+            raise ValueError(f"cost '{cost.name}' depends on multipliers but dynamics has none")
+        mq, mv, ma, mr, gmu = cost.g_of_mu_jacobians(t, q, v, vdot, rho, mu)
+        gq, gv, ga, gr = gq + mq, gv + mv, ga + ma, gr + mr
+    if np.any(ga) or gu is not None:
         if f_blocks is None:
             f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
         f_q, f_v, f_rho = f_blocks
@@ -458,10 +472,6 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         gv = gv + ga @ f_v
         gr = gr + ga @ f_rho
     if cost.g_of_mu is not None:
-        gmu = cost.mu_jacobian(t, q, v, vdot, rho, mu)
-        fmu = dyn.multiplier_jacobians(t, q, v, rho, vdot=vdot, mu=mu)
-        if fmu is None:
-            raise ValueError(f"cost '{cost.name}' depends on multipliers but dynamics has none")
         fmu_q, fmu_v, fmu_rho = fmu
         gq = gq + gmu @ fmu_q
         gv = gv + gmu @ fmu_v

@@ -184,7 +184,7 @@ def test_penalty_jacobians_fallback_matches_analytic(formulation):
     # differences of (vdot, mu); they must agree with the analytic ones
     model = pendulum_swing_model()
     general = dataclasses.replace(
-        model, constraints=dataclasses.replace(model.constraints, hessian_constant=False))
+        model, constraints=dataclasses.replace(model.constraints, hessian=None))
     make = FORMULATIONS[formulation]
     analytic, fallback = make(model), make(general)
     for state in pendulum_states(np.random.default_rng(23), 3):
@@ -339,9 +339,7 @@ def test_impulse_point_mass_hand_solve():
         m=1,
         phi=lambda t, q, rho: np.array([q[1]]),
         phi_q=lambda t, q, rho: np.array([[0.0, 1.0]]),
-        phi_qq_w=lambda t, q, rho, w: np.zeros((1, 2)),
-        phi_qq_T_mu=lambda t, q, rho, mu: np.zeros((2, 2)),
-        hessian_constant=True,
+        hessian=np.zeros((1, 2, 2)),
     )
     model = MultibodyModel(
         dims=dims,
@@ -392,6 +390,32 @@ def test_multiplier_dependent_cost_all_pipelines():
     fd = fd_cost_sensitivity(dyn, cost, [], RHO, (0.0, 1.0), cfg)
     assert np.all(np.abs(adj - grad) <= 1e-6 * np.maximum(1.0, np.abs(grad)))
     assert np.all(np.abs(fd - grad) <= 1e-4 * np.maximum(1.0, np.abs(grad)))
+
+
+@pytest.mark.parametrize("with_g", [True, False], ids=["g+g_of_mu", "g_of_mu-only"])
+def test_multiplier_cost_explicit_parameter_dependence(with_g):
+    # g_of_mu = m mu_0 depends on rho as well as on mu: its own rho partial
+    # must join the resolved gradient next to the multiplier chain, also
+    # when the cost has no g term at all
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import direct_gradient
+    from hybridsens.model import CostFunctional
+    from hybridsens.oracle import fd_cost_sensitivity
+
+    dyn = DaeDynamics(pendulum_swing_model(theta0=0.7))
+    cost = CostFunctional(
+        nc=1,
+        g=(lambda t, q, v, a, rho, u: np.array([v[0] ** 2])) if with_g else None,
+        g_of_mu=lambda t, q, v, a, rho, mu: np.array([rho[2] * mu[0]]),
+        name="vx2+m*mu" if with_g else "m*mu",
+    )
+    cfg = IntegratorConfig()
+    grad, traj, _ = direct_gradient(dyn, cost, [], RHO, (0.0, 1.0), cfg)
+    adj = propagate_adjoint(traj, cost).gradient
+    fd = fd_cost_sensitivity(dyn, cost, [], RHO, (0.0, 1.0), cfg)
+    assert abs(fd[0, 2]) > 1.0  # the m mu_0 term is seen at all
+    assert np.all(np.abs(fd - grad) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
+    assert np.all(np.abs(fd - adj) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
 
 def test_multiplier_sensitivity_matches_fd():

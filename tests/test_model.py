@@ -8,6 +8,7 @@ import scipy.linalg
 from hybridsens.constrained import DaeDynamics
 from hybridsens.core import DimensionError, Dimensions
 from hybridsens.model import (
+    ConstraintSet,
     CostFunctional,
     InitialConditions,
     MultibodyModel,
@@ -138,9 +139,24 @@ def test_eom_jacobians_defining_identity(curved_mass):
     vdot = dyn.accel(t, q, v, rho)
     f_q, _, _ = dyn.jacobians(t, q, v, rho)
     M = model.mass_at(t, q, rho)
-    lhs = M @ f_q + model.mass_q_action(t, q, rho, vdot)
+    lhs = M @ f_q + model.mass_jacobians(t, q, rho, vdot)[0]
     rhs = model.force_jacobians(t, q, v, rho)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+def test_constraint_hessian_shape_and_symmetry_guard():
+    # a hessian is trusted as the constraints' exact curvature, so a wrong
+    # shape or an asymmetric one is refused at construction
+    def phi(t, q, rho):
+        return np.array([q @ q - 1.0])
+
+    for bad in (np.eye(2), np.zeros((2, 2, 2)), np.zeros((1, 2, 3)),
+                np.array([[[2.0, 1.0], [0.0, 2.0]]])):
+        with pytest.raises(DimensionError, match="hessian"):
+            ConstraintSet(m=1, phi=phi, hessian=bad)
+    cons = ConstraintSet(m=1, phi=phi, hessian=2.0 * np.eye(2)[None])
+    assert not cons.hessian.flags.writeable
+    assert np.array_equal(cons.qqT_action(0.0, np.ones(2), None, np.array([3.0])), 6.0 * np.eye(2))
 
 
 def test_force_partials_shape_guard():
@@ -170,6 +186,10 @@ def test_force_partials_shape_guard():
         w_partials=lambda *args: (np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.zeros(1), None))
     with pytest.raises(DimensionError, match="w_partials.*w_rho"):
         wrong_w.w_jacobians(t, q, v, rho, None)
+    model = pendulum_model()
+    model.mass_partials = lambda t, q, rho, w: (np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match="mass_partials.*M_rho"):
+        model.mass_jacobians(0.0, np.array([0.3, -0.8]), np.array([0.2, -1.0, 1.3]), np.ones(2))
 
     event = bouncing_mass().events[0]
     event.h_partials = lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
@@ -296,9 +316,9 @@ def test_gallery_analytic_partials_match_fd():
             assert rel_err(F_rho, fd_fr, floor=1.0) < 1e-5
             w = rng.normal(size=n)
             fd_mq = fd_jacobian(lambda qq: model.mass_at(t, qq, rho) @ w, q)
-            assert np.max(np.abs(model.mass_q_action(t, q, rho, w) - fd_mq)) < 1e-5
+            assert np.max(np.abs(model.mass_jacobians(t, q, rho, w)[0] - fd_mq)) < 1e-5
             fd_mr = fd_jacobian(lambda rr: model.mass_at(t, q, rr) @ w, rho)
-            assert np.max(np.abs(model.mass_rho_action(t, q, rho, w) - fd_mr)) < 1e-5
+            assert np.max(np.abs(model.mass_jacobians(t, q, rho, w)[1] - fd_mr)) < 1e-5
             cons = model.constraints
             if cons is not None:
                 fd_gq = fd_jacobian(lambda qq: cons.value(t, qq, rho), q)
@@ -310,6 +330,9 @@ def test_gallery_analytic_partials_match_fd():
                 assert np.max(np.abs(cons.qqT_action(t, q, rho, mu) - fd_qqT)) < 1e-5
                 fd_pr = fd_jacobian(lambda rr: cons.value(t, q, rr), rho)
                 assert np.max(np.abs(cons.jac_rho(t, q, rho) - fd_pr)) < 1e-5
+                # a declared hessian also declares phi_q independent of rho
+                fd_qr = fd_jacobian(lambda rr: cons.jac_q(t, q, rr) @ w, rho)
+                assert np.max(np.abs(cons.q_rho_action(t, q, rho, w) - fd_qr)) < 1e-5
 
 
 def _gallery_cost_and_jump_cases():
