@@ -4,7 +4,8 @@ Subcommands: simulate, direct, adjoint, fd-check, report.  Every run writes
 CSV/JSON artifacts plus a provenance sidecar carrying the full effective
 configuration, so identical invocations reproduce identical files.
 
-Exit codes: 0 success, 1 numerical failure, 2 validation/usage failure.
+Exit codes: 0 success, 1 numerical failure (for fd-check also a gradient
+that is not finite), 2 validation/usage failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import adjoint as adjoint_mod
 from . import gallery
 from .direct import direct_gradient, simulate
 from .integrate import IntegratorConfig
-from .oracle import fd_cost_sensitivity
+from .oracle import check_h_rel, fd_cost_sensitivity
 
 
 class CliError(Exception):
@@ -38,9 +39,12 @@ def _parse_params(pairs, rho0):
         if name not in labels:
             raise CliError(f"unknown parameter '{name}'; available: {labels}")
         try:
-            values[labels.index(name)] = float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise CliError(f"parameter '{name}' value '{raw}' is not a number") from exc
+        if not np.isfinite(value):
+            raise CliError(f"parameter '{name}' value '{raw}' is not finite")
+        values[labels.index(name)] = value
     return values
 
 
@@ -80,6 +84,8 @@ def _setup(cfg):
     cost = problem.cost(cfg.get("cost"))
     t0 = float(cfg.get("t0", problem.t_span[0]))
     tf = float(cfg.get("tf", problem.t_span[1]))
+    if not (np.isfinite(t0) and np.isfinite(tf) and tf > t0):
+        raise CliError(f"need finite t0 < tf, got t0={t0!r}, tf={tf!r}")
     icfg = IntegratorConfig(
         rtol=float(cfg.get("rtol", problem.config.rtol)),
         atol=float(cfg.get("atol", problem.config.atol)),
@@ -236,6 +242,7 @@ def cmd_fd_check(args):
     problem, cost, rho, t_span, icfg = _setup(cfg)
     out = _outdir(args)
     h_rel = float(cfg.get("h_rel", 1e-6))
+    check_h_rel(h_rel)  # a bad --h-rel fails before the direct pass runs
     grad_dir, traj, _ = direct_gradient(problem.dynamics, cost, problem.events,
                                         rho, t_span, icfg)
     grad_fd = fd_cost_sensitivity(problem.dynamics, cost, problem.events,
@@ -251,18 +258,22 @@ def cmd_fd_check(args):
             "direct": d.tolist(),
             "adjoint": a.tolist(),
             "fd": f.tolist(),
-            "max_rel_diff": float(max(np.max(np.abs(a - d) / scale),
-                                      np.max(np.abs(f - d) / scale))),
+            # np.maximum, unlike max(), keeps a NaN from either side
+            "max_rel_diff": float(np.maximum(np.max(np.abs(a - d) / scale),
+                                             np.max(np.abs(f - d) / scale))),
         })
     with open(out / "fd_check.json", "w") as fh:
         json.dump({"cost": cost.name, "h_rel": h_rel, "table": table}, fh, indent=2)
         fh.write("\n")
     _write_sidecar(out / "run.meta.json", cfg, {"command": "fd-check"})
-    worst = max(row["max_rel_diff"] for row in table)
+    worst = float(np.max([row["max_rel_diff"] for row in table]))
     for row in table:
         print(f"  {row['parameter']:>10}: direct={row['direct']} adjoint={row['adjoint']} "
               f"fd={row['fd']} max_rel_diff={row['max_rel_diff']:.3e}")
     print(f"fd-check: worst max_rel_diff {worst:.3e} -> {out}")
+    if not np.isfinite(worst):
+        print("numerical failure: a gradient is not finite", file=sys.stderr)
+        return 1
     return 0
 
 

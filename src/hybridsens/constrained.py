@@ -10,8 +10,8 @@ G = phi_q:
 * Index-1 DAE (c = 0, b = C): the position constraint is replaced by its
   second time derivative phi_q vdot = C, and mu are the exact multipliers.
 
-The impulsive momentum-level KKT solve shared with the event machinery
-lives here as well.
+The momentum-level KKT solve of an inelastic capture lives here too, and
+``differentiate_saddle`` gives the partials of both kinds of saddle solve.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
-    ConstraintSet,
     MultibodyModel,
     SingularMatrixError,
     COND_LIMIT,
@@ -43,6 +42,8 @@ def checked_lu(A: np.ndarray, what: str):
     the error names the offending block and a condition estimate.  Factor
     and solve call LAPACK's getrf/getrs directly: the results are scipy's
     ``lu_factor``/``lu_solve`` bitwise, without their per-call wrapper cost.
+    The getrs wrapper shifts the pivots in place with the GIL released, so
+    each solve passes its own copy: threads may solve with one factor.
     """
     A = np.asarray(A, dtype=float)
     lu, piv, info = _getrf(A)
@@ -55,7 +56,7 @@ def checked_lu(A: np.ndarray, what: str):
         )
 
     def solve(B):
-        x, info = _getrs(lu, piv, B)
+        x, info = _getrs(lu, piv.copy(), B)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of getrs ({what})")
         return x
@@ -192,63 +193,33 @@ class _SaddleDynamics:
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """Jacobian blocks ((f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) of the
-        map (q, v, rho) -> (vdot, mu), from the differentiated system
-
-            [f_z; mu_z] = K^-1 [F_z - M_z vdot - d(G^T mu)/dz ; b_z - d(G vdot)/dz].
-
-        Analytic when the constraint set declares its constant ``hessian``
-        (phi_q affine in q and independent of rho): every d(H_v)/dq and
-        d(phi_q)/drho term then vanishes and
-
-            z = q:    [F_q - M_q vdot - qqT(mu) ; b_q - qq(vdot)]
-            z = v:    [F_v ; b_v]
-            z = rho:  [F_rho - M_rho vdot ; b_rho]
-
-        with H_v = d(G v)/dq, written into one right-side array (the M_z
-        terms skipped under ``mass_constant``) and solved at once with the
-        state's factor; the force and mass partials come from one
-        ``force_jacobians`` and one ``mass_jacobians`` evaluation.
+        map (q, v, rho) -> (vdot, mu): ``differentiate_saddle`` of the
+        saddle solve, whose right side [F; b] has the partials [F_z; b_z]
+        from one ``force_jacobians`` evaluation and the source partials.
         Given the state's solution (vdot, mu), as the sweeps read it from
         the forward pass's stage record, K is factored here unless ``_solve``
         holds this state's factor; otherwise the solution and factor come
-        from ``_solve``.  Any other constraint set takes central differences
-        of (vdot, mu).
+        from ``_solve``.
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
-        if cons.hessian is None:
-            from .model import fd_jacobian as _fd
 
-            def stacked(qq, vv, rr):
-                return np.concatenate(self._solve(t, qq, vv, rr)[:2])
+        def rhs_partials():
+            G = cons.jac_q(t, q, rho)
+            memo_key, solved = self._memo
+            if mu is None:
+                acc, mult, factor = self._solve(t, q, v, rho)
+            else:
+                acc, mult = vdot, mu
+                factor = (solved[2] if memo_key == _state_key(t, q, v, rho) else
+                          saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what))
+            rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
+            rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
+            rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = self._source_partials(
+                t, q, v, rho, G, cons.qq_action(t, q, rho, v))
+            return factor, acc, mult, rhs
 
-            J = (_fd(lambda x: stacked(x, v, rho), q),
-                 _fd(lambda x: stacked(q, x, rho), v),
-                 _fd(lambda x: stacked(q, v, x), rho))
-            return tuple(j[:n] for j in J), tuple(j[n:] for j in J)
-        G = cons.jac_q(t, q, rho)
-        memo_key, solved = self._memo
-        if mu is None:
-            vdot, mu, factor = self._solve(t, q, v, rho)
-        elif memo_key == _state_key(t, q, v, rho):
-            factor = solved[2]
-        else:
-            factor = saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what)
-        F_q, F_v, F_rho = model.force_jacobians(t, q, v, rho)
-        b_q, b_v, b_rho = self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))
-        rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
-        top, bottom = rhs[:n], rhs[n:]
-        top[:, :n] = F_q
-        top[:, n:2 * n] = F_v
-        top[:, 2 * n:] = F_rho
-        if not model.mass_constant:
-            M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
-            top[:, :n] -= M_q
-            top[:, 2 * n:] -= M_rho
-        top[:, :n] -= cons.qqT_action(t, q, rho, mu)
-        np.subtract(b_q, cons.qq_action(t, q, rho, vdot), out=bottom[:, :n])
-        bottom[:, n:2 * n] = b_v
-        bottom[:, 2 * n:] = b_rho
-        sol = factor(rhs)
+        sol = differentiate_saddle(model, t, q, v, rho,
+                                   lambda *z: np.concatenate(self._solve(t, *z)[:2]), rhs_partials)
         blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
         return tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
 
@@ -334,17 +305,64 @@ class DaeDynamics(_SaddleDynamics):
         return gq @ Q + gv @ V + grho
 
 
-def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho,
-                  cons: ConstraintSet | None = None):
-    """Momentum-level KKT solve for an inelastic constraint engagement.
+def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_partials):
+    """Partials in (q, v, rho) of the solution s = [x; mu] of a saddle system
 
-    Solves [[M, G^T], [G, 0]] [v+; dmu] = [M v-; 0] so that v+ carries
-    the pre-event momentum projected onto the new velocity-constraint
-    manifold.  Kinetic energy never increases across this projection.
+        K [x; mu] = [a; b],    K = [[M, G^T], [G, -c I]],    G = phi_q,
+
+    with K a function of (t, q, rho) and [a; b] one of (t, q, v, rho):
+
+        K s_z = [a_z - M_z x - d(G^T mu)/dz ; b_z - d(G x)/dz].
+
+    Analytic when the model's constraint set declares its constant
+    ``hessian`` (phi_q affine in q and independent of rho), so that the G
+    terms exist in q alone:
+
+        z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
+        z = v:    [a_v ; b_v]
+        z = rho:  [a_rho - M_rho x ; b_rho].
+
+    ``rhs_partials()`` returns (solve, x, mu, rhs): K's solve, the solution
+    and [a_z; b_z] as one (n + m, 2n + p) array over the columns
+    [q | v | rho], from which the K_z terms are subtracted in place (M_z
+    skipped under ``mass_constant``) before one solve.  Any other constraint
+    set takes central differences of ``solve_at(q, v, rho) -> s``.  Returns
+    s_z as one (n + m, 2n + p) array.
     """
-    cons = cons or model.constraints
-    n = model.dims.n
+    cons, n = model.constraints, model.dims.n
+    if cons.hessian is None:
+        from .model import fd_jacobian as _fd
+
+        return np.hstack([_fd(lambda x: solve_at(x, v, rho), q),
+                          _fd(lambda x: solve_at(q, x, rho), v),
+                          _fd(lambda x: solve_at(q, v, x), rho)])
+    factor, x, mu, rhs = rhs_partials()
+    top, bottom = rhs[:n], rhs[n:]
+    if not model.mass_constant:
+        M_q, M_rho = model.mass_jacobians(t, q, rho, x)
+        top[:, :n] -= M_q
+        top[:, 2 * n:] -= M_rho
+    top[:, :n] -= cons.qqT_action(t, q, rho, mu)
+    bottom[:, :n] -= cons.qq_action(t, q, rho, x)
+    return factor(rhs)
+
+
+def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):
+    """(M, solve, [v+; dmu]) of the momentum-level KKT solve of an inelastic
+    constraint engagement,
+
+        [[M, G^T], [G, 0]] [v+; dmu] = [M v-; 0],
+
+    so that v+ carries the pre-event momentum projected onto the new
+    velocity-constraint manifold.  Kinetic energy never increases across
+    this projection.
+    """
     M = model.mass_at(t_eve, q, rho)
-    factor = saddle_factor(M, cons.jac_q(t_eve, q, rho), 0.0, "impulse KKT matrix")
-    sol = factor(np.concatenate([M @ v_minus, np.zeros(cons.m)]))
-    return sol[:n], sol[n:]
+    factor = saddle_factor(M, model.constraints.jac_q(t_eve, q, rho), 0.0, "impulse KKT matrix")
+    return M, factor, factor(np.concatenate([M @ v_minus, np.zeros(model.constraints.m)]))
+
+
+def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho):
+    """(v+, dmu) of ``impulse_system``."""
+    sol = impulse_system(model, t_eve, q, v_minus, rho)[2]
+    return sol[:model.dims.n], sol[model.dims.n:]

@@ -190,9 +190,8 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
                                  rho, active, dyn_plus)
         records.append(EventRecord(
             name=spec.name, kind=jump.kind, spec=spec, t_eve=t_eve, q=q.copy(),
-            v_minus=v_minus.copy(), v_plus=v_plus.copy(),
-            vdot_minus=vdot_minus, vdot_plus=vdot_plus,
-            g_minus=g_minus, g_plus=g_plus, z=z.copy(), jump=jump, delta_mu=delta_mu,
+            v_minus=v_minus.copy(), v_plus=v_plus.copy(), vdot_minus=vdot_minus,
+            z=z.copy(), jump=jump, delta_mu=delta_mu,
         ))
 
         # positions and quadrature are continuous; restart just off the root
@@ -208,8 +207,6 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
 
 
 def _record_residuals(res: ConstraintResiduals, dyn, dense: DenseSegment, rho, dims):
-    if not hasattr(dyn, "residuals"):
-        return
     n = dims.n
     for t, y in zip(dense.node_times, dense.node_states):
         pos, vel = dyn.residuals(float(t), y[:n], y[n:2 * n], rho)

@@ -34,7 +34,7 @@ from .model import (
     MultibodyModel,
     OdeDynamics,
 )
-from .constrained import DaeDynamics, PenaltyConfig, PenaltyDynamics
+from .constrained import DaeDynamics, PenaltyDynamics
 from .hybrid import ConstrainedElasticEvent, ConstrainedInelasticEvent, DofPartition, VelocityJumpEvent
 from .integrate import IntegratorConfig
 
@@ -347,11 +347,10 @@ def _five_bar_costs() -> dict:
     return {"int-vy2": int_vy2, "int-ay2": int_ay2, "int-ay2sq-vy2sq": int_sq}
 
 
-def five_bar(param_names=("k1", "k2"), formulation: str = "penalty",
-             pcfg: PenaltyConfig | None = None) -> GalleryProblem:
+def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryProblem:
     model = five_bar_model(param_names)
     if formulation == "penalty":
-        dynamics = PenaltyDynamics(model, pcfg or PenaltyConfig())
+        dynamics = PenaltyDynamics(model)
     elif formulation == "dae":
         dynamics = DaeDynamics(model)
     else:

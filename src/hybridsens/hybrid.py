@@ -270,31 +270,37 @@ class ConstrainedInelasticEvent(EventSpec):
 
     must_depart: ClassVar[bool] = False
 
-    @property
-    def post_constraints(self) -> ConstraintSet:
-        return self.post_dynamics.model.constraints
-
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
-        model = self.post_dynamics.model
-        v_plus, dmu = _constrained.impulse_solve(model, t, q, v_minus, rho, model.constraints)
+        v_plus, dmu = _constrained.impulse_solve(self.post_dynamics.model, t, q, v_minus, rho)
         return v_plus, dmu, self.post_dynamics
 
     def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
                     dyn_plus, A, w):
-        n = v_minus.size
-        jt, jq, jv, jrho = impulse_map_jacobians(
-            dyn_plus.model, t, q, v_minus, rho, self.post_constraints)
-        jt_v, jq_v, jv_v, jrho_v = jt[:n], jq[:n], jv[:n], jrho[:n]
-        _, R, D, SQQ, SQG = _dependent_blocks(self, self.post_constraints, t, q, rho, A)
-        bracket = jt_v + jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
-        SVQ = jq_v + bracket.reshape(n, 1) @ w
+        """Partials of the impulse map (q, v-, rho) -> [v+; dmu] by
+        ``differentiate_saddle``, from those of its right side [M v-; 0],
+        [M_q v-, M, M_rho v-; 0]; M and so the map do not depend on t."""
+        n, model = v_minus.size, dyn_plus.model
+
+        def rhs_partials():
+            M, factor, s = _constrained.impulse_system(model, t, q, v_minus, rho)
+            rhs = np.zeros((s.size, 2 * n + rho.size))
+            rhs[:n, :n], rhs[:n, 2 * n:] = model.mass_jacobians(t, q, rho, v_minus)
+            rhs[:n, n:2 * n] = M
+            return factor, s[:n], s[n:], rhs
+
+        J = _constrained.differentiate_saddle(
+            model, t, q, v_minus, rho,
+            lambda *z: np.concatenate(_constrained.impulse_solve(model, t, *z)), rhs_partials)
+        jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
+        _, R, D, SQQ, SQG = _dependent_blocks(self, model.constraints, t, q, rho, A)
+        bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
+        SVQ = jq[:n] + bracket.reshape(n, 1) @ w
         blocks = {
-            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv_v,
-            "D": D, "R": R, "imp_v_q": jq_v, "imp_v_v": jv_v, "imp_v_rho": jrho_v,
+            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv[:n],
+            "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n], "imp_v_rho": jrho[:n],
             "imp_mu_q": jq[n:], "imp_mu_v": jv[n:], "imp_mu_rho": jrho[n:],
-            "imp_mu_t": jt[n:], "imp_v_t": jt_v,
         }
-        return (SQQ, SQG, SVQ, jv_v, jrho_v), blocks
+        return (SQQ, SQG, SVQ, jv[:n], jrho[:n]), blocks
 
     def delta_mu_sensitivity(self, record, X_minus):
         """d(delta_mu)/drho through the impulse map at the perturbed event
@@ -303,8 +309,7 @@ class ConstrainedInelasticEvent(EventSpec):
         dt_drho = record.dteve_drho
         dq_eve = X_minus.Q + np.outer(record.v_minus, dt_drho)
         dv_eve = X_minus.V + np.outer(record.vdot_minus, dt_drho)
-        return (b["imp_mu_q"] @ dq_eve + b["imp_mu_v"] @ dv_eve
-                + b["imp_mu_rho"] + np.outer(b["imp_mu_t"], dt_drho))
+        return b["imp_mu_q"] @ dq_eve + b["imp_mu_v"] @ dv_eve + b["imp_mu_rho"]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +358,6 @@ class EventRecord:
     v_minus: np.ndarray
     v_plus: np.ndarray
     vdot_minus: np.ndarray
-    vdot_plus: np.ndarray
-    g_minus: np.ndarray
-    g_plus: np.ndarray
     z: np.ndarray
     jump: JumpMatrix
     dteve_drho: np.ndarray | None = None
@@ -489,26 +491,6 @@ def build_jump_matrix(spec: EventSpec, dims: Dimensions, t_eve: float,
     return JumpMatrix(dims, type(spec).__name__, blocks, S)
 
 
-def impulse_map_jacobians(model, t, q, v_minus, rho, cons: ConstraintSet):
-    """Partial derivatives of the impulsive KKT solution map.
-
-    The map (t, q, v-, rho) -> (v+, delta_mu) is differentiated by central
-    differences around the event state; the solve itself is cheap and the
-    map is smooth wherever the KKT matrix is regular.  Returns
-    (d/dt, d/dq, d/dv, d/drho) each stacked as (n+m, .) arrays.
-    """
-
-    def solve_at(tt, qq, vv, rr):
-        vp, dmu = _constrained.impulse_solve(model, tt, qq, vv, rr, cons)
-        return np.concatenate([vp, dmu])
-
-    jt = fd_derivative(lambda tt: solve_at(tt, q, v_minus, rho), t)
-    jq = fd_jacobian(lambda qq: solve_at(t, qq, v_minus, rho), q)
-    jv = fd_jacobian(lambda vv: solve_at(t, q, vv, rho), v_minus)
-    jrho = fd_jacobian(lambda rr: solve_at(t, q, v_minus, rr), rho)
-    return jt, jq, jv, jrho
-
-
 # ---------------------------------------------------------------------------
 # Componentwise jump formulas (the non-matrix route; used for cross-checks)
 # ---------------------------------------------------------------------------
@@ -544,7 +526,7 @@ def jump_componentwise_elastic(X: SensitivityState, part: DofPartition, w_row, d
 
 
 def jump_componentwise_inelastic(X: SensitivityState, part: DofPartition, w_row, dv,
-                                 jt_v, jq_v, jv_v, jrho_v, vdot_minus, vdot_plus,
+                                 jq_v, jv_v, jrho_v, vdot_minus, vdot_plus,
                                  v_minus, dg, R, D) -> SensitivityState:
     """Direct evaluation of the scalar jump equations for the impulsive case."""
     dof, dep = list(part.dof), list(part.dep)
@@ -552,7 +534,7 @@ def jump_componentwise_inelastic(X: SensitivityState, part: DofPartition, w_row,
     Qp = np.empty_like(X.Q)
     Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
     Qp[dep, :] = R @ Qp[dof, :] + D @ X.Gamma
-    bracket = jt_v + jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
+    bracket = jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
     Vp = jq_v @ X.Q + jv_v @ X.V + bracket.reshape(-1, 1) @ dt_drho + jrho_v @ X.Gamma
     Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
     return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)

@@ -54,8 +54,13 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0 or self.event_tol <= 0:
-            raise ValueError("rtol, atol and event_tol must be positive")
+        # comparisons with NaN are false, so each test is written to fail on it
+        if not all(np.isfinite(x) and x > 0 for x in (self.rtol, self.atol, self.event_tol)):
+            raise ValueError("rtol, atol and event_tol must be finite and positive")
+        if self.h0 is not None and not (np.isfinite(self.h0) and self.h0 > 0):
+            raise ValueError("h0 must be None or finite and positive")
+        if not self.hmax > 0:
+            raise ValueError("hmax must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

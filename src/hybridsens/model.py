@@ -1,6 +1,6 @@
 """System description: mass matrix, forces, constraints, cost functions.
 
-A MultibodyModel supplies M(t,q,rho), F(t,q,v,rho), initial conditions with
+A MultibodyModel supplies M(q,rho), F(t,q,v,rho), initial conditions with
 their parameter Jacobians, and (optionally) a holonomic constraint block.
 Any partial derivative the user does not supply analytically is replaced by
 a central finite-difference fallback with step h = eps**(1/3) * max(1, |x|),
@@ -212,7 +212,10 @@ class InitialConditions:
 
 @dataclass
 class MultibodyModel:
-    """Second-order mechanical system M(t,q,rho) vdot = F(t,q,v,rho).
+    """Second-order mechanical system M(q,rho) vdot = F(t,q,v,rho).
+
+    The mass matrix does not depend on time; ``mass(t,q,rho)`` still takes
+    t first, as the other callbacks do.
 
     Optional analytic partials (mass_partials, force_partials) override the
     finite-difference fallback.  ``mass_partials(t,q,rho,w)`` returns the

@@ -37,6 +37,13 @@ def _cost_value(dyn, cost, events, rho, t_span, config):
     return zF + w, traj
 
 
+def check_h_rel(h_rel):
+    """Refuse a relative step that is not finite and positive: a zero step
+    divides 0 by 0, and the difference quotient would read NaN."""
+    if not (np.isfinite(h_rel) and h_rel > 0):
+        raise ValueError(f"h_rel must be finite and positive, got {h_rel!r}")
+
+
 def _event_signature(traj):
     return tuple((rec.name, rec.kind) for rec in traj.events)
 
@@ -50,6 +57,7 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
     an event-topology change makes the difference quotient meaningless and
     raises instead of returning garbage.
     """
+    check_h_rel(h_rel)
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
     psi0, nominal = _cost_value(dyn, cost, events, rho, t_span, config)
@@ -92,6 +100,7 @@ def fd_trajectory_sensitivity(dyn, cost, events, rho, t_span, sample_times,
     by ten times the event-time tolerance): inside that window the finite
     difference sees the jump itself, not the sensitivity.
     """
+    check_h_rel(h_rel)
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
     _, nominal = _cost_value(dyn, cost, events, rho, t_span, config)

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+import hybridsens.cli as cli
 from hybridsens.cli import main
 
 
@@ -27,6 +29,45 @@ def test_bad_param_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--model", "bouncing-mass", "--params", "h0=abc",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--params", "e=nan"], ["--params", "h0=inf"], ["--tf", "-1"], ["--tf", "nan"],
+    ["--t0", "0.5", "--tf", "0.5"], ["--rtol", "nan"], ["--rtol", "0"],
+    ["--atol=-1e-9"], ["--event-tol", "nan"],
+], ids=" ".join)
+def test_bad_numeric_input_exits_2(tmp_path, argv):
+    # refused where it enters: --rtol nan would otherwise reject every step
+    # forever, --params e=nan fail at the first bounce
+    assert main(["simulate", "--model", "bouncing-mass", *argv,
+                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("h_rel", ["0", "-1e-6", "nan", "inf"])
+def test_fd_check_bad_h_rel_exits_2(tmp_path, capsys, h_rel):
+    assert main(["fd-check", "--model", "bouncing-mass", f"--h-rel={h_rel}",
+                 "--out", str(tmp_path)]) == 2
+    assert "h_rel must be finite and positive" in capsys.readouterr().err
+
+
+def test_fd_check_non_finite_gradient_exits_1(tmp_path, capsys, monkeypatch):
+    # a NaN in the last parameter's FD column must survive into that row's
+    # max_rel_diff and the worst value, and fail the command
+    fd = cli.fd_cost_sensitivity
+
+    def nan_in_last_column(*args, **kwargs):
+        grad = fd(*args, **kwargs)
+        grad[:, -1] = np.nan
+        return grad
+
+    monkeypatch.setattr(cli, "fd_cost_sensitivity", nan_in_last_column)
+    assert main(["fd-check", "--model", "bouncing-mass", "--out", str(tmp_path)]) == 1
+    table = json.loads((tmp_path / "fd_check.json").read_text())["table"]
+    assert np.isfinite(table[0]["max_rel_diff"])
+    assert np.isnan(table[-1]["max_rel_diff"])
+    captured = capsys.readouterr()
+    assert "worst max_rel_diff nan" in captured.out
+    assert "not finite" in captured.err
 
 
 def test_sticking_contact_exits_1(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hybridsens
 from hybridsens.constrained import (
     DaeDynamics,
     PenaltyConfig,
@@ -227,6 +230,39 @@ def test_penalty_dynamics_shared_across_threads(formulation):
         for got in rounds:
             for e_state, g_state in zip(expect, got):
                 assert all(np.array_equal(e, g) for e, g in zip(e_state, g_state))
+
+
+_SHARED_FACTOR_STRESS = """
+import sys, threading
+import numpy as np
+from hybridsens.gallery import five_bar
+
+dyn = five_bar().dynamics
+rho = np.array([100.0, 100.0])
+q, v = dyn.model.initial_state(rho).q0, np.linspace(-1.0, 1.0, 6)
+
+def run():
+    for i in range(1000):
+        dyn.jacobians(float(i % 2), q, v, rho)
+
+threads = [threading.Thread(target=run) for _ in range(4)]
+sys.setswitchinterval(1e-6)
+for th in threads:
+    th.start()
+for th in threads:
+    th.join()
+"""
+
+
+def test_threads_solving_with_one_factor_keep_the_process_alive():
+    # four threads share one dynamics object and so, at each memo hit, one
+    # factor; LAPACK's getrs runs without the GIL while scipy's wrapper
+    # shifts the pivot indices in place, so solves on a shared pivot array
+    # corrupt the heap and abort the interpreter: run it in a subprocess
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hybridsens.__file__)))
+    done = subprocess.run([sys.executable, "-c", _SHARED_FACTOR_STRESS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_dae_solve_unconstrained_limit():

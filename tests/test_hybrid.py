@@ -135,6 +135,42 @@ def test_impulse_energy_never_increases():
         assert 0.5 * m * v_plus @ v_plus <= 0.5 * m * v_minus @ v_minus + 1e-12
 
 
+def test_capture_impulse_partials_match_closed_form():
+    # with M = m I and G = 2 q^T the capture's impulse map is
+    # v+ = v- - q (q.v-)/(q.q) and dmu = m (q.v-)/(2 q.q); its imp_* blocks
+    # are the partials of these in q, v- and rho = (x0, vy0, m)
+    import sympy as sp
+    from hybridsens.gallery import pendulum
+
+    qs, vs, rs = sp.symbols("q1 q2"), sp.symbols("v1 v2"), sp.symbols("x0 vy0 m")
+    qv, qq = sp.Matrix(qs).dot(sp.Matrix(vs)), sp.Matrix(qs).dot(sp.Matrix(qs))
+    maps = {"v": sp.Matrix(vs) - sp.Matrix(qs) * qv / qq,
+            "mu": sp.Matrix([rs[2] * qv / (2 * qq)])}
+    closed = {f"imp_{out}_{z}": sp.lambdify((qs, vs, rs), f.jacobian(wrt), "numpy")
+              for out, f in maps.items()
+              for z, wrt in (("q", qs), ("v", vs), ("rho", rs))}
+    prob = pendulum()
+    spec, dyn = prob.events[0], prob.dynamics
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        th = rng.uniform(-np.pi, np.pi)
+        q = rng.uniform(0.5, 1.5) * np.array([np.sin(th), -np.cos(th)])
+        v = rng.normal(size=2, scale=2.0)
+        if abs(q @ v) < 0.3:                   # keep the crossing transversal
+            v = v + q
+        rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 0.0), rng.uniform(0.5, 2.0)])
+        t = rng.uniform(0.0, 1.0)
+        vp, _, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
+        zero = np.zeros(1)
+        blocks = build_jump_matrix(spec, dyn.dims, t, q, v, vp, dyn.accel(t, q, v, rho),
+                                   dyn_plus.accel(t, q, vp, rho), zero, zero, rho,
+                                   dyn, dyn_plus).blocks
+        for name, f in closed.items():
+            want = np.array(f(q, v, rho), dtype=float)
+            scale = max(1.0, np.abs(want).max())
+            assert np.max(np.abs(blocks[name] - want)) <= 1e-12 * scale, name
+
+
 # -- jump matrices ------------------------------------------------------------
 
 
@@ -333,7 +369,7 @@ def _random_inelastic_case(rng):
     b = jump.blocks
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_inelastic(
-        X, spec.partition, w, vp - v, b["imp_v_t"], b["imp_v_q"], b["imp_v_v"],
+        X, spec.partition, w, vp - v, b["imp_v_q"], b["imp_v_v"],
         b["imp_v_rho"], vdm, vdp, v, gp - gm, b["R"] if "R" in b else None,
         b["D"])
     return dims, jump, comp

@@ -104,6 +104,15 @@ def test_simultaneous_events_error():
                           [lambda t, y: y[0], lambda t, y: 2.0 * y[0]])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rtol", np.nan), ("atol", np.inf), ("event_tol", np.nan), ("event_tol", 0.0),
+    ("h0", 0.0), ("h0", np.nan), ("hmax", 0.0), ("hmax", np.nan),
+])
+def test_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        IntegratorConfig(**{field: value})
+
+
 def test_max_steps_exceeded():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(IntegrationError, match="max_steps"):
