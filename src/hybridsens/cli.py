@@ -246,7 +246,7 @@ def cmd_fd_check(args):
     grad_dir, traj, _ = direct_gradient(problem.dynamics, cost, problem.events,
                                         rho, t_span, icfg)
     grad_fd = fd_cost_sensitivity(problem.dynamics, cost, problem.events,
-                                  rho, t_span, icfg, h_rel=h_rel)
+                                  rho, t_span, icfg, h_rel=h_rel, nominal=traj)
     sol = adjoint_mod.propagate_adjoint(traj, cost)
 
     table = []

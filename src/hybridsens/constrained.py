@@ -25,11 +25,17 @@ from .model import (
     MultibodyModel,
     SingularMatrixError,
     COND_LIMIT,
+    pivot_ratio,
 )
 
 
 class SingularKKTError(SingularMatrixError):
     pass
+
+
+class ConstraintReleaseError(RuntimeError):
+    """A one-sided constraint held with a multiplier of the wrong sign (a
+    tether that pushes): its release is not supported."""
 
 
 _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
@@ -49,8 +55,8 @@ def checked_lu(A: np.ndarray, what: str):
     lu, piv, info = _getrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf ({what})")
-    d = np.abs(np.diag(lu))
-    if d.min() == 0.0 or d.max() / d.min() > COND_LIMIT:
+    if pivot_ratio(lu) > COND_LIMIT:
+        d = np.abs(np.diag(lu))
         raise SingularKKTError(
             f"{what} numerically singular (pivot ratio ~{d.max() / max(d.min(), 1e-300):.3g})"
         )
@@ -115,12 +121,16 @@ def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     poisons every solve with cond * eps noise.
     """
     n, m = M.shape[0], G.shape[0]
-    K = np.zeros((n + m, n + m))
+    K = np.empty((n + m, n + m))
     K[:n, :n] = M
     K[:n, n:] = G.T
     K[n:, :n] = G
     if c:
-        K[n:, n:] = -c * np.eye(m)
+        # the bytes of -c * eye(m): -c * 0.0 is a signed zero
+        K[n:, n:] = -c * 0.0
+        K.flat[n * (n + m + 1)::n + m + 1] = -c
+    else:
+        K[n:, n:] = 0.0
     return checked_lu(K, what)
 
 
@@ -303,6 +313,23 @@ class DaeDynamics(_SaddleDynamics):
         """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""
         gq, gv, grho = self.multiplier_jacobians(t, q, v, rho)
         return gq @ Q + gv @ V + grho
+
+
+def check_one_sided(dyn, dense) -> None:
+    """Refuse a smooth segment on which a one-sided row of the saddle
+    dynamics' constraint set carried mu_i < 0 at a recorded stage.  Reads
+    the segment's stored stage multipliers (``DenseSegment.multipliers``)
+    and solves nothing."""
+    if not isinstance(dyn, _SaddleDynamics) or not dyn.model.constraints.one_sided:
+        return
+    rows = list(dyn.model.constraints.one_sided)
+    mu = dense.multipliers[:, rows]
+    if (mu < 0.0).any():
+        worst = np.unravel_index(np.argmin(mu), mu.shape)
+        raise ConstraintReleaseError(
+            f"one-sided constraint row {rows[worst[1]]} reached multiplier "
+            f"{mu[worst]:.3g} < 0 on the segment [{dense.t_start:.6g}, {dense.t_end:.6g}]: "
+            f"the constraint would push, and its release is not supported")
 
 
 def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_partials):

@@ -31,7 +31,7 @@ from .hybrid import (
     build_jump_matrix,
     check_departure,
 )
-from .constrained import ConstraintResiduals
+from .constrained import ConstraintResiduals, check_one_sided
 
 
 @dataclass
@@ -170,6 +170,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
             wrappers, monitor, lambda s, x, d=active: d.multipliers(s, x[:n], x[n:2 * n], rho))
         segments.append(TrajectorySegment(t, t_end, seg_dense, active))
         _record_residuals(residuals, active, seg_dense, rho, dims)
+        check_one_sided(active, seg_dense)
         if hit is None:
             break
 

@@ -496,6 +496,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
             phi_q=lambda t, q, rho: 2.0 * q[None, :],
             phi_rho=lambda t, q, rho: np.zeros((1, 3)),
             hessian=2.0 * np.eye(2)[None],
+            one_sided=(0,),  # the tether pulls (mu > 0) and never pushes
         )
 
     return MultibodyModel(

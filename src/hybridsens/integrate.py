@@ -74,12 +74,15 @@ RK_A[6, :6] = RK45.B
 RK_C = np.append(RK45.C, 1.0)
 
 
-def _rk_dense(t_old, y_old, h, K, t) -> np.ndarray:
-    """Continuous extension y_old + h (K^T P) [x, x^2, x^3, x^4] inside one
-    step, x = (t - t_old) / h, computed exactly as scipy's RkDenseOutput."""
-    P = RK45.P
+def _rk_dense(t_old, y_old, h, Q, t) -> np.ndarray:
+    """Continuous extension y_old + h Q [x, x^2, x^3, x^4] inside one step,
+    x = (t - t_old) / h, with Q = K^T P from the step's stages K: bitwise
+    scipy's RkDenseOutput, whose powers np.cumprod forms by the same
+    sequential products."""
     x = (t - t_old) / h
-    y = h * np.dot(K.T.dot(P), np.cumprod(np.tile(x, P.shape[1])))
+    x2 = x * x
+    x3 = x2 * x
+    y = h * np.dot(Q, np.array([x, x2, x3, x3 * x]))
     y += y_old
     return y
 
@@ -135,7 +138,7 @@ class DenseSegment:
             return self.node_states[k].copy()
         k = min(max(k - 1, 0), len(self.stages) - 1)
         return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
-                         self.stages[k], t)
+                         self.stages[k].T.dot(RK45.P), t)
 
     def step_stages(self, k: int, n: int):
         """(h, w, times, states, vdot, mu) of step k, for the discrete
@@ -323,8 +326,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             evaluated.clear()
         t_new, y_new = solver.t, solver.y.copy()
 
+        Q = K.T.dot(RK45.P)
+
         def dense(s):
-            return _rk_dense(t_old, y_old, h, K, s)
+            return _rk_dense(t_old, y_old, h, Q, s)
 
         hit = None
         if event_fns:

@@ -14,6 +14,7 @@ assembly of the resolved gradients lives here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,6 +97,22 @@ def _partials(callback, what, fun, args, blocks):
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
+def pivot_ratio(factor: np.ndarray) -> float:
+    """max |d| / min |d| over the diagonal d of a triangular factor: inf for
+    a zero pivot, NaN for a NaN pivot, as numpy's reductions give them.
+
+    The diagonal is read as Python floats: on a small factor numpy's
+    reductions cost more than the factorization.  Python's min and max skip
+    a NaN or not depending on its position, so a NaN is caught first (a sum
+    of absolute values is NaN exactly when one of them is).
+    """
+    d = [abs(x) for x in factor.diagonal().tolist()]
+    if math.isnan(sum(d)):
+        return math.nan
+    lo = min(d)
+    return math.inf if lo == 0.0 else max(d) / lo
+
+
 def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:
     """Solve M X = B for symmetric positive definite M via Cholesky.
 
@@ -111,8 +128,7 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:
         raise SingularMatrixError(
             f"{what} not positive definite at t={t:.6g} (cond~{cond:.3g})"
         )
-    d = np.abs(np.diag(c))
-    cond_est = (d.max() / d.min()) ** 2
+    cond_est = np.float64(pivot_ratio(c)) ** 2  # inf on overflow, where a float's ** raises
     if cond_est > COND_LIMIT:
         raise SingularMatrixError(
             f"{what} numerically singular at t={t:.6g} (cond~{cond_est:.3g})"
@@ -139,6 +155,10 @@ class ConstraintSet:
     actions then contract it exactly, and the analytic Jacobians of both
     constrained formulations rely on it; without it every action is a
     central difference of ``jac_q``.
+
+    ``one_sided`` lists the rows i that hold as Phi_i <= 0 and can only act
+    toward it, as a tether pulls but never pushes: the constraint force
+    -phi_q^T mu allows them mu_i >= 0 only.  The other rows are bilateral.
     """
 
     m: int
@@ -146,8 +166,13 @@ class ConstraintSet:
     phi_q: Callable | None = None
     phi_rho: Callable | None = None
     hessian: np.ndarray | None = None
+    one_sided: tuple[int, ...] = ()
 
     def __post_init__(self):
+        self.one_sided = tuple(int(i) for i in self.one_sided)
+        if len(set(self.one_sided)) != len(self.one_sided) or not all(
+                0 <= i < self.m for i in self.one_sided):
+            raise DimensionError(f"invalid one_sided rows {self.one_sided} for m={self.m}")
         if self.hessian is None:
             return
         H = np.array(self.hessian, dtype=float)

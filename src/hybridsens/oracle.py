@@ -50,17 +50,24 @@ def _event_signature(traj):
 
 def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
                         config: IntegratorConfig | None = None,
-                        h_rel: float = DEFAULT_H_REL) -> np.ndarray:
+                        h_rel: float = DEFAULT_H_REL, nominal=None) -> np.ndarray:
     """Central-difference gradient of the total cost, one column per parameter.
 
     Every perturbed run must reproduce the nominal event sequence; crossing
     an event-topology change makes the difference quotient meaningless and
-    raises instead of returning garbage.
+    raises instead of returning garbage.  The nominal run serves only for
+    that sequence: a caller that already has it (a trajectory of the same
+    rho, time span and config) passes it as ``nominal``, else it is
+    simulated here.
     """
     check_h_rel(h_rel)
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
-    psi0, nominal = _cost_value(dyn, cost, events, rho, t_span, config)
+    if nominal is None:
+        nominal = simulate(dyn, cost, events, rho, t_span, config)
+    elif not (np.array_equal(nominal.rho, rho) and nominal.config == config
+              and (nominal.t0, nominal.tF) == (float(t_span[0]), float(t_span[1]))):
+        raise ValueError("the nominal run must have the same rho, time span and config")
     sig0 = _event_signature(nominal)
     grad = np.zeros((cost.nc, rho.size))
     for j in range(rho.size):

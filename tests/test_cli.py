@@ -77,6 +77,28 @@ def test_sticking_contact_exits_1(tmp_path, capsys):
     assert "StickingContactError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0, vy0", [("0.3", "6"), ("0.5", "6.5")])
+def test_pushing_tether_exits_1(tmp_path, capsys, x0, vy0):
+    # the capture lands on the upper half of the disc, where holding the
+    # swing would take a pushing tether (stage multipliers below zero)
+    code = main(["fd-check", "--model", "pendulum", "--params", f"x0={x0}",
+                 "--params", f"vy0={vy0}", "--out", str(tmp_path)])
+    assert code == 1
+    assert "ConstraintReleaseError" in capsys.readouterr().err
+
+
+def test_fd_check_oracle_reuses_the_direct_run(tmp_path, monkeypatch):
+    # the oracle takes the direct pass's trajectory as its nominal run and
+    # simulates only the 2 p perturbed ones
+    import hybridsens.oracle as oracle
+
+    calls = []
+    sim = oracle.simulate
+    monkeypatch.setattr(oracle, "simulate", lambda *a, **k: calls.append(a) or sim(*a, **k))
+    assert main(["fd-check", "--model", "pendulum", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * 3
+
+
 def test_simulate_artifacts(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--model", "bouncing-mass", "--out", str(out)]) == 0

@@ -618,3 +618,82 @@ def test_exactly_singular_saddle_matrix_raises():
         warnings.simplefilter("error")
         with pytest.raises(SingularKKTError, match="test KKT matrix"):
             saddle_factor(np.eye(3), G, 0.0, "test KKT matrix")
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-7])
+def test_saddle_factor_builds_the_blocked_matrix_bytewise(monkeypatch, c):
+    # the K handed to checked_lu holds exactly the bytes of the blocked
+    # construction, the signed zeros of -c * eye(m) included
+    import hybridsens.constrained as constrained
+
+    rng = np.random.default_rng(33)
+    n, m = 6, 4
+    A = rng.normal(size=(n, n))
+    M, G = A @ A.T + n * np.eye(n), rng.normal(size=(m, n))
+    seen = []
+    monkeypatch.setattr(constrained, "checked_lu", lambda K, what: seen.append(K.copy()))
+    saddle_factor(M, G, c, "test saddle matrix")
+    ref = np.zeros((n + m, n + m))
+    ref[:n, :n], ref[:n, n:], ref[n:, :n] = M, G.T, G
+    if c:
+        ref[n:, n:] = -c * np.eye(m)
+    assert seen[0].dtype == ref.dtype and seen[0].shape == ref.shape
+    assert seen[0].tobytes() == ref.tobytes()
+    assert np.signbit(seen[0][n:, n:]).all() == bool(c)
+
+
+_ABOVE = np.nextafter(1e12, np.inf)
+_BELOW = np.nextafter(1e12, 0.0)
+# diagonal matrices, so that the pivots are the diagonal entries
+PIVOT_CASES = {
+    "regular": ([2.0, -3.0, 0.5], True),
+    "zero pivot": ([1.0, 0.0, 2.0], False),
+    "ratio just under the limit": ([_BELOW, 1.0, -2.0], True),
+    "ratio at the limit": ([-1e12, 1.0, 3.0], True),
+    "ratio just over the limit": ([_ABOVE, 1.0, 2.0], False),
+    "infinite pivot": ([np.inf, 1.0, 1.0], False),
+    # numpy's min and max propagate NaN, so the ratio test never refused it
+    "NaN pivot": ([1.0, np.nan, 2.0], True),
+    "NaN and zero pivots": ([0.0, 1.0, np.nan], True),
+}
+
+
+@pytest.mark.parametrize("case", PIVOT_CASES)
+def test_checked_lu_pivot_check_matches_numpy_reductions(case):
+    # the check reads the diagonal as Python floats; it accepts and refuses
+    # exactly what the check on numpy's reductions did
+    import hybridsens.constrained as constrained
+    from hybridsens.model import COND_LIMIT
+
+    diag, accepted = PIVOT_CASES[case]
+    A = np.diag(diag)
+    lu = constrained._getrf(A)[0]
+    d = np.abs(np.diag(lu))
+    assert (not (d.min() == 0.0 or d.max() / d.min() > COND_LIMIT)) == accepted
+    if accepted:
+        checked_lu(A, "test matrix")
+    else:
+        with pytest.raises(SingularKKTError, match="test matrix"):
+            checked_lu(A, "test matrix")
+
+
+def test_simulate_refuses_a_pushing_tether():
+    # the capture lands high on the disc: the swing's stage multipliers go
+    # negative, and the run raises instead of returning the trajectory
+    from hybridsens.constrained import ConstraintReleaseError
+    from hybridsens.gallery import pendulum
+
+    prob = pendulum()
+    rho = np.array([0.3, 6.0, 1.0])
+    with pytest.raises(ConstraintReleaseError, match="row 0"):
+        simulate(prob.dynamics, None, prob.events, rho, prob.t_span, prob.config)
+    traj = simulate(prob.dynamics, None, prob.events, prob.rho0.rho, prob.t_span, prob.config)
+    assert traj.segments[-1].dense.multipliers.min() > 0.0
+
+
+def test_one_sided_rows_are_checked():
+    phi = lambda t, q, rho: q[:2]  # noqa: E731
+    assert ConstraintSet(m=2, phi=phi, one_sided=[1]).one_sided == (1,)
+    for rows in ((2,), (0, 0), (-1,)):
+        with pytest.raises(ValueError, match="one_sided"):
+            ConstraintSet(m=2, phi=phi, one_sided=rows)

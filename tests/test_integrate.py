@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import RK45
+from scipy.integrate._ivp.rk import RkDenseOutput
 
 from hybridsens.integrate import (
     GrazingError,
     IntegrationError,
     IntegratorConfig,
     SimultaneousEventError,
+    _rk_dense,
     integrate_segment,
 )
 
@@ -149,18 +151,42 @@ def test_dense_output_matches_scipy_bitwise():
         return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1]])
 
     y0 = np.array([1.2, 0.0])
-    seg, _, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg,
-                                    [lambda t, y: y[0] + 0.9])
+    samples = []  # every (t, y) the event function receives
+
+    def event(t, y):
+        samples.append((t, y.copy()))
+        return y[0] + 0.9
+
+    seg, _, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
     assert hit is not None and seg.truncated
     solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.hmax)
-    dense = []
+    dense, nodes = [], {0.0: y0}
     while len(dense) < len(seg):
         solver.step()
         dense.append(solver.dense_output())
+        nodes[solver.t] = solver.y.copy()
     assert [d.t_old for d in dense] == list(seg.node_times[:-1])
     assert np.array_equal(dense[-1](hit.t), hit.y)
+    # a sample at a step's end sees the solver's state, one inside a step
+    # scipy's dense output, the interior scan and the root refinement alike
+    inside = 0
+    for t, y in samples:
+        if t in nodes:
+            assert y.tobytes() == nodes[t].tobytes()
+        else:
+            k = next(k for k, d in enumerate(dense) if d.t_old < t < d.t)
+            assert y.tobytes() == dense[k](t).tobytes()
+            inside += 1
+    assert inside > 4 * len(seg)
     rng = np.random.default_rng(3)
     for k in rng.integers(0, len(seg), size=40):
         t_lo, t_hi = seg.node_times[k], seg.node_times[k + 1]
         t = float(t_lo + rng.uniform(0.0, 1.0) * (t_hi - t_lo))
         assert np.array_equal(seg.evaluate(t), dense[k](t))
+    # the powers of x are scipy's sequential products, on a step whose
+    # polynomial terms are not swamped by y_old
+    K = rng.normal(size=(7, 5))
+    Q = K.T.dot(RK45.P)
+    ref = RkDenseOutput(0.0, 1.0, np.zeros(5), Q)
+    for t in rng.uniform(0.0, 1.0, size=200):
+        assert _rk_dense(0.0, np.zeros(5), 1.0, Q, t).tobytes() == ref(t).tobytes()

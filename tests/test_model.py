@@ -96,6 +96,40 @@ def test_spd_solve_matches_scipy_bitwise():
             assert x.tobytes() == ref.tobytes()
 
 
+_R_ABOVE, _R_BELOW = np.nextafter(1e6, np.inf), np.nextafter(1e6, 0.0)
+# diagonal mass matrices: the Cholesky pivots are the square roots of their
+# entries, and the condition estimate is the squared pivot ratio
+SPD_PIVOT_CASES = {
+    "regular": ([4.0, 1.0, 2.0], True),
+    "estimate just under the limit": ([_R_BELOW * _R_BELOW, 1.0, 2.0], True),
+    "estimate at the limit": ([1e12, 1.0, 3.0], True),
+    "estimate just over the limit": ([_R_ABOVE * _R_ABOVE, 1.0, 2.0], False),
+    "infinite pivot": ([1.0, np.inf, 1.0], False),
+    # numpy's min and max propagate NaN, so the estimate never refused it
+    "NaN pivot": ([1.0, np.nan, 2.0], True),
+}
+
+
+@pytest.mark.parametrize("case", SPD_PIVOT_CASES)
+def test_spd_solve_pivot_check_matches_numpy_reductions(case):
+    # the check reads the factor's diagonal as Python floats; it accepts and
+    # refuses exactly what the estimate from numpy's reductions did
+    from hybridsens.model import COND_LIMIT, _potrf
+
+    diag, accepted = SPD_PIVOT_CASES[case]
+    M = np.diag(diag)
+    c, info = _potrf(M, clean=False)
+    if info:
+        pytest.skip("this LAPACK refuses the NaN pivot in potrf itself")
+    d = np.abs(np.diag(c))
+    assert (not (d.max() / d.min()) ** 2 > COND_LIMIT) == accepted
+    if accepted:
+        _spd_solve(M, np.ones(3), "mass matrix", 0.0)
+    else:
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            _spd_solve(M, np.ones(3), "mass matrix", 0.0)
+
+
 def test_spd_solve_non_spd_mass_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -50,6 +50,28 @@ def test_bouncing_mass_fd_matches_closed_form():
     assert rel_err(out.ravel(), expect) < 1e-5
 
 
+def test_nominal_run_passed_in_gives_the_same_gradient():
+    # the nominal run only fixes the event sequence; one of another rho,
+    # time span or config is refused
+    import dataclasses
+
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    cost = prob.cost("height-final")
+    args = (prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span, prob.config)
+    nominal = simulate(*args)
+    assert fd_cost_sensitivity(*args, nominal=nominal).tobytes() == \
+        fd_cost_sensitivity(*args).tobytes()
+    for other in ({"rho": prob.rho0.rho + 1e-3}, {"t_span": (0.0, 1.4)},
+                  {"config": dataclasses.replace(prob.config, rtol=1e-7)}):
+        kwargs = dict(zip(("dyn", "cost", "events", "rho", "t_span", "config"), args))
+        kwargs.update(other)
+        with pytest.raises(ValueError, match="nominal run"):
+            fd_cost_sensitivity(**kwargs, nominal=nominal)
+
+
 def test_event_topology_change_detected():
     from hybridsens.gallery import bouncing_mass
 
