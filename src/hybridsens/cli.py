@@ -100,13 +100,17 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, doc, **dump_args):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, **dump_args)
+        fh.write("\n")
+
+
 def _write_sidecar(path: Path, cfg, extra=None):
     doc = {"config": cfg}
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc, indent=2, sort_keys=True)
 
 
 def _write_csv(path: Path, header, rows):
@@ -121,9 +125,7 @@ def _write_table(out: Path, stem: str, header, rows, fmt: str):
     if fmt == "json":
         doc = {"columns": list(header),
                "rows": [[float(x) for x in row] for row in rows]}
-        with open(out / f"{stem}.json", "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        _write_json(out / f"{stem}.json", doc)
     else:
         _write_csv(out / f"{stem}.csv", header, rows)
 
@@ -156,9 +158,7 @@ def cmd_simulate(args):
     rows = [[t] + list(np.concatenate(traj.state_at(t))) for t in times]
     fmt = cfg.get("format", "csv")
     _write_table(out, "trajectory", _state_header(traj.dims), rows, fmt)
-    with open(out / "events.json", "w") as fh:
-        json.dump(_events_json(traj), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "events.json", _events_json(traj), indent=2)
     res = traj.residuals
     _write_table(out, "residuals", ["t", "pos_residual", "vel_residual"],
                  list(zip(res.times, res.pos, res.vel)), fmt)
@@ -198,14 +198,10 @@ def cmd_direct(args):
     times = _sample_times(traj)
     _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims),
                  _sensitivity_rows(traj, times), cfg.get("format", "csv"))
-    with open(out / "events.json", "w") as fh:
-        json.dump(_events_json(traj), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "events.json", _events_json(traj), indent=2)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "direct": grad.tolist()}
-    with open(out / "gradient.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "gradient.json", doc, indent=2)
     _write_sidecar(out / "run.meta.json", cfg, {"command": "direct"})
     print(f"direct: dpsi/drho = {grad.ravel()} -> {out}")
     return 0
@@ -229,9 +225,7 @@ def cmd_adjoint(args):
                  [[t] + list(row) for t, row in zip(tf_order, series_f)], fmt)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "adjoint": sol.gradient.tolist()}
-    with open(out / "gradient.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "gradient.json", doc, indent=2)
     _write_sidecar(out / "run.meta.json", cfg, {"command": "adjoint"})
     print(f"adjoint: dpsi/drho = {sol.gradient.ravel()} -> {out}")
     return 0
@@ -262,9 +256,8 @@ def cmd_fd_check(args):
             "max_rel_diff": float(np.maximum(np.max(np.abs(a - d) / scale),
                                              np.max(np.abs(f - d) / scale))),
         })
-    with open(out / "fd_check.json", "w") as fh:
-        json.dump({"cost": cost.name, "h_rel": h_rel, "table": table}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "fd_check.json", {"cost": cost.name, "h_rel": h_rel, "table": table},
+                indent=2)
     _write_sidecar(out / "run.meta.json", cfg, {"command": "fd-check"})
     worst = float(np.max([row["max_rel_diff"] for row in table]))
     for row in table:

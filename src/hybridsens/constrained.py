@@ -55,7 +55,7 @@ def checked_lu(A: np.ndarray, what: str):
     lu, piv, info = _getrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf ({what})")
-    if pivot_ratio(lu) > COND_LIMIT:
+    if not pivot_ratio(lu) <= COND_LIMIT:  # a NaN ratio is refused too
         d = np.abs(np.diag(lu))
         raise SingularKKTError(
             f"{what} numerically singular (pivot ratio ~{d.max() / max(d.min(), 1e-300):.3g})"

@@ -177,8 +177,10 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
         spec: EventSpec = events[hit.index]
         q, v_minus, z = y_end[:n], y_end[n:2 * n], y_end[2 * n:]
         t_eve = hit.t
-        v_plus, delta_mu, dyn_plus = apply_state_jump(spec, t_eve, q, v_minus, rho, active)
-        rdot_plus = check_departure(spec, spec.r_jac(q), v_minus, v_plus)
+        v_plus, delta_mu, dyn_plus, blocks = apply_state_jump(
+            spec, t_eve, q, v_minus, rho, active)
+        r_q = spec.r_jac(q)
+        rdot_plus = check_departure(spec, r_q, v_minus, v_plus)
         vdot_minus, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
         vdot_plus, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
         if cost is not None:
@@ -186,13 +188,12 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
             g_plus = cost.g_value(t_eve, q, v_plus, vdot_plus, rho, mu=mu_p)
         else:
             g_minus = g_plus = np.zeros(dims.nc)
-        jump = build_jump_matrix(spec, dims, t_eve, q, v_minus, v_plus,
-                                 vdot_minus, vdot_plus, g_minus, g_plus,
-                                 rho, active, dyn_plus)
+        jump = build_jump_matrix(dims, r_q, v_minus, v_plus, vdot_minus, vdot_plus,
+                                 g_minus, g_plus, blocks)
         records.append(EventRecord(
-            name=spec.name, kind=jump.kind, spec=spec, t_eve=t_eve, q=q.copy(),
-            v_minus=v_minus.copy(), v_plus=v_plus.copy(), vdot_minus=vdot_minus,
-            z=z.copy(), jump=jump, delta_mu=delta_mu,
+            spec=spec, t_eve=t_eve, q=q.copy(), v_minus=v_minus.copy(),
+            v_plus=v_plus.copy(), vdot_minus=vdot_minus, z=z.copy(), jump=jump,
+            delta_mu=delta_mu,
         ))
 
         # positions and quadrature are continuous; restart just off the root

@@ -4,8 +4,8 @@ At a transversal event the positions and the quadrature accumulator are
 continuous while the velocities jump; forward sensitivities therefore jump
 as X+ = S X- with a generalized jump matrix S assembled per event kind, and
 adjoints jump backward as lam- = S^T lam+.  Each event kind is one
-EventSpec subclass that owns its state jump, its blocks of S and whether
-its post-event velocity must leave the event surface:
+EventSpec subclass that owns its state jump, which hands over its blocks
+of S, and whether its post-event velocity must leave the event surface:
 
 * VelocityJumpEvent: unconstrained state, full-velocity jump map
   h(t, q, v, rho).
@@ -31,7 +31,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import AdjointState, Dimensions, SensitivityState
-from .model import fd_jacobian, fd_derivative, ConstraintSet, _partials
+from .model import fd_jacobian, fd_derivative, _partials
 from . import constrained as _constrained
 
 TRANSVERSALITY_RTOL = 1e-8
@@ -77,9 +77,9 @@ class EventSpec:
     """Scalar event function r(q) whose sign change in time triggers the event.
 
     Each subclass is one event kind and owns everything specific to it:
-    ``state_jump`` gives the post-event velocities, ``jump_blocks`` its
-    blocks of the sensitivity jump matrix S, and ``must_depart`` whether the
-    post-event velocity must leave the event surface.
+    ``state_jump`` gives the post-event velocities and its blocks of the
+    sensitivity jump matrix S, and ``must_depart`` whether the post-event
+    velocity must leave the event surface.
     """
 
     name: str
@@ -97,13 +97,12 @@ class EventSpec:
         return fd_jacobian(lambda qq: np.atleast_1d(self.r(qq)), q).reshape(-1)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
-        """(v_plus, delta_mu or None, dyn_plus) at the event state."""
-        raise NotImplementedError
-
-    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
-                    dyn_plus, A, w):
-        """((SQQ, SQG, SVQ, SVV, SVG), named blocks) of S, given the shared
-        full-vector position jump A = I - dv w and event-time row w."""
+        """(v_plus, delta_mu or None, dyn_plus, blocks) at the event state:
+        ``blocks(vdot_minus, vdot_plus, A, w)`` gives ((SQQ, SQG, SVQ, SVV,
+        SVG), named blocks) of S from the one-sided accelerations, the shared
+        full-vector position jump A = I - dv w and the event-time row w, on
+        the factors the jump itself used.  Threads share specs, so the
+        factors live in the closure, never on the spec."""
         raise NotImplementedError
 
     def delta_mu_sensitivity(self, record, X_minus):
@@ -126,26 +125,23 @@ def _dependent_solve(spec, G):
                                    f"event '{spec.name}' dependent constraint block")
 
 
-def _dependent_blocks(spec, cons: ConstraintSet, t, q, rho, A):
-    """Dependent-coordinate part of a partitioned jump.
-
-    Factors G_dep once and returns its solve with R = -G_dep^-1 G_dof,
-    D = -G_dep^-1 phi_rho and the position rows of S: SQQ (dof rows A_dof,
-    dependent rows R A_dof) and SQG (dependent rows D).
+def _dependent_blocks(part: DofPartition, G, lu, phi_rho, A):
+    """Dependent-coordinate part of a partitioned jump, from G = phi_q, the
+    solve ``lu`` with its dependent block G_dep and phi_rho: R = -G_dep^-1
+    G_dof, D = -G_dep^-1 phi_rho and the position rows of S, SQQ (dof rows
+    A_dof, dependent rows R A_dof) and SQG (dependent rows D).
     """
-    n, p = q.size, rho.size
-    dof, dep = list(spec.partition.dof), list(spec.partition.dep)
-    G = cons.jac_q(t, q, rho)
-    lu = _dependent_solve(spec, G)
+    n, p = A.shape[0], phi_rho.shape[1]
+    dof, dep = list(part.dof), list(part.dep)
     R = -lu(G[:, dof])
-    D = -lu(cons.jac_rho(t, q, rho))
+    D = -lu(phi_rho)
     A_dof = A[dof, :]
     SQQ = np.zeros((n, n))
     SQQ[dof, :] = A_dof
     SQQ[dep, :] = R @ A_dof
     SQG = np.zeros((n, p))
     SQG[dep, :] = D
-    return lu, R, D, SQQ, SQG
+    return R, D, SQQ, SQG
 
 
 @dataclass
@@ -165,16 +161,15 @@ class VelocityJumpEvent(EventSpec):
                                self.jump, t, q, v, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
-        return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus)
+        def blocks(vdot_minus, vdot_plus, A, w):
+            n = v_minus.size
+            ht, hq, hv, hrho = self.jacobians(t, q, v_minus, rho)
+            bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
+            SVQ = hq + bracket.reshape(n, 1) @ w
+            named = {"Q_plus_wrt_Q": A, "V_plus_wrt_Q": SVQ, "h_v": hv, "h_rho": hrho}
+            return (A, np.zeros((n, rho.size)), SVQ, hv, hrho), named
 
-    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
-                    dyn_plus, A, w):
-        n = v_minus.size
-        ht, hq, hv, hrho = self.jacobians(t, q, v_minus, rho)
-        bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
-        SVQ = hq + bracket.reshape(n, 1) @ w
-        blocks = {"Q_plus_wrt_Q": A, "V_plus_wrt_Q": SVQ, "h_v": hv, "h_rho": hrho}
-        return (A, np.zeros((n, rho.size)), SVQ, hv, hrho), blocks
+        return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus), blocks
 
 
 @dataclass
@@ -213,6 +208,7 @@ class ConstrainedElasticEvent(EventSpec):
                                self.dof_jump_partials, self.jump_dof, t, q, v_dof, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        n = v_minus.size
         dof, dep = list(self.partition.dof), list(self.partition.dep)
         cons = dyn_minus.model.constraints
         v_dof_plus = self.jump_dof(t, q, v_minus[dof], rho)
@@ -221,38 +217,36 @@ class ConstrainedElasticEvent(EventSpec):
         v_plus = np.empty_like(v_minus)
         v_plus[dof] = v_dof_plus
         v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus))
-        return v_plus, None, dyn_minus
 
-    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
-                    dyn_plus, A, w):
-        n = v_minus.size
-        cons = dyn_plus.model.constraints
-        dof, dep = list(self.partition.dof), list(self.partition.dep)
-        lu, R, D, SQQ, SQG = _dependent_blocks(self, cons, t, q, rho, A)
-        Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
-        Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
+        def blocks(vdot_minus, vdot_plus, A, w):
+            R, D, SQQ, SQG = _dependent_blocks(self.partition, G, lu,
+                                               cons.jac_rho(t, q, rho), A)
+            Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
+            Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
 
-        ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
-        bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
-        B_dof = hq + bracket.reshape(-1, 1) @ w                  # (f, n)
-        # the dependent rows see the *post-jump* position sensitivities:
-        # V_dep+ = R V_dof+ + Rbar Q+ + C, with Q+ = SQQ Q- + SQG Gamma
-        SVQ = np.zeros((n, n))
-        SVQ[dof, :] = B_dof
-        SVQ[dep, :] = R @ B_dof + Rbar @ SQQ
-        SVV = np.zeros((n, n))
-        SVV[np.ix_(dof, dof)] = hv
-        SVV[np.ix_(dep, dof)] = R @ hv
-        K = Cblk + R @ hrho + Rbar @ SQG
-        SVG = np.zeros((n, rho.size))
-        SVG[dof, :] = hrho
-        SVG[dep, :] = K
-        blocks = {
-            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
-            "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
-            "h_v": hv, "h_rho": hrho,
-        }
-        return (SQQ, SQG, SVQ, SVV, SVG), blocks
+            ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
+            bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
+            B_dof = hq + bracket.reshape(-1, 1) @ w                  # (f, n)
+            # the dependent rows see the *post-jump* position sensitivities:
+            # V_dep+ = R V_dof+ + Rbar Q+ + C, with Q+ = SQQ Q- + SQG Gamma
+            SVQ = np.zeros((n, n))
+            SVQ[dof, :] = B_dof
+            SVQ[dep, :] = R @ B_dof + Rbar @ SQQ
+            SVV = np.zeros((n, n))
+            SVV[np.ix_(dof, dof)] = hv
+            SVV[np.ix_(dep, dof)] = R @ hv
+            K = Cblk + R @ hrho + Rbar @ SQG
+            SVG = np.zeros((n, rho.size))
+            SVG[dof, :] = hrho
+            SVG[dep, :] = K
+            named = {
+                "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
+                "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
+                "h_v": hv, "h_rho": hrho,
+            }
+            return (SQQ, SQG, SVQ, SVV, SVG), named
+
+        return v_plus, None, dyn_minus, blocks
 
 
 @dataclass
@@ -271,36 +265,38 @@ class ConstrainedInelasticEvent(EventSpec):
     must_depart: ClassVar[bool] = False
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
-        v_plus, dmu = _constrained.impulse_solve(self.post_dynamics.model, t, q, v_minus, rho)
-        return v_plus, dmu, self.post_dynamics
-
-    def jump_blocks(self, t, q, v_minus, v_plus, vdot_minus, vdot_plus, rho,
-                    dyn_plus, A, w):
-        """Partials of the impulse map (q, v-, rho) -> [v+; dmu] by
+        """``impulse_system`` gives [v+; dmu] and the factor its blocks
+        reuse: the partials of the impulse map (q, v-, rho) -> [v+; dmu] by
         ``differentiate_saddle``, from those of its right side [M v-; 0],
         [M_q v-, M, M_rho v-; 0]; M and so the map do not depend on t."""
-        n, model = v_minus.size, dyn_plus.model
+        n, model = v_minus.size, self.post_dynamics.model
+        M, factor, s = _constrained.impulse_system(model, t, q, v_minus, rho)
 
         def rhs_partials():
-            M, factor, s = _constrained.impulse_system(model, t, q, v_minus, rho)
             rhs = np.zeros((s.size, 2 * n + rho.size))
             rhs[:n, :n], rhs[:n, 2 * n:] = model.mass_jacobians(t, q, rho, v_minus)
             rhs[:n, n:2 * n] = M
             return factor, s[:n], s[n:], rhs
 
-        J = _constrained.differentiate_saddle(
-            model, t, q, v_minus, rho,
-            lambda *z: np.concatenate(_constrained.impulse_solve(model, t, *z)), rhs_partials)
-        jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
-        _, R, D, SQQ, SQG = _dependent_blocks(self, model.constraints, t, q, rho, A)
-        bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
-        SVQ = jq[:n] + bracket.reshape(n, 1) @ w
-        blocks = {
-            "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv[:n],
-            "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n], "imp_v_rho": jrho[:n],
-            "imp_mu_q": jq[n:], "imp_mu_v": jv[n:], "imp_mu_rho": jrho[n:],
-        }
-        return (SQQ, SQG, SVQ, jv[:n], jrho[:n]), blocks
+        def blocks(vdot_minus, vdot_plus, A, w):
+            J = _constrained.differentiate_saddle(
+                model, t, q, v_minus, rho,
+                lambda *z: np.concatenate(_constrained.impulse_solve(model, t, *z)),
+                rhs_partials)
+            jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
+            G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)
+            R, D, SQQ, SQG = _dependent_blocks(self.partition, G, _dependent_solve(self, G),
+                                               G_rho, A)
+            bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
+            SVQ = jq[:n] + bracket.reshape(n, 1) @ w
+            named = {
+                "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv[:n],
+                "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n], "imp_v_rho": jrho[:n],
+                "imp_mu_q": jq[n:], "imp_mu_v": jv[n:], "imp_mu_rho": jrho[n:],
+            }
+            return (SQQ, SQG, SVQ, jv[:n], jrho[:n]), named
+
+        return s[:n], s[n:], self.post_dynamics, blocks
 
     def delta_mu_sensitivity(self, record, X_minus):
         """d(delta_mu)/drho through the impulse map at the perturbed event
@@ -327,7 +323,6 @@ class JumpMatrix:
     """
 
     dims: Dimensions
-    kind: str
     blocks: dict
     S: np.ndarray
 
@@ -350,8 +345,6 @@ class EventRecord:
     sensitivities at the event and are filled by the direct pass's sweep.
     """
 
-    name: str
-    kind: str
     spec: EventSpec
     t_eve: float
     q: np.ndarray
@@ -363,6 +356,14 @@ class EventRecord:
     dteve_drho: np.ndarray | None = None
     delta_mu: np.ndarray | None = None
     delta_mu_sens: np.ndarray | None = None
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def kind(self) -> str:
+        return type(self.spec).__name__
 
     def to_json_dict(self) -> dict:
         d = {
@@ -386,8 +387,10 @@ class EventRecord:
 # ---------------------------------------------------------------------------
 
 
-def check_transversality(r_q: np.ndarray, v_minus: np.ndarray) -> float:
-    """Return dr/dq . v-, refusing tangential (grazing) crossings."""
+def event_time_row(r_q: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
+    """Row functional mapping Q- columns to event-time sensitivities,
+    (dt/drho) = row . Q-, i.e. -dr/dq / (dr/dq . v-), refusing tangential
+    (grazing) crossings."""
     r_q = np.asarray(r_q, dtype=float).reshape(-1)
     rdot = float(r_q @ v_minus)
     scale = float(np.linalg.norm(r_q) * np.linalg.norm(v_minus))
@@ -396,14 +399,7 @@ def check_transversality(r_q: np.ndarray, v_minus: np.ndarray) -> float:
             f"|dr/dq . v| = {abs(rdot):.3g} below transversality threshold "
             f"({TRANSVERSALITY_RTOL:.1g} * {scale:.3g})"
         )
-    return rdot
-
-
-def event_time_row(r_q: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
-    """Row functional mapping Q- columns to event-time sensitivities,
-    (dt/drho) = row . Q-, i.e. -dr/dq / (dr/dq . v-)."""
-    rdot = check_transversality(r_q, v_minus)
-    return -np.asarray(r_q, dtype=float).reshape(1, -1) / rdot
+    return -r_q.reshape(1, -1) / rdot
 
 
 def event_time_sensitivity(r_q: np.ndarray, Q_minus: np.ndarray,
@@ -421,8 +417,10 @@ def apply_state_jump(spec: EventSpec, t_eve: float, q: np.ndarray,
                      v_minus: np.ndarray, rho: np.ndarray, dyn_minus):
     """Post-event velocities (and impulse multipliers) for an event spec.
 
-    Returns (v_plus, delta_mu_or_None, dyn_plus).  Positions and quadrature
-    values never jump; the caller keeps them verbatim.
+    Returns (v_plus, delta_mu_or_None, dyn_plus, blocks), ``blocks`` the
+    closure ``build_jump_matrix`` takes (``EventSpec.state_jump``).
+    Positions and quadrature values never jump; the caller keeps them
+    verbatim.
     """
     return spec.state_jump(t_eve, q, v_minus, rho, dyn_minus)
 
@@ -465,30 +463,28 @@ def _assemble(dims: Dimensions, SQQ, SQG, SVQ, SVV, SVG, SZQ) -> np.ndarray:
     return S
 
 
-def build_jump_matrix(spec: EventSpec, dims: Dimensions, t_eve: float,
-                      q: np.ndarray, v_minus: np.ndarray, v_plus: np.ndarray,
-                      vdot_minus: np.ndarray, vdot_plus: np.ndarray,
-                      g_minus: np.ndarray, g_plus: np.ndarray,
-                      rho: np.ndarray, dyn_minus, dyn_plus) -> JumpMatrix:
+def build_jump_matrix(dims: Dimensions, r_q: np.ndarray, v_minus: np.ndarray,
+                      v_plus: np.ndarray, vdot_minus: np.ndarray, vdot_plus: np.ndarray,
+                      g_minus: np.ndarray, g_plus: np.ndarray, blocks) -> JumpMatrix:
     """Assemble the generalized sensitivity jump matrix for one event.
 
-    One-sided accelerations are the respective right-hand sides evaluated at
-    (t_eve, q, v-) and (t_eve, q, v+); one-sided cost densities likewise.
-    The event kind supplies its position and velocity blocks; the event-time
-    row and the quadrature block are common to all kinds.
+    r_q is dr/dq at the event.  One-sided accelerations are the respective
+    right-hand sides evaluated at (t_eve, q, v-) and (t_eve, q, v+);
+    one-sided cost densities likewise.  The event kind supplies its position
+    and velocity blocks through ``blocks``, the closure its ``state_jump``
+    returned; the event-time row and the quadrature block are common to all
+    kinds.
     """
     n, nc = dims.n, dims.nc
-    r_q = spec.r_jac(q)
     w = event_time_row(r_q, v_minus)           # (1, n)
     dv = (v_plus - v_minus).reshape(n, 1)
     dg = (g_plus - g_minus).reshape(nc, 1)
     A = np.eye(n) - dv @ w                      # full-vector position-sensitivity jump
     SZQ = -dg @ w
-    own, blocks = spec.jump_blocks(t_eve, q, v_minus, v_plus, vdot_minus, vdot_plus,
-                                   rho, dyn_plus, A, w)
+    own, named = blocks(vdot_minus, vdot_plus, A, w)
     S = _assemble(dims, *own, SZQ)
-    blocks.update({"Z_plus_wrt_Q": SZQ, "dt_row": w})
-    return JumpMatrix(dims, type(spec).__name__, blocks, S)
+    named.update({"Z_plus_wrt_Q": SZQ, "dt_row": w})
+    return JumpMatrix(dims, named, S)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             evaluated.append(multipliers(t, y))
             return f
     solver = RK45(fun, t0, y0, tf, **kwargs)
+    if not np.isfinite(solver.f).all():
+        # scipy's step loop never ends on a non-finite derivative
+        raise IntegrationError(f"non-finite right-hand side at t={t0}")
     if multipliers is not None:
         mu_rows = evaluated[:1]
 

@@ -129,7 +129,7 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:
             f"{what} not positive definite at t={t:.6g} (cond~{cond:.3g})"
         )
     cond_est = np.float64(pivot_ratio(c)) ** 2  # inf on overflow, where a float's ** raises
-    if cond_est > COND_LIMIT:
+    if not cond_est <= COND_LIMIT:  # a NaN estimate is refused too
         raise SingularMatrixError(
             f"{what} numerically singular at t={t:.6g} (cond~{cond_est:.3g})"
         )

@@ -48,6 +48,26 @@ def _event_signature(traj):
     return tuple((rec.name, rec.kind) for rec in traj.events)
 
 
+def _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel, sig0):
+    """Per parameter j, the central-difference pair: ((psi+, traj+),
+    (psi-, traj-), step), refusing a run whose event sequence is not sig0."""
+    for j in range(rho.size):
+        h = h_rel * max(1.0, abs(rho[j]))
+        rp = rho.copy()
+        rm = rho.copy()
+        rp[j] += h
+        rm[j] -= h
+        plus = _cost_value(dyn, cost, events, rp, t_span, config)
+        minus = _cost_value(dyn, cost, events, rm, t_span, config)
+        for _, traj in (plus, minus):
+            if _event_signature(traj) != sig0:
+                raise EventTopologyError(
+                    f"event topology changed under perturbation of parameter {j}; "
+                    f"reduce h_rel (={h_rel:g})"
+                )
+        yield plus, minus, rp[j] - rm[j]
+
+
 def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
                         config: IntegratorConfig | None = None,
                         h_rel: float = DEFAULT_H_REL, nominal=None) -> np.ndarray:
@@ -68,23 +88,11 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
     elif not (np.array_equal(nominal.rho, rho) and nominal.config == config
               and (nominal.t0, nominal.tF) == (float(t_span[0]), float(t_span[1]))):
         raise ValueError("the nominal run must have the same rho, time span and config")
-    sig0 = _event_signature(nominal)
     grad = np.zeros((cost.nc, rho.size))
-    for j in range(rho.size):
-        h = h_rel * max(1.0, abs(rho[j]))
-        rp = rho.copy()
-        rm = rho.copy()
-        rp[j] += h
-        rm[j] -= h
-        psi_p, traj_p = _cost_value(dyn, cost, events, rp, t_span, config)
-        psi_m, traj_m = _cost_value(dyn, cost, events, rm, t_span, config)
-        for traj in (traj_p, traj_m):
-            if _event_signature(traj) != sig0:
-                raise EventTopologyError(
-                    f"event topology changed under perturbation of parameter {j}; "
-                    f"reduce h_rel (={h_rel:g})"
-                )
-        grad[:, j] = (psi_p - psi_m) / (rp[j] - rm[j])
+    runs = _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel,
+                           _event_signature(nominal))
+    for j, ((psi_p, _), (psi_m, _), step) in enumerate(runs):
+        grad[:, j] = (psi_p - psi_m) / step
     return grad
 
 
@@ -111,24 +119,8 @@ def fd_trajectory_sensitivity(dyn, cost, events, rho, t_span, sample_times,
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
     _, nominal = _cost_value(dyn, cost, events, rho, t_span, config)
-    sig0 = _event_signature(nominal)
-
-    runs = []  # (plus, minus, step) per parameter
-    for j in range(rho.size):
-        h = h_rel * max(1.0, abs(rho[j]))
-        rp = rho.copy()
-        rm = rho.copy()
-        rp[j] += h
-        rm[j] -= h
-        _, tp = _cost_value(dyn, cost, events, rp, t_span, config)
-        _, tm = _cost_value(dyn, cost, events, rm, t_span, config)
-        for traj in (tp, tm):
-            if _event_signature(traj) != sig0:
-                raise EventTopologyError(
-                    f"event topology changed under perturbation of parameter {j}; "
-                    f"reduce h_rel (={h_rel:g})"
-                )
-        runs.append((tp, tm, rp[j] - rm[j]))
+    runs = [(tp, tm, step) for (_, tp), (_, tm), step in _perturbed_runs(
+        dyn, cost, events, rho, t_span, config, h_rel, _event_signature(nominal))]
 
     # unreliable windows from the event-time spread across all runs
     pad = 10.0 * config.event_tol

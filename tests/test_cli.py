@@ -87,6 +87,26 @@ def test_pushing_tether_exits_1(tmp_path, capsys, x0, vy0):
     assert "ConstraintReleaseError" in capsys.readouterr().err
 
 
+def test_non_finite_right_hand_side_exits_1(tmp_path):
+    # m = 1e308 overflows the weight -m g to -inf at t0, where scipy's step
+    # loop would never end.  In a subprocess: in process, the suite's
+    # error::RuntimeWarning filter raises scipy's overflow warning first
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridsens.cli", "simulate", "--model", "pendulum",
+         "--params", "m=1e308", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert "IntegrationError" in proc.stderr
+
+
 def test_fd_check_oracle_reuses_the_direct_run(tmp_path, monkeypatch):
     # the oracle takes the direct pass's trajectory as its nominal run and
     # simulates only the 2 p perturbed ones
@@ -155,12 +175,12 @@ def test_config_file_with_flag_override(tmp_path):
     assert meta["events"] == 2
 
 
-def test_identical_invocations_bitwise_identical(tmp_path):
+@pytest.mark.parametrize("model", ["bouncing-mass", "pendulum"])
+def test_identical_invocations_bitwise_identical(tmp_path, model):
     outs = []
     for tag in ("x", "y"):
         out = tmp_path / tag
-        assert main(["fd-check", "--model", "bouncing-mass",
-                     "--out", str(out)]) == 0
+        assert main(["fd-check", "--model", model, "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
 

@@ -652,16 +652,16 @@ PIVOT_CASES = {
     "ratio at the limit": ([-1e12, 1.0, 3.0], True),
     "ratio just over the limit": ([_ABOVE, 1.0, 2.0], False),
     "infinite pivot": ([np.inf, 1.0, 1.0], False),
-    # numpy's min and max propagate NaN, so the ratio test never refused it
-    "NaN pivot": ([1.0, np.nan, 2.0], True),
-    "NaN and zero pivots": ([0.0, 1.0, np.nan], True),
+    # numpy's min and max propagate NaN, and a NaN ratio is refused
+    "NaN pivot": ([1.0, np.nan, 2.0], False),
+    "NaN and zero pivots": ([0.0, 1.0, np.nan], False),
 }
 
 
 @pytest.mark.parametrize("case", PIVOT_CASES)
 def test_checked_lu_pivot_check_matches_numpy_reductions(case):
-    # the check reads the diagonal as Python floats; it accepts and refuses
-    # exactly what the check on numpy's reductions did
+    # the check reads the diagonal as Python floats; it accepts exactly what
+    # the check on numpy's reductions accepts, a ratio at most COND_LIMIT
     import hybridsens.constrained as constrained
     from hybridsens.model import COND_LIMIT
 
@@ -669,7 +669,7 @@ def test_checked_lu_pivot_check_matches_numpy_reductions(case):
     A = np.diag(diag)
     lu = constrained._getrf(A)[0]
     d = np.abs(np.diag(lu))
-    assert (not (d.min() == 0.0 or d.max() / d.min() > COND_LIMIT)) == accepted
+    assert (d.min() != 0.0 and d.max() / d.min() <= COND_LIMIT) == accepted
     if accepted:
         checked_lu(A, "test matrix")
     else:

@@ -74,7 +74,7 @@ def test_five_bar_state_jump_resolves_dependents():
     Gm = cons.jac_q(0.0, q, rho)
     dep = [0, 1, 4, 5]
     v_minus[dep] = np.linalg.solve(Gm[:, dep], -Gm[:, [2, 3]] @ v_minus[[2, 3]])
-    v_plus, dmu, dyn_plus = apply_state_jump(spec, 0.0, q, v_minus, rho, dyn)
+    v_plus, dmu, dyn_plus, _ = apply_state_jump(spec, 0.0, q, v_minus, rho, dyn)
     assert dmu is None and dyn_plus is dyn
     assert v_plus[2] == v_minus[2]
     assert v_plus[3] == -v_minus[3]
@@ -99,7 +99,7 @@ def test_identity_dof_jump_keeps_velocities():
     Gm = cons.jac_q(0.0, ic.q0, rho)
     dep = [0, 1, 4, 5]
     v[dep] = np.linalg.solve(Gm[:, dep], -Gm[:, [2, 3]] @ v[[2, 3]])
-    v_plus, _, _ = apply_state_jump(spec, 0.0, ic.q0, v, rho, dyn)
+    v_plus, _, _, _ = apply_state_jump(spec, 0.0, ic.q0, v, rho, dyn)
     assert np.max(np.abs(v_plus - v)) < 1e-10
 
 
@@ -112,7 +112,7 @@ def test_point_mass_inelastic_hand_solve():
     L = 1.0
     q = np.array([0.0, -L])          # capture at the bottom
     v_minus = np.array([0.3, -2.0])
-    v_plus, dmu, dyn_plus = apply_state_jump(spec, 0.0, q, v_minus, rho, prob.dynamics)
+    v_plus, dmu, dyn_plus, _ = apply_state_jump(spec, 0.0, q, v_minus, rho, prob.dynamics)
     # constraint phi = |q|^2 - L^2, G = 2 q^T = (0, -2L): radial velocity dies
     assert np.allclose(v_plus, [0.3, 0.0], atol=1e-12)
     # M v+ + G^T dmu = M v-  ->  dmu = m (v_y- - v_y+) / (-2L)
@@ -130,7 +130,7 @@ def test_impulse_energy_never_increases():
         th = rng.uniform(-np.pi, np.pi)
         q = np.array([np.sin(th), -np.cos(th)])
         v_minus = rng.normal(size=2, scale=3.0)
-        v_plus, dmu, _ = apply_state_jump(spec, 0.0, q, v_minus, rho, prob.dynamics)
+        v_plus, dmu, _, _ = apply_state_jump(spec, 0.0, q, v_minus, rho, prob.dynamics)
         m = rho[2]
         assert 0.5 * m * v_plus @ v_plus <= 0.5 * m * v_minus @ v_minus + 1e-12
 
@@ -160,15 +160,43 @@ def test_capture_impulse_partials_match_closed_form():
             v = v + q
         rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 0.0), rng.uniform(0.5, 2.0)])
         t = rng.uniform(0.0, 1.0)
-        vp, _, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
+        vp, _, dyn_plus, own = apply_state_jump(spec, t, q, v, rho, dyn)
         zero = np.zeros(1)
-        blocks = build_jump_matrix(spec, dyn.dims, t, q, v, vp, dyn.accel(t, q, v, rho),
-                                   dyn_plus.accel(t, q, vp, rho), zero, zero, rho,
-                                   dyn, dyn_plus).blocks
+        blocks = build_jump_matrix(dyn.dims, spec.r_jac(q), v, vp, dyn.accel(t, q, v, rho),
+                                   dyn_plus.accel(t, q, vp, rho), zero, zero, own).blocks
         for name, f in closed.items():
             want = np.array(f(q, v, rho), dtype=float)
             scale = max(1.0, np.abs(want).max())
             assert np.max(np.abs(blocks[name] - want)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("model, tf, factorizations", [("five-bar", 0.6, 1), ("pendulum", None, 2)])
+def test_an_event_factors_each_matrix_once(monkeypatch, model, tf, factorizations):
+    # the state jump and its blocks of S share their factors: the five-bar
+    # contact factors G_dep once, the tether capture its impulse KKT matrix
+    # and G_dep once each; the accelerations' factors are not counted
+    import hybridsens.constrained as constrained
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import register_gallery
+
+    prob = register_gallery()[model]()
+    rho = prob.rho0.rho
+    t_span = prob.t_span if tf is None else (0.0, tf)
+    traj = simulate(prob.dynamics, None, prob.events, rho, t_span, prob.config)
+    rec, dyn = traj.events[0], traj.segments[0].dynamics
+    t, q, vm = rec.t_eve, rec.q, rec.v_minus
+    vdm = dyn.accel(t, q, vm, rho)
+    calls, checked_lu = [], constrained.checked_lu
+    monkeypatch.setattr(constrained, "checked_lu",
+                        lambda A, what: calls.append(what) or checked_lu(A, what))
+    vp, _, dyn_plus, blocks = apply_state_jump(rec.spec, t, q, vm, rho, dyn)
+    before = len(calls)
+    vdp = dyn_plus.accel(t, q, vp, rho)
+    del calls[before:]
+    zero = np.zeros(dyn.dims.nc)
+    jump = build_jump_matrix(dyn.dims, rec.spec.r_jac(q), vm, vp, vdm, vdp, zero, zero, blocks)
+    assert len(calls) == factorizations, calls
+    assert np.array_equal(jump.S, rec.jump.S)
 
 
 # -- jump matrices ------------------------------------------------------------
@@ -184,13 +212,13 @@ def _bouncing_context(rho=np.array([1.0, 0.9])):
     t_eve = np.sqrt(2 * rho[0] / G)
     q = np.array([0.0])
     v_minus = np.array([-G * t_eve])
-    v_plus, _, dyn_plus = apply_state_jump(spec, t_eve, q, v_minus, rho, dyn)
+    v_plus, _, dyn_plus, blocks = apply_state_jump(spec, t_eve, q, v_minus, rho, dyn)
     vdm = dyn.accel(t_eve, q, v_minus, rho)
     vdp = dyn_plus.accel(t_eve, q, v_plus, rho)
     gm = cost_density_value(cost, dyn, t_eve, q, v_minus, rho)
     gp = cost_density_value(cost, dyn_plus, t_eve, q, v_plus, rho)
-    jump = build_jump_matrix(spec, dyn.dims, t_eve, q, v_minus, v_plus,
-                             vdm, vdp, gm, gp, rho, dyn, dyn_plus)
+    jump = build_jump_matrix(dyn.dims, spec.r_jac(q), v_minus, v_plus,
+                             vdm, vdp, gm, gp, blocks)
     ctx = dict(spec=spec, dims=dyn.dims, t=t_eve, q=q, vm=v_minus, vp=v_plus,
                vdm=vdm, vdp=vdp, gm=gm, gp=gp, rho=rho, dyn=dyn)
     return jump, ctx
@@ -202,11 +230,11 @@ def test_noop_event_jump_is_identity():
         name="noop", r=lambda q: q[1] - 1.0,
         h=lambda t, q, v, rho: v,
     )
-    v = np.array([0.4, 2.0])
+    q, v = np.array([0.0, 1.0]), np.array([0.4, 2.0])
     vdot = np.array([0.0, -G])
     g = np.array([0.7])
-    jump = build_jump_matrix(spec, dims, 0.5, np.array([0.0, 1.0]), v, v.copy(),
-                             vdot, vdot, g, g, np.ones(2), None, None)
+    v_plus, _, _, blocks = apply_state_jump(spec, 0.5, q, v, np.ones(2), None)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, v_plus, vdot, vdot, g, g, blocks)
     rng = np.random.default_rng(5)
     X = SensitivityState(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                          rng.normal(size=(2, 2)), rng.normal(size=(1, 2)))
@@ -298,12 +326,12 @@ def _random_unconstrained_case(rng):
     if abs(v[0]) < 0.3:
         v[0] = 0.5
     rho = rng.normal(size=p)
-    vp = spec.jump(t, q, v, rho)
+    vp, _, _, blocks = apply_state_jump(spec, t, q, v, rho, None)
     vdm = rng.normal(size=n)
     vdp = rng.normal(size=n)
     gm = rng.normal(size=nc)
     gp = rng.normal(size=nc)
-    jump = build_jump_matrix(spec, dims, t, q, v, vp, vdm, vdp, gm, gp, rho, None, None)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
     ht, hq, hv, hrho = spec.jacobians(t, q, v, rho)
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_unconstrained(
@@ -326,13 +354,12 @@ def _random_elastic_case(rng):
     v = rng.normal(scale=1.0, size=6)
     if abs(v[3]) < 0.3:
         v[3] = -1.0
-    vp, _, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
+    vp, _, dyn_plus, blocks = apply_state_jump(spec, t, q, v, rho, dyn)
     vdm = dyn.accel(t, q, v, rho)
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
-    jump = build_jump_matrix(spec, dims, t, q, v, vp, vdm, vdp, gm, gp,
-                             rho, dyn, dyn_plus)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
     part = spec.partition
     ht, hq, hv, hrho = spec.jacobians(t, q, v[list(part.dof)], rho)
     w = event_time_row(spec.r_jac(q), v)
@@ -359,13 +386,12 @@ def _random_inelastic_case(rng):
     v = rng.normal(size=2, scale=2.0)
     if q @ v < 0.3:                            # ensure an outward crossing
         v = v - 2 * (q @ v) * q + 0.5 * q
-    vp, _, dyn_plus = apply_state_jump(spec, t, q, v, rho, dyn)
+    vp, _, dyn_plus, blocks = apply_state_jump(spec, t, q, v, rho, dyn)
     vdm = dyn.accel(t, q, v, rho)
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
-    jump = build_jump_matrix(spec, dims, t, q, v, vp, vdm, vdp, gm, gp,
-                             rho, dyn, dyn_plus)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
     b = jump.blocks
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_inelastic(
@@ -474,6 +500,21 @@ def test_rhs_switch_gradients_agree():
                -v0 ** 2 * (1 - e2) / (2 * c ** 2) + v0 ** 2 * T * e2 / c
                - v0 * (1 - e1) / c ** 2 + v0 * T * e1 / c]]
     assert rel_err(grad, expect) < 1e-7
+
+
+def test_simulate_reads_r_q_once_per_event():
+    # the departure check and the event-time row share one dr/dq
+    from dataclasses import replace
+
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    spec, calls = prob.events[0], []
+    counted = replace(spec, dr_dq=lambda q: calls.append(q) or spec.dr_dq(q))
+    traj = simulate(prob.dynamics, None, [counted], prob.rho0.rho, prob.t_span, prob.config)
+    assert len(traj.events) == 2
+    assert len(calls) == 2
 
 
 def test_rhs_switch_requires_post_dynamics():
