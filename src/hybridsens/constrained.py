@@ -92,18 +92,9 @@ class PenaltyConfig:
 class ConstraintResiduals:
     """Position / velocity constraint residual time series of one run."""
 
-    times: list
-    pos: list
-    vel: list
-
-    @classmethod
-    def empty(cls) -> "ConstraintResiduals":
-        return cls([], [], [])
-
-    def append(self, t: float, pos_res: float, vel_res: float) -> None:
-        self.times.append(float(t))
-        self.pos.append(float(pos_res))
-        self.vel.append(float(vel_res))
+    times: tuple
+    pos: tuple
+    vel: tuple
 
     def max_pos(self) -> float:
         return max(self.pos, default=0.0)
@@ -145,7 +136,7 @@ class _SaddleDynamics:
 
     Subclasses set the regularization ``_c`` and the bottom source b with
     its partials; everything else is shared.  ``model`` is the constrained
-    model itself (events and residual monitoring need its constraint set).
+    model itself (events and residuals need its constraint set).
     """
 
     _c = 0.0
@@ -232,12 +223,6 @@ class _SaddleDynamics:
                                    lambda *z: np.concatenate(self._solve(t, *z)[:2]), rhs_partials)
         blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
         return tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
-
-    def residuals(self, t, q, v, rho):
-        cons = self.model.constraints
-        pos = float(np.max(np.abs(cons.value(t, q, rho))))
-        vel = float(np.max(np.abs(cons.velocity_residual(t, q, v, rho))))
-        return pos, vel
 
 
 class PenaltyDynamics(_SaddleDynamics):

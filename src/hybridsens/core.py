@@ -70,10 +70,6 @@ class ParameterVector:
                 f"{len(self.labels)} labels for {self.rho.size} parameters"
             )
 
-    @property
-    def p(self) -> int:
-        return self.rho.size
-
 
 @dataclass
 class SensitivityState:
@@ -112,10 +108,6 @@ class SensitivityState:
             Z=np.zeros((dims.nc, dims.p)),
         )
 
-    @property
-    def p(self) -> int:
-        return self.Gamma.shape[0]
-
     def stacked(self) -> np.ndarray:
         """Return the (2n+p+nc) x p stacked matrix [Q; V; Gamma; Z]."""
         return np.vstack([self.Q, self.V, self.Gamma, self.Z])
@@ -133,9 +125,6 @@ class SensitivityState:
             Gamma=X[2 * n:2 * n + p].copy(),
             Z=X[2 * n + p:].copy(),
         )
-
-    def copy(self) -> "SensitivityState":
-        return SensitivityState(self.Q.copy(), self.V.copy(), self.Gamma.copy(), self.Z.copy())
 
 
 @dataclass
@@ -164,10 +153,6 @@ class AdjointState:
             if block.shape[1] != nc:
                 raise DimensionError(f"{name} has {block.shape[1]} columns, expected {nc}")
 
-    @property
-    def nc(self) -> int:
-        return self.lamZ.shape[0]
-
     def stacked(self) -> np.ndarray:
         """Return the (2n+p+nc) x nc stacked matrix [lamQ; lamV; lamGamma; lamZ]."""
         return np.vstack([self.lamQ, self.lamV, self.lamGamma, self.lamZ])
@@ -184,9 +169,4 @@ class AdjointState:
             lamV=L[n:2 * n].copy(),
             lamGamma=L[2 * n:2 * n + p].copy(),
             lamZ=L[2 * n + p:].copy(),
-        )
-
-    def copy(self) -> "AdjointState":
-        return AdjointState(
-            self.lamQ.copy(), self.lamV.copy(), self.lamGamma.copy(), self.lamZ.copy(),
         )

@@ -57,7 +57,6 @@ class HybridTrajectory:
     events: list
     cost: CostFunctional | None
     config: IntegratorConfig
-    residuals: ConstraintResiduals | None = None
 
     def segment_at(self, t: float) -> TrajectorySegment:
         for seg in self.segments:
@@ -81,6 +80,19 @@ class HybridTrajectory:
     @property
     def final_state(self):
         return self.state_at(self.tF)
+
+    @property
+    def residuals(self) -> ConstraintResiduals:
+        """Constraint residuals (max |Phi|, max |phi_q v|) at every stored
+        node, worked out from the nodes on each read; (0, 0) on a segment
+        whose dynamics has no constraint set."""
+        n, rows = self.dims.n, []
+        for seg in self.segments:
+            cons = seg.dynamics.model.constraints
+            for t, y in zip(seg.dense.node_times.tolist(), seg.dense.node_states):
+                rows.append((t, *((0.0, 0.0) if cons is None else
+                                  cons.residuals(t, y[:n], y[n:2 * n], self.rho))))
+        return ConstraintResiduals(*zip(*rows))
 
 
 def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
@@ -155,9 +167,11 @@ def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
 def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
     """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0)."""
     t0, tF = float(t_span[0]), float(t_span[1])
+    if not t0 < tF:
+        # a run without a segment has no final state and no residuals
+        raise ValueError(f"time span ({t0}, {tF}) is empty or reversed")
     segments: list[TrajectorySegment] = []
     records: list[EventRecord] = []
-    residuals = ConstraintResiduals.empty()
     monitor = EventMonitor(len(events))
     n = dims.n
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
@@ -169,7 +183,6 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
             lambda s, x, d=active: tlm_rhs(d, cost, dims, rho, s, x), y, (t, tF), config,
             wrappers, monitor, lambda s, x, d=active: d.multipliers(s, x[:n], x[n:2 * n], rho))
         segments.append(TrajectorySegment(t, t_end, seg_dense, active))
-        _record_residuals(residuals, active, seg_dense, rho, dims)
         check_one_sided(active, seg_dense)
         if hit is None:
             break
@@ -205,14 +218,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
         active = dyn_plus
 
     return HybridTrajectory(dims, np.asarray(rho, dtype=float), t0, tF,
-                            segments, records, cost, config, residuals)
-
-
-def _record_residuals(res: ConstraintResiduals, dyn, dense: DenseSegment, rho, dims):
-    n = dims.n
-    for t, y in zip(dense.node_times, dense.node_states):
-        pos, vel = dyn.residuals(float(t), y[:n], y[n:2 * n], rho)
-        res.append(float(t), pos, vel)
+                            segments, records, cost, config)
 
 
 def simulate(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):

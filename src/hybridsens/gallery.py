@@ -57,7 +57,6 @@ class GalleryProblem:
     rho0: ParameterVector
     t_span: tuple
     config: IntegratorConfig = field(default_factory=IntegratorConfig)
-    notes: str = ""
 
     def cost(self, name: str | None = None) -> CostFunctional:
         key = name or self.default_cost
@@ -375,7 +374,6 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryP
         default_cost="int-vy2",
         rho0=ParameterVector(pm.defaults(), pm.names),
         t_span=(0.0, 5.0),
-        notes="elastic ground contact under point 2 at y = %.2f" % ground,
     )
 
 
@@ -441,7 +439,6 @@ def bouncing_mass() -> GalleryProblem:
         default_cost="height-final",
         rho0=ParameterVector(np.array([1.0, 0.9]), ("h0", "e")),
         t_span=(0.0, 1.5),
-        notes="two ground impacts inside the default horizon",
     )
 
 
@@ -563,7 +560,6 @@ def pendulum() -> GalleryProblem:
         default_cost="x-final",
         rho0=ParameterVector(np.array([0.15, -1.0, 1.0]), ("x0", "vy0", "m")),
         t_span=(0.0, 1.2),
-        notes="tether engages when |q| reaches the fixed length",
     )
 
 

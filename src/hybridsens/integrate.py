@@ -283,16 +283,21 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     kwargs = dict(rtol=config.rtol, atol=config.atol, max_step=config.hmax)
     if config.h0 is not None:
         kwargs["first_step"] = config.h0
-    fun, mu_rows, evaluated = rhs, None, []  # evaluated: rows since the last step
-    if multipliers is not None:
-        def fun(t, y):
-            f = rhs(t, y)
+    mu_rows, evaluated, first = None, [], True  # evaluated: rows since the last step
+
+    def fun(t, y):
+        nonlocal first
+        f = rhs(t, y)
+        if first:
+            # f(t0, y0), refused before scipy probes a step with it: its step
+            # loop never ends on a non-finite derivative
+            if not np.isfinite(f).all():
+                raise IntegrationError(f"non-finite right-hand side at t={t0}")
+            first = False
+        if multipliers is not None:
             evaluated.append(multipliers(t, y))
-            return f
+        return f
     solver = RK45(fun, t0, y0, tf, **kwargs)
-    if not np.isfinite(solver.f).all():
-        # scipy's step loop never ends on a non-finite derivative
-        raise IntegrationError(f"non-finite right-hand side at t={t0}")
     if multipliers is not None:
         mu_rows = evaluated[:1]
 

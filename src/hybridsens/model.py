@@ -218,9 +218,11 @@ class ConstraintSet:
 
     # -- derived kinematic quantities --------------------------------------
 
-    def velocity_residual(self, t, q, v, rho) -> np.ndarray:
-        """d/dt Phi = phi_q v (zero on the constraint manifold)."""
-        return self.jac_q(t, q, rho) @ v
+    def residuals(self, t, q, v, rho) -> tuple[float, float]:
+        """(max |Phi|, max |phi_q v|): how far (q, v) lies off the position
+        and velocity constraint manifolds (d/dt Phi = phi_q v)."""
+        return (float(np.max(np.abs(self.value(t, q, rho)))),
+                float(np.max(np.abs(self.jac_q(t, q, rho) @ v))))
 
     def accel_rhs(self, t, q, v, rho) -> np.ndarray:
         """Right side C of the acceleration constraint phi_q vdot = C."""
@@ -331,10 +333,6 @@ class OdeDynamics:
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None
-
-    def residuals(self, t, q, v, rho):
-        """Constraint residuals; an unconstrained system has none."""
-        return 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------

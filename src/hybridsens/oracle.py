@@ -28,13 +28,11 @@ class EventTopologyError(RuntimeError):
     """A perturbed run produced a different event sequence than the nominal."""
 
 
-def _cost_value(dyn, cost, events, rho, t_span, config):
-    traj = simulate(dyn, cost, events, rho, t_span, config)
-    qF, vF, zF = traj.state_at(traj.tF)
-    dyn_F = traj.segments[-1].dynamics
-    w, _, _, _ = terminal_cost_gradients(cost, dyn_F, traj.tF, qF, vF,
-                                         np.asarray(rho, dtype=float))
-    return zF + w, traj
+def _cost_value(traj, cost):
+    """Total cost psi = z(tF) + w(tF) of one run."""
+    qF, vF, zF = traj.final_state
+    w = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, traj.rho)[0]
+    return zF + w
 
 
 def check_h_rel(h_rel):
@@ -48,24 +46,28 @@ def _event_signature(traj):
     return tuple((rec.name, rec.kind) for rec in traj.events)
 
 
-def _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel, sig0):
-    """Per parameter j, the central-difference pair: ((psi+, traj+),
-    (psi-, traj-), step), refusing a run whose event sequence is not sig0."""
+def _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel, sig0,
+                    measure=lambda traj: traj):
+    """Per parameter j, the central-difference pair (measure(traj+),
+    measure(traj-), step), refusing a run whose event sequence is not sig0.
+    Each run is measured before the next starts, while the dynamics' memo
+    still holds its last state."""
     for j in range(rho.size):
         h = h_rel * max(1.0, abs(rho[j]))
         rp = rho.copy()
         rm = rho.copy()
         rp[j] += h
         rm[j] -= h
-        plus = _cost_value(dyn, cost, events, rp, t_span, config)
-        minus = _cost_value(dyn, cost, events, rm, t_span, config)
-        for _, traj in (plus, minus):
+        pair = []
+        for r in (rp, rm):
+            traj = simulate(dyn, cost, events, r, t_span, config)
             if _event_signature(traj) != sig0:
                 raise EventTopologyError(
                     f"event topology changed under perturbation of parameter {j}; "
                     f"reduce h_rel (={h_rel:g})"
                 )
-        yield plus, minus, rp[j] - rm[j]
+            pair.append(measure(traj))
+        yield pair[0], pair[1], rp[j] - rm[j]
 
 
 def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
@@ -90,8 +92,8 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
         raise ValueError("the nominal run must have the same rho, time span and config")
     grad = np.zeros((cost.nc, rho.size))
     runs = _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel,
-                           _event_signature(nominal))
-    for j, ((psi_p, _), (psi_m, _), step) in enumerate(runs):
+                           _event_signature(nominal), lambda traj: _cost_value(traj, cost))
+    for j, (psi_p, psi_m, step) in enumerate(runs):
         grad[:, j] = (psi_p - psi_m) / step
     return grad
 
@@ -118,9 +120,9 @@ def fd_trajectory_sensitivity(dyn, cost, events, rho, t_span, sample_times,
     check_h_rel(h_rel)
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)
-    _, nominal = _cost_value(dyn, cost, events, rho, t_span, config)
-    runs = [(tp, tm, step) for (_, tp), (_, tm), step in _perturbed_runs(
-        dyn, cost, events, rho, t_span, config, h_rel, _event_signature(nominal))]
+    nominal = simulate(dyn, cost, events, rho, t_span, config)
+    runs = list(_perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel,
+                                _event_signature(nominal)))
 
     # unreliable windows from the event-time spread across all runs
     pad = 10.0 * config.event_tol

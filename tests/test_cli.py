@@ -89,8 +89,9 @@ def test_pushing_tether_exits_1(tmp_path, capsys, x0, vy0):
 
 def test_non_finite_right_hand_side_exits_1(tmp_path):
     # m = 1e308 overflows the weight -m g to -inf at t0, where scipy's step
-    # loop would never end.  In a subprocess: in process, the suite's
-    # error::RuntimeWarning filter raises scipy's overflow warning first
+    # loop would never end; it is refused before scipy probes a step with
+    # it.  In a subprocess: in process, the suite's error::RuntimeWarning
+    # filter raises the model's overflow warning first
     import os
     import subprocess
     import sys
@@ -105,6 +106,7 @@ def test_non_finite_right_hand_side_exits_1(tmp_path):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 1
     assert "IntegrationError" in proc.stderr
+    assert "invalid value encountered" not in proc.stderr
 
 
 def test_fd_check_oracle_reuses_the_direct_run(tmp_path, monkeypatch):

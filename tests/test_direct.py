@@ -221,3 +221,73 @@ def test_direct_pass_is_the_tangent_of_simulate_steps(name):
             assert seg.dense.node_times.tobytes() == seg_ref.dense.node_times.tobytes()
             assert seg.dense.node_states.tobytes() == seg_ref.dense.node_states.tobytes()
         assert [rec.t_eve for rec in traj.events] == [rec.t_eve for rec in ref.events]
+
+
+def _count_residual_calls(monkeypatch):
+    """Wrap ConstraintSet.residuals; returns the list its calls land in."""
+    from hybridsens.model import ConstraintSet
+
+    calls, original = [], ConstraintSet.residuals
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(ConstraintSet, "residuals", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, t_span", [("five-bar", (0.0, 0.6)), ("pendulum", None)],
+                         ids=["five-bar", "pendulum"])
+def test_residuals_are_derived_only_when_read(monkeypatch, name, t_span):
+    # no run evaluates a residual; reading traj.residuals evaluates one per
+    # node of each constrained segment
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.gallery import five_bar, pendulum
+
+    prob = {"five-bar": five_bar, "pendulum": pendulum}[name]()
+    calls = _count_residual_calls(monkeypatch)
+    cost = prob.cost()
+    args = (prob.dynamics, cost, prob.events, prob.rho0.rho, t_span or prob.t_span, prob.config)
+    traj = simulate(*args)
+    direct_gradient(*args)
+    propagate_adjoint(traj, cost)
+    fd_cost_sensitivity(*args, nominal=traj)
+    assert len(traj.events) == 1 and calls == []
+    constrained = [seg for seg in traj.segments if seg.dynamics.model.constraints is not None]
+    assert constrained
+    res = traj.residuals
+    assert len(calls) == sum(len(seg.dense.node_times) for seg in constrained)
+    assert len(res.times) == sum(len(seg.dense.node_times) for seg in traj.segments)
+
+
+def test_pendulum_residual_rows_at_the_stored_nodes():
+    # free flight has no constraint set: (0, 0); on the tether each row is
+    # max |Phi| and max |phi_q v| at the stored node state, bitwise
+    from hybridsens.gallery import pendulum
+
+    prob = pendulum()
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    free, tethered = traj.segments
+    res = traj.residuals
+    rows = list(zip(res.times, res.pos, res.vel))
+    n_free = len(free.dense.node_times)
+    assert rows[:n_free] == [(t, 0.0, 0.0) for t in free.dense.node_times.tolist()]
+    cons, rho = tethered.dynamics.model.constraints, traj.rho
+    expect = [(t, float(np.max(np.abs(cons.value(t, y[:2], rho)))),
+               float(np.max(np.abs(cons.jac_q(t, y[:2], rho) @ y[2:4]))))
+              for t, y in zip(tethered.dense.node_times.tolist(), tethered.dense.node_states)]
+    assert rows[n_free:] == expect
+    assert 0.0 < res.max_pos() <= 1e-6 and 0.0 < res.max_vel() <= 1e-5
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (1.0, 0.5), (0.0, float("nan"))])
+def test_empty_or_reversed_span_is_refused(t_span):
+    # such a run would have no segment: no final state and no residuals
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    for run in (simulate, propagate_direct):
+        with pytest.raises(ValueError, match="empty or reversed"):
+            run(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, t_span, prob.config)

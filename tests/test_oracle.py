@@ -130,3 +130,38 @@ def test_event_free_problem_nothing_flagged():
                                         (0.0, 0.4), np.linspace(0.0, 0.4, 9),
                                         prob.config)
     assert all(s.reliable for s in samples)
+
+
+def test_trajectory_oracle_evaluates_no_cost(monkeypatch):
+    # state sensitivities need no cost: no terminal cost gradient is taken
+    import hybridsens.model as model
+    import hybridsens.oracle as oracle
+    from hybridsens.gallery import bouncing_mass
+
+    calls = []
+    for module in (model, oracle):
+        original = module.terminal_cost_gradients
+        monkeypatch.setattr(module, "terminal_cost_gradients",
+                            lambda *a, f=original: calls.append(1) or f(*a))
+    prob = bouncing_mass()
+    fd_trajectory_sensitivity(prob.dynamics, prob.cost("height-final"), prob.events,
+                              prob.rho0.rho, prob.t_span, [0.2, 1.0], prob.config)
+    assert calls == []
+
+
+def test_trajectory_fd_without_a_cost_matches_tlm():
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    rho = prob.rho0.rho
+    samples = fd_trajectory_sensitivity(prob.dynamics, None, prob.events, rho, prob.t_span,
+                                        np.linspace(0.05, 1.45, 15), prob.config)
+    traj, _, _ = propagate_direct(prob.dynamics, None, prob.events, rho, prob.t_span,
+                                  prob.config)
+    reliable = [s for s in samples if s.reliable]
+    assert len(reliable) >= 10
+    for s in reliable:
+        X = traj.sensitivity_at(s.t)
+        assert np.max(np.abs(s.dq_drho - X.Q)) < 1e-4 * max(1.0, np.abs(X.Q).max())
+        assert np.max(np.abs(s.dv_drho - X.V)) < 1e-4 * max(1.0, np.abs(X.V).max())
+        assert not s.dz_drho.any()
