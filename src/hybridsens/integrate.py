@@ -1,10 +1,13 @@
 """Smooth-segment integration with dense output and event localization.
 
-Stepping comes from scipy's embedded Runge-Kutta 4(5) pair (non-stiff
-dynamics between events).  Each accepted step keeps its stage derivatives,
-which give both the continuous extension (what the event root-finder and
-the state queries interpolate) and the stage states the discrete tangent
-and adjoint of the step are evaluated at (``DenseSegment.step_stages``).  Everything event-related is implemented
+Stepping is the embedded Dormand-Prince Runge-Kutta 4(5) pair (non-stiff
+dynamics between events), ``RK45`` below: a port of scipy's stepper of the
+same name that keeps its arithmetic order, so every step is bitwise what
+scipy's would be, without importing ``scipy.integrate``.  Each accepted
+step keeps its stage derivatives, which give both the continuous extension
+(what the event root-finder and the state queries interpolate) and the
+stage states the discrete tangent and adjoint of the step are evaluated at
+(``DenseSegment.step_stages``).  Everything event-related is implemented
 here: sign-change detection on the dense output, bracketed bisection
 refined by secant steps, masking of the event function that just fired,
 and the guards that turn grazing or simultaneous crossings into explicit
@@ -13,11 +16,11 @@ errors.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 
 
 class IntegrationError(RuntimeError):
@@ -65,7 +68,232 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
 
 
-# scipy's Dormand-Prince stage coefficients, with a seventh row for the
+EPS = np.finfo(float).eps
+SAFETY = 0.9  # multiplies the step the asymptotic error behaviour asks for
+MIN_FACTOR = 0.2  # largest decrease of the step size per rejection
+MAX_FACTOR = 10  # largest increase of the step size per accepted step
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_step(fun, t, y, f, h, A, B, C, K):
+    """One explicit Runge-Kutta step from (t, y) with f = fun(t, y): fills
+    the stage rows of K, the derivative at the step end in its last row,
+    and returns (y_new, f_new)."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+
+    y_new = y + h * np.dot(K[:-1].T, B)
+    f_new = fun(t + h, y_new)
+
+    K[-1] = f_new
+
+    return y_new, f_new
+
+
+class RK45:
+    """Explicit Runge-Kutta 5(4) pair of Dormand and Prince with adaptive
+    steps (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer,
+    Norsett & Wanner, Solving ODEs I, Sec. II.4) and Shampine's quartic
+    continuous extension (``P``).
+
+    A port of scipy's ``RK45`` (scipy 1.17, ``scipy/integrate/_ivp/rk.py``,
+    ``common.py`` and ``base.py``; BSD-3-Clause licence, "Copyright (c)
+    2001-2002 Enthought, Inc. 2003, SciPy Developers").  The tableau, the
+    initial-step heuristic, the error norm and the step control do their
+    arithmetic in scipy's order, so every step, stage and status is bitwise
+    scipy's.  It takes real non-empty 1-D states and scalar tolerances; it
+    has no dense-output object (``_rk_dense`` evaluates the extension) and
+    no ``t_old``.  Where scipy refuses a ``first_step`` longer than the
+    span, this class starts with the whole span, as its own initial-step
+    choice would.
+
+    Like ``OdeSolver.step``, ``step()`` advances one accepted step (or
+    fails) and moves ``status`` from "running" to "finished" or "failed".
+    ``nfev`` counts the right-hand-side evaluations: one at (t0, y0), one
+    probe for the initial step unless ``first_step`` is given, and
+    ``n_stages`` per step attempt (the derivative at a step's end is the
+    next step's first stage).
+    """
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    error_estimator_order = 4
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    # Corresponds to the optimum value of c_6 in Shampine (Math. Comp. 46, 1986).
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf,
+                 rtol=1e-3, atol=1e-6, first_step=None):
+        self.t = t0
+        self._fun = fun
+        self.y = np.asarray(y0).astype(float, copy=False)
+        self.t_bound = t_bound
+        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.status = "running"
+        self.nfev = 0
+        self.max_step = max_step
+        if rtol < 100 * EPS:
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                          stacklevel=2)
+            rtol = np.maximum(rtol, 100 * EPS)
+        self.rtol, self.atol = rtol, np.asarray(atol)
+        self.f = self.fun(self.t, self.y)
+        if first_step is None:
+            self.h_abs = self._select_initial_step()
+        else:
+            self.h_abs = min(first_step, abs(t_bound - t0))
+        self.K = np.empty((self.n_stages + 1, self.y.size), dtype=self.y.dtype)
+        self.error_exponent = -1 / (self.error_estimator_order + 1)
+        self.h_previous = None
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def _select_initial_step(self):
+        """Hairer, Norsett & Wanner's empirical first step (Sec. II.4),
+        capped at the span and at max_step; costs one evaluation."""
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        # the probe may not step past t_bound
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        f1 = self.fun(t0 + h0 * direction, y1)
+        d2 = _rms((f1 - f0) / scale) / h0
+
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+
+        return min(100 * h0, h1, interval_length, self.max_step)
+
+    def step(self):
+        """Take one accepted step; returns None or the failure message."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished "
+                               "solver.")
+        if self.t == self.t_bound:
+            self.t = self.t_bound
+            message = None
+            self.status = "finished"
+        else:
+            success, message = self._step_impl()
+            if not success:
+                self.status = "failed"
+            elif self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+    def _estimate_error_norm(self, K, h, scale):
+        return _rms(np.dot(K.T, self.E) * h / scale)
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+
+        max_step = self.max_step
+        rtol = self.rtol
+        atol = self.atol
+
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+
+        if self.h_abs > max_step:
+            h_abs = max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = False
+        step_rejected = False
+
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            h = h_abs * self.direction
+            t_new = t + h
+
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = _rk_step(self.fun, t, y, self.f, h, self.A,
+                                    self.B, self.C, self.K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** self.error_exponent)
+
+                if step_rejected:
+                    factor = min(1, factor)
+
+                h_abs *= factor
+
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+
+        self.t = t_new
+        self.y = y_new
+
+        self.h_abs = h_abs
+        self.f = f_new
+
+        return True, None
+
+
+# Dormand-Prince stage coefficients, with a seventh row for the
 # derivative at the step end (formed from the full-step weights B): the
 # continuous extension weighs it, the full step does not.
 RK_A = np.zeros((7, 7))
@@ -91,8 +319,8 @@ def _rk_dense(t_old, y_old, h, Q, t) -> np.ndarray:
 class DenseSegment:
     """Accepted Runge-Kutta steps of one smooth segment.
 
-    Step k runs from node k with signed length ``steps[k]`` (scipy's
-    ``h_previous``) and stage derivatives ``stages[k]`` (a copy of scipy's
+    Step k runs from node k with signed length ``steps[k]`` (the stepper's
+    ``h_previous``) and stage derivatives ``stages[k]`` (a copy of its
     ``K``: six stages plus the derivative at the step end).  A hybrid run
     also records ``multipliers``, the (6 * len(steps) + 1, m) multipliers of
     the dynamics' saddle solve at every stage: row 6k + i is stage i of
@@ -289,7 +517,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         nonlocal first
         f = rhs(t, y)
         if first:
-            # f(t0, y0), refused before scipy probes a step with it: its step
+            # f(t0, y0), refused before the stepper probes a step with it: its step
             # loop never ends on a non-finite derivative
             if not np.isfinite(f).all():
                 raise IntegrationError(f"non-finite right-hand side at t={t0}")

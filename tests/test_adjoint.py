@@ -201,6 +201,31 @@ def test_discrete_adjoint_equals_direct_on_its_steps(name):
     assert rel_err(sol.gradient, grad) <= 1e-12
 
 
+@pytest.mark.parametrize("h0, after_first_event", [(0.3, None), (0.05, 0.01)])
+@pytest.mark.parametrize("cname", ["height-final", "int-vy"])
+def test_first_step_longer_than_a_segment_starts_with_the_segment(h0, after_first_event,
+                                                                  cname):
+    # a segment shorter than h0 (after the last bounce at t = 1.264 with
+    # tF = 1.5, or 0.01 after the first bounce) is stepped from its whole
+    # span instead of refusing the first step
+    from hybridsens.gallery import GRAVITY, bouncing_mass
+
+    prob = bouncing_mass()
+    t_span = prob.t_span
+    if after_first_event is not None:
+        t_first = np.sqrt(2.0 * prob.rho0.rho[0] / GRAVITY)
+        t_span = (t_span[0], t_first + after_first_event)
+    cfg = dataclasses.replace(prob.config, h0=h0)
+    cost = prob.cost(cname)
+    grad, traj, _ = direct_gradient(prob.dynamics, cost, prob.events,
+                                    prob.rho0.rho, t_span, cfg)
+    last = traj.segments[-1]
+    assert traj.events and last.t_end - last.t_start < h0
+    assert traj.tF == t_span[1]
+    sol = propagate_adjoint(traj, cost)
+    assert rel_err(sol.gradient, grad) <= 1e-12
+
+
 def test_adjoint_sweeps_share_one_trajectory_across_threads():
     # the stage record is read-only data on the trajectory: threads (more
     # than cores) sweeping one trajectory, and so sharing its dynamics

@@ -6,7 +6,6 @@ rebuilds; a row shifted by one evaluation moves the gradients only slightly,
 so only a bitwise check catches it."""
 
 import pytest
-from scipy.integrate import RK45
 
 import hybridsens.integrate as integrate
 from hybridsens.constrained import PenaltyDynamics
@@ -20,7 +19,7 @@ def attempts(monkeypatch):
     """Step attempts per accepted step of every segment integrated."""
     counts = []
 
-    class CountingRK45(RK45):
+    class CountingRK45(integrate.RK45):
         def step(self):
             before = self.nfev
             msg = super().step()
