@@ -57,10 +57,11 @@ def _join_lam(lamQ, lamV, lamG) -> np.ndarray:
 
 
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-                t: float, x: np.ndarray, y: np.ndarray, vdot: np.ndarray, mu: np.ndarray,
-                weight: float = 1.0) -> np.ndarray:
+                t: float, x: np.ndarray, y: np.ndarray, vdot: np.ndarray | None = None,
+                mu: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
     """Time derivative of the stacked adjoint y at the forward state x = [q; v; ...]
-    with acceleration vdot and saddle multipliers mu (``dyn.multipliers``):
+    with acceleration vdot and saddle multipliers mu (``dyn.accel_and_multipliers``;
+    without them the Jacobian call solves for them):
 
         lamQ' = -(f_q^T lamV + w g_q^T)
         lamV' = -(lamQ + f_v^T lamV + w g_v^T)
@@ -74,11 +75,10 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     n = dims.n
     q, v = x[:n], x[n:2 * n]
     lamQ, lamV, lamG = _split_lam(y, dims, nc)
-    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
-    f_q, f_v, f_rho = f_blocks
+    jac = dyn.jacobians(t, q, v, rho, vdot, mu)
+    f_q, f_v, f_rho = jac[2]
     if weight and cost is not None and (cost.g is not None or cost.g_of_mu is not None):
-        g_q, g_v, g_rho = cost_density_gradients(
-            cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
+        g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
         g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
     else:
         g_q = g_v = np.zeros((nc, n))
@@ -152,14 +152,11 @@ class AdjointSolution:
                 i = int(np.searchsorted(nodes, t))
                 y = self.series[row + len(nodes) - 1 - i].copy()
                 if nodes[i] > t:
-                    dyn, rho, n = seg.dynamics, self.traj.rho, dims.n
+                    dyn, rho = seg.dynamics, self.traj.rho
 
                     def rhs(s, lam):
-                        x = seg.dense.evaluate(s)
-                        q, v = x[:n], x[n:2 * n]
-                        return adjoint_rhs(dyn, self.cost, dims, rho, s, x, lam,
-                                           dyn.accel(s, q, v, rho),
-                                           dyn.multipliers(s, q, v, rho))
+                        return adjoint_rhs(dyn, self.cost, dims, rho, s,
+                                           seg.dense.evaluate(s), lam)
                     _, (_, y), _ = integrate_segment(rhs, y, (nodes[i], t), self.traj.config)
                 lamQ, lamV, lamG = _split_lam(y, dims, nc)
                 return AdjointState(lamQ, lamV, lamG, np.eye(nc))

@@ -125,10 +125,6 @@ def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     return checked_lu(K, what)
 
 
-def _state_key(t, q, v, rho):
-    return (t, q.tobytes(), v.tobytes(), rho.tobytes())
-
-
 class _SaddleDynamics:
     """Constrained dynamics as one saddle-point system
 
@@ -136,7 +132,9 @@ class _SaddleDynamics:
 
     Subclasses set the regularization ``_c`` and the bottom source b with
     its partials; everything else is shared.  ``model`` is the constrained
-    model itself (events and residuals need its constraint set).
+    model itself (events and residuals need its constraint set).  An object
+    holds no per-call state, so threads may share it: each call factors K
+    at its own state and hands back what it solved.
     """
 
     _c = 0.0
@@ -147,82 +145,51 @@ class _SaddleDynamics:
             raise ValueError(f"{type(self).__name__} needs a constrained model")
         self.model = model
         self.dims = model.dims
-        # (state key, (vdot, mu, factor)) and (state key, Jacobian blocks),
-        # each read and replaced as one tuple so that threads sharing this
-        # object never pair one state's key with another's solution
-        self._memo = (None, None)
-        self._jac_memo = (None, None)
+
+    def _factor(self, t, q, rho, G):
+        return saddle_factor(self.model.mass_at(t, q, rho), G, self._c, self._what)
+
+    def _solve_on(self, factor, t, q, v, rho, G):
+        """(vdot, mu) at one state on its saddle factor."""
+        b = self._source(t, q, v, rho, G, self.model.constraints.accel_rhs(t, q, v, rho))
+        sol = factor(np.concatenate([self.model.force_at(t, q, v, rho), b]))
+        return sol[:self.dims.n], sol[self.dims.n:]
 
     def _solve(self, t, q, v, rho):
-        """(vdot, mu, factor) at one state from one saddle solve, memoized on
-        (t, q, v, rho): the Jacobian solve at the state an acceleration was
-        just computed at reuses its solution and factorization.  vdot and mu
-        are read-only views, so no caller can alter the memoized values."""
-        key = _state_key(t, q, v, rho)
-        memo_key, solved = self._memo
-        if memo_key != key:
-            cons, n = self.model.constraints, self.dims.n
-            G = cons.jac_q(t, q, rho)
-            factor = saddle_factor(self.model.mass_at(t, q, rho), G, self._c, self._what)
-            b = self._source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
-            sol = factor(np.concatenate([self.model.force_at(t, q, v, rho), b]))
-            sol.flags.writeable = False
-            solved = (sol[:n], sol[n:], factor)
-            self._memo = (key, solved)
-        return solved
-
-    def multipliers(self, t, q, v, rho) -> np.ndarray:
-        """The m multipliers of the saddle solve at one state: the estimate
-        mu* of the penalty form, the exact multipliers of the DAE.  Right
-        after ``accel_and_multipliers`` at the same state this is a memo
-        hit; the forward pass records it for every accepted stage."""
-        return self._solve(t, q, v, rho)[1]
-
-    def _all_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        """``_assemble_jacobians`` memoized on (t, q, v, rho): a cost that
-        depends on the multipliers asks for the f-blocks and the mu-blocks
-        at one state, and both come from one assembly.  The blocks are
-        read-only."""
-        key = _state_key(t, q, v, rho)
-        memo_key, blocks = self._jac_memo
-        if memo_key != key:
-            blocks = self._assemble_jacobians(t, q, v, rho, vdot, mu)
-            for block in blocks[0] + blocks[1]:
-                block.flags.writeable = False
-            self._jac_memo = (key, blocks)
-        return blocks
+        """(vdot, mu) at one state from one saddle solve."""
+        G = self.model.constraints.jac_q(t, q, rho)
+        return self._solve_on(self._factor(t, q, rho, G), t, q, v, rho, G)
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        """Jacobian blocks ((f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) of the
-        map (q, v, rho) -> (vdot, mu): ``differentiate_saddle`` of the
-        saddle solve, whose right side [F; b] has the partials [F_z; b_z]
-        from one ``force_jacobians`` evaluation and the source partials.
-        Given the state's solution (vdot, mu), as the sweeps read it from
-        the forward pass's stage record, K is factored here unless ``_solve``
-        holds this state's factor; otherwise the solution and factor come
-        from ``_solve``.
+        """(vdot, mu, (f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) at one state:
+        the Jacobian blocks of the map (q, v, rho) -> (vdot, mu) are
+        ``differentiate_saddle`` of the saddle solve, whose right side
+        [F; b] has the partials [F_z; b_z] from one ``force_jacobians``
+        evaluation and the source partials.  Given the state's solution
+        (vdot, mu), as the sweeps read it from the forward pass's stage
+        record, K is factored for the partials only; given neither, they
+        are solved on that same factor.
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
 
         def rhs_partials():
+            nonlocal vdot, mu
             G = cons.jac_q(t, q, rho)
-            memo_key, solved = self._memo
+            factor = self._factor(t, q, rho, G)
             if mu is None:
-                acc, mult, factor = self._solve(t, q, v, rho)
-            else:
-                acc, mult = vdot, mu
-                factor = (solved[2] if memo_key == _state_key(t, q, v, rho) else
-                          saddle_factor(model.mass_at(t, q, rho), G, self._c, self._what))
+                vdot, mu = self._solve_on(factor, t, q, v, rho, G)
             rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
             rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
             rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = self._source_partials(
                 t, q, v, rho, G, cons.qq_action(t, q, rho, v))
-            return factor, acc, mult, rhs
+            return factor, vdot, mu, rhs
 
         sol = differentiate_saddle(model, t, q, v, rho,
-                                   lambda *z: np.concatenate(self._solve(t, *z)[:2]), rhs_partials)
+                                   lambda *z: np.concatenate(self._solve(t, *z)), rhs_partials)
+        if mu is None:  # central differences solve at the perturbed states only
+            vdot, mu = self._solve(t, q, v, rho)
         blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
-        return tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
+        return vdot, mu, tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
 
 
 class PenaltyDynamics(_SaddleDynamics):
@@ -233,7 +200,9 @@ class PenaltyDynamics(_SaddleDynamics):
     as the saddle system with c = 1/alpha and b = -s, never through the
     ill-conditioned normal form.  The second block is the multiplier
     estimate mu* = alpha (G vdot + s); the route integrates as an ODE, so
-    the multipliers are not states.
+    the multipliers are not states, but ``accel_and_multipliers`` and
+    ``jacobians`` hand out mu* and its partials as the DAE does its exact
+    multipliers.
     """
 
     _what = "extended mass matrix (augmented)"
@@ -259,17 +228,19 @@ class PenaltyDynamics(_SaddleDynamics):
                 -(2.0 * H_v + 2.0 * xi * om * G),
                 -(om ** 2 * self.model.constraints.jac_rho(t, q, rho)))
 
+    # the four calls are defined on each class, where perfbench/spans.py
+    # patches them
     def accel(self, t, q, v, rho) -> np.ndarray:
-        return self._solve(t, q, v, rho)[0]
+        return self.accel_and_multipliers(t, q, v, rho)[0]
 
     def accel_and_multipliers(self, t, q, v, rho):
-        return self._solve(t, q, v, rho)[0], None
+        return self._solve(t, q, v, rho)
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return self._all_jacobians(t, q, v, rho, vdot, mu)[0]
+        return self._assemble_jacobians(t, q, v, rho, vdot, mu)
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return None
+        return self.jacobians(t, q, v, rho, vdot, mu)[3]
 
 
 class DaeDynamics(_SaddleDynamics):
@@ -283,16 +254,16 @@ class DaeDynamics(_SaddleDynamics):
         return np.zeros_like(G), -2.0 * H_v, np.zeros((G.shape[0], self.dims.p))
 
     def accel(self, t, q, v, rho) -> np.ndarray:
-        return self._solve(t, q, v, rho)[0]
+        return self.accel_and_multipliers(t, q, v, rho)[0]
 
     def accel_and_multipliers(self, t, q, v, rho):
-        return self._solve(t, q, v, rho)[:2]
+        return self._solve(t, q, v, rho)
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return self._all_jacobians(t, q, v, rho, vdot, mu)[0]
+        return self._assemble_jacobians(t, q, v, rho, vdot, mu)
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        return self._all_jacobians(t, q, v, rho, vdot, mu)[1]
+        return self.jacobians(t, q, v, rho, vdot, mu)[3]
 
     def multiplier_sensitivity(self, t, q, v, rho, Q, V):
         """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""

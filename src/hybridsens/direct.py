@@ -96,14 +96,16 @@ class HybridTrajectory:
 
 
 def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-            t: float, y: np.ndarray) -> np.ndarray:
-    """Right-hand side [v; vdot; g] of the integrated state y = [q; v; z]
-    of every forward run, simulate's and the direct pass's alike."""
+            t: float, y: np.ndarray) -> tuple:
+    """(f, mu): the right-hand side f = [v; vdot; g] of the integrated state
+    y = [q; v; z] of every forward run, simulate's and the direct pass's
+    alike, and the saddle multipliers mu of its solve (None for ODE
+    dynamics)."""
     n = dims.n
     q, v = y[:n], y[n:2 * n]
     vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
     gval = cost.g_value(t, q, v, vdot, rho, mu=mu) if cost is not None else np.zeros(dims.nc)
-    return np.concatenate([v, vdot, gval])
+    return np.concatenate([v, vdot, gval]), mu
 
 
 def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndarray,
@@ -121,11 +123,10 @@ def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndar
     q, v = x[:n], x[n:2 * n]
     X = X.reshape(-1, dims.p)
     Q, V = X[:n], X[n:2 * n]
-    f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot, mu=mu)
-    f_q, f_v, f_rho = f_blocks
+    jac = dyn.jacobians(t, q, v, rho, vdot, mu)
+    f_q, f_v, f_rho = jac[2]
     if cost is not None:
-        g_q, g_v, g_rho = cost_density_gradients(
-            cost, dyn, t, q, v, rho, vdot=vdot, mu=mu, f_blocks=f_blocks)
+        g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
     else:
         g_q = g_v = np.zeros((dims.nc, n))
         g_rho = np.zeros((dims.nc, dims.p))
@@ -176,12 +177,19 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
     n = dims.n
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
     y, t, active = np.concatenate([y0[0], y0[1], np.zeros(dims.nc)]), t0, dyn
+    solved = [None]  # the multipliers of the last rhs evaluation
+
+    def rhs(s, x, d):
+        f, mu = tlm_rhs(d, cost, dims, rho, s, x)
+        solved[0] = np.empty(0) if mu is None else mu  # ODE dynamics: empty rows
+        return f
+
     while t < tF - 1e-14 * max(1.0, abs(tF)):
-        # the stage multipliers are keyed on the state tlm_rhs just solved at:
-        # a memo hit
+        # integrate_segment asks for the multipliers right after each rhs
+        # evaluation: they are that evaluation's
         seg_dense, (t_end, y_end), hit = integrate_segment(
-            lambda s, x, d=active: tlm_rhs(d, cost, dims, rho, s, x), y, (t, tF), config,
-            wrappers, monitor, lambda s, x, d=active: d.multipliers(s, x[:n], x[n:2 * n], rho))
+            lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
+            wrappers, monitor, lambda s, x: solved[0])
         segments.append(TrajectorySegment(t, t_end, seg_dense, active))
         check_one_sided(active, seg_dense)
         if hit is None:

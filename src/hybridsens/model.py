@@ -301,24 +301,23 @@ class OdeDynamics:
         self.dims = model.dims
 
     def accel(self, t, q, v, rho) -> np.ndarray:
-        """M^{-1} F via symmetric factorization (never an explicit inverse)."""
-        M = self.model.mass_at(t, q, rho)
-        F = self.model.force_at(t, q, v, rho)
-        return _spd_solve(M, F, "mass matrix", t)
+        return self.accel_and_multipliers(t, q, v, rho)[0]
 
     def accel_and_multipliers(self, t, q, v, rho):
-        return self.accel(t, q, v, rho), None
-
-    def multipliers(self, t, q, v, rho) -> np.ndarray:
-        """No constraints, no multipliers: an empty row."""
-        return np.empty(0)
+        """(M^{-1} F, None) via symmetric factorization (never an explicit
+        inverse): no constraints, no multipliers."""
+        M = self.model.mass_at(t, q, rho)
+        F = self.model.force_at(t, q, v, rho)
+        return _spd_solve(M, F, "mass matrix", t), None
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        """Partial derivatives of the acceleration map.
+        """(vdot, None, (f_q, f_v, f_rho), None): the partial derivatives of
+        the acceleration map.
 
         For each zeta in {q, v, rho}:  f_zeta = M^{-1} (F_zeta - M_zeta vdot),
         obtained by differentiating M vdot = F through the factorization.
-        ``mu`` is accepted for the constrained formulations' signature.
+        Without a given vdot it is solved here.  ``mu`` is accepted for the
+        constrained formulations' signature.
         """
         M = self.model.mass_at(t, q, rho)
         if vdot is None:
@@ -329,7 +328,7 @@ class OdeDynamics:
         rhs_rho = F_rho - M_rho
         n, p = self.dims.n, self.dims.p
         sol = _spd_solve(M, np.hstack([rhs_q, F_v, rhs_rho]), "mass matrix", t)
-        return sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]
+        return vdot, None, (sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]), None
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None
@@ -363,8 +362,9 @@ class CostFunctional:
 
     with g_u and w_u None when the cost has no ``u_fn``.
 
-    A dependence of the density on the constraint multipliers of an index-1
-    formulation is declared separately through ``g_of_mu`` (an additive term
+    A dependence of the density on the saddle multipliers of a constrained
+    formulation (the DAE's exact ones, the penalty estimate mu*) is declared
+    separately through ``g_of_mu`` (an additive term
     g_of_mu(t, q, v, vdot, rho, mu) -> (nc,)) so that unconstrained costs
     never see a multiplier argument; its partials, in (q, v, vdot, rho, mu),
     are central differences.  Either term may be absent (a zero term).
@@ -451,8 +451,7 @@ def cost_density_value(cost: CostFunctional, dyn, t, q, v, rho) -> np.ndarray:
     return cost.g_value(t, q, v, vdot, rho, mu=mu)
 
 
-def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
-                           vdot=None, mu=None, f_blocks=None):
+def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho, jac=None):
     """Resolved gradients of the cost density along the dynamics.
 
     Accelerations are not independent variables, so the returned gradients
@@ -465,11 +464,11 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
     own partials to g's (its acceleration partial to g_vdot).  Returns
     (g_q, g_v, g_rho); the density value is ``cost_density_value``.
 
-    ``f_blocks`` lets a caller that already evaluated dyn.jacobians at this
-    state pass them in; otherwise they are computed here.
+    ``jac`` is what ``dyn.jacobians`` returned at this state, (vdot, mu,
+    f_blocks, mu_blocks); a caller that has it passes it in, otherwise one
+    call computes it here.
     """
-    if vdot is None:
-        vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
+    vdot, mu, (f_q, f_v, f_rho), fmu = jac or dyn.jacobians(t, q, v, rho)
     nc, n, p = cost.nc, q.size, rho.size
     if cost.g is None:
         if cost.g_of_mu is None:
@@ -479,15 +478,10 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho,
         u = cost._u(t, q, v, vdot, rho)
         gq, gv, ga, gr, gu = cost.g_jacobians(t, q, v, vdot, rho, u)
     if cost.g_of_mu is not None:
-        fmu = dyn.multiplier_jacobians(t, q, v, rho, vdot=vdot, mu=mu)
         if fmu is None:
             raise ValueError(f"cost '{cost.name}' depends on multipliers but dynamics has none")
         mq, mv, ma, mr, gmu = cost.g_of_mu_jacobians(t, q, v, vdot, rho, mu)
         gq, gv, ga, gr = gq + mq, gv + mv, ga + ma, gr + mr
-    if np.any(ga) or gu is not None:
-        if f_blocks is None:
-            f_blocks = dyn.jacobians(t, q, v, rho, vdot=vdot)
-        f_q, f_v, f_rho = f_blocks
     if gu is not None:
         uq, uv, ua, ur = cost.u_jacobians(t, q, v, vdot, rho, u)
         gq = gq + gu @ (uq + ua @ f_q)
@@ -515,14 +509,14 @@ def terminal_cost_gradients(cost: CostFunctional, dyn, tF, q, v, rho):
     if cost.w is None:
         z = np.zeros
         return z(nc), z((nc, n)), z((nc, n)), z((nc, p))
-    vdot, _ = dyn.accel_and_multipliers(tF, q, v, rho)
+    vdot, mu = dyn.accel_and_multipliers(tF, q, v, rho)
     u = cost._u(tF, q, v, vdot, rho)
     wval = cost.w_value(tF, q, v, rho, u)
     wq, wv, wr, wu = cost.w_jacobians(tF, q, v, rho, u)
     if wu is not None:
         uq, uv, ua, ur = cost.u_jacobians(tF, q, v, vdot, rho, u)
         if np.any(ua):
-            f_q, f_v, f_rho = dyn.jacobians(tF, q, v, rho, vdot=vdot)
+            f_q, f_v, f_rho = dyn.jacobians(tF, q, v, rho, vdot, mu)[2]
             uq = uq + ua @ f_q
             uv = uv + ua @ f_v
             ur = ur + ua @ f_rho

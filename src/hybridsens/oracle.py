@@ -49,9 +49,7 @@ def _event_signature(traj):
 def _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel, sig0,
                     measure=lambda traj: traj):
     """Per parameter j, the central-difference pair (measure(traj+),
-    measure(traj-), step), refusing a run whose event sequence is not sig0.
-    Each run is measured before the next starts, while the dynamics' memo
-    still holds its last state."""
+    measure(traj-), step), refusing a run whose event sequence is not sig0."""
     for j in range(rho.size):
         h = h_rel * max(1.0, abs(rho[j]))
         rp = rho.copy()

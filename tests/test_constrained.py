@@ -22,6 +22,7 @@ from hybridsens.constrained import (
 from hybridsens.gallery import (
     FIVE_BAR_PARAMS,
     PENDULUM_LENGTH,
+    bouncing_mass,
     five_bar,
     pendulum_model,
     pendulum_swing_model,
@@ -89,7 +90,7 @@ def test_penalty_multiplier_static_equilibrium():
     q = hanging_state(0.0)
     v = np.zeros(2)
     pcfg = PenaltyConfig()
-    mu = PenaltyDynamics(model, pcfg).multipliers(0.0, q, v, RHO)
+    mu = PenaltyDynamics(model, pcfg).accel_and_multipliers(0.0, q, v, RHO)[1]
     m = RHO[2]
     expect = m * G / (2.0 * PENDULUM_LENGTH)
     assert rel_err(mu, [expect]) < 1e-4
@@ -105,7 +106,7 @@ def test_penalty_multiplier_zero_when_unloaded():
     model.force = lambda t, q, v, rho: np.zeros(2)
     model.force_partials = lambda t, q, v, rho: (np.zeros((2, 2)), np.zeros((2, 2)),
                                                  np.zeros((2, 3)))
-    mu = PenaltyDynamics(model, pcfg).multipliers(0.0, q, v, RHO)
+    mu = PenaltyDynamics(model, pcfg).accel_and_multipliers(0.0, q, v, RHO)[1]
     assert np.max(np.abs(mu)) < 1e-9
 
 
@@ -115,7 +116,7 @@ def test_penalty_vs_dae_multipliers_during_swing():
     dae = DaeDynamics(model)
     traj = simulate(dae, None, [], RHO, (0.0, 1.0), IntegratorConfig())
     q, v, _ = traj.state_at(0.6)
-    mu_pen = PenaltyDynamics(model, pcfg).multipliers(0.6, q, v, RHO)
+    mu_pen = PenaltyDynamics(model, pcfg).accel_and_multipliers(0.6, q, v, RHO)[1]
     _, mu_dae = dae.accel_and_multipliers(0.6, q, v, RHO)
     assert rel_err(mu_pen, mu_dae) < 1e-4
 
@@ -141,7 +142,8 @@ def fd_blocks(fun, t, q, v, rho):
 def exposed_jacobians(dyn, state):
     """The acceleration Jacobian blocks, then the multiplier blocks when the
     dynamics has multipliers."""
-    return dyn.jacobians(*state) + (dyn.multiplier_jacobians(*state) or ())
+    _, _, f_blocks, mu_blocks = dyn.jacobians(*state)
+    return f_blocks + (mu_blocks or ())
 
 
 def map_fd_jacobians(dyn, state):
@@ -197,8 +199,9 @@ def test_penalty_jacobians_fallback_matches_analytic(formulation):
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
 def test_penalty_dynamics_shared_across_threads(formulation):
-    # the memoized solution and factorization must pair each state with its
-    # own however the threads sharing one dynamics object interleave
+    # every call solves and factors at its own state, so each state gets
+    # its own blocks however the threads sharing one dynamics object
+    # interleave
     prob = five_bar(param_names=FIVE_BAR_PARAMS, formulation=formulation)
     dyn = prob.dynamics
     rng = np.random.default_rng(24)
@@ -255,14 +258,37 @@ for th in threads:
 
 
 def test_threads_solving_with_one_factor_keep_the_process_alive():
-    # four threads share one dynamics object and so, at each memo hit, one
-    # factor; LAPACK's getrs runs without the GIL while scipy's wrapper
-    # shifts the pivot indices in place, so solves on a shared pivot array
-    # corrupt the heap and abort the interpreter: run it in a subprocess
+    # four threads share one dynamics object; LAPACK's getrs runs without
+    # the GIL while scipy's wrapper shifts the pivot indices in place, so
+    # solves on a shared pivot array would corrupt the heap and abort the
+    # interpreter: run it in a subprocess
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hybridsens.__file__)))
     done = subprocess.run([sys.executable, "-c", _SHARED_FACTOR_STRESS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("make, t_span", [
+    (lambda: five_bar(formulation="penalty"), (0.0, 0.9)),
+    (lambda: five_bar(formulation="dae"), (0.0, 0.9)),
+    (bouncing_mass, (0.0, 1.0)),
+], ids=["penalty", "dae", "ode"])
+def test_dynamics_keeps_no_per_call_state(make, t_span):
+    # each call hands back what it solved and keeps nothing: threads may
+    # share a dynamics object without any discipline
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import direct_gradient
+
+    prob = make()
+    dyn, rho = prob.dynamics, prob.rho0.rho
+    before = dict(vars(dyn))
+    ic = dyn.model.initial_state(rho)
+    dyn.accel_and_multipliers(0.0, ic.q0, ic.v0, rho)
+    dyn.jacobians(0.0, ic.q0, ic.v0, rho)
+    _, traj, _ = direct_gradient(dyn, prob.cost(), prob.events, rho, t_span, prob.config)
+    assert traj.events
+    propagate_adjoint(traj, prob.cost())
+    assert vars(dyn) == before
 
 
 def test_dae_solve_unconstrained_limit():
@@ -314,8 +340,7 @@ def test_dae_jacobians_match_fd():
     def mul(tt, qq, vv, rr):
         return dyn.accel_and_multipliers(tt, qq, vv, rr)[1]
 
-    fq, fv, frho = dyn.jacobians(t, q, v, RHO)
-    gq, gv, grho = dyn.multiplier_jacobians(t, q, v, RHO)
+    _, _, (fq, fv, frho), (gq, gv, grho) = dyn.jacobians(t, q, v, RHO)
     assert rel_err(fq, fd_jacobian(lambda x: acc(t, x, v, RHO), q), floor=1.0) < 1e-5
     assert rel_err(fv, fd_jacobian(lambda x: acc(t, q, x, RHO), v), floor=1.0) < 1e-5
     assert rel_err(frho, fd_jacobian(lambda x: acc(t, q, v, x), RHO), floor=1.0) < 1e-5
@@ -332,7 +357,7 @@ def test_dae_jacobians_fd_on_random_states():
         q = hanging_state(theta) * rng.uniform(0.95, 1.05)
         v = rng.normal(size=2)
         rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-1, 0), rng.uniform(0.5, 2)])
-        fq, fv, frho = dyn.jacobians(0.0, q, v, rho)
+        fq, fv, frho = dyn.jacobians(0.0, q, v, rho)[2]
         fd_fq = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, x, v, rho)[0], q)
         assert rel_err(fq, fd_fq, floor=1.0) < 1e-4
 
@@ -342,7 +367,7 @@ def test_dae_jacobian_v_block_structure():
     dyn = DaeDynamics(pendulum_swing_model())
     q = hanging_state(0.4)
     v = tangential_velocity(q, 1.0)
-    fq, fv, frho = dyn.jacobians(0.0, q, v, RHO)
+    fq, fv, frho = dyn.jacobians(0.0, q, v, RHO)[2]
     fd_fv = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, q, x, RHO)[0], v)
     assert np.max(np.abs(fv - fd_fv)) < 1e-6
 
@@ -404,16 +429,18 @@ def test_impulse_kinetic_energy_projection():
         assert v_plus @ M @ v_plus <= v @ M @ v + 1e-12
 
 
-def test_multiplier_dependent_cost_all_pipelines():
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
+def test_multiplier_dependent_cost_all_pipelines(formulation):
     # density with a tether-tension term: exercises the multiplier-chain
-    # gradients and the multiplier Jacobian blocks end to end
+    # gradients and the multiplier Jacobian blocks end to end, on the exact
+    # DAE multipliers and on the penalty estimate mu*
     from hybridsens.adjoint import propagate_adjoint
     from hybridsens.direct import direct_gradient
     from hybridsens.model import CostFunctional
     from hybridsens.oracle import fd_cost_sensitivity
 
     model = pendulum_swing_model(theta0=0.7)
-    dyn = DaeDynamics(model)
+    dyn = FORMULATIONS[formulation](model)
     cost = CostFunctional(
         nc=1,
         g=lambda t, q, v, a, rho, u: np.array([v[0] ** 2]),
@@ -428,8 +455,9 @@ def test_multiplier_dependent_cost_all_pipelines():
     assert np.all(np.abs(fd - grad) <= 1e-4 * np.maximum(1.0, np.abs(grad)))
 
 
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
 @pytest.mark.parametrize("with_g", [True, False], ids=["g+g_of_mu", "g_of_mu-only"])
-def test_multiplier_cost_explicit_parameter_dependence(with_g):
+def test_multiplier_cost_explicit_parameter_dependence(with_g, formulation):
     # g_of_mu = m mu_0 depends on rho as well as on mu: its own rho partial
     # must join the resolved gradient next to the multiplier chain, also
     # when the cost has no g term at all
@@ -438,7 +466,7 @@ def test_multiplier_cost_explicit_parameter_dependence(with_g):
     from hybridsens.model import CostFunctional
     from hybridsens.oracle import fd_cost_sensitivity
 
-    dyn = DaeDynamics(pendulum_swing_model(theta0=0.7))
+    dyn = FORMULATIONS[formulation](pendulum_swing_model(theta0=0.7))
     cost = CostFunctional(
         nc=1,
         g=(lambda t, q, v, a, rho, u: np.array([v[0] ** 2])) if with_g else None,
@@ -492,8 +520,8 @@ def test_singular_kkt_reported():
 
 
 def test_multiplier_dependent_cost_one_assembly_per_state():
-    # a multiplier-dependent cost asks for the f-blocks and the mu-blocks at
-    # every state; both must come from one Jacobian assembly
+    # a multiplier-dependent cost needs the f-blocks and the mu-blocks at
+    # every state; one Jacobian call hands out both, from one assembly
     from hybridsens.direct import direct_gradient
     from hybridsens.model import CostFunctional
 
@@ -523,7 +551,7 @@ def test_multiplier_dependent_cost_one_assembly_per_state():
     dyn.multiplier_jacobians = recording(dyn.multiplier_jacobians)
     dyn._assemble_jacobians = counting(dyn._assemble_jacobians)
     direct_gradient(dyn, cost, [], RHO, (0.0, 0.3), IntegratorConfig())
-    assert asked.count("multiplier_jacobians") >= asked.count("jacobians") > 0
+    assert set(asked) == {"jacobians"}  # both block sets from one call
     assert len(assembled) == len(states)
 
 

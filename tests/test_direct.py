@@ -45,9 +45,8 @@ def test_tlm_rhs_gamma_and_quadrature_rows():
     rho = np.array([0.8])
     y = np.array([0.1, 1.2, 0.0])          # [q; v; z]
     X = np.array([0.3, 0.4, 0.5])          # [Q; V; Z]
-    dy = tlm_rhs(dyn, cost, dims, rho, 0.0, y)
-    dX = tangent_rhs(dyn, cost, dims, rho, 0.0, y, X, dy[1:2],
-                     dyn.multipliers(0.0, y[:1], y[1:2], rho))
+    dy, mu = tlm_rhs(dyn, cost, dims, rho, 0.0, y)
+    dX = tangent_rhs(dyn, cost, dims, rho, 0.0, y, X, dy[1:2], mu)
     assert dy[2] == 0.0          # quadrature value rate (g = 0)
     assert dX[2] == 0.0          # Z block rate
 

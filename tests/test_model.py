@@ -150,7 +150,7 @@ def test_eom_jacobians_linear_system():
         mass_constant=True,
     )
     f_q, f_v, f_rho = OdeDynamics(model).jacobians(0.0, np.array([0.3]),
-                                                   np.array([0.1]), np.ones(1))
+                                                   np.array([0.1]), np.ones(1))[2]
     assert np.allclose(f_q, [[-k / m]], rtol=1e-9)
     assert np.allclose(f_v, [[0.0]], atol=1e-9)
 
@@ -158,7 +158,7 @@ def test_eom_jacobians_linear_system():
 def test_eom_jacobians_match_fd_of_rhs(curved_mass):
     model, dyn = curved_mass
     t, q, v, rho = 0.3, np.array([0.4, -0.2]), np.array([0.1, 0.6]), np.array([3.0, 1.5])
-    f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)
+    f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)[2]
     fd_q = fd_jacobian(lambda qq: dyn.accel(t, qq, v, rho), q)
     fd_v = fd_jacobian(lambda vv: dyn.accel(t, q, vv, rho), v)
     fd_r = fd_jacobian(lambda rr: dyn.accel(t, q, v, rr), rho)
@@ -172,7 +172,7 @@ def test_eom_jacobians_defining_identity(curved_mass):
     model, dyn = curved_mass
     t, q, v, rho = 0.0, np.array([0.2, 0.5]), np.array([-0.3, 0.4]), np.array([2.0, 1.0])
     vdot = dyn.accel(t, q, v, rho)
-    f_q, _, _ = dyn.jacobians(t, q, v, rho)
+    f_q, _, _ = dyn.jacobians(t, q, v, rho)[2]
     M = model.mass_at(t, q, rho)
     lhs = M @ f_q + model.mass_jacobians(t, q, rho, vdot)[0]
     rhs = model.force_jacobians(t, q, v, rho)[0]
@@ -240,7 +240,7 @@ def test_force_partials_shape_guard():
 
 def test_f_rho_free_fall():
     dyn = OdeDynamics(planar_free_fall())
-    _, _, f_rho = dyn.jacobians(0.0, np.zeros(2), np.zeros(2), np.array([G]))
+    _, _, f_rho = dyn.jacobians(0.0, np.zeros(2), np.zeros(2), np.array([G]))[2]
     assert np.allclose(f_rho, [[0.0], [-1.0]], atol=1e-9)
 
 
@@ -271,7 +271,7 @@ def test_cost_density_acceleration_chain(curved_mass):
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([a[1]]))
     t, q, v, rho = 0.1, np.array([0.3, 0.2]), np.array([0.4, -0.5]), np.array([2.0, 1.0])
     gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
-    f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)
+    f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)[2]
     assert np.allclose(gq, f_q[1:2, :], rtol=1e-7, atol=1e-9)
     assert np.allclose(gv, f_v[1:2, :], rtol=1e-7, atol=1e-9)
     assert np.allclose(gr, f_rho[1:2, :], rtol=1e-7, atol=1e-9)
