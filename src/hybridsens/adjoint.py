@@ -71,13 +71,12 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     continuous adjoint ODE, the stage's quadrature weight h w_i inside a
     discrete step.  The lamGamma block of y does not enter.
     """
-    nc = cost.nc if cost is not None else dims.nc
-    n = dims.n
+    nc, n = cost.nc, dims.n
     q, v = x[:n], x[n:2 * n]
     lamQ, lamV, lamG = _split_lam(y, dims, nc)
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
-    if weight and cost is not None and (cost.g is not None or cost.g_of_mu is not None):
+    if weight and (cost.g is not None or cost.g_of_mu is not None):
         g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
         g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
     else:

@@ -22,7 +22,7 @@ from . import adjoint as adjoint_mod
 from . import gallery
 from .direct import direct_gradient, simulate
 from .integrate import IntegratorConfig
-from .oracle import check_h_rel, fd_cost_sensitivity
+from .oracle import DEFAULT_H_REL, check_h_rel, fd_cost_sensitivity
 
 
 class CliError(Exception):
@@ -130,10 +130,10 @@ def _write_table(out: Path, stem: str, header, rows, fmt: str):
         _write_csv(out / f"{stem}.csv", header, rows)
 
 
-def _state_header(dims):
+def _state_header(dims, nc):
     return (["t"] + [f"q{i+1}" for i in range(dims.n)]
             + [f"v{i+1}" for i in range(dims.n)]
-            + [f"z{i+1}" for i in range(dims.nc)])
+            + [f"z{i+1}" for i in range(nc)])
 
 
 def _sample_times(traj, per_segment=200):
@@ -157,7 +157,7 @@ def cmd_simulate(args):
     times = _sample_times(traj)
     rows = [[t] + list(np.concatenate(traj.state_at(t))) for t in times]
     fmt = cfg.get("format", "csv")
-    _write_table(out, "trajectory", _state_header(traj.dims), rows, fmt)
+    _write_table(out, "trajectory", _state_header(traj.dims, cost.nc), rows, fmt)
     _write_json(out / "events.json", _events_json(traj), indent=2)
     res = traj.residuals
     _write_table(out, "residuals", ["t", "pos_residual", "vel_residual"],
@@ -181,11 +181,11 @@ def _sensitivity_rows(traj, times):
     return rows
 
 
-def _sensitivity_header(dims):
+def _sensitivity_header(dims, nc):
     cols = ["t"]
     cols += [f"Q{i+1}_{j+1}" for i in range(dims.n) for j in range(dims.p)]
     cols += [f"V{i+1}_{j+1}" for i in range(dims.n) for j in range(dims.p)]
-    cols += [f"Z{i+1}_{j+1}" for i in range(dims.nc) for j in range(dims.p)]
+    cols += [f"Z{i+1}_{j+1}" for i in range(nc) for j in range(dims.p)]
     return cols
 
 
@@ -196,7 +196,7 @@ def cmd_direct(args):
     grad, traj, XF = direct_gradient(problem.dynamics, cost, problem.events,
                                      rho, t_span, icfg)
     times = _sample_times(traj)
-    _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims),
+    _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims, cost.nc),
                  _sensitivity_rows(traj, times), cfg.get("format", "csv"))
     _write_json(out / "events.json", _events_json(traj), indent=2)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
@@ -235,7 +235,7 @@ def cmd_fd_check(args):
     cfg = _effective(args)
     problem, cost, rho, t_span, icfg = _setup(cfg)
     out = _outdir(args)
-    h_rel = float(cfg.get("h_rel", 1e-6))
+    h_rel = float(cfg.get("h_rel", DEFAULT_H_REL))
     check_h_rel(h_rel)  # a bad --h-rel fails before the direct pass runs
     grad_dir, traj, _ = direct_gradient(problem.dynamics, cost, problem.events,
                                         rho, t_span, icfg)

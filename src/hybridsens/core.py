@@ -19,35 +19,24 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Problem sizes.
+    """Problem sizes of a model.
 
     n:  generalized coordinates
     p:  parameters
-    nc: scalar cost outputs
-    m:  constraint equations (0 for unconstrained systems)
 
-    The velocity degree-of-freedom count is f = n - m.
+    The other sizes live where they are defined: the number of cost outputs
+    nc on the cost (``CostFunctional.nc``), the constraint count on the
+    constraint set (``ConstraintSet.m``).
     """
 
     n: int
     p: int
-    nc: int = 1
-    m: int = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionError(f"n must be >= 1, got {self.n}")
         if self.p < 1:
             raise DimensionError(f"p must be >= 1, got {self.p}")
-        if self.nc < 1:
-            raise DimensionError(f"nc must be >= 1, got {self.nc}")
-        if not 0 <= self.m < self.n:
-            raise DimensionError(f"m must satisfy 0 <= m < n, got m={self.m}, n={self.n}")
-
-    @property
-    def f(self) -> int:
-        """Velocity degrees of freedom."""
-        return self.n - self.m
 
 
 @dataclass
@@ -99,13 +88,15 @@ class SensitivityState:
                 raise DimensionError(f"{name} has {block.shape[1]} columns, expected {p}")
 
     @classmethod
-    def initial(cls, dims: Dimensions, dq0_drho: np.ndarray, dv0_drho: np.ndarray) -> "SensitivityState":
-        """Initial condition: Q = dq0/drho, V = dv0/drho, Gamma = I, Z = 0."""
+    def initial(cls, dims: Dimensions, nc: int, dq0_drho: np.ndarray,
+                dv0_drho: np.ndarray) -> "SensitivityState":
+        """Initial condition for a cost of nc outputs: Q = dq0/drho,
+        V = dv0/drho, Gamma = I, Z = 0."""
         return cls(
             Q=np.asarray(dq0_drho, dtype=float).reshape(dims.n, dims.p),
             V=np.asarray(dv0_drho, dtype=float).reshape(dims.n, dims.p),
             Gamma=np.eye(dims.p),
-            Z=np.zeros((dims.nc, dims.p)),
+            Z=np.zeros((nc, dims.p)),
         )
 
     def stacked(self) -> np.ndarray:
@@ -114,10 +105,12 @@ class SensitivityState:
 
     @classmethod
     def from_stacked(cls, X: np.ndarray, dims: Dimensions) -> "SensitivityState":
-        n, p, nc = dims.n, dims.p, dims.nc
-        if X.shape != (2 * n + p + nc, p):
+        """Split [Q; V; Gamma; Z], the rows after 2n + p being the Z block."""
+        n, p = dims.n, dims.p
+        if X.ndim != 2 or X.shape[1] != p or X.shape[0] <= 2 * n + p:
             raise DimensionError(
-                f"stacked sensitivity must be ({2 * n + p + nc}, {p}), got {X.shape}"
+                f"stacked sensitivity must be ({2 * n + p} + nc, {p}) with nc >= 1, "
+                f"got {X.shape}"
             )
         return cls(
             Q=X[:n].copy(),
@@ -159,7 +152,8 @@ class AdjointState:
 
     @classmethod
     def from_stacked(cls, L: np.ndarray, dims: Dimensions) -> "AdjointState":
-        n, p, nc = dims.n, dims.p, dims.nc
+        """Split [lamQ; lamV; lamGamma; lamZ], one column per cost output."""
+        n, p, nc = dims.n, dims.p, L.shape[-1]
         if L.shape != (2 * n + p + nc, nc):
             raise DimensionError(
                 f"stacked adjoint must be ({2 * n + p + nc}, {nc}), got {L.shape}"

@@ -1,6 +1,7 @@
 """Forward propagation: plain simulation and the tangent-linear direct pass.
 
-Both run one hybrid-run loop over the state [q (n); v (n); z (nc)]:
+Both run one hybrid-run loop over the state [q (n); v (n); z (nc)], nc
+being the cost's number of outputs (one zero output without a cost):
 integrate a smooth segment until an event function changes sign, localize
 the event on the dense output, apply the velocity jump, build the
 sensitivity jump matrix, restart.  Each segment records the dynamics'
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dimensions, SensitivityState
-from .model import CostFunctional, cost_density_gradients
+from .model import ZERO_COST, CostFunctional, cost_density_gradients, terminal_cost_gradients
 from .integrate import RK_A, DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
 from .hybrid import (
     EventRecord,
@@ -66,10 +67,9 @@ class HybridTrajectory:
 
     def state_at(self, t: float):
         """(q, v, z) interpolated from the covering segment."""
-        seg = self.segment_at(t)
-        y = seg.dense.evaluate(t)
-        n, nc = self.dims.n, self.dims.nc
-        return y[:n], y[n:2 * n], y[2 * n:2 * n + nc]
+        y = self.segment_at(t).dense.evaluate(t)
+        n = self.dims.n
+        return y[:n], y[n:2 * n], y[2 * n:]
 
     def sensitivity_at(self, t: float) -> SensitivityState:
         seg = self.segment_at(t)
@@ -104,11 +104,10 @@ def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     n = dims.n
     q, v = y[:n], y[n:2 * n]
     vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
-    gval = cost.g_value(t, q, v, vdot, rho, mu=mu) if cost is not None else np.zeros(dims.nc)
-    return np.concatenate([v, vdot, gval]), mu
+    return np.concatenate([v, vdot, cost.g_value(t, q, v, vdot, rho, mu=mu)]), mu
 
 
-def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndarray,
+def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
                 t: float, x: np.ndarray, X: np.ndarray, vdot: np.ndarray,
                 mu: np.ndarray) -> np.ndarray:
     """Time derivative of the flattened tangent X = [Q; V; Z] at the forward
@@ -125,11 +124,7 @@ def tangent_rhs(dyn, cost: CostFunctional | None, dims: Dimensions, rho: np.ndar
     Q, V = X[:n], X[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
-    if cost is not None:
-        g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
-    else:
-        g_q = g_v = np.zeros((dims.nc, n))
-        g_rho = np.zeros((dims.nc, dims.p))
+    g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
     return np.vstack([V, f_q @ Q + f_v @ V + f_rho, g_q @ Q + g_v @ V + g_rho]).ravel()
 
 
@@ -166,7 +161,8 @@ def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
 
 
 def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
-    """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0)."""
+    """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0); the
+    trajectory records ``cost`` as given, None included."""
     t0, tF = float(t_span[0]), float(t_span[1])
     if not t0 < tF:
         # a run without a segment has no final state and no residuals
@@ -175,12 +171,13 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
     records: list[EventRecord] = []
     monitor = EventMonitor(len(events))
     n = dims.n
+    integrand = cost or ZERO_COST
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
-    y, t, active = np.concatenate([y0[0], y0[1], np.zeros(dims.nc)]), t0, dyn
+    y, t, active = np.concatenate([y0[0], y0[1], np.zeros(integrand.nc)]), t0, dyn
     solved = [None]  # the multipliers of the last rhs evaluation
 
     def rhs(s, x, d):
-        f, mu = tlm_rhs(d, cost, dims, rho, s, x)
+        f, mu = tlm_rhs(d, integrand, dims, rho, s, x)
         solved[0] = np.empty(0) if mu is None else mu  # ODE dynamics: empty rows
         return f
 
@@ -204,11 +201,8 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
         rdot_plus = check_departure(spec, r_q, v_minus, v_plus)
         vdot_minus, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
         vdot_plus, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
-        if cost is not None:
-            g_minus = cost.g_value(t_eve, q, v_minus, vdot_minus, rho, mu=mu_m)
-            g_plus = cost.g_value(t_eve, q, v_plus, vdot_plus, rho, mu=mu_p)
-        else:
-            g_minus = g_plus = np.zeros(dims.nc)
+        g_minus = integrand.g_value(t_eve, q, v_minus, vdot_minus, rho, mu=mu_m)
+        g_plus = integrand.g_value(t_eve, q, v_plus, vdot_plus, rho, mu=mu_p)
         jump = build_jump_matrix(dims, r_q, v_minus, v_plus, vdot_minus, vdot_plus,
                                  g_minus, g_plus, blocks)
         records.append(EventRecord(
@@ -252,7 +246,8 @@ def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | 
     dims = dyn.dims
     ic = dyn.model.initial_state(rho)
     traj = _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dims)
-    X = SensitivityState.initial(dims, ic.dq0_drho, ic.dv0_drho)
+    cost = cost or ZERO_COST
+    X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
     for k, seg in enumerate(traj.segments):
         if k:
             rec = traj.events[k - 1]
@@ -284,8 +279,6 @@ def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndar
 
 def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
     """Convenience wrapper: run the direct pass and assemble dpsi/drho."""
-    from .model import terminal_cost_gradients
-
     traj, XF, _ = propagate_direct(dyn, cost, events, rho, t_span, config)
     qF, vF, _ = traj.final_state
     dyn_F = traj.segments[-1].dynamics

@@ -244,7 +244,7 @@ def _newton_assemble(cons: ConstraintSet, q_guess: np.ndarray, dof, rho,
 def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     """Five-bar mechanism with the chosen constants promoted to parameters."""
     pm = _FiveBarParameterMap(param_names)
-    dims = Dimensions(n=6, p=len(pm.names), nc=1, m=4)
+    dims = Dimensions(n=6, p=len(pm.names))
     cons = _five_bar_constraints(pm)
     M = _five_bar_mass()
     Fg = _five_bar_weight()
@@ -383,7 +383,7 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryP
 
 
 def bouncing_mass_model() -> MultibodyModel:
-    dims = Dimensions(n=1, p=2, nc=1)
+    dims = Dimensions(n=1, p=2)
 
     def initial_state(rho):
         return InitialConditions(
@@ -457,8 +457,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
     function depends on the positions alone.
     """
     L = PENDULUM_LENGTH
-    m_cons = 1 if constrained else 0
-    dims = Dimensions(n=2, p=3, nc=1, m=m_cons)
+    dims = Dimensions(n=2, p=3)
 
     def mass(t, q, rho):
         return rho[2] * np.eye(2)

@@ -447,9 +447,10 @@ def check_departure(spec: EventSpec, r_q: np.ndarray, v_minus: np.ndarray,
 def _assemble(dims: Dimensions, SQQ, SQG, SVQ, SVV, SVG, SZQ) -> np.ndarray:
     """Place named blocks into the dense stacked matrix.
 
-    Row/column order is [Q (n); V (n); Gamma (p); Z (nc)].  Blocks not
-    listed are zero except the exact identity on Gamma and Z."""
-    n, p, nc = dims.n, dims.p, dims.nc
+    Row/column order is [Q (n); V (n); Gamma (p); Z (nc)], nc the rows of
+    SZQ.  Blocks not listed are zero except the exact identity on Gamma
+    and Z."""
+    n, p, nc = dims.n, dims.p, SZQ.shape[0]
     S = np.zeros((2 * n + p + nc, 2 * n + p + nc))
     iQ, iV, iG, iZ = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + p), slice(2 * n + p, None)
     S[iQ, iQ] = SQQ
@@ -475,7 +476,7 @@ def build_jump_matrix(dims: Dimensions, r_q: np.ndarray, v_minus: np.ndarray,
     returned; the event-time row and the quadrature block are common to all
     kinds.
     """
-    n, nc = dims.n, dims.nc
+    n, nc = dims.n, g_plus.size
     w = event_time_row(r_q, v_minus)           # (1, n)
     dv = (v_plus - v_minus).reshape(n, 1)
     dg = (g_plus - g_minus).reshape(nc, 1)

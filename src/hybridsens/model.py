@@ -380,7 +380,17 @@ class CostFunctional:
     g_of_mu: Callable | None = None
     name: str = "cost"
 
+    def __post_init__(self):
+        if self.nc < 1:
+            raise DimensionError(f"nc must be >= 1, got {self.nc}")
+
     # -- raw evaluations ----------------------------------------------------
+
+    def _width(self, what, val):
+        if val.shape != (self.nc,):
+            raise DimensionError(f"{what} of cost '{self.name}' has shape {val.shape}, "
+                                 f"expected ({self.nc},)")
+        return val
 
     def _u(self, t, q, v, vdot, rho):
         if self.u_fn is None:
@@ -397,12 +407,13 @@ class CostFunctional:
             if mu is None:
                 raise ValueError(f"cost '{self.name}' needs multipliers but dynamics has none")
             val = val + np.atleast_1d(np.asarray(self.g_of_mu(t, q, v, vdot, rho, mu), dtype=float))
-        return val
+        return self._width("density", val)
 
     def w_value(self, t, q, v, rho, u=None) -> np.ndarray:
         if self.w is None:
             return np.zeros(self.nc)
-        return np.atleast_1d(np.asarray(self.w(t, q, v, rho, u), dtype=float))
+        return self._width("terminal value",
+                           np.atleast_1d(np.asarray(self.w(t, q, v, rho, u), dtype=float)))
 
     # -- partials: the callback, or central differences ----------------------
 
@@ -442,6 +453,12 @@ class CostFunctional:
                          lambda *a: np.atleast_1d(self.g_of_mu(*a)), (t, q, v, vdot, rho, mu),
                          (("g_q", (nc, n)), ("g_v", (nc, n)), ("g_vdot", (nc, n)),
                           ("g_rho", (nc, rho.size)), ("g_mu", (nc, mu.size))))
+
+
+# what a run without a cost integrates: one zero quadrature, so its state,
+# and with it the step control's error norm, has the size a one-output
+# cost gives it
+ZERO_COST = CostFunctional(nc=1, name="zero")
 
 
 def cost_density_value(cost: CostFunctional, dyn, t, q, v, rho) -> np.ndarray:
@@ -509,7 +526,8 @@ def terminal_cost_gradients(cost: CostFunctional, dyn, tF, q, v, rho):
     if cost.w is None:
         z = np.zeros
         return z(nc), z((nc, n)), z((nc, n)), z((nc, p))
-    vdot, mu = dyn.accel_and_multipliers(tF, q, v, rho)
+    # only the argument function u sees the acceleration
+    vdot, mu = (None, None) if cost.u_fn is None else dyn.accel_and_multipliers(tF, q, v, rho)
     u = cost._u(tF, q, v, vdot, rho)
     wval = cost.w_value(tF, q, v, rho, u)
     wq, wv, wr, wu = cost.w_jacobians(tF, q, v, rho, u)

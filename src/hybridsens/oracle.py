@@ -132,18 +132,13 @@ def fd_trajectory_sensitivity(dyn, cost, events, rho, t_span, sample_times,
             ts.append(tm.events[k].t_eve)
         windows.append((min(ts) - pad, max(ts) + pad))
 
-    n, nc, p = dyn.dims.n, dyn.dims.nc, rho.size
+    n = dyn.dims.n
     samples = []
     for t in np.asarray(sample_times, dtype=float):
-        dq = np.zeros((n, p))
-        dv = np.zeros((n, p))
-        dz = np.zeros((nc, p))
-        for j, (tp, tm, step) in enumerate(runs):
-            qp, vp, zp = tp.state_at(t)
-            qm, vm, zm = tm.state_at(t)
-            dq[:, j] = (qp - qm) / step
-            dv[:, j] = (vp - vm) / step
-            dz[:, j] = (zp - zm) / step
+        # one column [dq; dv; dz] per parameter, dz as wide as the state's z
+        D = np.column_stack([(np.concatenate(tp.state_at(t)) - np.concatenate(tm.state_at(t)))
+                             / step for tp, tm, step in runs])
+        dq, dv, dz = D[:n], D[n:2 * n], D[2 * n:]
         reliable = not any(lo <= t <= hi for lo, hi in windows)
         samples.append(TrajectorySensitivitySample(float(t), dq, dv, dz, reliable))
     return samples

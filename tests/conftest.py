@@ -19,7 +19,7 @@ def make_curved_mass_model():
 
     No closed form; exists to exercise every finite-difference fallback and
     the mass-derivative terms of the acceleration Jacobians."""
-    dims = Dimensions(n=2, p=2, nc=1)
+    dims = Dimensions(n=2, p=2)
 
     def mass(t, q, rho):
         c = 0.3 * np.sin(q[0]) + 0.1 * q[1]

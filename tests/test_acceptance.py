@@ -145,15 +145,15 @@ def test_criterion_5_bilinear_conservation(five_bar_runs):
         rng = np.random.default_rng(abs(hash("acceptance-" + kind)) % 2 ** 31)
         done = 0
         while done < count:
-            dims, jump, _ = jump_cases.CASES[kind](rng)
+            dims, nc, jump, _ = jump_cases.CASES[kind](rng)
             X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.p, dims.p)),
-                                 rng.normal(size=(dims.nc, dims.p)))
-            lam = AdjointState(rng.normal(size=(dims.n, dims.nc)),
-                               rng.normal(size=(dims.n, dims.nc)),
-                               rng.normal(size=(dims.p, dims.nc)),
-                               rng.normal(size=(dims.nc, dims.nc)))
+                                 rng.normal(size=(nc, dims.p)))
+            lam = AdjointState(rng.normal(size=(dims.n, nc)),
+                               rng.normal(size=(dims.n, nc)),
+                               rng.normal(size=(dims.p, nc)),
+                               rng.normal(size=(nc, nc)))
             left = jump.apply_adjoint(lam).stacked().T @ X.stacked()
             right = lam.stacked().T @ jump.apply_direct(X).stacked()
             scale = max(1.0, np.abs(left).max())
@@ -214,11 +214,11 @@ def test_criterion_7_jump_formula_equivalence():
     for kind in ("unconstrained", "elastic", "inelastic"):
         rng = np.random.default_rng(abs(hash("cw-" + kind)) % 2 ** 31)
         for _ in range(40):
-            dims, jump, comp = jump_cases.CASES[kind](rng)
+            dims, nc, jump, comp = jump_cases.CASES[kind](rng)
             X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.p, dims.p)),
-                                 rng.normal(size=(dims.nc, dims.p)))
+                                 rng.normal(size=(nc, dims.p)))
             a = jump.apply_direct(X).stacked()
             b = comp(X).stacked()
             worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))

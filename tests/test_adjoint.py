@@ -23,7 +23,7 @@ G = 9.81
 
 
 def free_fall_model():
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     return MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
@@ -85,7 +85,7 @@ def test_free_fall_adjoint_closed_form():
 def test_exponential_adjoint_closed_form():
     # qdot = a q with a as a fake velocity slot is awkward in second order
     # form; use vdot = a v and psi = v(tF): lamV(t) = e^{a (tF - t)}
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
@@ -117,7 +117,7 @@ def test_lamZ_identity_throughout():
 
 
 def test_event_free_adjoint_equals_direct():
-    dims = Dimensions(n=2, p=2, nc=1)
+    dims = Dimensions(n=2, p=2)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(2),

@@ -395,7 +395,7 @@ def test_impulse_point_mass_hand_solve():
     from hybridsens.core import Dimensions
     from hybridsens.model import ConstraintSet, InitialConditions, MultibodyModel
 
-    dims = Dimensions(n=2, p=1, nc=1, m=1)
+    dims = Dimensions(n=2, p=1)
     cons = ConstraintSet(
         m=1,
         phi=lambda t, q, rho: np.array([q[1]]),

@@ -26,7 +26,7 @@ G = 9.81
 
 def linear_growth_model(p=1):
     """vdot = a v (in first-order form qdot = v, vdot = a v), rho = (a,)."""
-    dims = Dimensions(n=1, p=p, nc=1)
+    dims = Dimensions(n=1, p=p)
     return MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
@@ -64,7 +64,7 @@ def test_variational_equation_exponential():
 
 
 def test_free_fall_terminal_cost_wrt_initial_velocity():
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
@@ -114,7 +114,7 @@ def test_assemble_direct_pure_quadrature():
 
 def test_assemble_direct_terminal_only():
     # g = 0, w = rho . rho: gradient is w_rho alone
-    dims = Dimensions(n=1, p=2, nc=1)
+    dims = Dimensions(n=1, p=2)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
@@ -132,7 +132,7 @@ def test_assemble_direct_terminal_only():
 def test_duplicated_parameter_duplicates_columns():
     # a two-parameter model where both parameters are the same physical
     # quantity must produce identical sensitivity columns
-    dims = Dimensions(n=1, p=2, nc=1)
+    dims = Dimensions(n=1, p=2)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),

@@ -12,9 +12,9 @@ from hybridsens.gallery import (
     pendulum,
     register_gallery,
 )
-from hybridsens.model import fd_jacobian
+from hybridsens.model import CostFunctional, fd_jacobian
 from hybridsens.oracle import fd_cost_sensitivity
-from conftest import rel_err
+from conftest import elementwise_close, rel_err
 
 G = 9.81
 
@@ -187,3 +187,35 @@ def test_five_bar_dae_formulation_available():
     vdot, mu = prob.dynamics.accel_and_multipliers(0.0, ic.q0, ic.v0, rho)
     pen = five_bar().dynamics
     assert rel_err(vdot, pen.accel(0.0, ic.q0, ic.v0, rho), floor=1.0) < 1e-5
+
+
+def _integral_and_final(index):
+    """Two outputs, (integral of v_index dt, q_index(tF)), with central-difference
+    partials."""
+    return CostFunctional(
+        nc=2,
+        g=lambda t, q, v, a, rho, u: np.array([v[index], 0.0]),
+        w=lambda t, q, v, rho, u: np.array([0.0, q[index]]),
+        name="int-v-and-q-final",
+    )
+
+
+@pytest.mark.parametrize("make, one_output", [(bouncing_mass, ("int-vy", "height-final")),
+                                              (pendulum, ("int-vx", "x-final"))],
+                         ids=["bouncing-mass", "pendulum"])
+def test_any_cost_runs_on_any_model(make, one_output):
+    # the quadrature is as wide as the cost in hand, whatever the model
+    prob = make()
+    rho, args = prob.rho0.rho, (prob.events, prob.rho0.rho, prob.t_span, prob.config)
+    cost = _integral_and_final(0)
+    direct, traj, _ = direct_gradient(prob.dynamics, cost, *args)
+    adjoint = propagate_adjoint(traj, cost).gradient
+    fd = fd_cost_sensitivity(prob.dynamics, cost, *args, nominal=traj)
+    assert direct.shape == (2, rho.size)
+    assert elementwise_close(adjoint, direct, 1e-12)
+    assert elementwise_close(fd, direct, 1e-6)
+    # each row is its one-output cost's gradient; the extra quadrature enters
+    # the step control, so not bitwise
+    for row, name in enumerate(one_output):
+        alone, _, _ = direct_gradient(prob.dynamics, prob.cost(name), *args)
+        assert elementwise_close(direct[row], alone[0], 1e-7)

@@ -193,7 +193,7 @@ def test_an_event_factors_each_matrix_once(monkeypatch, model, tf, factorization
     before = len(calls)
     vdp = dyn_plus.accel(t, q, vp, rho)
     del calls[before:]
-    zero = np.zeros(dyn.dims.nc)
+    zero = np.zeros(1)  # a run without a cost integrates one zero quadrature
     jump = build_jump_matrix(dyn.dims, rec.spec.r_jac(q), vm, vp, vdm, vdp, zero, zero, blocks)
     assert len(calls) == factorizations, calls
     assert np.array_equal(jump.S, rec.jump.S)
@@ -225,7 +225,7 @@ def _bouncing_context(rho=np.array([1.0, 0.9])):
 
 
 def test_noop_event_jump_is_identity():
-    dims = Dimensions(n=2, p=2, nc=1)
+    dims = Dimensions(n=2, p=2)
     spec = VelocityJumpEvent(
         name="noop", r=lambda q: q[1] - 1.0,
         h=lambda t, q, v, rho: v,
@@ -247,9 +247,9 @@ def test_noop_event_jump_is_identity():
 
 
 def test_gamma_rows_are_identity_block():
-    jump, _ = _bouncing_context()
+    jump, ctx = _bouncing_context()
     dims = jump.dims
-    n, p, nc = dims.n, dims.p, dims.nc
+    n, p, nc = dims.n, dims.p, ctx["gp"].size
     S = jump.S
     gamma_rows = S[2 * n:2 * n + p, :]
     expect = np.zeros((p, 2 * n + p + nc))
@@ -311,7 +311,7 @@ def test_parameter_columns_from_gamma():
 
 def _random_unconstrained_case(rng):
     n, p, nc = 3, 2, 2
-    dims = Dimensions(n=n, p=p, nc=nc)
+    dims = Dimensions(n=n, p=p)
     A = rng.normal(size=(n, n))
     b = rng.normal(size=(n, p))
     spec = VelocityJumpEvent(
@@ -336,7 +336,7 @@ def _random_unconstrained_case(rng):
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_unconstrained(
         X, w, vp - v, hq, hv, ht, hrho, vdm, vdp, v, gp - gm)
-    return dims, jump, comp
+    return dims, nc, jump, comp
 
 
 def _random_elastic_case(rng):
@@ -367,7 +367,7 @@ def _random_elastic_case(rng):
     comp = lambda X: jump_componentwise_elastic(
         X, part, w, vp - v, hq, hv, ht, hrho, vdm, vdp, v, gp - gm,
         b["R"], b["Rbar"], b["C"], b["D"])
-    return dims, jump, comp
+    return dims, cost.nc, jump, comp
 
 
 def _random_inelastic_case(rng):
@@ -398,7 +398,7 @@ def _random_inelastic_case(rng):
         X, spec.partition, w, vp - v, b["imp_v_q"], b["imp_v_v"],
         b["imp_v_rho"], vdm, vdp, v, gp - gm, b["R"] if "R" in b else None,
         b["D"])
-    return dims, jump, comp
+    return dims, cost.nc, jump, comp
 
 
 CASES = {
@@ -412,11 +412,11 @@ CASES = {
 def test_componentwise_equals_matrix(kind):
     rng = np.random.default_rng(hash(kind) % 2 ** 31)
     for _ in range(10):
-        dims, jump, comp = CASES[kind](rng)
+        dims, nc, jump, comp = CASES[kind](rng)
         X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.p, dims.p)),
-                             rng.normal(size=(dims.nc, dims.p)))
+                             rng.normal(size=(nc, dims.p)))
         via_matrix = jump.apply_direct(X)
         via_comp = comp(X)
         scale = max(1.0, np.abs(via_matrix.stacked()).max())
@@ -427,15 +427,15 @@ def test_componentwise_equals_matrix(kind):
 def test_bilinear_identity(kind):
     rng = np.random.default_rng(hash(kind + "b") % 2 ** 31)
     for _ in range(20):
-        dims, jump, _ = CASES[kind](rng)
+        dims, nc, jump, _ = CASES[kind](rng)
         X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.p, dims.p)),
-                             rng.normal(size=(dims.nc, dims.p)))
-        lam = AdjointState(rng.normal(size=(dims.n, dims.nc)),
-                           rng.normal(size=(dims.n, dims.nc)),
-                           rng.normal(size=(dims.p, dims.nc)),
-                           rng.normal(size=(dims.nc, dims.nc)))
+                             rng.normal(size=(nc, dims.p)))
+        lam = AdjointState(rng.normal(size=(dims.n, nc)),
+                           rng.normal(size=(dims.n, nc)),
+                           rng.normal(size=(dims.p, nc)),
+                           rng.normal(size=(nc, nc)))
         left = (jump.apply_adjoint(lam).stacked().T @ X.stacked())
         right = lam.stacked().T @ jump.apply_direct(X).stacked()
         scale = max(1.0, np.abs(left).max())
@@ -459,7 +459,7 @@ def _coasting_mass_switch():
     RhsSwitchEvent engages the damping force -rho[1] v."""
     from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
 
-    dims = Dimensions(n=1, p=2, nc=1)
+    dims = Dimensions(n=1, p=2)
 
     def initial_state(rho):
         return InitialConditions(np.zeros(1), np.array([rho[0]]),

@@ -26,7 +26,7 @@ G = 9.81
 
 
 def planar_free_fall():
-    dims = Dimensions(n=2, p=1, nc=1)
+    dims = Dimensions(n=2, p=1)
     return MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(2),
@@ -44,7 +44,7 @@ def test_eom_rhs_identity_mass():
 
 
 def test_eom_rhs_scalar_oscillator():
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.array([[2.0]]),
@@ -70,7 +70,7 @@ def test_eom_rhs_five_bar_acceleration_constraint():
 
 
 def test_eom_rhs_singular_mass_reports():
-    dims = Dimensions(n=2, p=1, nc=1)
+    dims = Dimensions(n=2, p=1)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.array([[1.0, 1.0], [1.0, 1.0]]),
@@ -139,7 +139,7 @@ def test_spd_solve_non_spd_mass_raises():
 
 
 def test_eom_jacobians_linear_system():
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     m, k = 2.0, 8.0
     model = MultibodyModel(
         dims=dims,
@@ -325,6 +325,64 @@ def test_terminal_gradient_speed_squared():
     v = np.array([0.3, -1.2])
     _, wq, wv, wr = terminal_cost_gradients(cost, dyn, 1.0, np.zeros(2), v, np.array([G]))
     assert np.allclose(wv, 2.0 * v[None, :], rtol=1e-8, atol=1e-8)
+
+
+class _CountingSolves:
+    """Dynamics proxy counting ``accel_and_multipliers`` calls."""
+
+    def __init__(self, dyn):
+        self.dyn, self.solves = dyn, 0
+
+    def accel_and_multipliers(self, *args):
+        self.solves += 1
+        return self.dyn.accel_and_multipliers(*args)
+
+    def jacobians(self, *args):
+        return self.dyn.jacobians(*args)
+
+
+def test_terminal_gradients_solve_only_for_an_argument_function():
+    # only the argument function u sees the final acceleration, so a terminal
+    # cost without one solves nothing at tF
+    from hybridsens.gallery import pendulum
+
+    prob = pendulum()
+    dyn = _CountingSolves(prob.dynamics)
+    tF, q, v, rho = 1.2, np.array([0.3, -0.9]), np.array([0.5, 0.2]), prob.rho0.rho
+    want = terminal_cost_gradients(prob.cost("x-final"), prob.dynamics, tF, q, v, rho)
+    got = terminal_cost_gradients(prob.cost("x-final"), dyn, tF, q, v, rho)
+    assert dyn.solves == 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    with_u = CostFunctional(nc=1, w=lambda t, q, v, rho, u: np.array([q[0] + u[0]]),
+                            u_fn=lambda t, q, v, a, rho: np.array([a[1]]))
+    _, wq, _, wr = terminal_cost_gradients(with_u, dyn, tF, q, v, rho)
+    assert dyn.solves == 1
+    # u = ay = -g, so d psi/dm = 0 and d psi/dq is the selector
+    assert np.allclose(wq, [[1.0, 0.0]], atol=1e-8)
+    assert np.allclose(wr, 0.0, atol=1e-8)
+
+
+def test_cost_value_of_the_wrong_width_is_refused():
+    t, q, v, a, rho, mu = 0.0, np.zeros(2), np.ones(2), np.zeros(2), np.ones(1), np.ones(1)
+    wide_g = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: v, name="wide-g")
+    with pytest.raises(DimensionError, match=r"wide-g.*\(2,\)"):
+        wide_g.g_value(t, q, v, a, rho)
+    # the multiplier term is checked after it is added
+    wide_mu = CostFunctional(nc=1, g_of_mu=lambda t, q, v, a, rho, mu: np.zeros(2),
+                             name="wide-mu")
+    with pytest.raises(DimensionError, match="wide-mu"):
+        wide_mu.g_value(t, q, v, a, rho, mu=mu)
+    narrow_w = CostFunctional(nc=2, w=lambda t, q, v, rho, u: np.array([q[0]]),
+                              name="narrow-w")
+    with pytest.raises(DimensionError, match=r"narrow-w.*\(1,\)"):
+        narrow_w.w_value(t, q, v, rho)
+    # in a run, the first right-hand side refuses it
+    from hybridsens.direct import simulate
+
+    dyn = OdeDynamics(planar_free_fall())
+    with pytest.raises(DimensionError, match="wide-g"):
+        simulate(dyn, wide_g, [], np.array([G]), (0.0, 0.1))
 
 
 def test_gallery_analytic_partials_match_fd():

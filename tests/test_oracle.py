@@ -17,7 +17,7 @@ G = 9.81
 
 def test_central_difference_exact_on_quadratic():
     # psi(rho) = rho^2 realized as w = rho[0]^2 on a trivial model
-    dims = Dimensions(n=1, p=1, nc=1)
+    dims = Dimensions(n=1, p=1)
     model = MultibodyModel(
         dims=dims,
         mass=lambda t, q, rho: np.eye(1),
