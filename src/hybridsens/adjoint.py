@@ -77,7 +77,7 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
     if weight and (cost.g is not None or cost.g_of_mu is not None):
-        g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
+        g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
         g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
     else:
         g_q = g_v = np.zeros((nc, n))
@@ -131,9 +131,6 @@ class AdjointSolution:
     series: np.ndarray           # rows: stacked [lamQ; lamV; lamGamma] per node
     traj: HybridTrajectory
     cost: CostFunctional
-
-    def forward_order(self):
-        return self.times[::-1], self.series[::-1]
 
     def lam_at(self, t: float) -> AdjointState:
         """Adjoint inside the smooth segment covering t: the stored value at

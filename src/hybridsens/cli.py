@@ -220,9 +220,7 @@ def cmd_adjoint(args):
     fmt = cfg.get("format", "csv")
     rows_back = [[t] + list(row) for t, row in zip(sol.times, sol.series)]
     _write_table(out, "adjoint_backward", header, rows_back, fmt)
-    tf_order, series_f = sol.forward_order()
-    _write_table(out, "adjoint_forward", header,
-                 [[t] + list(row) for t, row in zip(tf_order, series_f)], fmt)
+    _write_table(out, "adjoint_forward", header, rows_back[::-1], fmt)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "adjoint": sol.gradient.tolist()}
     _write_json(out / "gradient.json", doc, indent=2)

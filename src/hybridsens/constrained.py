@@ -265,11 +265,6 @@ class DaeDynamics(_SaddleDynamics):
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return self.jacobians(t, q, v, rho, vdot, mu)[3]
 
-    def multiplier_sensitivity(self, t, q, v, rho, Q, V):
-        """Algebraic multiplier sensitivity Lambda = gq Q + gv V + grho."""
-        gq, gv, grho = self.multiplier_jacobians(t, q, v, rho)
-        return gq @ Q + gv @ V + grho
-
 
 def check_one_sided(dyn, dense) -> None:
     """Refuse a smooth segment on which a one-sided row of the saddle

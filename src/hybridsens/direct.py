@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dimensions, SensitivityState
+from .core import DimensionError, Dimensions, SensitivityState
 from .model import ZERO_COST, CostFunctional, cost_density_gradients, terminal_cost_gradients
 from .integrate import RK_A, DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
 from .hybrid import (
@@ -124,7 +124,7 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     Q, V = X[:n], X[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
-    g_q, g_v, g_rho = cost_density_gradients(cost, dyn, t, q, v, rho, jac)
+    g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
     return np.vstack([V, f_q @ Q + f_v @ V + f_rho, g_q @ Q + g_v @ V + g_rho]).ravel()
 
 
@@ -164,9 +164,9 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
     """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0); the
     trajectory records ``cost`` as given, None included."""
     t0, tF = float(t_span[0]), float(t_span[1])
-    if not t0 < tF:
+    if not (np.isfinite(t0) and np.isfinite(tF) and t0 < tF):
         # a run without a segment has no final state and no residuals
-        raise ValueError(f"time span ({t0}, {tF}) is empty or reversed")
+        raise ValueError(f"time span ({t0}, {tF}) is empty or reversed, or not finite")
     segments: list[TrajectorySegment] = []
     records: list[EventRecord] = []
     monitor = EventMonitor(len(events))
@@ -223,11 +223,18 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
                             segments, records, cost, config)
 
 
+def _start(dyn, rho, config):
+    """(rho, config, initial conditions) of a run; rho is checked first."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (dyn.dims.p,):
+        raise DimensionError(f"model '{dyn.model.name}' has {dyn.dims.p} parameters, "
+                             f"but rho has {rho.size} values (shape {rho.shape})")
+    return rho, config or IntegratorConfig(), dyn.model.initial_state(rho)
+
+
 def simulate(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
     """Forward hybrid run without sensitivities.  Returns a HybridTrajectory."""
-    config = config or IntegratorConfig()
-    rho = np.asarray(rho, dtype=float)
-    ic = dyn.model.initial_state(rho)
+    rho, config, ic = _start(dyn, rho, config)
     return _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dyn.dims)
 
 
@@ -241,10 +248,8 @@ def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | 
     (``TrajectorySegment.tangent``), so sensitivities can be sampled at any
     time via ``trajectory.sensitivity_at``.
     """
-    config = config or IntegratorConfig()
-    rho = np.asarray(rho, dtype=float)
+    rho, config, ic = _start(dyn, rho, config)
     dims = dyn.dims
-    ic = dyn.model.initial_state(rho)
     traj = _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dims)
     cost = cost or ZERO_COST
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)

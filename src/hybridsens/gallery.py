@@ -305,13 +305,6 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     )
 
 
-def five_bar_initial_conditions(rho, param_names=("k1", "k2")):
-    """Assembled initial pose and its parameter Jacobians for the five-bar."""
-    model = five_bar_model(param_names)
-    ic = model.initial_state(np.asarray(rho, dtype=float))
-    return ic.q0, ic.v0, ic.dq0_drho, ic.dv0_drho
-
-
 def _five_bar_costs() -> dict:
     sel_vy2 = np.zeros((1, 6))
     sel_vy2[0, 3] = 1.0
@@ -505,20 +498,6 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
         force_partials=force_partials,
         name="pendulum",
     )
-
-
-def pendulum_swing_model(theta0: float = 0.9) -> MultibodyModel:
-    """Constrained pendulum started on the tether (for smooth-phase tests)."""
-    model = pendulum_model(constrained=True)
-    L = PENDULUM_LENGTH
-
-    def initial_state(rho):
-        q0 = np.array([L * np.sin(theta0), -L * np.cos(theta0)])
-        v0 = np.array([0.0, 0.0])
-        return InitialConditions(q0, v0, np.zeros((2, 3)), np.zeros((2, 3)))
-
-    model.initial_state = initial_state
-    return model
 
 
 def pendulum() -> GalleryProblem:

@@ -402,12 +402,6 @@ def event_time_row(r_q: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
     return -r_q.reshape(1, -1) / rdot
 
 
-def event_time_sensitivity(r_q: np.ndarray, Q_minus: np.ndarray,
-                           v_minus: np.ndarray) -> np.ndarray:
-    """Event-time sensitivity dt_eve/drho = -(dr/dq Q-) / (dr/dq v-)."""
-    return event_time_row(r_q, v_minus) @ np.atleast_2d(Q_minus)
-
-
 # ---------------------------------------------------------------------------
 # State jumps
 # ---------------------------------------------------------------------------
@@ -486,52 +480,3 @@ def build_jump_matrix(dims: Dimensions, r_q: np.ndarray, v_minus: np.ndarray,
     S = _assemble(dims, *own, SZQ)
     named.update({"Z_plus_wrt_Q": SZQ, "dt_row": w})
     return JumpMatrix(dims, named, S)
-
-
-# ---------------------------------------------------------------------------
-# Componentwise jump formulas (the non-matrix route; used for cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def jump_componentwise_unconstrained(X: SensitivityState, w_row, dv, hq, hv, ht, hrho,
-                                     vdot_minus, vdot_plus, v_minus, dg) -> SensitivityState:
-    """Direct evaluation of the scalar jump equations for the unconstrained case."""
-    dt_drho = w_row @ X.Q                        # (1, p)
-    Qp = X.Q - dv.reshape(-1, 1) @ dt_drho
-    bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
-    Vp = hq @ X.Q + hv @ X.V + bracket.reshape(-1, 1) @ dt_drho + hrho @ X.Gamma
-    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
-    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
-
-
-def jump_componentwise_elastic(X: SensitivityState, part: DofPartition, w_row, dv,
-                               hq, hv, ht, hrho, vdot_minus, vdot_plus, v_minus,
-                               dg, R, Rbar, Cblk, D) -> SensitivityState:
-    """Direct evaluation of the scalar jump equations for the elastic case."""
-    dof, dep = list(part.dof), list(part.dep)
-    dt_drho = w_row @ X.Q
-    Qp = np.empty_like(X.Q)
-    Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
-    Qp[dep, :] = R @ Qp[dof, :] + D @ X.Gamma
-    bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
-    Vp = np.empty_like(X.V)
-    Vp[dof, :] = (hq @ X.Q + hv @ X.V[dof, :]
-                  + bracket.reshape(-1, 1) @ dt_drho + hrho @ X.Gamma)
-    Vp[dep, :] = R @ Vp[dof, :] + Rbar @ Qp + Cblk @ X.Gamma
-    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
-    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
-
-
-def jump_componentwise_inelastic(X: SensitivityState, part: DofPartition, w_row, dv,
-                                 jq_v, jv_v, jrho_v, vdot_minus, vdot_plus,
-                                 v_minus, dg, R, D) -> SensitivityState:
-    """Direct evaluation of the scalar jump equations for the impulsive case."""
-    dof, dep = list(part.dof), list(part.dep)
-    dt_drho = w_row @ X.Q
-    Qp = np.empty_like(X.Q)
-    Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
-    Qp[dep, :] = R @ Qp[dof, :] + D @ X.Gamma
-    bracket = jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
-    Vp = jq_v @ X.Q + jv_v @ X.V + bracket.reshape(-1, 1) @ dt_drho + jrho_v @ X.Gamma
-    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
-    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)

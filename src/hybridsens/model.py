@@ -461,14 +461,7 @@ class CostFunctional:
 ZERO_COST = CostFunctional(nc=1, name="zero")
 
 
-def cost_density_value(cost: CostFunctional, dyn, t, q, v, rho) -> np.ndarray:
-    """Resolved cost density at a state: acceleration (and multipliers for
-    constrained dynamics) are recovered from the active dynamics."""
-    vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
-    return cost.g_value(t, q, v, vdot, rho, mu=mu)
-
-
-def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho, jac=None):
+def cost_density_gradients(cost: CostFunctional, t, q, v, rho, jac):
     """Resolved gradients of the cost density along the dynamics.
 
     Accelerations are not independent variables, so the returned gradients
@@ -479,13 +472,12 @@ def cost_density_gradients(cost: CostFunctional, dyn, t, q, v, rho, jac=None):
 
     for zeta in {q, v, rho}, where a multiplier term g_of_mu first adds its
     own partials to g's (its acceleration partial to g_vdot).  Returns
-    (g_q, g_v, g_rho); the density value is ``cost_density_value``.
+    (g_q, g_v, g_rho).
 
-    ``jac`` is what ``dyn.jacobians`` returned at this state, (vdot, mu,
-    f_blocks, mu_blocks); a caller that has it passes it in, otherwise one
-    call computes it here.
+    ``jac`` is what the dynamics' ``jacobians`` returned at this state,
+    (vdot, mu, f_blocks, mu_blocks).
     """
-    vdot, mu, (f_q, f_v, f_rho), fmu = jac or dyn.jacobians(t, q, v, rho)
+    vdot, mu, (f_q, f_v, f_rho), fmu = jac
     nc, n, p = cost.nc, q.size, rho.size
     if cost.g is None:
         if cost.g_of_mu is None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridsens.core import Dimensions
+from hybridsens.gallery import PENDULUM_LENGTH, pendulum_model
 from hybridsens.model import InitialConditions, MultibodyModel, OdeDynamics
 
 
@@ -39,10 +40,31 @@ def make_curved_mass_model():
                           initial_state=initial_state, name="curved-mass")
 
 
+def pendulum_swing_model(theta0: float = 0.9) -> MultibodyModel:
+    """Constrained pendulum started on the tether (for smooth-phase tests)."""
+    model = pendulum_model(constrained=True)
+    L = PENDULUM_LENGTH
+
+    def initial_state(rho):
+        q0 = np.array([L * np.sin(theta0), -L * np.cos(theta0)])
+        v0 = np.array([0.0, 0.0])
+        return InitialConditions(q0, v0, np.zeros((2, 3)), np.zeros((2, 3)))
+
+    model.initial_state = initial_state
+    return model
+
+
 @pytest.fixture
 def curved_mass():
     model = make_curved_mass_model()
     return model, OdeDynamics(model)
+
+
+def cost_density_value(cost, dyn, t, q, v, rho) -> np.ndarray:
+    """Resolved cost density at a state: acceleration (and multipliers for
+    constrained dynamics) are recovered from the active dynamics."""
+    vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
+    return cost.g_value(t, q, v, vdot, rho, mu=mu)
 
 
 def rel_err(a, b, floor=1e-30):

@@ -20,12 +20,12 @@ from hybridsens.gallery import (
     bouncing_mass,
     five_bar,
     pendulum,
-    pendulum_swing_model,
 )
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.oracle import fd_cost_sensitivity
 from hybridsens.constrained import DaeDynamics, PenaltyConfig, PenaltyDynamics
 
+from conftest import pendulum_swing_model
 import test_hybrid as jump_cases
 
 G = 9.81

@@ -25,12 +25,11 @@ from hybridsens.gallery import (
     bouncing_mass,
     five_bar,
     pendulum_model,
-    pendulum_swing_model,
 )
 from hybridsens.model import ConstraintSet, fd_jacobian
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.direct import simulate
-from conftest import rel_err
+from conftest import pendulum_swing_model, rel_err
 
 G = 9.81
 RHO = np.array([0.15, -1.0, 1.0])
@@ -502,7 +501,8 @@ def test_multiplier_sensitivity_matches_fd():
     traj, _, _ = propagate_direct(dyn, cost, [], RHO, (0.0, 1.0), cfg)
     q, v, _ = traj.state_at(t_probe)
     X = traj.sensitivity_at(t_probe)
-    Lam = dyn.multiplier_sensitivity(t_probe, q, v, RHO, X.Q, X.V)
+    gq, gv, grho = dyn.multiplier_jacobians(t_probe, q, v, RHO)
+    Lam = gq @ X.Q + gv @ X.V + grho
     h = 1e-6
     for j in range(3):
         rp, rm = RHO.copy(), RHO.copy()

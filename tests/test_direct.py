@@ -281,12 +281,34 @@ def test_pendulum_residual_rows_at_the_stored_nodes():
     assert 0.0 < res.max_pos() <= 1e-6 and 0.0 < res.max_vel() <= 1e-5
 
 
-@pytest.mark.parametrize("t_span", [(0.0, 0.0), (1.0, 0.5), (0.0, float("nan"))])
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (1.0, 0.5), (0.0, float("nan")),
+                                    (0.0, float("inf")), (float("-inf"), 0.5)])
 def test_empty_or_reversed_span_is_refused(t_span):
     # such a run would have no segment: no final state and no residuals
+    # ((0, inf) used to return a run of 0 segments and 0 events)
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()
     for run in (simulate, propagate_direct):
         with pytest.raises(ValueError, match="empty or reversed"):
             run(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, t_span, prob.config)
+
+
+@pytest.mark.parametrize("model,rho", [
+    ("bouncing-mass", [1.0, 0.9, 0.5]),
+    ("bouncing-mass", [1.0]),
+    ("pendulum", [0.15, -1.0, 1.0, 2.0]),
+    ("five-bar", [100.0, 100.0, 1.0]),
+])
+def test_parameter_vector_of_the_wrong_length_is_refused(model, rho):
+    # refused before the model reads it, naming both lengths and the model
+    from hybridsens.core import DimensionError
+    from hybridsens.gallery import register_gallery
+
+    prob = register_gallery()[model]()
+    msg = (f"model '{model}' has {prob.dynamics.dims.p} parameters, "
+           f"but rho has {len(rho)} values")
+    for run in (simulate, direct_gradient):
+        with pytest.raises(DimensionError, match=msg):
+            run(prob.dynamics, prob.cost(), prob.events, np.array(rho), prob.t_span,
+                prob.config)

@@ -7,7 +7,6 @@ from hybridsens.gallery import (
     FIVE_BAR_DATA,
     bouncing_mass,
     five_bar,
-    five_bar_initial_conditions,
     five_bar_model,
     pendulum,
     register_gallery,
@@ -30,15 +29,15 @@ def test_registry_names_and_costs():
 
 
 def test_five_bar_assembly_residual():
-    q0, v0, dq0, dv0 = five_bar_initial_conditions(np.array([100.0, 100.0]))
     model = five_bar_model()
-    res = model.constraints.value(0.0, q0, np.array([100.0, 100.0]))
+    ic = model.initial_state(np.array([100.0, 100.0]))
+    res = model.constraints.value(0.0, ic.q0, np.array([100.0, 100.0]))
     assert np.max(np.abs(res)) <= 1e-12
-    assert np.allclose(v0, 0.0)
+    assert np.allclose(ic.v0, 0.0)
 
 
 def test_five_bar_stiffness_does_not_move_assembly():
-    _, _, dq0, _ = five_bar_initial_conditions(np.array([100.0, 100.0]))
+    dq0 = five_bar_model().initial_state(np.array([100.0, 100.0])).dq0_drho
     assert np.allclose(dq0, 0.0)
 
 

@@ -13,12 +13,8 @@ from hybridsens.hybrid import (
     apply_state_jump,
     build_jump_matrix,
     event_time_row,
-    event_time_sensitivity,
-    jump_componentwise_elastic,
-    jump_componentwise_inelastic,
-    jump_componentwise_unconstrained,
 )
-from hybridsens.model import cost_density_value
+from conftest import cost_density_value
 
 G = 9.81
 
@@ -27,15 +23,14 @@ G = 9.81
 
 
 def test_event_time_sensitivity_zero_numerator():
-    out = event_time_sensitivity(np.array([1.0, 0.0]), np.zeros((2, 3)),
-                                 np.array([-2.0, 1.0]))
+    out = event_time_row(np.array([1.0, 0.0]), np.array([-2.0, 1.0])) @ np.zeros((2, 3))
     assert np.allclose(out, 0.0)
 
 
 def test_event_time_sensitivity_bouncing_closed_form():
     h0 = 1.0
     v_minus = np.array([-np.sqrt(2 * G * h0)])
-    out = event_time_sensitivity(np.array([1.0]), np.array([[1.0]]), v_minus)
+    out = event_time_row(np.array([1.0]), v_minus) @ np.array([[1.0]])
     assert abs(out[0, 0] - 1.0 / np.sqrt(2 * G * h0)) < 1e-5
     assert abs(out[0, 0] - 0.225762) < 1e-5
 
@@ -45,9 +40,9 @@ def test_event_time_sensitivity_scale_invariance():
     r_q = rng.normal(size=4)
     Q = rng.normal(size=(4, 2))
     v = rng.normal(size=4)
-    base = event_time_sensitivity(r_q, Q, v)
+    base = event_time_row(r_q, v) @ Q
     for c in (2.0, -0.3, 1e6):
-        assert np.allclose(event_time_sensitivity(c * r_q, Q, v), base, rtol=1e-12)
+        assert np.allclose(event_time_row(c * r_q, v) @ Q, base, rtol=1e-12)
 
 
 def test_tangential_crossing_rejected():
@@ -290,7 +285,7 @@ def test_z_jump_equals_density_difference():
     X = SensitivityState(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)),
                          np.eye(2), rng.normal(size=(1, 2)))
     X2 = jump.apply_direct(X)
-    dt_drho = event_time_sensitivity(np.array([1.0]), X.Q, ctx["vm"])
+    dt_drho = event_time_row(np.array([1.0]), ctx["vm"]) @ X.Q
     expect = X.Z - np.outer(ctx["gp"] - ctx["gm"], dt_drho)
     assert np.allclose(X2.Z, expect, atol=1e-12)
 
@@ -307,6 +302,54 @@ def test_parameter_columns_from_gamma():
 
 
 # -- componentwise vs matrix forms and the bilinear identity -------------------
+#
+# The componentwise jump formulas evaluate the scalar jump equations
+# directly, without S: the reference the matrix route is checked against
+# (here and in acceptance criterion 7, through CASES).
+
+
+def jump_componentwise_unconstrained(X: SensitivityState, w_row, dv, hq, hv, ht, hrho,
+                                     vdot_minus, vdot_plus, v_minus, dg) -> SensitivityState:
+    """Direct evaluation of the scalar jump equations for the unconstrained case."""
+    dt_drho = w_row @ X.Q                        # (1, p)
+    Qp = X.Q - dv.reshape(-1, 1) @ dt_drho
+    bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
+    Vp = hq @ X.Q + hv @ X.V + bracket.reshape(-1, 1) @ dt_drho + hrho @ X.Gamma
+    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
+    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
+
+
+def jump_componentwise_elastic(X: SensitivityState, part: DofPartition, w_row, dv,
+                               hq, hv, ht, hrho, vdot_minus, vdot_plus, v_minus,
+                               dg, R, Rbar, Cblk, D) -> SensitivityState:
+    """Direct evaluation of the scalar jump equations for the elastic case."""
+    dof, dep = list(part.dof), list(part.dep)
+    dt_drho = w_row @ X.Q
+    Qp = np.empty_like(X.Q)
+    Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
+    Qp[dep, :] = R @ Qp[dof, :] + D @ X.Gamma
+    bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
+    Vp = np.empty_like(X.V)
+    Vp[dof, :] = (hq @ X.Q + hv @ X.V[dof, :]
+                  + bracket.reshape(-1, 1) @ dt_drho + hrho @ X.Gamma)
+    Vp[dep, :] = R @ Vp[dof, :] + Rbar @ Qp + Cblk @ X.Gamma
+    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
+    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
+
+
+def jump_componentwise_inelastic(X: SensitivityState, part: DofPartition, w_row, dv,
+                                 jq_v, jv_v, jrho_v, vdot_minus, vdot_plus,
+                                 v_minus, dg, R, D) -> SensitivityState:
+    """Direct evaluation of the scalar jump equations for the impulsive case."""
+    dof, dep = list(part.dof), list(part.dep)
+    dt_drho = w_row @ X.Q
+    Qp = np.empty_like(X.Q)
+    Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
+    Qp[dep, :] = R @ Qp[dof, :] + D @ X.Gamma
+    bracket = jq_v @ v_minus + jv_v @ vdot_minus - vdot_plus
+    Vp = jq_v @ X.Q + jv_v @ X.V + bracket.reshape(-1, 1) @ dt_drho + jrho_v @ X.Gamma
+    Zp = X.Z - dg.reshape(-1, 1) @ dt_drho
+    return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
 
 
 def _random_unconstrained_case(rng):

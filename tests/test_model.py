@@ -15,12 +15,11 @@ from hybridsens.model import (
     OdeDynamics,
     SingularMatrixError,
     cost_density_gradients,
-    cost_density_value,
     fd_jacobian,
     terminal_cost_gradients,
     _spd_solve,
 )
-from conftest import rel_err
+from conftest import cost_density_value, rel_err
 
 G = 9.81
 
@@ -260,7 +259,7 @@ def test_cost_density_selector_velocity():
     dyn = OdeDynamics(planar_free_fall())
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([v[1]]))
     state = (0.0, np.zeros(2), np.array([0.1, -2.0]), np.array([G]))
-    gq, gv, gr = cost_density_gradients(cost, dyn, *state)
+    gq, gv, gr = cost_density_gradients(cost, *state, dyn.jacobians(*state))
     assert np.allclose(cost_density_value(cost, dyn, *state), [-2.0])
     assert np.allclose(gv, [[0.0, 1.0]], atol=1e-9)
     assert np.allclose(gq, 0.0, atol=1e-9)
@@ -270,7 +269,7 @@ def test_cost_density_acceleration_chain(curved_mass):
     model, dyn = curved_mass
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([a[1]]))
     t, q, v, rho = 0.1, np.array([0.3, 0.2]), np.array([0.4, -0.5]), np.array([2.0, 1.0])
-    gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
+    gq, gv, gr = cost_density_gradients(cost, t, q, v, rho, dyn.jacobians(t, q, v, rho))
     f_q, f_v, f_rho = dyn.jacobians(t, q, v, rho)[2]
     assert np.allclose(gq, f_q[1:2, :], rtol=1e-7, atol=1e-9)
     assert np.allclose(gv, f_v[1:2, :], rtol=1e-7, atol=1e-9)
@@ -281,7 +280,7 @@ def test_cost_density_gradients_match_fd(curved_mass):
     model, dyn = curved_mass
     cost = quadratic_cost()
     t, q, v, rho = 0.2, np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([2.5, 1.2])
-    gq, gv, gr = cost_density_gradients(cost, dyn, t, q, v, rho)
+    gq, gv, gr = cost_density_gradients(cost, t, q, v, rho, dyn.jacobians(t, q, v, rho))
     fd_q = fd_jacobian(lambda qq: cost_density_value(cost, dyn, t, qq, v, rho), q)
     fd_v = fd_jacobian(lambda vv: cost_density_value(cost, dyn, t, q, vv, rho), v)
     fd_r = fd_jacobian(lambda rr: cost_density_value(cost, dyn, t, q, v, rr), rho)
@@ -300,8 +299,9 @@ def test_cost_density_u_chain_matches_direct_form(curved_mass):
         u_fn=lambda t, q, v, a, rho: np.array([a[1]]),
     )
     t, q, v, rho = 0.4, np.array([-0.2, 0.3]), np.array([0.5, -0.1]), np.array([1.0, 2.0])
-    out_a = cost_density_gradients(direct_form, dyn, t, q, v, rho)
-    out_b = cost_density_gradients(u_form, dyn, t, q, v, rho)
+    jac = dyn.jacobians(t, q, v, rho)
+    out_a = cost_density_gradients(direct_form, t, q, v, rho, jac)
+    out_b = cost_density_gradients(u_form, t, q, v, rho, jac)
     for a, b in zip(out_a, out_b):
         assert np.allclose(a, b, rtol=1e-6, atol=1e-8)
 
