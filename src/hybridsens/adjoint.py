@@ -13,7 +13,7 @@ each event the stored jump matrix acts through its transpose,
 lam- = S^T lam+, so the adjoint gradient equals the direct gradient
 computed on the same steps to round-off.  Between nodes the
 adjoint is recovered by integrating the continuous adjoint ODE from the
-nearest later node (``AdjointSolution.lam_at``).
+nearest later node, in reversed time (``AdjointSolution.lam_at``).
 
 The quadrature adjoint lamZ is the identity for all time and is not
 integrated.
@@ -135,7 +135,8 @@ class AdjointSolution:
     def lam_at(self, t: float) -> AdjointState:
         """Adjoint inside the smooth segment covering t: the stored value at
         a node, else the continuous adjoint ODE integrated from the first
-        node after t, over at most one forward step.
+        node after t back to t, over at most one forward step, as a forward
+        integration in the reversed time s = -t.
 
         At an event time the value is side-dependent; query strictly inside
         a segment to get an unambiguous answer.
@@ -150,10 +151,12 @@ class AdjointSolution:
                 if nodes[i] > t:
                     dyn, rho = seg.dynamics, self.traj.rho
 
+                    # negation is exact: each step is bitwise a backward one
                     def rhs(s, lam):
-                        return adjoint_rhs(dyn, self.cost, dims, rho, s,
-                                           seg.dense.evaluate(s), lam)
-                    _, (_, y), _ = integrate_segment(rhs, y, (nodes[i], t), self.traj.config)
+                        return -adjoint_rhs(dyn, self.cost, dims, rho, -s,
+                                            seg.dense.evaluate(-s), lam)
+                    _, (_, y), _ = integrate_segment(rhs, y, (-nodes[i], -t),
+                                                     self.traj.config)
                 lamQ, lamV, lamG = _split_lam(y, dims, nc)
                 return AdjointState(lamQ, lamV, lamG, np.eye(nc))
             row += len(nodes)

@@ -267,13 +267,15 @@ class DaeDynamics(_SaddleDynamics):
 
 
 def check_one_sided(dyn, dense) -> None:
-    """Refuse a smooth segment on which a one-sided row of the saddle
-    dynamics' constraint set carried mu_i < 0 at a recorded stage.  Reads
-    the segment's stored stage multipliers (``DenseSegment.multipliers``)
-    and solves nothing."""
-    if not isinstance(dyn, _SaddleDynamics) or not dyn.model.constraints.one_sided:
+    """Refuse a smooth segment on which a one-sided row of the model's
+    constraint set carried mu_i < 0 at a recorded stage, whatever the
+    dynamics class.  Reads the segment's stored stage multipliers
+    (``DenseSegment.multipliers``) and solves nothing; a segment recorded
+    without multiplier columns (``OdeDynamics``) has none to check."""
+    cons = dyn.model.constraints
+    if cons is None or not cons.one_sided or dense.multipliers.shape[1] == 0:
         return
-    rows = list(dyn.model.constraints.one_sided)
+    rows = list(cons.one_sided)
     mu = dense.multipliers[:, rows]
     if (mu < 0.0).any():
         worst = np.unravel_index(np.argmin(mu), mu.shape)

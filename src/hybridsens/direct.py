@@ -268,7 +268,7 @@ def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | 
             KX0 = KX[-1]
         d = seg.dense
         seg.tangent = DenseSegment(d.t_start, d.t_end, d.node_times, np.array(nodes),
-                                   stages, d.steps, d.truncated, d.forward)
+                                   stages, d.steps, d.truncated)
         X = _sensitivity(x, dims)
     return traj, X, traj.events
 
@@ -284,6 +284,8 @@ def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndar
 
 def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
     """Convenience wrapper: run the direct pass and assemble dpsi/drho."""
+    if cost is None:
+        raise ValueError("the direct gradient needs the cost functional")
     traj, XF, _ = propagate_direct(dyn, cost, events, rho, t_span, config)
     qF, vF, _ = traj.final_state
     dyn_F = traj.segments[-1].dynamics

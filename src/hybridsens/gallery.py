@@ -35,7 +35,7 @@ from .model import (
     OdeDynamics,
 )
 from .constrained import DaeDynamics, PenaltyDynamics
-from .hybrid import ConstrainedElasticEvent, ConstrainedInelasticEvent, DofPartition, VelocityJumpEvent
+from .hybrid import ConstrainedElasticEvent, ConstrainedInelasticEvent, VelocityJumpEvent
 from .integrate import IntegratorConfig
 
 GRAVITY = 9.81
@@ -356,7 +356,7 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryP
         dof_jump_partials=lambda t, q, vdof, rho: (
             np.zeros(2), np.zeros((2, 6)), np.array([[1.0, 0.0], [0.0, -1.0]]),
             np.zeros((2, rho.size))),
-        partition=DofPartition(n=6, dof=_FIVE_BAR_DOF),
+        dof=_FIVE_BAR_DOF,
     )
     pm = _FiveBarParameterMap(param_names)
     return GalleryProblem(
@@ -512,7 +512,7 @@ def pendulum() -> GalleryProblem:
         r=lambda q: q @ q - L ** 2,
         dr_dq=lambda q: 2.0 * q,
         post_dynamics=dyn_tethered,
-        partition=DofPartition(n=2, dof=(0,)),
+        dof=(0,),
     )
     costs = {
         "x-final": CostFunctional(

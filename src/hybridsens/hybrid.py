@@ -52,27 +52,6 @@ class StickingContactError(RuntimeError):
 
 
 @dataclass
-class DofPartition:
-    """Split of the n coordinates into independent (dof) and dependent ones.
-
-    The partition is part of the problem definition; it is not chosen
-    automatically.
-    """
-
-    n: int
-    dof: tuple[int, ...]
-
-    def __post_init__(self):
-        self.dof = tuple(int(i) for i in self.dof)
-        if len(set(self.dof)) != len(self.dof) or not all(0 <= i < self.n for i in self.dof):
-            raise ValueError(f"invalid dof index set {self.dof} for n={self.n}")
-
-    @property
-    def dep(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if i not in self.dof)
-
-
-@dataclass
 class EventSpec:
     """Scalar event function r(q) whose sign change in time triggers the event.
 
@@ -119,20 +98,29 @@ def _jump_jacobians(what, partials, jump, t, q, v, rho):
                       ("h_rho", (f, rho.size))))
 
 
-def _dependent_solve(spec, G):
+def _dof_split(spec, n):
+    """(dof, dep): the event's independent coordinates ``spec.dof`` and the
+    rest of range(n), the dependent ones, in increasing order.  The dof set
+    is part of the problem definition; it is not chosen automatically."""
+    dof = [int(i) for i in spec.dof]
+    if len(set(dof)) != len(dof) or not all(0 <= i < n for i in dof):
+        raise ValueError(f"event '{spec.name}': invalid dof index set {tuple(spec.dof)} "
+                         f"for n={n}")
+    return dof, [i for i in range(n) if i not in dof]
+
+
+def _dependent_solve(spec, G, dep):
     """Solve with the dependent-coordinate block G_dep, refusing a singular one."""
-    return _constrained.checked_lu(G[:, list(spec.partition.dep)],
-                                   f"event '{spec.name}' dependent constraint block")
+    return _constrained.checked_lu(G[:, dep], f"event '{spec.name}' dependent constraint block")
 
 
-def _dependent_blocks(part: DofPartition, G, lu, phi_rho, A):
+def _dependent_blocks(dof, dep, G, lu, phi_rho, A):
     """Dependent-coordinate part of a partitioned jump, from G = phi_q, the
     solve ``lu`` with its dependent block G_dep and phi_rho: R = -G_dep^-1
     G_dof, D = -G_dep^-1 phi_rho and the position rows of S, SQQ (dof rows
     A_dof, dependent rows R A_dof) and SQG (dependent rows D).
     """
     n, p = A.shape[0], phi_rho.shape[1]
-    dof, dep = list(part.dof), list(part.dep)
     R = -lu(G[:, dof])
     D = -lu(phi_rho)
     A_dof = A[dof, :]
@@ -197,7 +185,7 @@ class ConstrainedElasticEvent(EventSpec):
     """
 
     dof_jump: Callable = None  # (t, q, v_dof, rho) -> (f,)
-    partition: DofPartition = None
+    dof: tuple[int, ...] = None  # independent coordinates; the rest are dependent
     dof_jump_partials: Callable | None = None
 
     def jump_dof(self, t, q, v_dof, rho) -> np.ndarray:
@@ -209,18 +197,17 @@ class ConstrainedElasticEvent(EventSpec):
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         n = v_minus.size
-        dof, dep = list(self.partition.dof), list(self.partition.dep)
+        dof, dep = _dof_split(self, n)
         cons = dyn_minus.model.constraints
         v_dof_plus = self.jump_dof(t, q, v_minus[dof], rho)
         G = cons.jac_q(t, q, rho)
-        lu = _dependent_solve(self, G)
+        lu = _dependent_solve(self, G, dep)
         v_plus = np.empty_like(v_minus)
         v_plus[dof] = v_dof_plus
         v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus))
 
         def blocks(vdot_minus, vdot_plus, A, w):
-            R, D, SQQ, SQG = _dependent_blocks(self.partition, G, lu,
-                                               cons.jac_rho(t, q, rho), A)
+            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, lu, cons.jac_rho(t, q, rho), A)
             Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
             Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
 
@@ -260,7 +247,7 @@ class ConstrainedInelasticEvent(EventSpec):
     """
 
     post_dynamics: object = None  # constrained dynamics active after the event
-    partition: DofPartition = None
+    dof: tuple[int, ...] = None  # independent coordinates; the rest are dependent
 
     must_depart: ClassVar[bool] = False
 
@@ -270,6 +257,7 @@ class ConstrainedInelasticEvent(EventSpec):
         ``differentiate_saddle``, from those of its right side [M v-; 0],
         [M_q v-, M, M_rho v-; 0]; M and so the map do not depend on t."""
         n, model = v_minus.size, self.post_dynamics.model
+        dof, dep = _dof_split(self, n)
         M, factor, s = _constrained.impulse_system(model, t, q, v_minus, rho)
 
         def rhs_partials():
@@ -285,7 +273,7 @@ class ConstrainedInelasticEvent(EventSpec):
                 rhs_partials)
             jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
             G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)
-            R, D, SQQ, SQG = _dependent_blocks(self.partition, G, _dependent_solve(self, G),
+            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, _dependent_solve(self, G, dep),
                                                G_rho, A)
             bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
             SVQ = jq[:n] + bracket.reshape(n, 1) @ w

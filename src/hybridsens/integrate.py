@@ -319,12 +319,12 @@ def _rk_dense(t_old, y_old, h, Q, t) -> np.ndarray:
 class DenseSegment:
     """Accepted Runge-Kutta steps of one smooth segment.
 
-    Step k runs from node k with signed length ``steps[k]`` (the stepper's
-    ``h_previous``) and stage derivatives ``stages[k]`` (a copy of its
-    ``K``: six stages plus the derivative at the step end).  A hybrid run
-    also records ``multipliers``, the (6 * len(steps) + 1, m) multipliers of
-    the dynamics' saddle solve at every stage: row 6k + i is stage i of
-    step k, so row 6k is also stage 6 of step k - 1.  Inside a step
+    Time runs forward.  Step k runs from node k with length ``steps[k]``
+    (the stepper's ``h_previous``) and stage derivatives ``stages[k]`` (a
+    copy of its ``K``: six stages plus the derivative at the step end).  A
+    hybrid run also records ``multipliers``, the (6 * len(steps) + 1, m)
+    multipliers of the dynamics' saddle solve at every stage: row 6k + i is
+    stage i of step k, so row 6k is also stage 6 of step k - 1.  Inside a step
     the continuous extension is evaluated bitwise as scipy's dense output;
     at a stored node the stored state is returned verbatim.  ``truncated``
     marks a segment whose last node is an event root inside its last step,
@@ -338,7 +338,6 @@ class DenseSegment:
     stages: list
     steps: np.ndarray
     truncated: bool = False
-    forward: bool = True
     multipliers: np.ndarray | None = None
 
     _BOUNDARY_SLACK = 1e-12
@@ -352,17 +351,13 @@ class DenseSegment:
         return len(self.stages)
 
     def evaluate(self, t: float) -> np.ndarray:
-        lo, hi = (self.t_start, self.t_end) if self.forward else (self.t_end, self.t_start)
-        span = max(abs(self.t_end - self.t_start), 1.0)
+        lo, hi = self.t_start, self.t_end
+        span = max(hi - lo, 1.0)
         if t < lo - self._BOUNDARY_SLACK * span or t > hi + self._BOUNDARY_SLACK * span:
-            raise IntegrationError(
-                f"t={t!r} outside segment [{self.t_start!r}, {self.t_end!r}]"
-            )
+            raise IntegrationError(f"t={t!r} outside segment [{lo!r}, {hi!r}]")
         t = min(max(t, lo), hi)
-        times = self.node_times if self.forward else -self.node_times
-        tt = t if self.forward else -t
-        k = np.searchsorted(times, tt)
-        if k < len(times) and times[k] == tt:
+        k = np.searchsorted(self.node_times, t)
+        if k < len(self.node_times) and self.node_times[k] == t:
             return self.node_states[k].copy()
         k = min(max(k - 1, 0), len(self.stages) - 1)
         return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
@@ -478,7 +473,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
                       monitor: EventMonitor | None = None,
                       multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None):
-    """Integrate y' = rhs(t, y) over t_span, stopping at the first event root.
+    """Integrate y' = rhs(t, y) forward over t_span, stopping at the first
+    event root; a span with t_span[1] <= t_span[0] is refused.
 
     event_fns are scalar functions of (t, y); the segment ends either at
     t_span[1] or at the first localized sign change of an unmasked event
@@ -502,9 +498,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
         raise IntegrationError(f"non-finite initial state at t={t0}")
-    if tf == t0:
-        raise IntegrationError("empty integration span")
-    forward = tf > t0
+    if not tf > t0:
+        raise IntegrationError("empty or reversed integration span")
     if monitor is None:
         monitor = EventMonitor(len(event_fns))
 
@@ -535,9 +530,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     hs: list = []
     vals_old = [fn(t0, y0) for fn in event_fns]
     monitor.update(vals_old)
-    t_tol = max(config.event_tol, 1e-10 * abs(tf - t0))
+    t_tol = max(config.event_tol, 1e-10 * (tf - t0))
 
-    while solver.status == "running":
+    hit = None
+    while hit is None and solver.status == "running":
         if len(stages) >= config.max_steps:
             raise IntegrationError(
                 f"max_steps={config.max_steps} exceeded at t={solver.t:.6g}"
@@ -567,53 +563,45 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         def dense(s):
             return _rk_dense(t_old, y_old, h, Q, s)
 
-        hit = None
-        if event_fns:
-            # sample times within the step: interior checkpoints + endpoint
-            taus = np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]
-            candidates = []
-            for i, fn in enumerate(event_fns):
-                if monitor.masked[i]:
-                    continue
-                va = vals_old[i]
-                ta = t_old
-                for tau in taus:
-                    ytau = y_new if tau == t_new else dense(tau)
-                    vb = fn(tau, ytau)
-                    if va == 0.0 or (va < 0) != (vb < 0):
-                        root = _refine_root(
-                            lambda s, fn=fn: fn(s, dense(s)),
-                            ta, va, tau, vb, t_tol)
-                        candidates.append((root, i))
-                        break
-                    ta, va = tau, vb
-            if candidates:
-                candidates.sort()
-                if len(candidates) > 1 and abs(candidates[1][0] - candidates[0][0]) <= t_tol:
-                    raise SimultaneousEventError(
-                        f"events {candidates[0][1]} and {candidates[1][1]} fire within "
-                        f"{t_tol:.3g} of each other at t={candidates[0][0]:.6g}"
-                    )
-                root, idx = candidates[0]
-                y_eve = dense(root)
-                r_res = event_fns[idx](root, y_eve)
-                hit = EventHit(index=idx, t=root, y=y_eve, r_residual=float(r_res))
-
-        if hit is not None:
-            node_times.append(hit.t)
-            node_states.append(hit.y.copy())
-            seg = DenseSegment(t0, hit.t, np.asarray(node_times), np.asarray(node_states),
-                               stages, np.asarray(hs), truncated=True, forward=forward,
-                               multipliers=mu_rows)
-            return seg, (hit.t, hit.y.copy()), hit
-
+        # every function at the step end, once: the scan reads them there and
+        # the monitor takes them after a step without an event
+        vals_new = [fn(t_new, y_new) for fn in event_fns]
+        # sample times within the step: interior checkpoints + endpoint
+        taus = np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]
+        candidates = []
+        for i, fn in enumerate(event_fns):
+            if monitor.masked[i]:
+                continue
+            va = vals_old[i]
+            ta = t_old
+            for tau in taus:
+                vb = vals_new[i] if tau == t_new else fn(tau, dense(tau))
+                if va == 0.0 or (va < 0) != (vb < 0):
+                    root = _refine_root(
+                        lambda s, fn=fn: fn(s, dense(s)),
+                        ta, va, tau, vb, t_tol)
+                    candidates.append((root, i))
+                    break
+                ta, va = tau, vb
+        if candidates:
+            candidates.sort()
+            if len(candidates) > 1 and abs(candidates[1][0] - candidates[0][0]) <= t_tol:
+                raise SimultaneousEventError(
+                    f"events {candidates[0][1]} and {candidates[1][1]} fire within "
+                    f"{t_tol:.3g} of each other at t={candidates[0][0]:.6g}"
+                )
+            root, idx = candidates[0]
+            y_eve = dense(root)
+            hit = EventHit(index=idx, t=root, y=y_eve,
+                           r_residual=float(event_fns[idx](root, y_eve)))
+            t_new, y_new = root, y_eve.copy()
+        else:
+            monitor.update(vals_new)
+            vals_old = vals_new
         node_times.append(t_new)
         node_states.append(y_new)
-        vals_new = [fn(t_new, y_new) for fn in event_fns]
-        monitor.update(vals_new)
-        vals_old = vals_new
 
     seg = DenseSegment(t0, node_times[-1], np.asarray(node_times), np.asarray(node_states),
-                       stages, np.asarray(hs), forward=forward,
+                       stages, np.asarray(hs), truncated=hit is not None,
                        multipliers=mu_rows)
-    return seg, (node_times[-1], node_states[-1].copy()), None
+    return seg, (node_times[-1], node_states[-1].copy()), hit

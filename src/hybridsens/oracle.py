@@ -80,6 +80,8 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
     rho, time span and config) passes it as ``nominal``, else it is
     simulated here.
     """
+    if cost is None:
+        raise ValueError("the finite-difference cost gradient needs the cost functional")
     check_h_rel(h_rel)
     config = config or IntegratorConfig()
     rho = np.asarray(rho, dtype=float)

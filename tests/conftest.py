@@ -1,9 +1,17 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from hybridsens.core import Dimensions
 from hybridsens.gallery import PENDULUM_LENGTH, pendulum_model
 from hybridsens.model import InitialConditions, MultibodyModel, OdeDynamics
+
+
+def stable_seed(label: str) -> int:
+    """RNG seed from a label, equal in every process (``hash`` of a str is
+    salted per process, so a failing draw could not be replayed)."""
+    return zlib.crc32(label.encode())
 
 
 @pytest.fixture

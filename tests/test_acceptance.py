@@ -25,7 +25,7 @@ from hybridsens.integrate import IntegratorConfig
 from hybridsens.oracle import fd_cost_sensitivity
 from hybridsens.constrained import DaeDynamics, PenaltyConfig, PenaltyDynamics
 
-from conftest import pendulum_swing_model
+from conftest import pendulum_swing_model, stable_seed
 import test_hybrid as jump_cases
 
 G = 9.81
@@ -142,7 +142,7 @@ def test_criterion_5_bilinear_conservation(five_bar_runs):
     worst_triple = 0.0
     counts = {"unconstrained": 334, "elastic": 333, "inelastic": 333}
     for kind, count in counts.items():
-        rng = np.random.default_rng(abs(hash("acceptance-" + kind)) % 2 ** 31)
+        rng = np.random.default_rng(stable_seed("acceptance-" + kind))
         done = 0
         while done < count:
             dims, nc, jump, _ = jump_cases.CASES[kind](rng)
@@ -212,7 +212,7 @@ def test_criterion_6_penalty_vs_dae():
 def test_criterion_7_jump_formula_equivalence():
     worst = 0.0
     for kind in ("unconstrained", "elastic", "inelastic"):
-        rng = np.random.default_rng(abs(hash("cw-" + kind)) % 2 ** 31)
+        rng = np.random.default_rng(stable_seed("cw-" + kind))
         for _ in range(40):
             dims, nc, jump, comp = jump_cases.CASES[kind](rng)
             X = SensitivityState(rng.normal(size=(dims.n, dims.p)),

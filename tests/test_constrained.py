@@ -719,6 +719,42 @@ def test_simulate_refuses_a_pushing_tether():
     assert traj.segments[-1].dense.multipliers.min() > 0.0
 
 
+class _Delegating:
+    """A custom dynamics class that hands every call to another object."""
+
+    def __init__(self, inner):
+        self.inner, self.model, self.dims = inner, inner.model, inner.dims
+
+    def accel(self, *args):
+        return self.inner.accel(*args)
+
+    def accel_and_multipliers(self, *args):
+        return self.inner.accel_and_multipliers(*args)
+
+    def jacobians(self, *args):
+        return self.inner.jacobians(*args)
+
+    def multiplier_jacobians(self, *args):
+        return self.inner.multiplier_jacobians(*args)
+
+
+def test_pushing_tether_refused_for_any_dynamics_class():
+    # the one-sided check reads the model's constraint set and the recorded
+    # multipliers, not the class of the dynamics
+    from hybridsens.constrained import ConstraintReleaseError
+    from hybridsens.gallery import pendulum
+
+    prob = pendulum()
+    capture = prob.events[0]
+    events = [dataclasses.replace(capture, post_dynamics=_Delegating(capture.post_dynamics))]
+    with pytest.raises(ConstraintReleaseError, match="row 0"):
+        simulate(prob.dynamics, None, events, np.array([0.3, 6.0, 1.0]), prob.t_span,
+                 prob.config)
+    traj = simulate(prob.dynamics, None, events, prob.rho0.rho, prob.t_span, prob.config)
+    assert isinstance(traj.segments[-1].dynamics, _Delegating)
+    assert traj.segments[-1].dense.multipliers.min() > 0.0
+
+
 def test_one_sided_rows_are_checked():
     phi = lambda t, q, rho: q[:2]  # noqa: E731
     assert ConstraintSet(m=2, phi=phi, one_sided=[1]).one_sided == (1,)

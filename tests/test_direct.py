@@ -294,6 +294,22 @@ def test_empty_or_reversed_span_is_refused(t_span):
             run(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, t_span, prob.config)
 
 
+def test_direct_gradient_refuses_a_missing_cost(monkeypatch):
+    # refused up front, not by an AttributeError after the forward run and
+    # the tangent sweep
+    import hybridsens.direct as direct
+    from hybridsens.gallery import bouncing_mass
+
+    def no_run(*args):
+        raise AssertionError("a run started without a cost")
+
+    monkeypatch.setattr(direct, "_run_hybrid", no_run)
+    prob = bouncing_mass()
+    with pytest.raises(ValueError, match="needs the cost functional"):
+        direct_gradient(prob.dynamics, None, prob.events, prob.rho0.rho, prob.t_span,
+                        prob.config)
+
+
 @pytest.mark.parametrize("model,rho", [
     ("bouncing-mass", [1.0, 0.9, 0.5]),
     ("bouncing-mass", [1.0]),

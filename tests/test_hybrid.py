@@ -5,7 +5,6 @@ from hybridsens.core import AdjointState, Dimensions, SensitivityState
 from hybridsens.hybrid import (
     ConstrainedElasticEvent,
     ConstrainedInelasticEvent,
-    DofPartition,
     RhsSwitchEvent,
     StickingContactError,
     TangentialCrossingError,
@@ -14,7 +13,7 @@ from hybridsens.hybrid import (
     build_jump_matrix,
     event_time_row,
 )
-from conftest import cost_density_value
+from conftest import cost_density_value, stable_seed
 
 G = 9.81
 
@@ -86,7 +85,7 @@ def test_identity_dof_jump_keeps_velocities():
     spec = ConstrainedElasticEvent(
         name="noop", r=lambda q: q[3] + 2.35,
         dof_jump=lambda t, q, vdof, rho: vdof,
-        partition=DofPartition(n=6, dof=(2, 3)),
+        dof=(2, 3),
     )
     cons = dyn.model.constraints
     rng = np.random.default_rng(1)
@@ -96,6 +95,22 @@ def test_identity_dof_jump_keeps_velocities():
     v[dep] = np.linalg.solve(Gm[:, dep], -Gm[:, [2, 3]] @ v[[2, 3]])
     v_plus, _, _, _ = apply_state_jump(spec, 0.0, ic.q0, v, rho, dyn)
     assert np.max(np.abs(v_plus - v)) < 1e-10
+
+
+@pytest.mark.parametrize("dof", [(0, 0), (-1,), (6,)])
+def test_invalid_dof_refused_at_the_jump(dof):
+    # n is the size of the velocity at the jump; nothing else holds a copy
+    import dataclasses
+
+    from hybridsens.gallery import five_bar, pendulum
+
+    bar, pend = five_bar(), pendulum()
+    ic = bar.dynamics.model.initial_state(bar.rho0.rho)
+    for prob, n, q, v in ((bar, 6, ic.q0, ic.v0),
+                          (pend, 2, np.array([0.0, -1.0]), np.array([0.3, -2.0]))):
+        spec = dataclasses.replace(prob.events[0], dof=dof)
+        with pytest.raises(ValueError, match=rf"'{spec.name}'.*n={n}"):
+            apply_state_jump(spec, 0.0, q, v, prob.rho0.rho, prob.dynamics)
 
 
 def test_point_mass_inelastic_hand_solve():
@@ -319,11 +334,12 @@ def jump_componentwise_unconstrained(X: SensitivityState, w_row, dv, hq, hv, ht,
     return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
 
 
-def jump_componentwise_elastic(X: SensitivityState, part: DofPartition, w_row, dv,
+def jump_componentwise_elastic(X: SensitivityState, dof, w_row, dv,
                                hq, hv, ht, hrho, vdot_minus, vdot_plus, v_minus,
                                dg, R, Rbar, Cblk, D) -> SensitivityState:
     """Direct evaluation of the scalar jump equations for the elastic case."""
-    dof, dep = list(part.dof), list(part.dep)
+    dof = list(dof)
+    dep = [i for i in range(X.Q.shape[0]) if i not in dof]
     dt_drho = w_row @ X.Q
     Qp = np.empty_like(X.Q)
     Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
@@ -337,11 +353,12 @@ def jump_componentwise_elastic(X: SensitivityState, part: DofPartition, w_row, d
     return SensitivityState(Qp, Vp, X.Gamma.copy(), Zp)
 
 
-def jump_componentwise_inelastic(X: SensitivityState, part: DofPartition, w_row, dv,
+def jump_componentwise_inelastic(X: SensitivityState, dof, w_row, dv,
                                  jq_v, jv_v, jrho_v, vdot_minus, vdot_plus,
                                  v_minus, dg, R, D) -> SensitivityState:
     """Direct evaluation of the scalar jump equations for the impulsive case."""
-    dof, dep = list(part.dof), list(part.dep)
+    dof = list(dof)
+    dep = [i for i in range(X.Q.shape[0]) if i not in dof]
     dt_drho = w_row @ X.Q
     Qp = np.empty_like(X.Q)
     Qp[dof, :] = X.Q[dof, :] - dv[dof].reshape(-1, 1) @ dt_drho
@@ -403,12 +420,11 @@ def _random_elastic_case(rng):
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
     jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
-    part = spec.partition
-    ht, hq, hv, hrho = spec.jacobians(t, q, v[list(part.dof)], rho)
+    ht, hq, hv, hrho = spec.jacobians(t, q, v[list(spec.dof)], rho)
     w = event_time_row(spec.r_jac(q), v)
     b = jump.blocks
     comp = lambda X: jump_componentwise_elastic(
-        X, part, w, vp - v, hq, hv, ht, hrho, vdm, vdp, v, gp - gm,
+        X, spec.dof, w, vp - v, hq, hv, ht, hrho, vdm, vdp, v, gp - gm,
         b["R"], b["Rbar"], b["C"], b["D"])
     return dims, cost.nc, jump, comp
 
@@ -438,7 +454,7 @@ def _random_inelastic_case(rng):
     b = jump.blocks
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_inelastic(
-        X, spec.partition, w, vp - v, b["imp_v_q"], b["imp_v_v"],
+        X, spec.dof, w, vp - v, b["imp_v_q"], b["imp_v_v"],
         b["imp_v_rho"], vdm, vdp, v, gp - gm, b["R"] if "R" in b else None,
         b["D"])
     return dims, cost.nc, jump, comp
@@ -453,7 +469,7 @@ CASES = {
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_componentwise_equals_matrix(kind):
-    rng = np.random.default_rng(hash(kind) % 2 ** 31)
+    rng = np.random.default_rng(stable_seed(kind))
     for _ in range(10):
         dims, nc, jump, comp = CASES[kind](rng)
         X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
@@ -468,7 +484,7 @@ def test_componentwise_equals_matrix(kind):
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_bilinear_identity(kind):
-    rng = np.random.default_rng(hash(kind + "b") % 2 ** 31)
+    rng = np.random.default_rng(stable_seed(kind + "b"))
     for _ in range(20):
         dims, nc, jump, _ = CASES[kind](rng)
         X = SensitivityState(rng.normal(size=(dims.n, dims.p)),
@@ -604,7 +620,7 @@ def test_numerically_singular_dependent_block_rejected():
     spec = ConstrainedElasticEvent(
         name="near-singular", r=lambda q: q[0],
         dof_jump=lambda t, q, vdof, rho: -vdof,
-        partition=DofPartition(n=3, dof=(0,)),
+        dof=(0,),
     )
     with pytest.raises(SingularKKTError):
         apply_state_jump(spec, 0.0, np.zeros(3), np.array([1.0, -0.5, -0.5]),

@@ -466,7 +466,7 @@ def test_gallery_cost_and_jump_partials_match_fd(prob, cost, event):
                 pairs += zip(*(c.w_jacobians(t, q, v, rho, u) for c in (cost, fd)))
         else:
             if isinstance(event, ConstrainedElasticEvent):
-                field, v = "dof_jump_partials", v[list(event.partition.dof)]
+                field, v = "dof_jump_partials", v[list(event.dof)]
             else:
                 field = "h_partials"
             assert getattr(event, field) is not None

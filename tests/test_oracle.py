@@ -165,3 +165,18 @@ def test_trajectory_fd_without_a_cost_matches_tlm():
         assert np.max(np.abs(s.dq_drho - X.Q)) < 1e-4 * max(1.0, np.abs(X.Q).max())
         assert np.max(np.abs(s.dv_drho - X.V)) < 1e-4 * max(1.0, np.abs(X.V).max())
         assert not s.dz_drho.any()
+
+
+def test_fd_cost_sensitivity_refuses_a_missing_cost(monkeypatch):
+    # refused up front, not by an AttributeError after the nominal run
+    import hybridsens.oracle as oracle
+    from hybridsens.gallery import bouncing_mass
+
+    def no_run(*args):
+        raise AssertionError("a run started without a cost")
+
+    monkeypatch.setattr(oracle, "simulate", no_run)
+    prob = bouncing_mass()
+    with pytest.raises(ValueError, match="needs the cost functional"):
+        fd_cost_sensitivity(prob.dynamics, None, prob.events, prob.rho0.rho, prob.t_span,
+                            prob.config)
