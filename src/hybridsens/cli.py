@@ -49,13 +49,37 @@ def _parse_params(pairs, rho0):
 
 
 def _load_config_file(path):
+    """The JSON object in ``path``, each known field checked as its flag is:
+    model and cost are strings, the numeric fields numbers, params a list of
+    NAME=VALUE strings and format csv or json."""
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config file {path} must hold a JSON object, "
+                       f"got a {type(cfg).__name__}")
+
+    def refuse(key, what):
+        raise CliError(f"config file {path}: '{key}' must be {what}, got {cfg[key]!r}")
+
+    for key in ("model", "cost"):
+        if key in cfg and not isinstance(cfg[key], str):
+            refuse(key, "a string")
+    for key in ("t0", "tf", "rtol", "atol", "event_tol", "h_rel"):
+        # JSON true/false load as bool, which Python counts as an int
+        if key in cfg and (isinstance(cfg[key], bool)
+                           or not isinstance(cfg[key], (int, float))):
+            refuse(key, "a number")
+    params = cfg.get("params", [])
+    if not (isinstance(params, list) and all(isinstance(p, str) for p in params)):
+        refuse("params", "a list of NAME=VALUE strings")
+    if cfg.get("format", "csv") not in ("csv", "json"):
+        refuse("format", "'csv' or 'json'")
+    return cfg
 
 
 def _effective(args) -> dict:

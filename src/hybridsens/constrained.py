@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     MultibodyModel,
     SingularMatrixError,
     COND_LIMIT,
+    flapack,
     pivot_ratio,
 )
 
@@ -38,7 +38,7 @@ class ConstraintReleaseError(RuntimeError):
     tether that pushes): its release is not supported."""
 
 
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+_getrf, _getrs = flapack.dgetrf, flapack.dgetrs
 
 
 def checked_lu(A: np.ndarray, what: str):

@@ -14,12 +14,16 @@ assembly of the resolved gradients lives here as well.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .core import DimensionError, Dimensions
 
@@ -94,7 +98,37 @@ def _partials(callback, what, fun, args, blocks):
     return tuple(out)
 
 
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+def _load_flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``.
+
+    Its routines are the very objects scipy's own LAPACK lookup returns for
+    float64, so every factorization is scipy's bitwise.  The scipy.linalg
+    package costs more start-up time than the rest of this package, so the
+    extension is loaded from its file without running that package's init;
+    ``import scipy`` (a light init) has set up the bundled BLAS/LAPACK
+    library path.  A module already imported is reused.  The extension's
+    init leaves it in ``sys.modules``; the entry is dropped again, so that
+    scipy.linalg, when imported later, binds the submodule itself, from the
+    interpreter's cache of the extension: the routine objects are the same.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    base = Path(scipy.__file__).parent / "linalg" / "_flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base.with_name(base.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, str(path))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    raise ImportError(f"scipy's LAPACK extension {base}<suffix> not found for any of "
+                      f"the suffixes {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+flapack = _load_flapack()
+_potrf, _potrs = flapack.dpotrf, flapack.dpotrs
 
 
 def pivot_ratio(factor: np.ndarray) -> float:

@@ -177,6 +177,23 @@ def test_config_file_with_flag_override(tmp_path):
     assert meta["events"] == 2
 
 
+@pytest.mark.parametrize("doc", [
+    ["bouncing-mass"],
+    {"model": "bouncing-mass", "tf": None},
+    {"model": ["pendulum"]},
+    {"model": "bouncing-mass", "params": "h0=1.1"},
+    {"model": "bouncing-mass", "format": "xml"},
+], ids=["top-level-list", "tf-null", "model-list", "params-string", "format-xml"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, doc):
+    # checked as the flags are, before anything runs or is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config file" in capsys.readouterr().err
+    assert not (out / "run.meta.json").exists()
+
+
 @pytest.mark.parametrize("model", ["bouncing-mass", "pendulum"])
 def test_identical_invocations_bitwise_identical(tmp_path, model):
     outs = []
