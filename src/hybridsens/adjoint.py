@@ -171,8 +171,18 @@ def propagate_adjoint(traj: HybridTrajectory,
     (``_step_adjoint``).  Events are not re-detected: the stored records
     supply both the exact event times (segment boundaries) and the jump
     matrices whose transposes map the adjoint across each discontinuity.
+
+    ``cost``, if given, must be the run's own cost object (``traj.cost``):
+    the stored jump matrices carry that cost's quadrature rows, and its
+    outputs are in the step-size control, so the adjoint of any other cost
+    would be wrong.  It is refused with a ValueError.
     """
-    cost = cost or traj.cost
+    if cost is not None and cost is not traj.cost:
+        run_cost = "no cost" if traj.cost is None else f"cost '{traj.cost.name}'"
+        raise ValueError(f"cost '{cost.name}' is not the run's own cost: the run was "
+                         f"simulated with {run_cost}; simulate with '{cost.name}' "
+                         "to take its adjoint")
+    cost = traj.cost
     if cost is None:
         raise ValueError("adjoint propagation needs the cost functional")
     dims = traj.dims

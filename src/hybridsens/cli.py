@@ -48,10 +48,17 @@ def _parse_params(pairs, rho0):
     return values
 
 
+# config keys that the flag of the same name overrides
+_FLAG_KEYS = ("model", "cost", "t0", "tf", "rtol", "atol", "event_tol", "format", "h_rel")
+# every key some command reads, so that one config file serves them all
+_CONFIG_KEYS = _FLAG_KEYS + ("params",)
+
+
 def _load_config_file(path):
-    """The JSON object in ``path``, each known field checked as its flag is:
-    model and cost are strings, the numeric fields numbers, params a list of
-    NAME=VALUE strings and format csv or json."""
+    """The JSON object in ``path``, each field checked as its flag is: model
+    and cost are strings, the numeric fields numbers, params a list of
+    NAME=VALUE strings and format csv or json.  A key outside _CONFIG_KEYS
+    is refused rather than ignored."""
     if path is None:
         return {}
     try:
@@ -62,6 +69,11 @@ def _load_config_file(path):
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object, "
                        f"got a {type(cfg).__name__}")
+
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise CliError(f"config file {path}: unknown keys {unknown}; "
+                       f"accepted: {list(_CONFIG_KEYS)}")
 
     def refuse(key, what):
         raise CliError(f"config file {path}: '{key}' must be {what}, got {cfg[key]!r}")
@@ -85,9 +97,8 @@ def _load_config_file(path):
 def _effective(args) -> dict:
     """File config overridden by explicit CLI flags."""
     cfg = _load_config_file(args.config)
-    for key in ("model", "cost", "t0", "tf", "rtol", "atol", "event_tol",
-                "format", "h_rel"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in _FLAG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if getattr(args, "params", None):
@@ -169,6 +180,21 @@ def _sample_times(traj, per_segment=200):
     return np.unique(np.concatenate(times))
 
 
+def _sampled_rows(traj, field):
+    """Rows [t, *y(t)] at the sample times, y being each segment's flat
+    ``field``: "dense", the state [q; v; z], or "tangent", [Q; V; Z] row
+    by row, both in the order of the table headers.  The sorted times are
+    walked alongside the segments; each t takes the first segment whose
+    span holds it, as ``HybridTrajectory.segment_at`` picks it, so a sample
+    at an event time keeps its pre-event row."""
+    segments, k, rows = traj.segments, 0, []
+    for t in _sample_times(traj).tolist():
+        while t > segments[k].t_end + 1e-12:
+            k += 1
+        rows.append([t] + getattr(segments[k], field).evaluate(t).tolist())
+    return rows
+
+
 def _events_json(traj):
     return [rec.to_json_dict() for rec in traj.events]
 
@@ -178,10 +204,9 @@ def cmd_simulate(args):
     problem, cost, rho, t_span, icfg = _setup(cfg)
     out = _outdir(args)
     traj = simulate(problem.dynamics, cost, problem.events, rho, t_span, icfg)
-    times = _sample_times(traj)
-    rows = [[t] + list(np.concatenate(traj.state_at(t))) for t in times]
     fmt = cfg.get("format", "csv")
-    _write_table(out, "trajectory", _state_header(traj.dims, cost.nc), rows, fmt)
+    _write_table(out, "trajectory", _state_header(traj.dims, cost.nc),
+                 _sampled_rows(traj, "dense"), fmt)
     _write_json(out / "events.json", _events_json(traj), indent=2)
     res = traj.residuals
     _write_table(out, "residuals", ["t", "pos_residual", "vel_residual"],
@@ -195,14 +220,6 @@ def cmd_simulate(args):
     print(f"simulate: {len(traj.events)} events, residuals "
           f"pos<={res.max_pos():.3e} vel<={res.max_vel():.3e} -> {out}")
     return 0
-
-
-def _sensitivity_rows(traj, times):
-    rows = []
-    for t in times:
-        X = traj.sensitivity_at(t)
-        rows.append([t] + list(X.Q.ravel()) + list(X.V.ravel()) + list(X.Z.ravel()))
-    return rows
 
 
 def _sensitivity_header(dims, nc):
@@ -219,9 +236,8 @@ def cmd_direct(args):
     out = _outdir(args)
     grad, traj, XF = direct_gradient(problem.dynamics, cost, problem.events,
                                      rho, t_span, icfg)
-    times = _sample_times(traj)
     _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims, cost.nc),
-                 _sensitivity_rows(traj, times), cfg.get("format", "csv"))
+                 _sampled_rows(traj, "tangent"), cfg.get("format", "csv"))
     _write_json(out / "events.json", _events_json(traj), indent=2)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "direct": grad.tolist()}
@@ -242,7 +258,7 @@ def cmd_adjoint(args):
               + [f"lamV{i+1}_{j+1}" for i in range(dims.n) for j in range(cost.nc)]
               + [f"lamG{i+1}_{j+1}" for i in range(dims.p) for j in range(cost.nc)])
     fmt = cfg.get("format", "csv")
-    rows_back = [[t] + list(row) for t, row in zip(sol.times, sol.series)]
+    rows_back = [[t] + row for t, row in zip(sol.times.tolist(), sol.series.tolist())]
     _write_table(out, "adjoint_backward", header, rows_back, fmt)
     _write_table(out, "adjoint_forward", header, rows_back[::-1], fmt)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),

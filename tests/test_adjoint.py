@@ -325,3 +325,36 @@ def test_sweeps_never_evaluate_the_cost_density(monkeypatch):
     assert calls["forward"] > 0
     in_sweep(propagate_adjoint)(traj, cost)
     assert calls["sweep"] == 0
+
+
+@pytest.mark.parametrize("run_cost", ["height-final", None])
+def test_adjoint_refuses_a_cost_the_run_was_not_simulated_with(run_cost):
+    # the stored jump matrices carry the run's own quadrature rows: the adjoint
+    # of int-vy over a height-final run (or a cost-less one) read (5.305, 7.568)
+    # where direct_gradient gives (-1.383, 0.728)
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    cost = prob.cost(run_cost) if run_cost else None
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    run = f"'{run_cost}'" if run_cost else "no cost"
+    with pytest.raises(ValueError, match=f"'int-vy' is not the run's own cost.*{run}"):
+        propagate_adjoint(traj, prob.cost("int-vy"))
+
+
+def test_adjoint_of_the_runs_own_cost_is_unchanged_by_passing_it():
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    cost = prob.cost("int-vy")
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    given, read = propagate_adjoint(traj, cost), propagate_adjoint(traj)
+    assert given.gradient.tobytes() == read.gradient.tobytes()
+    assert given.series.tobytes() == read.series.tobytes()
+    grad, _, _ = direct_gradient(prob.dynamics, cost, prob.events, prob.rho0.rho,
+                                 prob.t_span, prob.config)
+    assert rel_err(given.gradient, grad) <= 1e-12

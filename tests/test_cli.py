@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -87,23 +88,28 @@ def test_pushing_tether_exits_1(tmp_path, capsys, x0, vy0):
     assert "ConstraintReleaseError" in capsys.readouterr().err
 
 
-def test_non_finite_right_hand_side_exits_1(tmp_path):
-    # m = 1e308 overflows the weight -m g to -inf at t0, where scipy's step
-    # loop would never end; it is refused before scipy probes a step with
-    # it.  In a subprocess: in process, the suite's error::RuntimeWarning
-    # filter raises the model's overflow warning first
+def run_cli_subprocess(argv, **env):
+    """``python -m hybridsens.cli *argv`` in a fresh process, with the
+    package's sources on its path and ``env`` added to the environment."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hybridsens.cli", "simulate", "--model", "pendulum",
-         "--params", "m=1e308", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "hybridsens.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_non_finite_right_hand_side_exits_1(tmp_path):
+    # m = 1e308 overflows the weight -m g to -inf at t0, where scipy's step
+    # loop would never end; it is refused before scipy probes a step with
+    # it.  In a subprocess: in process, the suite's error::RuntimeWarning
+    # filter raises the model's overflow warning first
+    proc = run_cli_subprocess(["simulate", "--model", "pendulum", "--params", "m=1e308",
+                               "--out", str(tmp_path)])
     assert proc.returncode == 1
     assert "IntegrationError" in proc.stderr
     assert "invalid value encountered" not in proc.stderr
@@ -194,14 +200,84 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, doc):
     assert not (out / "run.meta.json").exists()
 
 
+@pytest.mark.parametrize("key", ["rtoll", "event-tol"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key):
+    # a misspelt key used to run at the default tolerances and be recorded
+    # in run.meta.json as if it had been honoured
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bouncing-mass", "tf": 0.5, key: 1e-3}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown keys ['{key}']" in err
+    assert ("accepted: ['model', 'cost', 't0', 'tf', 'rtol', 'atol', 'event_tol', "
+            "'format', 'h_rel', 'params']") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["bouncing-mass", "pendulum"])
 def test_identical_invocations_bitwise_identical(tmp_path, model):
-    outs = []
-    for tag in ("x", "y"):
-        out = tmp_path / tag
-        assert main(["fd-check", "--model", model, "--out", str(out)]) == 0
-        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert outs[0] == outs[1]
+    for cmd in ("simulate", "direct", "adjoint", "fd-check"):
+        outs = []
+        for tag in ("x", "y"):
+            out = tmp_path / cmd / tag
+            assert main([cmd, "--model", model, "--out", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0] == outs[1], cmd
+
+
+def read_csv_table(path):
+    """(header, rows of floats) of a CSV table the CLI wrote."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[float(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("bouncing-mass", ["--tf", "6", "--cost", "int-vy"]),  # 11 impacts
+    ("pendulum", []),  # one capture
+], ids=["bouncing-mass", "pendulum"])
+def test_tables_hold_the_library_values(tmp_path, model, flags):
+    # each sampled row is the library's value at the row's t, exactly, and a
+    # sample at an event time reads the pre-event segment, as segment_at does
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import direct_gradient, simulate
+
+    tables = {}
+    for cmd, stem in (("simulate", "trajectory"), ("direct", "sensitivity_direct"),
+                      ("adjoint", "adjoint_backward")):
+        assert main([cmd, "--model", model, *flags, "--out", str(tmp_path / cmd)]) == 0
+        tables[stem] = read_csv_table(tmp_path / cmd / f"{stem}.csv")
+    args = cli.build_parser().parse_args(["simulate", "--model", model, *flags])
+    problem, cost, rho, t_span, icfg = cli._setup(cli._effective(args))
+    request = (problem.dynamics, cost, problem.events, rho, t_span, icfg)
+    traj = simulate(*request)
+    _, sens, _ = direct_gradient(*request)
+    sol = propagate_adjoint(traj, cost)
+    assert len(traj.events) == (11 if model == "bouncing-mass" else 1)
+
+    def sensitivity(t):
+        X = sens.sensitivity_at(t)
+        return np.concatenate([X.Q.ravel(), X.V.ravel(), X.Z.ravel()])
+
+    for stem, run, field, value_at in (
+            ("trajectory", traj, "dense", lambda t: np.concatenate(traj.state_at(t))),
+            ("sensitivity_direct", sens, "tangent", sensitivity)):
+        header, rows = tables[stem]
+        times = [row[0] for row in rows]
+        assert times == sorted(set(times))
+        for row in rows:
+            assert len(row) == len(header)
+            assert row[1:] == value_at(row[0]).tolist(), (stem, row[0])
+        for before, after in zip(run.segments, run.segments[1:]):
+            t_eve = before.t_end
+            pre = getattr(before, field).evaluate(t_eve)
+            assert not np.array_equal(pre, getattr(after, field).evaluate(t_eve))
+            assert rows[times.index(t_eve)][1:] == pre.tolist(), (stem, t_eve)
+
+    header, rows = tables["adjoint_backward"]
+    assert rows == [[t] + row for t, row in zip(sol.times.tolist(), sol.series.tolist())]
+    assert len(header) == len(rows[0])
 
 
 def test_five_bar_simulate_artifacts(tmp_path):
@@ -226,6 +302,21 @@ def test_five_bar_adjoint_cli_agreement(tmp_path):
                      "--tf", "1.0", "--out", str(out)]) == 0
         grads[cmd] = json.loads((out / "gradient.json").read_text())[cmd]
     assert max_rel_diff(grads["adjoint"], grads["direct"]) <= 1e-4
+
+
+def test_single_threaded_blas_gives_the_same_artifacts(tmp_path):
+    # the README advises OPENBLAS_NUM_THREADS=1 when several runs share a
+    # machine (scipy's OpenBLAS otherwise busy-waits a second thread); the
+    # penalty form's solves must then give bitwise the same numbers
+    for cmd in ("direct", "adjoint"):
+        argv = [cmd, "--model", "five-bar", "--tf", "0.6"]
+        assert main([*argv, "--out", str(tmp_path / cmd / "in-process")]) == 0
+        proc = run_cli_subprocess([*argv, "--out", str(tmp_path / cmd / "one-thread")],
+                                  OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        outs = [{p.name: p.read_bytes() for p in sorted((tmp_path / cmd / tag).iterdir())}
+                for tag in ("in-process", "one-thread")]
+        assert outs[0] == outs[1], cmd
 
 
 def test_report_rerenders(tmp_path, capsys):
