@@ -69,23 +69,26 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
 
     with lamZ = I substituted exactly and weighted by w: 1 for the
     continuous adjoint ODE, the stage's quadrature weight h w_i inside a
-    discrete step.  The lamGamma block of y does not enter.
+    discrete step.  The lamGamma block of y does not enter.  y is read as
+    one (2n + p, nc) view and the derivative written into one array of
+    that layout.
     """
-    nc, n = cost.nc, dims.n
+    n = dims.n
     q, v = x[:n], x[n:2 * n]
-    lamQ, lamV, lamG = _split_lam(y, dims, nc)
+    lam = y.reshape(-1, cost.nc)  # rows [lamQ (n); lamV (n); lamGamma (p)]
+    lamV = lam[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
     if weight and (cost.g is not None or cost.g_of_mu is not None):
         g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
-        g_q, g_v, g_rho = weight * g_q, weight * g_v, weight * g_rho
-    else:
-        g_q = g_v = np.zeros((nc, n))
-        g_rho = np.zeros((nc, dims.p))
-    dlamQ = -(f_q.T @ lamV + g_q.T)
-    dlamV = -(lamQ + f_v.T @ lamV + g_v.T)
-    dlamG = -(f_rho.T @ lamV + g_rho.T)
-    return _join_lam(dlamQ, dlamV, dlamG)
+        gT_q, gT_v, gT_rho = (weight * g_q).T, (weight * g_v).T, (weight * g_rho).T
+    else:  # a zero density: adding the scalar +0.0 is adding a zero block
+        gT_q = gT_v = gT_rho = 0.0
+    out = np.empty(lam.shape)
+    out[:n] = -(f_q.T @ lamV + gT_q)
+    out[n:2 * n] = -(lam[:n] + f_v.T @ lamV + gT_v)
+    out[2 * n:] = -(f_rho.T @ lamV + gT_rho)
+    return out.ravel()
 
 
 def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,

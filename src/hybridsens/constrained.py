@@ -16,6 +16,7 @@ The momentum-level KKT solve of an inelastic capture lives here too, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,19 @@ class ConstraintResiduals:
         return max(self.vel, default=0.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _saddle_template(n: int, m: int, c: float) -> np.ndarray:
+    """The read-only (n + m) square saddle matrix with only its constant
+    (2,2) block filled: the bytes of -c * eye(m) (-c * 0.0 is a signed zero
+    off the diagonal), or exact zeros for c = 0.  Built once per shape and
+    c; ``saddle_factor`` copies it and writes the state-dependent blocks."""
+    K = np.zeros((n + m, n + m))
+    if c:
+        K[n:, n:] = -c * np.eye(m)
+    K.flags.writeable = False
+    return K
+
+
 def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     """Factor the saddle matrix [[M, G^T], [G, -c I]] through checked_lu.
 
@@ -112,16 +126,10 @@ def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     poisons every solve with cond * eps noise.
     """
     n, m = M.shape[0], G.shape[0]
-    K = np.empty((n + m, n + m))
+    K = _saddle_template(n, m, c).copy()
     K[:n, :n] = M
     K[:n, n:] = G.T
     K[n:, :n] = G
-    if c:
-        # the bytes of -c * eye(m): -c * 0.0 is a signed zero
-        K[n:, n:] = -c * 0.0
-        K.flat[n * (n + m + 1)::n + m + 1] = -c
-    else:
-        K[n:, n:] = 0.0
     return checked_lu(K, what)
 
 
@@ -188,8 +196,9 @@ class _SaddleDynamics:
                                    lambda *z: np.concatenate(self._solve(t, *z)), rhs_partials)
         if mu is None:  # central differences solve at the perturbed states only
             vdot, mu = self._solve(t, q, v, rho)
-        blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
-        return vdot, mu, tuple(sol[:n, z] for z in blocks), tuple(sol[n:, z] for z in blocks)
+        f, g = sol[:n], sol[n:]
+        return (vdot, mu, (f[:, :n], f[:, n:2 * n], f[:, 2 * n:]),
+                (g[:, :n], g[:, n:2 * n], g[:, 2 * n:]))
 
 
 class PenaltyDynamics(_SaddleDynamics):
@@ -203,6 +212,10 @@ class PenaltyDynamics(_SaddleDynamics):
     the multipliers are not states, but ``accel_and_multipliers`` and
     ``jacobians`` hand out mu* and its partials as the DAE does its exact
     multipliers.
+
+    The coefficients 2 xi omega and omega^2 of s are formed once, negated:
+    b and its partials are sums of negated terms, bitwise the negated sums
+    (IEEE negation is exact and rounding is symmetric).
     """
 
     _what = "extended mass matrix (augmented)"
@@ -210,23 +223,22 @@ class PenaltyDynamics(_SaddleDynamics):
     def __init__(self, model: MultibodyModel, pcfg: PenaltyConfig | None = None):
         self.pcfg = pcfg or PenaltyConfig()
         self._c = 1.0 / self.pcfg.alpha
+        self._neg_damp = -(2.0 * self.pcfg.xi * self.pcfg.omega)  # -2 xi omega
+        self._neg_stiff = -(self.pcfg.omega ** 2)                 # -omega^2
         super().__init__(model)
 
     def _source(self, t, q, v, rho, G, C):
         """b = -s, s = -C + 2 xi omega phi_d + omega^2 phi, from G = phi_q and
         the acceleration-constraint right side C."""
-        cons = self.model.constraints
-        phidot = G @ v
-        return -(-C + 2.0 * self.pcfg.xi * self.pcfg.omega * phidot
-                 + self.pcfg.omega ** 2 * cons.value(t, q, rho))
+        return (C + self._neg_damp * (G @ v)
+                + self._neg_stiff * self.model.constraints.value(t, q, rho))
 
     def _source_partials(self, t, q, v, rho, G, H_v):
         """(b_q, b_v, b_rho) on the analytic route, where phi_q does not
         depend on rho."""
-        xi, om = self.pcfg.xi, self.pcfg.omega
-        return (-(2.0 * xi * om * H_v + om ** 2 * G),
-                -(2.0 * H_v + 2.0 * xi * om * G),
-                -(om ** 2 * self.model.constraints.jac_rho(t, q, rho)))
+        return (self._neg_damp * H_v + self._neg_stiff * G,
+                -2.0 * H_v + self._neg_damp * G,
+                self._neg_stiff * self.model.constraints.jac_rho(t, q, rho))
 
     # the four calls are defined on each class, where perfbench/spans.py
     # patches them
@@ -245,13 +257,22 @@ class PenaltyDynamics(_SaddleDynamics):
 
 class DaeDynamics(_SaddleDynamics):
     """Index-1 constrained dynamics with exact multipliers: the position
-    constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C."""
+    constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C.  The
+    zero partials of b in q and rho are built once, read-only."""
+
+    def __init__(self, model: MultibodyModel):
+        super().__init__(model)
+        m, n, p = model.constraints.m, self.dims.n, self.dims.p
+        self._zero_partials = np.zeros((m, n)), np.zeros((m, p))
+        for z in self._zero_partials:
+            z.flags.writeable = False
 
     def _source(self, t, q, v, rho, G, C):
         return C
 
     def _source_partials(self, t, q, v, rho, G, H_v):
-        return np.zeros_like(G), -2.0 * H_v, np.zeros((G.shape[0], self.dims.p))
+        b_q, b_rho = self._zero_partials
+        return b_q, -2.0 * H_v, b_rho
 
     def accel(self, t, q, v, rho) -> np.ndarray:
         return self.accel_and_multipliers(t, q, v, rho)[0]

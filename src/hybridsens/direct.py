@@ -116,7 +116,9 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
         Q' = V;  V' = f_q Q + f_v V + f_rho;  Z' = g_q Q + g_v V + g_rho,
 
     with the Jacobian blocks of the active dynamics and the resolved cost
-    gradients.  The Z block of X does not enter.
+    gradients.  The Z block of X does not enter.  X is read as one
+    (2n + nc, p) view and the derivative written into one array of that
+    layout.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
@@ -125,7 +127,11 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     f_q, f_v, f_rho = jac[2]
     g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
-    return np.vstack([V, f_q @ Q + f_v @ V + f_rho, g_q @ Q + g_v @ V + g_rho]).ravel()
+    out = np.empty(X.shape)
+    out[:n] = V
+    out[n:2 * n] = f_q @ Q + f_v @ V + f_rho
+    out[2 * n:] = g_q @ Q + g_v @ V + g_rho
+    return out.ravel()
 
 
 def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
@@ -169,7 +175,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
         raise ValueError(f"time span ({t0}, {tF}) is empty or reversed, or not finite")
     segments: list[TrajectorySegment] = []
     records: list[EventRecord] = []
-    monitor = EventMonitor(len(events))
+    monitor = EventMonitor(len(events), [sp.admissible for sp in events])
     n = dims.n
     integrand = cost or ZERO_COST
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]

@@ -45,6 +45,14 @@ class AssemblyError(RuntimeError):
     """Newton projection onto the constraint manifold failed to converge."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: a constant block that callbacks hand out at
+    every state, so that a caller writing into it fails instead of
+    corrupting the next state."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class GalleryProblem:
     """A ready-to-run benchmark: dynamics, events, cost menu, defaults."""
@@ -146,15 +154,13 @@ class _FiveBarParameterMap:
         self.names = tuple(names)
         self.index = {nm: j for j, nm in enumerate(self.names)}
 
-    def value(self, name, rho):
-        j = self.index.get(name)
-        return float(rho[j]) if j is not None else FIVE_BAR_DATA[name]
-
     def defaults(self) -> np.ndarray:
         return np.array([FIVE_BAR_DATA[nm] for nm in self.names])
 
-    def grad_slot(self, name):
-        return self.index.get(name)
+    def resolve(self, name):
+        """(rho slot or None, nominal value) of a named constant: a callback
+        reads it as ``r[slot]`` of ``r = rho.tolist()``, else the nominal."""
+        return self.index.get(name), FIVE_BAR_DATA[name]
 
 
 def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
@@ -176,25 +182,31 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
             D[i, :, tail] = -np.eye(2)
     hess = 2.0 * np.einsum("iak,ial->ikl", D, D)
     hess_rows = hess.reshape(24, 6)
-    # phi_rho's nonzeros: the row of each length parameter, at its rho slot
-    rho_rows = np.array([i for i, (nm, _, _) in enumerate(pairs) if nm in pm.index], dtype=int)
-    rho_cols = np.array([pm.grad_slot(pairs[i][0]) for i in rho_rows], dtype=int)
+    lengths = tuple(pm.resolve(nm) for nm, _, _ in pairs)
+    # phi_rho's nonzeros: (row, rho slot) of each length parameter
+    rho_entries = tuple((i, j) for i, (j, _) in enumerate(lengths) if j is not None)
+    qA, qB = d["qA"], d["qB"]
 
     def diffs(q):
         return (
-            q[0:2] - d["qA"],
+            q[0:2] - qA,
             q[2:4] - q[0:2],
             q[4:6] - q[2:4],
-            d["qB"] - q[4:6],
+            qB - q[4:6],
         )
 
     def phi(t, q, rho):
         dv = diffs(q)
+        r = rho.tolist()
+        L = [L0 if j is None else r[j] for j, L0 in lengths]
+        # the squared lengths stay numpy dots (ndarray.dot runs the BLAS dot
+        # the @ operator runs, at less call overhead): a BLAS dot may
+        # contract to FMA, so the scalar sum would differ in the last bit
         return np.array([
-            dv[0] @ dv[0] - pm.value("LA1", rho) ** 2,
-            dv[1] @ dv[1] - pm.value("L21", rho) ** 2,
-            dv[2] @ dv[2] - pm.value("L32", rho) ** 2,
-            dv[3] @ dv[3] - pm.value("LB3", rho) ** 2,
+            dv[0].dot(dv[0]) - L[0] ** 2,
+            dv[1].dot(dv[1]) - L[1] ** 2,
+            dv[2].dot(dv[2]) - L[2] ** 2,
+            dv[3].dot(dv[3]) - L[3] ** 2,
         ])
 
     # phi_q = 2 (D_i q + c_i)^T D_i, row by row: hess[i] q + 2 c_i^T D_i
@@ -205,7 +217,9 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
 
     def phi_rho(t, q, rho):
         out = np.zeros((4, len(pm.names)))
-        out[rho_rows, rho_cols] = -2.0 * rho[rho_cols]
+        r = rho.tolist()
+        for i, j in rho_entries:
+            out[i, j] = -2.0 * r[j]
         return out
 
     return ConstraintSet(m=4, phi=phi, phi_q=phi_q, phi_rho=phi_rho, hessian=hess)
@@ -246,15 +260,24 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     pm = _FiveBarParameterMap(param_names)
     dims = Dimensions(n=6, p=len(pm.names))
     cons = _five_bar_constraints(pm)
-    M = _five_bar_mass()
+    M = _read_only(_five_bar_mass())
     Fg = _five_bar_weight()
+    F_v = _read_only(np.zeros((6, 6)))
+    # per spring: point index, anchor, and the resolved (slot, nominal) of
+    # its stiffness and natural length
+    table = tuple((i, anchor, pm.resolve(k_name), pm.resolve(L_name))
+                  for i, anchor, k_name, L_name in _FIVE_BAR_SPRINGS)
 
     def springs(q, rho):
-        """Per spring: point index, parameter names, k, L0 and geometry."""
-        x = q.tolist()
-        for i, anchor, k_name, L_name in _FIVE_BAR_SPRINGS:
-            k, L0 = pm.value(k_name, rho), pm.value(L_name, rho)
-            yield i, k_name, L_name, k, L0, _spring(x[i], x[i + 1], anchor, k, L0)
+        """Per spring: point index, stiffness and length slots, k, L0 and
+        geometry."""
+        x, r = q.tolist(), rho.tolist()
+        for i, anchor, (jk, k), (jL, L0) in table:
+            if jk is not None:
+                k = r[jk]
+            if jL is not None:
+                L0 = r[jL]
+            yield i, jk, jL, k, L0, _spring(x[i], x[i + 1], anchor, k, L0)
 
     def force(t, q, v, rho):
         F = Fg.copy()
@@ -266,21 +289,20 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     def force_partials(t, q, v, rho):
         """(F_q, F_v, F_rho): per spring the Jacobian
         -k ((1 - L0/L) I + (L0/L^3) d d^T) in its point, and the columns
-        f/k and k d/L of its stiffness and natural length."""
+        f/k and k d/L of its stiffness and natural length; F_v is a shared
+        read-only zero block."""
         F_q = np.zeros((6, 6))
         F_rho = np.zeros((6, dims.p))
-        for i, k_name, L_name, k, L0, (dx, dy, L, fx, fy) in springs(q, rho):
+        for i, jk, jL, k, L0, (dx, dy, L, fx, fy) in springs(q, rho):
             a, b = 1.0 - L0 / L, L0 / L ** 3
             F_q[i, i] = -k * (a + b * (dx * dx))
             F_q[i, i + 1] = F_q[i + 1, i] = -k * (b * (dx * dy))
             F_q[i + 1, i + 1] = -k * (a + b * (dy * dy))
-            j = pm.grad_slot(k_name)
-            if j is not None:
-                F_rho[i, j], F_rho[i + 1, j] = fx / k, fy / k
-            j = pm.grad_slot(L_name)
-            if j is not None:
-                F_rho[i, j], F_rho[i + 1, j] = k * dx / L, k * dy / L
-        return F_q, np.zeros((6, 6)), F_rho
+            if jk is not None:
+                F_rho[i, jk], F_rho[i + 1, jk] = fx / k, fy / k
+            if jL is not None:
+                F_rho[i, jL], F_rho[i + 1, jL] = k * dx / L, k * dy / L
+        return F_q, F_v, F_rho
 
     def initial_state(rho):
         q0 = _newton_assemble(cons, _FIVE_BAR_POSE, _FIVE_BAR_DOF, rho)
@@ -306,9 +328,13 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
 
 
 def _five_bar_costs() -> dict:
+    """The five-bar cost menu.  Its constant partial blocks in q, v and vdot
+    are built once, read-only; the rho block takes its width from the rho
+    in hand, so a cost serves a five-bar with any parameter set."""
     sel_vy2 = np.zeros((1, 6))
     sel_vy2[0, 3] = 1.0
-    zeros16 = np.zeros((1, 6))
+    sel_vy2 = _read_only(sel_vy2)
+    zeros16 = _read_only(np.zeros((1, 6)))
 
     int_vy2 = CostFunctional(
         nc=1,
@@ -352,6 +378,7 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryP
         name="ground-contact",
         r=lambda q: q[3] - ground,
         dr_dq=lambda q: np.array([0, 0, 0, 1.0, 0, 0]),
+        admissible=1.0,  # point 2 above the ground
         dof_jump=lambda t, q, vdof, rho: np.array([vdof[0], -vdof[1]]),
         dof_jump_partials=lambda t, q, vdof, rho: (
             np.zeros(2), np.zeros((2, 6)), np.array([[1.0, 0.0], [0.0, -1.0]]),
@@ -377,6 +404,9 @@ def five_bar(param_names=("k1", "k2"), formulation: str = "penalty") -> GalleryP
 
 def bouncing_mass_model() -> MultibodyModel:
     dims = Dimensions(n=1, p=2)
+    M = _read_only(np.eye(1))
+    zeros11 = _read_only(np.zeros((1, 1)))
+    zeros12 = _read_only(np.zeros((1, 2)))
 
     def initial_state(rho):
         return InitialConditions(
@@ -386,11 +416,10 @@ def bouncing_mass_model() -> MultibodyModel:
 
     return MultibodyModel(
         dims=dims,
-        mass=lambda t, q, rho: np.eye(1),
+        mass=lambda t, q, rho: M,
         force=lambda t, q, v, rho: np.array([-GRAVITY]),
         initial_state=initial_state,
-        force_partials=lambda t, q, v, rho: (np.zeros((1, 1)), np.zeros((1, 1)),
-                                             np.zeros((1, 2))),
+        force_partials=lambda t, q, v, rho: (zeros11, zeros11, zeros12),
         mass_constant=True,
         name="bouncing-mass",
     )
@@ -404,23 +433,24 @@ def bouncing_mass() -> GalleryProblem:
         name="ground",
         r=lambda q: q[0],
         dr_dq=lambda q: np.array([1.0]),
+        admissible=1.0,  # above the floor
         h=lambda t, q, v, rho: np.array([-rho[1] * v[0]]),
         h_partials=lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
                                          np.array([[-rho[1]]]), np.array([[0.0, -v[0]]])),
     )
+    one, zero, zeros12 = (_read_only(a) for a in (np.ones((1, 1)), np.zeros((1, 1)),
+                                                   np.zeros((1, 2))))
     costs = {
         "height-final": CostFunctional(
             nc=1,
             w=lambda t, q, v, rho, u: np.array([q[0]]),
-            w_partials=lambda t, q, v, rho, u: (np.array([[1.0]]), np.array([[0.0]]),
-                                                np.zeros((1, 2)), None),
+            w_partials=lambda t, q, v, rho, u: (one, zero, zeros12, None),
             name="height-final",
         ),
         "int-vy": CostFunctional(
             nc=1,
             g=lambda t, q, v, a, rho, u: np.array([v[0]]),
-            g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 1)), np.ones((1, 1)),
-                                                   np.zeros((1, 1)), np.zeros((1, 2)), None),
+            g_partials=lambda t, q, v, a, rho, u: (zero, one, zero, zeros12, None),
             name="int-vy",
         ),
     }
@@ -511,22 +541,23 @@ def pendulum() -> GalleryProblem:
         name="tether-capture",
         r=lambda q: q @ q - L ** 2,
         dr_dq=lambda q: 2.0 * q,
+        admissible=-1.0,  # inside the tether disc
         post_dynamics=dyn_tethered,
         dof=(0,),
     )
+    sel_x, zeros12, zeros13 = (_read_only(a) for a in (np.array([[1.0, 0.0]]),
+                                                       np.zeros((1, 2)), np.zeros((1, 3))))
     costs = {
         "x-final": CostFunctional(
             nc=1,
             w=lambda t, q, v, rho, u: np.array([q[0]]),
-            w_partials=lambda t, q, v, rho, u: (np.array([[1.0, 0.0]]), np.zeros((1, 2)),
-                                                np.zeros((1, 3)), None),
+            w_partials=lambda t, q, v, rho, u: (sel_x, zeros12, zeros13, None),
             name="x-final",
         ),
         "int-vx": CostFunctional(
             nc=1,
             g=lambda t, q, v, a, rho, u: np.array([v[0]]),
-            g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 2)), np.array([[1.0, 0.0]]),
-                                                   np.zeros((1, 2)), np.zeros((1, 3)), None),
+            g_partials=lambda t, q, v, a, rho, u: (zeros12, sel_x, zeros12, zeros13, None),
             name="int-vx",
         ),
     }

@@ -55,6 +55,11 @@ class StickingContactError(RuntimeError):
 class EventSpec:
     """Scalar event function r(q) whose sign change in time triggers the event.
 
+    ``admissible`` declares the sign (+1 or -1) r must have where a run
+    starts, the side of the surface the model lives on; a run starting on
+    the other side raises ``InadmissibleStartError``.  0 (the default)
+    admits either side.
+
     Each subclass is one event kind and owns everything specific to it:
     ``state_jump`` gives the post-event velocities and its blocks of the
     sensitivity jump matrix S, and ``must_depart`` whether the post-event
@@ -64,6 +69,7 @@ class EventSpec:
     name: str
     r: Callable[[np.ndarray], float]
     dr_dq: Callable[[np.ndarray], np.ndarray] | None = None
+    admissible: float = 0.0
 
     must_depart: ClassVar[bool] = True
 
@@ -91,7 +97,8 @@ class EventSpec:
 
 def _jump_jacobians(what, partials, jump, t, q, v, rho):
     """(h_t, h_q, h_v, h_rho) of a jump map v+ = jump(t, q, v, rho): those of
-    the ``partials`` callback, else central differences."""
+    the ``partials`` callback, else central differences; ``what()`` labels a
+    shape error."""
     f = v.size
     return _partials(partials, what, jump, (t, q, v, rho),
                      (("h_t", (f,)), ("h_q", (f, q.size)), ("h_v", (f, f)),
@@ -145,7 +152,7 @@ class VelocityJumpEvent(EventSpec):
         return np.asarray(self.h(t, q, v, rho), dtype=float)
 
     def jacobians(self, t, q, v, rho):
-        return _jump_jacobians(f"h_partials of event '{self.name}'", self.h_partials,
+        return _jump_jacobians(lambda: f"h_partials of event '{self.name}'", self.h_partials,
                                self.jump, t, q, v, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
@@ -192,7 +199,7 @@ class ConstrainedElasticEvent(EventSpec):
         return np.asarray(self.dof_jump(t, q, v_dof, rho), dtype=float)
 
     def jacobians(self, t, q, v_dof, rho):
-        return _jump_jacobians(f"dof_jump_partials of event '{self.name}'",
+        return _jump_jacobians(lambda: f"dof_jump_partials of event '{self.name}'",
                                self.dof_jump_partials, self.jump_dof, t, q, v_dof, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):

@@ -16,6 +16,7 @@ errors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,6 +39,12 @@ class SimultaneousEventError(IntegrationError):
 class EventAccumulationError(IntegrationError):
     """An event function returned across its surface before leaving it on
     the departure side: events accumulate (Zeno behaviour)."""
+
+
+class InadmissibleStartError(RuntimeError):
+    """A run started on the side of an event surface that its event
+    function does not admit, as a mass below its floor or outside its
+    tether: the events that bound the model would never fire."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,11 @@ MAX_FACTOR = 10  # largest increase of the step size per accepted step
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm of a 1-D float array: bitwise ``np.linalg.norm(x) /
+    x.size ** 0.5``, an np.float64, whose 1-D path is the square root of
+    ``x.dot(x)`` (both roots are IEEE correctly rounded), without that
+    function's wrapper cost."""
+    return np.float64(math.sqrt(x.dot(x)) / x.size ** 0.5)
 
 
 def _rk_step(fun, t, y, f, h, A, B, C, K):
@@ -441,12 +452,18 @@ class EventMonitor:
     sign of dr/dt just after the event) the function must clear that
     distance on that side; clearing it on the other side means the
     trajectory came back through the surface without a detectable crossing.
+
+    ``admissible`` gives per function the sign (+1 or -1) it must have
+    where the run starts, or 0 for either side: the first values the
+    monitor takes, those at the run's start, are checked against it.
     """
 
-    def __init__(self, n_events: int):
+    def __init__(self, n_events: int, admissible: Sequence[float] = ()):
         self.masked = [False] * n_events
         self.depart_tol = [0.0] * n_events
         self.side = [0.0] * n_events
+        self.admissible = tuple(admissible)
+        self.started = False
 
     def mask(self, index: int, depart_tol: float, side: float) -> None:
         """Mask event ``index``; ``side`` is +1 or -1, or 0 for no side."""
@@ -455,6 +472,15 @@ class EventMonitor:
         self.side[index] = side
 
     def update(self, values: Sequence[float]) -> None:
+        if not self.started:
+            self.started = True
+            for i, (val, sign) in enumerate(zip(values, self.admissible)):
+                if sign * val < 0.0:
+                    raise InadmissibleStartError(
+                        f"event function {i} = {val:.3g} at the start of the run, where "
+                        f"its sign must be {sign:+g}: the run starts on the wrong side "
+                        f"of the event surface"
+                    )
         for i, val in enumerate(values):
             if self.masked[i] and abs(val) > self.depart_tol[i]:
                 if self.side[i] * val < 0.0:
@@ -467,6 +493,19 @@ class EventMonitor:
 
 
 _INTERIOR_CHECKS = 4  # dense-output samples per step scanned for sign changes
+
+
+def _sample_times(t_old, t_new) -> list:
+    """The scan's sample times in a step, the interior checkpoints and the
+    end: ``np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]`` bitwise,
+    by numpy's own formula (i step + t_old, with (i / div) delta + t_old
+    when the step underflows to zero, and the end exactly), as floats."""
+    div = _INTERIOR_CHECKS + 1
+    delta = t_new - t_old
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + t_old for i in range(1, div)] + [t_new]
+    return [i * step + t_old for i in range(1, div)] + [t_new]
 
 
 def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
@@ -567,7 +606,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         # the monitor takes them after a step without an event
         vals_new = [fn(t_new, y_new) for fn in event_fns]
         # sample times within the step: interior checkpoints + endpoint
-        taus = np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]
+        taus = _sample_times(t_old, t_new)
         candidates = []
         for i, fn in enumerate(event_fns):
             if monitor.masked[i]:

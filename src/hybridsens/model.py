@@ -71,20 +71,21 @@ def _partials(callback, what, fun, args, blocks):
 
     With a ``callback``, ``callback(*args)`` returns all blocks at once and
     each is checked against its shape: a mismatch raises a DimensionError
-    naming ``what`` and the block.  Without one, every block is a central
-    difference of fun (``fd_derivative`` in a scalar argument).
+    naming ``what()``, the label formed only then, and the block.  Without
+    one, every block is a central difference of fun (``fd_derivative`` in a
+    scalar argument).
     """
     if callback is not None:
         out = tuple(callback(*args))
         if len(out) != len(blocks):
-            raise DimensionError(f"{what} returned {len(out)} blocks; expected "
+            raise DimensionError(f"{what()} returned {len(out)} blocks; expected "
                                  + ", ".join(name for name, _ in blocks))
-        out = tuple(None if shape is None else np.asarray(b, dtype=float)
-                    for b, (_, shape) in zip(out, blocks))
+        out = tuple([None if shape is None else np.asarray(b, dtype=float)
+                     for b, (_, shape) in zip(out, blocks)])
         bad = [f"{name} of shape {b.shape} (expected {shape})"
                for b, (name, shape) in zip(out, blocks) if b is not None and b.shape != shape]
         if bad:
-            raise DimensionError(f"{what} returned " + ", ".join(bad))
+            raise DimensionError(f"{what()} returned " + ", ".join(bad))
         return out
     out = []
     for i, (_, shape) in enumerate(blocks, len(args) - len(blocks)):
@@ -193,6 +194,9 @@ class ConstraintSet:
     ``one_sided`` lists the rows i that hold as Phi_i <= 0 and can only act
     toward it, as a tether pulls but never pushes: the constraint force
     -phi_q^T mu allows them mu_i >= 0 only.  The other rows are bilateral.
+
+    The Hessian is stored read-only, with the two read-only views the
+    actions contract, (m n, n) and (m, n n), formed once.
     """
 
     m: int
@@ -216,6 +220,8 @@ class ConstraintSet:
             raise DimensionError("hessian must be symmetric in its last two axes")
         H.flags.writeable = False
         self.hessian = H
+        self._hess_rows = H.reshape(self.m * H.shape[1], H.shape[1])
+        self._hess_flat = H.reshape(self.m, -1)
 
     # -- evaluations with finite-difference fallbacks ---------------------
 
@@ -230,13 +236,13 @@ class ConstraintSet:
     def qq_action(self, t, q, rho, w) -> np.ndarray:
         """d(phi_q @ w)/dq as an (m, n) matrix."""
         if self.hessian is not None:
-            return (self.hessian.reshape(self.m * q.size, q.size) @ w).reshape(self.m, q.size)
+            return (self._hess_rows @ w).reshape(self.m, q.size)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho) @ w, q)
 
     def qqT_action(self, t, q, rho, mu) -> np.ndarray:
         """d(phi_q.T @ mu)/dq as an (n, n) matrix."""
         if self.hessian is not None:
-            return (mu @ self.hessian.reshape(self.m, -1)).reshape(q.size, q.size)
+            return (mu @ self._hess_flat).reshape(q.size, q.size)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho).T @ mu, q)
 
     def jac_rho(self, t, q, rho) -> np.ndarray:
@@ -314,7 +320,7 @@ class MultibodyModel:
             return np.zeros((n, n)), np.zeros((n, p))
         callback = None if self.mass_partials is None else (
             lambda *a: self.mass_partials(*a, w))
-        return _partials(callback, f"mass_partials of '{self.name}'",
+        return _partials(callback, lambda: f"mass_partials of '{self.name}'",
                          lambda t, q, rho: self.mass_at(t, q, rho) @ w, (t, q, rho),
                          (("M_q", (n, n)), ("M_rho", (n, p))))
 
@@ -323,7 +329,8 @@ class MultibodyModel:
         its block shapes checked, else central differences of ``force`` for
         all three blocks."""
         n, p = self.dims.n, self.dims.p
-        return _partials(self.force_partials, f"force_partials of '{self.name}'", self.force_at,
+        return _partials(self.force_partials, lambda: f"force_partials of '{self.name}'",
+                         self.force_at,
                          (t, q, v, rho), (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p))))
 
 
@@ -357,11 +364,11 @@ class OdeDynamics:
         if vdot is None:
             vdot = _spd_solve(M, self.model.force_at(t, q, v, rho), "mass matrix", t)
         F_q, F_v, F_rho = self.model.force_jacobians(t, q, v, rho)
-        M_q, M_rho = self.model.mass_jacobians(t, q, rho, vdot)
-        rhs_q = F_q - M_q
-        rhs_rho = F_rho - M_rho
+        if not self.model.mass_constant:  # else M_q = M_rho = 0: x - 0.0 is x bitwise
+            M_q, M_rho = self.model.mass_jacobians(t, q, rho, vdot)
+            F_q, F_rho = F_q - M_q, F_rho - M_rho
         n, p = self.dims.n, self.dims.p
-        sol = _spd_solve(M, np.hstack([rhs_q, F_v, rhs_rho]), "mass matrix", t)
+        sol = _spd_solve(M, np.hstack([F_q, F_v, F_rho]), "mass matrix", t)
         return vdot, None, (sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]), None
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
@@ -455,7 +462,7 @@ class CostFunctional:
         """(g_q, g_v, g_vdot, g_rho, g_u) with (t, q, v, vdot, rho, u) all
         independent; g_u is None without u."""
         nc, n = self.nc, q.size
-        return _partials(self.g_partials, f"g_partials of cost '{self.name}'",
+        return _partials(self.g_partials, lambda: f"g_partials of cost '{self.name}'",
                          lambda *a: np.atleast_1d(self.g(*a)), (t, q, v, vdot, rho, u),
                          (("g_q", (nc, n)), ("g_v", (nc, n)), ("g_vdot", (nc, n)),
                           ("g_rho", (nc, rho.size)),
@@ -465,7 +472,7 @@ class CostFunctional:
         """(u_q, u_v, u_vdot, u_rho) of the argument function, whose value
         at this state is u."""
         nu, n = u.size, q.size
-        return _partials(self.u_partials, f"u_partials of cost '{self.name}'",
+        return _partials(self.u_partials, lambda: f"u_partials of cost '{self.name}'",
                          lambda *a: np.atleast_1d(self.u_fn(*a)), (t, q, v, vdot, rho),
                          (("u_q", (nu, n)), ("u_v", (nu, n)), ("u_vdot", (nu, n)),
                           ("u_rho", (nu, rho.size))))
@@ -474,7 +481,7 @@ class CostFunctional:
         """(w_q, w_v, w_rho, w_u) with (t, q, v, rho, u) all independent;
         w_u is None without u."""
         nc, n = self.nc, q.size
-        return _partials(self.w_partials, f"w_partials of cost '{self.name}'",
+        return _partials(self.w_partials, lambda: f"w_partials of cost '{self.name}'",
                          lambda *a: np.atleast_1d(self.w(*a)), (t, q, v, rho, u),
                          (("w_q", (nc, n)), ("w_v", (nc, n)), ("w_rho", (nc, rho.size)),
                           ("w_u", None if u is None else (nc, u.size))))
@@ -483,7 +490,7 @@ class CostFunctional:
         """(g_q, g_v, g_vdot, g_rho, g_mu) of the multiplier term, with
         (t, q, v, vdot, rho, mu) all independent, by central differences."""
         nc, n = self.nc, q.size
-        return _partials(None, f"g_of_mu of cost '{self.name}'",
+        return _partials(None, lambda: f"g_of_mu of cost '{self.name}'",
                          lambda *a: np.atleast_1d(self.g_of_mu(*a)), (t, q, v, vdot, rho, mu),
                          (("g_q", (nc, n)), ("g_v", (nc, n)), ("g_vdot", (nc, n)),
                           ("g_rho", (nc, rho.size)), ("g_mu", (nc, mu.size))))
@@ -530,7 +537,7 @@ def cost_density_gradients(cost: CostFunctional, t, q, v, rho, jac):
         gq = gq + gu @ (uq + ua @ f_q)
         gv = gv + gu @ (uv + ua @ f_v)
         gr = gr + gu @ (ur + ua @ f_rho)
-    if np.any(ga):
+    if ga.any():
         gq = gq + ga @ f_q
         gv = gv + ga @ f_v
         gr = gr + ga @ f_rho

@@ -88,6 +88,15 @@ def test_pushing_tether_exits_1(tmp_path, capsys, x0, vy0):
     assert "ConstraintReleaseError" in capsys.readouterr().err
 
 
+def test_start_below_the_floor_exits_1(tmp_path, capsys):
+    # a mass starting under its floor used to fall through it with no event
+    code = main(["simulate", "--model", "bouncing-mass", "--params", "h0=-0.1",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "InadmissibleStartError" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def run_cli_subprocess(argv, **env):
     """``python -m hybridsens.cli *argv`` in a fresh process, with the
     package's sources on its path and ``env`` added to the environment."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hybridsens.gallery import (
     pendulum,
     register_gallery,
 )
+from hybridsens.integrate import InadmissibleStartError
 from hybridsens.model import CostFunctional, fd_jacobian
 from hybridsens.oracle import fd_cost_sensitivity
 from conftest import elementwise_close, rel_err
@@ -218,3 +221,53 @@ def test_any_cost_runs_on_any_model(make, one_output):
     for row, name in enumerate(one_output):
         alone, _, _ = direct_gradient(prob.dynamics, prob.cost(name), *args)
         assert elementwise_close(direct[row], alone[0], 1e-7)
+
+
+# -- the side of each event surface a run may start on -------------------------
+
+
+def test_gallery_events_declare_their_admissible_side():
+    assert [ev.admissible for ev in five_bar().events] == [1.0]
+    assert [ev.admissible for ev in bouncing_mass().events] == [1.0]
+    assert [ev.admissible for ev in pendulum().events] == [-1.0]
+
+
+def test_bouncing_mass_starting_below_the_floor_is_refused():
+    # h0 = -0.1 used to fall through the floor with no event and return
+    # the gradient (1, 0)
+    prob = bouncing_mass()
+    rho = np.array([-0.1, 0.9])
+    for run in (simulate, direct_gradient):
+        with pytest.raises(InadmissibleStartError, match="wrong side"):
+            run(prob.dynamics, prob.cost(), prob.events, rho, prob.t_span, prob.config)
+
+
+@pytest.mark.parametrize("x0", [0.821, -0.94])
+def test_pendulum_starting_outside_the_tether_disc_is_refused(x0):
+    # two of the referee's draws start at (x0, -0.6), outside the disc, and
+    # used to count as agreeing: the mass fell away and never met the tether
+    prob = pendulum()
+    rho = np.array([x0, -1.0, 1.0])
+    assert x0 ** 2 + 0.6 ** 2 > 1.0
+    with pytest.raises(InadmissibleStartError, match="wrong side"):
+        direct_gradient(prob.dynamics, prob.cost(), prob.events, rho, prob.t_span,
+                        prob.config)
+
+
+def test_start_side_check_takes_no_evaluation_and_changes_no_run():
+    # the check reads the values the first segment takes at t0; later
+    # segments (the swing holds r = 0 up to drift of either sign) are not
+    # checked, and the run is bitwise the one without a declared side
+    prob = pendulum()
+    spec = prob.events[0]
+    runs = {}
+    for side in (-1.0, 0.0):
+        calls = []
+        counted = dataclasses.replace(spec, admissible=side,
+                                      r=lambda q: calls.append(1) or spec.r(q))
+        traj = simulate(prob.dynamics, prob.cost(), [counted], prob.rho0.rho, prob.t_span,
+                        prob.config)
+        runs[side] = (len(calls), len(traj.events),
+                      np.vstack([seg.dense.node_states for seg in traj.segments]).tobytes())
+    assert runs[-1.0] == runs[0.0]
+    assert runs[-1.0][1] == 1

@@ -23,7 +23,7 @@ from hybridsens.constrained import ConstraintReleaseError, SingularKKTError
 from hybridsens.direct import direct_gradient
 from hybridsens.gallery import FIVE_BAR_DATA, GRAVITY, bouncing_mass, five_bar, pendulum
 from hybridsens.hybrid import StickingContactError, TangentialCrossingError
-from hybridsens.integrate import IntegrationError
+from hybridsens.integrate import InadmissibleStartError, IntegrationError
 from hybridsens.oracle import fd_cost_sensitivity
 from conftest import elementwise_close
 
@@ -32,7 +32,7 @@ SEED = 12345
 # the out-of-scope situations the README names; GrazingError,
 # SimultaneousEventError and EventAccumulationError are IntegrationErrors
 NAMED_ERRORS = (TangentialCrossingError, StickingContactError, IntegrationError,
-                SingularKKTError, ConstraintReleaseError)
+                SingularKKTError, ConstraintReleaseError, InadmissibleStartError)
 
 
 def _pendulum_draws(rng, count=20):
