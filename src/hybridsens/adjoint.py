@@ -3,7 +3,7 @@
 Between events the backward pass is the exact transpose of the forward
 Runge-Kutta steps: each segment's accepted steps are swept from the last
 to the first with the transposed Dormand-Prince stage recursion, the
-Jacobians evaluated at the stage states rebuilt from the stored stages
+Jacobians evaluated at the stage states the forward step evaluated
 (Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
 No step control runs backward and the forward state is never
 interpolated.  Nothing is solved again either: each stage's acceleration
@@ -59,19 +59,21 @@ def _join_lam(lamQ, lamV, lamG) -> np.ndarray:
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
                 t: float, x: np.ndarray, y: np.ndarray, vdot: np.ndarray | None = None,
                 mu: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
-    """Time derivative of the stacked adjoint y at the forward state x = [q; v; ...]
-    with acceleration vdot and saddle multipliers mu (``dyn.accel_and_multipliers``;
-    without them the Jacobian call solves for them):
+    """Derivative of the stacked adjoint y in the reversed time s = -t, at
+    the forward state x = [q; v; ...] with acceleration vdot and saddle
+    multipliers mu (``dyn.accel_and_multipliers``; without them the
+    Jacobian call solves for them):
 
-        lamQ' = -(f_q^T lamV + w g_q^T)
-        lamV' = -(lamQ + f_v^T lamV + w g_v^T)
-        lamG' = -(f_rho^T lamV + w g_rho^T)
+        dlamQ/ds = f_q^T lamV + w g_q^T
+        dlamV/ds = lamQ + f_v^T lamV + w g_v^T
+        dlamG/ds = f_rho^T lamV + w g_rho^T
 
-    with lamZ = I substituted exactly and weighted by w: 1 for the
-    continuous adjoint ODE, the stage's quadrature weight h w_i inside a
-    discrete step.  The lamGamma block of y does not enter.  y is read as
-    one (2n + p, nc) view and the derivative written into one array of
-    that layout.
+    that is J^T lam + w g_y^T = -lam', with lamZ = I substituted exactly and
+    weighted by w: 1 for the continuous adjoint ODE, the stage's quadrature
+    weight h w_i inside a discrete step.  Both sweeps use it as returned:
+    the discrete stage's mu_i and ``AdjointSolution.lam_at``'s right side.
+    The lamGamma block of y does not enter.  y is read as one (2n + p, nc)
+    view and the derivative written into one array of that layout.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
@@ -85,9 +87,9 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     else:  # a zero density: adding the scalar +0.0 is adding a zero block
         gT_q = gT_v = gT_rho = 0.0
     out = np.empty(lam.shape)
-    out[:n] = -(f_q.T @ lamV + gT_q)
-    out[n:2 * n] = -(lam[:n] + f_v.T @ lamV + gT_v)
-    out[2 * n:] = -(f_rho.T @ lamV + gT_rho)
+    out[:n] = f_q.T @ lamV + gT_q
+    out[n:2 * n] = lam[:n] + f_v.T @ lamV + gT_v
+    out[2 * n:] = f_rho.T @ lamV + gT_rho
     return out.ravel()
 
 
@@ -101,22 +103,24 @@ def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
         lam_k   = lam + sum_i mu_i
 
     (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
-    mu_i = -adjoint_rhs(Y_i, theta_i, h w_i) and the stage states Y_i are
-    rebuilt from the stored stages as the forward step formed them.  The
-    stage's acceleration is its stored derivative's v block and its saddle
+    mu_i = adjoint_rhs(Y_i, theta_i, h w_i), the reversed-time derivative,
+    taken as returned.  The stage states Y_i are those the forward step
+    evaluated (``DenseSegment.step_stages``: the stored nodes where a stage
+    sits on one, the others rebuilt from the stored stages).  The stage's
+    acceleration is its stored derivative's v block and its saddle
     multipliers are row 6k + i of the segment's record, both bitwise what
     the dynamics returned at Y_i in the forward pass.  A full step has the
     weights w = B on six stages; the last step of a segment cut at an event
     reaches its end node through the continuous extension, with
-    w = P [x, x^2, x^3, x^4] on all seven (``DenseSegment.step_stages``).
+    w = P [x, x^2, x^3, x^4] on all seven.
     """
     h, w, times, states, vdot, saddle = dense.step_stages(k, dims.n)
     s = len(w)
     mu = np.zeros((s, lam.size))
     for i in range(s - 1, -1, -1):
         theta = h * (w[i] * lam + RK_A[i + 1:s, i] @ mu[i + 1:s])
-        mu[i] = -adjoint_rhs(dyn, cost, dims, rho, times[i], states[i], theta,
-                             vdot[i], saddle[i], h * w[i])
+        mu[i] = adjoint_rhs(dyn, cost, dims, rho, times[i], states[i], theta,
+                            vdot[i], saddle[i], h * w[i])
     return lam + mu.sum(axis=0)
 
 
@@ -139,7 +143,8 @@ class AdjointSolution:
         """Adjoint inside the smooth segment covering t: the stored value at
         a node, else the continuous adjoint ODE integrated from the first
         node after t back to t, over at most one forward step, as a forward
-        integration in the reversed time s = -t.
+        integration in the reversed time s = -t, whose right side is
+        ``adjoint_rhs`` as returned.
 
         At an event time the value is side-dependent; query strictly inside
         a segment to get an unambiguous answer.
@@ -154,10 +159,9 @@ class AdjointSolution:
                 if nodes[i] > t:
                     dyn, rho = seg.dynamics, self.traj.rho
 
-                    # negation is exact: each step is bitwise a backward one
                     def rhs(s, lam):
-                        return -adjoint_rhs(dyn, self.cost, dims, rho, -s,
-                                            seg.dense.evaluate(-s), lam)
+                        return adjoint_rhs(dyn, self.cost, dims, rho, -s,
+                                           seg.dense.evaluate(-s), lam)
                     _, (_, y), _ = integrate_segment(rhs, y, (-nodes[i], -t),
                                                      self.traj.config)
                 lamQ, lamV, lamG = _split_lam(y, dims, nc)

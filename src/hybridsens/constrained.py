@@ -170,18 +170,25 @@ class _SaddleDynamics:
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """(vdot, mu, (f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) at one state:
-        the Jacobian blocks of the map (q, v, rho) -> (vdot, mu) are
-        ``differentiate_saddle`` of the saddle solve, whose right side
-        [F; b] has the partials [F_z; b_z] from one ``force_jacobians``
-        evaluation and the source partials.  Given the state's solution
-        (vdot, mu), as the sweeps read it from the forward pass's stage
-        record, K is factored for the partials only; given neither, they
-        are solved on that same factor.
+        the Jacobian blocks of the map (q, v, rho) -> (vdot, mu), the partials
+        of the saddle solve (``differentiate_saddle``).  On the analytic
+        route (the constraint set declares its constant ``hessian``) K is
+        factored once, the right side [F_z; b_z] is filled from one
+        ``force_jacobians`` evaluation and the source partials, its K_z terms
+        are subtracted (``_subtract_saddle_partials``) and it is solved on
+        that factor.  Given the state's solution (vdot, mu), as the sweeps
+        read it from the forward pass's stage record, K is factored for the
+        partials only; given neither, they are solved on the same factor
+        first.  Any other constraint set takes ``differentiate_saddle``'s
+        central differences.
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
-
-        def rhs_partials():
-            nonlocal vdot, mu
+        if cons.hessian is None:
+            sol = differentiate_saddle(model, t, q, v, rho,
+                                       lambda *z: np.concatenate(self._solve(t, *z)), None)
+            if mu is None:  # central differences solve at the perturbed states only
+                vdot, mu = self._solve(t, q, v, rho)
+        else:
             G = cons.jac_q(t, q, rho)
             factor = self._factor(t, q, rho, G)
             if mu is None:
@@ -190,12 +197,8 @@ class _SaddleDynamics:
             rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
             rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = self._source_partials(
                 t, q, v, rho, G, cons.qq_action(t, q, rho, v))
-            return factor, vdot, mu, rhs
-
-        sol = differentiate_saddle(model, t, q, v, rho,
-                                   lambda *z: np.concatenate(self._solve(t, *z)), rhs_partials)
-        if mu is None:  # central differences solve at the perturbed states only
-            vdot, mu = self._solve(t, q, v, rho)
+            _subtract_saddle_partials(model, t, q, rho, vdot, mu, rhs)
+            sol = factor(rhs)
         f, g = sol[:n], sol[n:]
         return (vdot, mu, (f[:, :n], f[:, n:2 * n], f[:, 2 * n:]),
                 (g[:, :n], g[:, n:2 * n], g[:, 2 * n:]))
@@ -316,28 +319,37 @@ def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_part
         K s_z = [a_z - M_z x - d(G^T mu)/dz ; b_z - d(G x)/dz].
 
     Analytic when the model's constraint set declares its constant
-    ``hessian`` (phi_q affine in q and independent of rho), so that the G
-    terms exist in q alone:
-
-        z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
-        z = v:    [a_v ; b_v]
-        z = rho:  [a_rho - M_rho x ; b_rho].
-
-    ``rhs_partials()`` returns (solve, x, mu, rhs): K's solve, the solution
-    and [a_z; b_z] as one (n + m, 2n + p) array over the columns
-    [q | v | rho], from which the K_z terms are subtracted in place (M_z
-    skipped under ``mass_constant``) before one solve.  Any other constraint
-    set takes central differences of ``solve_at(q, v, rho) -> s``.  Returns
-    s_z as one (n + m, 2n + p) array.
+    ``hessian``: ``rhs_partials()`` returns (solve, x, mu, rhs), K's solve,
+    the solution and [a_z; b_z] as one (n + m, 2n + p) array over the
+    columns [q | v | rho]; its K_z terms are subtracted in place
+    (``_subtract_saddle_partials``) before one solve.  Any other constraint
+    set takes central differences of ``solve_at(q, v, rho) -> s``, and
+    ``rhs_partials`` is not called.  Returns s_z as one (n + m, 2n + p)
+    array.
     """
-    cons, n = model.constraints, model.dims.n
-    if cons.hessian is None:
+    if model.constraints.hessian is None:
         from .model import fd_jacobian as _fd
 
         return np.hstack([_fd(lambda x: solve_at(x, v, rho), q),
                           _fd(lambda x: solve_at(q, x, rho), v),
                           _fd(lambda x: solve_at(q, v, x), rho)])
     factor, x, mu, rhs = rhs_partials()
+    _subtract_saddle_partials(model, t, q, rho, x, mu, rhs)
+    return factor(rhs)
+
+
+def _subtract_saddle_partials(model: MultibodyModel, t, q, rho, x, mu, rhs) -> None:
+    """Subtract the K_z s terms from the right side [a_z; b_z] of a saddle
+    system's partials, in place, where the constraint set declares its
+    constant ``hessian`` (phi_q affine in q and independent of rho), so that
+    the G terms exist in q alone:
+
+        z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
+        z = v:    [a_v ; b_v]
+        z = rho:  [a_rho - M_rho x ; b_rho],
+
+    M_z skipped under ``mass_constant``."""
+    cons, n = model.constraints, model.dims.n
     top, bottom = rhs[:n], rhs[n:]
     if not model.mass_constant:
         M_q, M_rho = model.mass_jacobians(t, q, rho, x)
@@ -345,7 +357,6 @@ def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_part
         top[:, 2 * n:] -= M_rho
     top[:, :n] -= cons.qqT_action(t, q, rho, mu)
     bottom[:, :n] -= cons.qq_action(t, q, rho, x)
-    return factor(rhs)
 
 
 def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):

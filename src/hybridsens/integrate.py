@@ -381,18 +381,24 @@ class DenseSegment:
         w weighs the stages in the step's end node: B on six for a full
         step, P [x, x^2, x^3, x^4] on all seven for the last step of a
         segment cut at an event (reached by the continuous extension).  The
-        seven stage times and states Y_i = y_k + h sum_{j<i} a_ij K_j are
-        rebuilt as the forward step formed them; their accelerations (v
-        block of K) and multipliers (rows 6k..6k+6 of ``multipliers``) are
+        seven stage states Y_i = y_k + h sum_{j<i} a_ij K_j are the states
+        the forward step evaluated: stage 0 is node k and, on a full step,
+        stage 6 is node k + 1, both read as stored; stages 1..5, and stage 6
+        of a truncated step, are rebuilt in the forward step's arithmetic.
+        The stage times are rebuilt likewise.  Their accelerations (v block
+        of K) and multipliers (rows 6k..6k+6 of ``multipliers``) are
         bitwise what the dynamics returned there."""
         t_old, y_old = self.node_times[k], self.node_states[k]
         h, K = self.steps[k], self.stages[k]
+        states = [y_old]
+        states += [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(1, RK45.n_stages)]
         if self.truncated and k == len(self) - 1:
             x = (self.node_times[k + 1] - t_old) / h
             w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
+            states.append(y_old + h * np.dot(K[:-1].T, RK45.B))
         else:
             w = RK45.B
-        states = [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(len(RK_C))]
+            states.append(self.node_states[k + 1])
         mu = self.multipliers[RK45.n_stages * k:RK45.n_stages * (k + 1) + 1]
         return h, w, t_old + RK_C * h, states, K[:, n:2 * n], mu
 

@@ -356,20 +356,24 @@ class OdeDynamics:
         the acceleration map.
 
         For each zeta in {q, v, rho}:  f_zeta = M^{-1} (F_zeta - M_zeta vdot),
-        obtained by differentiating M vdot = F through the factorization.
-        Without a given vdot it is solved here.  ``mu`` is accepted for the
+        obtained by differentiating M vdot = F through the factorization:
+        the three F_zeta are written into one (n, 2n + p) right side, as the
+        saddle formulations fill theirs, and solved at once.  Without a
+        given vdot it is solved here.  ``mu`` is accepted for the
         constrained formulations' signature.
         """
-        M = self.model.mass_at(t, q, rho)
+        model, n = self.model, self.dims.n
+        M = model.mass_at(t, q, rho)
         if vdot is None:
-            vdot = _spd_solve(M, self.model.force_at(t, q, v, rho), "mass matrix", t)
-        F_q, F_v, F_rho = self.model.force_jacobians(t, q, v, rho)
-        if not self.model.mass_constant:  # else M_q = M_rho = 0: x - 0.0 is x bitwise
-            M_q, M_rho = self.model.mass_jacobians(t, q, rho, vdot)
-            F_q, F_rho = F_q - M_q, F_rho - M_rho
-        n, p = self.dims.n, self.dims.p
-        sol = _spd_solve(M, np.hstack([F_q, F_v, F_rho]), "mass matrix", t)
-        return vdot, None, (sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:2 * n + p]), None
+            vdot = _spd_solve(M, model.force_at(t, q, v, rho), "mass matrix", t)
+        rhs = np.empty((n, 2 * n + self.dims.p))
+        rhs[:, :n], rhs[:, n:2 * n], rhs[:, 2 * n:] = model.force_jacobians(t, q, v, rho)
+        if not model.mass_constant:  # else M_q = M_rho = 0: x - 0.0 is x bitwise
+            M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
+            rhs[:, :n] -= M_q
+            rhs[:, 2 * n:] -= M_rho
+        sol = _spd_solve(M, rhs, "mass matrix", t)
+        return vdot, None, (sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:]), None
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None

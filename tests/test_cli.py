@@ -235,6 +235,32 @@ def test_identical_invocations_bitwise_identical(tmp_path, model):
         assert outs[0] == outs[1], cmd
 
 
+def test_in_process_calls_share_one_parser_and_no_parsed_state(tmp_path):
+    # main() builds its parser once per process; two calls of each command
+    # with different --params on top of a config file's params must each
+    # write bitwise what a call in a fresh process writes, so no parsed
+    # state (the --params append list above all) carries over
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bouncing-mass", "tf": 1.2, "params": ["e=0.8"]}))
+
+    def tree(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    parsers = set()
+    for cmd in ("simulate", "direct", "adjoint", "fd-check"):
+        for tag, h0 in (("first", "1.1"), ("second", "0.9")):
+            argv = [cmd, "--config", str(cfg), "--params", f"h0={h0}"]
+            out = tmp_path / cmd / tag
+            assert main([*argv, "--out", str(out)]) == 0
+            parsers.add(id(cli._PARSER))
+            proc = run_cli_subprocess([*argv, "--out", str(out) + "-fresh"])
+            assert proc.returncode == 0, proc.stderr
+            assert tree(out) == tree(tmp_path / cmd / f"{tag}-fresh"), (cmd, tag)
+        params = json.loads((out / "run.meta.json").read_text())["config"]["params"]
+        assert params == ["e=0.8", "h0=0.9"], cmd
+    assert len(parsers) == 1
+
+
 def read_csv_table(path):
     """(header, rows of floats) of a CSV table the CLI wrote."""
     with open(path, newline="") as fh:
