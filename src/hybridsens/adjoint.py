@@ -1,4 +1,5 @@
-"""Discrete adjoint of a stored forward trajectory.
+"""Discrete adjoint of a stored forward trajectory, the backward mirror of
+the tangent sweep ``direct.propagate_direct``.
 
 Between events the backward pass is the exact transpose of the forward
 Runge-Kutta steps: each segment's accepted steps are swept from the last
@@ -11,9 +12,11 @@ is read from the stored stage derivatives and its multipliers from the
 forward pass's stage record, so the sweep calls only the Jacobians.  At
 each event the stored jump matrix acts through its transpose,
 lam- = S^T lam+, so the adjoint gradient equals the direct gradient
-computed on the same steps to round-off.  Between nodes the
-adjoint is recovered by integrating the continuous adjoint ODE from the
-nearest later node, in reversed time (``AdjointSolution.lam_at``).
+computed on the same steps to round-off.  The gradient folds the adjoint
+at t0 into the run's recorded start (``HybridTrajectory.initial``).
+Between nodes the adjoint is recovered by integrating the continuous
+adjoint ODE from the nearest later node, in reversed time
+(``AdjointSolution.lam_at``).
 
 The quadrature adjoint lamZ is the identity for all time and is not
 integrated.
@@ -136,8 +139,7 @@ class AdjointSolution:
     lam_t0: AdjointState
     times: np.ndarray            # descending (backward order)
     series: np.ndarray           # rows: stacked [lamQ; lamV; lamGamma] per node
-    traj: HybridTrajectory
-    cost: CostFunctional
+    traj: HybridTrajectory  # its cost is the one swept
 
     def lam_at(self, t: float) -> AdjointState:
         """Adjoint inside the smooth segment covering t: the stored value at
@@ -149,7 +151,7 @@ class AdjointSolution:
         At an event time the value is side-dependent; query strictly inside
         a segment to get an unambiguous answer.
         """
-        dims, nc = self.traj.dims, self.cost.nc
+        dims, nc = self.traj.dims, self.traj.cost.nc
         row = 0
         for seg in reversed(self.traj.segments):
             nodes = seg.dense.node_times
@@ -160,7 +162,7 @@ class AdjointSolution:
                     dyn, rho = seg.dynamics, self.traj.rho
 
                     def rhs(s, lam):
-                        return adjoint_rhs(dyn, self.cost, dims, rho, -s,
+                        return adjoint_rhs(dyn, self.traj.cost, dims, rho, -s,
                                            seg.dense.evaluate(-s), lam)
                     _, (_, y), _ = integrate_segment(rhs, y, (-nodes[i], -t),
                                                      self.traj.config)
@@ -192,9 +194,7 @@ def propagate_adjoint(traj: HybridTrajectory,
     cost = traj.cost
     if cost is None:
         raise ValueError("adjoint propagation needs the cost functional")
-    dims = traj.dims
-    rho = traj.rho
-    nc = cost.nc
+    dims, rho, nc = traj.dims, traj.rho, cost.nc
 
     qF, vF, _ = traj.state_at(traj.tF)
     lam = terminal_conditions(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, rho)
@@ -216,10 +216,10 @@ def propagate_adjoint(traj: HybridTrajectory,
         if k > 0:
             lam = traj.events[k - 1].jump.apply_adjoint(lam)
 
-    ic = traj.segments[0].dynamics.model.initial_state(rho)
-    gradient = assemble_cost_sensitivity_adjoint(lam, ic.dq0_drho, ic.dv0_drho)
+    gradient = assemble_cost_sensitivity_adjoint(lam, traj.initial.dq0_drho,
+                                                 traj.initial.dv0_drho)
     return AdjointSolution(gradient=gradient, lam_t0=lam, times=np.concatenate(times_acc),
-                           series=np.vstack(series_acc), traj=traj, cost=cost)
+                           series=np.vstack(series_acc), traj=traj)
 
 
 def assemble_cost_sensitivity_adjoint(lam_t0: AdjointState, dq0_drho, dv0_drho) -> np.ndarray:

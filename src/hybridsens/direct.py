@@ -1,20 +1,21 @@
-"""Forward propagation: plain simulation and the tangent-linear direct pass.
+"""Forward propagation: the hybrid run and its tangent-linear sweep.
 
-Both run one hybrid-run loop over the state [q (n); v (n); z (nc)], nc
-being the cost's number of outputs (one zero output without a cost):
-integrate a smooth segment until an event function changes sign, localize
-the event on the dense output, apply the velocity jump, build the
-sensitivity jump matrix, restart.  Each segment records the dynamics'
-saddle multipliers at every accepted stage (``DenseSegment.multipliers``),
-which both sensitivity sweeps read instead of solving again.
+``simulate`` runs the state [q (n); v (n); z (nc)], nc being the cost's
+number of outputs (one zero output without a cost): integrate a smooth
+segment until an event function changes sign, localize the event on the
+dense output, apply the velocity jump, build the sensitivity jump matrix,
+restart.  The run records its start (``HybridTrajectory.initial``), its
+cost and, per segment, the saddle multipliers of every accepted stage
+(``DenseSegment.multipliers``), which is all both sensitivity sweeps read.
 
-The direct pass is the discrete tangent of those steps, the forward dual of
-the adjoint sweep: each stored Runge-Kutta step is differentiated stage by
-stage on its own step size and stage states, with no step control of its
-own (sensitivities stay out of the error test, as CVODES does by default),
-and at each event the sensitivities jump through S.  The tangent [Q; V; Z]
-is stored per segment as a DenseSegment on the state's nodes and steps;
-the Gamma block is the constant identity and is never propagated."""
+``propagate_direct(traj)``, the forward mirror of
+``adjoint.propagate_adjoint(traj)``, is the discrete tangent of those steps:
+each stored step is differentiated stage by stage on its own step size and
+stage states, with no step control of its own (sensitivities stay out of
+the error test, as CVODES does by default), and at each event the
+sensitivities jump through S.  The tangent [Q; V; Z] is stored per segment
+as a DenseSegment on the state's nodes and steps; the Gamma block is the
+constant identity and is never propagated."""
 
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, Dimensions, SensitivityState
-from .model import ZERO_COST, CostFunctional, cost_density_gradients, terminal_cost_gradients
+from .model import (ZERO_COST, CostFunctional, InitialConditions, cost_density_gradients,
+                    terminal_cost_gradients)
 from .integrate import RK_A, DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
 from .hybrid import (
     EventRecord,
@@ -58,6 +60,7 @@ class HybridTrajectory:
     events: list
     cost: CostFunctional | None
     config: IntegratorConfig
+    initial: InitialConditions  # the start both sensitivity sweeps read
 
     def segment_at(self, t: float) -> TrajectorySegment:
         for seg in self.segments:
@@ -74,7 +77,7 @@ class HybridTrajectory:
     def sensitivity_at(self, t: float) -> SensitivityState:
         seg = self.segment_at(t)
         if seg.tangent is None:
-            raise ValueError("trajectory was computed without sensitivities")
+            raise ValueError("the run has no tangent yet: sweep it with propagate_direct(traj)")
         return _sensitivity(seg.tangent.evaluate(t), self.dims)
 
     @property
@@ -166,20 +169,26 @@ def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
     return SensitivityState(X[:n], X[n:2 * n], np.eye(dims.p), X[2 * n:])
 
 
-def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
-    """Forward hybrid run of the state [q; v; z] from y0 = (q0, v0); the
-    trajectory records ``cost`` as given, None included."""
+def _run_hybrid(dyn, cost, events, rho, t_span, config):
+    """Forward hybrid run from the model's initial state at rho (checked before
+    the span); the trajectory records that start and ``cost`` as given."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (dyn.dims.p,):
+        raise DimensionError(f"model '{dyn.model.name}' has {dyn.dims.p} parameters, "
+                             f"but rho has {rho.size} values (shape {rho.shape})")
     t0, tF = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(tF) and t0 < tF):
         # a run without a segment has no final state and no residuals
         raise ValueError(f"time span ({t0}, {tF}) is empty or reversed, or not finite")
+    config = config or IntegratorConfig()
+    initial = dyn.model.initial_state(rho)
     segments: list[TrajectorySegment] = []
     records: list[EventRecord] = []
     monitor = EventMonitor(len(events), [sp.admissible for sp in events])
+    dims, integrand = dyn.dims, cost or ZERO_COST
     n = dims.n
-    integrand = cost or ZERO_COST
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
-    y, t, active = np.concatenate([y0[0], y0[1], np.zeros(integrand.nc)]), t0, dyn
+    y, t, active = np.concatenate([initial.q0, initial.v0, np.zeros(integrand.nc)]), t0, dyn
     solved = [None]  # the multipliers of the last rhs evaluation
 
     def rhs(s, x, d):
@@ -225,39 +234,26 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config, y0, dims):
         t = t_eve
         active = dyn_plus
 
-    return HybridTrajectory(dims, np.asarray(rho, dtype=float), t0, tF,
-                            segments, records, cost, config)
-
-
-def _start(dyn, rho, config):
-    """(rho, config, initial conditions) of a run; rho is checked first."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (dyn.dims.p,):
-        raise DimensionError(f"model '{dyn.model.name}' has {dyn.dims.p} parameters, "
-                             f"but rho has {rho.size} values (shape {rho.shape})")
-    return rho, config or IntegratorConfig(), dyn.model.initial_state(rho)
+    return HybridTrajectory(dims, rho, t0, tF, segments, records, cost, config, initial)
 
 
 def simulate(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
-    """Forward hybrid run without sensitivities.  Returns a HybridTrajectory."""
-    rho, config, ic = _start(dyn, rho, config)
-    return _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dyn.dims)
+    """Forward hybrid run without sensitivities.  Returns a HybridTrajectory,
+    which ``propagate_direct`` and ``adjoint.propagate_adjoint`` sweep."""
+    return _run_hybrid(dyn, cost, events, rho, t_span, config)
 
 
-def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
-    """Forward hybrid run and its discrete tangent.
-
-    The state runs as in ``simulate``; then each segment's stored steps are
-    swept forward with ``_step_tangent`` and each event's sensitivities
-    jump through its matrix S.  Returns (trajectory, X_tF, event_records);
-    every segment of the trajectory carries its tangent as a DenseSegment
-    (``TrajectorySegment.tangent``), so sensitivities can be sampled at any
-    time via ``trajectory.sensitivity_at``.
-    """
-    rho, config, ic = _start(dyn, rho, config)
-    dims = dyn.dims
-    traj = _run_hybrid(dyn, cost, events, rho, t_span, config, (ic.q0, ic.v0), dims)
-    cost = cost or ZERO_COST
+def propagate_direct(traj: HybridTrajectory) -> SensitivityState:
+    """Discrete tangent sweep over a stored hybrid trajectory, the forward
+    mirror of ``adjoint.propagate_adjoint``: from the run's start
+    (``traj.initial``), each segment's stored steps are swept with
+    ``_step_tangent`` and each event's sensitivities jump through its S,
+    for the run's cost (``ZERO_COST`` for a cost-less run).  Fills each
+    segment's ``tangent`` (sampled by ``traj.sensitivity_at``) and each
+    record's ``dteve_drho`` and ``delta_mu_sens``, the same on every sweep.
+    Returns X_tF."""
+    dims, rho, ic = traj.dims, traj.rho, traj.initial
+    cost = traj.cost or ZERO_COST
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
     for k, seg in enumerate(traj.segments):
         if k:
@@ -276,7 +272,7 @@ def propagate_direct(dyn, cost, events, rho, t_span, config: IntegratorConfig | 
         seg.tangent = DenseSegment(d.t_start, d.t_end, d.node_times, np.array(nodes),
                                    stages, d.steps, d.truncated)
         X = _sensitivity(x, dims)
-    return traj, X, traj.events
+    return X
 
 
 def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndarray:
@@ -289,11 +285,13 @@ def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndar
 
 
 def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
-    """Convenience wrapper: run the direct pass and assemble dpsi/drho."""
+    """One-call direct gradient: the forward run, its tangent sweep
+    (``propagate_direct``) and dpsi/drho.  Returns (gradient, trajectory, X_tF)."""
     if cost is None:
         raise ValueError("the direct gradient needs the cost functional")
-    traj, XF, _ = propagate_direct(dyn, cost, events, rho, t_span, config)
+    # not simulate, which perfbench/spans.py times as the forward pass
+    traj = _run_hybrid(dyn, cost, events, rho, t_span, config)
+    XF = propagate_direct(traj)
     qF, vF, _ = traj.final_state
-    dyn_F = traj.segments[-1].dynamics
-    w_grads = terminal_cost_gradients(cost, dyn_F, traj.tF, qF, vF, np.asarray(rho, dtype=float))
+    w_grads = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, traj.rho)
     return assemble_cost_sensitivity_direct(XF, w_grads), traj, XF

@@ -148,10 +148,12 @@ class _FiveBarParameterMap:
     """Maps a chosen subset of the named constants onto the rho vector."""
 
     def __init__(self, names):
-        unknown = set(names) - set(FIVE_BAR_PARAMS)
-        if unknown:
-            raise ValueError(f"unknown five-bar parameters {sorted(unknown)}")
         self.names = tuple(names)
+        unknown = set(names) - set(FIVE_BAR_PARAMS)
+        repeated = {nm for nm in self.names if self.names.count(nm) > 1}
+        if unknown or repeated:  # a repeated name would leave all but its last slot unread
+            raise ValueError(f"five-bar parameters: unknown {sorted(unknown)}, "
+                             f"repeated {sorted(repeated)}; choose from {FIVE_BAR_PARAMS}")
         self.index = {nm: j for j, nm in enumerate(self.names)}
 
     def defaults(self) -> np.ndarray:

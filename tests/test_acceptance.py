@@ -116,10 +116,10 @@ def test_criterion_4_event_time_sensitivity_closed_form():
     prob = bouncing_mass()
     rho = prob.rho0.rho
     cost = prob.cost("height-final")
-    _, _, recs = propagate_direct(prob.dynamics, cost, prob.events, rho,
-                                  prob.t_span, prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, rho, prob.t_span, prob.config)
+    propagate_direct(traj)
     expect = 1.0 / np.sqrt(2 * G * rho[0])
-    got = recs[0].dteve_drho[0, 0]
+    got = traj.events[0].dteve_drho[0, 0]
     rel_formula = abs(got - expect) / expect
 
     h = 1e-6
@@ -167,8 +167,9 @@ def test_criterion_5_bilinear_conservation(five_bar_runs):
                          (pendulum(), ("x-final", "int-vx"))):
         for cname in cnames:
             cost = prob.cost(cname)
-            traj, _, _ = propagate_direct(prob.dynamics, cost, prob.events,
-                                          prob.rho0.rho, prob.t_span, prob.config)
+            traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span,
+                            prob.config)
+            propagate_direct(traj)
             runs.append((traj, propagate_adjoint(traj, cost)))
     for traj, sol in runs:
         scale = max(1.0, float(np.abs(sol.gradient).max()))

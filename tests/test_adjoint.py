@@ -9,7 +9,7 @@ from hybridsens.adjoint import (
     terminal_conditions,
 )
 from hybridsens.core import AdjointState, Dimensions
-from hybridsens.direct import direct_gradient, propagate_direct
+from hybridsens.direct import direct_gradient, propagate_direct, simulate
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.model import (
     CostFunctional,
@@ -73,8 +73,8 @@ def test_free_fall_adjoint_closed_form():
     # f_q = 0, g = 0: lamQ constant, lamV(t) = lamV(tF) + (tF - t) lamQ
     dyn = OdeDynamics(free_fall_model())
     cost = CostFunctional(nc=1, w=lambda t, q, v, rho, u: np.array([q[0] + 2.0 * v[0]]))
-    traj, XF, _ = propagate_direct(dyn, cost, [], np.array([1.0]), (0.0, 1.0),
-                                   IntegratorConfig())
+    traj = simulate(dyn, cost, [], np.array([1.0]), (0.0, 1.0), IntegratorConfig())
+    XF = propagate_direct(traj)
     sol = propagate_adjoint(traj, cost)
     for t in (0.2, 0.5, 0.8):
         lam = sol.lam_at(t)
@@ -97,7 +97,8 @@ def test_exponential_adjoint_closed_form():
     cost = CostFunctional(nc=1, w=lambda t, q, v, rho, u: np.array([v[0]]))
     a, tF = 0.7, 1.2
     cfg = IntegratorConfig()
-    traj, _, _ = propagate_direct(dyn, cost, [], np.array([a]), (0.0, tF), cfg)
+    traj = simulate(dyn, cost, [], np.array([a]), (0.0, tF), cfg)
+    propagate_direct(traj)
     sol = propagate_adjoint(traj, cost)
     for t in (0.1, 0.6, 1.1):
         expect = np.exp(a * (tF - t))
@@ -109,8 +110,9 @@ def test_lamZ_identity_throughout():
 
     prob = bouncing_mass()
     cost = prob.cost("int-vy")
-    traj, _, _ = propagate_direct(prob.dynamics, cost, prob.events,
-                                  prob.rho0.rho, prob.t_span, prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    propagate_direct(traj)
     sol = propagate_adjoint(traj, cost)
     for t in np.linspace(0.05, 1.45, 7):
         assert np.array_equal(sol.lam_at(t).lamZ, np.eye(1))
@@ -233,7 +235,6 @@ def test_adjoint_sweeps_share_one_trajectory_across_threads():
     import sys
     import threading
 
-    from hybridsens.direct import simulate
     from hybridsens.gallery import five_bar
 
     prob = five_bar()
@@ -267,7 +268,6 @@ def test_lam_at_factors_once_per_evaluation(monkeypatch):
     # then needs the Jacobians at the same state, which reuse that factor
     import hybridsens.adjoint as adjoint
     import hybridsens.constrained as constrained
-    from hybridsens.direct import simulate
     from hybridsens.gallery import five_bar
 
     prob = five_bar(formulation="dae")
@@ -292,11 +292,10 @@ def test_lam_at_factors_once_per_evaluation(monkeypatch):
     assert counts["factorizations"] <= counts["evaluations"]
 
 
-def test_sweeps_never_evaluate_the_cost_density(monkeypatch):
+def test_sweeps_never_evaluate_the_cost_density():
     # the tangent and adjoint sweeps need the density's gradients only: the
     # density itself is integrated by the forward run and never evaluated
     # again
-    import hybridsens.direct as direct
     from hybridsens.gallery import five_bar
 
     prob = five_bar()
@@ -318,11 +317,10 @@ def test_sweeps_never_evaluate_the_cost_density(monkeypatch):
         return wrapper
 
     cost = dataclasses.replace(base, g=g)
-    monkeypatch.setattr(direct, "_step_tangent", in_sweep(direct._step_tangent))
-    traj, _, _ = propagate_direct(prob.dynamics, cost, prob.events, prob.rho0.rho,
-                                  (0.0, 0.9), prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, (0.0, 0.9), prob.config)
     assert len(traj.events) == 2
     assert calls["forward"] > 0
+    in_sweep(propagate_direct)(traj)
     in_sweep(propagate_adjoint)(traj, cost)
     assert calls["sweep"] == 0
 
@@ -332,7 +330,6 @@ def test_adjoint_refuses_a_cost_the_run_was_not_simulated_with(run_cost):
     # the stored jump matrices carry the run's own quadrature rows: the adjoint
     # of int-vy over a height-final run (or a cost-less one) read (5.305, 7.568)
     # where direct_gradient gives (-1.383, 0.728)
-    from hybridsens.direct import simulate
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()
@@ -345,7 +342,6 @@ def test_adjoint_refuses_a_cost_the_run_was_not_simulated_with(run_cost):
 
 
 def test_adjoint_of_the_runs_own_cost_is_unchanged_by_passing_it():
-    from hybridsens.direct import simulate
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()

@@ -494,11 +494,11 @@ def test_multiplier_sensitivity_matches_fd():
     t_probe = 0.8
 
     def mu_at(rr):
-        traj, _, _ = propagate_direct(dyn, cost, [], rr, (0.0, 1.0), cfg)
-        q, v, _ = traj.state_at(t_probe)
+        q, v, _ = simulate(dyn, cost, [], rr, (0.0, 1.0), cfg).state_at(t_probe)
         return dyn.accel_and_multipliers(t_probe, q, v, rr)[1]
 
-    traj, _, _ = propagate_direct(dyn, cost, [], RHO, (0.0, 1.0), cfg)
+    traj = simulate(dyn, cost, [], RHO, (0.0, 1.0), cfg)
+    propagate_direct(traj)
     q, v, _ = traj.state_at(t_probe)
     X = traj.sensitivity_at(t_probe)
     gq, gv, grho = dyn.multiplier_jacobians(t_probe, q, v, RHO)
@@ -599,8 +599,8 @@ def test_sweeps_evaluate_force_partials_once_per_stage_state(monkeypatch, params
     monkeypatch.setattr(adjoint, "_step_adjoint", in_sweep(adjoint._step_adjoint))
     monkeypatch.setattr(direct, "_step_tangent", in_sweep(direct._step_tangent))
     cost = prob.cost("int-ay2sq-vy2sq")
-    traj, _, _ = direct.propagate_direct(dyn, cost, prob.events, prob.rho0.rho,
-                                         (0.0, 0.9), prob.config)
+    traj = direct.simulate(dyn, cost, prob.events, prob.rho0.rho, (0.0, 0.9), prob.config)
+    direct.propagate_direct(traj)
     assert len(traj.events) == 2
     # seven stages on a segment's first step, six after it (FSAL)
     tangent_stages = sum(6 * len(seg.dense) + 1 for seg in traj.segments)

@@ -57,8 +57,8 @@ def test_variational_equation_exponential():
     dyn = OdeDynamics(model)
     cost = CostFunctional(nc=1)
     a = 0.8
-    traj, XF, _ = propagate_direct(dyn, cost, [], np.array([a]), (0.0, 1.5),
-                                   IntegratorConfig())
+    XF = propagate_direct(simulate(dyn, cost, [], np.array([a]), (0.0, 1.5),
+                                   IntegratorConfig()))
     tF = 1.5
     assert abs(XF.V[0, 0] - tF * np.exp(a * tF)) < 1e-6 * np.exp(a * tF)
 
@@ -84,9 +84,9 @@ def test_gamma_block_never_mutated():
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()
-    traj, XF, _ = propagate_direct(prob.dynamics, prob.cost("int-vy"),
-                                   prob.events, prob.rho0.rho, prob.t_span,
-                                   prob.config)
+    traj = simulate(prob.dynamics, prob.cost("int-vy"), prob.events, prob.rho0.rho,
+                    prob.t_span, prob.config)
+    XF = propagate_direct(traj)
     assert np.array_equal(XF.Gamma, np.eye(2))
     for t in np.linspace(0.05, 1.45, 10):
         assert np.array_equal(traj.sensitivity_at(t).Gamma, np.eye(2))
@@ -142,8 +142,8 @@ def test_duplicated_parameter_duplicates_columns():
     )
     dyn = OdeDynamics(model)
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([q[0] ** 2]))
-    traj, XF, _ = propagate_direct(dyn, cost, [], np.array([4.0, 4.0]),
-                                   (0.0, 2.0), IntegratorConfig())
+    XF = propagate_direct(simulate(dyn, cost, [], np.array([4.0, 4.0]), (0.0, 2.0),
+                                   IntegratorConfig()))
     assert np.allclose(XF.Q[:, 0], XF.Q[:, 1], rtol=1e-12)
     assert np.allclose(XF.Z[:, 0], XF.Z[:, 1], rtol=1e-12)
 
@@ -165,8 +165,9 @@ def test_five_bar_direct_z_piecewise_smooth():
 
     prob = five_bar()
     cost = prob.cost("int-vy2")
-    traj, XF, recs = propagate_direct(prob.dynamics, cost, prob.events,
-                                      prob.rho0.rho, (0.0, 1.0), prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, (0.0, 1.0), prob.config)
+    propagate_direct(traj)
+    recs = traj.events
     assert len(recs) >= 1
     seg = traj.segments[0]
     ts = np.linspace(seg.t_start, seg.t_end, 20)
@@ -204,15 +205,16 @@ def _gallery(name):
                                   "bouncing-mass", "pendulum"])
 def test_direct_pass_is_the_tangent_of_simulate_steps(name):
     # the direct pass differentiates simulate's own steps: its trajectory is
-    # simulate's bitwise, and its gradient is the discrete adjoint gradient
-    # over that trajectory up to round-off
+    # simulate's bitwise, its gradient is the discrete adjoint gradient over
+    # that trajectory up to round-off, and the tangent sweep of simulate's
+    # run is direct_gradient's byte for byte
     from hybridsens.adjoint import propagate_adjoint
 
     prob = _gallery(name)
     for cname in sorted(prob.costs):
         cost = prob.cost(cname)
         args = (prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span, prob.config)
-        grad, traj, _ = direct_gradient(*args)
+        grad, traj, XF = direct_gradient(*args)
         ref = simulate(*args)
         assert rel_err(grad, propagate_adjoint(ref, cost).gradient) <= 1e-12, cname
         assert len(traj.segments) == len(ref.segments)
@@ -220,6 +222,66 @@ def test_direct_pass_is_the_tangent_of_simulate_steps(name):
             assert seg.dense.node_times.tobytes() == seg_ref.dense.node_times.tobytes()
             assert seg.dense.node_states.tobytes() == seg_ref.dense.node_states.tobytes()
         assert [rec.t_eve for rec in traj.events] == [rec.t_eve for rec in ref.events]
+
+        XF_ref = propagate_direct(ref)
+        for a, b in ((XF.Q, XF_ref.Q), (XF.V, XF_ref.V), (XF.Z, XF_ref.Z)):
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+        for seg, seg_ref in zip(traj.segments, ref.segments):
+            assert seg.tangent.node_states.tobytes() == seg_ref.tangent.node_states.tobytes()
+        qF, vF, _ = ref.final_state
+        w_grads = terminal_cost_gradients(cost, ref.segments[-1].dynamics, ref.tF, qF, vF,
+                                          ref.rho)
+        assert assemble_cost_sensitivity_direct(XF_ref, w_grads).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("name", ["bouncing-mass", "pendulum"])
+def test_sweeping_a_run_twice_rewrites_the_same_bytes(name):
+    # the sweep writes the tangent and the event-time sensitivities and only
+    # reads the run's states and jump matrices
+    prob = _gallery(name)
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    assert traj.events
+    run = ([seg.dense.node_states.tobytes() for seg in traj.segments],
+           [rec.jump.S.tobytes() for rec in traj.events])
+
+    def sweep():
+        XF = propagate_direct(traj)
+        return (np.vstack([XF.Q, XF.V, XF.Z]).tobytes(),
+                [seg.tangent.node_states.tobytes() for seg in traj.segments],
+                [(rec.dteve_drho.tobytes(), None if rec.delta_mu_sens is None
+                  else rec.delta_mu_sens.tobytes()) for rec in traj.events])
+
+    first = sweep()
+    assert sweep() == first
+    assert ([seg.dense.node_states.tobytes() for seg in traj.segments],
+            [rec.jump.S.tobytes() for rec in traj.events]) == run
+
+
+@pytest.mark.parametrize("name", ["bouncing-mass", "pendulum"])
+def test_a_run_builds_its_initial_state_once_and_no_sweep_builds_it(monkeypatch, name):
+    from hybridsens.adjoint import propagate_adjoint
+
+    prob = _gallery(name)
+    model, calls = prob.dynamics.model, []
+    original = model.initial_state
+    monkeypatch.setattr(model, "initial_state", lambda rho: calls.append(1) or original(rho))
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    assert len(calls) == 1
+    propagate_direct(traj)
+    propagate_adjoint(traj)
+    assert len(calls) == 1
+
+
+def test_sensitivity_at_on_a_run_not_yet_swept_names_the_sweep():
+    prob = _gallery("bouncing-mass")
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    with pytest.raises(ValueError, match=r"propagate_direct\(traj\)"):
+        traj.sensitivity_at(0.2)
+    propagate_direct(traj)
+    assert traj.sensitivity_at(0.2).Q.shape == (1, 2)
 
 
 def _count_residual_calls(monkeypatch):
@@ -289,7 +351,7 @@ def test_empty_or_reversed_span_is_refused(t_span):
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()
-    for run in (simulate, propagate_direct):
+    for run in (simulate, direct_gradient):
         with pytest.raises(ValueError, match="empty or reversed"):
             run(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, t_span, prob.config)
 

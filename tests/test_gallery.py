@@ -31,6 +31,16 @@ def test_registry_names_and_costs():
         fb.cost("nope")
 
 
+def test_five_bar_refuses_repeated_and_unknown_parameter_names():
+    # each name maps to one rho slot: ("k1", "k1") used to read only rho[1],
+    # so rho[0] moved nothing and its gradient read 0
+    for names in (("k1", "k1"), ("k1", "L21", "k1")):
+        with pytest.raises(ValueError, match=r"repeated \['k1'\]"):
+            five_bar(param_names=names)
+    with pytest.raises(ValueError, match=r"unknown \['k9'\]"):
+        five_bar_model(("k1", "k9"))
+
+
 def test_five_bar_assembly_residual():
     model = five_bar_model()
     ic = model.initial_state(np.array([100.0, 100.0]))
@@ -113,8 +123,10 @@ def test_bouncing_mass_closed_form_gradients_all_pipelines():
 def test_bouncing_mass_event_time_and_state_closed_form():
     prob = bouncing_mass()
     rho = prob.rho0.rho
-    traj, _, recs = propagate_direct(prob.dynamics, prob.cost("int-vy"),
-                                     prob.events, rho, prob.t_span, prob.config)
+    traj = simulate(prob.dynamics, prob.cost("int-vy"), prob.events, rho, prob.t_span,
+                    prob.config)
+    propagate_direct(traj)
+    recs = traj.events
     t1 = np.sqrt(2 * rho[0] / G)
     assert abs(recs[0].t_eve - t1) < 1e-8
     assert abs(recs[0].v_minus[0] + G * t1) < 1e-7
@@ -143,9 +155,9 @@ def test_pendulum_capture_delta_mu_sensitivity_fd():
     prob = pendulum()
     cost = prob.cost("x-final")
     rho = prob.rho0.rho
-    traj, _, recs = propagate_direct(prob.dynamics, cost, prob.events, rho,
-                                     prob.t_span, prob.config)
-    sens = recs[0].delta_mu_sens
+    traj = simulate(prob.dynamics, cost, prob.events, rho, prob.t_span, prob.config)
+    propagate_direct(traj)
+    sens = traj.events[0].delta_mu_sens
     h = 1e-6
     fd = np.zeros((1, 3))
     for j in range(3):
@@ -153,9 +165,8 @@ def test_pendulum_capture_delta_mu_sensitivity_fd():
         for sgn in (1.0, -1.0):
             rr = rho.copy()
             rr[j] += sgn * h
-            _, _, rp = propagate_direct(prob.dynamics, cost, prob.events, rr,
-                                        prob.t_span, prob.config)
-            vals.append(rp[0].delta_mu[0])
+            rp = simulate(prob.dynamics, cost, prob.events, rr, prob.t_span, prob.config)
+            vals.append(rp.events[0].delta_mu[0])
         fd[0, j] = (vals[0] - vals[1]) / (2 * h)
     assert np.max(np.abs(sens - fd)) < 1e-4 * max(1.0, np.abs(fd).max())
 
@@ -167,8 +178,9 @@ def test_five_bar_post_event_sensitivities_stay_constraint_consistent():
     prob = five_bar(param_names=("k1", "L21"))
     cost = prob.cost("int-vy2")
     rho = prob.rho0.rho
-    traj, XF, recs = propagate_direct(prob.dynamics, cost, prob.events, rho,
-                                      (0.0, 1.0), prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, rho, (0.0, 1.0), prob.config)
+    propagate_direct(traj)
+    recs = traj.events
     assert len(recs) >= 1
     cons = prob.dynamics.model.constraints
     t_probe = recs[0].t_eve + 1e-4

@@ -270,25 +270,23 @@ def test_gamma_rows_are_identity_block():
 def test_bounce_jump_matches_fd_across_event():
     # propagate X through the bounce via S and compare with FD of the
     # post-event state evaluated strictly after the event
-    from hybridsens.direct import propagate_direct
+    from hybridsens.direct import propagate_direct, simulate
     from hybridsens.gallery import bouncing_mass
 
     prob = bouncing_mass()
     rho = prob.rho0.rho
     cost = prob.cost("int-vy")
     t_probe = 0.6  # after the first bounce (~0.4515), before the second
-    traj, XF, recs = propagate_direct(prob.dynamics, cost, prob.events, rho,
-                                      (0.0, t_probe), prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, rho, (0.0, t_probe), prob.config)
+    propagate_direct(traj)
     X = traj.sensitivity_at(t_probe)
     h = 1e-6
     for j in range(2):
         rp, rm = rho.copy(), rho.copy()
         rp[j] += h
         rm[j] -= h
-        tp, _, _ = propagate_direct(prob.dynamics, cost, prob.events, rp,
-                                    (0.0, t_probe), prob.config)
-        tm, _, _ = propagate_direct(prob.dynamics, cost, prob.events, rm,
-                                    (0.0, t_probe), prob.config)
+        tp = simulate(prob.dynamics, cost, prob.events, rp, (0.0, t_probe), prob.config)
+        tm = simulate(prob.dynamics, cost, prob.events, rm, (0.0, t_probe), prob.config)
         (qp, vp, _), (qm, vm, _) = tp.state_at(t_probe), tm.state_at(t_probe)
         assert abs((qp[0] - qm[0]) / (2 * h) - X.Q[0, j]) < 1e-4 * max(1, abs(X.Q[0, j]))
         assert abs((vp[0] - vm[0]) / (2 * h) - X.V[0, j]) < 1e-4 * max(1, abs(X.V[0, j]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridsens.core import Dimensions
-from hybridsens.direct import propagate_direct
+from hybridsens.direct import propagate_direct, simulate
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
 from hybridsens.oracle import (
@@ -93,8 +93,8 @@ def test_trajectory_fd_matches_tlm_on_smooth_parts():
     times = np.linspace(0.05, 1.45, 15)
     samples = fd_trajectory_sensitivity(prob.dynamics, cost, prob.events, rho,
                                         prob.t_span, times, prob.config)
-    traj, _, _ = propagate_direct(prob.dynamics, cost, prob.events, rho,
-                                  prob.t_span, prob.config)
+    traj = simulate(prob.dynamics, cost, prob.events, rho, prob.t_span, prob.config)
+    propagate_direct(traj)
     checked = 0
     for s in samples:
         if not s.reliable:
@@ -156,8 +156,8 @@ def test_trajectory_fd_without_a_cost_matches_tlm():
     rho = prob.rho0.rho
     samples = fd_trajectory_sensitivity(prob.dynamics, None, prob.events, rho, prob.t_span,
                                         np.linspace(0.05, 1.45, 15), prob.config)
-    traj, _, _ = propagate_direct(prob.dynamics, None, prob.events, rho, prob.t_span,
-                                  prob.config)
+    traj = simulate(prob.dynamics, None, prob.events, rho, prob.t_span, prob.config)
+    propagate_direct(traj)
     reliable = [s for s in samples if s.reliable]
     assert len(reliable) >= 10
     for s in reliable:

@@ -10,7 +10,7 @@ import pytest
 
 import hybridsens.integrate as integrate
 from hybridsens.constrained import PenaltyDynamics
-from hybridsens.direct import propagate_direct, simulate
+from hybridsens.direct import direct_gradient, simulate
 from hybridsens.gallery import FIVE_BAR_PARAMS, five_bar, pendulum
 from hybridsens.model import OdeDynamics
 
@@ -44,7 +44,7 @@ CASES = {
     "five-bar-dae": (lambda: five_bar(formulation="dae"), "int-ay2", simulate),
     "pendulum-capture": (pendulum, "int-vx", simulate),
     "five-bar-dae-direct": (lambda: five_bar(formulation="dae"), "int-ay2",
-                            lambda *args: propagate_direct(*args)[0]),
+                            lambda *args: direct_gradient(*args)[1]),
 }
 
 

@@ -26,7 +26,7 @@ from hybridsens.gallery import (
     pendulum_model,
 )
 from hybridsens.integrate import RK45, RK_A, RK_C, integrate_segment
-from hybridsens.model import cost_density_gradients
+from hybridsens.model import CostFunctional, cost_density_gradients
 from test_constrained import five_bar_states, pendulum_states
 
 
@@ -104,7 +104,7 @@ def reference_adjoint(traj, cost):
 def reference_lam_at(sol, t):
     """The stored adjoint at the first node after t, integrated back to t
     with the right side -lam' in the reversed time s = -t."""
-    traj, cost, n = sol.traj, sol.cost, sol.traj.dims.n
+    traj, cost, n = sol.traj, sol.traj.cost, sol.traj.dims.n
     row = 0
     for seg in reversed(traj.segments):
         nodes = seg.dense.node_times
@@ -149,6 +149,16 @@ def reference_tangent(traj, cost, ic):
     return nodes_per_segment, X
 
 
+# a density of the state: the cost gradient at every stage, the truncated
+# steps' last stage included, depends on that stage's state
+INT_VY_SQUARED = CostFunctional(
+    nc=1,
+    g=lambda t, q, v, a, rho, u: np.array([v[0] ** 2]),
+    g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 1)), np.array([[2.0 * v[0]]]),
+                                           np.zeros((1, 1)), np.zeros((1, 2)), None),
+    name="int-vy-squared",
+)
+
 SWEEPS = {
     # p = 8, ten contacts
     "five-bar-penalty": (lambda: five_bar(param_names=FIVE_BAR_PARAMS), "int-ay2sq-vy2sq",
@@ -156,6 +166,8 @@ SWEEPS = {
     "five-bar-dae": (lambda: five_bar(formulation="dae"), "int-ay2", None, None),
     # 16 impacts, each segment cut at its event by a truncated step
     "bouncing-mass": (bouncing_mass, "int-vy", np.array([1.0, 0.9]), (0.0, 7.0)),
+    "bouncing-mass-int-vy-squared": (bouncing_mass, INT_VY_SQUARED, np.array([1.0, 0.9]),
+                                     (0.0, 7.0)),
     # ODE to DAE at the capture; a density, and a terminal cost alone
     "pendulum-int-vx": (pendulum, "int-vx", None, None),
     "pendulum-x-final": (pendulum, "x-final", None, None),
@@ -166,11 +178,11 @@ SWEEPS = {
 def test_sweeps_are_bytewise_the_rebuilt_stage_references(name):
     make, cname, rho, t_span = SWEEPS[name]
     prob = make()
-    cost = prob.cost(cname)
+    cost = prob.cost(cname) if isinstance(cname, str) else cname
     rho = prob.rho0.rho if rho is None else rho
     request = (prob.dynamics, cost, prob.events, rho, t_span or prob.t_span, prob.config)
     traj = simulate(*request)
-    if name == "bouncing-mass":
+    if name.startswith("bouncing-mass"):
         assert len(traj.events) >= 14
     assert all(seg.dense.truncated for seg in traj.segments[:-1])
 
@@ -184,9 +196,9 @@ def test_sweeps_are_bytewise_the_rebuilt_stage_references(name):
         t = 0.5 * (nodes[-2] + nodes[-1])
         assert join(sol.lam_at(t)).tobytes() == reference_lam_at(sol, t).tobytes(), t
 
-    dtraj, XF, _ = propagate_direct(*request)
-    nodes, X = reference_tangent(dtraj, cost, prob.dynamics.model.initial_state(rho))
-    for seg, ref in zip(dtraj.segments, nodes, strict=True):
+    XF = propagate_direct(traj)
+    nodes, X = reference_tangent(traj, cost, prob.dynamics.model.initial_state(rho))
+    for seg, ref in zip(traj.segments, nodes, strict=True):
         assert seg.tangent.node_states.tobytes() == ref.tobytes()
     for a, b in ((XF.Q, X.Q), (XF.V, X.V), (XF.Z, X.Z)):
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
