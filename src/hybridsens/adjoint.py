@@ -37,13 +37,19 @@ from .constrained import checked_lu  # noqa: F401
 
 
 def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
-    """Adjoint values at the final time: transposed terminal-cost gradients."""
-    _, wq, wv, wr = terminal_cost_gradients(cost, dyn, tF, q, v, rho)
+    """Adjoint values at the final state (q, v) of dynamics dyn."""
+    return _transposed(terminal_cost_gradients(cost, dyn, tF, q, v, rho), cost.nc)
+
+
+def _transposed(w_grads, nc: int) -> AdjointState:
+    """The adjoint state of the terminal-cost gradients (w, w_q, w_v, w_rho):
+    their transposes, and lamZ = I."""
+    _, wq, wv, wr = w_grads
     return AdjointState(
         lamQ=wq.T.copy(),
         lamV=wv.T.copy(),
         lamGamma=wr.T.copy(),
-        lamZ=np.eye(cost.nc),
+        lamZ=np.eye(nc),
     )
 
 
@@ -76,7 +82,9 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     weight h w_i inside a discrete step.  Both sweeps use it as returned:
     the discrete stage's mu_i and ``AdjointSolution.lam_at``'s right side.
     The lamGamma block of y does not enter.  y is read as one (2n + p, nc)
-    view and the derivative written into one array of that layout.
+    view and the derivative written into one array of that layout, each
+    product straight into its rows and the sums added in place, in the
+    order lamQ + f_v^T lamV + w g_v^T.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
@@ -90,9 +98,14 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     else:  # a zero density: adding the scalar +0.0 is adding a zero block
         gT_q = gT_v = gT_rho = 0.0
     out = np.empty(lam.shape)
-    out[:n] = f_q.T @ lamV + gT_q
-    out[n:2 * n] = lam[:n] + f_v.T @ lamV + gT_v
-    out[2 * n:] = f_rho.T @ lamV + gT_rho
+    dQ, dV, dG = out[:n], out[n:2 * n], out[2 * n:]
+    np.matmul(f_q.T, lamV, out=dQ)
+    dQ += gT_q
+    np.matmul(f_v.T, lamV, out=dV)
+    np.add(lam[:n], dV, out=dV)
+    dV += gT_v
+    np.matmul(f_rho.T, lamV, out=dG)
+    dG += gT_rho
     return out.ravel()
 
 
@@ -196,8 +209,7 @@ def propagate_adjoint(traj: HybridTrajectory,
         raise ValueError("adjoint propagation needs the cost functional")
     dims, rho, nc = traj.dims, traj.rho, cost.nc
 
-    qF, vF, _ = traj.state_at(traj.tF)
-    lam = terminal_conditions(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, rho)
+    lam = _transposed(traj.terminal_gradients(), nc)
 
     times_acc = []
     series_acc = []

@@ -16,7 +16,6 @@ The momentum-level KKT solve of an inelastic capture lives here too, and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +103,13 @@ class ConstraintResiduals:
         return max(self.vel, default=0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _saddle_template(n: int, m: int, c: float) -> np.ndarray:
-    """The read-only (n + m) square saddle matrix with only its constant
-    (2,2) block filled: the bytes of -c * eye(m) (-c * 0.0 is a signed zero
-    off the diagonal), or exact zeros for c = 0.  Built once per shape and
-    c; ``saddle_factor`` copies it and writes the state-dependent blocks."""
+def _saddle_zeros(n: int, m: int, c: float) -> np.ndarray:
+    """The (n + m) square saddle matrix with only its (2,2) block filled:
+    the bytes of -c * eye(m), whose off-diagonal zeros are signed, or exact
+    zeros for c = 0."""
     K = np.zeros((n + m, n + m))
     if c:
         K[n:, n:] = -c * np.eye(m)
-    K.flags.writeable = False
     return K
 
 
@@ -126,7 +122,7 @@ def saddle_factor(M: np.ndarray, G: np.ndarray, c: float, what: str):
     poisons every solve with cond * eps noise.
     """
     n, m = M.shape[0], G.shape[0]
-    K = _saddle_template(n, m, c).copy()
+    K = _saddle_zeros(n, m, c)
     K[:n, :n] = M
     K[:n, n:] = G.T
     K[n:, :n] = G
@@ -140,9 +136,14 @@ class _SaddleDynamics:
 
     Subclasses set the regularization ``_c`` and the bottom source b with
     its partials; everything else is shared.  ``model`` is the constrained
-    model itself (events and residuals need its constraint set).  An object
-    holds no per-call state, so threads may share it: each call factors K
-    at its own state and hands back what it solved.
+    model itself (events and residuals need its constraint set).
+
+    Each K starts as a copy of the object's read-only template, built once
+    with the blocks that do not depend on the state: -c I and, under
+    ``mass_constant``, M (read at t = 0 and the zero state and
+    parameters).  An object holds no per-call state, so threads may share
+    it: each call factors its own copy at its own state and hands back
+    what it solved.
     """
 
     _c = 0.0
@@ -153,27 +154,44 @@ class _SaddleDynamics:
             raise ValueError(f"{type(self).__name__} needs a constrained model")
         self.model = model
         self.dims = model.dims
+        n = self.dims.n
+        K = _saddle_zeros(n, model.constraints.m, self._c)
+        if model.mass_constant:
+            K[:n, :n] = model.mass_at(0.0, np.zeros(n), np.zeros(self.dims.p))
+        K.flags.writeable = False
+        self._template = K
 
-    def _factor(self, t, q, rho, G):
-        return saddle_factor(self.model.mass_at(t, q, rho), G, self._c, self._what)
+    def _saddle_lu(self, t, q, rho):
+        """(G, solve): G = phi_q and the checked LU solve of K at (t, q, rho),
+        factored on a copy of the template with G (and M unless constant)
+        written in."""
+        model, n = self.model, self.dims.n
+        G = model.constraints.jac_q(t, q, rho)
+        K = self._template.copy()
+        if not model.mass_constant:
+            K[:n, :n] = model.mass_at(t, q, rho)
+        K[:n, n:] = G.T
+        K[n:, :n] = G
+        return G, checked_lu(K, self._what)
 
-    def _solve_on(self, factor, t, q, v, rho, G):
-        """(vdot, mu) at one state on its saddle factor."""
-        b = self._source(t, q, v, rho, G, self.model.constraints.accel_rhs(t, q, v, rho))
-        sol = factor(np.concatenate([self.model.force_at(t, q, v, rho), b]))
-        return sol[:self.dims.n], sol[self.dims.n:]
-
-    def _solve(self, t, q, v, rho):
-        """(vdot, mu) at one state from one saddle solve."""
-        G = self.model.constraints.jac_q(t, q, rho)
-        return self._solve_on(self._factor(t, q, rho, G), t, q, v, rho, G)
+    def _solve(self, t, q, v, rho, saddle=None):
+        """(vdot, mu) at one state from one saddle solve, on the factor
+        ``saddle = (G, solve)`` of ``_saddle_lu`` at the same state if given:
+        [F; b] is filled into one vector and solved."""
+        model, cons, n = self.model, self.model.constraints, self.dims.n
+        G, solve = saddle or self._saddle_lu(t, q, rho)
+        rhs = np.empty(n + cons.m)
+        rhs[n:] = self._source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
+        rhs[:n] = model.force_at(t, q, v, rho)
+        sol = solve(rhs)
+        return sol[:n], sol[n:]
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """(vdot, mu, (f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) at one state:
         the Jacobian blocks of the map (q, v, rho) -> (vdot, mu), the partials
         of the saddle solve (``differentiate_saddle``).  On the analytic
         route (the constraint set declares its constant ``hessian``) K is
-        factored once, the right side [F_z; b_z] is filled from one
+        factored once, the right side [F_z; b_z] is filled in place from one
         ``force_jacobians`` evaluation and the source partials, its K_z terms
         are subtracted (``_subtract_saddle_partials``) and it is solved on
         that factor.  Given the state's solution (vdot, mu), as the sweeps
@@ -189,16 +207,16 @@ class _SaddleDynamics:
             if mu is None:  # central differences solve at the perturbed states only
                 vdot, mu = self._solve(t, q, v, rho)
         else:
-            G = cons.jac_q(t, q, rho)
-            factor = self._factor(t, q, rho, G)
+            saddle = self._saddle_lu(t, q, rho)
             if mu is None:
-                vdot, mu = self._solve_on(factor, t, q, v, rho, G)
+                vdot, mu = self._solve(t, q, v, rho, saddle)
+            G, solve = saddle
             rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
             rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
             rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = self._source_partials(
                 t, q, v, rho, G, cons.qq_action(t, q, rho, v))
             _subtract_saddle_partials(model, t, q, rho, vdot, mu, rhs)
-            sol = factor(rhs)
+            sol = solve(rhs)
         f, g = sol[:n], sol[n:]
         return (vdot, mu, (f[:, :n], f[:, n:2 * n], f[:, 2 * n:]),
                 (g[:, :n], g[:, n:2 * n], g[:, 2 * n:]))
@@ -348,15 +366,17 @@ def _subtract_saddle_partials(model: MultibodyModel, t, q, rho, x, mu, rhs) -> N
         z = v:    [a_v ; b_v]
         z = rho:  [a_rho - M_rho x ; b_rho],
 
-    M_z skipped under ``mass_constant``."""
+    M_z skipped under ``mass_constant``.  qqT(mu) and qq(x) contract the
+    constraint set's reshaped Hessian views, as its ``qqT_action`` and
+    ``qq_action`` do."""
     cons, n = model.constraints, model.dims.n
     top, bottom = rhs[:n], rhs[n:]
     if not model.mass_constant:
         M_q, M_rho = model.mass_jacobians(t, q, rho, x)
         top[:, :n] -= M_q
         top[:, 2 * n:] -= M_rho
-    top[:, :n] -= cons.qqT_action(t, q, rho, mu)
-    bottom[:, :n] -= cons.qq_action(t, q, rho, x)
+    top[:, :n] -= (mu @ cons._hess_flat).reshape(n, n)
+    bottom[:, :n] -= (cons._hess_rows @ x).reshape(cons.m, n)
 
 
 def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):

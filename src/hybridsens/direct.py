@@ -84,6 +84,20 @@ class HybridTrajectory:
     def final_state(self):
         return self.state_at(self.tF)
 
+    def terminal_gradients(self, final_state=None):
+        """(w, w_q, w_v, w_rho) of the run's cost at its final state, with
+        the last segment's dynamics (``model.terminal_cost_gradients``).
+        ``final_state``, if given, is what ``final_state`` returned, so that
+        a caller holding it does not interpolate the end again.  The direct
+        gradient of a swept run is
+        ``assemble_cost_sensitivity_direct(propagate_direct(traj), traj.terminal_gradients())``."""
+        if self.cost is None:
+            raise ValueError("the run has no cost: simulate it with one to take its "
+                             "terminal gradients")
+        qF, vF, _ = self.final_state if final_state is None else final_state
+        return terminal_cost_gradients(self.cost, self.segments[-1].dynamics, self.tF,
+                                       qF, vF, self.rho)
+
     @property
     def residuals(self) -> ConstraintResiduals:
         """Constraint residuals (max |Phi|, max |phi_q v|) at every stored
@@ -107,7 +121,9 @@ def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     n = dims.n
     q, v = y[:n], y[n:2 * n]
     vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
-    return np.concatenate([v, vdot, cost.g_value(t, q, v, vdot, rho, mu=mu)]), mu
+    f = np.empty(y.shape)
+    f[:n], f[n:2 * n], f[2 * n:] = v, vdot, cost.g_value(t, q, v, vdot, rho, mu=mu)
+    return f, mu
 
 
 def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
@@ -121,7 +137,8 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     with the Jacobian blocks of the active dynamics and the resolved cost
     gradients.  The Z block of X does not enter.  X is read as one
     (2n + nc, p) view and the derivative written into one array of that
-    layout.
+    layout, each product straight into its rows and the sums added in
+    place, in the order f_q Q + f_v V + f_rho.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
@@ -132,8 +149,13 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
     out = np.empty(X.shape)
     out[:n] = V
-    out[n:2 * n] = f_q @ Q + f_v @ V + f_rho
-    out[2 * n:] = g_q @ Q + g_v @ V + g_rho
+    dV, dZ = out[n:2 * n], out[2 * n:]
+    np.matmul(f_q, Q, out=dV)
+    dV += f_v @ V
+    dV += f_rho
+    np.matmul(g_q, Q, out=dZ)
+    dZ += g_v @ V
+    dZ += g_rho
     return out.ravel()
 
 
@@ -190,10 +212,14 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
     y, t, active = np.concatenate([initial.q0, initial.v0, np.zeros(integrand.nc)]), t0, dyn
     solved = [None]  # the multipliers of the last rhs evaluation
+    start = None  # (f, mu) at a segment's start, if the event already evaluated them
+
+    def rows(mu):
+        return np.empty(0) if mu is None else mu  # ODE dynamics: empty rows
 
     def rhs(s, x, d):
         f, mu = tlm_rhs(d, integrand, dims, rho, s, x)
-        solved[0] = np.empty(0) if mu is None else mu  # ODE dynamics: empty rows
+        solved[0] = rows(mu)
         return f
 
     while t < tF - 1e-14 * max(1.0, abs(tF)):
@@ -201,7 +227,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
         # evaluation: they are that evaluation's
         seg_dense, (t_end, y_end), hit = integrate_segment(
             lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
-            wrappers, monitor, lambda s, x: solved[0])
+            wrappers, monitor, lambda s, x: solved[0], start)
         segments.append(TrajectorySegment(t, t_end, seg_dense, active))
         check_one_sided(active, seg_dense)
         if hit is None:
@@ -226,8 +252,10 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
             delta_mu=delta_mu,
         ))
 
-        # positions and quadrature are continuous; restart just off the root
+        # positions and quadrature are continuous; restart just off the root,
+        # where [v+; vdot+; g+] is tlm_rhs of the new dynamics, bitwise
         y = np.concatenate([q, v_plus, z])
+        start = np.concatenate([v_plus, vdot_plus, g_plus]), rows(mu_p)
         depart = 10.0 * config.event_tol * max(1.0, abs(rdot_plus))
         depart = max(depart, 2.0 * abs(hit.r_residual))
         monitor.mask(hit.index, depart, float(np.sign(rdot_plus)) if spec.must_depart else 0.0)
@@ -292,6 +320,4 @@ def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | N
     # not simulate, which perfbench/spans.py times as the forward pass
     traj = _run_hybrid(dyn, cost, events, rho, t_span, config)
     XF = propagate_direct(traj)
-    qF, vF, _ = traj.final_state
-    w_grads = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, traj.rho)
-    return assemble_cost_sensitivity_direct(XF, w_grads), traj, XF
+    return assemble_cost_sensitivity_direct(XF, traj.terminal_gradients()), traj, XF

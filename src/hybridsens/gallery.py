@@ -190,12 +190,10 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
     qA, qB = d["qA"], d["qB"]
 
     def diffs(q):
-        return (
-            q[0:2] - qA,
-            q[2:4] - q[0:2],
-            q[4:6] - q[2:4],
-            qB - q[4:6],
-        )
+        """The four link vectors head - tail as the rows of one (4, 2)
+        array, from one subtraction along the chain qA, q1, q2, q3, qB."""
+        chain = np.concatenate((qA, q, qB))
+        return (chain[2:] - chain[:-2]).reshape(4, 2)
 
     def phi(t, q, rho):
         dv = diffs(q)
@@ -212,7 +210,7 @@ def _five_bar_constraints(pm: _FiveBarParameterMap) -> ConstraintSet:
         ])
 
     # phi_q = 2 (D_i q + c_i)^T D_i, row by row: hess[i] q + 2 c_i^T D_i
-    G_at_zero = 2.0 * np.einsum("ia,iak->ik", np.array(diffs(np.zeros(6))), D)
+    G_at_zero = 2.0 * np.einsum("ia,iak->ik", diffs(np.zeros(6)), D)
 
     def phi_q(t, q, rho):
         return (hess_rows @ q).reshape(4, 6) + G_at_zero
@@ -270,20 +268,13 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
     table = tuple((i, anchor, pm.resolve(k_name), pm.resolve(L_name))
                   for i, anchor, k_name, L_name in _FIVE_BAR_SPRINGS)
 
-    def springs(q, rho):
-        """Per spring: point index, stiffness and length slots, k, L0 and
-        geometry."""
-        x, r = q.tolist(), rho.tolist()
-        for i, anchor, (jk, k), (jL, L0) in table:
-            if jk is not None:
-                k = r[jk]
-            if jL is not None:
-                L0 = r[jL]
-            yield i, jk, jL, k, L0, _spring(x[i], x[i + 1], anchor, k, L0)
-
     def force(t, q, v, rho):
         F = Fg.copy()
-        for i, *_, (_, _, _, fx, fy) in springs(q, rho):
+        x, r = q.tolist(), rho.tolist()
+        for i, anchor, (jk, k), (jL, L0) in table:
+            k = k if jk is None else r[jk]
+            L0 = L0 if jL is None else r[jL]
+            _, _, _, fx, fy = _spring(x[i], x[i + 1], anchor, k, L0)
             F[i] += fx
             F[i + 1] += fy
         return F
@@ -295,7 +286,11 @@ def five_bar_model(param_names=("k1", "k2")) -> MultibodyModel:
         read-only zero block."""
         F_q = np.zeros((6, 6))
         F_rho = np.zeros((6, dims.p))
-        for i, jk, jL, k, L0, (dx, dy, L, fx, fy) in springs(q, rho):
+        x, r = q.tolist(), rho.tolist()
+        for i, anchor, (jk, k), (jL, L0) in table:
+            k = k if jk is None else r[jk]
+            L0 = L0 if jL is None else r[jL]
+            dx, dy, L, fx, fy = _spring(x[i], x[i + 1], anchor, k, L0)
             a, b = 1.0 - L0 / L, L0 / L ** 3
             F_q[i, i] = -k * (a + b * (dx * dx))
             F_q[i, i + 1] = F_q[i + 1, i] = -k * (b * (dx * dy))

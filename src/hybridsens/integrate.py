@@ -517,7 +517,8 @@ def _sample_times(t_old, t_new) -> list:
 def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
                       monitor: EventMonitor | None = None,
-                      multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None):
+                      multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None,
+                      start: tuple | None = None):
     """Integrate y' = rhs(t, y) forward over t_span, stopping at the first
     event root; a span with t_span[1] <= t_span[0] is refused.
 
@@ -538,6 +539,11 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     n_stages evaluations per attempt, so the last n_stages rows after a
     step are stages 1..6 of the accepted attempt; stage 0 of every later
     step is the previous step's stage 6 (FSAL).
+
+    ``start = (f, mu)``, if given, is f(t0, y0) with its multipliers row,
+    as a caller that has evaluated them hands them in (a hybrid run at the
+    post-event state): the solver's first evaluation takes them instead of
+    calling rhs and ``multipliers``, and is checked and counted as any.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(y0, dtype=float)
@@ -554,8 +560,12 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     mu_rows, evaluated, first = None, [], True  # evaluated: rows since the last step
 
     def fun(t, y):
-        nonlocal first
-        f = rhs(t, y)
+        nonlocal first, start
+        if start is None:
+            f = rhs(t, y)
+            mu = None if multipliers is None else multipliers(t, y)
+        else:
+            (f, mu), start = start, None
         if first:
             # f(t0, y0), refused before the stepper probes a step with it: its step
             # loop never ends on a non-finite derivative
@@ -563,7 +573,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                 raise IntegrationError(f"non-finite right-hand side at t={t0}")
             first = False
         if multipliers is not None:
-            evaluated.append(multipliers(t, y))
+            evaluated.append(mu)
         return f
     solver = RK45(fun, t0, y0, tf, **kwargs)
     if multipliers is not None:

@@ -70,23 +70,31 @@ def _partials(callback, what, fun, args, blocks):
     is None.
 
     With a ``callback``, ``callback(*args)`` returns all blocks at once and
-    each is checked against its shape: a mismatch raises a DimensionError
-    naming ``what()``, the label formed only then, and the block.  Without
-    one, every block is a central difference of fun (``fd_derivative`` in a
-    scalar argument).
+    each is checked against its shape as it is read: a mismatch raises a
+    DimensionError naming ``what()``, the label formed only then, and every
+    block of the wrong shape.  Without one, every block is a central
+    difference of fun (``fd_derivative`` in a scalar argument).
     """
     if callback is not None:
         out = tuple(callback(*args))
         if len(out) != len(blocks):
             raise DimensionError(f"{what()} returned {len(out)} blocks; expected "
                                  + ", ".join(name for name, _ in blocks))
-        out = tuple([None if shape is None else np.asarray(b, dtype=float)
-                     for b, (_, shape) in zip(out, blocks)])
-        bad = [f"{name} of shape {b.shape} (expected {shape})"
-               for b, (name, shape) in zip(out, blocks) if b is not None and b.shape != shape]
-        if bad:
-            raise DimensionError(f"{what()} returned " + ", ".join(bad))
-        return out
+        checked = []
+        for b, (_, shape) in zip(out, blocks):
+            if shape is None:
+                b = None
+            else:
+                b = np.asarray(b, dtype=float)
+                if b.shape != shape:  # name every block of the wrong shape
+                    bad = []
+                    for c, (name, want) in zip(out, blocks):
+                        got = None if want is None else np.asarray(c, dtype=float).shape
+                        if got != want:
+                            bad.append(f"{name} of shape {got} (expected {want})")
+                    raise DimensionError(f"{what()} returned " + ", ".join(bad))
+            checked.append(b)
+        return tuple(checked)
     out = []
     for i, (_, shape) in enumerate(blocks, len(args) - len(blocks)):
         if shape is None:
@@ -136,16 +144,21 @@ def pivot_ratio(factor: np.ndarray) -> float:
     """max |d| / min |d| over the diagonal d of a triangular factor: inf for
     a zero pivot, NaN for a NaN pivot, as numpy's reductions give them.
 
-    The diagonal is read as Python floats: on a small factor numpy's
-    reductions cost more than the factorization.  Python's min and max skip
-    a NaN or not depending on its position, so a NaN is caught first (a sum
-    of absolute values is NaN exactly when one of them is).
+    The diagonal is read as Python floats and scanned once: on a small
+    factor numpy's reductions cost more than the factorization.  A NaN
+    fails both comparisons of the scan, so it is caught where it stands.
     """
-    d = [abs(x) for x in factor.diagonal().tolist()]
-    if math.isnan(sum(d)):
-        return math.nan
-    lo = min(d)
-    return math.inf if lo == 0.0 else max(d) / lo
+    d = factor.diagonal().tolist()
+    lo = hi = abs(d[0])
+    for x in d:
+        x = abs(x)
+        if x < lo:
+            lo = x
+        elif x > hi:
+            hi = x
+        elif x != x:
+            return math.nan
+    return math.inf if lo == 0.0 else hi / lo
 
 
 def _spd_solve(M: np.ndarray, B: np.ndarray, what: str, t: float) -> np.ndarray:

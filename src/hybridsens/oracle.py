@@ -19,7 +19,6 @@ import numpy as np
 
 from .direct import simulate
 from .integrate import IntegratorConfig
-from .model import terminal_cost_gradients
 
 DEFAULT_H_REL = 1e-6
 
@@ -28,11 +27,10 @@ class EventTopologyError(RuntimeError):
     """A perturbed run produced a different event sequence than the nominal."""
 
 
-def _cost_value(traj, cost):
+def _cost_value(traj):
     """Total cost psi = z(tF) + w(tF) of one run."""
-    qF, vF, zF = traj.final_state
-    w = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, traj.rho)[0]
-    return zF + w
+    final = traj.final_state
+    return final[2] + traj.terminal_gradients(final)[0]
 
 
 def check_h_rel(h_rel):
@@ -92,7 +90,7 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
         raise ValueError("the nominal run must have the same rho, time span and config")
     grad = np.zeros((cost.nc, rho.size))
     runs = _perturbed_runs(dyn, cost, events, rho, t_span, config, h_rel,
-                           _event_signature(nominal), lambda traj: _cost_value(traj, cost))
+                           _event_signature(nominal), _cost_value)
     for j, (psi_p, psi_m, step) in enumerate(runs):
         grad[:, j] = (psi_p - psi_m) / step
     return grad

@@ -26,6 +26,7 @@ from hybridsens.gallery import (
     five_bar,
     pendulum_model,
 )
+from hybridsens.core import DimensionError
 from hybridsens.model import ConstraintSet, fd_jacobian
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.direct import simulate
@@ -194,6 +195,31 @@ def test_penalty_jacobians_fallback_matches_analytic(formulation):
     for state in pendulum_states(np.random.default_rng(23), 3):
         for Jf, Ja in zip(exposed_jacobians(fallback, state), exposed_jacobians(analytic, state)):
             assert rel_err(Jf, Ja, floor=1.0) < 1e-5
+
+
+@pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
+@pytest.mark.parametrize("system", ["five-bar", "pendulum"])
+def test_jacobians_refuse_a_wrong_shaped_force_partial(formulation, system):
+    # the saddle Jacobians fill their right side in place, where a (p,)
+    # F_rho would broadcast across all n rows; it is refused by name, with a
+    # constant mass (five-bar) and without
+    rng = np.random.default_rng(29)
+    if system == "five-bar":
+        prob = five_bar(param_names=FIVE_BAR_PARAMS)
+        model, state = prob.dynamics.model, five_bar_states(prob, rng, 1)[0]
+    else:
+        model, state = pendulum_swing_model(), pendulum_states(rng, 1)[0]
+    right = model.force_partials
+
+    def wrong(*args):
+        F_q, F_v, F_rho = right(*args)
+        return F_q, F_v, F_rho[0]
+
+    dyn = FORMULATIONS[formulation](dataclasses.replace(model, force_partials=wrong))
+    assert dyn.model.mass_constant == (system == "five-bar")
+    for given in ((), dyn.accel_and_multipliers(*state)):
+        with pytest.raises(DimensionError, match=r"force_partials .*F_rho of shape"):
+            dyn.jacobians(*state, *given)
 
 
 @pytest.mark.parametrize("formulation", sorted(FORMULATIONS))
@@ -703,6 +729,30 @@ def test_checked_lu_pivot_check_matches_numpy_reductions(case):
     else:
         with pytest.raises(SingularKKTError, match="test matrix"):
             checked_lu(A, "test matrix")
+
+
+def _listed_pivot_ratio(diag):
+    """max |d| / min |d| by Python's reductions over a list of |d|, NaN when
+    a sum of them is, inf for a zero minimum."""
+    d = [abs(x) for x in diag]
+    if np.isnan(sum(d)):
+        return np.nan
+    return np.inf if min(d) == 0.0 else max(d) / min(d)
+
+
+def test_pivot_ratio_is_the_listed_reductions():
+    # one scan over the diagonal gives the ratio of the listed reductions,
+    # a NaN wherever it stands, an infinite or zero pivot anywhere
+    from hybridsens.model import pivot_ratio
+
+    rng = np.random.default_rng(37)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e300]
+    for _ in range(400):
+        diag = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.integers(-5, 6)
+        for i in rng.choice(diag.size, size=rng.integers(0, 3)):
+            diag[i] = specials[rng.integers(len(specials))]
+        got, want = pivot_ratio(np.diag(diag)), _listed_pivot_ratio(diag.tolist())
+        assert (np.isnan(got) and np.isnan(want)) or got == want, (diag, got, want)
 
 
 def test_simulate_refuses_a_pushing_tether():

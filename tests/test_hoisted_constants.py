@@ -167,18 +167,36 @@ def test_shared_constants_are_read_only():
 
 @pytest.mark.parametrize("c", [0.0, 1e-7])
 def test_saddle_template_stays_intact_across_factorizations(c):
-    # every K is a copy of the template, so its state-dependent blocks
-    # never reach the next factorization's K
+    # every K is a copy of the dynamics object's template, so its
+    # state-dependent blocks never reach the next factorization's K; the
+    # five-bar's constant mass sits in the template, the tether's does not
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        A = rng.normal(size=(6, 6))
-        constrained.saddle_factor(A @ A.T + 6.0 * np.eye(6), rng.normal(size=(4, 6)), c, "K")
-    template = constrained._saddle_template(6, 4, c)
-    _assert_read_only(template)
-    ref = np.zeros((10, 10))
-    if c:
-        ref[6:, 6:] = -c * np.eye(4)
-    assert template.tobytes() == ref.tobytes()
+    five_bar_states = [(0.1 * i, q, v, rho)
+                       for i, (q, v, rho) in enumerate(_states(FIVE_BAR_PARAMS, rng, 4))]
+    tether_states = [(0.0, np.array([np.sin(th), -np.cos(th)]), rng.normal(size=2),
+                      np.array([0.1, -0.5, rng.uniform(0.5, 2.0)]))
+                     for th in rng.uniform(-1.2, 1.2, 4)]
+    for model, states in ((five_bar_model(FIVE_BAR_PARAMS), five_bar_states),
+                          (gallery.pendulum_model(), tether_states)):
+        dyn = (PenaltyDynamics(model, PenaltyConfig(alpha=1.0 / c)) if c
+               else constrained.DaeDynamics(model))
+        n, m = model.dims.n, model.constraints.m
+        ref = np.zeros((n + m, n + m))
+        if c:
+            ref[n:, n:] = -c * np.eye(m)
+        if model.mass_constant:
+            ref[:n, :n] = gallery._five_bar_mass()
+        assert model.mass_constant == (n == 6)
+        template = dyn._template
+        _assert_read_only(template)
+        assert same(template, ref)
+        for state in states:
+            dyn.jacobians(*state)
+            dyn.jacobians(*state, *dyn.accel_and_multipliers(*state))
+        assert dyn._template is template
+        _assert_read_only(template)
+        assert same(template, ref)
+        assert np.signbit(template[n:, n:]).all() == bool(c)
 
 
 def _cost_blocks(cost, t, q, v, a, rho):

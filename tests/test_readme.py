@@ -20,4 +20,5 @@ def test_library_sketch_runs_and_its_gradients_agree():
     assert scope["X_tF"].Z.shape == grad.shape
     assert sol.traj is traj
     assert rel_err(sol.gradient, grad) <= 1e-10
+    assert scope["grad_tangent"].tobytes() == grad.tobytes()
     assert rel_err(scope["grad_fd"], grad) <= 1e-4

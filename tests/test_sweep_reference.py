@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from hybridsens.adjoint import propagate_adjoint, terminal_conditions
-from hybridsens.constrained import DaeDynamics, PenaltyDynamics, differentiate_saddle
+from hybridsens.constrained import (
+    DaeDynamics,
+    PenaltyDynamics,
+    differentiate_saddle,
+    saddle_factor,
+)
 from hybridsens.core import AdjointState, SensitivityState
 from hybridsens.direct import _sensitivity, propagate_direct, simulate, tangent_rhs
 from hybridsens.gallery import (
@@ -204,28 +209,41 @@ def test_sweeps_are_bytewise_the_rebuilt_stage_references(name):
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def reference_solve(dyn, t, q, v, rho):
+    """(G, solve, [vdot; mu]): the saddle system at one state solved the
+    plain way, ``saddle_factor(M, G, c)`` applied to ``np.concatenate([F, b])``."""
+    model, cons = dyn.model, dyn.model.constraints
+    G = cons.jac_q(t, q, rho)
+    solve = saddle_factor(model.mass_at(t, q, rho), G, dyn._c, dyn._what)
+    b = dyn._source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
+    return G, solve, solve(np.concatenate([model.force_at(t, q, v, rho), b]))
+
+
 def callback_route(dyn, t, q, v, rho, vdot=None, mu=None):
     """(vdot, mu, [f_z; mu_z]) through ``differentiate_saddle``'s callback
     route: a closure factors K, solves if no solution is given and fills
-    the right side, and the routine subtracts the K_z terms and solves."""
+    the right side (``reference_solve``), and the routine subtracts the K_z
+    terms and solves."""
     model, cons, n = dyn.model, dyn.model.constraints, dyn.dims.n
+
+    def split(sol):
+        return sol[:n], sol[n:]
 
     def rhs_partials():
         nonlocal vdot, mu
-        G = cons.jac_q(t, q, rho)
-        factor = dyn._factor(t, q, rho, G)
+        G, solve, sol = reference_solve(dyn, t, q, v, rho)
         if mu is None:
-            vdot, mu = dyn._solve_on(factor, t, q, v, rho, G)
+            vdot, mu = split(sol)
         rhs = np.empty((n + cons.m, 2 * n + dyn.dims.p))
         rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
         rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = dyn._source_partials(
             t, q, v, rho, G, cons.qq_action(t, q, rho, v))
-        return factor, vdot, mu, rhs
+        return solve, vdot, mu, rhs
 
     sol = differentiate_saddle(model, t, q, v, rho,
-                               lambda *z: np.concatenate(dyn._solve(t, *z)), rhs_partials)
+                               lambda *z: reference_solve(dyn, t, *z)[2], rhs_partials)
     if mu is None:
-        vdot, mu = dyn._solve(t, q, v, rho)
+        vdot, mu = split(reference_solve(dyn, t, q, v, rho)[2])
     return vdot, mu, sol
 
 
@@ -267,3 +285,36 @@ def test_assembled_jacobians_are_bytewise_the_callback_route(name):
             assert mu.tobytes() == ref_mu.tobytes()
             assembled = np.vstack([np.hstack([f_q, f_v, f_rho]), np.hstack([g_q, g_v, g_rho])])
             assert assembled.tobytes() == ref.tobytes()
+
+
+FORWARD = {
+    "five-bar-penalty": (lambda: five_bar(param_names=FIVE_BAR_PARAMS), "int-ay2sq-vy2sq"),
+    "five-bar-dae": (lambda: five_bar(formulation="dae"), "int-ay2"),
+    # the tether's mass depends on the parameters: K holds M per state
+    "pendulum-tether": (pendulum, "int-vx"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD))
+def test_forward_solve_is_bytewise_the_reference_solve(name):
+    # every recorded stage state of every constrained segment, solved again
+    # by accel_and_multipliers and by the plain reference
+    make, cname = FORWARD[name]
+    prob = make()
+    traj = simulate(prob.dynamics, prob.cost(cname), prob.events, prob.rho0.rho,
+                    prob.t_span, prob.config)
+    n, rho, solved = traj.dims.n, traj.rho, 0
+    for seg in traj.segments:
+        dyn = seg.dynamics
+        if dyn.model.constraints is None:
+            continue
+        assert dyn.model.mass_constant == name.startswith("five-bar")
+        for k in range(len(seg.dense)):
+            _, _, times, states, vdot_rec, mu_rec = seg.dense.step_stages(k, n)
+            for t, y, a, m in zip(times, states, vdot_rec, mu_rec):
+                vdot, mu = dyn.accel_and_multipliers(t, y[:n], y[n:2 * n], rho)
+                ref = reference_solve(dyn, t, y[:n], y[n:2 * n], rho)[2]
+                assert np.concatenate([vdot, mu]).tobytes() == ref.tobytes()
+                assert vdot.tobytes() == a.tobytes() and mu.tobytes() == m.tobytes()
+                solved += 1
+    assert solved > 100
