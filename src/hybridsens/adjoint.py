@@ -29,28 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AdjointState, Dimensions
-from .model import CostFunctional, cost_density_gradients, terminal_cost_gradients
+from .model import CostFunctional, cost_density_gradients
 from .integrate import RK_A, DenseSegment, integrate_segment
 from .direct import HybridTrajectory
 # unused here; perfbench/spans.py counts factorizations at this name
 from .constrained import checked_lu  # noqa: F401
-
-
-def terminal_conditions(cost: CostFunctional, dyn, tF, q, v, rho) -> AdjointState:
-    """Adjoint values at the final state (q, v) of dynamics dyn."""
-    return _transposed(terminal_cost_gradients(cost, dyn, tF, q, v, rho), cost.nc)
-
-
-def _transposed(w_grads, nc: int) -> AdjointState:
-    """The adjoint state of the terminal-cost gradients (w, w_q, w_v, w_rho):
-    their transposes, and lamZ = I."""
-    _, wq, wv, wr = w_grads
-    return AdjointState(
-        lamQ=wq.T.copy(),
-        lamV=wv.T.copy(),
-        lamGamma=wr.T.copy(),
-        lamZ=np.eye(nc),
-    )
 
 
 def _split_lam(y: np.ndarray, dims: Dimensions, nc: int):
@@ -209,7 +192,9 @@ def propagate_adjoint(traj: HybridTrajectory,
         raise ValueError("adjoint propagation needs the cost functional")
     dims, rho, nc = traj.dims, traj.rho, cost.nc
 
-    lam = _transposed(traj.terminal_gradients(), nc)
+    # terminal conditions: the transposed terminal-cost gradients, lamZ = I
+    _, wq, wv, wr = traj.terminal_gradients()
+    lam = AdjointState(wq.T.copy(), wv.T.copy(), wr.T.copy(), np.eye(nc))
 
     times_acc = []
     series_acc = []

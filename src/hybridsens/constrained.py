@@ -366,9 +366,9 @@ def _subtract_saddle_partials(model: MultibodyModel, t, q, rho, x, mu, rhs) -> N
         z = v:    [a_v ; b_v]
         z = rho:  [a_rho - M_rho x ; b_rho],
 
-    M_z skipped under ``mass_constant``.  qqT(mu) and qq(x) contract the
-    constraint set's reshaped Hessian views, as its ``qqT_action`` and
-    ``qq_action`` do."""
+    M_z skipped under ``mass_constant``.  qqT(mu) = d(phi_q^T mu)/dq is the
+    mu-weighted sum of the Hessians, contracted here and nowhere else;
+    qq(x) = d(phi_q x)/dq contracts the other view, as ``qq_action`` does."""
     cons, n = model.constraints, model.dims.n
     top, bottom = rhs[:n], rhs[n:]
     if not model.mass_constant:

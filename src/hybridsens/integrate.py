@@ -58,8 +58,6 @@ class IntegratorConfig:
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    h0: float | None = None
-    hmax: float = np.inf
     event_tol: float = 1e-9
     max_steps: int = 1_000_000
 
@@ -67,10 +65,6 @@ class IntegratorConfig:
         # comparisons with NaN are false, so each test is written to fail on it
         if not all(np.isfinite(x) and x > 0 for x in (self.rtol, self.atol, self.event_tol)):
             raise ValueError("rtol, atol and event_tol must be finite and positive")
-        if self.h0 is not None and not (np.isfinite(self.h0) and self.h0 > 0):
-            raise ValueError("h0 must be None or finite and positive")
-        if not self.hmax > 0:
-            raise ValueError("hmax must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -117,18 +111,20 @@ class RK45:
     2001-2002 Enthought, Inc. 2003, SciPy Developers").  The tableau, the
     initial-step heuristic, the error norm and the step control do their
     arithmetic in scipy's order, so every step, stage and status is bitwise
-    scipy's.  It takes real non-empty 1-D states and scalar tolerances; it
-    has no dense-output object (``_rk_dense`` evaluates the extension) and
-    no ``t_old``.  Where scipy refuses a ``first_step`` longer than the
-    span, this class starts with the whole span, as its own initial-step
-    choice would.
+    scipy's.  It is the subset of scipy's stepper that the package uses:
+    it steps forward only (``t_bound > t0``), from its own initial-step
+    choice and with no cap on the step, and it takes real non-empty 1-D
+    states and scalar tolerances; it has no dense-output object
+    (``_rk_dense`` evaluates the extension) and no ``t_old``.  Nothing in
+    the package steps backward: the adjoint transposes the forward steps
+    as taken, and ``AdjointSolution.lam_at`` integrates forward in the
+    reversed time s = -t.
 
     Like ``OdeSolver.step``, ``step()`` advances one accepted step (or
     fails) and moves ``status`` from "running" to "finished" or "failed".
     ``nfev`` counts the right-hand-side evaluations: one at (t0, y0), one
-    probe for the initial step unless ``first_step`` is given, and
-    ``n_stages`` per step attempt (the derivative at a step's end is the
-    next step's first stage).
+    probe for the initial step, and ``n_stages`` per step attempt (the
+    derivative at a step's end is the next step's first stage).
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -160,16 +156,13 @@ class RK45:
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf,
-                 rtol=1e-3, atol=1e-6, first_step=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
         self.t = t0
         self._fun = fun
         self.y = np.asarray(y0).astype(float, copy=False)
         self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
         self.status = "running"
         self.nfev = 0
-        self.max_step = max_step
         if rtol < 100 * EPS:
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
@@ -177,10 +170,7 @@ class RK45:
             rtol = np.maximum(rtol, 100 * EPS)
         self.rtol, self.atol = rtol, np.asarray(atol)
         self.f = self.fun(self.t, self.y)
-        if first_step is None:
-            self.h_abs = self._select_initial_step()
-        else:
-            self.h_abs = min(first_step, abs(t_bound - t0))
+        self.h_abs = self._select_initial_step()
         self.K = np.empty((self.n_stages + 1, self.y.size), dtype=self.y.dtype)
         self.error_exponent = -1 / (self.error_estimator_order + 1)
         self.h_previous = None
@@ -191,11 +181,9 @@ class RK45:
 
     def _select_initial_step(self):
         """Hairer, Norsett & Wanner's empirical first step (Sec. II.4),
-        capped at the span and at max_step; costs one evaluation."""
-        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
+        capped at the span; costs one evaluation."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval_length = self.t_bound - t0
 
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)
@@ -206,8 +194,8 @@ class RK45:
             h0 = 0.01 * d0 / d1
         # the probe may not step past t_bound
         h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
-        f1 = self.fun(t0 + h0 * direction, y1)
+        y1 = y0 + h0 * f0
+        f1 = self.fun(t0 + h0, y1)
         d2 = _rms((f1 - f0) / scale) / h0
 
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -215,23 +203,18 @@ class RK45:
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
 
-        return min(100 * h0, h1, interval_length, self.max_step)
+        return min(100 * h0, h1, interval_length)
 
     def step(self):
         """Take one accepted step; returns None or the failure message."""
         if self.status != "running":
             raise RuntimeError("Attempt to step on a failed or finished "
                                "solver.")
-        if self.t == self.t_bound:
-            self.t = self.t_bound
-            message = None
+        success, message = self._step_impl()
+        if not success:
+            self.status = "failed"
+        elif self.t - self.t_bound >= 0:
             self.status = "finished"
-        else:
-            success, message = self._step_impl()
-            if not success:
-                self.status = "failed"
-            elif self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
         return message
 
     def _estimate_error_norm(self, K, h, scale):
@@ -241,15 +224,12 @@ class RK45:
         t = self.t
         y = self.y
 
-        max_step = self.max_step
         rtol = self.rtol
         atol = self.atol
 
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
 
-        if self.h_abs > max_step:
-            h_abs = max_step
-        elif self.h_abs < min_step:
+        if self.h_abs < min_step:
             h_abs = min_step
         else:
             h_abs = self.h_abs
@@ -261,10 +241,12 @@ class RK45:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
 
-            h = h_abs * self.direction
+            # an np.float64, as scipy's h_abs * direction is, also where h_abs
+            # is still the initial-step choice's Python float
+            h = np.float64(h_abs)
             t_new = t + h
 
-            if self.direction * (t_new - self.t_bound) > 0:
+            if t_new - self.t_bound > 0:
                 t_new = self.t_bound
 
             h = t_new - t
@@ -407,7 +389,6 @@ class DenseSegment:
 class EventHit:
     index: int
     t: float
-    y: np.ndarray
     r_residual: float
 
 
@@ -535,7 +516,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     ``multipliers(t, y)``, if given, is called right after every evaluation
     of rhs; the rows of the accepted stages become the segment's
     ``multipliers``.  The solver evaluates f(t0, y0) first (stage 0 of the
-    first step), may probe once more for its initial step, and spends
+    first step), probes once more for its initial step, and spends
     n_stages evaluations per attempt, so the last n_stages rows after a
     step are stages 1..6 of the accepted attempt; stage 0 of every later
     step is the previous step's stage 6 (FSAL).
@@ -554,9 +535,6 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     if monitor is None:
         monitor = EventMonitor(len(event_fns))
 
-    kwargs = dict(rtol=config.rtol, atol=config.atol, max_step=config.hmax)
-    if config.h0 is not None:
-        kwargs["first_step"] = config.h0
     mu_rows, evaluated, first = None, [], True  # evaluated: rows since the last step
 
     def fun(t, y):
@@ -575,7 +553,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         if multipliers is not None:
             evaluated.append(mu)
         return f
-    solver = RK45(fun, t0, y0, tf, **kwargs)
+    solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol)
     if multipliers is not None:
         mu_rows = evaluated[:1]
 
@@ -647,9 +625,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                 )
             root, idx = candidates[0]
             y_eve = dense(root)
-            hit = EventHit(index=idx, t=root, y=y_eve,
-                           r_residual=float(event_fns[idx](root, y_eve)))
-            t_new, y_new = root, y_eve.copy()
+            hit = EventHit(index=idx, t=root, r_residual=float(event_fns[idx](root, y_eve)))
+            t_new, y_new = root, y_eve
         else:
             monitor.update(vals_new)
             vals_old = vals_new

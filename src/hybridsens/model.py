@@ -252,12 +252,6 @@ class ConstraintSet:
             return (self._hess_rows @ w).reshape(self.m, q.size)
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho) @ w, q)
 
-    def qqT_action(self, t, q, rho, mu) -> np.ndarray:
-        """d(phi_q.T @ mu)/dq as an (n, n) matrix."""
-        if self.hessian is not None:
-            return (mu @ self._hess_flat).reshape(q.size, q.size)
-        return fd_jacobian(lambda qq: self.jac_q(t, qq, rho).T @ mu, q)
-
     def jac_rho(self, t, q, rho) -> np.ndarray:
         if self.phi_rho is not None:
             return np.asarray(self.phi_rho(t, q, rho), dtype=float)

@@ -3,11 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridsens.adjoint import (
-    assemble_cost_sensitivity_adjoint,
-    propagate_adjoint,
-    terminal_conditions,
-)
+from hybridsens.adjoint import assemble_cost_sensitivity_adjoint, propagate_adjoint
 from hybridsens.core import AdjointState, Dimensions
 from hybridsens.direct import direct_gradient, propagate_direct, simulate
 from hybridsens.integrate import IntegratorConfig
@@ -16,6 +12,7 @@ from hybridsens.model import (
     InitialConditions,
     MultibodyModel,
     OdeDynamics,
+    terminal_cost_gradients,
 )
 from conftest import rel_err
 
@@ -33,22 +30,26 @@ def free_fall_model():
     )
 
 
+# the adjoint's terminal conditions are the transposed terminal-cost
+# gradients (lamQ, lamV, lamGamma) = (w_q, w_v, w_rho)^T at tF
+
 def test_terminal_conditions_zero_terminal_cost():
     dyn = OdeDynamics(free_fall_model())
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([v[0]]))
-    lam = terminal_conditions(cost, dyn, 1.0, np.zeros(1), np.zeros(1), np.ones(1))
-    assert np.allclose(lam.lamQ, 0.0)
-    assert np.allclose(lam.lamV, 0.0)
-    assert np.allclose(lam.lamGamma, 0.0)
-    assert np.array_equal(lam.lamZ, np.eye(1))
+    _, wq, wv, wr = terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
+                                            np.ones(1))
+    assert np.allclose(wq, 0.0)
+    assert np.allclose(wv, 0.0)
+    assert np.allclose(wr, 0.0)
 
 
 def test_terminal_conditions_position_selector():
     dyn = OdeDynamics(free_fall_model())
     cost = CostFunctional(nc=1, w=lambda t, q, v, rho, u: np.array([q[0]]))
-    lam = terminal_conditions(cost, dyn, 1.0, np.zeros(1), np.zeros(1), np.ones(1))
-    assert np.allclose(lam.lamQ, [[1.0]], atol=1e-10)
-    assert np.allclose(lam.lamV, 0.0, atol=1e-10)
+    _, wq, wv, _ = terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
+                                           np.ones(1))
+    assert np.allclose(wq, [[1.0]], atol=1e-10)
+    assert np.allclose(wv, 0.0, atol=1e-10)
 
 
 def test_terminal_conditions_with_u_chain(curved_mass):
@@ -64,9 +65,9 @@ def test_terminal_conditions_with_u_chain(curved_mass):
         u_fn=lambda t, q, v, a, rho: np.array([v[1]]),
     )
     args = (0.3, np.array([0.2, -0.1]), np.array([0.4, 0.9]), np.array([2.0, 1.0]))
-    la = terminal_conditions(w_direct, dyn, *args)
-    lb = terminal_conditions(w_u, dyn, *args)
-    assert np.allclose(la.stacked(), lb.stacked(), rtol=1e-6, atol=1e-8)
+    la = np.vstack(terminal_cost_gradients(w_direct, dyn, *args)[1:])
+    lb = np.vstack(terminal_cost_gradients(w_u, dyn, *args)[1:])
+    assert np.allclose(la, lb, rtol=1e-6, atol=1e-8)
 
 
 def test_free_fall_adjoint_closed_form():
@@ -203,27 +204,24 @@ def test_discrete_adjoint_equals_direct_on_its_steps(name):
     assert rel_err(sol.gradient, grad) <= 1e-12
 
 
-@pytest.mark.parametrize("h0, after_first_event", [(0.3, None), (0.05, 0.01)])
+@pytest.mark.parametrize("tail", [0.01, 0.001])
 @pytest.mark.parametrize("cname", ["height-final", "int-vy"])
-def test_first_step_longer_than_a_segment_starts_with_the_segment(h0, after_first_event,
-                                                                  cname):
-    # a segment shorter than h0 (after the last bounce at t = 1.264 with
-    # tF = 1.5, or 0.01 after the first bounce) is stepped from its whole
-    # span instead of refusing the first step
+def test_short_last_segment_adjoint_equals_direct(cname, tail):
+    # the run ends 0.01 s or 0.001 s after the first bounce; the shorter last
+    # segment is shorter than the solver's initial-step choice, which is
+    # capped at it: one step over the whole segment
     from hybridsens.gallery import GRAVITY, bouncing_mass
 
     prob = bouncing_mass()
-    t_span = prob.t_span
-    if after_first_event is not None:
-        t_first = np.sqrt(2.0 * prob.rho0.rho[0] / GRAVITY)
-        t_span = (t_span[0], t_first + after_first_event)
-    cfg = dataclasses.replace(prob.config, h0=h0)
+    t_first = np.sqrt(2.0 * prob.rho0.rho[0] / GRAVITY)
+    t_span = (prob.t_span[0], t_first + tail)
     cost = prob.cost(cname)
     grad, traj, _ = direct_gradient(prob.dynamics, cost, prob.events,
-                                    prob.rho0.rho, t_span, cfg)
+                                    prob.rho0.rho, t_span, prob.config)
     last = traj.segments[-1]
-    assert traj.events and last.t_end - last.t_start < h0
-    assert traj.tF == t_span[1]
+    assert len(traj.events) == 1 and traj.tF == t_span[1]
+    if tail == 0.001:
+        assert last.dense.steps.tolist() == [last.t_end - last.t_start]
     sol = propagate_adjoint(traj, cost)
     assert rel_err(sol.gradient, grad) <= 1e-12
 

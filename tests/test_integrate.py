@@ -108,7 +108,6 @@ def test_simultaneous_events_error():
 
 @pytest.mark.parametrize("field, value", [
     ("rtol", np.nan), ("atol", np.inf), ("event_tol", np.nan), ("event_tol", 0.0),
-    ("h0", 0.0), ("h0", np.nan), ("hmax", 0.0), ("hmax", np.nan),
 ])
 def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError, match=field):
@@ -131,11 +130,15 @@ def test_reversed_or_empty_span_refused(t_span):
 
 def test_double_crossing_within_step_detected():
     # dip below zero and back inside one step: endpoint signs match, only
-    # the interior dense-output samples can reveal the crossing
-    cfg = IntegratorConfig(rtol=1e-4, atol=1e-6, h0=0.5, hmax=0.5)
+    # the interior dense-output samples can reveal the crossing.  A constant
+    # right side has no error, so every step grows by MAX_FACTOR and one
+    # step spans both crossings
+    cfg = IntegratorConfig(rtol=1e-4, atol=1e-6)
     seg, _, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]),
                                     (0.0, 1.0), cfg,
                                     [lambda t, y: (t - 0.15) * (t - 0.35) + 1e-4])
+    t_last = seg.node_times[-2]
+    assert t_last <= 0.15 and t_last + seg.steps[-1] >= 0.35
     assert hit is not None
     assert 0.145 < hit.t < 0.16
 
@@ -155,16 +158,16 @@ def test_dense_output_matches_scipy_bitwise():
         samples.append((t, y.copy()))
         return y[0] + 0.9
 
-    seg, _, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
+    seg, (_, y_eve), hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
     assert hit is not None and seg.truncated
-    solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.hmax)
+    solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol)
     dense, nodes = [], {0.0: y0}
     while len(dense) < len(seg):
         solver.step()
         dense.append(solver.dense_output())
         nodes[solver.t] = solver.y.copy()
     assert [d.t_old for d in dense] == list(seg.node_times[:-1])
-    assert np.array_equal(dense[-1](hit.t), hit.y)
+    assert np.array_equal(dense[-1](hit.t), y_eve)
     # a sample at a step's end sees the solver's state, one inside a step
     # scipy's dense output, the interior scan and the root refinement alike
     inside = 0

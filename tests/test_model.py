@@ -190,7 +190,6 @@ def test_constraint_hessian_shape_and_symmetry_guard():
             ConstraintSet(m=1, phi=phi, hessian=bad)
     cons = ConstraintSet(m=1, phi=phi, hessian=2.0 * np.eye(2)[None])
     assert not cons.hessian.flags.writeable
-    assert np.array_equal(cons.qqT_action(0.0, np.ones(2), None, np.array([3.0])), 6.0 * np.eye(2))
 
 
 def test_force_partials_shape_guard():
@@ -418,9 +417,6 @@ def test_gallery_analytic_partials_match_fd():
                 assert np.max(np.abs(cons.jac_q(t, q, rho) - fd_gq)) < 1e-5
                 fd_qq = fd_jacobian(lambda qq: cons.jac_q(t, qq, rho) @ w, q)
                 assert np.max(np.abs(cons.qq_action(t, q, rho, w) - fd_qq)) < 1e-5
-                mu = rng.normal(size=cons.m)
-                fd_qqT = fd_jacobian(lambda qq: cons.jac_q(t, qq, rho).T @ mu, q)
-                assert np.max(np.abs(cons.qqT_action(t, q, rho, mu) - fd_qqT)) < 1e-5
                 fd_pr = fd_jacobian(lambda rr: cons.value(t, q, rr), rho)
                 assert np.max(np.abs(cons.jac_rho(t, q, rho) - fd_pr)) < 1e-5
                 # a declared hessian also declares phi_q independent of rho

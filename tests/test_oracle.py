@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,68 @@ from hybridsens.core import Dimensions
 from hybridsens.direct import propagate_direct, simulate
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
-from hybridsens.oracle import (
-    EventTopologyError,
-    fd_cost_sensitivity,
-    fd_trajectory_sensitivity,
-)
+from hybridsens.oracle import DEFAULT_H_REL, EventTopologyError, fd_cost_sensitivity
 from conftest import rel_err
 
 G = 9.81
+
+
+@dataclass
+class TrajectorySensitivitySample:
+    t: float
+    dq_drho: np.ndarray
+    dv_drho: np.ndarray
+    dz_drho: np.ndarray
+    reliable: bool
+
+
+def fd_trajectory_sensitivity(dyn, cost, events, rho, t_span, sample_times, config,
+                              h_rel=DEFAULT_H_REL):
+    """Pointwise central differences of the interpolated states, the referee
+    of ``HybridTrajectory.sensitivity_at``.
+
+    Pointwise differences are unreliable in a window around each event time:
+    the perturbed and nominal runs cross the event at slightly different
+    times, which gives spurious spikes of order 1/h.  A sample is flagged
+    unreliable when it falls inside the spread of the corresponding event
+    times across the nominal and perturbed runs (padded by ten times the
+    event-time tolerance), rather than silently reported.
+    """
+    rho = np.asarray(rho, dtype=float)
+    nominal = simulate(dyn, cost, events, rho, t_span, config)
+    signature = [(rec.name, rec.kind) for rec in nominal.events]
+    runs = []  # per parameter (run at rho + h e_j, run at rho - h e_j, 2 h)
+    for j in range(rho.size):
+        h = h_rel * max(1.0, abs(rho[j]))
+        rp = rho.copy()
+        rm = rho.copy()
+        rp[j] += h
+        rm[j] -= h
+        pair = [simulate(dyn, cost, events, r, t_span, config) for r in (rp, rm)]
+        for traj in pair:
+            assert [(rec.name, rec.kind) for rec in traj.events] == signature
+        runs.append((pair[0], pair[1], rp[j] - rm[j]))
+
+    # unreliable windows from the event-time spread across all runs
+    pad = 10.0 * config.event_tol
+    windows = []
+    for k in range(len(nominal.events)):
+        ts = [nominal.events[k].t_eve]
+        for tp, tm, _ in runs:
+            ts.append(tp.events[k].t_eve)
+            ts.append(tm.events[k].t_eve)
+        windows.append((min(ts) - pad, max(ts) + pad))
+
+    n = dyn.dims.n
+    samples = []
+    for t in np.asarray(sample_times, dtype=float):
+        # one column [dq; dv; dz] per parameter, dz as wide as the state's z
+        D = np.column_stack([(np.concatenate(tp.state_at(t)) - np.concatenate(tm.state_at(t)))
+                             / step for tp, tm, step in runs])
+        dq, dv, dz = D[:n], D[n:2 * n], D[2 * n:]
+        reliable = not any(lo <= t <= hi for lo, hi in windows)
+        samples.append(TrajectorySensitivitySample(float(t), dq, dv, dz, reliable))
+    return samples
 
 
 def test_central_difference_exact_on_quadratic():

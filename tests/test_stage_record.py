@@ -50,7 +50,6 @@ CASES = {
 def test_stage_record_is_bitwise_the_saddle_solve(name, attempts):
     make, cname = CASES[name]
     prob = make()
-    assert prob.config.h0 is None  # the solver probes for its first step
     traj = simulate(prob.dynamics, prob.cost(cname), prob.events, prob.rho0.rho,
                     prob.t_span, prob.config)
     rho, n = traj.rho, traj.dims.n

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridsens.adjoint import propagate_adjoint, terminal_conditions
+from hybridsens.adjoint import propagate_adjoint
 from hybridsens.constrained import (
     DaeDynamics,
     PenaltyDynamics,
@@ -31,7 +31,7 @@ from hybridsens.gallery import (
     pendulum_model,
 )
 from hybridsens.integrate import RK45, RK_A, RK_C, integrate_segment
-from hybridsens.model import CostFunctional, cost_density_gradients
+from hybridsens.model import CostFunctional, cost_density_gradients, terminal_cost_gradients
 from test_constrained import five_bar_states, pendulum_states
 
 
@@ -82,7 +82,9 @@ def reference_adjoint(traj, cost):
     """(gradient, times, series) of the transposed Dormand-Prince sweep."""
     n, p, nc, rho = traj.dims.n, traj.dims.p, cost.nc, traj.rho
     qF, vF, _ = traj.state_at(traj.tF)
-    lam = terminal_conditions(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, rho)
+    _, wq, wv, wr = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF,
+                                            qF, vF, rho)
+    lam = AdjointState(wq.T.copy(), wv.T.copy(), wr.T.copy(), np.eye(nc))
     times, series = [], []
     for k in range(len(traj.segments) - 1, -1, -1):
         seg = traj.segments[k]
