@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import adjoint as adjoint_mod
 from . import gallery
 from .direct import direct_gradient, simulate
-from .integrate import IntegratorConfig
+from .integrate import RTOL_FLOOR, RTOL_FLOOR_WARNING, IntegratorConfig
 from .oracle import DEFAULT_H_REL, check_h_rel, fd_cost_sensitivity
 
 
@@ -126,6 +127,11 @@ def _setup(cfg):
         atol=float(cfg.get("atol", problem.config.atol)),
         event_tol=float(cfg.get("event_tol", problem.config.event_tol)),
     )
+    if icfg.rtol < RTOL_FLOOR:
+        # raised here, not by the stepper, whose warning shows once per process;
+        # _write_sidecar records the rtol used
+        print(f"warning: {RTOL_FLOOR_WARNING}", file=sys.stderr)
+        icfg = dataclasses.replace(icfg, rtol=RTOL_FLOOR)
     return problem, cost, rho, (t0, tf), icfg
 
 
@@ -141,10 +147,12 @@ def _write_json(path: Path, doc, **dump_args):
         fh.write("\n")
 
 
-def _write_sidecar(path: Path, cfg, extra=None):
-    doc = {"config": cfg}
-    if extra:
-        doc.update(extra)
+def _write_sidecar(path: Path, cfg, icfg, extra):
+    """run.meta.json: the effective config and ``extra``, and ``rtol_used``
+    where the run's rtol (``icfg``) is the stepper's floor, not cfg's."""
+    doc = {"config": cfg, **extra}
+    if icfg.rtol != cfg.get("rtol", icfg.rtol):
+        doc["rtol_used"] = float(icfg.rtol)
     _write_json(path, doc, indent=2, sort_keys=True)
 
 
@@ -180,19 +188,21 @@ def _sample_times(traj, per_segment=200):
     return np.unique(np.concatenate(times))
 
 
-def _sampled_rows(traj, field):
-    """Rows [t, *y(t)] at the sample times, y being each segment's flat
-    ``field``: "dense", the state [q; v; z], or "tangent", [Q; V; Z] row
-    by row, both in the order of the table headers.  The sorted times are
-    walked alongside the segments; each t takes the first segment whose
-    span holds it, as ``HybridTrajectory.segment_at`` picks it, so a sample
-    at an event time keeps its pre-event row."""
-    segments, k, rows = traj.segments, 0, []
-    for t in _sample_times(traj).tolist():
-        while t > segments[k].t_end + 1e-12:
-            k += 1
-        rows.append([t] + getattr(segments[k], field).evaluate(t).tolist())
-    return rows
+def _state_rows(traj):
+    """Rows [t, q, v, z] at the sample times, each t read from the first
+    segment whose span holds it (``HybridTrajectory.split_at``), so a
+    sample at an event time keeps its pre-event row."""
+    return [[t] + seg.dense.evaluate(t).tolist()
+            for seg, times in zip(traj.segments, traj.split_at(_sample_times(traj)))
+            for t in times.tolist()]
+
+
+def _tangent_rows(traj):
+    """Rows [t, Q, V, Z] (row by row) that the tangent sweep sampled at the
+    sample times (``direct_gradient(..., at=_sample_times)``), split by
+    segment as the state's rows are."""
+    return [[t] + row for seg in traj.segments
+            for t, row in zip(seg.tangent.sample_times.tolist(), seg.tangent.samples.tolist())]
 
 
 def _events_json(traj):
@@ -206,12 +216,12 @@ def cmd_simulate(args):
     traj = simulate(problem.dynamics, cost, problem.events, rho, t_span, icfg)
     fmt = cfg.get("format", "csv")
     _write_table(out, "trajectory", _state_header(traj.dims, cost.nc),
-                 _sampled_rows(traj, "dense"), fmt)
+                 _state_rows(traj), fmt)
     _write_json(out / "events.json", _events_json(traj), indent=2)
     res = traj.residuals
     _write_table(out, "residuals", ["t", "pos_residual", "vel_residual"],
                  list(zip(res.times, res.pos, res.vel)), fmt)
-    _write_sidecar(out / "run.meta.json", cfg, {
+    _write_sidecar(out / "run.meta.json", cfg, icfg, {
         "command": "simulate",
         "events": len(traj.events),
         "max_pos_residual": res.max_pos(),
@@ -235,14 +245,14 @@ def cmd_direct(args):
     problem, cost, rho, t_span, icfg = _setup(cfg)
     out = _outdir(args)
     grad, traj, XF = direct_gradient(problem.dynamics, cost, problem.events,
-                                     rho, t_span, icfg)
+                                     rho, t_span, icfg, at=_sample_times)
     _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims, cost.nc),
-                 _sampled_rows(traj, "tangent"), cfg.get("format", "csv"))
+                 _tangent_rows(traj), cfg.get("format", "csv"))
     _write_json(out / "events.json", _events_json(traj), indent=2)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "direct": grad.tolist()}
     _write_json(out / "gradient.json", doc, indent=2)
-    _write_sidecar(out / "run.meta.json", cfg, {"command": "direct"})
+    _write_sidecar(out / "run.meta.json", cfg, icfg, {"command": "direct"})
     print(f"direct: dpsi/drho = {grad.ravel()} -> {out}")
     return 0
 
@@ -264,7 +274,7 @@ def cmd_adjoint(args):
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "adjoint": sol.gradient.tolist()}
     _write_json(out / "gradient.json", doc, indent=2)
-    _write_sidecar(out / "run.meta.json", cfg, {"command": "adjoint"})
+    _write_sidecar(out / "run.meta.json", cfg, icfg, {"command": "adjoint"})
     print(f"adjoint: dpsi/drho = {sol.gradient.ravel()} -> {out}")
     return 0
 
@@ -296,7 +306,7 @@ def cmd_fd_check(args):
         })
     _write_json(out / "fd_check.json", {"cost": cost.name, "h_rel": h_rel, "table": table},
                 indent=2)
-    _write_sidecar(out / "run.meta.json", cfg, {"command": "fd-check"})
+    _write_sidecar(out / "run.meta.json", cfg, icfg, {"command": "fd-check"})
     worst = float(np.max([row["max_rel_diff"] for row in table]))
     for row in table:
         print(f"  {row['parameter']:>10}: direct={row['direct']} adjoint={row['adjoint']} "

@@ -14,8 +14,10 @@ each stored step is differentiated stage by stage on its own step size and
 stage states, with no step control of its own (sensitivities stay out of
 the error test, as CVODES does by default), and at each event the
 sensitivities jump through S.  The tangent [Q; V; Z] is stored per segment
-as a DenseSegment on the state's nodes and steps; the Gamma block is the
-constant identity and is never propagated."""
+at the state's nodes only (``SegmentTangent``), with the rows the caller
+asked to sample during the sweep; ``HybridTrajectory.sensitivity_at``
+sweeps the one step covering any other t again from its node.  The Gamma
+block is the constant identity and is never propagated."""
 
 from __future__ import annotations
 
@@ -37,6 +39,17 @@ from .hybrid import (
 from .constrained import ConstraintResiduals, check_one_sided
 
 
+@dataclass(frozen=True)
+class SegmentTangent:
+    """The flattened tangent [Q; V; Z] of one segment as the sweep leaves
+    it: its value at every node of the segment's dense output, and the rows
+    sampled at ``sample_times`` (``propagate_direct(traj, at=...)``)."""
+
+    node_states: np.ndarray  # shape (len(dense.node_times), (2n + nc) p)
+    sample_times: np.ndarray
+    samples: np.ndarray  # shape (len(sample_times), (2n + nc) p)
+
+
 @dataclass
 class TrajectorySegment:
     """One smooth piece of a hybrid run with its active dynamics."""
@@ -45,7 +58,7 @@ class TrajectorySegment:
     t_end: float
     dense: DenseSegment
     dynamics: object
-    tangent: DenseSegment | None = None
+    tangent: SegmentTangent | None = None
 
 
 @dataclass
@@ -74,11 +87,29 @@ class HybridTrajectory:
         n = self.dims.n
         return y[:n], y[n:2 * n], y[2 * n:]
 
+    def split_at(self, times) -> list:
+        """The sorted ``times`` split by segment, one array each: a t goes to
+        the first segment whose span holds it, as ``segment_at`` picks it,
+        so a t at an event time goes to the pre-event segment.  Unsorted
+        times, or a t outside the run, raise a ValueError."""
+        times = np.array(times, dtype=float).ravel()
+        if times.size:
+            if not (times[1:] >= times[:-1]).all():
+                raise ValueError("sample times must be sorted")
+            self.segment_at(times[0])
+            self.segment_at(times[-1])
+        return np.split(times, np.searchsorted(
+            times, [seg.t_end + 1e-12 for seg in self.segments[:-1]], side="right"))
+
     def sensitivity_at(self, t: float) -> SensitivityState:
+        """Tangent at t from the covering segment's ``SegmentTangent``: a
+        node row as stored, else the one step covering t swept again from
+        its node, bitwise the sweep's continuous extension
+        there.  At an event time it is the pre-event value."""
         seg = self.segment_at(t)
         if seg.tangent is None:
             raise ValueError("the run has no tangent yet: sweep it with propagate_direct(traj)")
-        return _sensitivity(seg.tangent.evaluate(t), self.dims)
+        return _sensitivity(_tangent_at(self, seg, t), self.dims)
 
     @property
     def final_state(self):
@@ -184,6 +215,38 @@ def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
     return X + np.dot(KX[:len(w)].T, w) * h, KX
 
 
+def _extension(dense: DenseSegment, nodes: np.ndarray, stages: list) -> DenseSegment:
+    """The tangent's continuous extension on ``dense``'s steps, with the
+    tangent ``nodes`` and ``stages``, one entry per step: the tangent
+    stages of the steps it is evaluated on, None on the others.  Its
+    ``evaluate`` returns the node rows as stored."""
+    return DenseSegment(dense.t_start, dense.t_end, dense.node_times, nodes, stages, dense.steps)
+
+
+def _tangent_at(traj, seg: TrajectorySegment, t: float) -> np.ndarray:
+    """The flattened tangent at t in ``seg`` (``HybridTrajectory.sensitivity_at``).
+    Off the nodes, step k is swept again from node k; for k > 0 its
+    stage 0 is the one the sweep took over from step k - 1, evaluated at
+    that step's end time t_k-1 + 1.0 h_k-1, which may differ from node
+    time k in the last bit."""
+    tangent, dense = seg.tangent, seg.dense
+    t = min(max(t, dense.t_start), dense.t_end)  # as DenseSegment.evaluate clamps
+    k = int(np.searchsorted(dense.node_times, t))
+    nodes = tangent.node_states
+    if dense.node_times[k] == t:
+        return nodes[k].copy()
+    k -= 1
+    dims, rho, cost = traj.dims, traj.rho, traj.cost or ZERO_COST
+    KX0 = None
+    if k:
+        _, _, times, states, vdot, mu = dense.step_stages(k - 1, dims.n)
+        KX0 = tangent_rhs(seg.dynamics, cost, dims, rho, times[-1], states[-1], nodes[k],
+                          vdot[-1], mu[-1])
+    stages = [None] * len(dense)
+    _, stages[k] = _step_tangent(seg.dynamics, cost, dims, rho, dense, k, nodes[k], KX0)
+    return _extension(dense, nodes, stages).evaluate(t)
+
+
 def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
     """SensitivityState of a flattened tangent [Q; V; Z]."""
     n = dims.n
@@ -271,35 +334,44 @@ def simulate(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = N
     return _run_hybrid(dyn, cost, events, rho, t_span, config)
 
 
-def propagate_direct(traj: HybridTrajectory) -> SensitivityState:
+def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
     """Discrete tangent sweep over a stored hybrid trajectory, the forward
     mirror of ``adjoint.propagate_adjoint``: from the run's start
     (``traj.initial``), each segment's stored steps are swept with
     ``_step_tangent`` and each event's sensitivities jump through its S,
     for the run's cost (``ZERO_COST`` for a cost-less run).  Fills each
-    segment's ``tangent`` (sampled by ``traj.sensitivity_at``) and each
-    record's ``dteve_drho`` and ``delta_mu_sens``, the same on every sweep.
-    Returns X_tF."""
+    segment's ``tangent`` with its node tangents and each record's
+    ``dteve_drho`` and ``delta_mu_sens``, the same on every sweep; the
+    steps' tangent stages are not kept.
+
+    ``at`` are sorted sample times inside the run, split by segment as
+    ``traj.split_at`` splits them (a t at an event time samples the
+    pre-event segment).  Each is evaluated once the segment's steps are
+    swept, by one ``DenseSegment.evaluate`` of the tangent's continuous
+    extension on that segment's stages, which are dropped right after, and
+    stored on the segment's ``tangent`` (``samples``).  Returns X_tF."""
     dims, rho, ic = traj.dims, traj.rho, traj.initial
     cost = traj.cost or ZERO_COST
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
-    for k, seg in enumerate(traj.segments):
+    for k, (seg, times) in enumerate(zip(traj.segments, traj.split_at(at))):
         if k:
             rec = traj.events[k - 1]
             rec.dteve_drho = rec.jump.blocks["dt_row"] @ X.Q
             rec.delta_mu_sens = rec.spec.delta_mu_sensitivity(rec, X)
             X = rec.jump.apply_direct(X)
-        x, KX0 = np.vstack([X.Q, X.V, X.Z]).ravel(), None
-        nodes, stages = [x], []
-        for j in range(len(seg.dense)):
-            x, KX = _step_tangent(seg.dynamics, cost, dims, rho, seg.dense, j, x, KX0)
-            nodes.append(x)
-            stages.append(KX)
-            KX0 = KX[-1]
         d = seg.dense
-        seg.tangent = DenseSegment(d.t_start, d.t_end, d.node_times, np.array(nodes),
-                                   stages, d.steps, d.truncated)
-        X = _sensitivity(x, dims)
+        x = np.vstack([X.Q, X.V, X.Z]).ravel()
+        nodes = np.empty((len(d.node_times), x.size))
+        nodes[0] = x
+        stages, KX0 = [], None
+        for j in range(len(d)):
+            nodes[j + 1], KX = _step_tangent(seg.dynamics, cost, dims, rho, d, j, nodes[j], KX0)
+            KX0 = KX[-1]
+            stages.append(KX if times.size else None)  # held only while sampled
+        extension = _extension(d, nodes, stages)
+        samples = np.array([extension.evaluate(t) for t in times.tolist()]).reshape(-1, x.size)
+        seg.tangent = SegmentTangent(nodes, times, samples)
+        X = _sensitivity(nodes[-1].copy(), dims)
     return X
 
 
@@ -312,12 +384,15 @@ def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndar
     return X_tF.Z + wq @ X_tF.Q + wv @ X_tF.V + wr
 
 
-def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None):
+def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None,
+                    at=None):
     """One-call direct gradient: the forward run, its tangent sweep
-    (``propagate_direct``) and dpsi/drho.  Returns (gradient, trajectory, X_tF)."""
+    (``propagate_direct``) and dpsi/drho.  ``at``, if given, is a function
+    of the forward run returning the sorted times the sweep samples (see
+    ``propagate_direct``).  Returns (gradient, trajectory, X_tF)."""
     if cost is None:
         raise ValueError("the direct gradient needs the cost functional")
     # not simulate, which perfbench/spans.py times as the forward pass
     traj = _run_hybrid(dyn, cost, events, rho, t_span, config)
-    XF = propagate_direct(traj)
+    XF = propagate_direct(traj, () if at is None else at(traj))
     return assemble_cost_sensitivity_direct(XF, traj.terminal_gradients()), traj, XF

@@ -70,6 +70,9 @@ class IntegratorConfig:
 
 
 EPS = np.finfo(float).eps
+RTOL_FLOOR = 100 * EPS  # scipy's smallest rtol; a smaller one is raised to it
+RTOL_FLOOR_WARNING = ("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {RTOL_FLOOR})`.")
 SAFETY = 0.9  # multiplies the step the asymptotic error behaviour asks for
 MIN_FACTOR = 0.2  # largest decrease of the step size per rejection
 MAX_FACTOR = 10  # largest increase of the step size per accepted step
@@ -163,11 +166,9 @@ class RK45:
         self.t_bound = t_bound
         self.status = "running"
         self.nfev = 0
-        if rtol < 100 * EPS:
-            warnings.warn("At least one element of `rtol` is too small. "
-                          f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                          stacklevel=2)
-            rtol = np.maximum(rtol, 100 * EPS)
+        if rtol < RTOL_FLOOR:
+            warnings.warn(RTOL_FLOOR_WARNING, stacklevel=2)
+            rtol = np.maximum(rtol, RTOL_FLOOR)
         self.rtol, self.atol = rtol, np.asarray(atol)
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._select_initial_step()

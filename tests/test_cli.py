@@ -268,13 +268,16 @@ def read_csv_table(path):
     return header, [[float(x) for x in row] for row in rows]
 
 
-@pytest.mark.parametrize("model, flags", [
-    ("bouncing-mass", ["--tf", "6", "--cost", "int-vy"]),  # 11 impacts
-    ("pendulum", []),  # one capture
-], ids=["bouncing-mass", "pendulum"])
-def test_tables_hold_the_library_values(tmp_path, model, flags):
+@pytest.mark.parametrize("model, flags, events", [
+    ("bouncing-mass", ["--tf", "6", "--cost", "int-vy"], 11),
+    ("pendulum", [], 1),  # one capture
+    ("five-bar", ["--tf", "0.6"], 1),  # one ground contact
+], ids=["bouncing-mass", "pendulum", "five-bar"])
+def test_tables_hold_the_library_values(tmp_path, model, flags, events):
     # each sampled row is the library's value at the row's t, exactly, and a
-    # sample at an event time reads the pre-event segment, as segment_at does
+    # sample at an event time reads the pre-event segment, as segment_at does;
+    # the library's run is swept with no samples, so its sensitivity_at sweeps
+    # each row's step again where the command sampled it in its sweep
     from hybridsens.adjoint import propagate_adjoint
     from hybridsens.direct import direct_gradient, simulate
 
@@ -289,7 +292,8 @@ def test_tables_hold_the_library_values(tmp_path, model, flags):
     traj = simulate(*request)
     _, sens, _ = direct_gradient(*request)
     sol = propagate_adjoint(traj, cost)
-    assert len(traj.events) == (11 if model == "bouncing-mass" else 1)
+    assert len(traj.events) == events
+    assert not any(len(seg.tangent.sample_times) for seg in sens.segments)
 
     def sensitivity(t):
         X = sens.sensitivity_at(t)
@@ -306,13 +310,64 @@ def test_tables_hold_the_library_values(tmp_path, model, flags):
             assert row[1:] == value_at(row[0]).tolist(), (stem, row[0])
         for before, after in zip(run.segments, run.segments[1:]):
             t_eve = before.t_end
-            pre = getattr(before, field).evaluate(t_eve)
-            assert not np.array_equal(pre, getattr(after, field).evaluate(t_eve))
+            pre = getattr(before, field).node_states[-1]
+            assert not np.array_equal(pre, getattr(after, field).node_states[0])
             assert rows[times.index(t_eve)][1:] == pre.tolist(), (stem, t_eve)
 
     header, rows = tables["adjoint_backward"]
     assert rows == [[t] + row for t, row in zip(sol.times.tolist(), sol.series.tolist())]
     assert len(header) == len(rows[0])
+
+
+@pytest.mark.parametrize("model, flags", [("pendulum", []), ("five-bar", ["--tf", "0.6"])],
+                         ids=["pendulum", "five-bar"])
+def test_direct_samples_its_table_inside_the_one_sweep(tmp_path, monkeypatch, model, flags):
+    # the direct command's table is sampled while the sweep has each step's
+    # stages in hand: it calls the dynamics' Jacobians once per tangent stage
+    # of one sweep (the forward run calls none), and sweeps no step again
+    from hybridsens.constrained import DaeDynamics, PenaltyDynamics
+    from hybridsens.direct import simulate
+    from hybridsens.model import OdeDynamics
+
+    calls, depth = [0], [0]
+
+    def counted(jacobians):
+        def outermost(*args, **kwargs):
+            calls[0] += not depth[0]
+            depth[0] += 1
+            try:
+                return jacobians(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return outermost
+
+    for cls in (PenaltyDynamics, DaeDynamics, OdeDynamics):
+        monkeypatch.setattr(cls, "jacobians", counted(cls.jacobians))
+    assert main(["direct", "--model", model, *flags, "--out", str(tmp_path)]) == 0
+    swept = calls[0]
+    args = cli.build_parser().parse_args(["direct", "--model", model, *flags])
+    problem, cost, rho, t_span, icfg = cli._setup(cli._effective(args))
+    traj = simulate(problem.dynamics, cost, problem.events, rho, t_span, icfg)
+    # seven stages on a segment's first step, six after it (FSAL)
+    assert swept == sum(6 * len(seg.dense) + 1 for seg in traj.segments) == calls[0]
+
+
+def test_rtol_below_the_floor_is_reported_and_recorded_on_every_call(tmp_path, capsys):
+    # the stepper's own warning shows once per process; the command reports
+    # the floor on each call and records the rtol it ran with
+    floor = 'Setting `rtol = np.maximum(rtol, 2.220446049250313e-14)`'
+    for tag in ("first", "second"):
+        out = tmp_path / tag
+        assert main(["simulate", "--model", "bouncing-mass", "--rtol", "1e-17",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count(floor) == 1, (tag, err)
+        meta = json.loads((out / "run.meta.json").read_text())
+        assert meta["config"]["rtol"] == 1e-17
+        assert meta["rtol_used"] == 100 * np.finfo(float).eps
+    assert main(["simulate", "--model", "bouncing-mass", "--out", str(tmp_path / "default")]) == 0
+    assert floor not in capsys.readouterr().err
+    assert "rtol_used" not in json.loads((tmp_path / "default" / "run.meta.json").read_text())
 
 
 def test_five_bar_simulate_artifacts(tmp_path):

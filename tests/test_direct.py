@@ -281,6 +281,47 @@ def test_sensitivity_at_on_a_run_not_yet_swept_names_the_sweep():
     assert traj.sensitivity_at(0.2).Q.shape == (1, 2)
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["nodes", "nodes-and-samples"])
+def test_the_sweep_retains_its_node_tangents_and_samples_only(sampled):
+    # no step's tangent stages outlive the sweep of its segment: what it leaves
+    # behind is each segment's node tangents (plus 10% for the records, the
+    # event-time sensitivities and X(tF)) and the rows sampled at ``at``
+    import tracemalloc
+
+    from hybridsens.cli import _sample_times
+
+    prob = _gallery("five-bar-penalty-all-parameters")
+    request = (prob.dynamics, prob.cost("int-ay2sq-vy2sq"), prob.events, prob.rho0.rho,
+               (0.0, 2.0), prob.config)
+    propagate_direct(simulate(*request))  # what a first call builds and keeps is not the sweep's
+    traj = simulate(*request)
+    at = _sample_times(traj) if sampled else ()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        XF = propagate_direct(traj, at=at)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) >= 2 and XF.Q.shape == (6, 8)
+    nodes = sum(seg.tangent.node_states.nbytes for seg in traj.segments)
+    samples = sum(seg.tangent.samples.nbytes + seg.tangent.sample_times.nbytes
+                  for seg in traj.segments)
+    assert (samples > 0) == sampled
+    assert retained <= 1.1 * nodes + samples, (retained, nodes, samples)
+
+
+@pytest.mark.parametrize("at, match", [([0.5, 0.2], "sorted"), ([-0.1, 0.2], "outside"),
+                                       ([0.2, 0.7], "outside"), ([0.2, float("nan")], "sorted")],
+                         ids=["unsorted", "before-the-start", "after-the-end", "nan"])
+def test_sample_times_outside_the_run_or_unsorted_are_refused(at, match):
+    prob = _gallery("bouncing-mass")
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, (0.0, 0.6),
+                    prob.config)
+    with pytest.raises(ValueError, match=match):
+        propagate_direct(traj, at=at)
+
+
 def _count_residual_calls(monkeypatch):
     """Wrap ConstraintSet.residuals; returns the list its calls land in."""
     from hybridsens.model import ConstraintSet

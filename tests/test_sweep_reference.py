@@ -30,7 +30,7 @@ from hybridsens.gallery import (
     pendulum,
     pendulum_model,
 )
-from hybridsens.integrate import RK45, RK_A, RK_C, integrate_segment
+from hybridsens.integrate import RK45, RK_A, RK_C, DenseSegment, integrate_segment
 from hybridsens.model import CostFunctional, cost_density_gradients, terminal_cost_gradients
 from test_constrained import five_bar_states, pendulum_states
 
@@ -128,16 +128,17 @@ def reference_lam_at(sol, t):
 
 
 def reference_tangent(traj, cost, ic):
-    """(node series per segment, X_F) of the discrete tangent on rebuilt
-    stage states, reusing each step's last stage as the next one's first."""
+    """(node series per segment, stages per segment, X_F) of the discrete
+    tangent on rebuilt stage states, reusing each step's last stage as the
+    next one's first; each step's seven stages are kept."""
     dims, rho, n = traj.dims, traj.rho, traj.dims.n
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
-    nodes_per_segment = []
+    nodes_per_segment, stages_per_segment = [], []
     for k, seg in enumerate(traj.segments):
         if k:
             X = traj.events[k - 1].jump.apply_direct(X)
         x, KX0 = np.vstack([X.Q, X.V, X.Z]).ravel(), None
-        nodes = [x]
+        nodes, stages = [x], []
         for j in range(len(seg.dense)):
             h, w, ts, states, vdot, mu = rebuilt_stages(seg.dense, j, n)
             KX = np.empty((len(ts), x.size))
@@ -150,10 +151,12 @@ def reference_tangent(traj, cost, ic):
                                     vdot[i], mu[i])
             x = x + np.dot(KX[:len(w)].T, w) * h
             nodes.append(x)
+            stages.append(KX)
             KX0 = KX[-1]
         nodes_per_segment.append(np.array(nodes))
+        stages_per_segment.append(stages)
         X = _sensitivity(x, dims)
-    return nodes_per_segment, X
+    return nodes_per_segment, stages_per_segment, X
 
 
 # a density of the state: the cost gradient at every stage, the truncated
@@ -204,11 +207,60 @@ def test_sweeps_are_bytewise_the_rebuilt_stage_references(name):
         assert join(sol.lam_at(t)).tobytes() == reference_lam_at(sol, t).tobytes(), t
 
     XF = propagate_direct(traj)
-    nodes, X = reference_tangent(traj, cost, prob.dynamics.model.initial_state(rho))
+    nodes, _, X = reference_tangent(traj, cost, prob.dynamics.model.initial_state(rho))
     for seg, ref in zip(traj.segments, nodes, strict=True):
         assert seg.tangent.node_states.tobytes() == ref.tobytes()
     for a, b in ((XF.Q, X.Q), (XF.V, X.V), (XF.Z, X.Z)):
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+EXTENSIONS = {
+    "five-bar-penalty": SWEEPS["five-bar-penalty"],
+    "five-bar-dae": SWEEPS["five-bar-dae"],
+    "bouncing-mass": SWEEPS["bouncing-mass"],
+    "pendulum": SWEEPS["pendulum-int-vx"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_sensitivity_at_is_bytewise_the_stored_stage_extension(name):
+    # the sweep keeps node tangents only: sensitivity_at sweeps the step
+    # covering t again, and the rows propagate_direct samples are evaluated
+    # from the segment's stages in the sweep; both must be the continuous
+    # extension of the reference's stored stages, at nodes, inside every step
+    # and at event times (the pre-event value)
+    make, cname, rho, t_span = EXTENSIONS[name]
+    prob = make()
+    cost = prob.cost(cname)
+    rho = prob.rho0.rho if rho is None else rho
+    traj = simulate(prob.dynamics, cost, prob.events, rho, t_span or prob.t_span, prob.config)
+    assert traj.events
+    nodes, stages, _ = reference_tangent(traj, cost, traj.initial)
+    extensions = [DenseSegment(seg.t_start, seg.t_end, seg.dense.node_times, ref, KX,
+                               seg.dense.steps, seg.dense.truncated)
+                  for seg, ref, KX in zip(traj.segments, nodes, stages, strict=True)]
+    times = np.unique(np.concatenate(
+        [seg.dense.node_times for seg in traj.segments]
+        + [seg.dense.node_times[:-1] + 0.375 * np.diff(seg.dense.node_times)
+           for seg in traj.segments]))
+
+    def reference(t):
+        # the first segment whose span holds t, as segment_at picks it
+        return next(ext for ext in extensions if ext.t_start <= t <= ext.t_end).evaluate(t)
+
+    def swept(t):
+        X = traj.sensitivity_at(t)
+        return np.vstack([X.Q, X.V, X.Z]).tobytes()
+
+    propagate_direct(traj, at=times)
+    rows = [(t, row) for seg in traj.segments
+            for t, row in zip(seg.tangent.sample_times.tolist(), seg.tangent.samples)]
+    assert [t for t, _ in rows] == times.tolist()
+    for t, row in rows:
+        assert row.tobytes() == reference(t).tobytes(), ("sampled", t)
+        assert swept(t) == reference(t).tobytes(), ("swept", t)
+    for seg, ext in zip(traj.segments[:-1], extensions):
+        assert swept(seg.t_end) == ext.node_states[-1].tobytes()
 
 
 def reference_solve(dyn, t, q, v, rho):
