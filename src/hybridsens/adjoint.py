@@ -138,34 +138,26 @@ class AdjointSolution:
     traj: HybridTrajectory  # its cost is the one swept
 
     def lam_at(self, t: float) -> AdjointState:
-        """Adjoint inside the smooth segment covering t: the stored value at
-        a node, else the continuous adjoint ODE integrated from the first
-        node after t back to t, over at most one forward step, as a forward
-        integration in the reversed time s = -t, whose right side is
-        ``adjoint_rhs`` as returned.
-
-        At an event time the value is side-dependent; query strictly inside
-        a segment to get an unambiguous answer.
-        """
-        dims, nc = self.traj.dims, self.traj.cost.nc
-        row = 0
-        for seg in reversed(self.traj.segments):
-            nodes = seg.dense.node_times
-            if seg.t_start <= t <= seg.t_end:
-                i = int(np.searchsorted(nodes, t))
-                y = self.series[row + len(nodes) - 1 - i].copy()
-                if nodes[i] > t:
-                    dyn, rho = seg.dynamics, self.traj.rho
-
-                    def rhs(s, lam):
-                        return adjoint_rhs(dyn, self.traj.cost, dims, rho, -s,
-                                           seg.dense.evaluate(-s), lam)
-                    _, (_, y), _ = integrate_segment(rhs, y, (-nodes[i], -t),
-                                                     self.traj.config)
-                lamQ, lamV, lamG = _split_lam(y, dims, nc)
-                return AdjointState(lamQ, lamV, lamG, np.eye(nc))
-            row += len(nodes)
-        raise ValueError(f"t={t} outside the adjoint solution span")
+        """Adjoint at t, found as ``HybridTrajectory.sensitivity_at`` finds
+        the tangent (``segment_at``, then ``DenseSegment.locate``), so at an
+        event time it is the pre-event value.  At a node it is the stored
+        row; inside step k, the continuous adjoint ODE integrated from node
+        k + 1 back to t, forward in the reversed time s = -t, whose right
+        side is ``adjoint_rhs`` as returned."""
+        traj = self.traj
+        dims, nc = traj.dims, traj.cost.nc
+        seg = traj.segment_at(t)
+        dense = seg.dense
+        k, on_node, t = dense.locate(t)
+        y = self.series[np.count_nonzero(self.times >= t) - 1].copy()
+        if not on_node:
+            def rhs(s, lam):
+                return adjoint_rhs(seg.dynamics, traj.cost, dims, traj.rho, -s,
+                                   dense.evaluate(-s), lam)
+            _, (_, y), _ = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
+                                             traj.config)
+        lamQ, lamV, lamG = _split_lam(y, dims, nc)
+        return AdjointState(lamQ, lamV, lamG, np.eye(nc))
 
 
 def propagate_adjoint(traj: HybridTrajectory,

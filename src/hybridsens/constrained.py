@@ -323,7 +323,8 @@ def check_one_sided(dyn, dense) -> None:
         worst = np.unravel_index(np.argmin(mu), mu.shape)
         raise ConstraintReleaseError(
             f"one-sided constraint row {rows[worst[1]]} reached multiplier "
-            f"{mu[worst]:.3g} < 0 on the segment [{dense.t_start:.6g}, {dense.t_end:.6g}]: "
+            f"{mu[worst]:.3g} < 0 on the segment "
+            f"[{dense.node_times[0]:.6g}, {dense.node_times[-1]:.6g}]: "
             f"the constraint would push, and its release is not supported")
 
 

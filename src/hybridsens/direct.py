@@ -28,7 +28,8 @@ import numpy as np
 from .core import DimensionError, Dimensions, SensitivityState
 from .model import (ZERO_COST, CostFunctional, InitialConditions, cost_density_gradients,
                     terminal_cost_gradients)
-from .integrate import RK_A, DenseSegment, EventMonitor, IntegratorConfig, integrate_segment
+from .integrate import (RK45, RK_A, DenseSegment, EventMonitor, IntegratorConfig, _rk_dense,
+                        integrate_segment)
 from .hybrid import (
     EventRecord,
     EventSpec,
@@ -54,11 +55,17 @@ class SegmentTangent:
 class TrajectorySegment:
     """One smooth piece of a hybrid run with its active dynamics."""
 
-    t_start: float
-    t_end: float
     dense: DenseSegment
     dynamics: object
     tangent: SegmentTangent | None = None
+
+    @property
+    def t_start(self) -> float:
+        return self.dense.node_times[0]
+
+    @property
+    def t_end(self) -> float:
+        return self.dense.node_times[-1]
 
 
 @dataclass
@@ -202,7 +209,8 @@ def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
     (``DenseSegment.step_stages``), so nothing is solved again.  Returns
     X_k+1 and all seven stages KX, the tangent's continuous extension.
     Stage 6 sits at the full step's end, so it is the next step's stage 0
-    (``KX0``), as in the forward step.
+    (``KX0``), as in the forward step; without it stage 0 is evaluated at
+    that stage's time and state, to the same bytes.
     """
     h, w, times, states, vdot, mu = dense.step_stages(k, dims.n)
     KX = np.empty((len(times), X.size))
@@ -215,36 +223,18 @@ def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
     return X + np.dot(KX[:len(w)].T, w) * h, KX
 
 
-def _extension(dense: DenseSegment, nodes: np.ndarray, stages: list) -> DenseSegment:
-    """The tangent's continuous extension on ``dense``'s steps, with the
-    tangent ``nodes`` and ``stages``, one entry per step: the tangent
-    stages of the steps it is evaluated on, None on the others.  Its
-    ``evaluate`` returns the node rows as stored."""
-    return DenseSegment(dense.t_start, dense.t_end, dense.node_times, nodes, stages, dense.steps)
-
-
 def _tangent_at(traj, seg: TrajectorySegment, t: float) -> np.ndarray:
-    """The flattened tangent at t in ``seg`` (``HybridTrajectory.sensitivity_at``).
-    Off the nodes, step k is swept again from node k; for k > 0 its
-    stage 0 is the one the sweep took over from step k - 1, evaluated at
-    that step's end time t_k-1 + 1.0 h_k-1, which may differ from node
-    time k in the last bit."""
-    tangent, dense = seg.tangent, seg.dense
-    t = min(max(t, dense.t_start), dense.t_end)  # as DenseSegment.evaluate clamps
-    k = int(np.searchsorted(dense.node_times, t))
-    nodes = tangent.node_states
-    if dense.node_times[k] == t:
+    """The flattened tangent at t in ``seg`` (``HybridTrajectory.sensitivity_at``):
+    the node row at a node (``DenseSegment.locate``), else step k covering t
+    swept again from node k, on the sweep's own stage clock, and its
+    continuous extension evaluated at t."""
+    dense, nodes = seg.dense, seg.tangent.node_states
+    k, on_node, t = dense.locate(t)
+    if on_node:
         return nodes[k].copy()
-    k -= 1
-    dims, rho, cost = traj.dims, traj.rho, traj.cost or ZERO_COST
-    KX0 = None
-    if k:
-        _, _, times, states, vdot, mu = dense.step_stages(k - 1, dims.n)
-        KX0 = tangent_rhs(seg.dynamics, cost, dims, rho, times[-1], states[-1], nodes[k],
-                          vdot[-1], mu[-1])
-    stages = [None] * len(dense)
-    _, stages[k] = _step_tangent(seg.dynamics, cost, dims, rho, dense, k, nodes[k], KX0)
-    return _extension(dense, nodes, stages).evaluate(t)
+    _, KX = _step_tangent(seg.dynamics, traj.cost or ZERO_COST, traj.dims, traj.rho, dense, k,
+                          nodes[k], None)
+    return _rk_dense(dense.node_times[k], nodes[k], dense.steps[k], KX.T.dot(RK45.P), t)
 
 
 def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
@@ -288,10 +278,10 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     while t < tF - 1e-14 * max(1.0, abs(tF)):
         # integrate_segment asks for the multipliers right after each rhs
         # evaluation: they are that evaluation's
-        seg_dense, (t_end, y_end), hit = integrate_segment(
+        seg_dense, (_, y_end), hit = integrate_segment(
             lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
             wrappers, monitor, lambda s, x: solved[0], start)
-        segments.append(TrajectorySegment(t, t_end, seg_dense, active))
+        segments.append(TrajectorySegment(seg_dense, active))
         check_one_sided(active, seg_dense)
         if hit is None:
             break
@@ -368,7 +358,7 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
             nodes[j + 1], KX = _step_tangent(seg.dynamics, cost, dims, rho, d, j, nodes[j], KX0)
             KX0 = KX[-1]
             stages.append(KX if times.size else None)  # held only while sampled
-        extension = _extension(d, nodes, stages)
+        extension = DenseSegment(d.node_times, nodes, stages, d.steps)
         samples = np.array([extension.evaluate(t) for t in times.tolist()]).reshape(-1, x.size)
         seg.tangent = SegmentTangent(nodes, times, samples)
         X = _sensitivity(nodes[-1].copy(), dims)

@@ -315,7 +315,8 @@ class DenseSegment:
 
     Time runs forward.  Step k runs from node k with length ``steps[k]``
     (the stepper's ``h_previous``) and stage derivatives ``stages[k]`` (a
-    copy of its ``K``: six stages plus the derivative at the step end).  A
+    copy of its ``K``: six stages plus the derivative at the step end); the
+    span is that of ``node_times``, in which ``locate`` finds a time.  A
     hybrid run also records ``multipliers``, the (6 * len(steps) + 1, m)
     multipliers of the dynamics' saddle solve at every stage: row 6k + i is
     stage i of step k, so row 6k is also stage 6 of step k - 1.  Inside a step
@@ -325,8 +326,6 @@ class DenseSegment:
     reached by the continuous extension rather than by the full step.
     """
 
-    t_start: float
-    t_end: float
     node_times: np.ndarray
     node_states: np.ndarray  # shape (len(node_times), dim)
     stages: list
@@ -344,16 +343,24 @@ class DenseSegment:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        lo, hi = self.t_start, self.t_end
+    def locate(self, t: float) -> tuple:
+        """(k, on_node, t): t clamped to the span, and the node k it sits on
+        (on_node) or else the step k whose interior holds it.  A t outside
+        the span by more than a relative 1e-12 raises an IntegrationError."""
+        lo, hi = self.node_times[0], self.node_times[-1]
         span = max(hi - lo, 1.0)
-        if t < lo - self._BOUNDARY_SLACK * span or t > hi + self._BOUNDARY_SLACK * span:
+        if not lo - self._BOUNDARY_SLACK * span <= t <= hi + self._BOUNDARY_SLACK * span:
             raise IntegrationError(f"t={t!r} outside segment [{lo!r}, {hi!r}]")
         t = min(max(t, lo), hi)
-        k = np.searchsorted(self.node_times, t)
-        if k < len(self.node_times) and self.node_times[k] == t:
+        k = int(np.searchsorted(self.node_times, t))
+        if self.node_times[k] == t:
+            return k, True, t
+        return k - 1, False, t
+
+    def evaluate(self, t: float) -> np.ndarray:
+        k, on_node, t = self.locate(t)
+        if on_node:
             return self.node_states[k].copy()
-        k = min(max(k - 1, 0), len(self.stages) - 1)
         return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
                          self.stages[k].T.dot(RK45.P), t)
 
@@ -368,11 +375,15 @@ class DenseSegment:
         the forward step evaluated: stage 0 is node k and, on a full step,
         stage 6 is node k + 1, both read as stored; stages 1..5, and stage 6
         of a truncated step, are rebuilt in the forward step's arithmetic.
-        The stage times are rebuilt likewise.  Their accelerations (v block
-        of K) and multipliers (rows 6k..6k+6 of ``multipliers``) are
-        bitwise what the dynamics returned there."""
+        The stage times are the forward pass's, t_k + c_i h, but stage 0 of
+        step k > 0 at t_k-1 + h_k-1, where step k - 1 evaluated it (FSAL).
+        Their accelerations (v block of K) and multipliers (rows 6k..6k+6 of
+        ``multipliers``) are bitwise what the dynamics returned there."""
         t_old, y_old = self.node_times[k], self.node_states[k]
         h, K = self.steps[k], self.stages[k]
+        times = t_old + RK_C * h
+        if k:
+            times[0] = self.node_times[k - 1] + self.steps[k - 1]
         states = [y_old]
         states += [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(1, RK45.n_stages)]
         if self.truncated and k == len(self) - 1:
@@ -383,7 +394,7 @@ class DenseSegment:
             w = RK45.B
             states.append(self.node_states[k + 1])
         mu = self.multipliers[RK45.n_stages * k:RK45.n_stages * (k + 1) + 1]
-        return h, w, t_old + RK_C * h, states, K[:, n:2 * n], mu
+        return h, w, times, states, K[:, n:2 * n], mu
 
 
 @dataclass
@@ -634,7 +645,6 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         node_times.append(t_new)
         node_states.append(y_new)
 
-    seg = DenseSegment(t0, node_times[-1], np.asarray(node_times), np.asarray(node_states),
-                       stages, np.asarray(hs), truncated=hit is not None,
-                       multipliers=mu_rows)
+    seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages,
+                       np.asarray(hs), truncated=hit is not None, multipliers=mu_rows)
     return seg, (node_times[-1], node_states[-1].copy()), hit

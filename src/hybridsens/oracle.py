@@ -48,8 +48,8 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
     an event-topology change makes the difference quotient meaningless and
     raises instead of returning garbage.  The nominal run serves only for
     that sequence: a caller that already has it (a trajectory of the same
-    rho, time span and config) passes it as ``nominal``, else it is
-    simulated here.
+    rho, time span and config, simulated with this ``cost`` and ``dyn``
+    object) passes it as ``nominal``, else it is simulated here.
     """
     if cost is None:
         raise ValueError("the finite-difference cost gradient needs the cost functional")
@@ -59,8 +59,10 @@ def fd_cost_sensitivity(dyn, cost, events, rho, t_span,
     if nominal is None:
         nominal = simulate(dyn, cost, events, rho, t_span, config)
     elif not (np.array_equal(nominal.rho, rho) and nominal.config == config
-              and (nominal.t0, nominal.tF) == (float(t_span[0]), float(t_span[1]))):
-        raise ValueError("the nominal run must have the same rho, time span and config")
+              and (nominal.t0, nominal.tF) == (float(t_span[0]), float(t_span[1]))
+              and nominal.cost is cost and nominal.segments[0].dynamics is dyn):
+        raise ValueError("the nominal run must have the same rho, time span and config, "
+                         "and be simulated with the same cost and dynamics objects")
     sig0 = _event_signature(nominal)
     grad = np.zeros((cost.nc, rho.size))
     for j in range(rho.size):

@@ -3,9 +3,10 @@ import zlib
 import numpy as np
 import pytest
 
-from hybridsens.core import Dimensions
-from hybridsens.gallery import PENDULUM_LENGTH, pendulum_model
-from hybridsens.model import InitialConditions, MultibodyModel, OdeDynamics
+from hybridsens.core import Dimensions, ParameterVector
+from hybridsens.gallery import GRAVITY, PENDULUM_LENGTH, GalleryProblem, pendulum_model
+from hybridsens.hybrid import VelocityJumpEvent
+from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
 
 
 def stable_seed(label: str) -> int:
@@ -60,6 +61,67 @@ def pendulum_swing_model(theta0: float = 0.9) -> MultibodyModel:
 
     model.initial_state = initial_state
     return model
+
+
+def forced_mass() -> GalleryProblem:
+    """The bouncing mass, rho = (h0, e, a), driven by a(sin 3t) and damped
+    by 0.2 cos(t) v, with costs whose density and terminal value depend on
+    t: every sweep stage evaluated at another time than the forward pass
+    evaluated it changes its bytes.  Its span starts before t = 0, where a
+    step's end time t_k + h_k can differ from the next node time."""
+    dims = Dimensions(n=1, p=3)
+
+    def initial_state(rho):
+        return InitialConditions(np.array([rho[0]]), np.zeros(1),
+                                 np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
+
+    model = MultibodyModel(
+        dims=dims,
+        mass=lambda t, q, rho: np.eye(1),
+        force=lambda t, q, v, rho: np.array(
+            [-GRAVITY + rho[2] * np.sin(3.0 * t) - 0.2 * np.cos(t) * v[0]]),
+        initial_state=initial_state,
+        force_partials=lambda t, q, v, rho: (
+            np.zeros((1, 1)), np.array([[-0.2 * np.cos(t)]]),
+            np.array([[0.0, 0.0, np.sin(3.0 * t)]])),
+        mass_constant=True,
+        name="forced-mass",
+    )
+    floor = VelocityJumpEvent(
+        name="ground",
+        r=lambda q: q[0],
+        dr_dq=lambda q: np.array([1.0]),
+        admissible=1.0,
+        h=lambda t, q, v, rho: np.array([-rho[1] * v[0]]),
+        h_partials=lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
+                                         np.array([[-rho[1]]]), np.array([[0.0, -v[0], 0.0]])),
+    )
+    costs = {
+        "int-forced": CostFunctional(
+            nc=1,
+            g=lambda t, q, v, a, rho, u: np.array([np.cos(2.0 * t) * v[0] + np.sin(t) * q[0]]),
+            g_partials=lambda t, q, v, a, rho, u: (
+                np.array([[np.sin(t)]]), np.array([[np.cos(2.0 * t)]]), np.zeros((1, 1)),
+                np.zeros((1, 3)), None),
+            name="int-forced",
+        ),
+        "final-forced": CostFunctional(
+            nc=1,
+            w=lambda t, q, v, rho, u: np.array([np.cos(t) * q[0] + np.sin(t) * v[0]]),
+            w_partials=lambda t, q, v, rho, u: (
+                np.array([[np.cos(t)]]), np.array([[np.sin(t)]]), np.zeros((1, 3)), None),
+            name="final-forced",
+        ),
+    }
+    return GalleryProblem(
+        name="forced-mass",
+        dynamics=OdeDynamics(model),
+        events=[floor],
+        costs=costs,
+        default_cost="int-forced",
+        rho0=ParameterVector(np.array([1.0, 0.8, 2.0]), ("h0", "e", "a")),
+        t_span=(-0.4, 1.6),
+    )
 
 
 @pytest.fixture

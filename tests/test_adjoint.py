@@ -352,3 +352,41 @@ def test_adjoint_of_the_runs_own_cost_is_unchanged_by_passing_it():
     grad, _, _ = direct_gradient(prob.dynamics, cost, prob.events, prob.rho0.rho,
                                  prob.t_span, prob.config)
     assert rel_err(given.gradient, grad) <= 1e-12
+
+
+def test_lam_at_finds_t_as_sensitivity_at_does():
+    # lam_at and sensitivity_at find t in the same segment and step: at an
+    # event time both give the pre-event side (lam_at the pre-event node row),
+    # so lam^T X there is the pairing just inside the pre-event segment, along
+    # which it is constant; past the ends both answer within the same slack
+    from hybridsens.gallery import bouncing_mass, five_bar, pendulum
+
+    def flat(lam):
+        return np.concatenate([lam.lamQ.ravel(), lam.lamV.ravel(), lam.lamGamma.ravel()])
+
+    runs = [(prob, cname) for prob in (bouncing_mass(), pendulum())
+            for cname in sorted(prob.costs)]
+    runs += [(prob, prob.default_cost) for prob in (five_bar(), five_bar(formulation="dae"))]
+    for prob, cname in runs:
+        cost = prob.cost(cname)
+        traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span,
+                        prob.config)
+        assert traj.events
+        propagate_direct(traj)
+        sol = propagate_adjoint(traj)
+        scale = max(1.0, float(np.abs(sol.gradient).max()))
+
+        def pairing(t):
+            return sol.lam_at(t).stacked().T @ traj.sensitivity_at(t).stacked()
+        for i, rec in enumerate(traj.events):
+            before = traj.segments[i]
+            assert before.t_end == rec.t_eve
+            row = sum(len(seg.dense.node_times) for seg in traj.segments[i + 1:])
+            assert flat(sol.lam_at(rec.t_eve)).tobytes() == sol.series[row].tobytes()
+            inside = rec.t_eve - 1e-9 * max(before.t_end - before.t_start, 1e-3)
+            drift = np.abs(pairing(rec.t_eve) - pairing(inside)).max() / scale
+            assert drift <= 1e-8, (prob.name, cname, rec.t_eve, drift)
+        for t, row, end in ((traj.tF + 1e-13, 0, -1), (traj.t0 - 1e-13, -1, 0)):
+            assert flat(sol.lam_at(t)).tobytes() == sol.series[row].tobytes()
+            X, node = traj.sensitivity_at(t), traj.segments[end].tangent.node_states[end]
+            assert np.vstack([X.Q, X.V, X.Z]).ravel().tobytes() == node.tobytes()

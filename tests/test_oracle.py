@@ -108,11 +108,13 @@ def test_bouncing_mass_fd_matches_closed_form():
 
 def test_nominal_run_passed_in_gives_the_same_gradient():
     # the nominal run only fixes the event sequence; one of another rho,
-    # time span or config is refused
+    # time span or config, or simulated with another cost or dynamics
+    # object, is refused
     import dataclasses
 
     from hybridsens.direct import simulate
     from hybridsens.gallery import bouncing_mass
+    from hybridsens.model import OdeDynamics
 
     prob = bouncing_mass()
     cost = prob.cost("height-final")
@@ -121,7 +123,8 @@ def test_nominal_run_passed_in_gives_the_same_gradient():
     assert fd_cost_sensitivity(*args, nominal=nominal).tobytes() == \
         fd_cost_sensitivity(*args).tobytes()
     for other in ({"rho": prob.rho0.rho + 1e-3}, {"t_span": (0.0, 1.4)},
-                  {"config": dataclasses.replace(prob.config, rtol=1e-7)}):
+                  {"config": dataclasses.replace(prob.config, rtol=1e-7)},
+                  {"cost": prob.cost("int-vy")}, {"dyn": OdeDynamics(prob.dynamics.model)}):
         kwargs = dict(zip(("dyn", "cost", "events", "rho", "t_span", "config"), args))
         kwargs.update(other)
         with pytest.raises(ValueError, match="nominal run"):

@@ -1,13 +1,14 @@
 """Seeded random referee: every request is either right or a named error.
 
-Each request draws parameters and a final time from a fixed-seed numpy
-RNG, runs ``direct_gradient``, ``propagate_adjoint`` on its trajectory and
-``fd_cost_sensitivity`` with that trajectory as the nominal run.  It agrees
-when direct and adjoint match within 1e-10 and direct and FD within 1e-4,
-both relative to max(1, |g|).  Any other outcome must be one of the errors
-the README names; any other exception, or a disagreement, fails.  The
-bouncing mass is also checked against its closed form on every draw that
-runs.  The tally per outcome is printed (visible with ``pytest -s``).
+Each request draws parameters and a time span from a fixed-seed numpy
+RNG, one stream per family, runs ``direct_gradient``, ``propagate_adjoint``
+on its trajectory and ``fd_cost_sensitivity`` with that trajectory as the
+nominal run.  It agrees when direct and adjoint match within 1e-10 and
+direct and FD within 1e-4, both relative to max(1, |g|).  Any other
+outcome must be one of the errors the README names; any other exception,
+or a disagreement, fails.  The bouncing mass is also checked against its
+closed form on every draw that runs.  The tally per outcome is printed
+(visible with ``pytest -s``).
 
 The draws are fixed by the seed: never re-draw or narrow the ranges to
 hide a failure.
@@ -25,7 +26,7 @@ from hybridsens.gallery import FIVE_BAR_DATA, GRAVITY, bouncing_mass, five_bar, 
 from hybridsens.hybrid import StickingContactError, TangentialCrossingError
 from hybridsens.integrate import InadmissibleStartError, IntegrationError
 from hybridsens.oracle import fd_cost_sensitivity
-from conftest import elementwise_close
+from conftest import elementwise_close, forced_mass
 
 SEED = 12345
 
@@ -39,7 +40,7 @@ def _pendulum_draws(rng, count=20):
     prob = pendulum()
     for _ in range(count):
         rho = np.array([rng.uniform(-0.95, 0.95), rng.uniform(-8.0, 8.0), rng.uniform(0.3, 3.0)])
-        yield prob, rho, rng.uniform(0.2, 3.0)
+        yield prob, rho, (0.0, rng.uniform(0.2, 3.0))
 
 
 def _bouncing_draws(rng, count=20):
@@ -47,7 +48,7 @@ def _bouncing_draws(rng, count=20):
     for _ in range(count):
         h0, e = rng.uniform(0.1, 3.0), rng.uniform(0.2, 0.97)
         t1 = np.sqrt(2.0 * h0 / GRAVITY)
-        yield prob, np.array([h0, e]), rng.uniform(0.1, 1.2) * t1 * (1.0 + e) / (1.0 - e)
+        yield prob, np.array([h0, e]), (0.0, rng.uniform(0.1, 1.2) * t1 * (1.0 + e) / (1.0 - e))
 
 
 def _five_bar_draws(rng, per_formulation=2):
@@ -56,7 +57,18 @@ def _five_bar_draws(rng, per_formulation=2):
     for formulation in ("penalty", "dae"):
         prob = five_bar(names, formulation)
         for _ in range(per_formulation):
-            yield prob, nominal * rng.uniform(0.95, 1.05, size=3), rng.uniform(0.4, 0.8)
+            yield prob, nominal * rng.uniform(0.95, 1.05, size=3), (0.0, rng.uniform(0.4, 0.8))
+
+
+def _forced_draws(rng, count=12):
+    # forces and costs of t; most spans start before t = 0
+    prob = forced_mass()
+    for _ in range(count):
+        h0, e, a = rng.uniform(0.3, 2.0), rng.uniform(0.3, 0.9), rng.uniform(-3.0, 3.0)
+        t1 = np.sqrt(2.0 * h0 / GRAVITY)
+        t0 = rng.uniform(-0.6, 0.2)
+        span = rng.uniform(0.3, 1.0) * t1 * (1.0 + e) / (1.0 - e)
+        yield prob, np.array([h0, e, a]), (t0, t0 + span)
 
 
 def _check_bouncing_closed_form(traj, rho, tF):
@@ -70,9 +82,8 @@ def _check_bouncing_closed_form(traj, rho, tF):
     assert np.all(np.abs(t_eve - t_k[:len(t_eve)]) <= 1e-9 * t_k[:len(t_eve)])
 
 
-def _request(prob, cost, rho, tF):
+def _request(prob, cost, rho, t_span):
     """'agree', or the name of the named error the request raised."""
-    t_span = (0.0, tF)
     try:
         g_dir, traj, _ = direct_gradient(prob.dynamics, cost, prob.events, rho, t_span,
                                          prob.config)
@@ -81,24 +92,24 @@ def _request(prob, cost, rho, tF):
                                    prob.config, nominal=traj)
     except NAMED_ERRORS as exc:
         return type(exc).__name__
-    where = f"{prob.name} {cost.name} rho={rho.tolist()} tF={tF!r}"
+    where = f"{prob.name} {cost.name} rho={rho.tolist()} t_span={t_span!r}"
     assert elementwise_close(g_adj, g_dir, 1e-10), (where, g_dir, g_adj)
     assert elementwise_close(g_fd, g_dir, 1e-4), (where, g_dir, g_fd)
     if prob.name == "bouncing-mass":
-        _check_bouncing_closed_form(traj, rho, tF)
+        _check_bouncing_closed_form(traj, rho, t_span[1])
     return "agree"
 
 
 DRAWS = {"pendulum": _pendulum_draws, "bouncing-mass": _bouncing_draws,
-         "five-bar": _five_bar_draws}
+         "five-bar": _five_bar_draws, "forced-mass": _forced_draws}
 
 
 @pytest.mark.parametrize("family", list(DRAWS))
 def test_every_request_agrees_or_raises_a_named_error(family):
     rng = np.random.default_rng(SEED)
     tally = Counter()
-    for i, (prob, rho, tF) in enumerate(DRAWS[family](rng)):
+    for i, (prob, rho, t_span) in enumerate(DRAWS[family](rng)):
         names = sorted(prob.costs)
-        tally[_request(prob, prob.cost(names[i % len(names)]), rho, tF)] += 1
+        tally[_request(prob, prob.cost(names[i % len(names)]), rho, t_span)] += 1
     print(f"\nreferee {family}: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
     assert tally["agree"] > 0

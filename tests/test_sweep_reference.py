@@ -32,14 +32,21 @@ from hybridsens.gallery import (
 )
 from hybridsens.integrate import RK45, RK_A, RK_C, DenseSegment, integrate_segment
 from hybridsens.model import CostFunctional, cost_density_gradients, terminal_cost_gradients
+from conftest import forced_mass
 from test_constrained import five_bar_states, pendulum_states
 
 
 def rebuilt_stages(dense, k, n):
     """(h, w, times, states, vdot, mu) of step k with all seven stage
-    states rebuilt from the stored stages, y_k + h sum_{j<i} a_ij K_j."""
+    states rebuilt from the stored stages, y_k + h sum_{j<i} a_ij K_j, at
+    the times the forward step evaluated them: t_k + c_i h, but stage 0 of
+    step k > 0 at t_k-1 + h_k-1, where step k - 1 evaluated it as its end
+    derivative (FSAL)."""
     t_old, y_old = dense.node_times[k], dense.node_states[k]
     h, K = dense.steps[k], dense.stages[k]
+    times = t_old + RK_C * h
+    if k:
+        times[0] = dense.node_times[k - 1] + dense.steps[k - 1]
     if dense.truncated and k == len(dense) - 1:
         x = (dense.node_times[k + 1] - t_old) / h
         w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
@@ -47,7 +54,7 @@ def rebuilt_stages(dense, k, n):
         w = RK45.B
     states = [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(len(RK_C))]
     mu = dense.multipliers[6 * k:6 * (k + 1) + 1]
-    return h, w, t_old + RK_C * h, states, K[:, n:2 * n], mu
+    return h, w, times, states, K[:, n:2 * n], mu
 
 
 def lam_dot(dyn, cost, n, rho, t, x, y, vdot=None, mu=None, weight=1.0):
@@ -181,6 +188,9 @@ SWEEPS = {
     # ODE to DAE at the capture; a density, and a terminal cost alone
     "pendulum-int-vx": (pendulum, "int-vx", None, None),
     "pendulum-x-final": (pendulum, "x-final", None, None),
+    # forces and costs of t, from t0 < 0: steps cross t = 0
+    "forced-mass-int-forced": (forced_mass, "int-forced", None, None),
+    "forced-mass-final-forced": (forced_mass, "final-forced", None, None),
 }
 
 
@@ -219,6 +229,7 @@ EXTENSIONS = {
     "five-bar-dae": SWEEPS["five-bar-dae"],
     "bouncing-mass": SWEEPS["bouncing-mass"],
     "pendulum": SWEEPS["pendulum-int-vx"],
+    "forced-mass": SWEEPS["forced-mass-int-forced"],
 }
 
 
@@ -236,8 +247,8 @@ def test_sensitivity_at_is_bytewise_the_stored_stage_extension(name):
     traj = simulate(prob.dynamics, cost, prob.events, rho, t_span or prob.t_span, prob.config)
     assert traj.events
     nodes, stages, _ = reference_tangent(traj, cost, traj.initial)
-    extensions = [DenseSegment(seg.t_start, seg.t_end, seg.dense.node_times, ref, KX,
-                               seg.dense.steps, seg.dense.truncated)
+    extensions = [DenseSegment(seg.dense.node_times, ref, KX, seg.dense.steps,
+                               seg.dense.truncated)
                   for seg, ref, KX in zip(traj.segments, nodes, stages, strict=True)]
     times = np.unique(np.concatenate(
         [seg.dense.node_times for seg in traj.segments]
@@ -246,7 +257,8 @@ def test_sensitivity_at_is_bytewise_the_stored_stage_extension(name):
 
     def reference(t):
         # the first segment whose span holds t, as segment_at picks it
-        return next(ext for ext in extensions if ext.t_start <= t <= ext.t_end).evaluate(t)
+        return next(ext for ext in extensions
+                    if ext.node_times[0] <= t <= ext.node_times[-1]).evaluate(t)
 
     def swept(t):
         X = traj.sensitivity_at(t)
@@ -261,6 +273,41 @@ def test_sensitivity_at_is_bytewise_the_stored_stage_extension(name):
         assert swept(t) == reference(t).tobytes(), ("swept", t)
     for seg, ext in zip(traj.segments[:-1], extensions):
         assert swept(seg.t_end) == ext.node_states[-1].tobytes()
+
+
+def test_every_sweep_reads_the_forward_pass_stage_clock():
+    # stage 0 of step k > 0 is the derivative step k - 1 evaluated at its end,
+    # t_k-1 + h_k-1, which can differ from node time k in the last bit (for a
+    # step from t < 0); with node time k moved by one ulp, step k's stage 0
+    # must still be step k - 1's stage 6, and sensitivity_at, which sweeps
+    # step k again from its node, must give the row the one sweep samples
+    prob = forced_mass()
+    cost = prob.cost()
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, prob.t_span, prob.config)
+    seg, n = traj.segments[0], traj.dims.n
+    dense = seg.dense
+    assert seg.t_start < 0.0 < seg.t_end
+    k = len(dense) // 2
+    t_fsal = dense.node_times[k - 1] + dense.steps[k - 1]
+    assert t_fsal == dense.node_times[k]
+    dense.node_times[k] = np.nextafter(dense.node_times[k], np.inf)
+    stage_0 = [a[0] for a in dense.step_stages(k, n)[2:]]
+    stage_6 = [a[6] for a in dense.step_stages(k - 1, n)[2:]]
+    assert [np.asarray(a).tobytes() for a in stage_0] == [np.asarray(a).tobytes() for a in stage_6]
+
+    t = dense.node_times[k] + 0.375 * dense.steps[k]
+    propagate_direct(traj, at=[t])
+    assert seg.tangent.sample_times.tolist() == [t]
+    X = traj.sensitivity_at(t)
+    assert np.vstack([X.Q, X.V, X.Z]).ravel().tobytes() == seg.tangent.samples[0].tobytes()
+
+    # the model sees the one ulp: a stage evaluated at the moved node time
+    # would give other bytes
+    x, X_k = dense.node_states[k], seg.tangent.node_states[k]
+    vdot, mu = stage_0[2], stage_0[3]
+    at = [tangent_rhs(prob.dynamics, cost, traj.dims, traj.rho, s, x, X_k, vdot, mu).tobytes()
+          for s in (t_fsal, dense.node_times[k])]
+    assert at[0] != at[1]
 
 
 def reference_solve(dyn, t, q, v, rho):
