@@ -154,8 +154,8 @@ class AdjointSolution:
             def rhs(s, lam):
                 return adjoint_rhs(seg.dynamics, traj.cost, dims, traj.rho, -s,
                                    dense.evaluate(-s), lam)
-            _, (_, y), _ = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
-                                             traj.config)
+            y = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
+                                  traj.config)[0].node_states[-1]
         lamQ, lamV, lamG = _split_lam(y, dims, nc)
         return AdjointState(lamQ, lamV, lamG, np.eye(nc))
 

@@ -278,7 +278,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     while t < tF - 1e-14 * max(1.0, abs(tF)):
         # integrate_segment asks for the multipliers right after each rhs
         # evaluation: they are that evaluation's
-        seg_dense, (_, y_end), hit = integrate_segment(
+        seg_dense, hit = integrate_segment(
             lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
             wrappers, monitor, lambda s, x: solved[0], start)
         segments.append(TrajectorySegment(seg_dense, active))
@@ -287,6 +287,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
             break
 
         spec: EventSpec = events[hit.index]
+        y_end = seg_dense.node_states[-1]
         q, v_minus, z = y_end[:n], y_end[n:2 * n], y_end[2 * n:]
         t_eve = hit.t
         v_plus, delta_mu, dyn_plus, blocks = apply_state_jump(
@@ -338,8 +339,9 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
     ``traj.split_at`` splits them (a t at an event time samples the
     pre-event segment).  Each is evaluated once the segment's steps are
     swept, by one ``DenseSegment.evaluate`` of the tangent's continuous
-    extension on that segment's stages, which are dropped right after, and
-    stored on the segment's ``tangent`` (``samples``).  Returns X_tF."""
+    extension on that segment's tangent stages (a record laid out as the
+    forward stages, which is dropped right after), and stored on the
+    segment's ``tangent`` (``samples``).  Returns X_tF."""
     dims, rho, ic = traj.dims, traj.rho, traj.initial
     cost = traj.cost or ZERO_COST
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
@@ -353,13 +355,18 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
         x = np.vstack([X.Q, X.V, X.Z]).ravel()
         nodes = np.empty((len(d.node_times), x.size))
         nodes[0] = x
-        stages, KX0 = [], None
+        # held only while sampled
+        stages = np.empty((d.stages.shape[0], x.size)) if times.size else None
+        KX0 = None
         for j in range(len(d)):
             nodes[j + 1], KX = _step_tangent(seg.dynamics, cost, dims, rho, d, j, nodes[j], KX0)
             KX0 = KX[-1]
-            stages.append(KX if times.size else None)  # held only while sampled
-        extension = DenseSegment(d.node_times, nodes, stages, d.steps)
-        samples = np.array([extension.evaluate(t) for t in times.tolist()]).reshape(-1, x.size)
+            if stages is not None:
+                stages[6 * j:6 * j + 7] = KX
+        samples = np.empty((0, x.size))
+        if stages is not None:
+            extension = DenseSegment(d.node_times, nodes, stages, d.steps)
+            samples = np.array([extension.evaluate(t) for t in times.tolist()])
         seg.tangent = SegmentTangent(nodes, times, samples)
         X = _sensitivity(nodes[-1].copy(), dims)
     return X

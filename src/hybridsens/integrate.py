@@ -314,21 +314,24 @@ class DenseSegment:
     """Accepted Runge-Kutta steps of one smooth segment.
 
     Time runs forward.  Step k runs from node k with length ``steps[k]``
-    (the stepper's ``h_previous``) and stage derivatives ``stages[k]`` (a
-    copy of its ``K``: six stages plus the derivative at the step end); the
-    span is that of ``node_times``, in which ``locate`` finds a time.  A
-    hybrid run also records ``multipliers``, the (6 * len(steps) + 1, m)
-    multipliers of the dynamics' saddle solve at every stage: row 6k + i is
-    stage i of step k, so row 6k is also stage 6 of step k - 1.  Inside a step
-    the continuous extension is evaluated bitwise as scipy's dense output;
-    at a stored node the stored state is returned verbatim.  ``truncated``
-    marks a segment whose last node is an event root inside its last step,
-    reached by the continuous extension rather than by the full step.
+    (the stepper's ``h_previous``); the span is that of ``node_times``, in
+    which ``locate`` finds a time.  ``stages`` is the stage record, the
+    stepper's stage derivatives ``K`` as one read-only (6 * len(steps) + 1,
+    dim) array: row 6k + i is stage i of step k, so row 6k + 6 is both the
+    derivative at the end of step k and stage 0 of step k + 1 (FSAL), and
+    step k's seven rows are the view ``stages[6k:6k + 7]``.  A hybrid run
+    also records ``multipliers``, read-only in the same layout: row 6k + i
+    holds the multipliers of the dynamics' saddle solve at stage i of step
+    k.  Inside a step the continuous extension is evaluated bitwise as
+    scipy's dense output; at a stored node the stored state is returned
+    verbatim.  ``truncated`` marks a segment whose last node is an event
+    root inside its last step, reached by the continuous extension rather
+    than by the full step.
     """
 
     node_times: np.ndarray
     node_states: np.ndarray  # shape (len(node_times), dim)
-    stages: list
+    stages: np.ndarray  # shape (6 * len(steps) + 1, dim)
     steps: np.ndarray
     truncated: bool = False
     multipliers: np.ndarray | None = None
@@ -336,12 +339,14 @@ class DenseSegment:
     _BOUNDARY_SLACK = 1e-12
 
     def __post_init__(self):
+        self.stages = np.asarray(self.stages, dtype=float)
+        self.stages.flags.writeable = False
         if self.multipliers is not None:
             self.multipliers = np.array(self.multipliers, dtype=float)
             self.multipliers.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.stages)
+        return len(self.steps)
 
     def locate(self, t: float) -> tuple:
         """(k, on_node, t): t clamped to the span, and the node k it sits on
@@ -362,7 +367,7 @@ class DenseSegment:
         if on_node:
             return self.node_states[k].copy()
         return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
-                         self.stages[k].T.dot(RK45.P), t)
+                         self.stages[6 * k:6 * k + 7].T.dot(RK45.P), t)
 
     def step_stages(self, k: int, n: int):
         """(h, w, times, states, vdot, mu) of step k, for the discrete
@@ -377,10 +382,11 @@ class DenseSegment:
         of a truncated step, are rebuilt in the forward step's arithmetic.
         The stage times are the forward pass's, t_k + c_i h, but stage 0 of
         step k > 0 at t_k-1 + h_k-1, where step k - 1 evaluated it (FSAL).
-        Their accelerations (v block of K) and multipliers (rows 6k..6k+6 of
-        ``multipliers``) are bitwise what the dynamics returned there."""
+        Their accelerations (v block of K) and multipliers are step k's rows
+        of the record, bitwise what the dynamics returned there."""
+        rows = slice(6 * k, 6 * k + 7)
         t_old, y_old = self.node_times[k], self.node_states[k]
-        h, K = self.steps[k], self.stages[k]
+        h, K = self.steps[k], self.stages[rows]
         times = t_old + RK_C * h
         if k:
             times[0] = self.node_times[k - 1] + self.steps[k - 1]
@@ -393,8 +399,7 @@ class DenseSegment:
         else:
             w = RK45.B
             states.append(self.node_states[k + 1])
-        mu = self.multipliers[RK45.n_stages * k:RK45.n_stages * (k + 1) + 1]
-        return h, w, times, states, K[:, n:2 * n], mu
+        return h, w, times, states, K[:, n:2 * n], self.multipliers[rows]
 
 
 @dataclass
@@ -517,7 +522,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     event_fns are scalar functions of (t, y); the segment ends either at
     t_span[1] or at the first localized sign change of an unmasked event
-    function.  Returns (DenseSegment, (t_end, y_end), EventHit | None).
+    function.  Returns (DenseSegment, EventHit | None); the segment's last
+    node is its end, the event state when there is a hit.
 
     Crossings are detected on accepted steps, with interior dense-output
     samples scanned as well so that a fast double crossing inside one step
@@ -525,13 +531,16 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     tolerance of each other are reported as an error: there is no defined
     ordering for simultaneous events.
 
-    ``multipliers(t, y)``, if given, is called right after every evaluation
-    of rhs; the rows of the accepted stages become the segment's
-    ``multipliers``.  The solver evaluates f(t0, y0) first (stage 0 of the
-    first step), probes once more for its initial step, and spends
-    n_stages evaluations per attempt, so the last n_stages rows after a
-    step are stages 1..6 of the accepted attempt; stage 0 of every later
-    step is the previous step's stage 6 (FSAL).
+    The stage record (``DenseSegment.stages``) takes rows 0..5 of the
+    stepper's ``K`` after each accepted step, and the last step's row 6
+    when the segment ends: row 0 of every later step is the previous
+    step's row 6 (FSAL), stored once.  ``multipliers(t, y)``, if given, is
+    called right after every evaluation of rhs, and the rows of the
+    accepted stages become the segment's ``multipliers`` in the same
+    layout.  The solver evaluates f(t0, y0) first (stage 0 of the first
+    step), probes once more for its initial step, and spends n_stages
+    evaluations per attempt, so the last n_stages rows after a step are
+    stages 1..6 of the accepted attempt.
 
     ``start = (f, mu)``, if given, is f(t0, y0) with its multipliers row,
     as a caller that has evaluated them hands them in (a hybrid run at the
@@ -571,7 +580,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     node_times = [t0]
     node_states = [y0.copy()]
-    stages: list = []
+    # the stage record, one array with no object per step: grown by doubling
+    # in place and trimmed when the segment ends (no view of it exists before)
+    stages = np.empty((6 * 16 + 1, y0.size))
     hs: list = []
     vals_old = [fn(t0, y0) for fn in event_fns]
     monitor.update(vals_old)
@@ -579,7 +590,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     hit = None
     while hit is None and solver.status == "running":
-        if len(stages) >= config.max_steps:
+        if len(hs) >= config.max_steps:
             raise IntegrationError(
                 f"max_steps={config.max_steps} exceeded at t={solver.t:.6g}"
             )
@@ -595,8 +606,11 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             raise IntegrationError(f"integration failed at t={solver.t:.6g}: {msg}")
 
         t_old, y_old = node_times[-1], node_states[-1]
-        h, K = solver.h_previous, solver.K.copy()
-        stages.append(K)
+        h, K = solver.h_previous, solver.K
+        row = 6 * len(hs)
+        if row + 6 >= len(stages):
+            stages.resize((2 * len(stages) - 1, y0.size), refcheck=False)
+        stages[row:row + 6] = K[:-1]
         hs.append(h)
         if mu_rows is not None:
             mu_rows += evaluated[-solver.n_stages:]
@@ -645,6 +659,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         node_times.append(t_new)
         node_states.append(y_new)
 
+    stages[6 * len(hs)] = solver.K[-1]
+    stages.resize((6 * len(hs) + 1, y0.size), refcheck=False)
     seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages,
                        np.asarray(hs), truncated=hit is not None, multipliers=mu_rows)
-    return seg, (node_times[-1], node_states[-1].copy()), hit
+    return seg, hit

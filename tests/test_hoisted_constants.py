@@ -13,6 +13,7 @@ import pytest
 from hybridsens import gallery
 from hybridsens import constrained
 from hybridsens.constrained import PenaltyConfig, PenaltyDynamics
+from hybridsens.direct import simulate
 from hybridsens.gallery import FIVE_BAR_DATA, FIVE_BAR_PARAMS, five_bar_model
 from hybridsens.integrate import _INTERIOR_CHECKS, _rms, _sample_times
 
@@ -163,6 +164,16 @@ def test_shared_constants_are_read_only():
     _assert_read_only(M)
     assert M is bm.dynamics.model.mass_at(0.5, np.zeros(1), bm.rho0.rho)
     assert np.array_equal(M, np.eye(1))
+
+
+def test_stage_record_is_read_only():
+    # both sweeps read a run's stage record and multipliers as stored: a
+    # caller writing into either fails instead of changing the next sweep
+    bm = gallery.bouncing_mass()
+    traj = simulate(bm.dynamics, bm.cost(), bm.events, bm.rho0.rho, bm.t_span, bm.config)
+    for seg in traj.segments:
+        _assert_read_only(seg.dense.stages)
+        _assert_read_only(seg.dense.multipliers)
 
 
 @pytest.mark.parametrize("c", [0.0, 1e-7])

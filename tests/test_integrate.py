@@ -21,9 +21,10 @@ def free_fall_rhs(t, y):
 
 def test_event_localization_free_fall():
     cfg = IntegratorConfig()
-    seg, (t_end, y_end), hit = integrate_segment(
+    seg, hit = integrate_segment(
         free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0), cfg,
         [lambda t, y: y[0]])
+    y_end = seg.node_states[-1]
     t_exact = np.sqrt(2.0 / G)
     assert hit is not None
     assert abs(hit.t - t_exact) < 1e-6
@@ -32,8 +33,8 @@ def test_event_localization_free_fall():
 
 def test_event_localization_residual_bound():
     cfg = IntegratorConfig()
-    _, _, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0),
-                                  cfg, [lambda t, y: y[0]])
+    _, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0),
+                               cfg, [lambda t, y: y[0]])
     # |r| at the localized root is bounded by the time tolerance times the
     # crossing speed |dr/dq . v|
     speed = np.sqrt(2 * G)
@@ -42,9 +43,10 @@ def test_event_localization_residual_bound():
 
 def test_no_event_full_segment():
     cfg = IntegratorConfig()
-    seg, (t_end, y_end), hit = integrate_segment(
+    seg, hit = integrate_segment(
         free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.3), cfg,
         [lambda t, y: y[0]])
+    t_end, y_end = seg.node_times[-1], seg.node_states[-1]
     assert hit is None
     assert t_end == 0.3
     assert abs(y_end[0] - (1.0 - 0.5 * G * 0.09)) < 1e-8
@@ -52,21 +54,21 @@ def test_no_event_full_segment():
 
 def test_interpolation_exact_at_nodes():
     cfg = IntegratorConfig()
-    seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
+    seg, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     for t, y in zip(seg.node_times, seg.node_states):
         assert np.array_equal(seg.evaluate(float(t)), y)
 
 
 def test_interpolation_exponential():
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
-    seg, _, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
+    seg, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
     for t in np.linspace(0.05, 0.95, 19):
         assert abs(seg.evaluate(t)[0] - np.exp(t)) < 10 * cfg.rtol * np.exp(t)
 
 
 def test_interpolation_parabola_midstep():
     cfg = IntegratorConfig()
-    seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
+    seg, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     tm = 0.5 * (seg.node_times[0] + seg.node_times[1])
     y = seg.evaluate(float(tm))
     assert abs(y[0] - (1.0 - 0.5 * G * tm ** 2)) < 10 * cfg.rtol
@@ -74,7 +76,7 @@ def test_interpolation_parabola_midstep():
 
 def test_interpolation_outside_segment_raises():
     cfg = IntegratorConfig()
-    seg, _, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
+    seg, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     with pytest.raises(IntegrationError):
         seg.evaluate(0.5)
 
@@ -83,7 +85,8 @@ def test_tolerance_halving_improves_accuracy():
     errs = []
     for rtol in (1e-6, 5e-7):
         cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
-        seg, (tf, yf), _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 2.0), cfg)
+        seg, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 2.0), cfg)
+        yf = seg.node_states[-1]
         errs.append(abs(yf[0] - np.exp(2.0)))
     assert errs[1] < errs[0] / 1.5
 
@@ -92,9 +95,10 @@ def test_determinism_bitwise():
     cfg = IntegratorConfig()
     outs = []
     for _ in range(2):
-        seg, (tf, yf), _ = integrate_segment(
+        seg, _ = integrate_segment(
             lambda t, y: np.array([y[1], -np.sin(y[0])]),
             np.array([0.4, 0.0]), (0.0, 3.0), cfg)
+        tf, yf = seg.node_times[-1], seg.node_states[-1]
         outs.append((tf, yf.tobytes(), np.asarray(seg.node_times).tobytes()))
     assert outs[0] == outs[1]
 
@@ -134,9 +138,9 @@ def test_double_crossing_within_step_detected():
     # right side has no error, so every step grows by MAX_FACTOR and one
     # step spans both crossings
     cfg = IntegratorConfig(rtol=1e-4, atol=1e-6)
-    seg, _, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]),
-                                    (0.0, 1.0), cfg,
-                                    [lambda t, y: (t - 0.15) * (t - 0.35) + 1e-4])
+    seg, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]),
+                                 (0.0, 1.0), cfg,
+                                 [lambda t, y: (t - 0.15) * (t - 0.35) + 1e-4])
     t_last = seg.node_times[-2]
     assert t_last <= 0.15 and t_last + seg.steps[-1] >= 0.35
     assert hit is not None
@@ -158,7 +162,8 @@ def test_dense_output_matches_scipy_bitwise():
         samples.append((t, y.copy()))
         return y[0] + 0.9
 
-    seg, (_, y_eve), hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
+    seg, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
+    y_eve = seg.node_states[-1]
     assert hit is not None and seg.truncated
     solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol)
     dense, nodes = [], {0.0: y0}

@@ -10,8 +10,8 @@ import pytest
 
 import hybridsens.integrate as integrate
 from hybridsens.constrained import PenaltyDynamics
-from hybridsens.direct import simulate
-from hybridsens.gallery import FIVE_BAR_PARAMS, five_bar, pendulum
+from hybridsens.direct import simulate, tlm_rhs
+from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
 from hybridsens.model import OdeDynamics
 
 
@@ -63,7 +63,7 @@ def test_stage_record_is_bitwise_the_saddle_solve(name, attempts):
         assert dense.multipliers.shape == (6 * len(dense) + 1, m)
         assert not dense.multipliers.flags.writeable
         for k in range(len(dense)):
-            K = dense.stages[k]
+            K = dense.stages[6 * k:6 * k + 7]
             # the stage states exactly as both sensitivity sweeps rebuild them
             _, _, times, states, _, _ = dense.step_stages(k, n)
             for i in range(7):
@@ -74,3 +74,35 @@ def test_stage_record_is_bitwise_the_saddle_solve(name, attempts):
                 if mu is None:  # ODE dynamics: an empty row
                     mu = np.empty(0)
                 assert mu.tobytes() == dense.multipliers[6 * k + i].tobytes()
+
+
+REPLAYS = {
+    "five-bar-penalty": (five_bar, (0.0, 2.0)),
+    "five-bar-dae": (lambda: five_bar(formulation="dae"), (0.0, 2.0)),
+    "bouncing-mass": (bouncing_mass, None),
+    "pendulum": (pendulum, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYS))
+def test_stage_record_stores_each_derivative_once(name):
+    # a segment's stage record is one array laid out as its multipliers:
+    # rows 6k..6k+6 are the K a fresh stepper holds after step k, so row 6k + 6
+    # is step k's end derivative and step k + 1's first stage, stored once
+    make, t_span = REPLAYS[name]
+    prob = make()
+    cost = prob.cost()
+    traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, t_span or prob.t_span,
+                    prob.config)
+    assert traj.events
+    for seg in traj.segments:
+        dense = seg.dense
+        assert dense.stages.shape == (6 * len(dense) + 1, dense.node_states.shape[1])
+        solver = integrate.RK45(
+            lambda t, y: tlm_rhs(seg.dynamics, cost, traj.dims, traj.rho, t, y)[0],
+            dense.node_times[0], dense.node_states[0], traj.tF,
+            traj.config.rtol, traj.config.atol)
+        for k in range(len(dense)):
+            solver.step()
+            assert solver.h_previous == dense.steps[k]
+            assert dense.stages[6 * k:6 * k + 7].tobytes() == solver.K.tobytes(), k

@@ -43,7 +43,7 @@ def rebuilt_stages(dense, k, n):
     step k > 0 at t_k-1 + h_k-1, where step k - 1 evaluated it as its end
     derivative (FSAL)."""
     t_old, y_old = dense.node_times[k], dense.node_states[k]
-    h, K = dense.steps[k], dense.stages[k]
+    h, K = dense.steps[k], dense.stages[6 * k:6 * k + 7]
     times = t_old + RK_C * h
     if k:
         times[0] = dense.node_times[k - 1] + dense.steps[k - 1]
@@ -129,7 +129,7 @@ def reference_lam_at(sol, t):
             def rhs(s, lam):
                 return -lam_dot(seg.dynamics, cost, n, traj.rho, -s,
                                 seg.dense.evaluate(-s), lam)
-            return integrate_segment(rhs, y, (-nodes[i], -t), traj.config)[1][1]
+            return integrate_segment(rhs, y, (-nodes[i], -t), traj.config)[0].node_states[-1]
         row += len(nodes)
     raise AssertionError(f"t={t} is not inside a segment")
 
@@ -164,6 +164,13 @@ def reference_tangent(traj, cost, ic):
         stages_per_segment.append(stages)
         X = _sensitivity(x, dims)
     return nodes_per_segment, stages_per_segment, X
+
+
+def stage_record(per_step):
+    """One segment's per-step seven stages as a stage record: rows 0..5 of
+    each step, then the last step's row 6 (every other row 6 is the next
+    step's row 0)."""
+    return np.concatenate([KX[:6] for KX in per_step] + [per_step[-1][6:]])
 
 
 # a density of the state: the cost gradient at every stage, the truncated
@@ -247,7 +254,7 @@ def test_sensitivity_at_is_bytewise_the_stored_stage_extension(name):
     traj = simulate(prob.dynamics, cost, prob.events, rho, t_span or prob.t_span, prob.config)
     assert traj.events
     nodes, stages, _ = reference_tangent(traj, cost, traj.initial)
-    extensions = [DenseSegment(seg.dense.node_times, ref, KX, seg.dense.steps,
+    extensions = [DenseSegment(seg.dense.node_times, ref, stage_record(KX), seg.dense.steps,
                                seg.dense.truncated)
                   for seg, ref, KX in zip(traj.segments, nodes, stages, strict=True)]
     times = np.unique(np.concatenate(
