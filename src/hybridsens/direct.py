@@ -28,8 +28,8 @@ import numpy as np
 from .core import DimensionError, Dimensions, SensitivityState
 from .model import (ZERO_COST, CostFunctional, InitialConditions, cost_density_gradients,
                     terminal_cost_gradients)
-from .integrate import (RK45, RK_A, DenseSegment, EventMonitor, IntegratorConfig, _rk_dense,
-                        integrate_segment)
+from .integrate import (RK45, RK_A, DenseSegment, EventAccumulationError, EventMonitor,
+                        IntegratorConfig, _rk_dense, integrate_segment)
 from .hybrid import (
     EventRecord,
     EventSpec,
@@ -266,6 +266,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     y, t, active = np.concatenate([initial.q0, initial.v0, np.zeros(integrand.nc)]), t0, dyn
     solved = [None]  # the multipliers of the last rhs evaluation
     start = None  # (f, mu) at a segment's start, if the event already evaluated them
+    first_step = None  # a post-event segment's: the step its event cut short
 
     def rows(mu):
         return np.empty(0) if mu is None else mu  # ODE dynamics: empty rows
@@ -278,9 +279,18 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     while t < tF - 1e-14 * max(1.0, abs(tF)):
         # integrate_segment asks for the multipliers right after each rhs
         # evaluation: they are that evaluation's
-        seg_dense, hit = integrate_segment(
-            lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
-            wrappers, monitor, lambda s, x: solved[0], start)
+        request = (lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
+                   wrappers, monitor, lambda s, x: solved[0], start)
+        masked = list(monitor.masked)
+        try:
+            seg_dense, hit = integrate_segment(*request, first_step)
+        except EventAccumulationError:
+            if first_step is None:
+                raise
+            # a warm step may pass over a short bounce that samples cannot
+            # resolve; only a segment from the stepper's own first step may raise
+            monitor.masked = masked
+            seg_dense, hit = integrate_segment(*request)
         segments.append(TrajectorySegment(seg_dense, active))
         check_one_sided(active, seg_dense)
         if hit is None:
@@ -313,6 +323,16 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
         depart = 10.0 * config.event_tol * max(1.0, abs(rdot_plus))
         depart = max(depart, 2.0 * abs(hit.r_residual))
         monitor.mask(hit.index, depart, float(np.sign(rdot_plus)) if spec.must_depart else 0.0)
+        # warm restart where the equations of motion stay the same: the step
+        # the event cut short, at its full length, suits the next segment better
+        # than the initial-step heuristic, which starts near atol at a floor
+        # contact.  Not the part before the event: that depends on where the
+        # event falls in its step, and passing it on from segment to segment
+        # amplifies a parameter perturbation into a different step sequence.
+        # No longer than the segment before it, which bounds the next bounce
+        first_step = min(seg_dense.steps[-1], t_eve - seg_dense.node_times[0], tF - t_eve)
+        if dyn_plus is not active or not first_step > 0.0:
+            first_step = None
         t = t_eve
         active = dyn_plus
 

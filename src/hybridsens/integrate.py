@@ -86,16 +86,16 @@ def _rms(x):
     return np.float64(math.sqrt(x.dot(x)) / x.size ** 0.5)
 
 
-def _rk_step(fun, t, y, f, h, A, B, C, K):
+def _rk_step(fun, t, y, f, h, K):
     """One explicit Runge-Kutta step from (t, y) with f = fun(t, y): fills
     the stage rows of K, the derivative at the step end in its last row,
     and returns (y_new, f_new)."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, a, c in _RK_STAGES:
+        dy = np.dot(K[:s].T, a) * h
         K[s] = fun(t + c * h, y + dy)
 
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(K[:-1].T, RK45.B)
     f_new = fun(t + h, y_new)
 
     K[-1] = f_new
@@ -116,18 +116,19 @@ class RK45:
     arithmetic in scipy's order, so every step, stage and status is bitwise
     scipy's.  It is the subset of scipy's stepper that the package uses:
     it steps forward only (``t_bound > t0``), from its own initial-step
-    choice and with no cap on the step, and it takes real non-empty 1-D
-    states and scalar tolerances; it has no dense-output object
-    (``_rk_dense`` evaluates the extension) and no ``t_old``.  Nothing in
-    the package steps backward: the adjoint transposes the forward steps
-    as taken, and ``AdjointSolution.lam_at`` integrates forward in the
-    reversed time s = -t.
+    choice or a given ``first_step`` and with no cap on the step, and it
+    takes real non-empty 1-D states and scalar tolerances; it has no
+    dense-output object (``_rk_dense`` evaluates the extension) and no
+    ``t_old``.  Nothing in the package steps backward: the adjoint
+    transposes the forward steps as taken, and ``AdjointSolution.lam_at``
+    integrates forward in the reversed time s = -t.
 
     Like ``OdeSolver.step``, ``step()`` advances one accepted step (or
     fails) and moves ``status`` from "running" to "finished" or "failed".
     ``nfev`` counts the right-hand-side evaluations: one at (t0, y0), one
-    probe for the initial step, and ``n_stages`` per step attempt (the
-    derivative at a step's end is the next step's first stage).
+    probe for the initial step unless ``first_step`` is given, and
+    ``n_stages`` per step attempt (the derivative at a step's end is the
+    next step's first stage).
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -159,7 +160,7 @@ class RK45:
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6, first_step=None):
         self.t = t0
         self._fun = fun
         self.y = np.asarray(y0).astype(float, copy=False)
@@ -171,7 +172,14 @@ class RK45:
             rtol = np.maximum(rtol, RTOL_FLOOR)
         self.rtol, self.atol = rtol, np.asarray(atol)
         self.f = self.fun(self.t, self.y)
-        self.h_abs = self._select_initial_step()
+        if first_step is None:
+            self.h_abs = self._select_initial_step()
+        elif first_step <= 0:
+            raise ValueError("`first_step` must be positive.")
+        elif first_step > np.abs(t_bound - t0):
+            raise ValueError("`first_step` exceeds bounds.")
+        else:
+            self.h_abs = first_step
         self.K = np.empty((self.n_stages + 1, self.y.size), dtype=self.y.dtype)
         self.error_exponent = -1 / (self.error_estimator_order + 1)
         self.h_previous = None
@@ -253,8 +261,7 @@ class RK45:
             h = t_new - t
             h_abs = np.abs(h)
 
-            y_new, f_new = _rk_step(self.fun, t, y, self.f, h, self.A,
-                                    self.B, self.C, self.K)
+            y_new, f_new = _rk_step(self.fun, t, y, self.f, h, self.K)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = self._estimate_error_norm(self.K, h, scale)
 
@@ -294,6 +301,9 @@ RK_A = np.zeros((7, 7))
 RK_A[:6, :5] = RK45.A
 RK_A[6, :6] = RK45.B
 RK_C = np.append(RK45.C, 1.0)
+# (stage, its row of A up to the diagonal, c) for stages 1..5, the slices
+# scipy's rk_step takes at every stage
+_RK_STAGES = tuple((s, RK45.A[s, :s], RK45.C[s]) for s in range(1, RK45.n_stages))
 
 
 def _rk_dense(t_old, y_old, h, Q, t) -> np.ndarray:
@@ -456,6 +466,8 @@ class EventMonitor:
     sign of dr/dt just after the event) the function must clear that
     distance on that side; clearing it on the other side means the
     trajectory came back through the surface without a detectable crossing.
+    ``integrate_segment`` checks a function with a side at every scan
+    sample, one without a side (``update``) at step ends only.
 
     ``admissible`` gives per function the sign (+1 or -1) it must have
     where the run starts, or 0 for either side: the first values the
@@ -487,13 +499,18 @@ class EventMonitor:
                     )
         for i, val in enumerate(values):
             if self.masked[i] and abs(val) > self.depart_tol[i]:
-                if self.side[i] * val < 0.0:
-                    raise EventAccumulationError(
-                        f"event function {i} = {val:.3g} left its surface on the side "
-                        f"opposite to its departure: event accumulation (Zeno) is not "
-                        f"supported"
-                    )
-                self.masked[i] = False
+                self.depart(i, val)
+
+    def depart(self, index: int, val: float) -> None:
+        """Unmask function ``index``, whose value ``val`` is past its
+        departure tolerance; on the side opposite to its departure, raise an
+        EventAccumulationError instead."""
+        if self.side[index] * val < 0.0:
+            raise EventAccumulationError(
+                f"event function {index} = {val:.3g} left its surface on the side "
+                f"opposite to its departure: event accumulation (Zeno) is not supported"
+            )
+        self.masked[index] = False
 
 
 _INTERIOR_CHECKS = 4  # dense-output samples per step scanned for sign changes
@@ -516,7 +533,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
                       monitor: EventMonitor | None = None,
                       multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None,
-                      start: tuple | None = None):
+                      start: tuple | None = None, first_step: float | None = None):
     """Integrate y' = rhs(t, y) forward over t_span, stopping at the first
     event root; a span with t_span[1] <= t_span[0] is refused.
 
@@ -527,7 +544,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     Crossings are detected on accepted steps, with interior dense-output
     samples scanned as well so that a fast double crossing inside one step
-    is not silently skipped.  Two events localized within the event time
+    is not silently skipped.  A masked function with a departure side
+    (``EventMonitor``) is checked at every sample, not only at step ends,
+    so one step can hold the lift-off from its surface and the next
+    crossing of it.  Two events localized within the event time
     tolerance of each other are reported as an error: there is no defined
     ordering for simultaneous events.
 
@@ -541,6 +561,11 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     step), probes once more for its initial step, and spends n_stages
     evaluations per attempt, so the last n_stages rows after a step are
     stages 1..6 of the accepted attempt.
+
+    ``first_step``, if given, is the solver's first step
+    (``RK45(first_step=...)``), as a hybrid run restarts after an event
+    with the step the event cut short: a warm start skips the initial-step
+    probe, so each post-event segment costs one evaluation fewer.
 
     ``start = (f, mu)``, if given, is f(t0, y0) with its multipliers row,
     as a caller that has evaluated them hands them in (a hybrid run at the
@@ -574,7 +599,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         if multipliers is not None:
             evaluated.append(mu)
         return f
-    solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol)
+    solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol, first_step=first_step)
     if multipliers is not None:
         mu_rows = evaluated[:1]
 
@@ -627,23 +652,39 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         vals_new = [fn(t_new, y_new) for fn in event_fns]
         # sample times within the step: interior checkpoints + endpoint
         taus = _sample_times(t_old, t_new)
-        candidates = []
+        candidates, departures = [], []
         for i, fn in enumerate(event_fns):
-            if monitor.masked[i]:
-                continue
+            masked = monitor.masked[i]
+            if masked and not monitor.side[i]:
+                continue  # no departure side: checked at the step end
             va = vals_old[i]
             ta = t_old
             for tau in taus:
                 vb = vals_new[i] if tau == t_new else fn(tau, dense(tau))
-                if va == 0.0 or (va < 0) != (vb < 0):
+                if masked:
+                    # the first sample past the departure tolerance: on the
+                    # departure side it unmasks the function and the rest of the
+                    # step is scanned for its crossing (a lift-off and the next
+                    # impact can share one step); on the other side it raises
+                    if abs(vb) <= monitor.depart_tol[i]:
+                        continue
+                    departures.append((tau, i, vb))
+                    if monitor.side[i] * vb < 0.0:
+                        break
+                    masked = False
+                elif va == 0.0 or (va < 0) != (vb < 0):
                     root = _refine_root(
                         lambda s, fn=fn: fn(s, dense(s)),
                         ta, va, tau, vb, t_tol)
                     candidates.append((root, i))
                     break
                 ta, va = tau, vb
+        candidates.sort()
+        # departures up to where the segment ends count, those past an event do not
+        for tau, i, vb in departures:
+            if not candidates or tau <= candidates[0][0]:
+                monitor.depart(i, vb)
         if candidates:
-            candidates.sort()
             if len(candidates) > 1 and abs(candidates[1][0] - candidates[0][0]) <= t_tol:
                 raise SimultaneousEventError(
                     f"events {candidates[0][1]} and {candidates[1][1]} fire within "

@@ -604,6 +604,37 @@ def test_zeno_accumulation_rejected():
         simulate(prob.dynamics, None, prob.events, prob.rho0.rho, (0.0, 10.0), prob.config)
 
 
+def test_a_short_bounce_between_long_ones_is_resolved():
+    # restitution 0.9 above |v-| = 4, 0.01 down to 1 and 95 below: long, short,
+    # long, short bounces.  The step the long bounce's impact cut short spans
+    # the whole short bounce, so every sample of it is past the next impact;
+    # that segment is integrated again from the stepper's own first step
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import GRAVITY, bouncing_mass
+
+    def restitution(v):
+        return 0.9 if abs(v) > 4.0 else 0.01 if abs(v) > 1.0 else 95.0
+
+    prob = bouncing_mass()
+    event = VelocityJumpEvent(
+        name="ground", r=lambda q: q[0], dr_dq=lambda q: np.array([1.0]), admissible=1.0,
+        h=lambda t, q, v, rho: np.array([-restitution(v[0]) * v[0]]),
+        h_partials=lambda t, q, v, rho: (np.zeros(1), np.zeros((1, 1)),
+                                         np.array([[-restitution(v[0])]]), np.zeros((1, 2))))
+    config = prob.config
+    traj = simulate(prob.dynamics, None, [event], prob.rho0.rho, (0.0, 2.5), config)
+    # closed form: the first impact at sqrt(2 h0 / g), then flights of 2 v+ / g
+    t, expect = np.sqrt(2.0 * prob.rho0.rho[0] / GRAVITY), []
+    v = GRAVITY * t
+    while t < 2.5:
+        expect.append(t)
+        v *= restitution(v)
+        t += 2.0 * v / GRAVITY
+    assert len(expect) == 5
+    t_eve = np.array([rec.t_eve for rec in traj.events])
+    assert len(t_eve) == 5 and np.all(np.abs(t_eve - expect) <= config.event_tol)
+
+
 def test_numerically_singular_dependent_block_rejected():
     # G_dep = [[1, 1], [1, 1 + 1e-14]] is regular but its pivot ratio ~1e14
     # exceeds COND_LIMIT: the dependent velocities would be noise

@@ -4,6 +4,8 @@ from scipy.integrate import RK45
 from scipy.integrate._ivp.rk import RkDenseOutput
 
 from hybridsens.integrate import (
+    EventAccumulationError,
+    EventMonitor,
     GrazingError,
     IntegrationError,
     IntegratorConfig,
@@ -145,6 +147,53 @@ def test_double_crossing_within_step_detected():
     assert t_last <= 0.15 and t_last + seg.steps[-1] >= 0.35
     assert hit is not None
     assert 0.145 < hit.t < 0.16
+
+
+def _one_step(event_fns, side, **kw):
+    """y = t over [0, 2] in one step (a constant right side has no error),
+    with event function 1 (or the only one) masked on its surface at t = 0."""
+    monitor = EventMonitor(len(event_fns))
+    monitor.mask(len(event_fns) - 1, 1e-8, side)
+    seg, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]), (0.0, 2.0),
+                                 IntegratorConfig(), event_fns, monitor, first_step=2.0)
+    assert len(seg) == 1
+    return seg, hit, monitor
+
+
+def test_a_masked_function_with_a_departure_side_leaves_and_returns_in_one_step():
+    # r = y (0.6 - y) leaves its surface on its departure side by the first
+    # interior sample, which unmasks it, and crosses back at t = 0.6 in the
+    # same step
+    seg, hit, monitor = _one_step([lambda t, y: y[0] * (0.6 - y[0])], 1.0)
+    assert hit.index == 0 and abs(hit.t - 0.6) <= 1e-9 and seg.truncated
+    assert not monitor.masked[0]
+
+
+def test_a_masked_function_without_a_side_is_checked_at_step_ends_only():
+    # a capture's function has no departure side: no interior sample is
+    # taken while it is masked, and the step end unmasks it
+    calls = []
+
+    def r(t, y):
+        calls.append(t)
+        return y[0] * (0.6 - y[0])
+
+    seg, hit, monitor = _one_step([r], 0.0)
+    assert hit is None and calls == [0.0, 2.0] and not monitor.masked[0]
+
+
+@pytest.mark.parametrize("root, raises", [(0.3, False), (0.5, True)])
+def test_a_return_past_the_departure_tolerance_counts_up_to_the_first_event(root, raises):
+    # -y leaves its surface on the side opposite to its departure by the first
+    # sample, t = 0.4: an accumulation if the step reaches it, not if another
+    # function's event ends the segment first
+    event_fns = [lambda t, y: root - y[0], lambda t, y: -y[0]]
+    if raises:
+        with pytest.raises(EventAccumulationError):
+            _one_step(event_fns, 1.0)
+        return
+    _, hit, monitor = _one_step(event_fns, 1.0)
+    assert hit.index == 0 and abs(hit.t - root) <= 1e-9 and monitor.masked[1]
 
 
 def test_dense_output_matches_scipy_bitwise():

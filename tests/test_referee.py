@@ -8,7 +8,8 @@ direct and FD within 1e-4, both relative to max(1, |g|).  Any other
 outcome must be one of the errors the README names; any other exception,
 or a disagreement, fails.  The bouncing mass is also checked against its
 closed form on every draw that runs.  The tally per outcome is printed
-(visible with ``pytest -s``).
+(visible with ``pytest -s``).  Fixed bounces, up to their accumulation
+time, are checked against the same closed form.
 
 The draws are fixed by the seed: never re-draw or narrow the ranges to
 hide a failure.
@@ -21,7 +22,7 @@ import pytest
 
 from hybridsens.adjoint import propagate_adjoint
 from hybridsens.constrained import ConstraintReleaseError, SingularKKTError
-from hybridsens.direct import direct_gradient
+from hybridsens.direct import direct_gradient, simulate
 from hybridsens.gallery import FIVE_BAR_DATA, GRAVITY, bouncing_mass, five_bar, pendulum
 from hybridsens.hybrid import StickingContactError, TangentialCrossingError
 from hybridsens.integrate import InadmissibleStartError, IntegrationError
@@ -80,6 +81,32 @@ def _check_bouncing_closed_form(traj, rho, tF):
     assert len(traj.events) == int(np.sum(t_k < tF))
     t_eve = np.array([rec.t_eve for rec in traj.events])
     assert np.all(np.abs(t_eve - t_k[:len(t_eve)]) <= 1e-9 * t_k[:len(t_eve)])
+
+
+def _simulate_bounces(h0, e, tF):
+    prob = bouncing_mass()
+    rho = np.array([h0, e])
+    traj = simulate(prob.dynamics, None, prob.events, rho, (0.0, tF), prob.config)
+    _check_bouncing_closed_form(traj, rho, tF)
+    return traj
+
+
+def test_each_post_event_segment_restarts_from_the_step_its_event_cut_short():
+    # the benchmark's bounce_horizon input with 15 impacts: started from the
+    # initial-step heuristic, which begins near atol at the floor, a bounce
+    # takes 3-4 steps; started from the cut-short step, at most 2
+    traj = _simulate_bounces(1.18, 0.8585, 5.78877312266463)
+    assert len(traj.events) == 15
+    assert max(len(seg.dense) for seg in traj.segments[1:]) <= 2
+
+
+@pytest.mark.parametrize("e", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_bounces_up_to_their_accumulation_time_are_closed_form(e):
+    # at 0.995 of t1 (1 + e) / (1 - e): the step an impact cut short can be
+    # far longer than the next bounce (small e), and the last bounces are tiny
+    # (e near 1)
+    t1 = np.sqrt(2.0 / GRAVITY)
+    assert _simulate_bounces(1.0, e, 0.995 * t1 * (1.0 + e) / (1.0 - e)).events
 
 
 def _request(prob, cost, rho, t_span):

@@ -88,21 +88,29 @@ REPLAYS = {
 def test_stage_record_stores_each_derivative_once(name):
     # a segment's stage record is one array laid out as its multipliers:
     # rows 6k..6k+6 are the K a fresh stepper holds after step k, so row 6k + 6
-    # is step k's end derivative and step k + 1's first stage, stored once
+    # is step k's end derivative and step k + 1's first stage, stored once; a
+    # post-event segment is replayed from the first step the run gave it
     make, t_span = REPLAYS[name]
     prob = make()
     cost = prob.cost()
     traj = simulate(prob.dynamics, cost, prob.events, prob.rho0.rho, t_span or prob.t_span,
                     prob.config)
     assert traj.events
+    previous = None
     for seg in traj.segments:
+        first_step = None
+        if previous is not None and previous.dynamics is seg.dynamics:
+            t_eve = previous.dense.node_times[-1]
+            first_step = min(previous.dense.steps[-1], t_eve - previous.dense.node_times[0],
+                             traj.tF - t_eve)
         dense = seg.dense
         assert dense.stages.shape == (6 * len(dense) + 1, dense.node_states.shape[1])
         solver = integrate.RK45(
             lambda t, y: tlm_rhs(seg.dynamics, cost, traj.dims, traj.rho, t, y)[0],
             dense.node_times[0], dense.node_states[0], traj.tF,
-            traj.config.rtol, traj.config.atol)
+            traj.config.rtol, traj.config.atol, first_step)
         for k in range(len(dense)):
             solver.step()
             assert solver.h_previous == dense.steps[k]
             assert dense.stages[6 * k:6 * k + 7].tobytes() == solver.K.tobytes(), k
+        previous = seg

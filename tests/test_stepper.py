@@ -102,6 +102,44 @@ def test_span_shorter_than_the_initial_step_probe_is_scipys():
         assert ours.status == "finished" and ours.t == t_bound
 
 
+FIRST_STEPS = {
+    "warm": (0.0, 10.0, 0.37),  # a restart from a step length already known
+    "rejected": (0.0, 10.0, 4.0),  # too long: the first attempts are rejected
+    "span": (0.3, 0.30001, None),  # the whole span
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_STEPS))
+def test_a_given_first_step_is_scipys(name):
+    t0, t_bound, first_step = FIRST_STEPS[name]
+    if first_step is None:
+        first_step = t_bound - t0
+    y0 = np.array([1.2, 0.0])
+    kw = dict(rtol=1e-8, atol=1e-10, first_step=first_step)
+    ours = RK45(damped_pendulum, t0, y0, t_bound, **kw)
+    ref = ScipyRK45(damped_pendulum, t0, y0, t_bound, **kw)
+    # f(t0, y0) only: no initial-step probe
+    assert ours.nfev == 1 and same(ours.h_abs, first_step)
+    steps, _ = lockstep(ours, ref)
+    assert ours.status == "finished" and ours.t == t_bound
+    if name == "span":
+        assert steps == 1 and ours.nfev == 1 + RK45.n_stages
+    else:
+        assert steps > 10
+    if name == "rejected":
+        assert ours.nfev > 1 + RK45.n_stages * steps
+
+
+@pytest.mark.parametrize("first_step", [0.0, -0.1, 10.5])
+def test_a_first_step_outside_the_span_is_refused_as_scipy_refuses_it(first_step):
+    y0 = np.array([1.2, 0.0])
+    with pytest.raises(ValueError) as ref:
+        ScipyRK45(damped_pendulum, 0.0, y0, 10.0, first_step=first_step)
+    with pytest.raises(ValueError) as ours:
+        RK45(damped_pendulum, 0.0, y0, 10.0, first_step=first_step)
+    assert str(ours.value) == str(ref.value)
+
+
 def test_tableau_is_scipys():
     for attr in ("A", "B", "C", "E", "P"):
         ours, ref = getattr(RK45, attr), getattr(ScipyRK45, attr)
