@@ -57,8 +57,8 @@ class EventSpec:
 
     ``admissible`` declares the sign (+1 or -1) r must have where a run
     starts, the side of the surface the model lives on; a run starting on
-    the other side raises ``InadmissibleStartError``.  0 (the default)
-    admits either side.
+    the surface or past it raises ``InadmissibleStartError``.  0 (the
+    default) admits either side.
 
     Each subclass is one event kind and owns everything specific to it:
     ``state_jump`` gives the post-event velocities and its blocks of the

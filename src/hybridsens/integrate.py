@@ -458,20 +458,20 @@ def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
 
 
 class EventMonitor:
-    """Tracks event-function signs and masking during one hybrid run.
+    """Tracks event-function masking during one hybrid run.
 
-    After an event fires, its function is masked until the trajectory has
-    moved a finite distance off the event surface; otherwise the restart at
-    t_eve would re-trigger on the same root.  With a departure side (the
-    sign of dr/dt just after the event) the function must clear that
-    distance on that side; clearing it on the other side means the
-    trajectory came back through the surface without a detectable crossing.
-    ``integrate_segment`` checks a function with a side at every scan
-    sample, one without a side (``update``) at step ends only.
+    After an event fires, its function is masked, or the restart at t_eve
+    would re-trigger on the same root.  With a departure side (the sign of
+    dr/dt just after the event) a scan sample past the departure distance
+    unmasks it on that side (``depart``); on the other, the trajectory came
+    back through the surface undetected.  A mask without a side (a capture)
+    holds for the rest of the run: the surface is the constraint manifold
+    the post-event dynamics enforces, and only a release of that
+    constraint, not yet modelled, could lift it.
 
     ``admissible`` gives per function the sign (+1 or -1) it must have
-    where the run starts, or 0 for either side: the first values the
-    monitor takes, those at the run's start, are checked against it.
+    where the run starts, or 0 for either side; ``check_start`` checks the
+    run's first values against it.
     """
 
     def __init__(self, n_events: int, admissible: Sequence[float] = ()):
@@ -479,7 +479,6 @@ class EventMonitor:
         self.depart_tol = [0.0] * n_events
         self.side = [0.0] * n_events
         self.admissible = tuple(admissible)
-        self.started = False
 
     def mask(self, index: int, depart_tol: float, side: float) -> None:
         """Mask event ``index``; ``side`` is +1 or -1, or 0 for no side."""
@@ -487,19 +486,17 @@ class EventMonitor:
         self.depart_tol[index] = depart_tol
         self.side[index] = side
 
-    def update(self, values: Sequence[float]) -> None:
-        if not self.started:
-            self.started = True
-            for i, (val, sign) in enumerate(zip(values, self.admissible)):
-                if sign * val < 0.0:
-                    raise InadmissibleStartError(
-                        f"event function {i} = {val:.3g} at the start of the run, where "
-                        f"its sign must be {sign:+g}: the run starts on the wrong side "
-                        f"of the event surface"
-                    )
-        for i, val in enumerate(values):
-            if self.masked[i] and abs(val) > self.depart_tol[i]:
-                self.depart(i, val)
+    def check_start(self, values: Sequence[float]) -> None:
+        """Check the run's first values against ``admissible``, strictly (0
+        and NaN are refused); a later segment starts on a surface and passes."""
+        for i, (val, sign) in enumerate(zip(values, self.admissible)):
+            if sign and not sign * val > 0.0:
+                raise InadmissibleStartError(
+                    f"event function {i} = {val:.3g} at the start of the run, where "
+                    f"its sign must be {sign:+g}: the run starts on or past the surface "
+                    f"(on it, or on its wrong side)"
+                )
+        self.admissible = ()
 
     def depart(self, index: int, val: float) -> None:
         """Unmask function ``index``, whose value ``val`` is past its
@@ -547,9 +544,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     is not silently skipped.  A masked function with a departure side
     (``EventMonitor``) is checked at every sample, not only at step ends,
     so one step can hold the lift-off from its surface and the next
-    crossing of it.  Two events localized within the event time
-    tolerance of each other are reported as an error: there is no defined
-    ordering for simultaneous events.
+    crossing of it; a masked function without a side is not sampled and
+    stays masked.  Two events localized within the event time tolerance of
+    each other are reported as an error: there is no defined ordering for
+    simultaneous events.
 
     The stage record (``DenseSegment.stages``) takes rows 0..5 of the
     stepper's ``K`` after each accepted step, and the last step's row 6
@@ -610,7 +608,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     stages = np.empty((6 * 16 + 1, y0.size))
     hs: list = []
     vals_old = [fn(t0, y0) for fn in event_fns]
-    monitor.update(vals_old)
+    monitor.check_start(vals_old)
     t_tol = max(config.event_tol, 1e-10 * (tf - t0))
 
     hit = None
@@ -647,8 +645,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         def dense(s):
             return _rk_dense(t_old, y_old, h, Q, s)
 
-        # every function at the step end, once: the scan reads them there and
-        # the monitor takes them after a step without an event
+        # every function at the step end, once: the scan reads them there, and
+        # the next step's scan starts from them
         vals_new = [fn(t_new, y_new) for fn in event_fns]
         # sample times within the step: interior checkpoints + endpoint
         taus = _sample_times(t_old, t_new)
@@ -656,7 +654,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         for i, fn in enumerate(event_fns):
             masked = monitor.masked[i]
             if masked and not monitor.side[i]:
-                continue  # no departure side: checked at the step end
+                continue  # no departure side: held for the rest of the run
             va = vals_old[i]
             ta = t_old
             for tau in taus:
@@ -694,9 +692,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             y_eve = dense(root)
             hit = EventHit(index=idx, t=root, r_residual=float(event_fns[idx](root, y_eve)))
             t_new, y_new = root, y_eve
-        else:
-            monitor.update(vals_new)
-            vals_old = vals_new
+        vals_old = vals_new
         node_times.append(t_new)
         node_states.append(y_new)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridsens.adjoint import propagate_adjoint
+from hybridsens.constrained import PenaltyDynamics
 from hybridsens.direct import direct_gradient, propagate_direct, simulate
 from hybridsens.gallery import (
     FIVE_BAR_DATA,
@@ -11,9 +12,10 @@ from hybridsens.gallery import (
     five_bar,
     five_bar_model,
     pendulum,
+    pendulum_model,
     register_gallery,
 )
-from hybridsens.integrate import InadmissibleStartError
+from hybridsens.integrate import InadmissibleStartError, IntegratorConfig
 from hybridsens.model import CostFunctional, fd_jacobian
 from hybridsens.oracle import fd_cost_sensitivity
 from conftest import elementwise_close, rel_err
@@ -264,6 +266,45 @@ def test_pendulum_starting_outside_the_tether_disc_is_refused(x0):
     with pytest.raises(InadmissibleStartError, match="wrong side"):
         direct_gradient(prob.dynamics, prob.cost(), prob.events, rho, prob.t_span,
                         prob.config)
+
+
+def test_pendulum_starting_on_the_tether_circle_is_refused():
+    # (0.8, -0.6) lies on the circle, r = 0 exactly, moving into the disc: the
+    # run used to record a capture at t = 0.  One ulp inside, the mass flies
+    # across the disc and the tether captures it at t = 0.2039
+    prob = pendulum()
+
+    def run(x0):
+        return simulate(prob.dynamics, prob.cost(), prob.events, np.array([x0, 1.0, 1.0]),
+                        prob.t_span, prob.config)
+
+    assert prob.events[0].r(np.array([0.8, -0.6])) == 0.0
+    with pytest.raises(InadmissibleStartError, match="on or past the surface"):
+        run(0.8)
+    traj = run(np.nextafter(0.8, 0.0))
+    assert len(traj.events) == 1 and abs(traj.events[0].t_eve - 0.2039) <= 1e-4
+
+
+@pytest.mark.parametrize("rtol, atol, event_tol",
+                         [(1e-4, 1e-6, 1e-9), (1e-5, 1e-7, 1e-9), (1e-6, 1e-8, 1e-11)])
+@pytest.mark.parametrize("formulation", ["dae", "penalty"])
+def test_an_engaged_tether_is_not_an_event_surface(formulation, rtol, atol, event_tol):
+    # after the capture the tether's function stays masked: under the enforced
+    # constraint only integration drift moves it, and that drift used to be
+    # detected as further captures (2 to 23 of them) or, at event_tol 1e-11, to
+    # raise a TangentialCrossingError
+    prob = pendulum()
+    event = prob.events[0]
+    if formulation == "penalty":
+        tethered = PenaltyDynamics(pendulum_model(constrained=True))
+        event = dataclasses.replace(event, post_dynamics=tethered)
+    config = IntegratorConfig(rtol=rtol, atol=atol, event_tol=event_tol)
+    for cost in prob.costs.values():
+        request = (prob.dynamics, cost, [event], prob.rho0.rho, (0.0, 1.5), config)
+        grad, traj, _ = direct_gradient(*request)
+        assert [rec.spec.name for rec in traj.events] == ["tether-capture"]
+        assert elementwise_close(propagate_adjoint(traj).gradient, grad, 1e-12)
+        assert elementwise_close(fd_cost_sensitivity(*request, nominal=traj), grad, 1e-4)
 
 
 def test_start_side_check_takes_no_evaluation_and_changes_no_run():

@@ -169,9 +169,10 @@ def test_a_masked_function_with_a_departure_side_leaves_and_returns_in_one_step(
     assert not monitor.masked[0]
 
 
-def test_a_masked_function_without_a_side_is_checked_at_step_ends_only():
-    # a capture's function has no departure side: no interior sample is
-    # taken while it is masked, and the step end unmasks it
+def test_a_masked_function_without_a_side_stays_masked_and_is_not_sampled():
+    # a capture's function has no departure side: its mask holds past the
+    # departure distance (r = -2.8 at the step end), and no sample is taken
+    # inside the step; the step-end value is read, but no crossing is sought
     calls = []
 
     def r(t, y):
@@ -179,7 +180,8 @@ def test_a_masked_function_without_a_side_is_checked_at_step_ends_only():
         return y[0] * (0.6 - y[0])
 
     seg, hit, monitor = _one_step([r], 0.0)
-    assert hit is None and calls == [0.0, 2.0] and not monitor.masked[0]
+    assert hit is None and calls == [0.0, 2.0] and monitor.masked[0]
+    assert abs(r(2.0, seg.node_states[-1])) > monitor.depart_tol[0]
 
 
 @pytest.mark.parametrize("root, raises", [(0.3, False), (0.5, True)])
