@@ -153,7 +153,7 @@ class AdjointSolution:
         if not on_node:
             def rhs(s, lam):
                 return adjoint_rhs(seg.dynamics, traj.cost, dims, traj.rho, -s,
-                                   dense.evaluate(-s), lam)
+                                   dense.evaluate(-s), lam), None
             y = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
                                   traj.config)[0].node_states[-1]
         lamQ, lamV, lamG = _split_lam(y, dims, nc)

@@ -21,6 +21,7 @@ block is the constant identity and is never propagated."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,13 @@ class HybridTrajectory:
     initial: InitialConditions  # the start both sensitivity sweeps read
 
     def segment_at(self, t: float) -> TrajectorySegment:
-        for seg in self.segments:
-            if seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
-                return seg
-        raise ValueError(f"t={t} outside trajectory [{self.t0}, {self.tF}]")
+        """The segment whose span holds t: an event time belongs to the one it
+        ends, any later t, however close, to the next.  A t more than 1e-12
+        past the run's two ends raises a ValueError."""
+        segs = self.segments
+        if not segs[0].t_start - 1e-12 <= t <= segs[-1].t_end + 1e-12:
+            raise ValueError(f"t={t} outside trajectory [{self.t0}, {self.tF}]")
+        return segs[bisect_left([seg.t_end for seg in segs[:-1]], t)]
 
     def state_at(self, t: float):
         """(q, v, z) interpolated from the covering segment."""
@@ -96,9 +100,9 @@ class HybridTrajectory:
 
     def split_at(self, times) -> list:
         """The sorted ``times`` split by segment, one array each: a t goes to
-        the first segment whose span holds it, as ``segment_at`` picks it,
-        so a t at an event time goes to the pre-event segment.  Unsorted
-        times, or a t outside the run, raise a ValueError."""
+        the segment ``segment_at`` picks, so a t at an event time goes to
+        the pre-event segment and any later t to the post-event one.
+        Unsorted times, or a t outside the run, raise a ValueError."""
         times = np.array(times, dtype=float).ravel()
         if times.size:
             if not (times[1:] >= times[:-1]).all():
@@ -106,7 +110,7 @@ class HybridTrajectory:
             self.segment_at(times[0])
             self.segment_at(times[-1])
         return np.split(times, np.searchsorted(
-            times, [seg.t_end + 1e-12 for seg in self.segments[:-1]], side="right"))
+            times, [seg.t_end for seg in self.segments[:-1]], side="right"))
 
     def sensitivity_at(self, t: float) -> SensitivityState:
         """Tangent at t from the covering segment's ``SegmentTangent``: a
@@ -264,7 +268,6 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
     n = dims.n
     wrappers = [(lambda t, y, sp=sp: sp.r_value(y[:n])) for sp in events]
     y, t, active = np.concatenate([initial.q0, initial.v0, np.zeros(integrand.nc)]), t0, dyn
-    solved = [None]  # the multipliers of the last rhs evaluation
     start = None  # (f, mu) at a segment's start, if the event already evaluated them
     first_step = None  # a post-event segment's: the step its event cut short
 
@@ -273,14 +276,11 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
 
     def rhs(s, x, d):
         f, mu = tlm_rhs(d, integrand, dims, rho, s, x)
-        solved[0] = rows(mu)
-        return f
+        return f, rows(mu)
 
     while t < tF - 1e-14 * max(1.0, abs(tF)):
-        # integrate_segment asks for the multipliers right after each rhs
-        # evaluation: they are that evaluation's
         request = (lambda s, x, d=active: rhs(s, x, d), y, (t, tF), config,
-                   wrappers, monitor, lambda s, x: solved[0], start)
+                   wrappers, monitor, start)
         masked = list(monitor.masked)
         try:
             seg_dense, hit = integrate_segment(*request, first_step)

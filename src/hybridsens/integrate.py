@@ -465,9 +465,9 @@ class EventMonitor:
     dr/dt just after the event) a scan sample past the departure distance
     unmasks it on that side (``depart``); on the other, the trajectory came
     back through the surface undetected.  A mask without a side (a capture)
-    holds for the rest of the run: the surface is the constraint manifold
-    the post-event dynamics enforces, and only a release of that
-    constraint, not yet modelled, could lift it.
+    holds for the rest of the run, and the function is not evaluated: the
+    surface is the constraint manifold the post-event dynamics enforces,
+    and only a release of that constraint, not yet modelled, could lift it.
 
     ``admissible`` gives per function the sign (+1 or -1) it must have
     where the run starts, or 0 for either side; ``check_start`` checks the
@@ -486,10 +486,11 @@ class EventMonitor:
         self.depart_tol[index] = depart_tol
         self.side[index] = side
 
-    def check_start(self, values: Sequence[float]) -> None:
-        """Check the run's first values against ``admissible``, strictly (0
-        and NaN are refused); a later segment starts on a surface and passes."""
-        for i, (val, sign) in enumerate(zip(values, self.admissible)):
+    def check_start(self, values: dict) -> None:
+        """Check the run's first values {index: value} against ``admissible``,
+        strictly (0 and NaN are refused); later segments start on a surface and pass."""
+        for i, val in values.items():
+            sign = self.admissible[i] if self.admissible else 0.0
             if sign and not sign * val > 0.0:
                 raise InadmissibleStartError(
                     f"event function {i} = {val:.3g} at the start of the run, where "
@@ -529,10 +530,14 @@ def _sample_times(t_old, t_new) -> list:
 def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
                       monitor: EventMonitor | None = None,
-                      multipliers: Callable[[float, np.ndarray], np.ndarray] | None = None,
                       start: tuple | None = None, first_step: float | None = None):
-    """Integrate y' = rhs(t, y) forward over t_span, stopping at the first
+    """Integrate y' = f(t, y) forward over t_span, stopping at the first
     event root; a span with t_span[1] <= t_span[0] is refused.
+
+    ``rhs(t, y)`` returns ``(f, mu)``: the stepper integrates f, and mu is
+    the evaluation's multipliers row, or None for a caller with nothing to
+    record.  A first evaluation whose f is not finite or not of y0's shape
+    (a right side returning f alone) raises an IntegrationError.
 
     event_fns are scalar functions of (t, y); the segment ends either at
     t_span[1] or at the first localized sign change of an unmasked event
@@ -544,31 +549,28 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     is not silently skipped.  A masked function with a departure side
     (``EventMonitor``) is checked at every sample, not only at step ends,
     so one step can hold the lift-off from its surface and the next
-    crossing of it; a masked function without a side is not sampled and
-    stays masked.  Two events localized within the event time tolerance of
-    each other are reported as an error: there is no defined ordering for
-    simultaneous events.
+    crossing of it.  A function masked without a side is held: only a
+    caller masks, between segments, so it is never evaluated in the
+    segment and stays masked.  Two events localized within the event time
+    tolerance of each other are reported as an error: there is no defined
+    ordering for simultaneous events.
 
     The stage record (``DenseSegment.stages``) takes rows 0..5 of the
     stepper's ``K`` after each accepted step, and the last step's row 6
     when the segment ends: row 0 of every later step is the previous
-    step's row 6 (FSAL), stored once.  ``multipliers(t, y)``, if given, is
-    called right after every evaluation of rhs, and the rows of the
-    accepted stages become the segment's ``multipliers`` in the same
-    layout.  The solver evaluates f(t0, y0) first (stage 0 of the first
-    step), probes once more for its initial step, and spends n_stages
-    evaluations per attempt, so the last n_stages rows after a step are
-    stages 1..6 of the accepted attempt.
+    step's row 6 (FSAL), stored once.  ``multipliers`` takes the mu of the
+    same stages in the same layout: f(t0, y0)'s, then each step's last
+    n_stages (stages 1..6 of the accepted attempt); those of the
+    initial-step probe and of rejected attempts are dropped.
 
     ``first_step``, if given, is the solver's first step
     (``RK45(first_step=...)``), as a hybrid run restarts after an event
     with the step the event cut short: a warm start skips the initial-step
     probe, so each post-event segment costs one evaluation fewer.
 
-    ``start = (f, mu)``, if given, is f(t0, y0) with its multipliers row,
-    as a caller that has evaluated them hands them in (a hybrid run at the
-    post-event state): the solver's first evaluation takes them instead of
-    calling rhs and ``multipliers``, and is checked and counted as any.
+    ``start``, if given, is rhs(t0, y0), as a caller that has evaluated it
+    hands it in (a hybrid run at the post-event state): the solver's first
+    evaluation takes it instead of calling rhs, checked and counted as any.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(y0, dtype=float)
@@ -579,27 +581,24 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     if monitor is None:
         monitor = EventMonitor(len(event_fns))
 
-    mu_rows, evaluated, first = None, [], True  # evaluated: rows since the last step
+    start = rhs(t0, y0) if start is None else start
+    # f alone is refused, and a non-finite f before the stepper probes a step
+    # with it: its step loop never ends on a non-finite derivative
+    f0 = start[0] if isinstance(start, tuple) and len(start) == 2 else None
+    if np.shape(f0) != y0.shape or not np.isfinite(f0).all():
+        raise IntegrationError(f"right-hand side at t={t0}: expected (f, mu) with f finite "
+                               f"and of the state's shape {y0.shape}")
+
+    evaluated = []  # the mu rows since the last accepted step
 
     def fun(t, y):
-        nonlocal first, start
-        if start is None:
-            f = rhs(t, y)
-            mu = None if multipliers is None else multipliers(t, y)
-        else:
-            (f, mu), start = start, None
-        if first:
-            # f(t0, y0), refused before the stepper probes a step with it: its step
-            # loop never ends on a non-finite derivative
-            if not np.isfinite(f).all():
-                raise IntegrationError(f"non-finite right-hand side at t={t0}")
-            first = False
-        if multipliers is not None:
+        nonlocal start
+        (f, mu), start = start or rhs(t, y), None  # the first call takes start
+        if mu is not None:
             evaluated.append(mu)
         return f
     solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol, first_step=first_step)
-    if multipliers is not None:
-        mu_rows = evaluated[:1]
+    mu_rows = evaluated[:1]
 
     node_times = [t0]
     node_states = [y0.copy()]
@@ -607,7 +606,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     # in place and trimmed when the segment ends (no view of it exists before)
     stages = np.empty((6 * 16 + 1, y0.size))
     hs: list = []
-    vals_old = [fn(t0, y0) for fn in event_fns]
+    # fixed per segment: a function is held only between segments
+    watched = [(i, fn) for i, fn in enumerate(event_fns)
+               if not monitor.masked[i] or monitor.side[i]]
+    vals_old = {i: fn(t0, y0) for i, fn in watched}
     monitor.check_start(vals_old)
     t_tol = max(config.event_tol, 1e-10 * (tf - t0))
 
@@ -619,7 +621,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             )
         msg = solver.step()
         if solver.status == "failed":
-            near = [i for i, v in enumerate(vals_old)
+            near = [i for i, v in vals_old.items()
                     if np.isfinite(v) and abs(v) < 1e-6 * max(1.0, float(np.abs(y0).max()))]
             if near:
                 raise GrazingError(
@@ -635,9 +637,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             stages.resize((2 * len(stages) - 1, y0.size), refcheck=False)
         stages[row:row + 6] = K[:-1]
         hs.append(h)
-        if mu_rows is not None:
-            mu_rows += evaluated[-solver.n_stages:]
-            evaluated.clear()
+        mu_rows += evaluated[-solver.n_stages:]
+        evaluated.clear()
         t_new, y_new = solver.t, solver.y.copy()
 
         Q = K.T.dot(RK45.P)
@@ -645,16 +646,14 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         def dense(s):
             return _rk_dense(t_old, y_old, h, Q, s)
 
-        # every function at the step end, once: the scan reads them there, and
-        # the next step's scan starts from them
-        vals_new = [fn(t_new, y_new) for fn in event_fns]
+        # every watched function at the step end, once: the scan reads them
+        # there, and the next step's scan starts from them
+        vals_new = {i: fn(t_new, y_new) for i, fn in watched}
         # sample times within the step: interior checkpoints + endpoint
         taus = _sample_times(t_old, t_new)
         candidates, departures = [], []
-        for i, fn in enumerate(event_fns):
+        for i, fn in watched:
             masked = monitor.masked[i]
-            if masked and not monitor.side[i]:
-                continue  # no departure side: held for the rest of the run
             va = vals_old[i]
             ta = t_old
             for tau in taus:
@@ -699,5 +698,5 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     stages[6 * len(hs)] = solver.K[-1]
     stages.resize((6 * len(hs) + 1, y0.size), refcheck=False)
     seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages,
-                       np.asarray(hs), truncated=hit is not None, multipliers=mu_rows)
+                       np.asarray(hs), truncated=hit is not None, multipliers=mu_rows or None)
     return seg, hit

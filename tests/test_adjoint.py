@@ -390,3 +390,36 @@ def test_lam_at_finds_t_as_sensitivity_at_does():
             assert flat(sol.lam_at(t)).tobytes() == sol.series[row].tobytes()
             X, node = traj.sensitivity_at(t), traj.segments[end].tangent.node_states[end]
             assert np.vstack([X.Q, X.V, X.Z]).ravel().tobytes() == node.tobytes()
+
+
+def test_a_time_just_after_an_event_reads_the_post_event_segment():
+    # an event time belongs to the segment it ends; one ulp later state_at,
+    # sensitivity_at and lam_at read the post-event segment, whose first node
+    # holds v+, S X- and the post-event adjoint, and split_at splits there
+    from hybridsens.gallery import bouncing_mass, pendulum
+
+    def flat(lam):
+        return np.concatenate([lam.lamQ.ravel(), lam.lamV.ravel(), lam.lamGamma.ravel()])
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-9 * max(1.0, float(np.abs(b).max()))
+
+    for prob in (bouncing_mass(), pendulum()):
+        traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                        prob.config)
+        assert traj.events
+        propagate_direct(traj)
+        sol = propagate_adjoint(traj)
+        for i, rec in enumerate(traj.events):
+            after, seg = float(np.nextafter(rec.t_eve, np.inf)), traj.segments[i + 1]
+            row = sum(len(s.dense.node_times) for s in traj.segments[i + 1:]) - 1
+            assert traj.segment_at(rec.t_eve) is traj.segments[i]
+            assert traj.segment_at(after) is seg
+            assert close(traj.state_at(after)[1], rec.v_plus)
+            assert not close(traj.state_at(rec.t_eve)[1], rec.v_plus)
+            X = traj.sensitivity_at(after)
+            assert close(np.vstack([X.Q, X.V, X.Z]).ravel(), seg.tangent.node_states[0])
+            assert close(flat(sol.lam_at(after)), sol.series[row])
+            assert not close(flat(sol.lam_at(rec.t_eve)), sol.series[row])
+            split = traj.split_at([rec.t_eve, after])
+            assert split[i].tolist() == [rec.t_eve] and split[i + 1].tolist() == [after]

@@ -18,7 +18,7 @@ G = 9.81
 
 
 def free_fall_rhs(t, y):
-    return np.array([y[1], -G])
+    return np.array([y[1], -G]), None
 
 
 def test_event_localization_free_fall():
@@ -63,7 +63,7 @@ def test_interpolation_exact_at_nodes():
 
 def test_interpolation_exponential():
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
-    seg, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
+    seg, _ = integrate_segment(lambda t, y: (y, None), np.array([1.0]), (0.0, 1.0), cfg)
     for t in np.linspace(0.05, 0.95, 19):
         assert abs(seg.evaluate(t)[0] - np.exp(t)) < 10 * cfg.rtol * np.exp(t)
 
@@ -87,7 +87,7 @@ def test_tolerance_halving_improves_accuracy():
     errs = []
     for rtol in (1e-6, 5e-7):
         cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
-        seg, _ = integrate_segment(lambda t, y: y, np.array([1.0]), (0.0, 2.0), cfg)
+        seg, _ = integrate_segment(lambda t, y: (y, None), np.array([1.0]), (0.0, 2.0), cfg)
         yf = seg.node_states[-1]
         errs.append(abs(yf[0] - np.exp(2.0)))
     assert errs[1] < errs[0] / 1.5
@@ -98,7 +98,7 @@ def test_determinism_bitwise():
     outs = []
     for _ in range(2):
         seg, _ = integrate_segment(
-            lambda t, y: np.array([y[1], -np.sin(y[0])]),
+            lambda t, y: (np.array([y[1], -np.sin(y[0])]), None),
             np.array([0.4, 0.0]), (0.0, 3.0), cfg)
         tf, yf = seg.node_times[-1], seg.node_states[-1]
         outs.append((tf, yf.tobytes(), np.asarray(seg.node_times).tobytes()))
@@ -123,7 +123,7 @@ def test_config_rejects_non_finite_or_non_positive(field, value):
 def test_max_steps_exceeded():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(IntegrationError, match="max_steps"):
-        integrate_segment(lambda t, y: np.array([np.cos(40 * t)]),
+        integrate_segment(lambda t, y: (np.array([np.cos(40 * t)]), None),
                           np.array([0.0]), (0.0, 10.0), cfg)
 
 
@@ -131,7 +131,41 @@ def test_max_steps_exceeded():
 def test_reversed_or_empty_span_refused(t_span):
     # integration runs forward only; a backward problem is posed in s = -t
     with pytest.raises(IntegrationError, match="empty or reversed"):
-        integrate_segment(lambda t, y: y, np.array([1.0]), t_span, IntegratorConfig())
+        integrate_segment(lambda t, y: (y, None), np.array([1.0]), t_span, IntegratorConfig())
+
+
+@pytest.mark.parametrize("f", [np.array([1.0, -G]), np.array([1.0, 0.0, -G])])
+def test_a_right_side_returning_f_alone_is_refused_at_its_first_evaluation(f):
+    # the right side returns (f, mu); f alone is refused before any step,
+    # also a 2-vector, which unpacks into a scalar "f" and a "mu"
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return f
+
+    with pytest.raises(IntegrationError, match=r"expected \(f, mu\)"):
+        integrate_segment(rhs, np.zeros(f.size), (0.0, 1.0), IntegratorConfig(),
+                          [lambda t, y: y[0] - 0.5])
+    assert calls == [0.0]
+
+
+def test_the_multipliers_of_each_accepted_stage_are_recorded_in_the_stage_layout():
+    # mu = [t] records each evaluation's time: row 6k + i is stage i of step k
+    # at the time step_stages reports, the probe and rejected attempts are
+    # dropped, and a right side returning no mu records none
+    def f(t, y):
+        return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1]])
+
+    y0, cfg = np.array([1.2, 0.0]), IntegratorConfig(rtol=1e-4, atol=1e-6)
+    seg, _ = integrate_segment(lambda t, y: (f(t, y), np.array([t])), y0, (0.0, 10.0), cfg)
+    assert seg.multipliers.shape == (6 * len(seg) + 1, 1)
+    for k in range(len(seg)):
+        times = seg.step_stages(k, 1)[2]
+        assert seg.multipliers[6 * k:6 * k + 7, 0].tobytes() == times.tobytes()
+    bare, _ = integrate_segment(lambda t, y: (f(t, y), None), y0, (0.0, 10.0), cfg)
+    assert bare.multipliers is None
+    assert bare.stages.tobytes() == seg.stages.tobytes()
 
 
 def test_double_crossing_within_step_detected():
@@ -140,7 +174,7 @@ def test_double_crossing_within_step_detected():
     # right side has no error, so every step grows by MAX_FACTOR and one
     # step spans both crossings
     cfg = IntegratorConfig(rtol=1e-4, atol=1e-6)
-    seg, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]),
+    seg, hit = integrate_segment(lambda t, y: (np.array([1.0]), None), np.array([0.0]),
                                  (0.0, 1.0), cfg,
                                  [lambda t, y: (t - 0.15) * (t - 0.35) + 1e-4])
     t_last = seg.node_times[-2]
@@ -154,8 +188,9 @@ def _one_step(event_fns, side, **kw):
     with event function 1 (or the only one) masked on its surface at t = 0."""
     monitor = EventMonitor(len(event_fns))
     monitor.mask(len(event_fns) - 1, 1e-8, side)
-    seg, hit = integrate_segment(lambda t, y: np.array([1.0]), np.array([0.0]), (0.0, 2.0),
-                                 IntegratorConfig(), event_fns, monitor, first_step=2.0)
+    seg, hit = integrate_segment(lambda t, y: (np.array([1.0]), None), np.array([0.0]),
+                                 (0.0, 2.0), IntegratorConfig(), event_fns, monitor,
+                                 first_step=2.0)
     assert len(seg) == 1
     return seg, hit, monitor
 
@@ -170,9 +205,10 @@ def test_a_masked_function_with_a_departure_side_leaves_and_returns_in_one_step(
 
 
 def test_a_masked_function_without_a_side_stays_masked_and_is_not_sampled():
-    # a capture's function has no departure side: its mask holds past the
-    # departure distance (r = -2.8 at the step end), and no sample is taken
-    # inside the step; the step-end value is read, but no crossing is sought
+    # a capture's function has no departure side: it is held for the whole
+    # segment, so it is never evaluated, neither at the segment's start nor at
+    # a step end nor inside the step, and its mask holds although it is past
+    # the departure distance (r = -2.8 at the step end)
     calls = []
 
     def r(t, y):
@@ -180,7 +216,7 @@ def test_a_masked_function_without_a_side_stays_masked_and_is_not_sampled():
         return y[0] * (0.6 - y[0])
 
     seg, hit, monitor = _one_step([r], 0.0)
-    assert hit is None and calls == [0.0, 2.0] and monitor.masked[0]
+    assert hit is None and calls == [] and monitor.masked[0]
     assert abs(r(2.0, seg.node_states[-1])) > monitor.depart_tol[0]
 
 
@@ -203,8 +239,11 @@ def test_dense_output_matches_scipy_bitwise():
     # including the last step of a segment cut at an event root
     cfg = IntegratorConfig()
 
-    def rhs(t, y):
+    def f(t, y):
         return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1]])
+
+    def rhs(t, y):
+        return f(t, y), None
 
     y0 = np.array([1.2, 0.0])
     samples = []  # every (t, y) the event function receives
@@ -216,7 +255,7 @@ def test_dense_output_matches_scipy_bitwise():
     seg, hit = integrate_segment(rhs, y0, (0.0, 10.0), cfg, [event])
     y_eve = seg.node_states[-1]
     assert hit is not None and seg.truncated
-    solver = RK45(rhs, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol)
+    solver = RK45(f, 0.0, y0, 10.0, rtol=cfg.rtol, atol=cfg.atol)
     dense, nodes = [], {0.0: y0}
     while len(dense) < len(seg):
         solver.step()

@@ -128,7 +128,7 @@ def reference_lam_at(sol, t):
 
             def rhs(s, lam):
                 return -lam_dot(seg.dynamics, cost, n, traj.rho, -s,
-                                seg.dense.evaluate(-s), lam)
+                                seg.dense.evaluate(-s), lam), None
             return integrate_segment(rhs, y, (-nodes[i], -t), traj.config)[0].node_states[-1]
         row += len(nodes)
     raise AssertionError(f"t={t} is not inside a segment")
