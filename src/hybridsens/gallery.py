@@ -478,22 +478,30 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
     """
     L = PENDULUM_LENGTH
     dims = Dimensions(n=2, p=3)
+    eye2 = np.eye(2)
+    zeros22, zeros13 = _read_only(np.zeros((2, 2))), _read_only(np.zeros((1, 3)))
+    F_rho = _read_only(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -GRAVITY]]))
+    held = [("", None)]  # (m.hex(), M) of the last mass m asked for
 
     def mass(t, q, rho):
-        return rho[2] * np.eye(2)
+        # M = m I changes with m = rho[2] alone: built once per m, the last one held
+        m = float(rho[2])
+        key, M = held[0]
+        if m.hex() != key:
+            M = _read_only(m * eye2)
+            held[0] = m.hex(), M
+        return M
 
     def mass_partials(t, q, rho, w):
         M_rho = np.zeros((2, 3))
         M_rho[:, 2] = w
-        return np.zeros((2, 2)), M_rho
+        return zeros22, M_rho
 
     def force(t, q, v, rho):
         return np.array([0.0, -rho[2] * GRAVITY])
 
     def force_partials(t, q, v, rho):
-        F_rho = np.zeros((2, 3))
-        F_rho[1, 2] = -GRAVITY
-        return np.zeros((2, 2)), np.zeros((2, 2)), F_rho
+        return zeros22, zeros22, F_rho
 
     def initial_state(rho):
         q0 = np.array([rho[0], -0.6 * L])
@@ -510,7 +518,7 @@ def pendulum_model(constrained: bool = True) -> MultibodyModel:
             m=1,
             phi=lambda t, q, rho: np.array([q @ q - L ** 2]),
             phi_q=lambda t, q, rho: 2.0 * q[None, :],
-            phi_rho=lambda t, q, rho: np.zeros((1, 3)),
+            phi_rho=lambda t, q, rho: zeros13,
             hessian=2.0 * np.eye(2)[None],
             one_sided=(0,),  # the tether pulls (mu > 0) and never pushes
         )

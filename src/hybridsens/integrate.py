@@ -8,8 +8,9 @@ step keeps its stage derivatives, which give both the continuous extension
 (what the event root-finder and the state queries interpolate) and the
 stage states the discrete tangent and adjoint of the step are evaluated at
 (``DenseSegment.step_stages``).  Everything event-related is implemented
-here: sign-change detection on the dense output, bracketed bisection
-refined by secant steps, masking of the event function that just fired,
+here: sign-change detection on the dense output, bracketed root
+refinement (Illinois regula falsi with bisection safeguards and a closing
+secant step), masking of the event function that just fired,
 and the guards that turn grazing or simultaneous crossings into explicit
 errors.
 """
@@ -421,40 +422,64 @@ class EventHit:
 
 def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
                  tb: float, rb: float, t_tol: float) -> float:
-    """Bracketed root of rfun on [ta, tb] with sign(ra) != sign(rb).
+    """Bracketed root of rfun on [ta, tb], ta < tb, with sign(ra) != sign(rb).
 
-    Bisection step refined by one secant step per iteration: the bracket
-    always shrinks, the secant accelerates local convergence.
+    Illinois-weighted regula falsi (Dowell and Jarratt, BIT 11, 1971): each
+    end's value carries a weight, and when a trial moves the same end as
+    the move before it, the weight of the end kept is halved, so the
+    bracket closes from both ends where plain regula falsi on a convex r
+    moves one end only.  The bracket comes from a forward scan, whose last
+    move was ta's.  Whenever two trials leave more than half of the bracket
+    the next is a bisection, so three evaluations at least halve it; an end
+    a bisection moves keeps the weight the trials before built up (reset,
+    a steep far end stalls regula falsi again).  A trial within t_tol / 2 of an end is moved to
+    t_tol / 2 from it: once one end is at the root, the next trial closes
+    the bracket.  Once the bracket is within t_tol, one secant step on its
+    true end values puts the root at round-off: the evaluated point with
+    the smallest |r| is returned.
     """
     if ra == 0.0:
         return ta
     if rb == 0.0:
         return tb
+    wa = wb = 1.0  # the Illinois weights of ra and rb
+    moved = -1  # the end the last move moved: -1 for ta, +1 for tb
+    width, trials = tb - ta, 0  # the bracket two trials ago, trials since
     for _ in range(200):
-        if abs(tb - ta) <= t_tol:
+        if tb - ta <= t_tol:
             break
-        tm = 0.5 * (ta + tb)
+        fa, fb = wa * ra, wb * rb
+        tm = ta - fa * (tb - ta) / (fb - fa)
+        tm = min(max(tm, ta + 0.5 * t_tol), tb - 0.5 * t_tol)
+        bisect = not ta < tm < tb  # an overflow, or t_tol / 2 below t's spacing
+        if trials == 2:
+            bisect = bisect or tb - ta > 0.5 * width
+            width, trials = tb - ta, 0
+        if bisect:
+            tm = 0.5 * (ta + tb)
         rm = rfun(tm)
+        trials += 1
         if rm == 0.0:
             return tm
-        if (ra < 0) != (rm < 0):
-            tb, rb = tm, rm
-        else:
+        if (ra < 0) == (rm < 0):
             ta, ra = tm, rm
-        # secant refinement inside the current bracket
-        denom = rb - ra
-        if denom != 0.0:
-            ts = ta - ra * (tb - ta) / denom
-            if ta < ts < tb:
-                rs = rfun(ts)
-                if rs == 0.0:
-                    return ts
-                if (ra < 0) != (rs < 0):
-                    tb, rb = ts, rs
-                else:
-                    ta, ra = ts, rs
-    # return the endpoint with the smaller event-function magnitude
-    return ta if abs(ra) <= abs(rb) else tb
+            wa = wa if bisect else 1.0
+            if moved < 0:
+                wb *= 0.5
+            moved = -1
+        else:
+            tb, rb = tm, rm
+            wb = wb if bisect else 1.0
+            if moved > 0:
+                wa *= 0.5
+            moved = 1
+    t, r = (ta, ra) if abs(ra) <= abs(rb) else (tb, rb)
+    ts = ta - ra * (tb - ta) / (rb - ra)
+    if ta < ts < tb:
+        rs = rfun(ts)
+        if abs(rs) <= abs(r):
+            return ts
+    return t
 
 
 class EventMonitor:
@@ -514,6 +539,15 @@ class EventMonitor:
 _INTERIOR_CHECKS = 4  # dense-output samples per step scanned for sign changes
 
 
+def _event_value(i, fn, t, y):
+    """fn(t, y), event function i's value; a non-finite one raises an
+    IntegrationError, as the scan's sign tests would read a NaN as positive."""
+    r = fn(t, y)
+    if not math.isfinite(r):
+        raise IntegrationError(f"event function {i} = {r} at t={float(t)!r}: not finite")
+    return r
+
+
 def _sample_times(t_old, t_new) -> list:
     """The scan's sample times in a step, the interior checkpoints and the
     end: ``np.linspace(t_old, t_new, _INTERIOR_CHECKS + 2)[1:]`` bitwise,
@@ -542,7 +576,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     event_fns are scalar functions of (t, y); the segment ends either at
     t_span[1] or at the first localized sign change of an unmasked event
     function.  Returns (DenseSegment, EventHit | None); the segment's last
-    node is its end, the event state when there is a hit.
+    node is its end, the event state when there is a hit, and the hit's
+    residual is the value the root refinement evaluated there.  A
+    non-finite event-function value raises an IntegrationError.
 
     Crossings are detected on accepted steps, with interior dense-output
     samples scanned as well so that a fast double crossing inside one step
@@ -609,7 +645,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     # fixed per segment: a function is held only between segments
     watched = [(i, fn) for i, fn in enumerate(event_fns)
                if not monitor.masked[i] or monitor.side[i]]
-    vals_old = {i: fn(t0, y0) for i, fn in watched}
+    vals_old = {i: _event_value(i, fn, t0, y0) for i, fn in watched}
     monitor.check_start(vals_old)
     t_tol = max(config.event_tol, 1e-10 * (tf - t0))
 
@@ -622,7 +658,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         msg = solver.step()
         if solver.status == "failed":
             near = [i for i, v in vals_old.items()
-                    if np.isfinite(v) and abs(v) < 1e-6 * max(1.0, float(np.abs(y0).max()))]
+                    if abs(v) < 1e-6 * max(1.0, float(np.abs(y0).max()))]
             if near:
                 raise GrazingError(
                     f"step underflow at t={solver.t:.6g} with event function(s) "
@@ -648,7 +684,15 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
         # every watched function at the step end, once: the scan reads them
         # there, and the next step's scan starts from them
-        vals_new = {i: fn(t_new, y_new) for i, fn in watched}
+        vals_new = {i: _event_value(i, fn, t_new, y_new) for i, fn in watched}
+        refined = {}  # (i, t): (state, value) of each refinement evaluation
+
+        def rfun(s, i, fn):
+            y = dense(s)
+            r = _event_value(i, fn, s, y)
+            refined[i, s] = y, r
+            return r
+
         # sample times within the step: interior checkpoints + endpoint
         taus = _sample_times(t_old, t_new)
         candidates, departures = [], []
@@ -657,7 +701,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             va = vals_old[i]
             ta = t_old
             for tau in taus:
-                vb = vals_new[i] if tau == t_new else fn(tau, dense(tau))
+                vb = vals_new[i] if tau == t_new else _event_value(i, fn, tau, dense(tau))
                 if masked:
                     # the first sample past the departure tolerance: on the
                     # departure side it unmasks the function and the rest of the
@@ -670,9 +714,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                         break
                     masked = False
                 elif va == 0.0 or (va < 0) != (vb < 0):
-                    root = _refine_root(
-                        lambda s, fn=fn: fn(s, dense(s)),
-                        ta, va, tau, vb, t_tol)
+                    root = _refine_root(lambda s, i=i, fn=fn: rfun(s, i, fn),
+                                        ta, va, tau, vb, t_tol)
                     candidates.append((root, i))
                     break
                 ta, va = tau, vb
@@ -688,8 +731,12 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                     f"{t_tol:.3g} of each other at t={candidates[0][0]:.6g}"
                 )
             root, idx = candidates[0]
-            y_eve = dense(root)
-            hit = EventHit(index=idx, t=root, r_residual=float(event_fns[idx](root, y_eve)))
+            # the state and value the refinement evaluated at its root; a root
+            # it did not evaluate, a scan sample, is evaluated here
+            if (idx, root) not in refined:
+                rfun(root, idx, event_fns[idx])
+            y_eve, r = refined[idx, root]
+            hit = EventHit(index=idx, t=root, r_residual=float(r))
             t_new, y_new = root, y_eve
         vals_old = vals_new
         node_times.append(t_new)

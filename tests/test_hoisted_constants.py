@@ -248,3 +248,63 @@ def test_read_only_mass_is_factored_without_writing():
         assert math.isclose(dyn.accel(0.0, np.ones(1), np.ones(1), bm.rho0.rho)[0],
                             -gallery.GRAVITY)
     assert M.tobytes() == before
+
+
+def test_pendulum_callbacks_hand_out_the_arrays_they_built():
+    # the pendulum's mass, its zero mass and force partials and its zero
+    # phi_rho are built once per model (the mass once per m) and read-only,
+    # byte for byte the expressions they replace
+    rng = np.random.default_rng(6)
+    for constrained in (False, True):
+        model = gallery.pendulum_model(constrained)
+        masses = [0.0, -0.0, 1.0, 1.0] + list(rng.uniform(0.3, 3.0, 4))
+        for m in masses:
+            t, q, v = rng.normal(), rng.normal(size=2), rng.normal(size=2)
+            rho = np.array([rng.normal(), rng.normal(), m])
+            M = model.mass(t, q, rho)
+            assert same(M, rho[2] * np.eye(2))
+            _assert_read_only(M)
+            assert M is model.mass(t + 1.0, -q, rho.copy())
+            M_q, M_rho = model.mass_partials(t, q, rho, v)
+            assert same(M_q, np.zeros((2, 2)))
+            _assert_read_only(M_q)
+            assert same(M_rho, np.array([[0.0, 0.0, v[0]], [0.0, 0.0, v[1]]]))
+            F_rho = np.zeros((2, 3))
+            F_rho[1, 2] = -gallery.GRAVITY
+            blocks = model.force_partials(t, q, v, rho)
+            for got, want in zip(blocks, (np.zeros((2, 2)), np.zeros((2, 2)), F_rho)):
+                assert same(got, want)
+                _assert_read_only(got)
+            if constrained:
+                phi_rho = model.constraints.phi_rho(t, q, rho)
+                assert same(phi_rho, np.zeros((1, 3)))
+                _assert_read_only(phi_rho)
+
+
+def test_the_pendulum_mass_is_right_for_each_of_threads_sharing_its_model():
+    # the model holds the last mass matrix it built: threads (more than cores)
+    # asking one model for different masses each get their own m I
+    import sys
+    import threading
+
+    model = gallery.pendulum_model()
+    masses = [0.5, 1.0, 2.0, 3.0]
+    wrong = [0] * len(masses)
+
+    def run(i):
+        rho = np.array([0.1, -1.0, masses[i]])
+        for _ in range(10000):
+            wrong[i] += not same(model.mass(0.0, np.zeros(2), rho), masses[i] * np.eye(2))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(masses))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == [0] * len(masses)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import RK45
 from scipy.integrate._ivp.rk import RkDenseOutput
 
+from hybridsens import integrate
+from hybridsens.direct import simulate
+from hybridsens.gallery import GRAVITY, bouncing_mass
 from hybridsens.integrate import (
     EventAccumulationError,
     EventMonitor,
@@ -10,6 +15,7 @@ from hybridsens.integrate import (
     IntegrationError,
     IntegratorConfig,
     SimultaneousEventError,
+    _refine_root,
     _rk_dense,
     integrate_segment,
 )
@@ -286,3 +292,137 @@ def test_dense_output_matches_scipy_bitwise():
     ref = RkDenseOutput(0.0, 1.0, np.zeros(5), Q)
     for t in rng.uniform(0.0, 1.0, size=200):
         assert _rk_dense(0.0, np.zeros(5), 1.0, Q, t).tobytes() == ref(t).tobytes()
+
+
+def _refinements(monkeypatch):
+    """Patch the root refinement to record, per root, the list of times it
+    evaluates the event function at."""
+    roots = []
+    refine = integrate._refine_root
+
+    def counted(rfun, *bracket):
+        times = []
+        roots.append(times)
+
+        def r(s):
+            times.append(s)
+            return rfun(s)
+        return refine(r, *bracket)
+
+    monkeypatch.setattr(integrate, "_refine_root", counted)
+    return roots
+
+
+def test_bounces_refine_each_root_in_a_handful_of_evaluations(monkeypatch):
+    # h0 = 1, e = 0.875 up to midway between the last impact before 0.9 of
+    # the accumulation time and the next: 17 impacts.  Bisection with one
+    # secant step per iteration, whose secant points all land on one side of
+    # a convex flight's root, took 12 to 35 evaluations per root (22.9 on
+    # average)
+    h0, e = 1.0, 0.875
+    t1 = math.sqrt(2.0 * h0 / GRAVITY)
+    t_k = t1 * (1.0 + 2.0 * e * (1.0 - e ** np.arange(30)) / (1.0 - e))
+    n = int(np.sum(t_k < 0.9 * t1 * (1.0 + e) / (1.0 - e)))
+    tf = 0.5 * (t_k[n - 1] + t_k[n])
+    roots = _refinements(monkeypatch)
+    prob = bouncing_mass()
+    traj = simulate(prob.dynamics, None, prob.events, np.array([h0, e]), (0.0, tf), prob.config)
+    assert len(traj.events) == len(roots) == n == 17
+    counts = [len(times) for times in roots]
+    assert np.mean(counts) <= 10.0, counts
+    t_eve = np.array([rec.t_eve for rec in traj.events])
+    assert np.all(np.abs(t_eve - t_k[:n]) <= 1e-12 * t_k[:n])
+
+
+def test_the_free_fall_root_is_at_round_off_and_its_residual_costs_no_evaluation(monkeypatch):
+    # the closing secant step puts the root within 1e-15 of sqrt(2 / g); a
+    # bracket end within t_tol is 3e-10 off.  The hit's residual and state
+    # are those the refinement evaluated at its root: the event function is
+    # evaluated there once
+    roots = _refinements(monkeypatch)
+    calls = []
+
+    def r(t, y):
+        calls.append(t)
+        return y[0]
+
+    seg, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0),
+                                 IntegratorConfig(), [r])
+    assert abs(hit.t - math.sqrt(2.0 / G)) <= 1e-15
+    assert len(roots) == 1 and calls.count(hit.t) == roots[0].count(hit.t) == 1
+    assert hit.r_residual == seg.node_states[-1][0]
+
+
+def _bisection(r, ta, tb, t_tol):
+    """Plain bisection of r on [ta, tb] down to t_tol: (midpoint, evaluations)."""
+    ra, count = r(ta), 0
+    while tb - ta > t_tol:
+        tm = 0.5 * (ta + tb)
+        rm, count = r(tm), count + 1
+        if (rm < 0) == (ra < 0):
+            ta, ra = tm, rm
+        else:
+            tb = tm
+    return 0.5 * (ta + tb), count
+
+
+def _quartic_brackets(rng, count):
+    """Quartics in x on [0, 1], the form of a step's dense output, each with
+    a bracket holding exactly one of its roots, a sign change between two of
+    the scan's six samples."""
+    x = np.linspace(0.0, 1.0, integrate._INTERIOR_CHECKS + 2)
+    while count:
+        c = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0, size=5)
+        real = [z.real for z in np.roots(c) if abs(z.imag) < 1e-12]
+        for lo, hi in zip(x[:-1], x[1:]):
+            if sum(lo < z < hi for z in real) == 1 and (np.polyval(c, lo) < 0) != (np.polyval(c, hi) < 0):
+                count -= 1
+                yield (lambda s, c=c: float(np.polyval(c, s))), float(lo), float(hi)
+                break
+
+
+def test_the_refinement_finds_bisection_s_root_in_no_more_evaluations():
+    # seeded random quartics, and exp(30 s) - 2 from both sides, on which
+    # plain regula falsi stagnates (the secant of a convex function always
+    # lands on the same side of its root)
+    rng = np.random.default_rng(33)
+    cases = list(_quartic_brackets(rng, 200))
+    cases += [(lambda s: math.exp(30.0 * s) - 2.0, 0.0, 1.0),
+              (lambda s: 2.0 - math.exp(30.0 * s), 0.0, 1.0),
+              (lambda s: math.exp(30.0 * (1.0 - s)) - 2.0, 0.0, 1.0)]
+    for t_tol in (1e-9, 1e-12):
+        for r, ta, tb in cases:
+            times = []
+
+            def counted(s):
+                times.append(s)
+                return r(s)
+
+            root = _refine_root(counted, ta, r(ta), tb, r(tb), t_tol)
+            ref, bisections = _bisection(r, ta, tb, t_tol)
+            assert abs(root - ref) <= t_tol and root in times
+            assert len(times) <= bisections, (ta, tb, t_tol, len(times), bisections)
+
+
+@pytest.mark.parametrize("r, where", [
+    # NaN below q = 0: the scan steps from r > 0 straight to NaN
+    (lambda t, y: math.log(y[0]) - math.log(0.5) if y[0] > 0.0 else math.nan, "scan"),
+    # NaN on 0.25 < q < 0.75, where a scan sample falls
+    (lambda t, y: math.nan if 0.25 < y[0] < 0.75 else y[0] - 0.5, "scan"),
+    # NaN on 0.4 < q < 0.51, between two scan samples around the root
+    (lambda t, y: math.nan if 0.4 < y[0] < 0.51 else y[0] - 0.5, "refinement"),
+    (lambda t, y: math.nan, "start"),
+    (lambda t, y: -math.inf, "start"),
+], ids=["below-zero", "hole-at-a-sample", "hole-between-samples", "nan-at-start",
+        "inf-at-start"])
+def test_a_non_finite_event_function_value_is_refused(r, where, monkeypatch):
+    # the sign tests read a NaN as positive: the first case missed its root
+    # and ran on to q = -18.6 at t = 2, the second returned a hit at
+    # t = 0.391 with residual -0.25
+    roots = _refinements(monkeypatch)
+    with pytest.raises(IntegrationError, match=r"event function 0 = (nan|-inf) at t=") as err:
+        integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0),
+                          IntegratorConfig(), [r])
+    t = float(str(err.value).split("at t=")[1].split(":")[0])
+    assert t == 0.0 if where == "start" else 0.0 < t < 2.0
+    assert (where == "refinement") == (len(roots) == 1 and t == roots[0][-1])
