@@ -52,7 +52,11 @@ class InadmissibleStartError(RuntimeError):
 class IntegratorConfig:
     """Tolerances and limits for one integration run.
 
-    ``event_tol`` is the absolute tolerance on the localized event time.
+    ``event_tol`` is the absolute tolerance on the localized event time,
+    floored at 1e-10 times the segment's span: the event time tolerance
+    of a segment is ``max(event_tol, 1e-10 * (tf - t0))``, so over a span
+    longer than 10 s a smaller ``event_tol`` tightens neither the root's
+    bracket nor the test for simultaneous events.
     Defaults are chosen to comfortably beat the residual levels the target
     problems require; halving them must reduce terminal error (tested).
     """
@@ -421,8 +425,10 @@ class EventHit:
 
 
 def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
-                 tb: float, rb: float, t_tol: float) -> float:
-    """Bracketed root of rfun on [ta, tb], ta < tb, with sign(ra) != sign(rb).
+                 tb: float, rb: float, t_tol: float) -> tuple:
+    """Bracketed root of rfun on [ta, tb], ta < tb, with sign(ra) != sign(rb):
+    (t, r), the root and rfun's value there, the value handed in where the
+    root is an end of the bracket it was handed.
 
     Illinois-weighted regula falsi (Dowell and Jarratt, BIT 11, 1971): each
     end's value carries a weight, and when a trial moves the same end as
@@ -436,12 +442,14 @@ def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
     t_tol / 2 from it: once one end is at the root, the next trial closes
     the bracket.  Once the bracket is within t_tol, one secant step on its
     true end values puts the root at round-off: the evaluated point with
-    the smallest |r| is returned.
+    the smallest |r| is returned.  A bracket of two adjacent floats, which
+    no bisection can split (an event_tol below t's spacing), ends the
+    refinement at once.
     """
     if ra == 0.0:
-        return ta
+        return ta, ra
     if rb == 0.0:
-        return tb
+        return tb, rb
     wa = wb = 1.0  # the Illinois weights of ra and rb
     moved = -1  # the end the last move moved: -1 for ta, +1 for tb
     width, trials = tb - ta, 0  # the bracket two trials ago, trials since
@@ -457,10 +465,12 @@ def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
             width, trials = tb - ta, 0
         if bisect:
             tm = 0.5 * (ta + tb)
+            if not ta < tm < tb:  # ta and tb are adjacent floats
+                break
         rm = rfun(tm)
         trials += 1
         if rm == 0.0:
-            return tm
+            return tm, rm
         if (ra < 0) == (rm < 0):
             ta, ra = tm, rm
             wa = wa if bisect else 1.0
@@ -478,8 +488,8 @@ def _refine_root(rfun: Callable[[float], float], ta: float, ra: float,
     if ta < ts < tb:
         rs = rfun(ts)
         if abs(rs) <= abs(r):
-            return ts
-    return t
+            return ts, rs
+    return t, r
 
 
 class EventMonitor:
@@ -576,9 +586,12 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     event_fns are scalar functions of (t, y); the segment ends either at
     t_span[1] or at the first localized sign change of an unmasked event
     function.  Returns (DenseSegment, EventHit | None); the segment's last
-    node is its end, the event state when there is a hit, and the hit's
-    residual is the value the root refinement evaluated there.  A
-    non-finite event-function value raises an IntegrationError.
+    node is its end, the event state (the continuous extension at the
+    root) when there is a hit.  The hit's residual is the value the root
+    refinement returns: its own evaluation at the root, or the scan's
+    value where the root is a scan sample (at a step end, read at the
+    stepper's state).  A non-finite event-function value raises an
+    IntegrationError.
 
     Crossings are detected on accepted steps, with interior dense-output
     samples scanned as well so that a fast double crossing inside one step
@@ -638,9 +651,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     node_times = [t0]
     node_states = [y0.copy()]
-    # the stage record, one array with no object per step: grown by doubling
-    # in place and trimmed when the segment ends (no view of it exists before)
-    stages = np.empty((6 * 16 + 1, y0.size))
+    stages: list = []  # rows 0..5 of each accepted step's K
     hs: list = []
     # fixed per segment: a function is held only between segments
     watched = [(i, fn) for i, fn in enumerate(event_fns)
@@ -668,10 +679,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
         t_old, y_old = node_times[-1], node_states[-1]
         h, K = solver.h_previous, solver.K
-        row = 6 * len(hs)
-        if row + 6 >= len(stages):
-            stages.resize((2 * len(stages) - 1, y0.size), refcheck=False)
-        stages[row:row + 6] = K[:-1]
+        stages.append(K[:-1].copy())
         hs.append(h)
         mu_rows += evaluated[-solver.n_stages:]
         evaluated.clear()
@@ -685,14 +693,6 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         # every watched function at the step end, once: the scan reads them
         # there, and the next step's scan starts from them
         vals_new = {i: _event_value(i, fn, t_new, y_new) for i, fn in watched}
-        refined = {}  # (i, t): (state, value) of each refinement evaluation
-
-        def rfun(s, i, fn):
-            y = dense(s)
-            r = _event_value(i, fn, s, y)
-            refined[i, s] = y, r
-            return r
-
         # sample times within the step: interior checkpoints + endpoint
         taus = _sample_times(t_old, t_new)
         candidates, departures = [], []
@@ -714,9 +714,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                         break
                     masked = False
                 elif va == 0.0 or (va < 0) != (vb < 0):
-                    root = _refine_root(lambda s, i=i, fn=fn: rfun(s, i, fn),
-                                        ta, va, tau, vb, t_tol)
-                    candidates.append((root, i))
+                    root, r = _refine_root(lambda s: _event_value(i, fn, s, dense(s)),
+                                           ta, va, tau, vb, t_tol)
+                    candidates.append((root, i, r))
                     break
                 ta, va = tau, vb
         candidates.sort()
@@ -730,20 +730,14 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                     f"events {candidates[0][1]} and {candidates[1][1]} fire within "
                     f"{t_tol:.3g} of each other at t={candidates[0][0]:.6g}"
                 )
-            root, idx = candidates[0]
-            # the state and value the refinement evaluated at its root; a root
-            # it did not evaluate, a scan sample, is evaluated here
-            if (idx, root) not in refined:
-                rfun(root, idx, event_fns[idx])
-            y_eve, r = refined[idx, root]
+            root, idx, r = candidates[0]
             hit = EventHit(index=idx, t=root, r_residual=float(r))
-            t_new, y_new = root, y_eve
+            t_new, y_new = root, dense(root)
         vals_old = vals_new
         node_times.append(t_new)
         node_states.append(y_new)
 
-    stages[6 * len(hs)] = solver.K[-1]
-    stages.resize((6 * len(hs) + 1, y0.size), refcheck=False)
-    seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages,
+    stages.append(solver.K[-1:])
+    seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), np.concatenate(stages),
                        np.asarray(hs), truncated=hit is not None, multipliers=mu_rows or None)
     return seg, hit

@@ -398,10 +398,87 @@ def test_the_refinement_finds_bisection_s_root_in_no_more_evaluations():
                 times.append(s)
                 return r(s)
 
-            root = _refine_root(counted, ta, r(ta), tb, r(tb), t_tol)
+            root, value = _refine_root(counted, ta, r(ta), tb, r(tb), t_tol)
             ref, bisections = _bisection(r, ta, tb, t_tol)
-            assert abs(root - ref) <= t_tol and root in times
+            assert abs(root - ref) <= t_tol and root in times and value == r(root)
             assert len(times) <= bisections, (ta, tb, t_tol, len(times), bisections)
+
+
+def test_a_bracket_of_two_adjacent_floats_is_not_refined():
+    # at |t| >= 2^23 s the default event_tol is below t's spacing, and the
+    # midpoint of two adjacent floats is one of them: bisecting it again and
+    # again ran to the 200-iteration cap
+    ta = 1e8 + 0.45
+    tb = float(np.nextafter(ta, np.inf))
+    times = []
+
+    def r(s):
+        return (s - ta) - 0.5 * (tb - ta)
+
+    def counted(s):
+        times.append(s)
+        return r(s)
+
+    out = _refine_root(counted, ta, r(ta), tb, r(tb), 1e-9)
+    assert times == []
+    root, value = out
+    assert r(ta) < 0.0 < r(tb) and root in (ta, tb) and value == r(root)
+
+
+@pytest.mark.parametrize("t0", [1e7, 1e8])
+def test_free_fall_far_from_t_zero_refines_its_root_in_a_handful_of_evaluations(t0):
+    # t_tol = 1e-9 is below t's spacing here (1.9e-9 at 1e7, 1.5e-8 at 1e8):
+    # the segment made 219 event-function evaluations, against 27 at t0 = 0
+    calls = []
+
+    def r(t, y):
+        calls.append(t)
+        return y[0]
+
+    _, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (t0, t0 + 2.0),
+                               IntegratorConfig(), [r])
+    spacing = float(np.spacing(t0))
+    assert len(calls) <= 40, len(calls)
+    assert abs(hit.t - (t0 + math.sqrt(2.0 / G))) <= 2 * spacing
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["zero-at-bracket-end", "zero-at-bracket-start"])
+def test_an_exact_zero_at_a_scan_sample_is_the_root_and_is_evaluated_once(sign):
+    # one step over [0, 0.5] (free fall is quadratic, so the first step is
+    # accepted) samples r at 0.1, 0.2, ...: r = +-(t - 0.2) is exactly zero
+    # at the second sample.  Rising, that sample ends the bracket the scan
+    # hands in; falling, it is no sign change, and starts the next bracket.
+    # Either way the root is the sample and its residual the scan's value
+    calls = []
+
+    def r(t, y):
+        calls.append(t)
+        return sign * (t - 0.2)
+
+    seg, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 2.0),
+                                 IntegratorConfig(), [r], first_step=0.5)
+    assert len(seg) == 1 and seg.steps[0] == 0.5
+    assert hit.t == 0.2 and hit.r_residual == 0.0 and seg.node_times[-1] == 0.2
+    assert calls.count(0.2) == 1
+
+
+@pytest.mark.parametrize("r, error", [
+    (lambda t, y: y[0] + 1.0, IntegrationError),
+    (lambda t, y: 1.0 / y[0], GrazingError),
+], ids=["far-from-zero", "near-zero"])
+def test_a_step_underflow_raises_and_names_grazing_near_a_surface(r, error):
+    # y' = y^2 from y = 1 blows up at t = 1, where the stepper's step falls
+    # below t's spacing; with an event function near zero there, the failure
+    # is reported as grazing
+    with pytest.raises(error) as err:
+        integrate_segment(lambda t, y: (y * y, None), np.array([1.0]), (0.0, 2.0),
+                          IntegratorConfig(rtol=1e-6, atol=1e-9), [r])
+    assert type(err.value) is error
+    if error is GrazingError:
+        assert str(err.value).startswith("step underflow at t=1 with event function(s) [0]")
+    else:
+        assert str(err.value).startswith(
+            "integration failed at t=1: Required step size is less than spacing")
 
 
 @pytest.mark.parametrize("r, where", [
