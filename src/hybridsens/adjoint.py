@@ -36,16 +36,12 @@ from .direct import HybridTrajectory
 from .constrained import checked_lu  # noqa: F401
 
 
-def _split_lam(y: np.ndarray, dims: Dimensions, nc: int):
-    n, p = dims.n, dims.p
-    lamQ = y[:n * nc].reshape(n, nc)
-    lamV = y[n * nc:2 * n * nc].reshape(n, nc)
-    lamG = y[2 * n * nc:].reshape(p, nc)
-    return lamQ, lamV, lamG
-
-
-def _join_lam(lamQ, lamV, lamG) -> np.ndarray:
-    return np.concatenate([lamQ.ravel(), lamV.ravel(), lamG.ravel()])
+def _adjoint_state(y: np.ndarray, dims: Dimensions, nc: int) -> AdjointState:
+    """The AdjointState of a stacked adjoint y = [lamQ; lamV; lamGamma],
+    one column per cost output, its blocks views of y."""
+    n = dims.n
+    lam = y.reshape(-1, nc)
+    return AdjointState(lam[:n], lam[n:2 * n], lam[2 * n:], np.eye(nc))
 
 
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
@@ -65,30 +61,21 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     weight h w_i inside a discrete step.  Both sweeps use it as returned:
     the discrete stage's mu_i and ``AdjointSolution.lam_at``'s right side.
     The lamGamma block of y does not enter.  y is read as one (2n + p, nc)
-    view and the derivative written into one array of that layout, each
-    product straight into its rows and the sums added in place, in the
-    order lamQ + f_v^T lamV + w g_v^T.
+    view.  The derivative is the one product f_y^T lamV, with lamQ added
+    to its V rows and then w g_y^T to all its rows, in place: the V rows
+    sum in the order lamQ + f_v^T lamV + w g_v^T.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
     lam = y.reshape(-1, cost.nc)  # rows [lamQ (n); lamV (n); lamGamma (p)]
-    lamV = lam[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
-    f_q, f_v, f_rho = jac[2]
-    if weight and (cost.g is not None or cost.g_of_mu is not None):
-        g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
-        gT_q, gT_v, gT_rho = (weight * g_q).T, (weight * g_v).T, (weight * g_rho).T
-    else:  # a zero density: adding the scalar +0.0 is adding a zero block
-        gT_q = gT_v = gT_rho = 0.0
-    out = np.empty(lam.shape)
-    dQ, dV, dG = out[:n], out[n:2 * n], out[2 * n:]
-    np.matmul(f_q.T, lamV, out=dQ)
-    dQ += gT_q
-    np.matmul(f_v.T, lamV, out=dV)
+    out = jac[2].T @ lam[n:2 * n]
+    dV = out[n:2 * n]
     np.add(lam[:n], dV, out=dV)
-    dV += gT_v
-    np.matmul(f_rho.T, lamV, out=dG)
-    dG += gT_rho
+    gT = 0.0  # a zero density: adding the scalar +0.0 is adding a zero block
+    if weight and (cost.g is not None or cost.g_of_mu is not None):
+        gT = (weight * cost_density_gradients(cost, t, q, v, rho, jac)).T
+    out += gT
     return out.ravel()
 
 
@@ -156,8 +143,7 @@ class AdjointSolution:
                                    dense.evaluate(-s), lam), None
             y = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
                                   traj.config)[0].node_states[-1]
-        lamQ, lamV, lamG = _split_lam(y, dims, nc)
-        return AdjointState(lamQ, lamV, lamG, np.eye(nc))
+        return _adjoint_state(y, dims, nc)
 
 
 def propagate_adjoint(traj: HybridTrajectory,
@@ -184,26 +170,23 @@ def propagate_adjoint(traj: HybridTrajectory,
         raise ValueError("adjoint propagation needs the cost functional")
     dims, rho, nc = traj.dims, traj.rho, cost.nc
 
-    # terminal conditions: the transposed terminal-cost gradients, lamZ = I
-    _, wq, wv, wr = traj.terminal_gradients()
-    lam = AdjointState(wq.T.copy(), wv.T.copy(), wr.T.copy(), np.eye(nc))
+    # terminal condition: w_y^T, whose rows are already [lamQ; lamV; lamGamma]
+    y = traj.terminal_gradients()[1].T.flatten()
 
     times_acc = []
     series_acc = []
     for k in range(len(traj.segments) - 1, -1, -1):
         seg = traj.segments[k]
-        y = _join_lam(lam.lamQ, lam.lamV, lam.lamGamma)
         nodes = [y]
         for j in range(len(seg.dense) - 1, -1, -1):
             y = _step_adjoint(seg.dynamics, cost, dims, rho, seg.dense, j, y)
             nodes.append(y)
         times_acc.append(seg.dense.node_times[::-1])
         series_acc.append(np.array(nodes))
-        lamQ, lamV, lamG = _split_lam(y, dims, nc)
-        lam = AdjointState(lamQ, lamV, lamG, np.eye(nc))
-
+        lam = _adjoint_state(y, dims, nc)
         if k > 0:
             lam = traj.events[k - 1].jump.apply_adjoint(lam)
+            y = lam.stacked()[:-nc].ravel()
 
     gradient = assemble_cost_sensitivity_adjoint(lam, traj.initial.dq0_drho,
                                                  traj.initial.dv0_drho)

@@ -187,9 +187,11 @@ class _SaddleDynamics:
         return sol[:n], sol[n:]
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        """(vdot, mu, (f_q, f_v, f_rho), (mu_q, mu_v, mu_rho)) at one state:
-        the Jacobian blocks of the map (q, v, rho) -> (vdot, mu), the partials
-        of the saddle solve (``differentiate_saddle``).  On the analytic
+        """(vdot, mu, f_y, mu_y) at one state: the Jacobian of the map
+        (q, v, rho) -> (vdot, mu), the partials of the saddle solve
+        (``differentiate_saddle``), as the (n, 2n + p) block f_y and the
+        (m, 2n + p) block mu_y over the columns [q | v | rho], the two row
+        blocks of one solution.  On the analytic
         route (the constraint set declares its constant ``hessian``) K is
         factored once, the right side [F_z; b_z] is filled in place from one
         ``force_jacobians`` evaluation and the source partials, its K_z terms
@@ -217,9 +219,7 @@ class _SaddleDynamics:
                 t, q, v, rho, G, cons.qq_action(t, q, rho, v))
             _subtract_saddle_partials(model, t, q, rho, vdot, mu, rhs)
             sol = solve(rhs)
-        f, g = sol[:n], sol[n:]
-        return (vdot, mu, (f[:, :n], f[:, n:2 * n], f[:, 2 * n:]),
-                (g[:, :n], g[:, n:2 * n], g[:, 2 * n:]))
+        return vdot, mu, sol[:n], sol[n:]
 
 
 class PenaltyDynamics(_SaddleDynamics):

@@ -127,8 +127,9 @@ class HybridTrajectory:
         return self.state_at(self.tF)
 
     def terminal_gradients(self, final_state=None):
-        """(w, w_q, w_v, w_rho) of the run's cost at its final state, with
-        the last segment's dynamics (``model.terminal_cost_gradients``).
+        """(w, w_y) of the run's cost at its final state, w_y one block over
+        the columns [q | v | rho], with the last segment's dynamics
+        (``model.terminal_cost_gradients``).
         ``final_state``, if given, is what ``final_state`` returned, so that
         a caller holding it does not interpolate the end again.  The direct
         gradient of a swept run is
@@ -176,28 +177,26 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
 
         Q' = V;  V' = f_q Q + f_v V + f_rho;  Z' = g_q Q + g_v V + g_rho,
 
-    with the Jacobian blocks of the active dynamics and the resolved cost
-    gradients.  The Z block of X does not enter.  X is read as one
-    (2n + nc, p) view and the derivative written into one array of that
-    layout, each product straight into its rows and the sums added in
-    place, in the order f_q Q + f_v V + f_rho.
+    with the Jacobian f_y of the active dynamics and the resolved cost
+    gradient g_y, each read as its column blocks [q | v | rho].  The Z
+    block of X does not enter.  X is read as one (2n + nc, p) view and the
+    derivative written into one array of that layout, each product
+    straight into its rows and the sums added in place, in the order
+    f_q Q + f_v V + f_rho: one product of f_y[:, :2n] with [Q; V] would
+    sum in another order.
     """
     n = dims.n
     q, v = x[:n], x[n:2 * n]
     X = X.reshape(-1, dims.p)
     Q, V = X[:n], X[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
-    f_q, f_v, f_rho = jac[2]
-    g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
+    g_y = cost_density_gradients(cost, t, q, v, rho, jac)
     out = np.empty(X.shape)
     out[:n] = V
-    dV, dZ = out[n:2 * n], out[2 * n:]
-    np.matmul(f_q, Q, out=dV)
-    dV += f_v @ V
-    dV += f_rho
-    np.matmul(g_q, Q, out=dZ)
-    dZ += g_v @ V
-    dZ += g_rho
+    for d, J in ((out[n:2 * n], jac[2]), (out[2 * n:], g_y)):
+        np.matmul(J[:, :n], Q, out=d)
+        d += J[:, n:2 * n] @ V
+        d += J[:, 2 * n:]
     return out.ravel()
 
 
@@ -393,12 +392,13 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
 
 
 def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndarray:
-    """Total cost gradient from the forward pass:
+    """Total cost gradient from the forward pass and the terminal
+    gradients ``w_grads = (w, w_y)``, w_y over the columns [q | v | rho]:
 
         dpsi/drho = Z(tF) + w_q Q(tF) + w_v V(tF) + w_rho.
     """
-    _, wq, wv, wr = w_grads
-    return X_tF.Z + wq @ X_tF.Q + wv @ X_tF.V + wr
+    w_y, n = w_grads[1], X_tF.Q.shape[0]
+    return X_tF.Z + w_y[:, :n] @ X_tF.Q + w_y[:, n:2 * n] @ X_tF.V + w_y[:, 2 * n:]
 
 
 def direct_gradient(dyn, cost, events, rho, t_span, config: IntegratorConfig | None = None,

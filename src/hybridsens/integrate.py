@@ -53,10 +53,8 @@ class IntegratorConfig:
     """Tolerances and limits for one integration run.
 
     ``event_tol`` is the absolute tolerance on the localized event time,
-    floored at 1e-10 times the segment's span: the event time tolerance
-    of a segment is ``max(event_tol, 1e-10 * (tf - t0))``, so over a span
-    longer than 10 s a smaller ``event_tol`` tightens neither the root's
-    bracket nor the test for simultaneous events.
+    whatever the segment's span: the root's bracket closes to it, and two
+    events within it of each other are simultaneous.
     Defaults are chosen to comfortably beat the residual levels the target
     problems require; halving them must reduce terminal error (tested).
     """
@@ -658,7 +656,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                if not monitor.masked[i] or monitor.side[i]]
     vals_old = {i: _event_value(i, fn, t0, y0) for i, fn in watched}
     monitor.check_start(vals_old)
-    t_tol = max(config.event_tol, 1e-10 * (tf - t0))
+    t_tol = config.event_tol
 
     hit = None
     while hit is None and solver.status == "running":

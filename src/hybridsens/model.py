@@ -359,8 +359,8 @@ class OdeDynamics:
         return _spd_solve(M, F, "mass matrix", t), None
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
-        """(vdot, None, (f_q, f_v, f_rho), None): the partial derivatives of
-        the acceleration map.
+        """(vdot, None, f_y, None): f_y, of shape (n, 2n + p), is the
+        Jacobian of the acceleration map over the columns [q | v | rho].
 
         For each zeta in {q, v, rho}:  f_zeta = M^{-1} (F_zeta - M_zeta vdot),
         obtained by differentiating M vdot = F through the factorization:
@@ -379,8 +379,7 @@ class OdeDynamics:
             M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
             rhs[:, :n] -= M_q
             rhs[:, 2 * n:] -= M_rho
-        sol = _spd_solve(M, rhs, "mass matrix", t)
-        return vdot, None, (sol[:, :n], sol[:, n:2 * n], sol[:, 2 * n:]), None
+        return vdot, None, _spd_solve(M, rhs, "mass matrix", t), None
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return None
@@ -513,76 +512,73 @@ class CostFunctional:
 ZERO_COST = CostFunctional(nc=1, name="zero")
 
 
+def _y_partials(d_q, d_v, d_vdot, d_rho, *rest):
+    """(d_y, d_vdot, *rest): one function's partials in (q, v, vdot, rho,
+    ...) with the q, v and rho blocks joined into one block d_y over the
+    columns [q | v | rho]."""
+    return (np.concatenate((d_q, d_v, d_rho), axis=1), d_vdot, *rest)
+
+
 def cost_density_gradients(cost: CostFunctional, t, q, v, rho, jac):
-    """Resolved gradients of the cost density along the dynamics.
+    """Resolved gradient g_y of the cost density along the dynamics, one
+    (nc, 2n + p) block over the columns [q | v | rho].
 
-    Accelerations are not independent variables, so the returned gradients
-    fold the acceleration map into the direct partials:
+    Accelerations are not independent variables, so the returned gradient
+    folds the acceleration map into the direct partials:
 
-        resolved_g_zeta = g_zeta + g_vdot f_zeta + g_u (u_zeta + u_vdot f_zeta)
-                          [+ g_mu fmu_zeta for constrained dynamics]
+        resolved g_y = g_y + g_vdot f_y + g_u (u_y + u_vdot f_y)
+                       [+ g_mu mu_y for constrained dynamics],
 
-    for zeta in {q, v, rho}, where a multiplier term g_of_mu first adds its
-    own partials to g's (its acceleration partial to g_vdot).  Returns
-    (g_q, g_v, g_rho).
+    where a multiplier term g_of_mu first adds its own partials to g's (its
+    acceleration partial to g_vdot).  Each term is one product.
 
     ``jac`` is what the dynamics' ``jacobians`` returned at this state,
-    (vdot, mu, f_blocks, mu_blocks).
+    (vdot, mu, f_y, mu_y).
     """
-    vdot, mu, (f_q, f_v, f_rho), fmu = jac
-    nc, n, p = cost.nc, q.size, rho.size
+    vdot, mu, f_y, mu_y = jac
+    nc, n = cost.nc, q.size
     if cost.g is None:
+        g_y = np.zeros((nc, 2 * n + rho.size))
         if cost.g_of_mu is None:
-            return np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p))
-        gq, gv, ga, gr, gu = np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, n)), np.zeros((nc, p)), None
+            return g_y
+        ga, gu = np.zeros((nc, n)), None
     else:
         u = cost._u(t, q, v, vdot, rho)
-        gq, gv, ga, gr, gu = cost.g_jacobians(t, q, v, vdot, rho, u)
+        g_y, ga, gu = _y_partials(*cost.g_jacobians(t, q, v, vdot, rho, u))
     if cost.g_of_mu is not None:
-        if fmu is None:
+        if mu_y is None:
             raise ValueError(f"cost '{cost.name}' depends on multipliers but dynamics has none")
-        mq, mv, ma, mr, gmu = cost.g_of_mu_jacobians(t, q, v, vdot, rho, mu)
-        gq, gv, ga, gr = gq + mq, gv + mv, ga + ma, gr + mr
+        m_y, ma, gmu = _y_partials(*cost.g_of_mu_jacobians(t, q, v, vdot, rho, mu))
+        g_y, ga = g_y + m_y, ga + ma
     if gu is not None:
-        uq, uv, ua, ur = cost.u_jacobians(t, q, v, vdot, rho, u)
-        gq = gq + gu @ (uq + ua @ f_q)
-        gv = gv + gu @ (uv + ua @ f_v)
-        gr = gr + gu @ (ur + ua @ f_rho)
+        u_y, ua = _y_partials(*cost.u_jacobians(t, q, v, vdot, rho, u))
+        g_y = g_y + gu @ (u_y + ua @ f_y)
     if ga.any():
-        gq = gq + ga @ f_q
-        gv = gv + ga @ f_v
-        gr = gr + ga @ f_rho
+        g_y = g_y + ga @ f_y
     if cost.g_of_mu is not None:
-        fmu_q, fmu_v, fmu_rho = fmu
-        gq = gq + gmu @ fmu_q
-        gv = gv + gmu @ fmu_v
-        gr = gr + gmu @ fmu_rho
-    return gq, gv, gr
+        g_y = g_y + gmu @ mu_y
+    return g_y
 
 
 def terminal_cost_gradients(cost: CostFunctional, dyn, tF, q, v, rho):
-    """Resolved terminal-cost gradients (w, w_q, w_v, w_rho) at tF.
+    """Resolved terminal-cost gradients (w, w_y) at tF: the value w and one
+    (nc, 2n + p) block w_y over the columns [q | v | rho].
 
     The acceleration may enter only through the argument function u, whose
-    chain terms are folded in the same way as for the density.
+    chain term is folded in the same way as for the density.
     """
-    nc, n, p = cost.nc, q.size, rho.size
+    nc, n = cost.nc, q.size
     if cost.w is None:
-        z = np.zeros
-        return z(nc), z((nc, n)), z((nc, n)), z((nc, p))
+        return np.zeros(nc), np.zeros((nc, 2 * n + rho.size))
     # only the argument function u sees the acceleration
     vdot, mu = (None, None) if cost.u_fn is None else dyn.accel_and_multipliers(tF, q, v, rho)
     u = cost._u(tF, q, v, vdot, rho)
     wval = cost.w_value(tF, q, v, rho, u)
-    wq, wv, wr, wu = cost.w_jacobians(tF, q, v, rho, u)
+    *w_blocks, wu = cost.w_jacobians(tF, q, v, rho, u)  # w_q, w_v, w_rho; w_u
+    w_y = np.concatenate(w_blocks, axis=1)
     if wu is not None:
-        uq, uv, ua, ur = cost.u_jacobians(tF, q, v, vdot, rho, u)
+        u_y, ua = _y_partials(*cost.u_jacobians(tF, q, v, vdot, rho, u))
         if np.any(ua):
-            f_q, f_v, f_rho = dyn.jacobians(tF, q, v, rho, vdot, mu)[2]
-            uq = uq + ua @ f_q
-            uv = uv + ua @ f_v
-            ur = ur + ua @ f_rho
-        wq = wq + wu @ uq
-        wv = wv + wu @ uv
-        wr = wr + wu @ ur
-    return wval, wq, wv, wr
+            u_y = u_y + ua @ dyn.jacobians(tF, q, v, rho, vdot, mu)[2]
+        w_y = w_y + wu @ u_y
+    return wval, w_y

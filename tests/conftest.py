@@ -9,6 +9,12 @@ from hybridsens.hybrid import VelocityJumpEvent
 from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
 
 
+def columns(block, n):
+    """The q, v and rho column blocks of one block over the columns
+    [q | v | rho], n coordinates wide each for q and v."""
+    return np.split(block, [n, 2 * n], axis=1)
+
+
 def stable_seed(label: str) -> int:
     """RNG seed from a label, equal in every process (``hash`` of a str is
     salted per process, so a failing draw could not be replayed)."""

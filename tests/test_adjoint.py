@@ -14,7 +14,7 @@ from hybridsens.model import (
     OdeDynamics,
     terminal_cost_gradients,
 )
-from conftest import rel_err
+from conftest import columns, rel_err
 
 G = 9.81
 
@@ -36,8 +36,8 @@ def free_fall_model():
 def test_terminal_conditions_zero_terminal_cost():
     dyn = OdeDynamics(free_fall_model())
     cost = CostFunctional(nc=1, g=lambda t, q, v, a, rho, u: np.array([v[0]]))
-    _, wq, wv, wr = terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
-                                            np.ones(1))
+    wq, wv, wr = columns(terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
+                                                 np.ones(1))[1], 1)
     assert np.allclose(wq, 0.0)
     assert np.allclose(wv, 0.0)
     assert np.allclose(wr, 0.0)
@@ -46,8 +46,8 @@ def test_terminal_conditions_zero_terminal_cost():
 def test_terminal_conditions_position_selector():
     dyn = OdeDynamics(free_fall_model())
     cost = CostFunctional(nc=1, w=lambda t, q, v, rho, u: np.array([q[0]]))
-    _, wq, wv, _ = terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
-                                           np.ones(1))
+    wq, wv, _ = columns(terminal_cost_gradients(cost, dyn, 1.0, np.zeros(1), np.zeros(1),
+                                                np.ones(1))[1], 1)
     assert np.allclose(wq, [[1.0]], atol=1e-10)
     assert np.allclose(wv, 0.0, atol=1e-10)
 

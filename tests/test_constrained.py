@@ -30,7 +30,7 @@ from hybridsens.core import DimensionError
 from hybridsens.model import ConstraintSet, fd_jacobian
 from hybridsens.integrate import IntegratorConfig
 from hybridsens.direct import simulate
-from conftest import pendulum_swing_model, rel_err
+from conftest import columns, pendulum_swing_model, rel_err
 
 G = 9.81
 RHO = np.array([0.15, -1.0, 1.0])
@@ -142,8 +142,9 @@ def fd_blocks(fun, t, q, v, rho):
 def exposed_jacobians(dyn, state):
     """The acceleration Jacobian blocks, then the multiplier blocks when the
     dynamics has multipliers."""
-    _, _, f_blocks, mu_blocks = dyn.jacobians(*state)
-    return f_blocks + (mu_blocks or ())
+    _, _, f_y, mu_y = dyn.jacobians(*state)
+    n = dyn.dims.n
+    return tuple(columns(f_y, n)) + (() if mu_y is None else tuple(columns(mu_y, n)))
 
 
 def map_fd_jacobians(dyn, state):
@@ -365,7 +366,8 @@ def test_dae_jacobians_match_fd():
     def mul(tt, qq, vv, rr):
         return dyn.accel_and_multipliers(tt, qq, vv, rr)[1]
 
-    _, _, (fq, fv, frho), (gq, gv, grho) = dyn.jacobians(t, q, v, RHO)
+    _, _, f_y, mu_y = dyn.jacobians(t, q, v, RHO)
+    (fq, fv, frho), (gq, gv, grho) = columns(f_y, 2), columns(mu_y, 2)
     assert rel_err(fq, fd_jacobian(lambda x: acc(t, x, v, RHO), q), floor=1.0) < 1e-5
     assert rel_err(fv, fd_jacobian(lambda x: acc(t, q, x, RHO), v), floor=1.0) < 1e-5
     assert rel_err(frho, fd_jacobian(lambda x: acc(t, q, v, x), RHO), floor=1.0) < 1e-5
@@ -382,7 +384,7 @@ def test_dae_jacobians_fd_on_random_states():
         q = hanging_state(theta) * rng.uniform(0.95, 1.05)
         v = rng.normal(size=2)
         rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-1, 0), rng.uniform(0.5, 2)])
-        fq, fv, frho = dyn.jacobians(0.0, q, v, rho)[2]
+        fq, fv, frho = columns(dyn.jacobians(0.0, q, v, rho)[2], 2)
         fd_fq = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, x, v, rho)[0], q)
         assert rel_err(fq, fd_fq, floor=1.0) < 1e-4
 
@@ -392,7 +394,7 @@ def test_dae_jacobian_v_block_structure():
     dyn = DaeDynamics(pendulum_swing_model())
     q = hanging_state(0.4)
     v = tangential_velocity(q, 1.0)
-    fq, fv, frho = dyn.jacobians(0.0, q, v, RHO)[2]
+    fq, fv, frho = columns(dyn.jacobians(0.0, q, v, RHO)[2], 2)
     fd_fv = fd_jacobian(lambda x: dyn.accel_and_multipliers(0.0, q, x, RHO)[0], v)
     assert np.max(np.abs(fv - fd_fv)) < 1e-6
 
@@ -527,7 +529,7 @@ def test_multiplier_sensitivity_matches_fd():
     propagate_direct(traj)
     q, v, _ = traj.state_at(t_probe)
     X = traj.sensitivity_at(t_probe)
-    gq, gv, grho = dyn.multiplier_jacobians(t_probe, q, v, RHO)
+    gq, gv, grho = columns(dyn.multiplier_jacobians(t_probe, q, v, RHO), 2)
     Lam = gq @ X.Q + gv @ X.V + grho
     h = 1e-6
     for j in range(3):
@@ -811,3 +813,61 @@ def test_one_sided_rows_are_checked():
     for rows in ((2,), (0, 0), (-1,)):
         with pytest.raises(ValueError, match="one_sided"):
             ConstraintSet(m=2, phi=phi, one_sided=rows)
+
+
+def _read_only(*blocks):
+    """Read-only views of the blocks; None stays None."""
+    views = []
+    for b in blocks:
+        if b is not None:
+            b = np.asarray(b).view()
+            b.flags.writeable = False
+        views.append(b)
+    return tuple(views)
+
+
+class _ReadOnlyBlocks(_Delegating):
+    """A custom dynamics class whose Jacobian call hands out read-only
+    blocks."""
+
+    def jacobians(self, *args):
+        return _read_only(*self.inner.jacobians(*args))
+
+
+def _read_only_partials(cost):
+    """The cost with each partial callback's blocks handed out read-only."""
+    def wrap(partials):
+        return None if partials is None else (lambda *a: _read_only(*partials(*a)))
+    return dataclasses.replace(cost, g_partials=wrap(cost.g_partials),
+                               u_partials=wrap(cost.u_partials),
+                               w_partials=wrap(cost.w_partials))
+
+
+@pytest.mark.parametrize("system, cname", [("five-bar-dae", "int-ay2sq-vy2sq"),
+                                           ("pendulum", "x-final"), ("pendulum", "int-vx")])
+def test_no_pass_writes_into_a_block_it_was_handed(system, cname):
+    # the passes read the Jacobian blocks of the dynamics and the partials
+    # of the cost and never write into them: with every block read-only,
+    # a run and both sweeps raise nothing and give the plain run's bytes
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import propagate_direct
+    from hybridsens.gallery import pendulum
+
+    prob = five_bar(formulation="dae") if system == "five-bar-dae" else pendulum()
+    events = [dataclasses.replace(e, post_dynamics=_ReadOnlyBlocks(e.post_dynamics))
+              if getattr(e, "post_dynamics", None) is not None else e for e in prob.events]
+    runs = []
+    for dyn, cost, evs in ((prob.dynamics, prob.cost(cname), prob.events),
+                           (_ReadOnlyBlocks(prob.dynamics),
+                            _read_only_partials(prob.cost(cname)), events)):
+        traj = simulate(dyn, cost, evs, prob.rho0.rho, prob.t_span, prob.config)
+        XF = propagate_direct(traj)
+        sol = propagate_adjoint(traj)
+        arrays = [a for seg in traj.segments
+                  for a in (seg.dense.node_states, seg.dense.stages, seg.dense.multipliers,
+                            seg.tangent.node_states)]
+        arrays += [XF.Q, XF.V, XF.Z, sol.series, sol.gradient, *traj.terminal_gradients()]
+        runs.append([np.ascontiguousarray(a).tobytes() for a in arrays])
+    assert isinstance(traj.segments[-1].dynamics, _ReadOnlyBlocks)
+    assert traj.events
+    assert runs[0] == runs[1]

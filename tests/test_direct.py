@@ -106,7 +106,7 @@ def test_bouncing_terminal_height_matches_fd():
 def test_assemble_direct_pure_quadrature():
     XF = SensitivityState(np.zeros((1, 2)), np.zeros((1, 2)), np.eye(2),
                           np.array([[3.0, -1.0]]))
-    w_grads = (np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)))
+    w_grads = (np.zeros(1), np.zeros((1, 4)))  # w_y over [q | v | rho]
     out = assemble_cost_sensitivity_direct(XF, w_grads)
     assert np.array_equal(out, [[3.0, -1.0]])
 

@@ -118,6 +118,19 @@ def test_simultaneous_events_error():
                           [lambda t, y: y[0], lambda t, y: 2.0 * y[0]])
 
 
+@pytest.mark.parametrize("tf", [2.0, 40.0])
+def test_two_roots_twice_the_event_tolerance_apart_are_not_simultaneous_on_any_span(tf):
+    # the second function's root trails the floor contact by 2e-9 s; the
+    # event time tolerance is event_tol = 1e-9 however long the span (it
+    # was floored at 1e-10 * span, 4e-9 over [0, 40], which raised)
+    lag = 2e-9 * math.sqrt(2.0 * G)  # 2e-9 s at the contact speed
+    _, hit = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, tf),
+                               IntegratorConfig(event_tol=1e-9),
+                               [lambda t, y: y[0], lambda t, y: y[0] + lag])
+    assert hit.index == 0
+    assert abs(hit.t - math.sqrt(2.0 / G)) < 1e-12
+
+
 @pytest.mark.parametrize("field, value", [
     ("rtol", np.nan), ("atol", np.inf), ("event_tol", np.nan), ("event_tol", 0.0),
 ])

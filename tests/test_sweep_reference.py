@@ -32,7 +32,7 @@ from hybridsens.gallery import (
 )
 from hybridsens.integrate import RK45, RK_A, RK_C, DenseSegment, integrate_segment
 from hybridsens.model import CostFunctional, cost_density_gradients, terminal_cost_gradients
-from conftest import forced_mass
+from conftest import columns, forced_mass
 from test_constrained import five_bar_states, pendulum_states
 
 
@@ -63,9 +63,9 @@ def lam_dot(dyn, cost, n, rho, t, x, y, vdot=None, mu=None, weight=1.0):
     lam = y.reshape(-1, cost.nc)
     lamV = lam[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
-    f_q, f_v, f_rho = jac[2]
+    f_q, f_v, f_rho = columns(jac[2], n)
     if weight and (cost.g is not None or cost.g_of_mu is not None):
-        g_q, g_v, g_rho = cost_density_gradients(cost, t, q, v, rho, jac)
+        g_q, g_v, g_rho = columns(cost_density_gradients(cost, t, q, v, rho, jac), n)
         gT_q, gT_v, gT_rho = (weight * g_q).T, (weight * g_v).T, (weight * g_rho).T
     else:
         gT_q = gT_v = gT_rho = 0.0
@@ -89,8 +89,8 @@ def reference_adjoint(traj, cost):
     """(gradient, times, series) of the transposed Dormand-Prince sweep."""
     n, p, nc, rho = traj.dims.n, traj.dims.p, cost.nc, traj.rho
     qF, vF, _ = traj.state_at(traj.tF)
-    _, wq, wv, wr = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF,
-                                            qF, vF, rho)
+    wq, wv, wr = columns(terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF,
+                                                 qF, vF, rho)[1], n)
     lam = AdjointState(wq.T.copy(), wv.T.copy(), wr.T.copy(), np.eye(nc))
     times, series = [], []
     for k in range(len(traj.segments) - 1, -1, -1):
@@ -387,11 +387,11 @@ def test_assembled_jacobians_are_bytewise_the_callback_route(name):
     for state in states:
         solved = dyn.accel_and_multipliers(*state)
         for given in ((), solved):
-            vdot, mu, (f_q, f_v, f_rho), (g_q, g_v, g_rho) = dyn.jacobians(*state, *given)
+            vdot, mu, f_y, mu_y = dyn.jacobians(*state, *given)
             ref_vdot, ref_mu, ref = callback_route(dyn, *state, *given)
             assert vdot.tobytes() == ref_vdot.tobytes()
             assert mu.tobytes() == ref_mu.tobytes()
-            assembled = np.vstack([np.hstack([f_q, f_v, f_rho]), np.hstack([g_q, g_v, g_rho])])
+            assembled = np.vstack([f_y, mu_y])
             assert assembled.tobytes() == ref.tobytes()
 
 
