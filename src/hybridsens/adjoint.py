@@ -11,7 +11,8 @@ interpolated.  Nothing is solved again either: each stage's acceleration
 is read from the stored stage derivatives and its multipliers from the
 forward pass's stage record, so the sweep calls only the Jacobians.  At
 each event the stored jump matrix acts through its transpose,
-lam- = S^T lam+, so the adjoint gradient equals the direct gradient
+lam- = S^T lam+, on the sweep's array [lamQ; lamV; lamGamma] as it is
+(``JumpMatrix.adjoint``), so the adjoint gradient equals the direct gradient
 computed on the same steps to round-off.  The gradient folds the adjoint
 at t0 into the run's recorded start (``HybridTrajectory.initial``).
 Between nodes the adjoint is recovered by integrating the continuous
@@ -153,7 +154,8 @@ def propagate_adjoint(traj: HybridTrajectory,
     Each segment's forward steps are transposed in reverse order
     (``_step_adjoint``).  Events are not re-detected: the stored records
     supply both the exact event times (segment boundaries) and the jump
-    matrices whose transposes map the adjoint across each discontinuity.
+    matrices whose transposes map the adjoint across each discontinuity
+    (``JumpMatrix.adjoint``).  The one ``AdjointState`` built is lam_t0.
 
     ``cost``, if given, must be the run's own cost object (``traj.cost``):
     the stored jump matrices carry that cost's quadrature rows, and its
@@ -183,11 +185,10 @@ def propagate_adjoint(traj: HybridTrajectory,
             nodes.append(y)
         times_acc.append(seg.dense.node_times[::-1])
         series_acc.append(np.array(nodes))
-        lam = _adjoint_state(y, dims, nc)
         if k > 0:
-            lam = traj.events[k - 1].jump.apply_adjoint(lam)
-            y = lam.stacked()[:-nc].ravel()
+            y = traj.events[k - 1].jump.adjoint(y.reshape(-1, nc)).ravel()
 
+    lam = _adjoint_state(y, dims, nc)
     gradient = assemble_cost_sensitivity_adjoint(lam, traj.initial.dq0_drho,
                                                  traj.initial.dv0_drho)
     return AdjointSolution(gradient=gradient, lam_t0=lam, times=np.concatenate(times_acc),

@@ -193,7 +193,7 @@ class _SaddleDynamics:
         (m, 2n + p) block mu_y over the columns [q | v | rho], the two row
         blocks of one solution.  On the analytic
         route (the constraint set declares its constant ``hessian``) K is
-        factored once, the right side [F_z; b_z] is filled in place from one
+        factored once, the right side [F_y; b_y] stacks the blocks of one
         ``force_jacobians`` evaluation and the source partials, its K_z terms
         are subtracted (``_subtract_saddle_partials``) and it is solved on
         that factor.  Given the state's solution (vdot, mu), as the sweeps
@@ -213,10 +213,8 @@ class _SaddleDynamics:
             if mu is None:
                 vdot, mu = self._solve(t, q, v, rho, saddle)
             G, solve = saddle
-            rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
-            rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
-            rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = self._source_partials(
-                t, q, v, rho, G, cons.qq_action(t, q, rho, v))
+            rhs = np.vstack([model.force_jacobians(t, q, v, rho),
+                             self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))])
             _subtract_saddle_partials(model, t, q, rho, vdot, mu, rhs)
             sol = solve(rhs)
         return vdot, mu, sol[:n], sol[n:]
@@ -255,11 +253,12 @@ class PenaltyDynamics(_SaddleDynamics):
                 + self._neg_stiff * self.model.constraints.value(t, q, rho))
 
     def _source_partials(self, t, q, v, rho, G, H_v):
-        """(b_q, b_v, b_rho) on the analytic route, where phi_q does not
-        depend on rho."""
-        return (self._neg_damp * H_v + self._neg_stiff * G,
-                -2.0 * H_v + self._neg_damp * G,
-                self._neg_stiff * self.model.constraints.jac_rho(t, q, rho))
+        """b_y on the analytic route, where phi_q does not depend on rho: one
+        (m, 2n + p) block over the columns [q | v | rho]."""
+        return np.concatenate((self._neg_damp * H_v + self._neg_stiff * G,
+                               -2.0 * H_v + self._neg_damp * G,
+                               self._neg_stiff * self.model.constraints.jac_rho(t, q, rho)),
+                              axis=1)
 
     # the four calls are defined on each class, where perfbench/spans.py
     # patches them
@@ -278,22 +277,17 @@ class PenaltyDynamics(_SaddleDynamics):
 
 class DaeDynamics(_SaddleDynamics):
     """Index-1 constrained dynamics with exact multipliers: the position
-    constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C.  The
-    zero partials of b in q and rho are built once, read-only."""
-
-    def __init__(self, model: MultibodyModel):
-        super().__init__(model)
-        m, n, p = model.constraints.m, self.dims.n, self.dims.p
-        self._zero_partials = np.zeros((m, n)), np.zeros((m, p))
-        for z in self._zero_partials:
-            z.flags.writeable = False
+    constraint is replaced by phi_q vdot = C, i.e. c = 0 and b = C, whose
+    partials in q and rho are zero."""
 
     def _source(self, t, q, v, rho, G, C):
         return C
 
     def _source_partials(self, t, q, v, rho, G, H_v):
-        b_q, b_rho = self._zero_partials
-        return b_q, -2.0 * H_v, b_rho
+        n = self.dims.n
+        b_y = np.zeros((H_v.shape[0], 2 * n + self.dims.p))
+        b_y[:, n:2 * n] = -2.0 * H_v
+        return b_y
 
     def accel(self, t, q, v, rho) -> np.ndarray:
         return self.accel_and_multipliers(t, q, v, rho)[0]

@@ -4,6 +4,13 @@ All state is stored dense; target problems have n, p of order ten at most.
 The stacked sensitivity and adjoint matrices follow one block order
 everywhere, [q; v; rho; z].  Jump matrices index into these blocks, so the
 order must never change silently.
+
+The sweeps carry each state as one array without its identity block: the
+tangent as the (2n + nc, p) array [Q; V; Z] (Gamma = I), the adjoint as the
+(2n + p, nc) array [lamQ; lamV; lamGamma] (lamZ = I), and they cross events
+on those arrays (``JumpMatrix.direct`` and ``JumpMatrix.adjoint``).
+``SensitivityState`` and ``AdjointState`` are what the public functions
+return; ``stacked()`` forms the full matrix, identity block included.
 """
 
 from __future__ import annotations
@@ -103,22 +110,6 @@ class SensitivityState:
         """Return the (2n+p+nc) x p stacked matrix [Q; V; Gamma; Z]."""
         return np.vstack([self.Q, self.V, self.Gamma, self.Z])
 
-    @classmethod
-    def from_stacked(cls, X: np.ndarray, dims: Dimensions) -> "SensitivityState":
-        """Split [Q; V; Gamma; Z], the rows after 2n + p being the Z block."""
-        n, p = dims.n, dims.p
-        if X.ndim != 2 or X.shape[1] != p or X.shape[0] <= 2 * n + p:
-            raise DimensionError(
-                f"stacked sensitivity must be ({2 * n + p} + nc, {p}) with nc >= 1, "
-                f"got {X.shape}"
-            )
-        return cls(
-            Q=X[:n].copy(),
-            V=X[n:2 * n].copy(),
-            Gamma=X[2 * n:2 * n + p].copy(),
-            Z=X[2 * n + p:].copy(),
-        )
-
 
 @dataclass
 class AdjointState:
@@ -149,18 +140,3 @@ class AdjointState:
     def stacked(self) -> np.ndarray:
         """Return the (2n+p+nc) x nc stacked matrix [lamQ; lamV; lamGamma; lamZ]."""
         return np.vstack([self.lamQ, self.lamV, self.lamGamma, self.lamZ])
-
-    @classmethod
-    def from_stacked(cls, L: np.ndarray, dims: Dimensions) -> "AdjointState":
-        """Split [lamQ; lamV; lamGamma; lamZ], one column per cost output."""
-        n, p, nc = dims.n, dims.p, L.shape[-1]
-        if L.shape != (2 * n + p + nc, nc):
-            raise DimensionError(
-                f"stacked adjoint must be ({2 * n + p + nc}, {nc}), got {L.shape}"
-            )
-        return cls(
-            lamQ=L[:n].copy(),
-            lamV=L[n:2 * n].copy(),
-            lamGamma=L[2 * n:2 * n + p].copy(),
-            lamZ=L[2 * n + p:].copy(),
-        )

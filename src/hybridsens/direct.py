@@ -13,11 +13,12 @@ cost and, per segment, the saddle multipliers of every accepted stage
 each stored step is differentiated stage by stage on its own step size and
 stage states, with no step control of its own (sensitivities stay out of
 the error test, as CVODES does by default), and at each event the
-sensitivities jump through S.  The tangent [Q; V; Z] is stored per segment
-at the state's nodes only (``SegmentTangent``), with the rows the caller
-asked to sample during the sweep; ``HybridTrajectory.sensitivity_at``
-sweeps the one step covering any other t again from its node.  The Gamma
-block is the constant identity and is never propagated."""
+tangent jumps through S (``JumpMatrix.direct``).  The tangent [Q; V; Z]
+is stored per segment at the state's nodes only (``SegmentTangent``),
+with the rows the caller asked to sample during the sweep;
+``HybridTrajectory.sensitivity_at`` sweeps the one step covering any
+other t again from its node.  The Gamma block is the constant identity
+and is never propagated."""
 
 from __future__ import annotations
 
@@ -348,11 +349,12 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
     """Discrete tangent sweep over a stored hybrid trajectory, the forward
     mirror of ``adjoint.propagate_adjoint``: from the run's start
     (``traj.initial``), each segment's stored steps are swept with
-    ``_step_tangent`` and each event's sensitivities jump through its S,
-    for the run's cost (``ZERO_COST`` for a cost-less run).  Fills each
-    segment's ``tangent`` with its node tangents and each record's
-    ``dteve_drho`` and ``delta_mu_sens``, the same on every sweep; the
-    steps' tangent stages are not kept.
+    ``_step_tangent`` and at each event the tangent [Q; V; Z] jumps
+    through its S as the array it is (``JumpMatrix.direct``), for the
+    run's cost (``ZERO_COST`` for a cost-less run).  Fills each segment's
+    ``tangent`` with its node tangents and each record's ``dteve_drho``
+    and ``delta_mu_sens``, the same on every sweep; the steps' tangent
+    stages are not kept.
 
     ``at`` are sorted sample times inside the run, split by segment as
     ``traj.split_at`` splits them (a t at an event time samples the
@@ -363,17 +365,18 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
     segment's ``tangent`` (``samples``).  Returns X_tF."""
     dims, rho, ic = traj.dims, traj.rho, traj.initial
     cost = traj.cost or ZERO_COST
-    X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
+    n, p = dims.n, dims.p
+    x = np.vstack([np.reshape(ic.dq0_drho, (n, p)), np.reshape(ic.dv0_drho, (n, p)),
+                   np.zeros((cost.nc, p))])
     for k, (seg, times) in enumerate(zip(traj.segments, traj.split_at(at))):
         if k:
             rec = traj.events[k - 1]
-            rec.dteve_drho = rec.jump.blocks["dt_row"] @ X.Q
-            rec.delta_mu_sens = rec.spec.delta_mu_sensitivity(rec, X)
-            X = rec.jump.apply_direct(X)
+            rec.dteve_drho = rec.jump.blocks["dt_row"] @ x[:n]
+            rec.delta_mu_sens = rec.spec.delta_mu_sensitivity(rec, x[:n], x[n:2 * n])
+            x = rec.jump.direct(x)
         d = seg.dense
-        x = np.vstack([X.Q, X.V, X.Z]).ravel()
         nodes = np.empty((len(d.node_times), x.size))
-        nodes[0] = x
+        nodes[0] = x.ravel()
         # held only while sampled
         stages = np.empty((d.stages.shape[0], x.size)) if times.size else None
         KX0 = None
@@ -387,8 +390,8 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
             extension = DenseSegment(d.node_times, nodes, stages, d.steps)
             samples = np.array([extension.evaluate(t) for t in times.tolist()])
         seg.tangent = SegmentTangent(nodes, times, samples)
-        X = _sensitivity(nodes[-1].copy(), dims)
-    return X
+        x = nodes[-1].reshape(-1, p)
+    return _sensitivity(x.copy(), dims)
 
 
 def assemble_cost_sensitivity_direct(X_tF: SensitivityState, w_grads) -> np.ndarray:

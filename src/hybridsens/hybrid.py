@@ -20,7 +20,8 @@ of S, and whether its post-event velocity must leave the event surface:
 Every S is stored both as named blocks and as one dense matrix over the
 stacked [Q; V; Gamma; Z] ordering, so that the direct jump, the adjoint
 jump, and the bilinear identity (S^T lam)^T X = lam^T (S X) are exact by
-construction.
+construction.  The sweeps apply S and S^T to their own arrays, which leave
+out the identity blocks (``JumpMatrix.direct`` and ``JumpMatrix.adjoint``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import AdjointState, Dimensions, SensitivityState
+from .core import Dimensions
 from .model import fd_jacobian, fd_derivative, _partials
 from . import constrained as _constrained
 
@@ -90,8 +91,9 @@ class EventSpec:
         factors live in the closure, never on the spec."""
         raise NotImplementedError
 
-    def delta_mu_sensitivity(self, record, X_minus):
-        """Sensitivity of the impulse multipliers; None for kinds without any."""
+    def delta_mu_sensitivity(self, record, Q, V):
+        """Sensitivity of the impulse multipliers from the pre-event position
+        and velocity sensitivities Q- and V-; None for kinds without any."""
         return None
 
 
@@ -293,13 +295,13 @@ class ConstrainedInelasticEvent(EventSpec):
 
         return s[:n], s[n:], self.post_dynamics, blocks
 
-    def delta_mu_sensitivity(self, record, X_minus):
+    def delta_mu_sensitivity(self, record, Q, V):
         """d(delta_mu)/drho through the impulse map at the perturbed event
         state (q, v) + (Q-, V-) + (v-, vdot-) dt/drho."""
         b = record.jump.blocks
         dt_drho = record.dteve_drho
-        dq_eve = X_minus.Q + np.outer(record.v_minus, dt_drho)
-        dv_eve = X_minus.V + np.outer(record.vdot_minus, dt_drho)
+        dq_eve = Q + np.outer(record.v_minus, dt_drho)
+        dv_eve = V + np.outer(record.vdot_minus, dt_drho)
         return b["imp_mu_q"] @ dq_eve + b["imp_mu_v"] @ dv_eve + b["imp_mu_rho"]
 
 
@@ -315,19 +317,29 @@ class JumpMatrix:
     ``blocks`` holds the named sub-matrices used to assemble S; ``S`` is the
     dense (2n+p+nc) square matrix over [Q; V; Gamma; Z].  The Gamma and Z
     diagonal blocks are exact identities.
+
+    ``direct`` and ``adjoint`` apply S and S^T to the arrays the sweeps
+    carry, which leave out the identity blocks Gamma = I and lamZ = I: each
+    puts them back in place for the one product with S and drops their
+    rows from the result, so that both are the products over the full
+    stacked matrices, bitwise.
     """
 
     dims: Dimensions
     blocks: dict
     S: np.ndarray
 
-    def apply_direct(self, X: SensitivityState) -> SensitivityState:
-        """X+ = S X- blockwise on the stacked sensitivity matrix."""
-        return SensitivityState.from_stacked(self.S @ X.stacked(), self.dims)
+    def direct(self, x: np.ndarray) -> np.ndarray:
+        """X+ = S X- on the tangent's (2n + nc, p) array [Q; V; Z]."""
+        n, p = self.dims.n, self.dims.p
+        out = self.S @ np.vstack([x[:2 * n], np.eye(p), x[2 * n:]])
+        return np.vstack([out[:2 * n], out[2 * n + p:]])
 
-    def apply_adjoint(self, lam: AdjointState) -> AdjointState:
-        """lam- = S^T lam+ blockwise on the stacked adjoint matrix."""
-        return AdjointState.from_stacked(self.S.T @ lam.stacked(), self.dims)
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """lam- = S^T lam+ on the adjoint's (2n + p, nc) array
+        [lamQ; lamV; lamGamma]."""
+        nc = y.shape[1]
+        return (self.S.T @ np.vstack([y, np.eye(nc)]))[:-nc]
 
 
 @dataclass

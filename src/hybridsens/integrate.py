@@ -591,9 +591,12 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     stepper's state).  A non-finite event-function value raises an
     IntegrationError.
 
-    Crossings are detected on accepted steps, with interior dense-output
-    samples scanned as well so that a fast double crossing inside one step
-    is not silently skipped.  A masked function with a departure side
+    Crossings are detected on accepted steps at four interior dense-output
+    samples and the step's end.  A pair of crossings between two samples
+    leaves both with one sign and is not seen: a flight that rises through
+    a surface and falls back in less than a fifth of a step can pass it
+    unreported.  A
+    masked function with a departure side
     (``EventMonitor``) is checked at every sample, not only at step ends,
     so one step can hold the lift-off from its surface and the next
     crossing of it.  A function masked without a side is held: only a

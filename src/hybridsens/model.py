@@ -332,13 +332,15 @@ class MultibodyModel:
                          (("M_q", (n, n)), ("M_rho", (n, p))))
 
     def force_jacobians(self, t, q, v, rho):
-        """(F_q, F_v, F_rho) at one state: ``force_partials`` if supplied,
-        its block shapes checked, else central differences of ``force`` for
-        all three blocks."""
+        """F_y at one state, one (n, 2n + p) block over the columns
+        [q | v | rho]: the triple (F_q, F_v, F_rho) of ``force_partials`` if
+        supplied, each block's shape checked, else central differences of
+        ``force`` for all three, joined."""
         n, p = self.dims.n, self.dims.p
-        return _partials(self.force_partials, lambda: f"force_partials of '{self.name}'",
-                         self.force_at,
-                         (t, q, v, rho), (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p))))
+        return np.concatenate(
+            _partials(self.force_partials, lambda: f"force_partials of '{self.name}'",
+                      self.force_at, (t, q, v, rho),
+                      (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p)))), axis=1)
 
 
 class OdeDynamics:
@@ -364,17 +366,16 @@ class OdeDynamics:
 
         For each zeta in {q, v, rho}:  f_zeta = M^{-1} (F_zeta - M_zeta vdot),
         obtained by differentiating M vdot = F through the factorization:
-        the three F_zeta are written into one (n, 2n + p) right side, as the
-        saddle formulations fill theirs, and solved at once.  Without a
-        given vdot it is solved here.  ``mu`` is accepted for the
+        the right side is the (n, 2n + p) block F_y of ``force_jacobians``,
+        as the saddle formulations fill theirs, and is solved at once.
+        Without a given vdot it is solved here.  ``mu`` is accepted for the
         constrained formulations' signature.
         """
         model, n = self.model, self.dims.n
         M = model.mass_at(t, q, rho)
         if vdot is None:
             vdot = _spd_solve(M, model.force_at(t, q, v, rho), "mass matrix", t)
-        rhs = np.empty((n, 2 * n + self.dims.p))
-        rhs[:, :n], rhs[:, n:2 * n], rhs[:, 2 * n:] = model.force_jacobians(t, q, v, rho)
+        rhs = model.force_jacobians(t, q, v, rho)
         if not model.mass_constant:  # else M_q = M_rho = 0: x - 0.0 is x bitwise
             M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
             rhs[:, :n] -= M_q

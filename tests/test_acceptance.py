@@ -154,8 +154,8 @@ def test_criterion_5_bilinear_conservation(five_bar_runs):
                                rng.normal(size=(dims.n, nc)),
                                rng.normal(size=(dims.p, nc)),
                                rng.normal(size=(nc, nc)))
-            left = jump.apply_adjoint(lam).stacked().T @ X.stacked()
-            right = lam.stacked().T @ jump.apply_direct(X).stacked()
+            left = (jump.S.T @ lam.stacked()).T @ X.stacked()
+            right = lam.stacked().T @ (jump.S @ X.stacked())
             scale = max(1.0, np.abs(left).max())
             worst_triple = max(worst_triple, np.abs(left - right).max() / scale)
             done += 1
@@ -220,7 +220,7 @@ def test_criterion_7_jump_formula_equivalence():
                                  rng.normal(size=(dims.n, dims.p)),
                                  rng.normal(size=(dims.p, dims.p)),
                                  rng.normal(size=(nc, dims.p)))
-            a = jump.apply_direct(X).stacked()
+            a = jump.S @ X.stacked()
             b = comp(X).stacked()
             worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
     ok = worst <= 1e-12

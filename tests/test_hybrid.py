@@ -5,6 +5,7 @@ from hybridsens.core import AdjointState, Dimensions, SensitivityState
 from hybridsens.hybrid import (
     ConstrainedElasticEvent,
     ConstrainedInelasticEvent,
+    JumpMatrix,
     RhsSwitchEvent,
     StickingContactError,
     TangentialCrossingError,
@@ -248,12 +249,12 @@ def test_noop_event_jump_is_identity():
     rng = np.random.default_rng(5)
     X = SensitivityState(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                          rng.normal(size=(2, 2)), rng.normal(size=(1, 2)))
-    X2 = jump.apply_direct(X)
-    assert np.allclose(X2.stacked(), X.stacked(), atol=1e-12)
+    X2 = jump.S @ X.stacked()
+    assert np.allclose(X2, X.stacked(), atol=1e-12)
     lam = AdjointState(rng.normal(size=(2, 1)), rng.normal(size=(2, 1)),
                        rng.normal(size=(2, 1)), np.eye(1))
-    lam2 = jump.apply_adjoint(lam)
-    assert np.allclose(lam2.stacked(), lam.stacked(), atol=1e-12)
+    lam2 = jump.S.T @ lam.stacked()
+    assert np.allclose(lam2, lam.stacked(), atol=1e-12)
 
 
 def test_gamma_rows_are_identity_block():
@@ -297,21 +298,22 @@ def test_z_jump_equals_density_difference():
     rng = np.random.default_rng(11)
     X = SensitivityState(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)),
                          np.eye(2), rng.normal(size=(1, 2)))
-    X2 = jump.apply_direct(X)
+    n, p = jump.dims.n, jump.dims.p
+    X2 = jump.S @ X.stacked()
     dt_drho = event_time_row(np.array([1.0]), ctx["vm"]) @ X.Q
     expect = X.Z - np.outer(ctx["gp"] - ctx["gm"], dt_drho)
-    assert np.allclose(X2.Z, expect, atol=1e-12)
+    assert np.allclose(X2[2 * n + p:], expect, atol=1e-12)
 
 
 def test_parameter_columns_from_gamma():
     # zero state blocks with Gamma = I pick out exactly the parameter columns
     jump, _ = _bouncing_context()
-    p = jump.dims.p
+    n, p = jump.dims.n, jump.dims.p
     X = SensitivityState(np.zeros((1, p)), np.zeros((1, p)), np.eye(p),
                          np.zeros((1, p)))
-    X2 = jump.apply_direct(X)
-    assert np.allclose(X2.V, jump.blocks["h_rho"], atol=1e-14)
-    assert np.allclose(X2.Q, 0.0, atol=1e-14)
+    X2 = jump.S @ X.stacked()
+    assert np.allclose(X2[n:2 * n], jump.blocks["h_rho"], atol=1e-14)
+    assert np.allclose(X2[:n], 0.0, atol=1e-14)
 
 
 # -- componentwise vs matrix forms and the bilinear identity -------------------
@@ -458,11 +460,70 @@ def _random_inelastic_case(rng):
     return dims, cost.nc, jump, comp
 
 
+def _random_switch_case(rng):
+    # the damper switch of _coasting_mass_switch, reached at its launch speed
+    dyn, events, cost = _coasting_mass_switch()
+    spec, dims = events[0], dyn.dims
+    rho = np.array([rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0)])
+    t, q, v = rng.uniform(0.1, 1.0), np.array([0.5]), rho[:1].copy()
+    vp, _, dyn_plus, blocks = apply_state_jump(spec, t, q, v, rho, dyn)
+    vdm = dyn.accel(t, q, v, rho)
+    vdp = dyn_plus.accel(t, q, vp, rho)
+    gm = cost_density_value(cost, dyn, t, q, v, rho)
+    gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
+    ht, hq, hv, hrho = spec.jacobians(t, q, v, rho)
+    w = event_time_row(spec.r_jac(q), v)
+    comp = lambda X: jump_componentwise_unconstrained(
+        X, w, vp - v, hq, hv, ht, hrho, vdm, vdp, v, gp - gm)
+    return dims, cost.nc, jump, comp
+
+
 CASES = {
     "unconstrained": _random_unconstrained_case,
     "elastic": _random_elastic_case,
     "inelastic": _random_inelastic_case,
+    "switch": _random_switch_case,
 }
+
+
+def _with_outputs(jump, nc, rng):
+    """The case's jump matrix for a cost of nc outputs: as built if it has
+    nc quadrature rows, else its state rows with the quadrature rows -dg w
+    of a random density jump dg, as ``build_jump_matrix`` forms them."""
+    n, p = jump.dims.n, jump.dims.p
+    if jump.S.shape[0] == 2 * n + p + nc:
+        return jump
+    S = np.eye(2 * n + p + nc)
+    S[:2 * n + p, :2 * n + p] = jump.S[:2 * n + p, :2 * n + p]
+    S[2 * n + p:, :n] = -rng.normal(size=(nc, 1)) @ jump.blocks["dt_row"]
+    return JumpMatrix(jump.dims, jump.blocks, S)
+
+
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_jump_maps_are_bytewise_the_stacked_products(kind, nc):
+    # the sweeps cross an event on their arrays without the identity blocks;
+    # each map must give the bytes of the one product over the stacked
+    # matrix, identity block in place, with that block's rows dropped
+    rng = np.random.default_rng(stable_seed(f"maps-{kind}-{nc}"))
+    for _ in range(5):
+        dims, _, jump, _ = CASES[kind](rng)
+        jump = _with_outputs(jump, nc, rng)
+        n, p = dims.n, dims.p
+        X = SensitivityState(rng.normal(size=(n, p)), rng.normal(size=(n, p)), np.eye(p),
+                             rng.normal(size=(nc, p)))
+        x = np.vstack([X.Q, X.V, X.Z])
+        full = jump.S @ X.stacked()
+        got = jump.direct(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == np.vstack([full[:2 * n], full[2 * n + p:]]).tobytes()
+        lam = AdjointState(rng.normal(size=(n, nc)), rng.normal(size=(n, nc)),
+                           rng.normal(size=(p, nc)), np.eye(nc))
+        y = lam.stacked()[:2 * n + p]
+        got = jump.adjoint(y)
+        assert got.shape == y.shape
+        assert got.tobytes() == (jump.S.T @ lam.stacked())[:2 * n + p].tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -474,10 +535,10 @@ def test_componentwise_equals_matrix(kind):
                              rng.normal(size=(dims.n, dims.p)),
                              rng.normal(size=(dims.p, dims.p)),
                              rng.normal(size=(nc, dims.p)))
-        via_matrix = jump.apply_direct(X)
+        via_matrix = jump.S @ X.stacked()
         via_comp = comp(X)
-        scale = max(1.0, np.abs(via_matrix.stacked()).max())
-        assert np.max(np.abs(via_matrix.stacked() - via_comp.stacked())) < 1e-12 * scale
+        scale = max(1.0, np.abs(via_matrix).max())
+        assert np.max(np.abs(via_matrix - via_comp.stacked())) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -493,8 +554,8 @@ def test_bilinear_identity(kind):
                            rng.normal(size=(dims.n, nc)),
                            rng.normal(size=(dims.p, nc)),
                            rng.normal(size=(nc, nc)))
-        left = (jump.apply_adjoint(lam).stacked().T @ X.stacked())
-        right = lam.stacked().T @ jump.apply_direct(X).stacked()
+        left = (jump.S.T @ lam.stacked()).T @ X.stacked()
+        right = lam.stacked().T @ (jump.S @ X.stacked())
         scale = max(1.0, np.abs(left).max())
         assert np.max(np.abs(left - right)) < 1e-12 * scale
 
@@ -502,10 +563,11 @@ def test_bilinear_identity(kind):
 def test_adjoint_jump_z_block_unchanged():
     jump, _ = _bouncing_context()
     rng = np.random.default_rng(21)
+    n, p = jump.dims.n, jump.dims.p
     lam = AdjointState(rng.normal(size=(1, 1)), rng.normal(size=(1, 1)),
                        rng.normal(size=(2, 1)), np.eye(1))
-    lam2 = jump.apply_adjoint(lam)
-    assert np.array_equal(lam2.lamZ, lam.lamZ)
+    lam2 = jump.S.T @ lam.stacked()
+    assert np.array_equal(lam2[2 * n + p:], lam.lamZ)
 
 
 # -- event-kind rules ---------------------------------------------------------

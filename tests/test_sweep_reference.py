@@ -109,7 +109,8 @@ def reference_adjoint(traj, cost):
         times.append(seg.dense.node_times[::-1])
         lam = split(y, n, p, nc)
         if k > 0:
-            lam = traj.events[k - 1].jump.apply_adjoint(lam)
+            L = traj.events[k - 1].jump.S.T @ lam.stacked()
+            lam = AdjointState(L[:n], L[n:2 * n], L[2 * n:2 * n + p], L[2 * n + p:])
     ic = traj.segments[0].dynamics.model.initial_state(rho)
     gradient = lam.lamQ.T @ ic.dq0_drho + lam.lamV.T @ ic.dv0_drho + lam.lamGamma.T
     return gradient, np.concatenate(times), np.array(series)
@@ -138,12 +139,13 @@ def reference_tangent(traj, cost, ic):
     """(node series per segment, stages per segment, X_F) of the discrete
     tangent on rebuilt stage states, reusing each step's last stage as the
     next one's first; each step's seven stages are kept."""
-    dims, rho, n = traj.dims, traj.rho, traj.dims.n
+    dims, rho, n, p = traj.dims, traj.rho, traj.dims.n, traj.dims.p
     X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
     nodes_per_segment, stages_per_segment = [], []
     for k, seg in enumerate(traj.segments):
         if k:
-            X = traj.events[k - 1].jump.apply_direct(X)
+            Xs = traj.events[k - 1].jump.S @ X.stacked()
+            X = SensitivityState(Xs[:n], Xs[n:2 * n], Xs[2 * n:2 * n + p], Xs[2 * n + p:])
         x, KX0 = np.vstack([X.Q, X.V, X.Z]).ravel(), None
         nodes, stages = [x], []
         for j in range(len(seg.dense)):
@@ -342,10 +344,8 @@ def callback_route(dyn, t, q, v, rho, vdot=None, mu=None):
         G, solve, sol = reference_solve(dyn, t, q, v, rho)
         if mu is None:
             vdot, mu = split(sol)
-        rhs = np.empty((n + cons.m, 2 * n + dyn.dims.p))
-        rhs[:n, :n], rhs[:n, n:2 * n], rhs[:n, 2 * n:] = model.force_jacobians(t, q, v, rho)
-        rhs[n:, :n], rhs[n:, n:2 * n], rhs[n:, 2 * n:] = dyn._source_partials(
-            t, q, v, rho, G, cons.qq_action(t, q, rho, v))
+        rhs = np.vstack([model.force_jacobians(t, q, v, rho),
+                         dyn._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))])
         return solve, vdot, mu, rhs
 
     sol = differentiate_saddle(model, t, q, v, rho,
