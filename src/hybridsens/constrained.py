@@ -84,8 +84,10 @@ class PenaltyConfig:
     omega: float = 10.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.omega <= 0 or self.xi < 0:
-            raise ValueError("require alpha > 0, omega > 0, xi >= 0")
+        # comparisons with NaN are false, so each test is written to fail on it
+        if not (np.isfinite([self.alpha, self.xi, self.omega]).all()
+                and self.alpha > 0 and self.omega > 0 and self.xi >= 0):
+            raise ValueError("require finite alpha > 0, omega > 0, xi >= 0")
 
 
 @dataclass

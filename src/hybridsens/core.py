@@ -94,18 +94,6 @@ class SensitivityState:
             if block.shape[1] != p:
                 raise DimensionError(f"{name} has {block.shape[1]} columns, expected {p}")
 
-    @classmethod
-    def initial(cls, dims: Dimensions, nc: int, dq0_drho: np.ndarray,
-                dv0_drho: np.ndarray) -> "SensitivityState":
-        """Initial condition for a cost of nc outputs: Q = dq0/drho,
-        V = dv0/drho, Gamma = I, Z = 0."""
-        return cls(
-            Q=np.asarray(dq0_drho, dtype=float).reshape(dims.n, dims.p),
-            V=np.asarray(dv0_drho, dtype=float).reshape(dims.n, dims.p),
-            Gamma=np.eye(dims.p),
-            Z=np.zeros((nc, dims.p)),
-        )
-
     def stacked(self) -> np.ndarray:
         """Return the (2n+p+nc) x p stacked matrix [Q; V; Gamma; Z]."""
         return np.vstack([self.Q, self.V, self.Gamma, self.Z])

@@ -3,9 +3,11 @@
 At a transversal event the positions and the quadrature accumulator are
 continuous while the velocities jump; forward sensitivities therefore jump
 as X+ = S X- with a generalized jump matrix S assembled per event kind, and
-adjoints jump backward as lam- = S^T lam+.  Each event kind is one
-EventSpec subclass that owns its state jump, which hands over its blocks
-of S, and whether its post-event velocity must leave the event surface:
+adjoints jump backward as lam- = S^T lam+, S = S0 + u w^T.  Each event
+kind is one EventSpec subclass that owns its state jump, which hands over
+S0 (its jump with the event time held fixed) and the velocity rows of u
+(the rate mismatch), and whether its post-event velocity must leave the
+event surface; ``build_jump_matrix`` alone adds u w^T, w the event-time row:
 
 * VelocityJumpEvent: unconstrained state, full-velocity jump map
   h(t, q, v, rho).
@@ -84,11 +86,12 @@ class EventSpec:
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         """(v_plus, delta_mu or None, dyn_plus, blocks) at the event state:
-        ``blocks(vdot_minus, vdot_plus, A, w)`` gives ((SQQ, SQG, SVQ, SVV,
-        SVG), named blocks) of S from the one-sided accelerations, the shared
-        full-vector position jump A = I - dv w and the event-time row w, on
-        the factors the jump itself used.  Threads share specs, so the
-        factors live in the closure, never on the spec."""
+        ``blocks(vdot_minus, vdot_plus)`` gives ((SQQ, SQG, SVQ, SVV, SVG),
+        rate_v, named blocks) from the one-sided accelerations, on the
+        factors the jump itself used: the kind's blocks of S0, its jump with
+        the event time held fixed, and rate_v, the velocity rows' rate
+        mismatch across the event.  Threads share specs, so the factors
+        live in the closure, never on the spec."""
         raise NotImplementedError
 
     def delta_mu_sensitivity(self, record, Q, V):
@@ -123,19 +126,18 @@ def _dependent_solve(spec, G, dep):
     return _constrained.checked_lu(G[:, dep], f"event '{spec.name}' dependent constraint block")
 
 
-def _dependent_blocks(dof, dep, G, lu, phi_rho, A):
+def _dependent_blocks(dof, dep, G, lu, phi_rho):
     """Dependent-coordinate part of a partitioned jump, from G = phi_q, the
     solve ``lu`` with its dependent block G_dep and phi_rho: R = -G_dep^-1
-    G_dof, D = -G_dep^-1 phi_rho and the position rows of S, SQQ (dof rows
-    A_dof, dependent rows R A_dof) and SQG (dependent rows D).
+    G_dof, D = -G_dep^-1 phi_rho and the position rows of S0, SQQ (dof rows
+    I_dof, dependent rows R in the dof columns) and SQG (dependent rows D).
     """
-    n, p = A.shape[0], phi_rho.shape[1]
+    n, p = G.shape[1], phi_rho.shape[1]
     R = -lu(G[:, dof])
     D = -lu(phi_rho)
-    A_dof = A[dof, :]
     SQQ = np.zeros((n, n))
-    SQQ[dof, :] = A_dof
-    SQQ[dep, :] = R @ A_dof
+    SQQ[dof, dof] = 1.0
+    SQQ[np.ix_(dep, dof)] = R
     SQG = np.zeros((n, p))
     SQG[dep, :] = D
     return R, D, SQQ, SQG
@@ -158,13 +160,12 @@ class VelocityJumpEvent(EventSpec):
                                self.jump, t, q, v, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
-        def blocks(vdot_minus, vdot_plus, A, w):
+        def blocks(vdot_minus, vdot_plus):
             n = v_minus.size
             ht, hq, hv, hrho = self.jacobians(t, q, v_minus, rho)
             bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
-            SVQ = hq + bracket.reshape(n, 1) @ w
-            named = {"Q_plus_wrt_Q": A, "V_plus_wrt_Q": SVQ, "h_v": hv, "h_rho": hrho}
-            return (A, np.zeros((n, rho.size)), SVQ, hv, hrho), named
+            return ((np.eye(n), np.zeros((n, rho.size)), hq, hv, hrho), bracket,
+                    {"h_v": hv, "h_rho": hrho})
 
         return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus), blocks
 
@@ -215,19 +216,22 @@ class ConstrainedElasticEvent(EventSpec):
         v_plus[dof] = v_dof_plus
         v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus))
 
-        def blocks(vdot_minus, vdot_plus, A, w):
-            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, lu, cons.jac_rho(t, q, rho), A)
+        def blocks(vdot_minus, vdot_plus):
+            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, lu, cons.jac_rho(t, q, rho))
             Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
             Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
 
             ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
             bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
-            B_dof = hq + bracket.reshape(-1, 1) @ w                  # (f, n)
-            # the dependent rows see the *post-jump* position sensitivities:
-            # V_dep+ = R V_dof+ + Rbar Q+ + C, with Q+ = SQQ Q- + SQG Gamma
+            # the dependent rows see the *post-jump* position sensitivities,
+            # V_dep+ = R V_dof+ + Rbar Q+ + C: R and Rbar carry the dof rows'
+            # and the position rows' blocks of S0 and their rate mismatch
             SVQ = np.zeros((n, n))
-            SVQ[dof, :] = B_dof
-            SVQ[dep, :] = R @ B_dof + Rbar @ SQQ
+            SVQ[dof, :] = hq
+            SVQ[dep, :] = R @ hq + Rbar @ SQQ
+            rate_v = np.empty(n)
+            rate_v[dof] = bracket
+            rate_v[dep] = R @ bracket + Rbar @ (SQQ @ (v_minus - v_plus))
             SVV = np.zeros((n, n))
             SVV[np.ix_(dof, dof)] = hv
             SVV[np.ix_(dep, dof)] = R @ hv
@@ -236,11 +240,10 @@ class ConstrainedElasticEvent(EventSpec):
             SVG[dof, :] = hrho
             SVG[dep, :] = K
             named = {
-                "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": SVV,
-                "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
+                "V_plus_wrt_V": SVV, "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
                 "h_v": hv, "h_rho": hrho,
             }
-            return (SQQ, SQG, SVQ, SVV, SVG), named
+            return (SQQ, SQG, SVQ, SVV, SVG), rate_v, named
 
         return v_plus, None, dyn_minus, blocks
 
@@ -275,7 +278,7 @@ class ConstrainedInelasticEvent(EventSpec):
             rhs[:n, n:2 * n] = M
             return factor, s[:n], s[n:], rhs
 
-        def blocks(vdot_minus, vdot_plus, A, w):
+        def blocks(vdot_minus, vdot_plus):
             J = _constrained.differentiate_saddle(
                 model, t, q, v_minus, rho,
                 lambda *z: np.concatenate(_constrained.impulse_solve(model, t, *z)),
@@ -283,15 +286,14 @@ class ConstrainedInelasticEvent(EventSpec):
             jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
             G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)
             R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, _dependent_solve(self, G, dep),
-                                               G_rho, A)
+                                               G_rho)
             bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
-            SVQ = jq[:n] + bracket.reshape(n, 1) @ w
             named = {
-                "Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, "V_plus_wrt_V": jv[:n],
-                "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n], "imp_v_rho": jrho[:n],
-                "imp_mu_q": jq[n:], "imp_mu_v": jv[n:], "imp_mu_rho": jrho[n:],
+                "V_plus_wrt_V": jv[:n], "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n],
+                "imp_v_rho": jrho[:n], "imp_mu_q": jq[n:], "imp_mu_v": jv[n:],
+                "imp_mu_rho": jrho[n:],
             }
-            return (SQQ, SQG, SVQ, jv[:n], jrho[:n]), named
+            return (SQQ, SQG, jq[:n], jv[:n], jrho[:n]), bracket, named
 
         return s[:n], s[n:], self.post_dynamics, blocks
 
@@ -472,18 +474,18 @@ def build_jump_matrix(dims: Dimensions, r_q: np.ndarray, v_minus: np.ndarray,
 
     r_q is dr/dq at the event.  One-sided accelerations are the respective
     right-hand sides evaluated at (t_eve, q, v-) and (t_eve, q, v+);
-    one-sided cost densities likewise.  The event kind supplies its position
-    and velocity blocks through ``blocks``, the closure its ``state_jump``
-    returned; the event-time row and the quadrature block are common to all
-    kinds.
+    one-sided cost densities likewise.  The event kind supplies its blocks
+    of S0 and the velocity rows' rate mismatch rate_v through ``blocks``,
+    the closure its ``state_jump`` returned.  The event-time term u w^T is
+    added here only: w the event-time row, u = [SQQ (v- - v+); rate_v;
+    g- - g+] the rate mismatch over the Q, V and Z rows.
     """
     n, nc = dims.n, g_plus.size
     w = event_time_row(r_q, v_minus)           # (1, n)
-    dv = (v_plus - v_minus).reshape(n, 1)
-    dg = (g_plus - g_minus).reshape(nc, 1)
-    A = np.eye(n) - dv @ w                      # full-vector position-sensitivity jump
-    SZQ = -dg @ w
-    own, named = blocks(vdot_minus, vdot_plus, A, w)
-    S = _assemble(dims, *own, SZQ)
-    named.update({"Z_plus_wrt_Q": SZQ, "dt_row": w})
-    return JumpMatrix(dims, named, S)
+    (SQQ, SQG, SVQ, SVV, SVG), rate_v, own = blocks(vdot_minus, vdot_plus)
+    u_Q = SQQ @ (v_minus - v_plus)
+    SQQ = SQQ + u_Q.reshape(n, 1) @ w
+    SVQ = SVQ + rate_v.reshape(n, 1) @ w
+    SZQ = -(g_plus - g_minus).reshape(nc, 1) @ w
+    named = {"Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, **own, "Z_plus_wrt_Q": SZQ, "dt_row": w}
+    return JumpMatrix(dims, named, _assemble(dims, SQQ, SQG, SVQ, SVV, SVG, SZQ))

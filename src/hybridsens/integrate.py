@@ -18,6 +18,7 @@ errors.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,8 +69,9 @@ class IntegratorConfig:
         # comparisons with NaN are false, so each test is written to fail on it
         if not all(np.isfinite(x) and x > 0 for x in (self.rtol, self.atol, self.event_tol)):
             raise ValueError("rtol, atol and event_tol must be finite and positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not (isinstance(self.max_steps, numbers.Integral)
+                and not isinstance(self.max_steps, bool) and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer of at least 1")
 
 
 EPS = np.finfo(float).eps

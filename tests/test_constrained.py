@@ -48,6 +48,17 @@ def tangential_velocity(q, speed):
     return speed * t_hat
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", np.inf), ("alpha", np.nan), ("alpha", 0.0), ("omega", np.inf),
+    ("omega", np.nan), ("xi", np.inf), ("xi", np.nan), ("xi", -1.0),
+])
+def test_penalty_config_rejects_non_finite_or_out_of_range(field, value):
+    # alpha=inf gave c = 1/alpha = 0 and ran silently as a different
+    # formulation; nan surfaced later as a misleading SingularKKTError
+    with pytest.raises(ValueError, match=field):
+        PenaltyConfig(**{field: value})
+
+
 def test_penalty_reduces_to_plain_when_alpha_small():
     model = pendulum_swing_model()
     q = hanging_state(0.4)

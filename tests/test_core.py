@@ -7,7 +7,6 @@ from hybridsens.core import (
     DimensionError,
     Dimensions,
     ParameterVector,
-    SensitivityState,
 )
 from hybridsens.model import CostFunctional
 
@@ -20,13 +19,6 @@ def test_dimensions_validation():
         Dimensions(n=2, p=0)
     with pytest.raises(DimensionError):
         CostFunctional(nc=0)
-
-
-def test_initial_sensitivity_blocks():
-    dims = Dimensions(n=2, p=2)
-    X = SensitivityState.initial(dims, 1, np.eye(2), np.zeros((2, 2)))
-    assert np.array_equal(X.Gamma, np.eye(2))
-    assert np.array_equal(X.Z, np.zeros((1, 2)))
 
 
 def test_nonfinite_state_rejected():

@@ -5,6 +5,7 @@ from hybridsens.core import AdjointState, Dimensions, SensitivityState
 from hybridsens.hybrid import (
     ConstrainedElasticEvent,
     ConstrainedInelasticEvent,
+    EventSpec,
     JumpMatrix,
     RhsSwitchEvent,
     StickingContactError,
@@ -619,6 +620,67 @@ def test_rhs_switch_gradients_agree():
                -v0 ** 2 * (1 - e2) / (2 * c ** 2) + v0 ** 2 * T * e2 / c
                - v0 * (1 - e1) / c ** 2 + v0 * T * e1 / c]]
     assert rel_err(grad, expect) < 1e-7
+
+
+class KickedFloor(EventSpec):
+    """A kind written against the documented protocol alone, inheriting no
+    built-in kind: a planar mass (x, y) hits the floor y = 0 and leaves it
+    with v+ = (vx - k vy, -e vy), restitution e = rho[2] and a tangential
+    kick k = rho[3] per unit of impact speed."""
+
+    def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        h_v = np.array([[1.0, -rho[3]], [0.0, -rho[2]]])
+
+        def blocks(vdot_minus, vdot_plus):
+            h_rho = np.array([[0.0, 0.0, 0.0, -v_minus[1]], [0.0, 0.0, -v_minus[1], 0.0]])
+            own = (np.eye(2), np.zeros((2, 4)), np.zeros((2, 2)), h_v, h_rho)
+            return own, h_v @ vdot_minus - vdot_plus, {"h_v": h_v, "h_rho": h_rho}
+
+        return h_v @ v_minus, None, dyn_minus, blocks
+
+
+def test_a_kind_written_against_the_protocol_gets_its_gradients():
+    # rho = (h0, vx0, e, k): dropped from height h0 with horizontal speed
+    # vx0, two floor contacts over [0, 1.5]
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import direct_gradient
+    from hybridsens.integrate import IntegratorConfig
+    from hybridsens.model import CostFunctional, InitialConditions, MultibodyModel, OdeDynamics
+    from hybridsens.oracle import fd_cost_sensitivity
+    from conftest import rel_err
+
+    model = MultibodyModel(
+        dims=Dimensions(n=2, p=4),
+        mass=lambda t, q, rho: np.eye(2),
+        force=lambda t, q, v, rho: np.array([0.0, -G]),
+        initial_state=lambda rho: InitialConditions(
+            np.array([0.0, rho[0]]), np.array([rho[1], 0.0]),
+            np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+            np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])),
+        force_partials=lambda t, q, v, rho: (np.zeros((2, 2)), np.zeros((2, 2)),
+                                             np.zeros((2, 4))),
+        mass_constant=True,
+    )
+    dyn = OdeDynamics(model)
+    events = [KickedFloor(name="floor", r=lambda q: q[1], dr_dq=lambda q: np.array([0.0, 1.0]),
+                          admissible=1.0)]
+    cost = CostFunctional(
+        nc=2,
+        g=lambda t, q, v, a, rho, u: np.array([q[0] * v[1], v[0] ** 2]),
+        g_partials=lambda t, q, v, a, rho, u: (
+            np.array([[v[1], 0.0], [0.0, 0.0]]), np.array([[0.0, q[0]], [2.0 * v[0], 0.0]]),
+            np.zeros((2, 2)), np.zeros((2, 4)), None),
+        w=lambda t, q, v, rho, u: np.array([q[0] + q[1], v[1]]),
+        w_partials=lambda t, q, v, rho, u: (
+            np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]),
+            np.zeros((2, 4)), None),
+    )
+    rho, t_span, config = np.array([1.0, 0.3, 0.8, 0.2]), (0.0, 1.5), IntegratorConfig()
+    grad, traj, _ = direct_gradient(dyn, cost, events, rho, t_span, config)
+    assert [rec.kind for rec in traj.events] == ["KickedFloor"] * 2
+    assert rel_err(propagate_adjoint(traj, cost).gradient, grad) <= 1e-10
+    fd = fd_cost_sensitivity(dyn, cost, events, rho, t_span, config, h_rel=1e-6)
+    assert rel_err(fd, grad) <= 1e-5
 
 
 def test_simulate_reads_r_q_once_per_event():

@@ -133,6 +133,8 @@ def test_two_roots_twice_the_event_tolerance_apart_are_not_simultaneous_on_any_s
 
 @pytest.mark.parametrize("field, value", [
     ("rtol", np.nan), ("atol", np.inf), ("event_tol", np.nan), ("event_tol", 0.0),
+    # max_steps=nan never limited (len(hs) >= nan is False); it must be an integer
+    ("max_steps", np.nan), ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
 ])
 def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError, match=field):

@@ -140,7 +140,7 @@ def reference_tangent(traj, cost, ic):
     tangent on rebuilt stage states, reusing each step's last stage as the
     next one's first; each step's seven stages are kept."""
     dims, rho, n, p = traj.dims, traj.rho, traj.dims.n, traj.dims.p
-    X = SensitivityState.initial(dims, cost.nc, ic.dq0_drho, ic.dv0_drho)
+    X = SensitivityState(ic.dq0_drho, ic.dv0_drho, np.eye(p), np.zeros((cost.nc, p)))
     nodes_per_segment, stages_per_segment = [], []
     for k, seg in enumerate(traj.segments):
         if k:
