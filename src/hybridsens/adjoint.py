@@ -7,9 +7,9 @@ to the first with the transposed Dormand-Prince stage recursion, the
 Jacobians evaluated at the stage states the forward step evaluated
 (Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
 No step control runs backward and the forward state is never
-interpolated.  Nothing is solved again either: each stage's acceleration
-is read from the stored stage derivatives and its multipliers from the
-forward pass's stage record, so the sweep calls only the Jacobians.  At
+interpolated.  Nothing is solved or rebuilt either: each stage's time,
+state, acceleration and multipliers are read from the forward pass's stage
+records, so the sweep calls only the Jacobians.  At
 each event the stored jump matrix acts through its transpose,
 lam- = S^T lam+, on the sweep's array [lamQ; lamV; lamGamma] as it is
 (``JumpMatrix.adjoint``), so the adjoint gradient equals the direct gradient
@@ -91,12 +91,9 @@ def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
 
     (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
     mu_i = adjoint_rhs(Y_i, theta_i, h w_i), the reversed-time derivative,
-    taken as returned.  The stage states Y_i are those the forward step
-    evaluated (``DenseSegment.step_stages``: the stored nodes where a stage
-    sits on one, the others rebuilt from the stored stages).  The stage's
-    acceleration is its stored derivative's v block and its saddle
-    multipliers are row 6k + i of the segment's record, both bitwise what
-    the dynamics returned at Y_i in the forward pass.  A full step has the
+    taken as returned.  The stage times, states Y_i, accelerations and
+    saddle multipliers are rows 6k + i of the segment's records
+    (``DenseSegment.step_stages``), bitwise what the forward step evaluated.  A full step has the
     weights w = B on six stages; the last step of a segment cut at an event
     reaches its end node through the continuous extension, with
     w = P [x, x^2, x^3, x^4] on all seven.

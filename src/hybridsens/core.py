@@ -15,6 +15,7 @@ return; ``stacked()`` forms the full matrix, identity block included.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Raised when array sizes are inconsistent with the declared dimensions."""
+
+
+def _check_size(name, value):
+    """Refuse a size that is not an integer of at least 1, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,8 @@ class Dimensions:
     p: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"n must be >= 1, got {self.n}")
-        if self.p < 1:
-            raise DimensionError(f"p must be >= 1, got {self.p}")
+        _check_size("n", self.n)
+        _check_size("p", self.p)
 
 
 @dataclass
@@ -65,6 +70,8 @@ class ParameterVector:
             raise DimensionError(
                 f"{len(self.labels)} labels for {self.rho.size} parameters"
             )
+        if len(set(self.labels)) != len(self.labels):
+            raise DimensionError(f"duplicate parameter labels in {self.labels}")
 
 
 @dataclass

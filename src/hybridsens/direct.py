@@ -5,8 +5,9 @@ number of outputs (one zero output without a cost): integrate a smooth
 segment until an event function changes sign, localize the event on the
 dense output, apply the velocity jump, build the sensitivity jump matrix,
 restart.  The run records its start (``HybridTrajectory.initial``), its
-cost and, per segment, the saddle multipliers of every accepted stage
-(``DenseSegment.multipliers``), which is all both sensitivity sweeps read.
+cost and, per segment, the time, state, derivative and saddle multipliers
+of every accepted stage (``DenseSegment.step_stages``), which is all both
+sensitivity sweeps read.
 
 ``propagate_direct(traj)``, the forward mirror of
 ``adjoint.propagate_adjoint(traj)``, is the discrete tangent of those steps:
@@ -209,8 +210,9 @@ def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
         X_i = X + h sum_{j<i} a_ij KX_j,  KX_i = tangent_rhs(Y_i, X_i),
         X_k+1 = X + h sum_i w_i KX_i,
 
-    on the forward step's stage states, accelerations and multipliers
-    (``DenseSegment.step_stages``), so nothing is solved again.  Returns
+    on the forward step's stage times, states, accelerations and
+    multipliers (``DenseSegment.step_stages``), so nothing is solved or
+    rebuilt.  Returns
     X_k+1 and all seven stages KX, the tangent's continuous extension.
     Stage 6 sits at the full step's end, so it is the next step's stage 0
     (``KX0``), as in the forward step; without it stage 0 is evaluated at
@@ -230,8 +232,8 @@ def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
 def _tangent_at(traj, seg: TrajectorySegment, t: float) -> np.ndarray:
     """The flattened tangent at t in ``seg`` (``HybridTrajectory.sensitivity_at``):
     the node row at a node (``DenseSegment.locate``), else step k covering t
-    swept again from node k, on the sweep's own stage clock, and its
-    continuous extension evaluated at t."""
+    swept again from node k on its recorded stages, and its continuous
+    extension evaluated at t."""
     dense, nodes = seg.dense, seg.tangent.node_states
     k, on_node, t = dense.locate(t)
     if on_node:

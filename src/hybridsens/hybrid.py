@@ -61,7 +61,7 @@ class EventSpec:
     ``admissible`` declares the sign (+1 or -1) r must have where a run
     starts, the side of the surface the model lives on; a run starting on
     the surface or past it raises ``InadmissibleStartError``.  0 (the
-    default) admits either side.
+    default) admits either side; any other value is refused.
 
     Each subclass is one event kind and owns everything specific to it:
     ``state_jump`` gives the post-event velocities and its blocks of the
@@ -75,6 +75,11 @@ class EventSpec:
     admissible: float = 0.0
 
     must_depart: ClassVar[bool] = True
+
+    def __post_init__(self):
+        if self.admissible not in (-1, 0, 1):
+            raise ValueError(f"event '{self.name}': admissible must be -1, 0 or +1, "
+                             f"got {self.admissible!r}")
 
     def r_value(self, q) -> float:
         return float(self.r(q))
@@ -177,6 +182,7 @@ class RhsSwitchEvent(VelocityJumpEvent):
     required ``post_dynamics``."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.post_dynamics is None:
             raise ValueError(f"event '{self.name}': a switch event needs post_dynamics")
         self.h = lambda t, q, v, rho: v.copy()

@@ -4,9 +4,10 @@ Stepping is the embedded Dormand-Prince Runge-Kutta 4(5) pair (non-stiff
 dynamics between events), ``RK45`` below: a port of scipy's stepper of the
 same name that keeps its arithmetic order, so every step is bitwise what
 scipy's would be, without importing ``scipy.integrate``.  Each accepted
-step keeps its stage derivatives, which give both the continuous extension
-(what the event root-finder and the state queries interpolate) and the
-stage states the discrete tangent and adjoint of the step are evaluated at
+step keeps the time, state and derivative of each stage it evaluated:
+the derivatives give the continuous extension (what the event root-finder
+and the state queries interpolate), and all of them the stages the discrete
+tangent and adjoint of the step are evaluated at
 (``DenseSegment.step_stages``).  Everything event-related is implemented
 here: sign-change detection on the dense output, bracketed root
 refinement (Illinois regula falsi with bisection safeguards and a closing
@@ -305,7 +306,6 @@ class RK45:
 RK_A = np.zeros((7, 7))
 RK_A[:6, :5] = RK45.A
 RK_A[6, :6] = RK45.B
-RK_C = np.append(RK45.C, 1.0)
 # (stage, its row of A up to the diagonal, c) for stages 1..5, the slices
 # scipy's rk_step takes at every stage
 _RK_STAGES = tuple((s, RK45.A[s, :s], RK45.C[s]) for s in range(1, RK45.n_stages))
@@ -334,12 +334,13 @@ class DenseSegment:
     stepper's stage derivatives ``K`` as one read-only (6 * len(steps) + 1,
     dim) array: row 6k + i is stage i of step k, so row 6k + 6 is both the
     derivative at the end of step k and stage 0 of step k + 1 (FSAL), and
-    step k's seven rows are the view ``stages[6k:6k + 7]``.  A hybrid run
-    also records ``multipliers``, read-only in the same layout: row 6k + i
-    holds the multipliers of the dynamics' saddle solve at stage i of step
-    k.  Inside a step the continuous extension is evaluated bitwise as
-    scipy's dense output; at a stored node the stored state is returned
-    verbatim.  ``truncated`` marks a segment whose last node is an event
+    step k's seven rows are the view ``stages[6k:6k + 7]``.  A forward run
+    also records, read-only in the same layout, the time and state each
+    stage was evaluated at (``stage_times``, ``stage_states``) and, for a
+    hybrid run, the multipliers of the dynamics' saddle solve there
+    (``multipliers``).  Inside a step the continuous extension is
+    evaluated bitwise as scipy's dense output; at a stored node the stored
+    state is returned verbatim.  ``truncated`` marks a segment whose last node is an event
     root inside its last step, reached by the continuous extension rather
     than by the full step.
     """
@@ -350,15 +351,17 @@ class DenseSegment:
     steps: np.ndarray
     truncated: bool = False
     multipliers: np.ndarray | None = None
+    stage_times: np.ndarray | None = None
+    stage_states: np.ndarray | None = None
 
     _BOUNDARY_SLACK = 1e-12
 
     def __post_init__(self):
-        self.stages = np.asarray(self.stages, dtype=float)
-        self.stages.flags.writeable = False
-        if self.multipliers is not None:
-            self.multipliers = np.array(self.multipliers, dtype=float)
-            self.multipliers.flags.writeable = False
+        for name in ("stages", "multipliers", "stage_times", "stage_states"):
+            if getattr(self, name) is not None:
+                record = np.asarray(getattr(self, name), dtype=float)
+                record.flags.writeable = False
+                setattr(self, name, record)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -386,35 +389,18 @@ class DenseSegment:
 
     def step_stages(self, k: int, n: int):
         """(h, w, times, states, vdot, mu) of step k, for the discrete
-        tangent and adjoint sweeps over a state [q (n); v (n); ...].
-
-        w weighs the stages in the step's end node: B on six for a full
-        step, P [x, x^2, x^3, x^4] on all seven for the last step of a
-        segment cut at an event (reached by the continuous extension).  The
-        seven stage states Y_i = y_k + h sum_{j<i} a_ij K_j are the states
-        the forward step evaluated: stage 0 is node k and, on a full step,
-        stage 6 is node k + 1, both read as stored; stages 1..5, and stage 6
-        of a truncated step, are rebuilt in the forward step's arithmetic.
-        The stage times are the forward pass's, t_k + c_i h, but stage 0 of
-        step k > 0 at t_k-1 + h_k-1, where step k - 1 evaluated it (FSAL).
-        Their accelerations (v block of K) and multipliers are step k's rows
-        of the record, bitwise what the dynamics returned there."""
-        rows = slice(6 * k, 6 * k + 7)
-        t_old, y_old = self.node_times[k], self.node_states[k]
-        h, K = self.steps[k], self.stages[rows]
-        times = t_old + RK_C * h
-        if k:
-            times[0] = self.node_times[k - 1] + self.steps[k - 1]
-        states = [y_old]
-        states += [y_old + np.dot(K[:i].T, RK_A[i, :i]) * h for i in range(1, RK45.n_stages)]
+        tangent and adjoint sweeps over a state [q (n); v (n); ...]: step
+        k's seven rows of the records, the times, states, accelerations (v
+        block of ``stages``) and multipliers the forward step evaluated, as
+        stored.  w weighs the stages in the step's end node: B on six for a
+        full step, P [x, x^2, x^3, x^4] on all seven for the last step of a
+        segment cut at an event (reached by the continuous extension)."""
+        rows, w = slice(6 * k, 6 * k + 7), RK45.B
         if self.truncated and k == len(self) - 1:
-            x = (self.node_times[k + 1] - t_old) / h
+            x = (self.node_times[k + 1] - self.node_times[k]) / self.steps[k]
             w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
-            states.append(y_old + h * np.dot(K[:-1].T, RK45.B))
-        else:
-            w = RK45.B
-            states.append(self.node_states[k + 1])
-        return h, w, times, states, K[:, n:2 * n], self.multipliers[rows]
+        return (self.steps[k], w, self.stage_times[rows], self.stage_states[rows],
+                self.stages[rows, n:2 * n], self.multipliers[rows])
 
 
 @dataclass
@@ -607,13 +593,11 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     tolerance of each other are reported as an error: there is no defined
     ordering for simultaneous events.
 
-    The stage record (``DenseSegment.stages``) takes rows 0..5 of the
-    stepper's ``K`` after each accepted step, and the last step's row 6
-    when the segment ends: row 0 of every later step is the previous
-    step's row 6 (FSAL), stored once.  ``multipliers`` takes the mu of the
-    same stages in the same layout: f(t0, y0)'s, then each step's last
-    n_stages (stages 1..6 of the accepted attempt); those of the
-    initial-step probe and of rejected attempts are dropped.
+    Each evaluation's (t, y, f, mu) is kept: the segment's records
+    (``stage_times``, ``stage_states``, ``stages`` and ``multipliers``,
+    None where mu is) take the evaluation at (t0, y0), then each accepted
+    step's last n_stages (stages 1..6 of the accepted attempt); those of
+    the initial-step probe and of rejected attempts are dropped.
 
     ``first_step``, if given, is the solver's first step
     (``RK45(first_step=...)``), as a hybrid run restarts after an event
@@ -641,20 +625,18 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         raise IntegrationError(f"right-hand side at t={t0}: expected (f, mu) with f finite "
                                f"and of the state's shape {y0.shape}")
 
-    evaluated = []  # the mu rows since the last accepted step
+    evaluated = []  # (t, y, f, mu) of each evaluation since the last accepted step
 
     def fun(t, y):
         nonlocal start
         (f, mu), start = start or rhs(t, y), None  # the first call takes start
-        if mu is not None:
-            evaluated.append(mu)
+        evaluated.append((t, y, f, mu))
         return f
     solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol, first_step=first_step)
-    mu_rows = evaluated[:1]
+    record = evaluated[:1]
 
     node_times = [t0]
     node_states = [y0.copy()]
-    stages: list = []  # rows 0..5 of each accepted step's K
     hs: list = []
     # fixed per segment: a function is held only between segments
     watched = [(i, fn) for i, fn in enumerate(event_fns)
@@ -681,14 +663,13 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
             raise IntegrationError(f"integration failed at t={solver.t:.6g}: {msg}")
 
         t_old, y_old = node_times[-1], node_states[-1]
-        h, K = solver.h_previous, solver.K
-        stages.append(K[:-1].copy())
+        h = solver.h_previous
         hs.append(h)
-        mu_rows += evaluated[-solver.n_stages:]
+        record += evaluated[-solver.n_stages:]
         evaluated.clear()
         t_new, y_new = solver.t, solver.y.copy()
 
-        Q = K.T.dot(RK45.P)
+        Q = solver.K.T.dot(RK45.P)
 
         def dense(s):
             return _rk_dense(t_old, y_old, h, Q, s)
@@ -740,7 +721,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         node_times.append(t_new)
         node_states.append(y_new)
 
-    stages.append(solver.K[-1:])
-    seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), np.concatenate(stages),
-                       np.asarray(hs), truncated=hit is not None, multipliers=mu_rows or None)
+    times, states, stages, mu = zip(*record)
+    seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages, np.asarray(hs),
+                       truncated=hit is not None, multipliers=None if mu[0] is None else mu,
+                       stage_times=times, stage_states=states)
     return seg, hit

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .core import DimensionError, Dimensions
+from .core import DimensionError, Dimensions, _check_size
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -433,8 +433,7 @@ class CostFunctional:
     name: str = "cost"
 
     def __post_init__(self):
-        if self.nc < 1:
-            raise DimensionError(f"nc must be >= 1, got {self.nc}")
+        _check_size("nc", self.nc)
 
     # -- raw evaluations ----------------------------------------------------
 

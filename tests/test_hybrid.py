@@ -703,6 +703,18 @@ def test_rhs_switch_requires_post_dynamics():
         RhsSwitchEvent(name="switch", r=lambda q: q[0])
 
 
+@pytest.mark.parametrize("admissible", [np.nan, -3.0, 0.5, 2])
+@pytest.mark.parametrize("kind", [VelocityJumpEvent, RhsSwitchEvent, ConstrainedElasticEvent])
+def test_event_admissible_side_is_refused_unless_a_sign(kind, admissible):
+    # a NaN would fail every start and another value would pass as its sign,
+    # so the spec refuses it when built, naming the event
+    extra = {"post_dynamics": object()} if kind is RhsSwitchEvent else {}
+    with pytest.raises(ValueError, match="event 'floor': admissible must be -1, 0 or \\+1"):
+        kind(name="floor", r=lambda q: q[0], admissible=admissible, **extra)
+    for side in (-1.0, 0, 1):
+        assert kind(name="floor", r=lambda q: q[0], admissible=side, **extra).admissible == side
+
+
 @pytest.mark.parametrize("e", [0.0, 1e-9])
 def test_sticking_contact_rejected(e):
     # a bounce that does not leave the ground would let the mass fall

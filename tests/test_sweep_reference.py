@@ -1,11 +1,11 @@
 """Byte-for-byte references for the sensitivity sweeps and the saddle partials.
 
-The sweeps take the stage states a forward step evaluated from the stored
-nodes where a stage sits on one, and the adjoint stages use the
-reversed-time derivative ``adjoint_rhs`` returns as it is.  The references
-here keep the plain conventions instead: all seven stage states rebuilt from
-the stored stages, and the adjoint stage mu_i = -lam' from the forward-time
-derivative lam'.  Both must give the same bytes: a change in the order of an
+The sweeps read the stage times and states a forward step evaluated from
+the segment's records, and the adjoint stages use the reversed-time
+derivative ``adjoint_rhs`` returns as it is.  The references here keep the
+plain conventions instead: all seven stage states and times rebuilt from the
+stored nodes and stages, and the adjoint stage mu_i = -lam' from the
+forward-time derivative lam'.  Both must give the same bytes: a change in the order of an
 operation moves the gradients by round-off only, so only a bytewise check
 catches it."""
 
@@ -30,10 +30,13 @@ from hybridsens.gallery import (
     pendulum,
     pendulum_model,
 )
-from hybridsens.integrate import RK45, RK_A, RK_C, DenseSegment, integrate_segment
+from hybridsens.integrate import RK45, RK_A, DenseSegment, integrate_segment
 from hybridsens.model import CostFunctional, cost_density_gradients, terminal_cost_gradients
 from conftest import columns, forced_mass
 from test_constrained import five_bar_states, pendulum_states
+
+# the Dormand-Prince nodes c_i, with c = 1 for the derivative at the step end
+RK_C = np.append(RK45.C, 1.0)
 
 
 def rebuilt_stages(dense, k, n):
