@@ -137,7 +137,10 @@ def _setup(cfg):
 
 def _outdir(args) -> Path:
     out = Path(args.out or "runout")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot use {out} as the output directory: {exc}") from exc
     return out
 
 

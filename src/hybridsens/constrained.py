@@ -152,7 +152,7 @@ class _SaddleDynamics:
     _what = "KKT matrix"
 
     def __init__(self, model: MultibodyModel):
-        if model.constraints is None or model.constraints.m == 0:
+        if model.constraints is None:
             raise ValueError(f"{type(self).__name__} needs a constrained model")
         self.model = model
         self.dims = model.dims

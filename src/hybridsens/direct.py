@@ -310,8 +310,8 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
         vdot_plus, mu_p = dyn_plus.accel_and_multipliers(t_eve, q, v_plus, rho)
         g_minus = integrand.g_value(t_eve, q, v_minus, vdot_minus, rho, mu=mu_m)
         g_plus = integrand.g_value(t_eve, q, v_plus, vdot_plus, rho, mu=mu_p)
-        jump = build_jump_matrix(dims, r_q, v_minus, v_plus, vdot_minus, vdot_plus,
-                                 g_minus, g_plus, blocks)
+        jump = build_jump_matrix(dims, r_q, v_minus, vdot_minus, vdot_plus, g_minus, g_plus,
+                                 blocks)
         records.append(EventRecord(
             spec=spec, t_eve=t_eve, q=q.copy(), v_minus=v_minus.copy(),
             v_plus=v_plus.copy(), vdot_minus=vdot_minus, z=z.copy(), jump=jump,

@@ -5,9 +5,11 @@ continuous while the velocities jump; forward sensitivities therefore jump
 as X+ = S X- with a generalized jump matrix S assembled per event kind, and
 adjoints jump backward as lam- = S^T lam+, S = S0 + u w^T.  Each event
 kind is one EventSpec subclass that owns its state jump, which hands over
-S0 (its jump with the event time held fixed) and the velocity rows of u
-(the rate mismatch), and whether its post-event velocity must leave the
-event surface; ``build_jump_matrix`` alone adds u w^T, w the event-time row:
+S0, its jump with the event time held fixed as one (2n, 2n + p) block
+(rows [Q; V], columns [q | v | rho]), and u, the rate mismatch over those
+rows, and whether its post-event velocity must leave the event surface;
+``build_jump_matrix`` alone adds u w^T, w the event-time row, and the
+quadrature rows (g- - g+) w:
 
 * VelocityJumpEvent: unconstrained state, full-velocity jump map
   h(t, q, v, rho).
@@ -19,11 +21,12 @@ event surface; ``build_jump_matrix`` alone adds u w^T, w the event-time row:
 * ConstrainedInelasticEvent: a new constraint set engages and an impulsive
   KKT solve produces the post-event velocities and impulse multipliers.
 
-Every S is stored both as named blocks and as one dense matrix over the
-stacked [Q; V; Gamma; Z] ordering, so that the direct jump, the adjoint
-jump, and the bilinear identity (S^T lam)^T X = lam^T (S X) are exact by
-construction.  The sweeps apply S and S^T to their own arrays, which leave
-out the identity blocks (``JumpMatrix.direct`` and ``JumpMatrix.adjoint``).
+Every S is one dense matrix over the stacked [Q; V; Gamma; Z] ordering,
+so that the direct jump, the adjoint jump, and the bilinear identity
+(S^T lam)^T X = lam^T (S X) are exact by construction; its named blocks
+are views of it or the kind's own factors.  The sweeps apply S and S^T to
+their own arrays, which leave out the identity blocks
+(``JumpMatrix.direct`` and ``JumpMatrix.adjoint``).
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class EventSpec:
     default) admits either side; any other value is refused.
 
     Each subclass is one event kind and owns everything specific to it:
-    ``state_jump`` gives the post-event velocities and its blocks of the
+    ``state_jump`` gives the post-event velocities and its part of the
     sensitivity jump matrix S, and ``must_depart`` whether the post-event
-    velocity must leave the event surface.
+    velocity must leave the event surface.  Its ``_required`` fields may not be None.
     """
 
     name: str
@@ -75,11 +78,15 @@ class EventSpec:
     admissible: float = 0.0
 
     must_depart: ClassVar[bool] = True
+    _required: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self):
         if self.admissible not in (-1, 0, 1):
             raise ValueError(f"event '{self.name}': admissible must be -1, 0 or +1, "
                              f"got {self.admissible!r}")
+        for field in self._required:
+            if getattr(self, field) is None:
+                raise ValueError(f"event '{self.name}': {type(self).__name__} needs {field}")
 
     def r_value(self, q) -> float:
         return float(self.r(q))
@@ -91,12 +98,13 @@ class EventSpec:
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         """(v_plus, delta_mu or None, dyn_plus, blocks) at the event state:
-        ``blocks(vdot_minus, vdot_plus)`` gives ((SQQ, SQG, SVQ, SVV, SVG),
-        rate_v, named blocks) from the one-sided accelerations, on the
-        factors the jump itself used: the kind's blocks of S0, its jump with
-        the event time held fixed, and rate_v, the velocity rows' rate
-        mismatch across the event.  Threads share specs, so the factors
-        live in the closure, never on the spec."""
+        ``blocks(vdot_minus, vdot_plus)`` gives (S0, u, named blocks) from
+        the one-sided accelerations, on the factors the jump itself used:
+        S0, the kind's jump with the event time held fixed, one (2n, 2n + p)
+        array over the rows [Q; V] and the columns [q | v | rho], and u, the
+        (2n,) rate mismatch across the event over those rows, its Q part
+        S0_QQ (v- - v+).  Threads share specs, so the factors live in the
+        closure, never on the spec."""
         raise NotImplementedError
 
     def delta_mu_sensitivity(self, record, Q, V):
@@ -134,18 +142,18 @@ def _dependent_solve(spec, G, dep):
 def _dependent_blocks(dof, dep, G, lu, phi_rho):
     """Dependent-coordinate part of a partitioned jump, from G = phi_q, the
     solve ``lu`` with its dependent block G_dep and phi_rho: R = -G_dep^-1
-    G_dof, D = -G_dep^-1 phi_rho and the position rows of S0, SQQ (dof rows
-    I_dof, dependent rows R in the dof columns) and SQG (dependent rows D).
+    G_dof, D = -G_dep^-1 phi_rho and P, the position rows of S0 over
+    [q | v | rho]: dof rows I_dof in the dof columns, dependent rows R
+    there and D in the rho columns.
     """
     n, p = G.shape[1], phi_rho.shape[1]
     R = -lu(G[:, dof])
     D = -lu(phi_rho)
-    SQQ = np.zeros((n, n))
-    SQQ[dof, dof] = 1.0
-    SQQ[np.ix_(dep, dof)] = R
-    SQG = np.zeros((n, p))
-    SQG[dep, :] = D
-    return R, D, SQQ, SQG
+    P = np.zeros((n, 2 * n + p))
+    P[dof, dof] = 1.0
+    P[np.ix_(dep, dof)] = R
+    P[dep, 2 * n:] = D
+    return R, D, P
 
 
 @dataclass
@@ -156,6 +164,7 @@ class VelocityJumpEvent(EventSpec):
     h: Callable = None
     h_partials: Callable | None = None
     post_dynamics: object = None
+    _required = ("h",)
 
     def jump(self, t, q, v, rho) -> np.ndarray:
         return np.asarray(self.h(t, q, v, rho), dtype=float)
@@ -165,14 +174,17 @@ class VelocityJumpEvent(EventSpec):
                                self.jump, t, q, v, rho)
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
+        v_plus = self.jump(t, q, v_minus, rho)
+
         def blocks(vdot_minus, vdot_plus):
             n = v_minus.size
             ht, hq, hv, hrho = self.jacobians(t, q, v_minus, rho)
-            bracket = hq @ v_minus - vdot_plus + hv @ vdot_minus + ht
-            return ((np.eye(n), np.zeros((n, rho.size)), hq, hv, hrho), bracket,
-                    {"h_v": hv, "h_rho": hrho})
+            S0 = np.vstack([np.eye(n, 2 * n + rho.size), np.hstack([hq, hv, hrho])])
+            u = np.concatenate([v_minus - v_plus,
+                                hq @ v_minus - vdot_plus + hv @ vdot_minus + ht])
+            return S0, u, {"h_v": hv, "h_rho": hrho}
 
-        return self.jump(t, q, v_minus, rho), None, (self.post_dynamics or dyn_minus), blocks
+        return v_plus, None, (self.post_dynamics or dyn_minus), blocks
 
 
 @dataclass
@@ -181,13 +193,13 @@ class RhsSwitchEvent(VelocityJumpEvent):
     velocity jump whose map h and partials are set to the identity, onto a
     required ``post_dynamics``."""
 
+    _required = ("h", "post_dynamics")
+
     def __post_init__(self):
-        super().__post_init__()
-        if self.post_dynamics is None:
-            raise ValueError(f"event '{self.name}': a switch event needs post_dynamics")
         self.h = lambda t, q, v, rho: v.copy()
         self.h_partials = lambda t, q, v, rho: (np.zeros(v.size), np.zeros((v.size, q.size)),
                                                 np.eye(v.size), np.zeros((v.size, rho.size)))
+        super().__post_init__()
 
 
 @dataclass
@@ -203,6 +215,7 @@ class ConstrainedElasticEvent(EventSpec):
     dof_jump: Callable = None  # (t, q, v_dof, rho) -> (f,)
     dof: tuple[int, ...] = None  # independent coordinates; the rest are dependent
     dof_jump_partials: Callable | None = None
+    _required = ("dof_jump", "dof")
 
     def jump_dof(self, t, q, v_dof, rho) -> np.ndarray:
         return np.asarray(self.dof_jump(t, q, v_dof, rho), dtype=float)
@@ -223,33 +236,29 @@ class ConstrainedElasticEvent(EventSpec):
         v_plus[dep] = lu(-(G[:, dof] @ v_dof_plus))
 
         def blocks(vdot_minus, vdot_plus):
-            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, lu, cons.jac_rho(t, q, rho))
+            R, D, P = _dependent_blocks(dof, dep, G, lu, cons.jac_rho(t, q, rho))
             Rbar = -lu(cons.qq_action(t, q, rho, v_plus))
             Cblk = -lu(cons.q_rho_action(t, q, rho, v_plus))
 
             ht, hq, hv, hrho = self.jacobians(t, q, v_minus[dof], rho)
-            bracket = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
+            S0 = np.zeros((2 * n, 2 * n + rho.size))
+            S0[:n] = P
+            V = S0[n:]
+            V[dof, :n], V[np.ix_(dof, np.add(n, dof))], V[dof, 2 * n:] = hq, hv, hrho
+            u_Q, u_V = P[:, :n] @ (v_minus - v_plus), np.empty(n)
+            u_V[dof] = hq @ v_minus - vdot_plus[dof] + hv @ vdot_minus[dof] + ht
             # the dependent rows see the *post-jump* position sensitivities,
             # V_dep+ = R V_dof+ + Rbar Q+ + C: R and Rbar carry the dof rows'
-            # and the position rows' blocks of S0 and their rate mismatch
-            SVQ = np.zeros((n, n))
-            SVQ[dof, :] = hq
-            SVQ[dep, :] = R @ hq + Rbar @ SQQ
-            rate_v = np.empty(n)
-            rate_v[dof] = bracket
-            rate_v[dep] = R @ bracket + Rbar @ (SQQ @ (v_minus - v_plus))
-            SVV = np.zeros((n, n))
-            SVV[np.ix_(dof, dof)] = hv
-            SVV[np.ix_(dep, dof)] = R @ hv
-            K = Cblk + R @ hrho + Rbar @ SQG
-            SVG = np.zeros((n, rho.size))
-            SVG[dof, :] = hrho
-            SVG[dep, :] = K
+            # and the position rows' S0 and rate mismatch, C the rho columns
+            RV = R @ V[dof]
+            RV[:, 2 * n:] += Cblk
+            V[dep] = RV + Rbar @ P
+            u_V[dep] = R @ u_V[dof] + Rbar @ u_Q
             named = {
-                "V_plus_wrt_V": SVV, "D": D, "K": K, "R": R, "Rbar": Rbar, "C": Cblk,
-                "h_v": hv, "h_rho": hrho,
+                "V_plus_wrt_V": V[:, n:2 * n], "D": D, "K": V[dep, 2 * n:], "R": R,
+                "Rbar": Rbar, "C": Cblk, "h_v": hv, "h_rho": hrho,
             }
-            return (SQQ, SQG, SVQ, SVV, SVG), rate_v, named
+            return S0, np.concatenate([u_Q, u_V]), named
 
         return v_plus, None, dyn_minus, blocks
 
@@ -268,6 +277,7 @@ class ConstrainedInelasticEvent(EventSpec):
     dof: tuple[int, ...] = None  # independent coordinates; the rest are dependent
 
     must_depart: ClassVar[bool] = False
+    _required = ("post_dynamics", "dof")
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         """``impulse_system`` gives [v+; dmu] and the factor its blocks
@@ -291,15 +301,15 @@ class ConstrainedInelasticEvent(EventSpec):
                 rhs_partials)
             jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
             G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)
-            R, D, SQQ, SQG = _dependent_blocks(dof, dep, G, _dependent_solve(self, G, dep),
-                                               G_rho)
-            bracket = jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus
+            R, D, P = _dependent_blocks(dof, dep, G, _dependent_solve(self, G, dep), G_rho)
+            u = np.concatenate([P[:, :n] @ (v_minus - s[:n]),
+                                jq[:n] @ v_minus + jv[:n] @ vdot_minus - vdot_plus])
             named = {
                 "V_plus_wrt_V": jv[:n], "D": D, "R": R, "imp_v_q": jq[:n], "imp_v_v": jv[:n],
                 "imp_v_rho": jrho[:n], "imp_mu_q": jq[n:], "imp_mu_v": jv[n:],
                 "imp_mu_rho": jrho[n:],
             }
-            return (SQQ, SQG, jq[:n], jv[:n], jrho[:n]), bracket, named
+            return np.vstack([P, J[:n]]), u, named
 
         return s[:n], s[n:], self.post_dynamics, blocks
 
@@ -322,7 +332,8 @@ class ConstrainedInelasticEvent(EventSpec):
 class JumpMatrix:
     """Generalized sensitivity jump matrix for one event.
 
-    ``blocks`` holds the named sub-matrices used to assemble S; ``S`` is the
+    ``blocks`` holds the q columns of S's Q, V and Z rows as views of S, the
+    event-time row and the factors the kind formed S0 from; ``S`` is the
     dense (2n+p+nc) square matrix over [Q; V; Gamma; Z].  The Gamma and Z
     diagonal blocks are exact identities.
 
@@ -453,45 +464,27 @@ def check_departure(spec: EventSpec, r_q: np.ndarray, v_minus: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _assemble(dims: Dimensions, SQQ, SQG, SVQ, SVV, SVG, SZQ) -> np.ndarray:
-    """Place named blocks into the dense stacked matrix.
-
-    Row/column order is [Q (n); V (n); Gamma (p); Z (nc)], nc the rows of
-    SZQ.  Blocks not listed are zero except the exact identity on Gamma
-    and Z."""
-    n, p, nc = dims.n, dims.p, SZQ.shape[0]
-    S = np.zeros((2 * n + p + nc, 2 * n + p + nc))
-    iQ, iV, iG, iZ = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + p), slice(2 * n + p, None)
-    S[iQ, iQ] = SQQ
-    S[iQ, iG] = SQG
-    S[iV, iQ] = SVQ
-    S[iV, iV] = SVV
-    S[iV, iG] = SVG
-    S[iG, iG] = np.eye(p)
-    S[iZ, iQ] = SZQ
-    S[iZ, iZ] = np.eye(nc)
-    return S
-
-
 def build_jump_matrix(dims: Dimensions, r_q: np.ndarray, v_minus: np.ndarray,
-                      v_plus: np.ndarray, vdot_minus: np.ndarray, vdot_plus: np.ndarray,
+                      vdot_minus: np.ndarray, vdot_plus: np.ndarray,
                       g_minus: np.ndarray, g_plus: np.ndarray, blocks) -> JumpMatrix:
     """Assemble the generalized sensitivity jump matrix for one event.
 
     r_q is dr/dq at the event.  One-sided accelerations are the respective
     right-hand sides evaluated at (t_eve, q, v-) and (t_eve, q, v+);
-    one-sided cost densities likewise.  The event kind supplies its blocks
-    of S0 and the velocity rows' rate mismatch rate_v through ``blocks``,
-    the closure its ``state_jump`` returned.  The event-time term u w^T is
-    added here only: w the event-time row, u = [SQQ (v- - v+); rate_v;
-    g- - g+] the rate mismatch over the Q, V and Z rows.
+    one-sided cost densities likewise.  The event kind supplies S0 over
+    [q | v | rho] and u, the rate mismatch over its Q and V rows, through
+    ``blocks``, the closure its ``state_jump`` returned.  S starts as the
+    identity over [Q; V; Gamma; Z]: S0 fills the Q and V rows and the
+    event-time term u w^T, w the event-time row, is added here only, in
+    the q columns, with the Z rows' (g- - g+) w.
     """
-    n, nc = dims.n, g_plus.size
+    n, p, nc = dims.n, dims.p, g_plus.size
     w = event_time_row(r_q, v_minus)           # (1, n)
-    (SQQ, SQG, SVQ, SVV, SVG), rate_v, own = blocks(vdot_minus, vdot_plus)
-    u_Q = SQQ @ (v_minus - v_plus)
-    SQQ = SQQ + u_Q.reshape(n, 1) @ w
-    SVQ = SVQ + rate_v.reshape(n, 1) @ w
-    SZQ = -(g_plus - g_minus).reshape(nc, 1) @ w
-    named = {"Q_plus_wrt_Q": SQQ, "V_plus_wrt_Q": SVQ, **own, "Z_plus_wrt_Q": SZQ, "dt_row": w}
-    return JumpMatrix(dims, named, _assemble(dims, SQQ, SQG, SVQ, SVV, SVG, SZQ))
+    S0, u, own = blocks(vdot_minus, vdot_plus)
+    S = np.eye(2 * n + p + nc)
+    S[:2 * n, :2 * n + p] = S0
+    S[:2 * n, :n] += u.reshape(2 * n, 1) @ w
+    S[2 * n + p:, :n] = -(g_plus - g_minus).reshape(nc, 1) @ w
+    named = {"Q_plus_wrt_Q": S[:n, :n], "V_plus_wrt_Q": S[n:2 * n, :n], **own,
+             "Z_plus_wrt_Q": S[2 * n + p:, :n], "dt_row": w}
+    return JumpMatrix(dims, named, S)

@@ -220,6 +220,7 @@ class ConstraintSet:
     one_sided: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_size("m", self.m)
         self.one_sided = tuple(int(i) for i in self.one_sided)
         if len(set(self.one_sided)) != len(self.one_sided) or not all(
                 0 <= i < self.m for i in self.one_sided):

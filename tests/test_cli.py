@@ -51,6 +51,21 @@ def test_fd_check_bad_h_rel_exits_2(tmp_path, capsys, h_rel):
     assert "h_rel must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("where", ["file", "below-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, command, where):
+    # an --out that names a file, or a path below one, is a usage error
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "sub"
+    argv = [command, "--out", str(out)]
+    if command == "simulate":
+        argv += ["--model", "bouncing-mass"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use") and "numerical failure" not in err
+
+
 def test_fd_check_non_finite_gradient_exits_1(tmp_path, capsys, monkeypatch):
     # a NaN in the last parameter's FD column must survive into that row's
     # max_rel_diff and the worst value, and fail the command

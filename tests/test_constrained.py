@@ -329,14 +329,20 @@ def test_dynamics_keeps_no_per_call_state(make, t_span):
 
 
 def test_dae_solve_unconstrained_limit():
-    # both constrained formulations refuse a model without constraints
+    # both constrained formulations refuse a model without constraints, and
+    # an empty constraint set is refused where it is built
     free = pendulum_model(constrained=False)
-    empty = dataclasses.replace(
-        free, constraints=ConstraintSet(m=0, phi=lambda t, q, rho: np.zeros(0)))
     for make in FORMULATIONS.values():
-        for model in (free, empty):
-            with pytest.raises(ValueError):
-                make(model)
+        with pytest.raises(ValueError):
+            make(free)
+    with pytest.raises(DimensionError):
+        ConstraintSet(m=0, phi=lambda t, q, rho: np.zeros(0))
+
+
+@pytest.mark.parametrize("m", [2.0, True, -1, 0, float("nan")])
+def test_constraint_count_must_be_a_positive_integer(m):
+    with pytest.raises(DimensionError, match="m must be an integer >= 1"):
+        ConstraintSet(m=m, phi=lambda t, q, rho: np.zeros(1))
 
 
 def test_dae_solve_pendulum_closed_form():

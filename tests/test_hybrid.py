@@ -174,7 +174,7 @@ def test_capture_impulse_partials_match_closed_form():
         t = rng.uniform(0.0, 1.0)
         vp, _, dyn_plus, own = apply_state_jump(spec, t, q, v, rho, dyn)
         zero = np.zeros(1)
-        blocks = build_jump_matrix(dyn.dims, spec.r_jac(q), v, vp, dyn.accel(t, q, v, rho),
+        blocks = build_jump_matrix(dyn.dims, spec.r_jac(q), v, dyn.accel(t, q, v, rho),
                                    dyn_plus.accel(t, q, vp, rho), zero, zero, own).blocks
         for name, f in closed.items():
             want = np.array(f(q, v, rho), dtype=float)
@@ -206,7 +206,7 @@ def test_an_event_factors_each_matrix_once(monkeypatch, model, tf, factorization
     vdp = dyn_plus.accel(t, q, vp, rho)
     del calls[before:]
     zero = np.zeros(1)  # a run without a cost integrates one zero quadrature
-    jump = build_jump_matrix(dyn.dims, rec.spec.r_jac(q), vm, vp, vdm, vdp, zero, zero, blocks)
+    jump = build_jump_matrix(dyn.dims, rec.spec.r_jac(q), vm, vdm, vdp, zero, zero, blocks)
     assert len(calls) == factorizations, calls
     assert np.array_equal(jump.S, rec.jump.S)
 
@@ -229,8 +229,7 @@ def _bouncing_context(rho=np.array([1.0, 0.9])):
     vdp = dyn_plus.accel(t_eve, q, v_plus, rho)
     gm = cost_density_value(cost, dyn, t_eve, q, v_minus, rho)
     gp = cost_density_value(cost, dyn_plus, t_eve, q, v_plus, rho)
-    jump = build_jump_matrix(dyn.dims, spec.r_jac(q), v_minus, v_plus,
-                             vdm, vdp, gm, gp, blocks)
+    jump = build_jump_matrix(dyn.dims, spec.r_jac(q), v_minus, vdm, vdp, gm, gp, blocks)
     ctx = dict(spec=spec, dims=dyn.dims, t=t_eve, q=q, vm=v_minus, vp=v_plus,
                vdm=vdm, vdp=vdp, gm=gm, gp=gp, rho=rho, dyn=dyn)
     return jump, ctx
@@ -246,7 +245,7 @@ def test_noop_event_jump_is_identity():
     vdot = np.array([0.0, -G])
     g = np.array([0.7])
     v_plus, _, _, blocks = apply_state_jump(spec, 0.5, q, v, np.ones(2), None)
-    jump = build_jump_matrix(dims, spec.r_jac(q), v, v_plus, vdot, vdot, g, g, blocks)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vdot, vdot, g, g, blocks)
     rng = np.random.default_rng(5)
     X = SensitivityState(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                          rng.normal(size=(2, 2)), rng.normal(size=(1, 2)))
@@ -392,7 +391,7 @@ def _random_unconstrained_case(rng):
     vdp = rng.normal(size=n)
     gm = rng.normal(size=nc)
     gp = rng.normal(size=nc)
-    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vdm, vdp, gm, gp, blocks)
     ht, hq, hv, hrho = spec.jacobians(t, q, v, rho)
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_unconstrained(
@@ -420,7 +419,7 @@ def _random_elastic_case(rng):
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
-    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vdm, vdp, gm, gp, blocks)
     ht, hq, hv, hrho = spec.jacobians(t, q, v[list(spec.dof)], rho)
     w = event_time_row(spec.r_jac(q), v)
     b = jump.blocks
@@ -451,7 +450,7 @@ def _random_inelastic_case(rng):
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
-    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vdm, vdp, gm, gp, blocks)
     b = jump.blocks
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_inelastic(
@@ -472,7 +471,7 @@ def _random_switch_case(rng):
     vdp = dyn_plus.accel(t, q, vp, rho)
     gm = cost_density_value(cost, dyn, t, q, v, rho)
     gp = cost_density_value(cost, dyn_plus, t, q, vp, rho)
-    jump = build_jump_matrix(dims, spec.r_jac(q), v, vp, vdm, vdp, gm, gp, blocks)
+    jump = build_jump_matrix(dims, spec.r_jac(q), v, vdm, vdp, gm, gp, blocks)
     ht, hq, hv, hrho = spec.jacobians(t, q, v, rho)
     w = event_time_row(spec.r_jac(q), v)
     comp = lambda X: jump_componentwise_unconstrained(
@@ -630,13 +629,16 @@ class KickedFloor(EventSpec):
 
     def state_jump(self, t, q, v_minus, rho, dyn_minus):
         h_v = np.array([[1.0, -rho[3]], [0.0, -rho[2]]])
+        v_plus = h_v @ v_minus
 
         def blocks(vdot_minus, vdot_plus):
+            # S0 over [q | v | rho]: positions held, V+ = h_v V- + h_rho
             h_rho = np.array([[0.0, 0.0, 0.0, -v_minus[1]], [0.0, 0.0, -v_minus[1], 0.0]])
-            own = (np.eye(2), np.zeros((2, 4)), np.zeros((2, 2)), h_v, h_rho)
-            return own, h_v @ vdot_minus - vdot_plus, {"h_v": h_v, "h_rho": h_rho}
+            S0 = np.vstack([np.eye(2, 8), np.hstack([np.zeros((2, 2)), h_v, h_rho])])
+            u = np.concatenate([v_minus - v_plus, h_v @ vdot_minus - vdot_plus])
+            return S0, u, {"h_v": h_v, "h_rho": h_rho}
 
-        return h_v @ v_minus, None, dyn_minus, blocks
+        return v_plus, None, dyn_minus, blocks
 
 
 def test_a_kind_written_against_the_protocol_gets_its_gradients():
@@ -703,12 +705,31 @@ def test_rhs_switch_requires_post_dynamics():
         RhsSwitchEvent(name="switch", r=lambda q: q[0])
 
 
+@pytest.mark.parametrize("model, field", [
+    ("bouncing-mass", "h"), ("five-bar", "dof_jump"), ("five-bar", "dof"),
+    ("pendulum", "post_dynamics"), ("pendulum", "dof"),
+])
+def test_event_required_field_is_refused_when_missing(model, field):
+    # a missing jump map or dof set would let a run integrate a whole
+    # segment before it failed at the first event on a bare TypeError
+    import dataclasses
+
+    from hybridsens.gallery import register_gallery
+
+    spec = register_gallery()[model]().events[0]
+    kind = type(spec).__name__
+    with pytest.raises(ValueError, match=f"event '{spec.name}': {kind} needs {field}$"):
+        dataclasses.replace(spec, **{field: None})
+
+
 @pytest.mark.parametrize("admissible", [np.nan, -3.0, 0.5, 2])
 @pytest.mark.parametrize("kind", [VelocityJumpEvent, RhsSwitchEvent, ConstrainedElasticEvent])
 def test_event_admissible_side_is_refused_unless_a_sign(kind, admissible):
     # a NaN would fail every start and another value would pass as its sign,
     # so the spec refuses it when built, naming the event
-    extra = {"post_dynamics": object()} if kind is RhsSwitchEvent else {}
+    extra = {VelocityJumpEvent: {"h": lambda t, q, v, rho: v},
+             RhsSwitchEvent: {"post_dynamics": object()},
+             ConstrainedElasticEvent: {"dof_jump": lambda t, q, v, rho: v, "dof": (0,)}}[kind]
     with pytest.raises(ValueError, match="event 'floor': admissible must be -1, 0 or \\+1"):
         kind(name="floor", r=lambda q: q[0], admissible=admissible, **extra)
     for side in (-1.0, 0, 1):
