@@ -118,7 +118,7 @@ def _setup(cfg):
     problem = registry[name]()
     rho = _parse_params(cfg.get("params"), problem.rho0)
     cost = problem.cost(cfg.get("cost"))
-    t0 = float(cfg.get("t0", problem.t_span[0]))
+    t0 = float(cfg["t0"])
     tf = float(cfg.get("tf", problem.t_span[1]))
     if not (np.isfinite(t0) and np.isfinite(tf) and tf > t0):
         raise CliError(f"need finite t0 < tf, got t0={t0!r}, tf={tf!r}")
@@ -217,7 +217,7 @@ def cmd_simulate(args):
     problem, cost, rho, t_span, icfg = _setup(cfg)
     out = _outdir(args)
     traj = simulate(problem.dynamics, cost, problem.events, rho, t_span, icfg)
-    fmt = cfg.get("format", "csv")
+    fmt = cfg["format"]
     _write_table(out, "trajectory", _state_header(traj.dims, cost.nc),
                  _state_rows(traj), fmt)
     _write_json(out / "events.json", _events_json(traj), indent=2)
@@ -250,7 +250,7 @@ def cmd_direct(args):
     grad, traj, XF = direct_gradient(problem.dynamics, cost, problem.events,
                                      rho, t_span, icfg, at=_sample_times)
     _write_table(out, "sensitivity_direct", _sensitivity_header(traj.dims, cost.nc),
-                 _tangent_rows(traj), cfg.get("format", "csv"))
+                 _tangent_rows(traj), cfg["format"])
     _write_json(out / "events.json", _events_json(traj), indent=2)
     doc = {"cost": cost.name, "parameters": list(problem.rho0.labels),
            "direct": grad.tolist()}
@@ -270,7 +270,7 @@ def cmd_adjoint(args):
     header = (["t"] + [f"lamQ{i+1}_{j+1}" for i in range(dims.n) for j in range(cost.nc)]
               + [f"lamV{i+1}_{j+1}" for i in range(dims.n) for j in range(cost.nc)]
               + [f"lamG{i+1}_{j+1}" for i in range(dims.p) for j in range(cost.nc)])
-    fmt = cfg.get("format", "csv")
+    fmt = cfg["format"]
     rows_back = [[t] + row for t, row in zip(sol.times.tolist(), sol.series.tolist())]
     _write_table(out, "adjoint_backward", header, rows_back, fmt)
     _write_table(out, "adjoint_forward", header, rows_back[::-1], fmt)
@@ -322,7 +322,15 @@ def cmd_fd_check(args):
 
 
 def cmd_report(args):
-    out = _outdir(args)
+    # report only reads: the tree is checked, never created
+    out = Path(args.out or "runout")
+    try:
+        nearest = next(path for path in (out, *out.parents) if path.exists())
+    except OSError as exc:
+        raise CliError(f"cannot use {out} as the output directory: {exc}") from exc
+    if not nearest.is_dir():
+        raise CliError(f"cannot use {out} as the output directory: "
+                       f"{nearest} is not a directory")
     meta_path = out / "run.meta.json"
     if not meta_path.exists():
         raise CliError(f"no stored run at {out} (missing run.meta.json)")
@@ -386,10 +394,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (CliError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures: singularities, integration

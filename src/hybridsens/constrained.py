@@ -190,35 +190,31 @@ class _SaddleDynamics:
 
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """(vdot, mu, f_y, mu_y) at one state: the Jacobian of the map
-        (q, v, rho) -> (vdot, mu), the partials of the saddle solve
-        (``differentiate_saddle``), as the (n, 2n + p) block f_y and the
+        (q, v, rho) -> (vdot, mu), the partials of the saddle solve by
+        ``differentiate_saddle``, as the (n, 2n + p) block f_y and the
         (m, 2n + p) block mu_y over the columns [q | v | rho], the two row
-        blocks of one solution.  On the analytic
-        route (the constraint set declares its constant ``hessian``) K is
-        factored once, the right side [F_y; b_y] stacks the blocks of one
-        ``force_jacobians`` evaluation and the source partials, its K_z terms
-        are subtracted (``_subtract_saddle_partials``) and it is solved on
-        that factor.  Given the state's solution (vdot, mu), as the sweeps
-        read it from the forward pass's stage record, K is factored for the
-        partials only; given neither, they are solved on the same factor
-        first.  Any other constraint set takes ``differentiate_saddle``'s
-        central differences.
+        blocks of one solution.  Its analytic route factors K once, solves
+        (vdot, mu) on that factor unless given (as the sweeps read them from
+        the forward pass's stage record) and stacks one ``force_jacobians``
+        evaluation over the source partials; central differences solve at
+        the perturbed states, and at this one only when no solution is given.
         """
         model, cons, n = self.model, self.model.constraints, self.dims.n
-        if cons.hessian is None:
-            sol = differentiate_saddle(model, t, q, v, rho,
-                                       lambda *z: np.concatenate(self._solve(t, *z)), None)
-            if mu is None:  # central differences solve at the perturbed states only
-                vdot, mu = self._solve(t, q, v, rho)
-        else:
+
+        def rhs_partials():
+            nonlocal vdot, mu
             saddle = self._saddle_lu(t, q, rho)
             if mu is None:
                 vdot, mu = self._solve(t, q, v, rho, saddle)
             G, solve = saddle
             rhs = np.vstack([model.force_jacobians(t, q, v, rho),
                              self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))])
-            _subtract_saddle_partials(model, t, q, rho, vdot, mu, rhs)
-            sol = solve(rhs)
+            return solve, vdot, mu, rhs
+
+        sol = differentiate_saddle(model, t, q, v, rho,
+                                   lambda *z: np.concatenate(self._solve(t, *z)), rhs_partials)
+        if mu is None:  # central differences solve at the perturbed states only
+            vdot, mu = self._solve(t, q, v, rho)
         return vdot, mu, sol[:n], sol[n:]
 
 
@@ -334,46 +330,36 @@ def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_part
         K s_z = [a_z - M_z x - d(G^T mu)/dz ; b_z - d(G x)/dz].
 
     Analytic when the model's constraint set declares its constant
-    ``hessian``: ``rhs_partials()`` returns (solve, x, mu, rhs), K's solve,
-    the solution and [a_z; b_z] as one (n + m, 2n + p) array over the
-    columns [q | v | rho]; its K_z terms are subtracted in place
-    (``_subtract_saddle_partials``) before one solve.  Any other constraint
-    set takes central differences of ``solve_at(q, v, rho) -> s``, and
+    ``hessian`` (phi_q affine in q and independent of rho, so that the G
+    terms exist in q alone): ``rhs_partials()`` returns (solve, x, mu, rhs),
+    K's solve, the solution and [a_z; b_z] as one (n + m, 2n + p) array over
+    the columns [q | v | rho], whose K_z s terms are subtracted in place
+
+        z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
+        z = v:    [a_v ; b_v]
+        z = rho:  [a_rho - M_rho x ; b_rho]
+
+    (M_z by ``MultibodyModel.subtract_mass_partials``) before one solve.
+    qqT(mu) = d(phi_q^T mu)/dq is the mu-weighted sum of the Hessians,
+    contracted here and nowhere else; qq(x) = d(phi_q x)/dq contracts the
+    other view, as ``qq_action`` does.  Any other constraint set takes
+    central differences of ``solve_at(q, v, rho) -> s``, and
     ``rhs_partials`` is not called.  Returns s_z as one (n + m, 2n + p)
     array.
     """
-    if model.constraints.hessian is None:
+    cons = model.constraints
+    if cons.hessian is None:
         from .model import fd_jacobian as _fd
 
         return np.hstack([_fd(lambda x: solve_at(x, v, rho), q),
                           _fd(lambda x: solve_at(q, x, rho), v),
                           _fd(lambda x: solve_at(q, v, x), rho)])
     factor, x, mu, rhs = rhs_partials()
-    _subtract_saddle_partials(model, t, q, rho, x, mu, rhs)
+    n = model.dims.n
+    model.subtract_mass_partials(t, q, rho, x, rhs[:n])
+    rhs[:n, :n] -= (mu @ cons._hess_flat).reshape(n, n)
+    rhs[n:, :n] -= (cons._hess_rows @ x).reshape(cons.m, n)
     return factor(rhs)
-
-
-def _subtract_saddle_partials(model: MultibodyModel, t, q, rho, x, mu, rhs) -> None:
-    """Subtract the K_z s terms from the right side [a_z; b_z] of a saddle
-    system's partials, in place, where the constraint set declares its
-    constant ``hessian`` (phi_q affine in q and independent of rho), so that
-    the G terms exist in q alone:
-
-        z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
-        z = v:    [a_v ; b_v]
-        z = rho:  [a_rho - M_rho x ; b_rho],
-
-    M_z skipped under ``mass_constant``.  qqT(mu) = d(phi_q^T mu)/dq is the
-    mu-weighted sum of the Hessians, contracted here and nowhere else;
-    qq(x) = d(phi_q x)/dq contracts the other view, as ``qq_action`` does."""
-    cons, n = model.constraints, model.dims.n
-    top, bottom = rhs[:n], rhs[n:]
-    if not model.mass_constant:
-        M_q, M_rho = model.mass_jacobians(t, q, rho, x)
-        top[:, :n] -= M_q
-        top[:, 2 * n:] -= M_rho
-    top[:, :n] -= (mu @ cons._hess_flat).reshape(n, n)
-    bottom[:, :n] -= (cons._hess_rows @ x).reshape(cons.m, n)
 
 
 def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):
@@ -390,8 +376,3 @@ def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):
     factor = saddle_factor(M, model.constraints.jac_q(t_eve, q, rho), 0.0, "impulse KKT matrix")
     return M, factor, factor(np.concatenate([M @ v_minus, np.zeros(model.constraints.m)]))
 
-
-def impulse_solve(model: MultibodyModel, t_eve, q, v_minus, rho):
-    """(v+, dmu) of ``impulse_system``."""
-    sol = impulse_system(model, t_eve, q, v_minus, rho)[2]
-    return sol[:model.dims.n], sol[model.dims.n:]

@@ -297,7 +297,7 @@ class ConstrainedInelasticEvent(EventSpec):
         def blocks(vdot_minus, vdot_plus):
             J = _constrained.differentiate_saddle(
                 model, t, q, v_minus, rho,
-                lambda *z: np.concatenate(_constrained.impulse_solve(model, t, *z)),
+                lambda *z: _constrained.impulse_system(model, t, *z)[2],
                 rhs_partials)
             jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
             G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)

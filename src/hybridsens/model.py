@@ -332,6 +332,18 @@ class MultibodyModel:
                          lambda t, q, rho: self.mass_at(t, q, rho) @ w, (t, q, rho),
                          (("M_q", (n, n)), ("M_rho", (n, p))))
 
+    def subtract_mass_partials(self, t, q, rho, w, rhs) -> None:
+        """rhs[:, :n] -= M_q w and rhs[:, 2n:] -= M_rho w, in place, on an
+        (n, 2n + p) block over the columns [q | v | rho]: the mass term of
+        the partials of a solve M w = F.  Skipped under ``mass_constant``,
+        where M_q = M_rho = 0 and x - 0.0 is x bitwise."""
+        if self.mass_constant:
+            return
+        n = self.dims.n
+        M_q, M_rho = self.mass_jacobians(t, q, rho, w)
+        rhs[:, :n] -= M_q
+        rhs[:, 2 * n:] -= M_rho
+
     def force_jacobians(self, t, q, v, rho):
         """F_y at one state, one (n, 2n + p) block over the columns
         [q | v | rho]: the triple (F_q, F_v, F_rho) of ``force_partials`` if
@@ -372,15 +384,12 @@ class OdeDynamics:
         Without a given vdot it is solved here.  ``mu`` is accepted for the
         constrained formulations' signature.
         """
-        model, n = self.model, self.dims.n
+        model = self.model
         M = model.mass_at(t, q, rho)
         if vdot is None:
             vdot = _spd_solve(M, model.force_at(t, q, v, rho), "mass matrix", t)
         rhs = model.force_jacobians(t, q, v, rho)
-        if not model.mass_constant:  # else M_q = M_rho = 0: x - 0.0 is x bitwise
-            M_q, M_rho = model.mass_jacobians(t, q, rho, vdot)
-            rhs[:, :n] -= M_q
-            rhs[:, 2 * n:] -= M_rho
+        model.subtract_mass_partials(t, q, rho, vdot, rhs)
         return vdot, None, _spd_solve(M, rhs, "mass matrix", t), None
 
     def multiplier_jacobians(self, t, q, v, rho, vdot=None, mu=None):

@@ -66,6 +66,13 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, where):
     assert err.startswith("error: cannot use") and "numerical failure" not in err
 
 
+def test_report_on_a_missing_tree_exits_2_and_creates_nothing(tmp_path, capsys):
+    # report only reads: a missing --out is no stored run, and stays missing
+    assert main(["report", "--out", str(tmp_path / "missing" / "deep")]) == 2
+    assert "no stored run" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_fd_check_non_finite_gradient_exits_1(tmp_path, capsys, monkeypatch):
     # a NaN in the last parameter's FD column must survive into that row's
     # max_rel_diff and the worst value, and fail the command

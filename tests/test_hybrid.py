@@ -150,8 +150,12 @@ def test_impulse_energy_never_increases():
 def test_capture_impulse_partials_match_closed_form():
     # with M = m I and G = 2 q^T the capture's impulse map is
     # v+ = v- - q (q.v-)/(q.q) and dmu = m (q.v-)/(2 q.q); its imp_* blocks
-    # are the partials of these in q, v- and rho = (x0, vy0, m)
+    # are the partials of these in q, v- and rho = (x0, vy0, m), analytic
+    # under the tether's hessian and central differences without it
+    import dataclasses
+
     import sympy as sp
+    from hybridsens.constrained import DaeDynamics
     from hybridsens.gallery import pendulum
 
     qs, vs, rs = sp.symbols("q1 q2"), sp.symbols("v1 v2"), sp.symbols("x0 vy0 m")
@@ -163,6 +167,11 @@ def test_capture_impulse_partials_match_closed_form():
               for z, wrt in (("q", qs), ("v", vs), ("rho", rs))}
     prob = pendulum()
     spec, dyn = prob.events[0], prob.dynamics
+    tethered = spec.post_dynamics.model
+    no_hessian = dataclasses.replace(
+        tethered, constraints=dataclasses.replace(tethered.constraints, hessian=None))
+    cases = ((spec, 1e-12),
+             (dataclasses.replace(spec, post_dynamics=DaeDynamics(no_hessian)), 1e-8))
     rng = np.random.default_rng(11)
     for _ in range(10):
         th = rng.uniform(-np.pi, np.pi)
@@ -172,14 +181,15 @@ def test_capture_impulse_partials_match_closed_form():
             v = v + q
         rho = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 0.0), rng.uniform(0.5, 2.0)])
         t = rng.uniform(0.0, 1.0)
-        vp, _, dyn_plus, own = apply_state_jump(spec, t, q, v, rho, dyn)
-        zero = np.zeros(1)
-        blocks = build_jump_matrix(dyn.dims, spec.r_jac(q), v, dyn.accel(t, q, v, rho),
-                                   dyn_plus.accel(t, q, vp, rho), zero, zero, own).blocks
-        for name, f in closed.items():
-            want = np.array(f(q, v, rho), dtype=float)
-            scale = max(1.0, np.abs(want).max())
-            assert np.max(np.abs(blocks[name] - want)) <= 1e-12 * scale, name
+        for case, tol in cases:
+            vp, _, dyn_plus, own = apply_state_jump(case, t, q, v, rho, dyn)
+            zero = np.zeros(1)
+            blocks = build_jump_matrix(dyn.dims, case.r_jac(q), v, dyn.accel(t, q, v, rho),
+                                       dyn_plus.accel(t, q, vp, rho), zero, zero, own).blocks
+            for name, f in closed.items():
+                want = np.array(f(q, v, rho), dtype=float)
+                scale = max(1.0, np.abs(want).max())
+                assert np.max(np.abs(blocks[name] - want)) <= tol * scale, (name, tol)
 
 
 @pytest.mark.parametrize("model, tf, factorizations", [("five-bar", 0.6, 1), ("pendulum", None, 2)])

@@ -398,6 +398,43 @@ def test_assembled_jacobians_are_bytewise_the_callback_route(name):
             assert assembled.tobytes() == ref.tobytes()
 
 
+def counted_saddle_routes(monkeypatch):
+    """A list that grows by one per ``differentiate_saddle`` call made
+    through the module ``constrained``, where every caller looks it up."""
+    import hybridsens.constrained as constrained
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return differentiate_saddle(*args)
+
+    monkeypatch.setattr(constrained, "differentiate_saddle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SADDLES))
+def test_saddle_jacobians_take_the_one_route(monkeypatch, name):
+    # both constrained forms, analytic or central differences, with or
+    # without the state's solution: one differentiate_saddle call each
+    calls = counted_saddle_routes(monkeypatch)
+    dyn, states = SADDLES[name](np.random.default_rng(47))
+    for given in ((), dyn.accel_and_multipliers(*states[0])):
+        calls.clear()
+        dyn.jacobians(*states[0], *given)
+        assert len(calls) == 1, (name, len(given))
+
+
+def test_capture_blocks_take_the_one_route(monkeypatch):
+    calls = counted_saddle_routes(monkeypatch)
+    prob = pendulum()
+    t, q, v, rho = pendulum_states(np.random.default_rng(47), 1)[0]
+    *_, blocks = prob.events[0].state_jump(t, q, v, rho, prob.dynamics)
+    assert not calls
+    blocks(np.zeros(2), np.zeros(2))
+    assert len(calls) == 1
+
+
 FORWARD = {
     "five-bar-penalty": (lambda: five_bar(param_names=FIVE_BAR_PARAMS), "int-ay2sq-vy2sq"),
     "five-bar-dae": (lambda: five_bar(formulation="dae"), "int-ay2"),
