@@ -3,8 +3,8 @@ the tangent sweep ``direct.propagate_direct``.
 
 Between events the backward pass is the exact transpose of the forward
 Runge-Kutta steps: each segment's accepted steps are swept from the last
-to the first with the transposed Dormand-Prince stage recursion, the
-Jacobians evaluated at the stage states the forward step evaluated
+to the first by integrate.py's ``DenseSegment.adjoint_step`` on the stage
+right side ``adjoint_rhs``, at the stage states the forward step evaluated
 (Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
 No step control runs backward and the forward state is never
 interpolated.  Nothing is solved or rebuilt either: each stage's time,
@@ -26,12 +26,13 @@ integrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import AdjointState, Dimensions
 from .model import CostFunctional, cost_density_gradients
-from .integrate import RK_A, DenseSegment, integrate_segment
+from .integrate import integrate_segment
 from .direct import HybridTrajectory
 # unused here; perfbench/spans.py counts factorizations at this name
 from .constrained import checked_lu  # noqa: F401
@@ -80,34 +81,6 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     return out.ravel()
 
 
-def _step_adjoint(dyn, cost, dims, rho, dense: DenseSegment, k: int,
-                  lam: np.ndarray) -> np.ndarray:
-    """Adjoint at node k from the adjoint ``lam`` at node k + 1: the
-    transpose of forward step k,
-
-        theta_i = h w_i lam + h sum_{j>i} a_ji mu_j
-        mu_i    = J(Y_i)^T theta_i + h w_i g_y(Y_i)^T
-        lam_k   = lam + sum_i mu_i
-
-    (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
-    mu_i = adjoint_rhs(Y_i, theta_i, h w_i), the reversed-time derivative,
-    taken as returned.  The stage times, states Y_i, accelerations and
-    saddle multipliers are rows 6k + i of the segment's records
-    (``DenseSegment.step_stages``), bitwise what the forward step evaluated.  A full step has the
-    weights w = B on six stages; the last step of a segment cut at an event
-    reaches its end node through the continuous extension, with
-    w = P [x, x^2, x^3, x^4] on all seven.
-    """
-    h, w, times, states, vdot, saddle = dense.step_stages(k, dims.n)
-    s = len(w)
-    mu = np.zeros((s, lam.size))
-    for i in range(s - 1, -1, -1):
-        theta = h * (w[i] * lam + RK_A[i + 1:s, i] @ mu[i + 1:s])
-        mu[i] = adjoint_rhs(dyn, cost, dims, rho, times[i], states[i], theta,
-                            vdot[i], saddle[i], h * w[i])
-    return lam + mu.sum(axis=0)
-
-
 @dataclass
 class AdjointSolution:
     """Backward sweep result: gradient, initial-time adjoint, node series.
@@ -149,7 +122,7 @@ def propagate_adjoint(traj: HybridTrajectory,
     """Discrete adjoint sweep over a stored hybrid trajectory.
 
     Each segment's forward steps are transposed in reverse order
-    (``_step_adjoint``).  Events are not re-detected: the stored records
+    (``DenseSegment.adjoint_step``).  Events are not re-detected: the stored records
     supply both the exact event times (segment boundaries) and the jump
     matrices whose transposes map the adjoint across each discontinuity
     (``JumpMatrix.adjoint``).  The one ``AdjointState`` built is lam_t0.
@@ -176,9 +149,9 @@ def propagate_adjoint(traj: HybridTrajectory,
     series_acc = []
     for k in range(len(traj.segments) - 1, -1, -1):
         seg = traj.segments[k]
-        nodes = [y]
+        nodes, rhs = [y], partial(adjoint_rhs, seg.dynamics, cost, dims, rho)
         for j in range(len(seg.dense) - 1, -1, -1):
-            y = _step_adjoint(seg.dynamics, cost, dims, rho, seg.dense, j, y)
+            y = seg.dense.adjoint_step(j, dims.n, y, rhs)
             nodes.append(y)
         times_acc.append(seg.dense.node_times[::-1])
         series_acc.append(np.array(nodes))

@@ -334,8 +334,10 @@ def cmd_report(args):
     meta_path = out / "run.meta.json"
     if not meta_path.exists():
         raise CliError(f"no stored run at {out} (missing run.meta.json)")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {meta_path}: {exc}") from exc
     print(json.dumps(meta, indent=2, sort_keys=True))
     for name in ("gradient.json", "fd_check.json", "events.json"):
         path = out / name
@@ -395,7 +397,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures: singularities, integration
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ sensitivity sweeps read.
 
 ``propagate_direct(traj)``, the forward mirror of
 ``adjoint.propagate_adjoint(traj)``, is the discrete tangent of those steps:
-each stored step is differentiated stage by stage on its own step size and
-stage states, with no step control of its own (sensitivities stay out of
-the error test, as CVODES does by default), and at each event the
-tangent jumps through S (``JumpMatrix.direct``).  The tangent [Q; V; Z]
+``DenseSegment.tangent_step`` in integrate.py differentiates each stored
+step on its own step size and stage states with the stage right side
+``tangent_rhs``, with no step control (sensitivities stay out of the
+error test, as CVODES does by default), and at each event the tangent
+jumps through S (``JumpMatrix.direct``).  The tangent [Q; V; Z]
 is stored per segment at the state's nodes only (``SegmentTangent``),
 with the rows the caller asked to sample during the sweep;
 ``HybridTrajectory.sensitivity_at`` sweeps the one step covering any
@@ -25,14 +26,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import DimensionError, Dimensions, SensitivityState
 from .model import (ZERO_COST, CostFunctional, InitialConditions, cost_density_gradients,
                     terminal_cost_gradients)
-from .integrate import (RK45, RK_A, DenseSegment, EventAccumulationError, EventMonitor,
-                        IntegratorConfig, _rk_dense, integrate_segment)
+from .integrate import (DenseSegment, EventAccumulationError, EventMonitor, IntegratorConfig,
+                        integrate_segment)
 from .hybrid import (
     EventRecord,
     EventSpec,
@@ -122,7 +124,13 @@ class HybridTrajectory:
         seg = self.segment_at(t)
         if seg.tangent is None:
             raise ValueError("the run has no tangent yet: sweep it with propagate_direct(traj)")
-        return _sensitivity(_tangent_at(self, seg, t), self.dims)
+        dense, nodes = seg.dense, seg.tangent.node_states
+        k, on_node, t = dense.locate(t)
+        if on_node:
+            return _sensitivity(nodes[k].copy(), self.dims)
+        rhs = partial(tangent_rhs, seg.dynamics, self.cost or ZERO_COST, self.dims, self.rho)
+        _, KX = dense.tangent_step(k, self.dims.n, nodes[k], rhs)
+        return _sensitivity(dense.extension(k, nodes[k], KX, t), self.dims)
 
     @property
     def final_state(self):
@@ -200,47 +208,6 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
         d += J[:, n:2 * n] @ V
         d += J[:, 2 * n:]
     return out.ravel()
-
-
-def _step_tangent(dyn, cost, dims, rho, dense: DenseSegment, k: int,
-                  X: np.ndarray, KX0: np.ndarray | None) -> tuple:
-    """Tangent at node k + 1 from the tangent X at node k: the derivative
-    of forward step k at its fixed step size,
-
-        X_i = X + h sum_{j<i} a_ij KX_j,  KX_i = tangent_rhs(Y_i, X_i),
-        X_k+1 = X + h sum_i w_i KX_i,
-
-    on the forward step's stage times, states, accelerations and
-    multipliers (``DenseSegment.step_stages``), so nothing is solved or
-    rebuilt.  Returns
-    X_k+1 and all seven stages KX, the tangent's continuous extension.
-    Stage 6 sits at the full step's end, so it is the next step's stage 0
-    (``KX0``), as in the forward step; without it stage 0 is evaluated at
-    that stage's time and state, to the same bytes.
-    """
-    h, w, times, states, vdot, mu = dense.step_stages(k, dims.n)
-    KX = np.empty((len(times), X.size))
-    first = 0
-    if KX0 is not None:
-        KX[0], first = KX0, 1
-    for i in range(first, len(times)):
-        X_i = X + np.dot(KX[:i].T, RK_A[i, :i]) * h
-        KX[i] = tangent_rhs(dyn, cost, dims, rho, times[i], states[i], X_i, vdot[i], mu[i])
-    return X + np.dot(KX[:len(w)].T, w) * h, KX
-
-
-def _tangent_at(traj, seg: TrajectorySegment, t: float) -> np.ndarray:
-    """The flattened tangent at t in ``seg`` (``HybridTrajectory.sensitivity_at``):
-    the node row at a node (``DenseSegment.locate``), else step k covering t
-    swept again from node k on its recorded stages, and its continuous
-    extension evaluated at t."""
-    dense, nodes = seg.dense, seg.tangent.node_states
-    k, on_node, t = dense.locate(t)
-    if on_node:
-        return nodes[k].copy()
-    _, KX = _step_tangent(seg.dynamics, traj.cost or ZERO_COST, traj.dims, traj.rho, dense, k,
-                          nodes[k], None)
-    return _rk_dense(dense.node_times[k], nodes[k], dense.steps[k], KX.T.dot(RK45.P), t)
 
 
 def _sensitivity(X: np.ndarray, dims: Dimensions) -> SensitivityState:
@@ -351,8 +318,8 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
     """Discrete tangent sweep over a stored hybrid trajectory, the forward
     mirror of ``adjoint.propagate_adjoint``: from the run's start
     (``traj.initial``), each segment's stored steps are swept with
-    ``_step_tangent`` and at each event the tangent [Q; V; Z] jumps
-    through its S as the array it is (``JumpMatrix.direct``), for the
+    ``DenseSegment.tangent_step`` and at each event the tangent [Q; V; Z]
+    jumps through its S as the array it is (``JumpMatrix.direct``), for the
     run's cost (``ZERO_COST`` for a cost-less run).  Fills each segment's
     ``tangent`` with its node tangents and each record's ``dteve_drho``
     and ``delta_mu_sens``, the same on every sweep; the steps' tangent
@@ -381,12 +348,12 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
         nodes[0] = x.ravel()
         # held only while sampled
         stages = np.empty((d.stages.shape[0], x.size)) if times.size else None
-        KX0 = None
+        rhs, KX0 = partial(tangent_rhs, seg.dynamics, cost, dims, rho), None
         for j in range(len(d)):
-            nodes[j + 1], KX = _step_tangent(seg.dynamics, cost, dims, rho, d, j, nodes[j], KX0)
+            nodes[j + 1], KX = d.tangent_step(j, n, nodes[j], rhs, KX0)
             KX0 = KX[-1]
             if stages is not None:
-                stages[6 * j:6 * j + 7] = KX
+                stages[d.step_rows(j)] = KX
         samples = np.empty((0, x.size))
         if stages is not None:
             extension = DenseSegment(d.node_times, nodes, stages, d.steps)

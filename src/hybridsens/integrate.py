@@ -6,14 +6,14 @@ same name that keeps its arithmetic order, so every step is bitwise what
 scipy's would be, without importing ``scipy.integrate``.  Each accepted
 step keeps the time, state and derivative of each stage it evaluated:
 the derivatives give the continuous extension (what the event root-finder
-and the state queries interpolate), and all of them the stages the discrete
-tangent and adjoint of the step are evaluated at
-(``DenseSegment.step_stages``).  Everything event-related is implemented
-here: sign-change detection on the dense output, bracketed root
-refinement (Illinois regula falsi with bisection safeguards and a closing
-secant step), masking of the event function that just fired,
-and the guards that turn grazing or simultaneous crossings into explicit
-errors.
+and the state queries interpolate), and all of them the stages at which
+``DenseSegment.tangent_step`` and ``adjoint_step`` differentiate and
+transpose the step on the stage right sides the sweeps hand in; no other
+module reads the tableau or the record layout.  Everything event-related
+is implemented here: sign-change detection on the dense output, bracketed
+root refinement (Illinois regula falsi with bisection safeguards and a
+closing secant step), masking of the event function that just fired, and
+the guards that turn grazing or simultaneous crossings into explicit errors.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class InadmissibleStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and limits for one integration run.
+    """Tolerances and limits of an integration run, ``max_steps`` per segment.
 
     ``event_tol`` is the absolute tolerance on the localized event time,
     whatever the segment's span: the root's bracket closes to it, and two
@@ -380,12 +380,20 @@ class DenseSegment:
             return k, True, t
         return k - 1, False, t
 
+    def step_rows(self, k: int) -> slice:
+        """The slice of step k's seven rows in the records, 6k to 6k + 6."""
+        return slice(6 * k, 6 * k + 7)
+
+    def extension(self, k: int, x_k: np.ndarray, K: np.ndarray, t: float) -> np.ndarray:
+        """The continuous extension at t inside step k of any quantity swept
+        over the steps, from x_k at node k and its seven stage rows K."""
+        return _rk_dense(self.node_times[k], x_k, self.steps[k], K.T.dot(RK45.P), t)
+
     def evaluate(self, t: float) -> np.ndarray:
         k, on_node, t = self.locate(t)
         if on_node:
             return self.node_states[k].copy()
-        return _rk_dense(self.node_times[k], self.node_states[k], self.steps[k],
-                         self.stages[6 * k:6 * k + 7].T.dot(RK45.P), t)
+        return self.extension(k, self.node_states[k], self.stages[self.step_rows(k)], t)
 
     def step_stages(self, k: int, n: int):
         """(h, w, times, states, vdot, mu) of step k, for the discrete
@@ -395,12 +403,61 @@ class DenseSegment:
         stored.  w weighs the stages in the step's end node: B on six for a
         full step, P [x, x^2, x^3, x^4] on all seven for the last step of a
         segment cut at an event (reached by the continuous extension)."""
-        rows, w = slice(6 * k, 6 * k + 7), RK45.B
+        rows, w = self.step_rows(k), RK45.B
         if self.truncated and k == len(self) - 1:
             x = (self.node_times[k + 1] - self.node_times[k]) / self.steps[k]
             w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
         return (self.steps[k], w, self.stage_times[rows], self.stage_states[rows],
                 self.stages[rows, n:2 * n], self.multipliers[rows])
+
+    def tangent_step(self, k: int, n: int, X: np.ndarray, stage_rhs, KX0=None) -> tuple:
+        """Tangent at node k + 1 from the tangent X at node k: the derivative
+        of step k at its fixed step size,
+
+            X_i = X + h sum_{j<i} a_ij KX_j,  KX_i = stage_rhs(t_i, Y_i, X_i, vdot_i, mu_i),
+            X_k+1 = X + h sum_i w_i KX_i,
+
+        on the forward step's stage times, states Y_i, accelerations and
+        multipliers (``step_stages``), so nothing is solved or rebuilt.
+        Returns X_k+1 and all seven stages KX, the tangent's continuous
+        extension (``extension``).  Stage 6 sits at the full step's end, so
+        it is the next step's stage 0 (``KX0``), as in the forward step;
+        without it stage 0 is evaluated at that stage's time and state, to
+        the same bytes.
+        """
+        h, w, times, states, vdot, mu = self.step_stages(k, n)
+        KX = np.empty((len(times), X.size))
+        if KX0 is not None:
+            KX[0] = KX0
+        for i in range(KX0 is not None, len(times)):
+            X_i = X + np.dot(KX[:i].T, RK_A[i, :i]) * h
+            KX[i] = stage_rhs(times[i], states[i], X_i, vdot[i], mu[i])
+        return X + np.dot(KX[:len(w)].T, w) * h, KX
+
+    def adjoint_step(self, k: int, n: int, lam: np.ndarray, stage_rhs) -> np.ndarray:
+        """Adjoint at node k from the adjoint ``lam`` at node k + 1: the
+        transpose of step k,
+
+            theta_i = h w_i lam + h sum_{j>i} a_ji mu_j
+            mu_i    = J(Y_i)^T theta_i + h w_i g_y(Y_i)^T
+            lam_k   = lam + sum_i mu_i
+
+        (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
+        mu_i = stage_rhs(t_i, Y_i, theta_i, vdot_i, saddle_i, h w_i), the
+        reversed-time derivative, taken as returned.  The stage times,
+        states Y_i, accelerations and saddle multipliers are step k's rows
+        of the records (``step_stages``), bitwise what the forward step
+        evaluated.  A full step has the weights w = B on six stages; the
+        last step of a segment cut at an event reaches its end node through
+        the continuous extension, with w = P [x, x^2, x^3, x^4] on all seven.
+        """
+        h, w, times, states, vdot, saddle = self.step_stages(k, n)
+        s = len(w)
+        mu = np.zeros((s, lam.size))
+        for i in range(s - 1, -1, -1):
+            theta = h * (w[i] * lam + RK_A[i + 1:s, i] @ mu[i + 1:s])
+            mu[i] = stage_rhs(times[i], states[i], theta, vdot[i], saddle[i], h * w[i])
+        return lam + mu.sum(axis=0)
 
 
 @dataclass

@@ -25,6 +25,14 @@ def test_unknown_cost_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unknown_cost_message_is_printed_as_is(tmp_path, capsys):
+    # not the repr that str() of its KeyError gives
+    assert main(["simulate", "--model", "bouncing-mass", "--cost", "nope",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: unknown cost 'nope' for bouncing-mass; "
+                                       "available: ['height-final', 'int-vy']\n")
+
+
 def test_bad_param_exits_2(tmp_path):
     assert main(["simulate", "--model", "bouncing-mass", "--params", "zz=1",
                  "--out", str(tmp_path)]) == 2
@@ -442,6 +450,13 @@ def test_report_rerenders(tmp_path, capsys):
 
 def test_report_missing_run_exits_2(tmp_path):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
+
+
+def test_report_on_a_corrupt_meta_file_names_it_and_exits_2(tmp_path, capsys):
+    meta = tmp_path / "run.meta.json"
+    meta.write_text("{not json")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {meta}: ")
 
 
 def test_json_format_tables(tmp_path):

@@ -28,7 +28,7 @@ from hybridsens.gallery import (
 )
 from hybridsens.core import DimensionError
 from hybridsens.model import ConstraintSet, fd_jacobian
-from hybridsens.integrate import IntegratorConfig
+from hybridsens.integrate import DenseSegment, IntegratorConfig
 from hybridsens.direct import simulate
 from conftest import columns, pendulum_swing_model, rel_err
 
@@ -642,8 +642,8 @@ def test_sweeps_evaluate_force_partials_once_per_stage_state(monkeypatch, params
     model.force = counted("force", model.force)
     model.force_partials = counted("force_partials", model.force_partials)
     dyn._assemble_jacobians = recording
-    monkeypatch.setattr(adjoint, "_step_adjoint", in_sweep(adjoint._step_adjoint))
-    monkeypatch.setattr(direct, "_step_tangent", in_sweep(direct._step_tangent))
+    monkeypatch.setattr(DenseSegment, "adjoint_step", in_sweep(DenseSegment.adjoint_step))
+    monkeypatch.setattr(DenseSegment, "tangent_step", in_sweep(DenseSegment.tangent_step))
     cost = prob.cost("int-ay2sq-vy2sq")
     traj = direct.simulate(dyn, cost, prob.events, prob.rho0.rho, (0.0, 0.9), prob.config)
     direct.propagate_direct(traj)

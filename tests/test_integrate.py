@@ -148,6 +148,14 @@ def test_max_steps_exceeded():
                           np.array([0.0]), (0.0, 10.0), cfg)
 
 
+def test_max_steps_caps_each_segment_not_the_run():
+    # 11 steps in all, none of the 7 segments over 4
+    prob = bouncing_mass()
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, (0.0, 4.0),
+                    IntegratorConfig(max_steps=4))
+    assert [len(seg.dense) for seg in traj.segments] == [4, 2, 1, 1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0)])
 def test_reversed_or_empty_span_refused(t_span):
     # integration runs forward only; a backward problem is posed in s = -t
