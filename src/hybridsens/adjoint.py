@@ -8,8 +8,8 @@ right side ``adjoint_rhs``, at the stage states the forward step evaluated
 (Sandu, "On the properties of Runge-Kutta discrete adjoints", ICCS 2006).
 No step control runs backward and the forward state is never
 interpolated.  Nothing is solved or rebuilt either: each stage's time,
-state, acceleration and multipliers are read from the forward pass's stage
-records, so the sweep calls only the Jacobians.  At
+positions, velocity, acceleration and multipliers are read from the
+forward pass's stage records, so the sweep calls only the Jacobians.  At
 each event the stored jump matrix acts through its transpose,
 lam- = S^T lam+, on the sweep's array [lamQ; lamV; lamGamma] as it is
 (``JumpMatrix.adjoint``), so the adjoint gradient equals the direct gradient
@@ -47,11 +47,12 @@ def _adjoint_state(y: np.ndarray, dims: Dimensions, nc: int) -> AdjointState:
 
 
 def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-                t: float, x: np.ndarray, y: np.ndarray, vdot: np.ndarray | None = None,
-                mu: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
+                t: float, q: np.ndarray, v: np.ndarray, y: np.ndarray,
+                vdot: np.ndarray | None = None, mu: np.ndarray | None = None,
+                weight: float = 1.0) -> np.ndarray:
     """Derivative of the stacked adjoint y in the reversed time s = -t, at
-    the forward state x = [q; v; ...] with acceleration vdot and saddle
-    multipliers mu (``dyn.accel_and_multipliers``; without them the
+    the forward positions q and velocities v with acceleration vdot and
+    saddle multipliers mu (``dyn.accel_and_multipliers``; without them the
     Jacobian call solves for them):
 
         dlamQ/ds = f_q^T lamV + w g_q^T
@@ -68,7 +69,6 @@ def adjoint_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     sum in the order lamQ + f_v^T lamV + w g_v^T.
     """
     n = dims.n
-    q, v = x[:n], x[n:2 * n]
     lam = y.reshape(-1, cost.nc)  # rows [lamQ (n); lamV (n); lamGamma (p)]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
     out = jac[2].T @ lam[n:2 * n]
@@ -103,15 +103,16 @@ class AdjointSolution:
         k + 1 back to t, forward in the reversed time s = -t, whose right
         side is ``adjoint_rhs`` as returned."""
         traj = self.traj
-        dims, nc = traj.dims, traj.cost.nc
+        dims, nc, n = traj.dims, traj.cost.nc, traj.dims.n
         seg = traj.segment_at(t)
         dense = seg.dense
         k, on_node, t = dense.locate(t)
         y = self.series[np.count_nonzero(self.times >= t) - 1].copy()
         if not on_node:
             def rhs(s, lam):
+                x = dense.evaluate(-s)
                 return adjoint_rhs(seg.dynamics, traj.cost, dims, traj.rho, -s,
-                                   dense.evaluate(-s), lam), None
+                                   x[:n], x[n:2 * n], lam), None
             y = integrate_segment(rhs, y, (-dense.node_times[k + 1], -t),
                                   traj.config)[0].node_states[-1]
         return _adjoint_state(y, dims, nc)

@@ -5,9 +5,9 @@ number of outputs (one zero output without a cost): integrate a smooth
 segment until an event function changes sign, localize the event on the
 dense output, apply the velocity jump, build the sensitivity jump matrix,
 restart.  The run records its start (``HybridTrajectory.initial``), its
-cost and, per segment, the time, state, derivative and saddle multipliers
-of every accepted stage (``DenseSegment.step_stages``), which is all both
-sensitivity sweeps read.
+cost and, per segment, the time, positions, derivative [v; vdot; g] and
+saddle multipliers of every accepted stage (``DenseSegment.step_stages``),
+which is all both sensitivity sweeps read.
 
 ``propagate_direct(traj)``, the forward mirror of
 ``adjoint.propagate_adjoint(traj)``, is the discrete tangent of those steps:
@@ -180,10 +180,11 @@ def tlm_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
 
 
 def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
-                t: float, x: np.ndarray, X: np.ndarray, vdot: np.ndarray,
+                t: float, q: np.ndarray, v: np.ndarray, X: np.ndarray, vdot: np.ndarray,
                 mu: np.ndarray) -> np.ndarray:
     """Time derivative of the flattened tangent X = [Q; V; Z] at the forward
-    state x = [q; v; ...] with acceleration vdot and saddle multipliers mu:
+    positions q and velocities v with acceleration vdot and saddle
+    multipliers mu:
 
         Q' = V;  V' = f_q Q + f_v V + f_rho;  Z' = g_q Q + g_v V + g_rho,
 
@@ -196,7 +197,6 @@ def tangent_rhs(dyn, cost: CostFunctional, dims: Dimensions, rho: np.ndarray,
     sum in another order.
     """
     n = dims.n
-    q, v = x[:n], x[n:2 * n]
     X = X.reshape(-1, dims.p)
     Q, V = X[:n], X[n:2 * n]
     jac = dyn.jacobians(t, q, v, rho, vdot, mu)
@@ -252,14 +252,14 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
                    wrappers, monitor, start)
         masked = list(monitor.masked)
         try:
-            seg_dense, hit = integrate_segment(*request, first_step)
+            seg_dense, hit = integrate_segment(*request, first_step, stage_width=n)
         except EventAccumulationError:
             if first_step is None:
                 raise
             # a warm step may pass over a short bounce that samples cannot
             # resolve; only a segment from the stepper's own first step may raise
             monitor.masked = masked
-            seg_dense, hit = integrate_segment(*request)
+            seg_dense, hit = integrate_segment(*request, stage_width=n)
         segments.append(TrajectorySegment(seg_dense, active))
         check_one_sided(active, seg_dense)
         if hit is None:

@@ -4,16 +4,17 @@ Stepping is the embedded Dormand-Prince Runge-Kutta 4(5) pair (non-stiff
 dynamics between events), ``RK45`` below: a port of scipy's stepper of the
 same name that keeps its arithmetic order, so every step is bitwise what
 scipy's would be, without importing ``scipy.integrate``.  Each accepted
-step keeps the time, state and derivative of each stage it evaluated:
-the derivatives give the continuous extension (what the event root-finder
-and the state queries interpolate), and all of them the stages at which
-``DenseSegment.tangent_step`` and ``adjoint_step`` differentiate and
-transpose the step on the stage right sides the sweeps hand in; no other
-module reads the tableau or the record layout.  Everything event-related
-is implemented here: sign-change detection on the dense output, bracketed
-root refinement (Illinois regula falsi with bisection safeguards and a
-closing secant step), masking of the event function that just fired, and
-the guards that turn grazing or simultaneous crossings into explicit errors.
+step keeps the time, the leading state components and the derivative of
+each stage it evaluated: the derivatives give the continuous extension
+(what the event root-finder and the state queries interpolate), and all
+of them the stages at which ``DenseSegment.tangent_step`` and
+``adjoint_step`` differentiate and transpose the step on the stage right
+sides the sweeps hand in; no other module reads the tableau or the record
+layout.  Everything event-related is implemented here: sign-change
+detection on the dense output, bracketed root refinement (Illinois regula
+falsi with bisection safeguards and a closing secant step), masking of the
+event function that just fired, and the guards that turn grazing or
+simultaneous crossings into explicit errors.
 """
 
 from __future__ import annotations
@@ -324,6 +325,11 @@ def _rk_dense(t_old, y_old, h, Q, t) -> np.ndarray:
     return y
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class DenseSegment:
     """Accepted Runge-Kutta steps of one smooth segment.
@@ -331,18 +337,21 @@ class DenseSegment:
     Time runs forward.  Step k runs from node k with length ``steps[k]``
     (the stepper's ``h_previous``); the span is that of ``node_times``, in
     which ``locate`` finds a time.  ``stages`` is the stage record, the
-    stepper's stage derivatives ``K`` as one read-only (6 * len(steps) + 1,
-    dim) array: row 6k + i is stage i of step k, so row 6k + 6 is both the
+    stepper's stage derivatives ``K`` as one (6 * len(steps) + 1, dim)
+    array: row 6k + i is stage i of step k, so row 6k + 6 is both the
     derivative at the end of step k and stage 0 of step k + 1 (FSAL), and
     step k's seven rows are the view ``stages[6k:6k + 7]``.  A forward run
-    also records, read-only in the same layout, the time and state each
-    stage was evaluated at (``stage_times``, ``stage_states``) and, for a
+    also records, in the same layout, the time each stage was evaluated at
+    (``stage_times``), the leading components of its state
+    (``stage_states``: the positions q of a hybrid run, whose velocities
+    are the leading rows of ``stages``, else the whole state) and, for a
     hybrid run, the multipliers of the dynamics' saddle solve there
-    (``multipliers``).  Inside a step the continuous extension is
-    evaluated bitwise as scipy's dense output; at a stored node the stored
-    state is returned verbatim.  ``truncated`` marks a segment whose last node is an event
-    root inside its last step, reached by the continuous extension rather
-    than by the full step.
+    (``multipliers``).  The nodes and every record are read-only.  Inside
+    a step the continuous extension is evaluated bitwise as scipy's dense
+    output; at a stored node the stored state is returned verbatim.
+    ``truncated`` marks a segment whose last node is an event root inside
+    its last step, reached by the continuous extension rather than by the
+    full step.
     """
 
     node_times: np.ndarray
@@ -357,11 +366,10 @@ class DenseSegment:
     _BOUNDARY_SLACK = 1e-12
 
     def __post_init__(self):
-        for name in ("stages", "multipliers", "stage_times", "stage_states"):
+        for name in ("node_times", "node_states", "stages", "multipliers", "stage_times",
+                     "stage_states"):
             if getattr(self, name) is not None:
-                record = np.asarray(getattr(self, name), dtype=float)
-                record.flags.writeable = False
-                setattr(self, name, record)
+                setattr(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -396,42 +404,45 @@ class DenseSegment:
         return self.extension(k, self.node_states[k], self.stages[self.step_rows(k)], t)
 
     def step_stages(self, k: int, n: int):
-        """(h, w, times, states, vdot, mu) of step k, for the discrete
+        """(h, w, times, q, v, vdot, mu) of step k, for the discrete
         tangent and adjoint sweeps over a state [q (n); v (n); ...]: step
-        k's seven rows of the records, the times, states, accelerations (v
-        block of ``stages``) and multipliers the forward step evaluated, as
-        stored.  w weighs the stages in the step's end node: B on six for a
-        full step, P [x, x^2, x^3, x^4] on all seven for the last step of a
+        k's seven rows of the records as stored, the times, positions
+        (``stage_states``), velocities and accelerations (the q and v
+        blocks of ``stages``) and multipliers the forward step evaluated.
+        w weighs the stages in the step's end node: B on six for a full
+        step, P [x, x^2, x^3, x^4] on all seven for the last step of a
         segment cut at an event (reached by the continuous extension)."""
         rows, w = self.step_rows(k), RK45.B
         if self.truncated and k == len(self) - 1:
             x = (self.node_times[k + 1] - self.node_times[k]) / self.steps[k]
             w = RK45.P @ np.cumprod(np.tile(x, RK45.P.shape[1]))
-        return (self.steps[k], w, self.stage_times[rows], self.stage_states[rows],
-                self.stages[rows, n:2 * n], self.multipliers[rows])
+        return (self.steps[k], w, self.stage_times[rows], self.stage_states[rows, :n],
+                self.stages[rows, :n], self.stages[rows, n:2 * n], self.multipliers[rows])
 
     def tangent_step(self, k: int, n: int, X: np.ndarray, stage_rhs, KX0=None) -> tuple:
         """Tangent at node k + 1 from the tangent X at node k: the derivative
         of step k at its fixed step size,
 
-            X_i = X + h sum_{j<i} a_ij KX_j,  KX_i = stage_rhs(t_i, Y_i, X_i, vdot_i, mu_i),
+            X_i = X + h sum_{j<i} a_ij KX_j,
+            KX_i = stage_rhs(t_i, q_i, v_i, X_i, vdot_i, mu_i),
             X_k+1 = X + h sum_i w_i KX_i,
 
-        on the forward step's stage times, states Y_i, accelerations and
-        multipliers (``step_stages``), so nothing is solved or rebuilt.
+        on the forward step's stage times, positions, velocities,
+        accelerations and multipliers (``step_stages``), so nothing is
+        solved or rebuilt.
         Returns X_k+1 and all seven stages KX, the tangent's continuous
         extension (``extension``).  Stage 6 sits at the full step's end, so
         it is the next step's stage 0 (``KX0``), as in the forward step;
         without it stage 0 is evaluated at that stage's time and state, to
         the same bytes.
         """
-        h, w, times, states, vdot, mu = self.step_stages(k, n)
+        h, w, times, q, v, vdot, mu = self.step_stages(k, n)
         KX = np.empty((len(times), X.size))
         if KX0 is not None:
             KX[0] = KX0
         for i in range(KX0 is not None, len(times)):
             X_i = X + np.dot(KX[:i].T, RK_A[i, :i]) * h
-            KX[i] = stage_rhs(times[i], states[i], X_i, vdot[i], mu[i])
+            KX[i] = stage_rhs(times[i], q[i], v[i], X_i, vdot[i], mu[i])
         return X + np.dot(KX[:len(w)].T, w) * h, KX
 
     def adjoint_step(self, k: int, n: int, lam: np.ndarray, stage_rhs) -> np.ndarray:
@@ -443,20 +454,21 @@ class DenseSegment:
             lam_k   = lam + sum_i mu_i
 
         (the rho block accumulating f_rho^T theta_i + h w_i g_rho^T), where
-        mu_i = stage_rhs(t_i, Y_i, theta_i, vdot_i, saddle_i, h w_i), the
-        reversed-time derivative, taken as returned.  The stage times,
-        states Y_i, accelerations and saddle multipliers are step k's rows
-        of the records (``step_stages``), bitwise what the forward step
-        evaluated.  A full step has the weights w = B on six stages; the
-        last step of a segment cut at an event reaches its end node through
-        the continuous extension, with w = P [x, x^2, x^3, x^4] on all seven.
+        mu_i = stage_rhs(t_i, q_i, v_i, theta_i, vdot_i, saddle_i, h w_i),
+        the reversed-time derivative, taken as returned, at the stage state
+        Y_i = [q_i; v_i; ...].  The stage times, positions, velocities,
+        accelerations and saddle multipliers are step k's rows of the
+        records (``step_stages``), bitwise what the forward step evaluated.
+        A full step has the weights w = B on six stages; the last step of a
+        segment cut at an event reaches its end node through the continuous
+        extension, with w = P [x, x^2, x^3, x^4] on all seven.
         """
-        h, w, times, states, vdot, saddle = self.step_stages(k, n)
+        h, w, times, q, v, vdot, saddle = self.step_stages(k, n)
         s = len(w)
         mu = np.zeros((s, lam.size))
         for i in range(s - 1, -1, -1):
             theta = h * (w[i] * lam + RK_A[i + 1:s, i] @ mu[i + 1:s])
-            mu[i] = stage_rhs(times[i], states[i], theta, vdot[i], saddle[i], h * w[i])
+            mu[i] = stage_rhs(times[i], q[i], v[i], theta, vdot[i], saddle[i], h * w[i])
         return lam + mu.sum(axis=0)
 
 
@@ -614,10 +626,52 @@ def _sample_times(t_old, t_new) -> list:
     return [i * step + t_old for i in range(1, div)] + [t_new]
 
 
+class _StageRecord:
+    """One segment's stage records as its steps are accepted.  ``add``
+    takes an accepted step's rows (t, y, f, mu), the evaluations' own
+    arrays, and each ``_FLUSH_ROWS`` rows copies those held into one block
+    per record, of y the leading ``width`` components (all for None), so
+    that no evaluation's arrays outlive the few steps after it; ``stacked``
+    joins each record's blocks once, when the segment ends (a segment of
+    one block is not copied again).  mu is not recorded where the first
+    row's is None."""
+
+    # eight steps: a five-bar segment's record in a few blocks, and the
+    # arrays of at most eight steps' evaluations held at once
+    _FLUSH_ROWS = 8 * RK45.n_stages
+
+    def __init__(self, first: tuple, width: int | None):
+        self.width, self.has_mu = width, first[3] is not None
+        self.rows, self.blocks = [first], []
+
+    def add(self, rows: list) -> None:
+        self.rows += rows
+        if len(self.rows) >= self._FLUSH_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        t, y, f, mu = zip(*self.rows)
+        self.blocks.append((np.asarray(t, dtype=float),
+                            np.asarray(y, dtype=float)[:, :self.width].copy(),
+                            np.asarray(f, dtype=float),
+                            np.asarray(mu, dtype=float) if self.has_mu else None))
+        self.rows = []
+
+    def stacked(self) -> tuple:
+        """(times, states, stages, multipliers) as arrays, multipliers None
+        where the first mu is."""
+        if self.rows:
+            self._flush()
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        return tuple(None if b[0] is None else np.concatenate(b) for b in zip(*self.blocks))
+
+
 def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
                       event_fns: Sequence[Callable[[float, np.ndarray], float]] = (),
                       monitor: EventMonitor | None = None,
-                      start: tuple | None = None, first_step: float | None = None):
+                      start: tuple | None = None, first_step: float | None = None,
+                      stage_width: int | None = None):
     """Integrate y' = f(t, y) forward over t_span, stopping at the first
     event root; a span with t_span[1] <= t_span[0] is refused.
 
@@ -650,11 +704,16 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     tolerance of each other are reported as an error: there is no defined
     ordering for simultaneous events.
 
-    Each evaluation's (t, y, f, mu) is kept: the segment's records
-    (``stage_times``, ``stage_states``, ``stages`` and ``multipliers``,
-    None where mu is) take the evaluation at (t0, y0), then each accepted
-    step's last n_stages (stages 1..6 of the accepted attempt); those of
-    the initial-step probe and of rejected attempts are dropped.
+    The segment's records (``stage_times``, ``stage_states``, ``stages``
+    and ``multipliers``, None where mu is) hold the (t, y[:stage_width],
+    f, mu) of the evaluation at (t0, y0), then of each accepted step's
+    last n_stages evaluations (stages 1..6 of the accepted attempt),
+    copied in every eight accepted steps (``_StageRecord``); those of the
+    initial-step probe and of rejected attempts are never kept.  ``stage_width``, if given, is
+    how many leading state components a stage keeps (a hybrid run keeps
+    its positions, whose velocities are the leading rows of f); by default
+    the whole state.  The node states, and so the states the scan hands
+    the event functions at the nodes, are read-only.
 
     ``first_step``, if given, is the solver's first step
     (``RK45(first_step=...)``), as a hybrid run restarts after an event
@@ -666,7 +725,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     evaluation takes it instead of calling rhs, checked and counted as any.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _read_only(np.array(y0, dtype=float))
     if not np.isfinite(y0).all():
         raise IntegrationError(f"non-finite initial state at t={t0}")
     if not tf > t0:
@@ -690,10 +749,10 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         evaluated.append((t, y, f, mu))
         return f
     solver = RK45(fun, t0, y0, tf, rtol=config.rtol, atol=config.atol, first_step=first_step)
-    record = evaluated[:1]
+    record = _StageRecord(evaluated[0], stage_width)
 
     node_times = [t0]
-    node_states = [y0.copy()]
+    node_states = [y0]
     hs: list = []
     # fixed per segment: a function is held only between segments
     watched = [(i, fn) for i, fn in enumerate(event_fns)
@@ -722,9 +781,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         t_old, y_old = node_times[-1], node_states[-1]
         h = solver.h_previous
         hs.append(h)
-        record += evaluated[-solver.n_stages:]
+        record.add(evaluated[-solver.n_stages:])
         evaluated.clear()
-        t_new, y_new = solver.t, solver.y.copy()
+        t_new, y_new = solver.t, _read_only(solver.y.copy())
 
         Q = solver.K.T.dot(RK45.P)
 
@@ -778,8 +837,8 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         node_times.append(t_new)
         node_states.append(y_new)
 
-    times, states, stages, mu = zip(*record)
+    times, states, stages, mu = record.stacked()
     seg = DenseSegment(np.asarray(node_times), np.asarray(node_states), stages, np.asarray(hs),
-                       truncated=hit is not None, multipliers=None if mu[0] is None else mu,
+                       truncated=hit is not None, multipliers=mu,
                        stage_times=times, stage_states=states)
     return seg, hit

@@ -64,6 +64,14 @@ def fd_derivative(fun: Callable[[float], np.ndarray], x: float) -> np.ndarray:
     return (np.asarray(fun(x + h), dtype=float) - np.asarray(fun(x - h), dtype=float)) / (2.0 * h)
 
 
+def _refuse_shape(what, val, shape):
+    """Refuse a callback's value of the wrong shape, which numpy
+    broadcasting would otherwise carry on: a DimensionError naming the
+    callback, the shape it returned and the shape expected.  The callers
+    test the shape inline, as the values are read at every stage."""
+    raise DimensionError(f"{what} returned shape {val.shape}; expected {shape}")
+
+
 def _partials(callback, what, fun, args, blocks):
     """Partials of fun(*args) in its trailing arguments, one per (name,
     shape) of ``blocks``; a block whose shape is None (an absent argument)
@@ -240,12 +248,18 @@ class ConstraintSet:
     # -- evaluations with finite-difference fallbacks ---------------------
 
     def value(self, t, q, rho) -> np.ndarray:
-        return np.asarray(self.phi(t, q, rho), dtype=float)
+        val = np.asarray(self.phi(t, q, rho), dtype=float)
+        if val.shape != (self.m,):
+            _refuse_shape("constraint phi", val, (self.m,))
+        return val
 
     def jac_q(self, t, q, rho) -> np.ndarray:
-        if self.phi_q is not None:
-            return np.asarray(self.phi_q(t, q, rho), dtype=float)
-        return fd_jacobian(lambda qq: self.value(t, qq, rho), q)
+        if self.phi_q is None:
+            return fd_jacobian(lambda qq: self.value(t, qq, rho), q)
+        G = np.asarray(self.phi_q(t, q, rho), dtype=float)
+        if G.shape != (self.m, q.size):
+            _refuse_shape("constraint phi_q", G, (self.m, q.size))
+        return G
 
     def qq_action(self, t, q, rho, w) -> np.ndarray:
         """d(phi_q @ w)/dq as an (m, n) matrix."""
@@ -254,9 +268,12 @@ class ConstraintSet:
         return fd_jacobian(lambda qq: self.jac_q(t, qq, rho) @ w, q)
 
     def jac_rho(self, t, q, rho) -> np.ndarray:
-        if self.phi_rho is not None:
-            return np.asarray(self.phi_rho(t, q, rho), dtype=float)
-        return fd_jacobian(lambda rr: self.value(t, q, rr), rho)
+        if self.phi_rho is None:
+            return fd_jacobian(lambda rr: self.value(t, q, rr), rho)
+        G_rho = np.asarray(self.phi_rho(t, q, rho), dtype=float)
+        if G_rho.shape != (self.m, rho.size):
+            _refuse_shape("constraint phi_rho", G_rho, (self.m, rho.size))
+        return G_rho
 
     def q_rho_action(self, t, q, rho, w) -> np.ndarray:
         """d(phi_q @ w)/drho as an (m, p) matrix."""
@@ -314,10 +331,16 @@ class MultibodyModel:
     name: str = "model"
 
     def mass_at(self, t, q, rho) -> np.ndarray:
-        return np.asarray(self.mass(t, q, rho), dtype=float)
+        M = np.asarray(self.mass(t, q, rho), dtype=float)
+        if M.shape != (self.dims.n, self.dims.n):
+            _refuse_shape(f"mass of '{self.name}'", M, (self.dims.n, self.dims.n))
+        return M
 
     def force_at(self, t, q, v, rho) -> np.ndarray:
-        return np.asarray(self.force(t, q, v, rho), dtype=float)
+        F = np.asarray(self.force(t, q, v, rho), dtype=float)
+        if F.shape != (self.dims.n,):
+            _refuse_shape(f"force of '{self.name}'", F, (self.dims.n,))
+        return F
 
     def mass_jacobians(self, t, q, rho, w):
         """(M_q w, M_rho w): zeros under ``mass_constant``, else

@@ -710,6 +710,41 @@ def test_simulate_reads_r_q_once_per_event():
     assert len(calls) == 2
 
 
+def test_a_callback_writing_into_the_stored_state_is_refused():
+    # the jump map's v- is a view of the stored pre-event node: written in
+    # place, it rewrote that node and the record's v_minus (to v+) and the run
+    # returned normally; the nodes, and the states the scan hands the event
+    # functions, are read-only
+    from dataclasses import replace
+
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import bouncing_mass
+    from hybridsens.integrate import IntegratorConfig, integrate_segment
+
+    prob = bouncing_mass()
+    request = (prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, (0.0, 1.0), prob.config)
+    traj = simulate(*request)
+    assert traj.events and traj.events[0].v_minus[0] < 0.0 < traj.events[0].v_plus[0]
+    for seg in traj.segments:
+        assert not (seg.dense.node_times.flags.writeable or seg.dense.node_states.flags.writeable)
+
+    def h_in_place(t, q, v, rho):
+        v *= -rho[1]
+        return v
+
+    in_place = replace(prob.events[0], h=h_in_place)
+    with pytest.raises(ValueError, match="read-only"):
+        simulate(*request[:2], [in_place], *request[3:])
+
+    def r_in_place(t, y):
+        y[0] += 0.0
+        return y[0]
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_segment(lambda t, y: (np.array([y[1], -G]), None), np.array([1.0, 0.0]),
+                          (0.0, 1.0), IntegratorConfig(), [r_in_place])
+
+
 def test_rhs_switch_requires_post_dynamics():
     with pytest.raises(ValueError, match="post_dynamics"):
         RhsSwitchEvent(name="switch", r=lambda q: q[0])

@@ -388,6 +388,32 @@ def test_cost_value_of_the_wrong_width_is_refused():
         simulate(dyn, wide_g, [], np.array([G]), (0.0, 0.1))
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("force", r"force of 'five-bar' returned shape \(1,\); expected \(6,\)"),
+    ("mass", r"mass of 'five-bar' returned shape \(1, 6\); expected \(6, 6\)"),
+    ("phi", r"constraint phi returned shape \(1,\); expected \(4,\)"),
+    ("phi_q", r"constraint phi_q returned shape \(1, 6\); expected \(4, 6\)"),
+    ("phi_rho", r"constraint phi_rho returned shape \(1, 2\); expected \(4, 2\)"),
+])
+def test_model_and_constraint_values_of_the_wrong_shape_are_refused(name, expected):
+    # broadcasting carried each on: a (1,) force ran both five-bar forms with
+    # no contact, a (1, 6) phi_q ran the penalty form and failed the DAE's KKT
+    # factorization as singular; each callback's value is checked, on both
+    # forms, whose constant mass is read when the dynamics is built
+    from hybridsens.direct import simulate
+    from hybridsens.gallery import five_bar
+
+    for form in ("penalty", "dae"):
+        prob = five_bar(formulation=form)
+        model = prob.dynamics.model
+        owner = model if name in ("force", "mass") else model.constraints
+        full = getattr(owner, name)
+        setattr(owner, name, lambda *args, full=full: np.asarray(full(*args))[:1])
+        with pytest.raises(DimensionError, match=expected):
+            simulate(type(prob.dynamics)(model), prob.cost(), prob.events, prob.rho0.rho,
+                     (0.0, 0.5), prob.config)
+
+
 def test_gallery_analytic_partials_match_fd():
     # every analytic Jacobian a model supplies must agree with the fallback
     from hybridsens.gallery import FIVE_BAR_DATA, FIVE_BAR_PARAMS, five_bar_model, pendulum_model

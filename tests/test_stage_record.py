@@ -8,10 +8,11 @@ so only a bitwise check catches it."""
 import numpy as np
 import pytest
 
+import hybridsens.direct as direct
 import hybridsens.integrate as integrate
 from hybridsens.constrained import PenaltyDynamics
 from hybridsens.direct import simulate, tlm_rhs
-from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
+from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum, register_gallery
 from hybridsens.model import OdeDynamics
 
 
@@ -65,10 +66,9 @@ def test_stage_record_is_bitwise_the_saddle_solve(name, attempts):
         for k in range(len(dense)):
             K = dense.stages[6 * k:6 * k + 7]
             # the stage states exactly as both sensitivity sweeps read them
-            _, _, times, states, _, _ = dense.step_stages(k, n)
+            _, _, times, q_rec, v_rec, _, _ = dense.step_stages(k, n)
             for i in range(7):
-                t, y = times[i], states[i]
-                q, v = y[:n], y[n:2 * n]
+                t, q, v = times[i], q_rec[i], v_rec[i]
                 vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
                 assert vdot.tobytes() == K[i, n:2 * n].tobytes()
                 if mu is None:  # ODE dynamics: an empty row
@@ -192,3 +192,83 @@ def test_stage_records_of_a_segment_started_from_a_given_evaluation(logged):
                                          first_step=0.4)
     assert log[1][0] == 2.5 + 0.4 * integrate.RK45.C[1]  # no probe: stage 1 of step 0
     assert_records_are_the_accepted_evaluations(seg, log, marks)
+
+
+def records(dense):
+    return dense.stage_times, dense.stage_states, dense.stages, dense.multipliers
+
+
+def test_a_five_bar_stage_row_holds_each_quantity_once():
+    # a row is the stage's time, its positions (its velocities are the
+    # derivative's leading rows), its derivative [v; vdot; g] and its
+    # multipliers: 8 (1 + n + dim + m) bytes, 192 on the five-bar, where
+    # keeping the whole state [q; v; z] took 248
+    prob = five_bar()
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, (0.0, 2.0),
+                    prob.config)
+    n, m = traj.dims.n, prob.dynamics.model.constraints.m
+    dim = traj.segments[0].dense.node_states.shape[1]
+    assert traj.events and (n, dim, m) == (6, 13, 4)
+    for seg in traj.segments:
+        dense = seg.dense
+        rows = 6 * len(dense) + 1
+        assert [r.shape[0] for r in records(dense)] == [rows] * 4
+        assert sum(r.nbytes for r in records(dense)) == 8 * (1 + n + dim + m) * rows
+
+
+def test_a_five_bar_run_peaks_at_one_segment_record_above_what_it_keeps():
+    # accepted rows are copied into blocks of the segment's record every few
+    # steps, and the blocks are stacked once, when the segment ends: the
+    # transient is one segment's record beside its blocks, plus the arrays of
+    # fewer than a flush's rows of evaluations, each well under 1 KB.
+    # Holding every evaluation's own arrays until the segment ended peaked
+    # 0.20 MB above the 0.82 MB the run keeps, 2.8 times its largest record
+    import tracemalloc
+
+    prob = five_bar(param_names=FIVE_BAR_PARAMS)
+    request = (prob.dynamics, prob.cost("int-ay2sq-vy2sq"), prob.events, prob.rho0.rho,
+               prob.t_span, prob.config)
+    simulate(*request)  # what a first call builds and keeps is not the run's
+    tracemalloc.start()
+    try:
+        traj = simulate(*request)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) >= 8
+    row = sum(r[0].nbytes for r in records(traj.segments[0].dense))
+    largest = max(len(seg.dense.stage_times) for seg in traj.segments) * row
+    bound = largest + integrate._StageRecord._FLUSH_ROWS * 1024
+    assert peak - retained <= bound, (peak, retained, bound)
+
+
+@pytest.mark.parametrize("name", sorted(register_gallery()))
+def test_each_recorded_derivative_leads_with_its_stage_velocity(name, monkeypatch):
+    # the record keeps a stage's positions and the sweeps read its velocities
+    # from the leading rows of its derivative f = [v; vdot; g], so every
+    # evaluation a run records, by its right side or handed in at an event,
+    # must lead with the velocity of the state it was evaluated at, bitwise
+    log, integrate_segment = [], direct.integrate_segment
+
+    def logging_segment(rhs, y0, t_span, config, event_fns, monitor, start, *rest, **kw):
+        if start is not None:
+            log.append((t_span[0], y0, start[0]))
+
+        def logging_rhs(t, y):
+            f, mu = rhs(t, y)
+            log.append((t, y, f))
+            return f, mu
+        return integrate_segment(logging_rhs, y0, t_span, config, event_fns, monitor, start,
+                                 *rest, **kw)
+
+    monkeypatch.setattr(direct, "integrate_segment", logging_segment)
+    prob = register_gallery()[name]()
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    n = traj.dims.n
+    assert traj.events and all(f[:n].tobytes() == y[n:2 * n].tobytes() for _, y, f in log)
+    logged = {(t, y[:n].tobytes(), f.tobytes()) for t, y, f in log}
+    for seg in traj.segments:
+        dense = seg.dense
+        for t, q, f in zip(dense.stage_times.tolist(), dense.stage_states[:, :n], dense.stages):
+            assert (t, q.tobytes(), f.tobytes()) in logged

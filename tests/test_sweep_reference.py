@@ -159,8 +159,8 @@ def reference_tangent(traj, cost, ic):
                 KX[0], first = KX0, 1
             for i in range(first, len(ts)):
                 X_i = x + np.dot(KX[:i].T, RK_A[i, :i]) * h
-                KX[i] = tangent_rhs(seg.dynamics, cost, dims, rho, ts[i], states[i], X_i,
-                                    vdot[i], mu[i])
+                KX[i] = tangent_rhs(seg.dynamics, cost, dims, rho, ts[i], states[i][:n],
+                                    states[i][n:2 * n], X_i, vdot[i], mu[i])
             x = x + np.dot(KX[:len(w)].T, w) * h
             nodes.append(x)
             stages.append(KX)
@@ -302,7 +302,9 @@ def test_every_sweep_reads_the_forward_pass_stage_clock():
     k = len(dense) // 2
     t_fsal = dense.node_times[k - 1] + dense.steps[k - 1]
     assert t_fsal == dense.node_times[k]
-    dense.node_times[k] = np.nextafter(dense.node_times[k], np.inf)
+    node_times = dense.node_times.copy()  # the stored nodes are read-only
+    node_times[k] = np.nextafter(node_times[k], np.inf)
+    dense.node_times = node_times
     stage_0 = [a[0] for a in dense.step_stages(k, n)[2:]]
     stage_6 = [a[6] for a in dense.step_stages(k - 1, n)[2:]]
     assert [np.asarray(a).tobytes() for a in stage_0] == [np.asarray(a).tobytes() for a in stage_6]
@@ -316,8 +318,9 @@ def test_every_sweep_reads_the_forward_pass_stage_clock():
     # the model sees the one ulp: a stage evaluated at the moved node time
     # would give other bytes
     x, X_k = dense.node_states[k], seg.tangent.node_states[k]
-    vdot, mu = stage_0[2], stage_0[3]
-    at = [tangent_rhs(prob.dynamics, cost, traj.dims, traj.rho, s, x, X_k, vdot, mu).tobytes()
+    vdot, mu = stage_0[3], stage_0[4]
+    at = [tangent_rhs(prob.dynamics, cost, traj.dims, traj.rho, s, x[:n], x[n:2 * n], X_k,
+                      vdot, mu).tobytes()
           for s in (t_fsal, dense.node_times[k])]
     assert at[0] != at[1]
 
@@ -458,10 +461,10 @@ def test_forward_solve_is_bytewise_the_reference_solve(name):
             continue
         assert dyn.model.mass_constant == name.startswith("five-bar")
         for k in range(len(seg.dense)):
-            _, _, times, states, vdot_rec, mu_rec = seg.dense.step_stages(k, n)
-            for t, y, a, m in zip(times, states, vdot_rec, mu_rec):
-                vdot, mu = dyn.accel_and_multipliers(t, y[:n], y[n:2 * n], rho)
-                ref = reference_solve(dyn, t, y[:n], y[n:2 * n], rho)[2]
+            _, _, times, q_rec, v_rec, vdot_rec, mu_rec = seg.dense.step_stages(k, n)
+            for t, q, v, a, m in zip(times, q_rec, v_rec, vdot_rec, mu_rec):
+                vdot, mu = dyn.accel_and_multipliers(t, q, v, rho)
+                ref = reference_solve(dyn, t, q, v, rho)[2]
                 assert np.concatenate([vdot, mu]).tobytes() == ref.tobytes()
                 assert vdot.tobytes() == a.tobytes() and mu.tobytes() == m.tobytes()
                 solved += 1
