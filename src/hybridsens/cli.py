@@ -194,10 +194,10 @@ def _sample_times(traj, per_segment=200):
 def _state_rows(traj):
     """Rows [t, q, v, z] at the sample times, each t read from the first
     segment whose span holds it (``HybridTrajectory.split_at``), so a
-    sample at an event time keeps its pre-event row."""
-    return [[t] + seg.dense.evaluate(t).tolist()
-            for seg, times in zip(traj.segments, traj.split_at(_sample_times(traj)))
-            for t in times.tolist()]
+    sample at an event time keeps its pre-event row; one
+    ``DenseSegment.evaluate`` per segment reads all of its times."""
+    return [row for seg, times in zip(traj.segments, traj.split_at(_sample_times(traj)))
+            for row in np.column_stack([times, seg.dense.evaluate(times)]).tolist()]
 
 
 def _tangent_rows(traj):

@@ -34,7 +34,7 @@ from .core import DimensionError, Dimensions, SensitivityState
 from .model import (ZERO_COST, CostFunctional, InitialConditions, cost_density_gradients,
                     terminal_cost_gradients)
 from .integrate import (DenseSegment, EventAccumulationError, EventMonitor, IntegratorConfig,
-                        integrate_segment)
+                        _read_only, integrate_segment)
 from .hybrid import (
     EventRecord,
     EventSpec,
@@ -271,6 +271,10 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
         t_eve = hit.t
         v_plus, delta_mu, dyn_plus, blocks = apply_state_jump(
             spec, t_eve, q, v_minus, rho, active)
+        # the kind's array may be shared (a view, or the map's own array): the
+        # callbacks below see a read-only copy, so none can write into the
+        # record's v_plus or the next segment's start
+        v_plus = _read_only(v_plus.copy())
         r_q = spec.r_jac(q)
         rdot_plus = check_departure(spec, r_q, v_minus, v_plus)
         vdot_minus, mu_m = active.accel_and_multipliers(t_eve, q, v_minus, rho)
@@ -281,7 +285,7 @@ def _run_hybrid(dyn, cost, events, rho, t_span, config):
                                  blocks)
         records.append(EventRecord(
             spec=spec, t_eve=t_eve, q=q.copy(), v_minus=v_minus.copy(),
-            v_plus=v_plus.copy(), vdot_minus=vdot_minus, z=z.copy(), jump=jump,
+            v_plus=v_plus, vdot_minus=vdot_minus, z=z.copy(), jump=jump,
             delta_mu=delta_mu,
         ))
 
@@ -327,11 +331,11 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
 
     ``at`` are sorted sample times inside the run, split by segment as
     ``traj.split_at`` splits them (a t at an event time samples the
-    pre-event segment).  Each is evaluated once the segment's steps are
-    swept, by one ``DenseSegment.evaluate`` of the tangent's continuous
-    extension on that segment's tangent stages (a record laid out as the
-    forward stages, which is dropped right after), and stored on the
-    segment's ``tangent`` (``samples``).  Returns X_tF."""
+    pre-event segment).  A segment's times are evaluated once its steps
+    are swept, by one ``DenseSegment.evaluate`` of the tangent's
+    continuous extension on that segment's tangent stages (a record laid
+    out as the forward stages, which is dropped right after), and stored
+    on the segment's ``tangent`` (``samples``).  Returns X_tF."""
     dims, rho, ic = traj.dims, traj.rho, traj.initial
     cost = traj.cost or ZERO_COST
     n, p = dims.n, dims.p
@@ -357,7 +361,7 @@ def propagate_direct(traj: HybridTrajectory, at=()) -> SensitivityState:
         samples = np.empty((0, x.size))
         if stages is not None:
             extension = DenseSegment(d.node_times, nodes, stages, d.steps)
-            samples = np.array([extension.evaluate(t) for t in times.tolist()])
+            samples = extension.evaluate(times)
         seg.tangent = SegmentTangent(nodes, times, samples)
         x = nodes[-1].reshape(-1, p)
     return _sensitivity(x.copy(), dims)

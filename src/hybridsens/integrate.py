@@ -374,19 +374,26 @@ class DenseSegment:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def locate(self, t: float) -> tuple:
+    def locate(self, t) -> tuple:
         """(k, on_node, t): t clamped to the span, and the node k it sits on
-        (on_node) or else the step k whose interior holds it.  A t outside
-        the span by more than a relative 1e-12 raises an IntegrationError."""
+        (on_node) or else the step k whose interior holds it; for a 1-D
+        array of times, the three as arrays, an entry per time, found by
+        one ``np.searchsorted``.  A t outside the span by more than a
+        relative 1e-12, or NaN, raises an IntegrationError."""
+        times = np.asarray(t, dtype=float)
         lo, hi = self.node_times[0], self.node_times[-1]
-        span = max(hi - lo, 1.0)
-        if not lo - self._BOUNDARY_SLACK * span <= t <= hi + self._BOUNDARY_SLACK * span:
-            raise IntegrationError(f"t={t!r} outside segment [{lo!r}, {hi!r}]")
-        t = min(max(t, lo), hi)
-        k = int(np.searchsorted(self.node_times, t))
-        if self.node_times[k] == t:
-            return k, True, t
-        return k - 1, False, t
+        slack = self._BOUNDARY_SLACK * max(hi - lo, 1.0)
+        inside = (lo - slack <= times) & (times <= hi + slack)
+        if not inside.all():
+            bad = float(np.extract(~inside, times)[0])
+            raise IntegrationError(f"t={bad!r} outside segment [{lo!r}, {hi!r}]")
+        times = np.minimum(np.maximum(times, lo), hi)
+        k = np.searchsorted(self.node_times, times)
+        on_node = self.node_times[k] == times
+        k = k - ~on_node
+        if times.ndim:
+            return k, on_node, times
+        return int(k), bool(on_node), float(times)
 
     def step_rows(self, k: int) -> slice:
         """The slice of step k's seven rows in the records, 6k to 6k + 6."""
@@ -397,11 +404,36 @@ class DenseSegment:
         over the steps, from x_k at node k and its seven stage rows K."""
         return _rk_dense(self.node_times[k], x_k, self.steps[k], K.T.dot(RK45.P), t)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        k, on_node, t = self.locate(t)
-        if on_node:
-            return self.node_states[k].copy()
-        return self.extension(k, self.node_states[k], self.stages[self.step_rows(k)], t)
+    def evaluate(self, t) -> np.ndarray:
+        """The state at t, or one row per time of a 1-D array of times,
+        each t found by ``locate``: a time on a node reads the stored state
+        verbatim, one inside step k the continuous extension, bitwise
+        scipy's dense output there (``_rk_dense``).  The times are located
+        at once, and step k's coefficients Q = K^T P are formed once for
+        all the times inside it.  Each time keeps its own product of Q with
+        [x, x^2, x^3, x^4]: one matrix product per step could sum in
+        another order.  The powers and h (...) + y_k are taken elementwise
+        across the times, the operations ``_rk_dense`` does for one."""
+        times = np.asarray(t, dtype=float)
+        k, on_node, s = self.locate(times.reshape(-1))
+        rows = self.node_states[k]
+        inner = np.flatnonzero(~on_node)
+        if inner.size:
+            k, s = k[inner], s[inner]
+            h = self.steps[k]
+            x = (s - self.node_times[k]) / h
+            x2 = x * x
+            x3 = x2 * x
+            powers = np.column_stack([x, x2, x3, x3 * x])
+            poly = np.empty((inner.size, rows.shape[1]))
+            coefficients = {}
+            for i, step in enumerate(k.tolist()):
+                Q = coefficients.get(step)
+                if Q is None:
+                    Q = coefficients[step] = self.stages[self.step_rows(step)].T.dot(RK45.P)
+                poly[i] = np.dot(Q, powers[i])
+            rows[inner] = h[:, None] * poly + rows[inner]
+        return rows.reshape(times.shape + rows.shape[1:])
 
     def step_stages(self, k: int, n: int):
         """(h, w, times, q, v, vdot, mu) of step k, for the discrete
@@ -712,8 +744,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
     initial-step probe and of rejected attempts are never kept.  ``stage_width``, if given, is
     how many leading state components a stage keeps (a hybrid run keeps
     its positions, whose velocities are the leading rows of f); by default
-    the whole state.  The node states, and so the states the scan hands
-    the event functions at the nodes, are read-only.
+    the whole state.  The states ``rhs`` is handed, and so the node states
+    and the states the scan hands the event functions at the nodes, are
+    read-only.
 
     ``first_step``, if given, is the solver's first step
     (``RK45(first_step=...)``), as a hybrid run restarts after an event
@@ -745,6 +778,9 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
 
     def fun(t, y):
         nonlocal start
+        # the stage state is recorded and may be the next step's: a callback
+        # writing into it raises
+        y = _read_only(y)
         (f, mu), start = start or rhs(t, y), None  # the first call takes start
         evaluated.append((t, y, f, mu))
         return f
@@ -783,7 +819,7 @@ def integrate_segment(rhs, y0, t_span, config: IntegratorConfig,
         hs.append(h)
         record.add(evaluated[-solver.n_stages:])
         evaluated.clear()
-        t_new, y_new = solver.t, _read_only(solver.y.copy())
+        t_new, y_new = solver.t, solver.y  # read-only: fun evaluated it
 
         Q = solver.K.T.dot(RK45.P)
 

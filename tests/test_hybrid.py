@@ -744,6 +744,27 @@ def test_a_callback_writing_into_the_stored_state_is_refused():
         integrate_segment(lambda t, y: (np.array([y[1], -G]), None), np.array([1.0, 0.0]),
                           (0.0, 1.0), IntegratorConfig(), [r_in_place])
 
+    # the right side's states: past the run's start, a force writing into its
+    # q rewrote the recorded stage positions and the stepper's next state, and
+    # one writing into its v at the event rewrote the post-event velocity the
+    # record and the next segment start from; each raises
+    t_eve = traj.events[0].t_eve
+
+    def writes_q(t, q, v, rho):
+        if t > 0.0:
+            q += 0.0
+        return np.array([-G])
+
+    def writes_v_plus(t, q, v, rho):
+        if t == t_eve and v[0] > 0.0:
+            v *= 1.0
+        return np.array([-G])
+
+    for force in (writes_q, writes_v_plus):
+        model = replace(prob.dynamics.model, force=force)
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(type(prob.dynamics)(model), *request[1:])
+
 
 def test_rhs_switch_requires_post_dynamics():
     with pytest.raises(ValueError, match="post_dynamics"):

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -87,6 +88,58 @@ def test_interpolation_outside_segment_raises():
     seg, _ = integrate_segment(free_fall_rhs, np.array([1.0, 0.0]), (0.0, 0.4), cfg)
     with pytest.raises(IntegrationError):
         seg.evaluate(0.5)
+
+
+def per_time_row(dense, t):
+    """One time's row by the rule written out: t clamped to the span, a
+    node's stored row, else ``_rk_dense`` in the step whose interior holds t."""
+    t = min(max(t, dense.node_times[0]), dense.node_times[-1])
+    nodes = dense.node_times.tolist()
+    if t in nodes:
+        return dense.node_states[nodes.index(t)]
+    k = bisect.bisect(nodes, t) - 1
+    Q = dense.stages[6 * k:6 * k + 7].T.dot(integrate.RK45.P)
+    return _rk_dense(dense.node_times[k], dense.node_states[k], dense.steps[k], Q, t)
+
+
+def _gallery_runs():
+    from hybridsens.gallery import five_bar, register_gallery
+
+    for name, build in sorted(register_gallery().items()):
+        yield pytest.param(build(), id=name)
+    yield pytest.param(five_bar(formulation="penalty"), id="five-bar-penalty")
+
+
+@pytest.mark.parametrize("prob", _gallery_runs())
+def test_evaluate_at_many_times_is_bitwise_each_time_alone(prob):
+    # one call locates every time and forms each step's Q once; each row is
+    # the bytes of that time evaluated alone and of the per-time rule, at the
+    # nodes (the event times among them), inside steps, clamped at either
+    # end, in any order and repeated
+    traj = simulate(prob.dynamics, prob.cost(), prob.events, prob.rho0.rho, prob.t_span,
+                    prob.config)
+    assert traj.events
+    rng = np.random.default_rng(11)
+    for seg in traj.segments:
+        dense = seg.dense
+        lo, hi = dense.node_times[0], dense.node_times[-1]
+        slack = 0.5e-12 * max(hi - lo, 1.0)
+        times = np.concatenate([dense.node_times, rng.uniform(lo, hi, 30),
+                                [lo - slack, hi + slack]])
+        rows = dense.evaluate(times)
+        assert rows.shape == (times.size, dense.node_states.shape[1])
+        for t, row in zip(times.tolist(), rows):
+            alone = dense.evaluate(t).tobytes()
+            assert row.tobytes() == alone == per_time_row(dense, t).tobytes()
+        mixed = rng.permutation(np.concatenate([times, times[::3]]))
+        expect = [per_time_row(dense, t).tobytes() for t in mixed.tolist()]
+        assert [row.tobytes() for row in dense.evaluate(mixed)] == expect
+        assert dense.evaluate(times[:0]).shape == (0, rows.shape[1])
+        for bad in (lo - 1e-9 * max(hi - lo, 1.0), hi + 1e-9 * max(hi - lo, 1.0), math.nan):
+            with pytest.raises(IntegrationError, match="outside segment"):
+                dense.evaluate(bad)
+            with pytest.raises(IntegrationError, match="outside segment"):
+                dense.evaluate(np.array([lo, bad, hi]))
 
 
 def test_tolerance_halving_improves_accuracy():

@@ -454,6 +454,40 @@ def test_gallery_analytic_partials_match_fd():
                 assert np.max(np.abs(cons.q_rho_action(t, q, rho, w) - fd_qr)) < 1e-5
 
 
+def test_constraint_partials_fall_back_to_central_differences():
+    # a constraint set declaring phi alone takes phi_q and phi_rho, and one
+    # without a hessian its rho action, as central differences: each within
+    # finite-difference error of the five-bar's analytic partials
+    from hybridsens.gallery import FIVE_BAR_DATA, FIVE_BAR_PARAMS, five_bar_model
+
+    rng = np.random.default_rng(7)
+    for model, rho in ((five_bar_model(), np.array([100.0, 100.0])),
+                       (five_bar_model(FIVE_BAR_PARAMS),
+                        np.array([FIVE_BAR_DATA[nm] for nm in FIVE_BAR_PARAMS]))):
+        cons = model.constraints
+        phi_only = ConstraintSet(m=cons.m, phi=cons.phi)
+        no_hessian = ConstraintSet(m=cons.m, phi=cons.phi, phi_q=cons.phi_q)
+        t = float(rng.uniform(0, 1))
+        q = rng.normal(size=6) + np.array([-1.5, -1, 0, -2, 1.5, -1])
+        w = rng.normal(size=6)
+        assert rel_err(phi_only.jac_q(t, q, rho), cons.jac_q(t, q, rho), floor=1.0) < 1e-6
+        assert rel_err(phi_only.jac_rho(t, q, rho), cons.jac_rho(t, q, rho), floor=1.0) < 1e-6
+        assert rel_err(no_hessian.q_rho_action(t, q, rho, w), cons.q_rho_action(t, q, rho, w),
+                       floor=1.0) < 1e-6
+
+
+def test_a_partials_callback_returning_the_wrong_number_of_blocks_is_refused():
+    from hybridsens.gallery import bouncing_mass
+
+    prob = bouncing_mass()
+    model = dataclasses.replace(prob.dynamics.model,
+                                force_partials=lambda t, q, v, rho: (np.zeros((1, 1)),))
+    with pytest.raises(DimensionError) as err:
+        model.force_jacobians(0.0, np.ones(1), np.zeros(1), prob.rho0.rho)
+    assert str(err.value) == ("force_partials of 'bouncing-mass' returned 1 blocks; "
+                              "expected F_q, F_v, F_rho")
+
+
 def _gallery_cost_and_jump_cases():
     from hybridsens.gallery import FIVE_BAR_PARAMS, bouncing_mass, five_bar, pendulum
 

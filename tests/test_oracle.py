@@ -239,3 +239,54 @@ def test_fd_cost_sensitivity_refuses_a_missing_cost(monkeypatch):
     with pytest.raises(ValueError, match="needs the cost functional"):
         fd_cost_sensitivity(prob.dynamics, None, prob.events, prob.rho0.rho, prob.t_span,
                             prob.config)
+
+
+def test_a_difference_straddling_a_step_control_switch_misses_a_right_gradient(monkeypatch):
+    # the five-bar DAE at the benchmark's draw for request 2 of seed 203 (k1,
+    # k2 within 1% of nominal, cost int-vy2): the central difference along d
+    # at a relative step of 1e-6 missed the direct gradient by 3.7e-4, because
+    # the runs at rho +- 1e-6 d reject different numbers of step attempts
+    # (19 and 18 over the same 394 accepted steps); at 1e-7 they step alike
+    # and the difference agrees with the gradient
+    from hybridsens import integrate
+    from hybridsens.direct import direct_gradient
+    from hybridsens.gallery import five_bar
+    from hybridsens.model import terminal_cost_gradients
+
+    prob = five_bar(("k1", "k2"), formulation="dae")
+    cost = prob.cost("int-vy2")
+    rng = np.random.default_rng([203, 2])
+    rho = prob.rho0.rho * (1.0 + rng.uniform(-0.01, 0.01, 2))
+    d = rng.standard_normal(2)
+    d *= np.maximum(1.0, np.abs(rho)) / np.linalg.norm(d)
+    attempts = []
+    rk_step = integrate._rk_step
+
+    def counted(*args):
+        attempts.append(None)
+        return rk_step(*args)
+
+    monkeypatch.setattr(integrate, "_rk_step", counted)
+
+    def run(r):
+        """(cost, accepted steps, rejected attempts) of the run at r."""
+        attempts.clear()
+        traj = simulate(prob.dynamics, cost, prob.events, r, prob.t_span, prob.config)
+        qF, vF, zF = traj.state_at(traj.tF)
+        w = terminal_cost_gradients(cost, traj.segments[-1].dynamics, traj.tF, qF, vF, r)[0]
+        accepted = sum(len(seg.dense) for seg in traj.segments)
+        return float((zF + w)[0]), accepted, len(attempts) - accepted
+
+    grad, traj, _ = direct_gradient(prob.dynamics, cost, prob.events, rho, prob.t_span,
+                                    prob.config)
+    slope = float((grad @ d)[0])
+    assert abs(slope - 0.0921112) < 1e-7
+    assert len(attempts) - sum(len(seg.dense) for seg in traj.segments) == 19
+    (up, steps_up, rejected_up), (down, steps_down, rejected_down) = (
+        run(rho + 1e-6 * d), run(rho - 1e-6 * d))
+    assert steps_up == steps_down == 394 and (rejected_up, rejected_down) == (19, 18)
+    assert abs((up - down) / 2e-6 - slope) > 1e-4 * max(1.0, abs(slope))
+    (up, steps_up, rejected_up), (down, steps_down, rejected_down) = (
+        run(rho + 1e-7 * d), run(rho - 1e-7 * d))
+    assert steps_up == steps_down == 394 and rejected_up == rejected_down == 19
+    assert abs((up - down) / 2e-7 - slope) <= 1e-6 * max(1.0, abs(slope))
