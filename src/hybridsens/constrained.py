@@ -176,46 +176,40 @@ class _SaddleDynamics:
         K[n:, :n] = G
         return G, checked_lu(K, self._what)
 
-    def _solve(self, t, q, v, rho, saddle=None):
-        """(vdot, mu) at one state from one saddle solve, on the factor
-        ``saddle = (G, solve)`` of ``_saddle_lu`` at the same state if given:
-        [F; b] is filled into one vector and solved."""
+    def _solve(self, t, q, v, rho, G, solve):
+        """(vdot, mu) on the factor (G, solve) of ``_saddle_lu`` at this
+        state: [F; b] filled into one vector and solved."""
         model, cons, n = self.model, self.model.constraints, self.dims.n
-        G, solve = saddle or self._saddle_lu(t, q, rho)
         rhs = np.empty(n + cons.m)
         rhs[n:] = self._source(t, q, v, rho, G, cons.accel_rhs(t, q, v, rho))
         rhs[:n] = model.force_at(t, q, v, rho)
         sol = solve(rhs)
         return sol[:n], sol[n:]
 
+    def _linearization(self, t, q, v, rho, vdot, mu):
+        """``differentiate_saddle``'s (solve, vdot, mu, [F_y; b_y]), the right
+        side filled into one array."""
+        model, cons, n = self.model, self.model.constraints, self.dims.n
+        G, solve = self._saddle_lu(t, q, rho)
+        if mu is None:
+            vdot, mu = self._solve(t, q, v, rho, G, solve)
+        rhs = np.empty((n + cons.m, 2 * n + self.dims.p))
+        model.force_jacobians(t, q, v, rho, rhs[:n])
+        self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v), rhs[n:])
+        return solve, vdot, mu, rhs
+
     def _assemble_jacobians(self, t, q, v, rho, vdot=None, mu=None):
         """(vdot, mu, f_y, mu_y) at one state: the Jacobian of the map
-        (q, v, rho) -> (vdot, mu), the partials of the saddle solve by
-        ``differentiate_saddle``, as the (n, 2n + p) block f_y and the
-        (m, 2n + p) block mu_y over the columns [q | v | rho], the two row
-        blocks of one solution.  Its analytic route factors K once, solves
-        (vdot, mu) on that factor unless given (as the sweeps read them from
-        the forward pass's stage record) and stacks one ``force_jacobians``
-        evaluation over the source partials; central differences solve at
-        the perturbed states, and at this one only when no solution is given.
+        (q, v, rho) -> (vdot, mu) by one ``differentiate_saddle`` call, as
+        the (n, 2n + p) block f_y and the (m, 2n + p) block mu_y over the
+        columns [q | v | rho], the two row blocks of one solution.  (vdot,
+        mu) are solved unless given (the sweeps read them from the record);
+        the analytic route factors K once (``_linearization``), central
+        differences perturb ``accel_and_multipliers``.
         """
-        model, cons, n = self.model, self.model.constraints, self.dims.n
-
-        def rhs_partials():
-            nonlocal vdot, mu
-            saddle = self._saddle_lu(t, q, rho)
-            if mu is None:
-                vdot, mu = self._solve(t, q, v, rho, saddle)
-            G, solve = saddle
-            rhs = np.vstack([model.force_jacobians(t, q, v, rho),
-                             self._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))])
-            return solve, vdot, mu, rhs
-
-        sol = differentiate_saddle(model, t, q, v, rho,
-                                   lambda *z: np.concatenate(self._solve(t, *z)), rhs_partials)
-        if mu is None:  # central differences solve at the perturbed states only
-            vdot, mu = self._solve(t, q, v, rho)
-        return vdot, mu, sol[:n], sol[n:]
+        vdot, mu, sol = differentiate_saddle(self.model, t, q, v, rho, vdot, mu,
+                                             self.accel_and_multipliers, self._linearization)
+        return vdot, mu, sol[:self.dims.n], sol[self.dims.n:]
 
 
 class PenaltyDynamics(_SaddleDynamics):
@@ -250,13 +244,13 @@ class PenaltyDynamics(_SaddleDynamics):
         return (C + self._neg_damp * (G @ v)
                 + self._neg_stiff * self.model.constraints.value(t, q, rho))
 
-    def _source_partials(self, t, q, v, rho, G, H_v):
-        """b_y on the analytic route, where phi_q does not depend on rho: one
-        (m, 2n + p) block over the columns [q | v | rho]."""
-        return np.concatenate((self._neg_damp * H_v + self._neg_stiff * G,
-                               -2.0 * H_v + self._neg_damp * G,
-                               self._neg_stiff * self.model.constraints.jac_rho(t, q, rho)),
-                              axis=1)
+    def _source_partials(self, t, q, v, rho, G, H_v, out):
+        """b_y on the analytic route, where phi_q does not depend on rho,
+        written into out, an (m, 2n + p) block over [q | v | rho]."""
+        np.concatenate((self._neg_damp * H_v + self._neg_stiff * G,
+                        -2.0 * H_v + self._neg_damp * G,
+                        self._neg_stiff * self.model.constraints.jac_rho(t, q, rho)),
+                       axis=1, out=out)
 
     # the four calls are defined on each class, where perfbench/spans.py
     # patches them
@@ -264,7 +258,8 @@ class PenaltyDynamics(_SaddleDynamics):
         return self.accel_and_multipliers(t, q, v, rho)[0]
 
     def accel_and_multipliers(self, t, q, v, rho):
-        return self._solve(t, q, v, rho)
+        G, solve = self._saddle_lu(t, q, rho)
+        return self._solve(t, q, v, rho, G, solve)
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return self._assemble_jacobians(t, q, v, rho, vdot, mu)
@@ -281,17 +276,17 @@ class DaeDynamics(_SaddleDynamics):
     def _source(self, t, q, v, rho, G, C):
         return C
 
-    def _source_partials(self, t, q, v, rho, G, H_v):
+    def _source_partials(self, t, q, v, rho, G, H_v, out):
         n = self.dims.n
-        b_y = np.zeros((H_v.shape[0], 2 * n + self.dims.p))
-        b_y[:, n:2 * n] = -2.0 * H_v
-        return b_y
+        out.fill(0.0)
+        out[:, n:2 * n] = -2.0 * H_v
 
     def accel(self, t, q, v, rho) -> np.ndarray:
         return self.accel_and_multipliers(t, q, v, rho)[0]
 
     def accel_and_multipliers(self, t, q, v, rho):
-        return self._solve(t, q, v, rho)
+        G, solve = self._saddle_lu(t, q, rho)
+        return self._solve(t, q, v, rho, G, solve)
 
     def jacobians(self, t, q, v, rho, vdot=None, mu=None):
         return self._assemble_jacobians(t, q, v, rho, vdot, mu)
@@ -320,20 +315,22 @@ def check_one_sided(dyn, dense) -> None:
             f"the constraint would push, and its release is not supported")
 
 
-def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_partials):
-    """Partials in (q, v, rho) of the solution s = [x; mu] of a saddle system
+def differentiate_saddle(model: MultibodyModel, t, q, v, rho, x, mu, solve_at, linearize):
+    """(x, mu, s_z): the solution s = [x; mu] of a saddle system
 
         K [x; mu] = [a; b],    K = [[M, G^T], [G, -c I]],    G = phi_q,
 
-    with K a function of (t, q, rho) and [a; b] one of (t, q, v, rho):
+    (x, mu given or None) and its partials s_z in (q, v, rho), with K a
+    function of (t, q, rho) and [a; b] one of (t, q, v, rho):
 
         K s_z = [a_z - M_z x - d(G^T mu)/dz ; b_z - d(G x)/dz].
 
     Analytic when the model's constraint set declares its constant
     ``hessian`` (phi_q affine in q and independent of rho, so that the G
-    terms exist in q alone): ``rhs_partials()`` returns (solve, x, mu, rhs),
-    K's solve, the solution and [a_z; b_z] as one (n + m, 2n + p) array over
-    the columns [q | v | rho], whose K_z s terms are subtracted in place
+    terms exist in q alone): ``linearize(t, q, v, rho, x, mu)`` returns
+    (solve, x, mu, rhs), K's solve, the solution and [a_z; b_z] as one new
+    (n + m, 2n + p) array over the columns [q | v | rho], whose K_z s terms
+    are subtracted in place
 
         z = q:    [a_q - M_q x - qqT(mu) ; b_q - qq(x)]
         z = v:    [a_v ; b_v]
@@ -343,23 +340,25 @@ def differentiate_saddle(model: MultibodyModel, t, q, v, rho, solve_at, rhs_part
     qqT(mu) = d(phi_q^T mu)/dq is the mu-weighted sum of the Hessians,
     contracted here and nowhere else; qq(x) = d(phi_q x)/dq contracts the
     other view, as ``qq_action`` does.  Any other constraint set takes
-    central differences of ``solve_at(q, v, rho) -> s``, and
-    ``rhs_partials`` is not called.  Returns s_z as one (n + m, 2n + p)
-    array.
+    central differences of ``solve_at(t, q, v, rho) -> (x, mu)``, and
+    ``linearize`` is not called.
     """
     cons = model.constraints
     if cons.hessian is None:
         from .model import fd_jacobian as _fd
 
-        return np.hstack([_fd(lambda x: solve_at(x, v, rho), q),
-                          _fd(lambda x: solve_at(q, x, rho), v),
-                          _fd(lambda x: solve_at(q, v, x), rho)])
-    factor, x, mu, rhs = rhs_partials()
+        y = (q, v, rho)
+        s_z = np.hstack([_fd(lambda z: np.concatenate(solve_at(t, *y[:i], z, *y[i + 1:])), y[i])
+                         for i in range(3)])
+        x, mu = solve_at(t, q, v, rho) if mu is None else (x, mu)
+        return x, mu, s_z
+    solve, x, mu, rhs = linearize(t, q, v, rho, x, mu)
     n = model.dims.n
     model.subtract_mass_partials(t, q, rho, x, rhs[:n])
-    rhs[:n, :n] -= (mu @ cons._hess_flat).reshape(n, n)
-    rhs[n:, :n] -= (cons._hess_rows @ x).reshape(cons.m, n)
-    return factor(rhs)
+    a_q, b_q = rhs[:n, :n], rhs[n:, :n]
+    a_q -= (mu @ cons._hess_flat).reshape(n, n)
+    b_q -= (cons._hess_rows @ x).reshape(cons.m, n)
+    return x, mu, solve(rhs)
 
 
 def impulse_system(model: MultibodyModel, t_eve, q, v_minus, rho):

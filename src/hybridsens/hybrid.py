@@ -288,17 +288,16 @@ class ConstrainedInelasticEvent(EventSpec):
         dof, dep = _dof_split(self, n)
         M, factor, s = _constrained.impulse_system(model, t, q, v_minus, rho)
 
-        def rhs_partials():
+        def linearize(t, q, v, rho, x, mu):
             rhs = np.zeros((s.size, 2 * n + rho.size))
-            rhs[:n, :n], rhs[:n, 2 * n:] = model.mass_jacobians(t, q, rho, v_minus)
+            rhs[:n, :n], rhs[:n, 2 * n:] = model.mass_jacobians(t, q, rho, v)
             rhs[:n, n:2 * n] = M
-            return factor, s[:n], s[n:], rhs
+            return factor, x, mu, rhs
 
         def blocks(vdot_minus, vdot_plus):
             J = _constrained.differentiate_saddle(
-                model, t, q, v_minus, rho,
-                lambda *z: _constrained.impulse_system(model, t, *z)[2],
-                rhs_partials)
+                model, t, q, v_minus, rho, s[:n], s[n:],
+                lambda *z: np.split(_constrained.impulse_system(model, *z)[2], [n]), linearize)[2]
             jq, jv, jrho = J[:, :n], J[:, n:2 * n], J[:, 2 * n:]
             G, G_rho = model.constraints.jac_q(t, q, rho), model.constraints.jac_rho(t, q, rho)
             R, D, P = _dependent_blocks(dof, dep, G, _dependent_solve(self, G, dep), G_rho)

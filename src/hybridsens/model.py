@@ -367,16 +367,16 @@ class MultibodyModel:
         rhs[:, :n] -= M_q
         rhs[:, 2 * n:] -= M_rho
 
-    def force_jacobians(self, t, q, v, rho):
+    def force_jacobians(self, t, q, v, rho, out=None):
         """F_y at one state, one (n, 2n + p) block over the columns
-        [q | v | rho]: the triple (F_q, F_v, F_rho) of ``force_partials`` if
-        supplied, each block's shape checked, else central differences of
-        ``force`` for all three, joined."""
+        [q | v | rho], into ``out`` if given: the triple (F_q, F_v, F_rho) of
+        ``force_partials`` if supplied, each block's shape checked, else
+        central differences of ``force`` for all three."""
         n, p = self.dims.n, self.dims.p
         return np.concatenate(
             _partials(self.force_partials, lambda: f"force_partials of '{self.name}'",
                       self.force_at, (t, q, v, rho),
-                      (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p)))), axis=1)
+                      (("F_q", (n, n)), ("F_v", (n, n)), ("F_rho", (n, p)))), axis=1, out=out)
 
 
 class OdeDynamics:
@@ -563,7 +563,8 @@ def cost_density_gradients(cost: CostFunctional, t, q, v, rho, jac):
                        [+ g_mu mu_y for constrained dynamics],
 
     where a multiplier term g_of_mu first adds its own partials to g's (its
-    acceleration partial to g_vdot).  Each term is one product.
+    acceleration partial to g_vdot).  Each term is one product, added into
+    g_y in this order.
 
     ``jac`` is what the dynamics' ``jacobians`` returned at this state,
     (vdot, mu, f_y, mu_y).
@@ -585,11 +586,12 @@ def cost_density_gradients(cost: CostFunctional, t, q, v, rho, jac):
         g_y, ga = g_y + m_y, ga + ma
     if gu is not None:
         u_y, ua = _y_partials(*cost.u_jacobians(t, q, v, vdot, rho, u))
-        g_y = g_y + gu @ (u_y + ua @ f_y)
-    if ga.any():
-        g_y = g_y + ga @ f_y
+        u_y += ua @ f_y
+        g_y += gu @ u_y
+    if np.count_nonzero(ga):
+        g_y += ga @ f_y
     if cost.g_of_mu is not None:
-        g_y = g_y + gmu @ mu_y
+        g_y += gmu @ mu_y
     return g_y
 
 

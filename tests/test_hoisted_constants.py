@@ -49,7 +49,9 @@ def test_penalty_source_and_partials_equal_the_negated_sums(pcfg):
         refs = (-(2.0 * xi * om * H_v + om ** 2 * G),
                 -(2.0 * H_v + 2.0 * xi * om * G),
                 -(om ** 2 * cons.jac_rho(0.0, q, rho)))
-        assert same(dyn._source_partials(0.0, q, v, rho, G, H_v), np.concatenate(refs, axis=1))
+        b_y = np.full((cons.m, 2 * q.size + rho.size), np.nan)
+        dyn._source_partials(0.0, q, v, rho, G, H_v, b_y)
+        assert same(b_y, np.concatenate(refs, axis=1))
 
 
 def _value(names, name, rho):
@@ -155,9 +157,11 @@ def test_shared_constants_are_read_only():
             _assert_read_only(H)
     dae = gallery.five_bar(FIVE_BAR_PARAMS, "dae").dynamics
     rho = np.array([FIVE_BAR_DATA[nm] for nm in FIVE_BAR_PARAMS])
-    # the DAE's source b = C has zero partials in q and rho
-    b_q, _, b_rho = columns(dae._source_partials(0.0, q, v, rho, np.ones((4, 6)),
-                                                 np.ones((4, 6))), 6)
+    # the DAE's source b = C has zero partials in q and rho, written over
+    # whatever the block held
+    b_y = np.full((4, 20), np.nan)
+    dae._source_partials(0.0, q, v, rho, np.ones((4, 6)), np.ones((4, 6)), b_y)
+    b_q, _, b_rho = columns(b_y, 6)
     for z, shape in ((b_q, (4, 6)), (b_rho, (4, 8))):
         assert z.shape == shape and not z.any()
     bm = gallery.bouncing_mass()

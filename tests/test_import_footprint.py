@@ -20,14 +20,26 @@ import pytest
 import hybridsens
 
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+# numpy 2 imports these subpackages only when asked; each costs a fresh
+# import several milliseconds
+LAZY_NUMPY = ("numpy.random", "numpy.ma", "numpy.polynomial", "numpy.fft")
 
 FOOTPRINT = f"""
 import sys
+import numpy
+preloaded = [m for m in {LAZY_NUMPY!r} if m in sys.modules]  # numpy 1 loads them itself
 import hybridsens, hybridsens.cli
 heavy = sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {HEAVY!r})
 assert not heavy, heavy
 loaded = [m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules]
 assert not loaded, loaded
+def lazy():
+    return [m for m in {LAZY_NUMPY!r} if m in sys.modules and m not in preloaded]
+assert not lazy(), lazy()
+from hybridsens import gallery
+gallery.five_bar(), gallery.five_bar(formulation="dae")
+gallery.bouncing_mass(), gallery.pendulum()
+assert not lazy(), lazy()
 """
 
 ORDER = """

@@ -214,6 +214,24 @@ def test_force_partials_shape_guard():
                                   np.zeros((1, 1)), np.ones((1, 1))))
     with pytest.raises(DimensionError, match="g_partials.*g_v"):
         wrong_g.g_jacobians(t, q, v, a, rho, u)
+    # a (p,) g_rho would broadcast into the (1, p) rho columns of g_y: the
+    # cost route itself and a five-bar adjoint sweep refuse it by name
+    from hybridsens.adjoint import propagate_adjoint
+    from hybridsens.direct import simulate
+
+    flat_g_rho = CostFunctional(
+        nc=1, g=lambda t, q, v, a, rho, u: np.array([v[3]]),
+        g_partials=lambda t, q, v, a, rho, u: (np.zeros((1, 6)), np.zeros((1, 6)),
+                                               np.zeros((1, 6)), np.zeros(rho.size), None))
+    prob = five_bar()
+    dyn, rho5 = prob.dynamics, prob.rho0.rho
+    ic = dyn.model.initial_state(rho5)
+    jac = dyn.jacobians(0.0, ic.q0, ic.v0, rho5)
+    with pytest.raises(DimensionError, match="g_partials.*g_rho"):
+        cost_density_gradients(flat_g_rho, 0.0, ic.q0, ic.v0, rho5, jac)
+    traj = simulate(dyn, flat_g_rho, prob.events, rho5, (0.0, 0.1), prob.config)
+    with pytest.raises(DimensionError, match="g_partials.*g_rho"):
+        propagate_adjoint(traj)
     wrong_w = CostFunctional(
         nc=1, w=lambda t, q, v, rho, u: np.array([q[0]]),
         w_partials=lambda *args: (np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.zeros(1), None))

@@ -337,7 +337,7 @@ def reference_solve(dyn, t, q, v, rho):
 
 def callback_route(dyn, t, q, v, rho, vdot=None, mu=None):
     """(vdot, mu, [f_z; mu_z]) through ``differentiate_saddle``'s callback
-    route: a closure factors K, solves if no solution is given and fills
+    route: a closure factors K, solves if no solution is given and stacks
     the right side (``reference_solve``), and the routine subtracts the K_z
     terms and solves."""
     model, cons, n = dyn.model, dyn.model.constraints, dyn.dims.n
@@ -345,20 +345,16 @@ def callback_route(dyn, t, q, v, rho, vdot=None, mu=None):
     def split(sol):
         return sol[:n], sol[n:]
 
-    def rhs_partials():
-        nonlocal vdot, mu
+    def linearize(t, q, v, rho, vdot, mu):
         G, solve, sol = reference_solve(dyn, t, q, v, rho)
         if mu is None:
             vdot, mu = split(sol)
-        rhs = np.vstack([model.force_jacobians(t, q, v, rho),
-                         dyn._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v))])
-        return solve, vdot, mu, rhs
+        b_y = np.full((cons.m, 2 * n + rho.size), np.nan)
+        dyn._source_partials(t, q, v, rho, G, cons.qq_action(t, q, rho, v), b_y)
+        return solve, vdot, mu, np.vstack([model.force_jacobians(t, q, v, rho), b_y])
 
-    sol = differentiate_saddle(model, t, q, v, rho,
-                               lambda *z: reference_solve(dyn, t, *z)[2], rhs_partials)
-    if mu is None:
-        vdot, mu = split(reference_solve(dyn, t, q, v, rho)[2])
-    return vdot, mu, sol
+    return differentiate_saddle(model, t, q, v, rho, vdot, mu,
+                                lambda *s: split(reference_solve(dyn, *s)[2]), linearize)
 
 
 def five_bar_case(formulation):
